@@ -79,6 +79,6 @@ from .parametric_mode import (
     integrate_mode,
     squeeze_spectrum,
 )
-from .quadrature import IntegralSpec, bessel_j1, convolve_response, integrate
+from .quadrature import bessel_j1
 
 __version__ = "0.1.0"

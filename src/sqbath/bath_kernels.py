@@ -12,6 +12,12 @@ kernels are never sampled numerically: they are returned as symbolic tags
 and consumed analytically by the detector dynamics (local damping plus
 frequency renormalization).
 
+Every frequency integral of the package sees the bath through
+:func:`bath_mix`: the measure (dw/2pi)(kappa/4pi) coth(b w/2) with its
+regulator, and the stationary and nonstationary squeeze weights
+cosh 2eta and sinh 2eta e^{i theta}, constant or read from a squeeze
+spectrum.
+
 Conventions: frequencies carry the initial field mass, w_i = sqrt(k^2 +
 m_i^2); k integrals are performed in w_i above threshold, which removes
 the Jacobian singularity at k = 0.  Fourier transforms follow
@@ -20,11 +26,12 @@ g~(w) = int dt g(t) e^{+i w t}.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -47,6 +54,8 @@ from .quadrature import (
 
 __all__ = [
     "KernelValue",
+    "BathMix",
+    "bath_mix",
     "SqueezeSpectrum",
     "BathSpec",
     "DELTA_PRIME_CONTACT",
@@ -184,30 +193,68 @@ class BathSpec:
 
 
 # ---------------------------------------------------------------------------
-# coincident-point Hadamard kernels
+# the bath as seen by every frequency integral
 
 _MEASURE_NORM = 1.0 / (8.0 * math.pi**2)  # (dw/2pi)(w/4pi) -> w dw / 8 pi^2
 
 
-def _massless_base(beta: float, quad: QuadratureConfig):
-    def base(w):
-        return _MEASURE_NORM * omega_coth_half_beta(w, beta) * quad.damping(w)
+class BathMix(NamedTuple):
+    """Measure and squeeze weights of the bath integrals over w.
 
-    return base
+    ``measure(w)`` is (1/8 pi^2) kappa coth(b w/2) times the regulator,
+    with kappa = sqrt(w^2 - m_i^2) above the threshold ``lower`` = m_i
+    (kappa = w for a massless bath).  ``cosh`` is cosh 2eta and ``sinh``
+    the complex sinh 2eta e^{i theta}: numbers for a constant squeeze,
+    functions of w for a squeeze spectrum, which is read at kappa.
+    """
+
+    lower: float
+    measure: Callable
+    cosh: float | Callable
+    sinh: complex | Callable
 
 
-def _massive_base(beta: float, mass_i: float, quad: QuadratureConfig):
+def bath_mix(bath: BathSpec, quad: QuadratureConfig) -> BathMix:
+    """Measure and weights of ``bath`` under the regulator of ``quad``."""
+    beta, mass_i = bath.beta, bath.mass_i
     if mass_i == 0.0:
-        return _massless_base(beta, quad)
+        def kappa(w):
+            return np.asarray(w, dtype=float)
 
-    def base(w):
-        w = np.asarray(w, dtype=float)
-        kappa = np.sqrt(np.maximum(w * w - mass_i * mass_i, 0.0))
-        return (
-            _MEASURE_NORM * kappa * coth_half_beta(w, beta) * quad.damping(w)
+        def measure(w):
+            return _MEASURE_NORM * omega_coth_half_beta(w, beta) * quad.damping(w)
+    else:
+        def kappa(w):
+            w = np.asarray(w, dtype=float)
+            return np.sqrt(np.maximum(w * w - mass_i * mass_i, 0.0))
+
+        def measure(w):
+            return _MEASURE_NORM * kappa(w) * coth_half_beta(w, beta) * quad.damping(w)
+
+    if isinstance(bath.squeeze, SqueezeSpectrum):
+        spectrum = bath.squeeze
+        spectrum.check_resolution(quad, mass_i)
+
+        def cosh(w):
+            return np.cosh(2.0 * spectrum.eta_at(kappa(w)))
+
+        def sinh(w):
+            k = kappa(w)
+            return np.sinh(2.0 * spectrum.eta_at(k)) * np.exp(1j * spectrum.theta_at(k))
+
+        return BathMix(mass_i, measure, cosh, sinh)
+
+    if not bath.is_massless:
+        raise DomainError(
+            "constant-squeeze dynamics is implemented for massless baths; "
+            "massive baths require a parametric squeeze spectrum"
         )
+    sq = bath.constant_squeeze()
+    return BathMix(0.0, measure, sq.cosh2eta, sq.sinh2eta * cmath.exp(1j * sq.theta))
 
-    return base
+
+# ---------------------------------------------------------------------------
+# coincident-point Hadamard kernels
 
 
 def hadamard_massless_coincident(
@@ -228,7 +275,7 @@ def hadamard_massless_coincident(
     sq = bath.constant_squeeze()
     quad.require_regulator("the coincident-point Hadamard kernel")
 
-    base = _massless_base(bath.beta, quad)
+    base = bath_mix(bath, quad).measure
     upper = quad.upper()
     opts = dict(rel_tol=quad.rel_tol, abs_tol=quad.abs_tol, limit=quad.max_subdivisions)
 
@@ -291,40 +338,23 @@ def hadamard_parametric(
         raise DomainError("kernel times must be >= 0 (origin at the process end)")
     if not isinstance(bath.squeeze, SqueezeSpectrum):
         raise DomainError("hadamard_parametric requires a squeeze spectrum")
-    spectrum = bath.squeeze
-    spectrum.check_resolution(quad, bath.mass_i)
+    mix = bath_mix(bath, quad)
     quad.require_regulator("the coincident-point Hadamard kernel")
 
-    base = _massive_base(bath.beta, bath.mass_i, quad)
-    mass_i = bath.mass_i
-
-    def kappa(w):
-        w = np.asarray(w, dtype=float)
-        return np.sqrt(np.maximum(w * w - mass_i * mass_i, 0.0))
-
-    def ch2(w):
-        return np.cosh(2.0 * spectrum.eta_at(kappa(w)))
-
-    def sh2(w):
-        return np.sinh(2.0 * spectrum.eta_at(kappa(w)))
-
-    def theta(w):
-        return spectrum.theta_at(kappa(w))
-
-    a = mass_i
+    a = mix.lower
     upper = quad.upper()
     opts = dict(rel_tol=quad.rel_tol, abs_tol=quad.abs_tol, limit=quad.max_subdivisions)
 
     stat, _ = fourier_quad(
-        lambda w: base(w) * ch2(w), t - t_prime, "cos", a, upper,
+        lambda w: mix.measure(w) * mix.cosh(w), t - t_prime, "cos", a, upper,
         head=cusp_head(a, abs(t - t_prime)), **opts
     )
     ns_cos, _ = fourier_quad(
-        lambda w: base(w) * sh2(w) * np.cos(theta(w)), t + t_prime, "cos", a, upper,
+        lambda w: (mix.measure(w) * mix.sinh(w)).real, t + t_prime, "cos", a, upper,
         head=cusp_head(a, t + t_prime), **opts
     )
     ns_sin, _ = fourier_quad(
-        lambda w: base(w) * sh2(w) * np.sin(theta(w)), t + t_prime, "sin", a, upper,
+        lambda w: (mix.measure(w) * mix.sinh(w)).imag, t + t_prime, "sin", a, upper,
         head=cusp_head(a, t + t_prime), **opts
     )
     return KernelValue(

@@ -755,7 +755,6 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="execute one scenario config")
     run_p.add_argument("--config", help="YAML config path")
     run_p.add_argument("--out", required=True, help="output directory")
-    run_p.add_argument("--threads", type=int, default=1)
     run_p.add_argument("--figure", choices=FIGURES, help="built-in figure preset")
 
     sweep_p = sub.add_parser("sweep", help="execute the sweep block of a config")
@@ -780,7 +779,7 @@ def main(argv=None) -> int:
         if args.command == "sweep" or (cfg.sweep is not None and args.figure):
             if cfg.sweep is None:
                 raise ConfigurationError("config has no sweep section")
-            manifest = run_sweep(cfg, args.out, threads=args.threads)
+            manifest = run_sweep(cfg, args.out, threads=getattr(args, "threads", 1))
         else:
             manifest = run(cfg, args.out)
     except ConfigurationError as exc:

@@ -26,19 +26,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath_kernels import BathSpec, SqueezeSpectrum
+from .bath_kernels import _MEASURE_NORM, BathSpec, SqueezeSpectrum, bath_mix
 from .errors import DomainError, EstimationError
 from .gaussian_state import CovarianceState
 from .oscillator_dynamics import (
     OscillatorSpec,
     QuadratureConfig,
-    _bath_mix,
+    _bilinear,
     _d2_tilde,
+    _fdot_factor,
     _fundamental,
-    _KernelPieces,
-    _pp_term_lists,
     _resp,
-    _sum_fourier_terms,
+    _wave,
     effective_response,
 )
 from .quadrature import (
@@ -105,56 +104,9 @@ def power_in(
         return 0.0
     quad.require_regulator("the injected power P_xi")
     resp, _ = effective_response(spec, bath)
-    mix = _bath_mix(bath, quad)
-
-    _, _, Ad, Bd = _fundamental(resp, t)
-    base = mix.base
-
-    def d_tilde(w):
-        return _d2_tilde(resp, w)
-
-    def es1(w):
-        d = d_tilde(w)
-        return (mix.shc(w) + 1j * mix.shs(w)) * d
-
-    terms = [
-        # stationary: 2 w Im D + 2 Re(D Cd) cos wt - 2 Im(D Cd) sin wt
-        (lambda w: base(w) * mix.ch2(w) * 2.0 * w * d_tilde(w).imag, 0.0, "cos"),
-        (
-            lambda w: base(w)
-            * mix.ch2(w)
-            * 2.0
-            * (-Ad * d_tilde(w).real - w * Bd * d_tilde(w).imag),
-            t,
-            "cos",
-        ),
-        (
-            lambda w: base(w)
-            * mix.ch2(w)
-            * (-2.0)
-            * (-Ad * d_tilde(w).imag + w * Bd * d_tilde(w).real),
-            t,
-            "sin",
-        ),
-        # nonstationary: -2 Re[Es1 (-i w e^{-2iwt} + Cd e^{-iwt})]
-        (lambda w: base(w) * (-2.0) * w * es1(w).imag, 2.0 * t, "cos"),
-        (lambda w: base(w) * 2.0 * w * es1(w).real, 2.0 * t, "sin"),
-        (
-            lambda w: base(w)
-            * (-2.0)
-            * (-Ad * es1(w).real - w * Bd * es1(w).imag),
-            t,
-            "cos",
-        ),
-        (
-            lambda w: base(w)
-            * (-2.0)
-            * (-Ad * es1(w).imag + w * Bd * es1(w).real),
-            t,
-            "sin",
-        ),
-    ]
-    total = _sum_fourier_terms(terms, mix.lower, quad)
+    total = sum(
+        _bilinear(resp, bath_mix(bath, quad), _fdot_factor(resp, t), _wave(t), quad)
+    )
     return 8.0 * math.pi * spec.gamma * total
 
 
@@ -164,11 +116,9 @@ def momentum_dispersion_driven(
     """Bath-driven part of <p^2(t)> (no initial-condition terms)."""
     quad.require_regulator("the momentum dispersion <p^2>")
     resp, _ = effective_response(spec, bath)
-    mix = _bath_mix(bath, quad)
-    pieces = _KernelPieces(resp, mix)
-    stat, nonstat = _pp_term_lists(pieces, t)
+    f_dot = _fdot_factor(resp, t)
     e_sq = 8.0 * math.pi * spec.gamma * spec.m
-    return e_sq * _sum_fourier_terms(stat + nonstat, mix.lower, quad)
+    return e_sq * sum(_bilinear(resp, bath_mix(bath, quad), f_dot, f_dot, quad))
 
 
 def power_out(
@@ -251,8 +201,6 @@ def flux_report(
 
 # ---------------------------------------------------------------------------
 # late-time falloff of the oscillating power remnants
-
-_MEASURE_NORM = 1.0 / (8.0 * math.pi**2)
 
 
 def jn_integral(

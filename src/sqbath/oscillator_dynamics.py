@@ -8,14 +8,26 @@ nonstationary split of the displacement dispersion, and the two-time
 Hadamard function of the displacement operator.
 
 All spectral integrals are evaluated in closed form in the frequency
-domain: the response enters only through
+domain.  The response enters only through
 
     f(t; w) = d2~(w) [e^{-iwt} - d1(t) + i w d2(t)],
     d2~(w)  = 1 / (w_r^2 - w^2 - 2 i gamma w),
 
-so every covariance component is a short sum of Fourier integrals with
-smooth kernels (the double time-integral form survives only as a test
-oracle).  Fourier convention: g~(w) = int dt g(t) e^{+iwt}.
+and every detector quantity is a bilinear form in two responses u, v of
+the shape d2~(w)^n [P(w) e^{-iws} + Q(w)] with P, Q linear in w: f(t),
+its derivative f'(t) and the plane wave e^{-iwt}.  The form splits into
+the parts the fluctuation-dissipation argument rests on,
+
+    stationary    =  int dmu cosh 2eta 2 Re[u v*],
+    nonstationary = -int dmu 2 Re[sinh 2eta e^{i theta} u v],
+
+with the bath measure dmu and weights of :func:`bath_kernels.bath_mix`.
+One expander multiplies out either product and groups its phases
+e^{-iw tau} by |tau| into cos and sin Fourier integrals with smooth
+kernels: (f, f), (f', f') and (f, f') give xx, pp and xp, (f(t), f(t'))
+the two-time Hadamard function, and (f', e^{-iwt}) the injected power.
+The double time-integral form survives only as a test oracle.  Fourier
+convention: g~(w) = int dt g(t) e^{+iwt}.
 
 For a massive (parametric) bath the equation of motion acquires a Bessel
 memory term; for field masses small against the resonance it reduces to a
@@ -29,24 +41,18 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .bath_kernels import BathSpec, KernelValue, SqueezeSpectrum
+from .bath_kernels import BathMix, BathSpec, KernelValue, bath_mix
 from .errors import (
     ConvergenceError,
     DomainError,
     UnsupportedRegimeError,
 )
 from .gaussian_state import CovarianceState
-from .quadrature import (
-    QuadratureConfig,
-    coth_half_beta,
-    cusp_head,
-    fourier_quad,
-    omega_coth_half_beta,
-)
+from .quadrature import QuadratureConfig, cusp_head, fourier_quad
 
 __all__ = [
     "OscillatorSpec",
@@ -319,85 +325,135 @@ def effective_response(
 
 
 # ---------------------------------------------------------------------------
-# spectral mix of the bath as seen by the detector integrals
-
-_MEASURE_NORM = 1.0 / (8.0 * math.pi**2)
+# bilinear forms in the response
 
 
-class _SpectralMix(NamedTuple):
-    """Measure and squeeze weights of the bath integrals over w.
+class _Factor(NamedTuple):
+    """One response u(w) = d2~(w)^n [P(w) e^{-iws} + Q(w)] of a bilinear form.
 
-    base(w) carries the isotropic measure, the thermal factor and the
-    regulator; ch2 / shc / shs are cosh 2eta, sinh 2eta cos(theta),
-    sinh 2eta sin(theta), constant or mode-dependent.
+    P = p[0] + p[1] w and Q = q[0] + q[1] w.
     """
 
-    lower: float
-    base: Callable
-    ch2: Callable
-    shc: Callable
-    shs: Callable
+    n: int
+    s: float
+    p: tuple
+    q: tuple
 
 
-def _bath_mix(bath: BathSpec, quad: QuadratureConfig) -> _SpectralMix:
-    beta = bath.beta
+def _f_factor(resp: _Response, t: float) -> _Factor:
+    """f(t; w): P = 1, Q = -d1(t) + i w d2(t)."""
+    d1, d2, _, _ = _fundamental(resp, t)
+    return _Factor(1, float(t), (1.0, 0.0), (-float(d1), 1j * float(d2)))
 
-    if isinstance(bath.squeeze, SqueezeSpectrum):
-        spectrum = bath.squeeze
-        spectrum.check_resolution(quad, bath.mass_i)
-        mass_i = bath.mass_i
 
-        if mass_i == 0.0:
-            def base(w):
-                return _MEASURE_NORM * omega_coth_half_beta(w, beta) * quad.damping(w)
+def _fdot_factor(resp: _Response, t: float) -> _Factor:
+    """f'(t; w): P = -i w, Q = -d1'(t) + i w d2'(t)."""
+    _, _, d1_dot, d2_dot = _fundamental(resp, t)
+    return _Factor(1, float(t), (0.0, -1j), (-float(d1_dot), 1j * float(d2_dot)))
 
-            def eta_of(w):
-                return spectrum.eta_at(np.asarray(w, dtype=float))
 
-            def theta_of(w):
-                return spectrum.theta_at(np.asarray(w, dtype=float))
-        else:
-            def base(w):
-                w = np.asarray(w, dtype=float)
-                kappa = np.sqrt(np.maximum(w * w - mass_i * mass_i, 0.0))
-                return _MEASURE_NORM * kappa * coth_half_beta(w, beta) * quad.damping(w)
+def _wave(t: float) -> _Factor:
+    """The plane wave e^{-iwt}."""
+    return _Factor(0, float(t), (1.0, 0.0), (0.0, 0.0))
 
-            def eta_of(w):
-                w = np.asarray(w, dtype=float)
-                kappa = np.sqrt(np.maximum(w * w - mass_i * mass_i, 0.0))
-                return spectrum.eta_at(kappa)
 
-            def theta_of(w):
-                w = np.asarray(w, dtype=float)
-                kappa = np.sqrt(np.maximum(w * w - mass_i * mass_i, 0.0))
-                return spectrum.theta_at(kappa)
+def _times(a, b, scale):
+    """Coefficients of scale (a[0] + a[1] w)(b[0] + b[1] w) in powers of w."""
+    return (
+        scale * a[0] * b[0],
+        scale * (a[0] * b[1] + a[1] * b[0]),
+        scale * a[1] * b[1],
+    )
 
-        return _SpectralMix(
-            lower=mass_i,
-            base=base,
-            ch2=lambda w: np.cosh(2.0 * eta_of(w)),
-            shc=lambda w: np.sinh(2.0 * eta_of(w)) * np.cos(theta_of(w)),
-            shs=lambda w: np.sinh(2.0 * eta_of(w)) * np.sin(theta_of(w)),
-        )
 
-    if not bath.is_massless:
-        raise DomainError(
-            "constant-squeeze dynamics is implemented for massless baths; "
-            "massive baths require a parametric squeeze spectrum"
-        )
-    sq = bath.constant_squeeze()
-    ch2 = sq.cosh2eta
-    shc = sq.sinh2eta * math.cos(sq.theta)
-    shs = sq.sinh2eta * math.sin(sq.theta)
+def _d_power(n_u: int, n_v: int, conj: bool):
+    """d2~^{n_u} (d2~*)^{n_v} (conj) or d2~^{n_u + n_v} as a function of d2~."""
+    if conj and n_v:
+        return (lambda d: d.conjugate(), lambda d: (d * d.conjugate()).real)[n_u]
+    return (lambda d: 1.0, lambda d: d, lambda d: d * d)[n_u + n_v]
 
-    def base(w):
-        return _MEASURE_NORM * omega_coth_half_beta(w, beta) * quad.damping(w)
 
-    def const(value):
-        return lambda w: np.full_like(np.asarray(w, dtype=float), value)
+def _kernel(resp: _Response, measure, weight, d_power, coeffs, part: str):
+    """w -> part of measure(w) weight(w) d_power(d2~(w)) (c0 + c1 w + c2 w^2)."""
+    gamma, omega_sq = resp.gamma, resp.omega_sq
+    c0, c1, c2 = coeffs
 
-    return _SpectralMix(
-        lower=0.0, base=base, ch2=const(ch2), shc=const(shc), shs=const(shs)
+    def kernel(w):
+        d = 1.0 / (omega_sq - w * w - 2j * gamma * w)
+        value = measure(w) * d_power(d) * (c0 + w * (c1 + w * c2))
+        if weight is not None:
+            value = value * weight(w)
+        return getattr(value, part)
+
+    return kernel
+
+
+def _fourier_terms(
+    resp: _Response, mix: BathMix, u: _Factor, v: _Factor, stationary: bool
+) -> list:
+    """Fourier terms of one part of the bilinear form of u and v.
+
+    The stationary part is int dmu cosh 2eta 2 Re[u v*], the
+    nonstationary part -int dmu 2 Re[sinh 2eta e^{i theta} u v].  The four
+    products of P and Q carry phases e^{-iw tau}; the phases of one |tau|
+    share a cos kernel Re[F p+] and a sin kernel Im[F p-], where F is the
+    measure, weight and d2~ factor, p+ sums the polynomials and p- sums
+    them with the sign of tau.  A kernel that vanishes identically is
+    dropped: the sin kernel at tau = 0, any part that a real F (u v* with
+    equal d2~ powers under the real cosh weight) takes from a purely real
+    or purely imaginary polynomial, and every kernel of a part whose
+    constant weight is zero (the nonstationary part of an unsqueezed bath).
+    """
+    if stationary:
+        weight, scale = mix.cosh, 2.0
+        vp = tuple(c.conjugate() for c in v.p)
+        vq = tuple(c.conjugate() for c in v.q)
+        vs = -v.s
+    else:
+        weight, scale = mix.sinh, -2.0
+        vp, vq, vs = v.p, v.q, v.s
+    if not callable(weight):
+        weight, scale = None, scale * weight
+
+    groups: dict[float, tuple] = {}
+    products = ((u.s + vs, u.p, vp), (u.s, u.p, vq), (vs, u.q, vp), (0.0, u.q, vq))
+    for tau, a, b in products:
+        poly = _times(a, b, scale)
+        if any(poly):
+            sign = (tau > 0) - (tau < 0)
+            plus, minus = groups.get(abs(tau), ((0.0,) * 3, (0.0,) * 3))
+            groups[abs(tau)] = (
+                tuple(x + y for x, y in zip(plus, poly)),
+                tuple(x + sign * y for x, y in zip(minus, poly)),
+            )
+
+    real_f = stationary and u.n == v.n
+    d_power = _d_power(u.n, v.n, stationary)
+    terms = []
+    for freq, polys in groups.items():
+        for poly, part, kind in zip(polys, ("real", "imag"), ("cos", "sin")):
+            if any(getattr(c, part) for c in poly) if real_f else any(poly):
+                kernel = _kernel(resp, mix.measure, weight, d_power, poly, part)
+                terms.append((kernel, freq, kind))
+    return terms
+
+
+def _unit_mix(beta: float, theta: float, quad: QuadratureConfig) -> BathMix:
+    """Massless thermal measure with the squeeze magnitude factored out.
+
+    The weights are 1 and e^{i theta} in place of cosh 2eta and
+    sinh 2eta e^{i theta}.
+    """
+    return bath_mix(BathSpec(beta), quad)._replace(cosh=1.0, sinh=cmath.exp(1j * theta))
+
+
+def _bilinear(
+    resp: _Response, mix: BathMix, u: _Factor, v: _Factor, quad: QuadratureConfig
+) -> tuple[float, float]:
+    """(stationary, nonstationary) parts of the bilinear form of u and v."""
+    return tuple(
+        _sum_fourier_terms(_fourier_terms(resp, mix, u, v, part), mix.lower, quad)
+        for part in (True, False)
     )
 
 
@@ -425,149 +481,6 @@ def _sum_fourier_terms(terms, lower, quad: QuadratureConfig) -> float:
     return total
 
 
-class _KernelPieces:
-    """Shared spectral building blocks |D|^2, Re/Im of the squeezed D^2.
-
-    E(w) = sinh 2eta(w) e^{i theta(w)} D^2(w) folds the nonstationary bath
-    weight into the response; S(w) = cosh 2eta(w) |D(w)|^2 the stationary
-    one.
-    """
-
-    def __init__(self, resp: _Response, mix: _SpectralMix):
-        self.resp = resp
-        self.mix = mix
-
-    def Dsq_abs(self, w):
-        d = _d2_tilde(self.resp, w)
-        return (d * d.conjugate()).real
-
-    def S(self, w):
-        return self.mix.ch2(w) * self.Dsq_abs(w)
-
-    def E(self, w):
-        d = _d2_tilde(self.resp, w)
-        d2 = d * d
-        return (self.mix.shc(w) + 1j * self.mix.shs(w)) * d2
-
-    def E_re(self, w):
-        return self.E(w).real
-
-    def E_im(self, w):
-        return self.E(w).imag
-
-
-def _xx_term_lists(pieces: _KernelPieces, t: float):
-    """(stationary, nonstationary) Fourier terms of the f (x) f integral."""
-    resp, mix = pieces.resp, pieces.mix
-    A, B, _, _ = _fundamental(resp, t)
-    base = mix.base
-
-    stationary = [
-        (lambda w: base(w) * 2.0 * pieces.S(w) * (1.0 + A * A + (w * B) ** 2), 0.0, "cos"),
-        (lambda w: base(w) * (-4.0 * A) * pieces.S(w), t, "cos"),
-        (lambda w: base(w) * (-4.0 * B) * w * pieces.S(w), t, "sin"),
-    ]
-    nonstationary = [
-        (
-            lambda w: base(w)
-            * (-2.0)
-            * (pieces.E_re(w) * (A * A - (w * B) ** 2) + pieces.E_im(w) * 2.0 * A * B * w),
-            0.0,
-            "cos",
-        ),
-        (lambda w: base(w) * 4.0 * (A * pieces.E_re(w) + B * w * pieces.E_im(w)), t, "cos"),
-        (lambda w: base(w) * 4.0 * (A * pieces.E_im(w) - B * w * pieces.E_re(w)), t, "sin"),
-        (lambda w: base(w) * (-2.0) * pieces.E_re(w), 2.0 * t, "cos"),
-        (lambda w: base(w) * (-2.0) * pieces.E_im(w), 2.0 * t, "sin"),
-    ]
-    return stationary, nonstationary
-
-
-def _pp_term_lists(pieces: _KernelPieces, t: float):
-    """Fourier terms of the f' (x) f' integral (momentum dispersion)."""
-    resp, mix = pieces.resp, pieces.mix
-    _, _, Ad, Bd = _fundamental(resp, t)
-    base = mix.base
-
-    stationary = [
-        (
-            lambda w: base(w) * 2.0 * pieces.S(w) * (w * w + Ad * Ad + (w * Bd) ** 2),
-            0.0,
-            "cos",
-        ),
-        (lambda w: base(w) * (-4.0 * Bd) * w * w * pieces.S(w), t, "cos"),
-        (lambda w: base(w) * (4.0 * Ad) * w * pieces.S(w), t, "sin"),
-    ]
-    nonstationary = [
-        (
-            lambda w: base(w)
-            * (-2.0)
-            * (pieces.E_re(w) * (Ad * Ad - (w * Bd) ** 2) + pieces.E_im(w) * 2.0 * Ad * Bd * w),
-            0.0,
-            "cos",
-        ),
-        (
-            lambda w: base(w) * 4.0 * w * (Ad * pieces.E_im(w) - Bd * w * pieces.E_re(w)),
-            t,
-            "cos",
-        ),
-        (
-            lambda w: base(w) * (-4.0) * w * (Ad * pieces.E_re(w) + Bd * w * pieces.E_im(w)),
-            t,
-            "sin",
-        ),
-        (lambda w: base(w) * 2.0 * w * w * pieces.E_re(w), 2.0 * t, "cos"),
-        (lambda w: base(w) * 2.0 * w * w * pieces.E_im(w), 2.0 * t, "sin"),
-    ]
-    return stationary, nonstationary
-
-
-def _xp_term_lists(pieces: _KernelPieces, t: float):
-    """Fourier terms of the symmetrized f (x) f' integral."""
-    resp, mix = pieces.resp, pieces.mix
-    A, B, Ad, Bd = _fundamental(resp, t)
-    base = mix.base
-
-    stationary = [
-        (
-            lambda w: base(w) * 2.0 * pieces.S(w) * (A * Ad + w * w * B * Bd),
-            0.0,
-            "cos",
-        ),
-        (lambda w: base(w) * (-2.0) * pieces.S(w) * (Ad + w * w * B), t, "cos"),
-        (lambda w: base(w) * 2.0 * w * (A - Bd) * pieces.S(w), t, "sin"),
-    ]
-    nonstationary = [
-        (
-            lambda w: base(w)
-            * (-2.0)
-            * (
-                pieces.E_re(w) * (A * Ad - w * w * B * Bd)
-                + pieces.E_im(w) * w * (A * Bd + Ad * B)
-            ),
-            0.0,
-            "cos",
-        ),
-        (
-            lambda w: base(w)
-            * (-2.0)
-            * (pieces.E_re(w) * (-Ad + w * w * B) - pieces.E_im(w) * w * (A + Bd)),
-            t,
-            "cos",
-        ),
-        (
-            lambda w: base(w)
-            * (-2.0)
-            * (pieces.E_im(w) * (-Ad + w * w * B) + pieces.E_re(w) * w * (A + Bd)),
-            t,
-            "sin",
-        ),
-        (lambda w: base(w) * (-2.0) * w * pieces.E_im(w), 2.0 * t, "cos"),
-        (lambda w: base(w) * 2.0 * w * pieces.E_re(w), 2.0 * t, "sin"),
-    ]
-    return stationary, nonstationary
-
-
 def covariance_integral_parts(
     spec: OscillatorSpec,
     bath: BathSpec,
@@ -586,18 +499,13 @@ def covariance_integral_parts(
         return 0.0, 0.0, 0.0
     quad.require_regulator("the momentum dispersion <p^2>")
     resp, _ = effective_response(spec, bath)
-    mix = _bath_mix(bath, quad)
-    pieces = _KernelPieces(resp, mix)
-
+    mix = bath_mix(bath, quad)
+    f, f_dot = _f_factor(resp, t), _fdot_factor(resp, t)
     e_sq = 8.0 * math.pi * spec.gamma * spec.m
     m = spec.m
-
-    stat, nonstat = _xx_term_lists(pieces, t)
-    i_xx = (e_sq / m**2) * _sum_fourier_terms(stat + nonstat, mix.lower, quad)
-    stat, nonstat = _pp_term_lists(pieces, t)
-    i_pp = e_sq * _sum_fourier_terms(stat + nonstat, mix.lower, quad)
-    stat, nonstat = _xp_term_lists(pieces, t)
-    i_xp = (e_sq / m) * _sum_fourier_terms(stat + nonstat, mix.lower, quad)
+    i_xx = (e_sq / m**2) * sum(_bilinear(resp, mix, f, f, quad))
+    i_pp = e_sq * sum(_bilinear(resp, mix, f_dot, f_dot, quad))
+    i_xp = (e_sq / m) * sum(_bilinear(resp, mix, f, f_dot, quad))
     return i_xx, i_pp, i_xp
 
 
@@ -656,27 +564,10 @@ def ns_st_split(
         raise DomainError("ns_st_split requires t >= 0")
     if bath.is_parametric or not bath.is_massless:
         raise DomainError("ns_st_split is defined for massless constant-squeeze baths")
-    theta = bath.constant_squeeze().theta
     resp = _resp(spec)
-
-    # unit-weight mix: ch2 = 1, sinh 2eta -> 1 with the bath's angle
-    def base(w):
-        return _MEASURE_NORM * omega_coth_half_beta(w, bath.beta) * quad.damping(w)
-
-    def const(value):
-        return lambda w: np.full_like(np.asarray(w, dtype=float), value)
-
-    unit_mix = _SpectralMix(
-        lower=0.0,
-        base=base,
-        ch2=const(1.0),
-        shc=const(math.cos(theta)),
-        shs=const(math.sin(theta)),
-    )
-    pieces = _KernelPieces(resp, unit_mix)
-    stat, nonstat = _xx_term_lists(pieces, t)
-    i_st = _sum_fourier_terms(stat, 0.0, quad)
-    i_ns = _sum_fourier_terms(nonstat, 0.0, quad)
+    f = _f_factor(resp, t)
+    mix = _unit_mix(bath.beta, bath.constant_squeeze().theta, quad)
+    i_st, i_ns = _bilinear(resp, mix, f, f, quad)
     return i_ns, i_st
 
 
@@ -706,54 +597,13 @@ def chi_hadamard_components(
     if t < 0 or t_prime < 0:
         raise DomainError("two-time Hadamard requires t, t' >= 0")
     resp = resp if resp is not None else _resp(spec)
-    A, B, _, _ = _fundamental(resp, t)
-    A2, B2, _, _ = _fundamental(resp, t_prime)
-
-    def base(w):
-        return _MEASURE_NORM * omega_coth_half_beta(w, beta) * quad.damping(w)
-
-    def Dsq(w):
-        d = _d2_tilde(resp, w)
-        return (d * d.conjugate()).real
-
-    ct, st = math.cos(theta), math.sin(theta)
-
-    def E_re(w):
-        d = _d2_tilde(resp, w)
-        d2 = d * d
-        return ct * d2.real - st * d2.imag
-
-    def E_im(w):
-        d = _d2_tilde(resp, w)
-        d2 = d * d
-        return ct * d2.imag + st * d2.real
-
-    stationary_terms = [
-        (lambda w: base(w) * 2.0 * Dsq(w), t - t_prime, "cos"),
-        (lambda w: base(w) * 2.0 * Dsq(w) * (A * A2 + w * w * B * B2), 0.0, "cos"),
-        (lambda w: base(w) * (-2.0 * A2) * Dsq(w), t, "cos"),
-        (lambda w: base(w) * (-2.0 * B2) * w * Dsq(w), t, "sin"),
-        (lambda w: base(w) * (-2.0 * A) * Dsq(w), t_prime, "cos"),
-        (lambda w: base(w) * (-2.0 * B) * w * Dsq(w), t_prime, "sin"),
-    ]
-    nonstationary_terms = [
-        (lambda w: base(w) * (-2.0) * E_re(w), t + t_prime, "cos"),
-        (lambda w: base(w) * (-2.0) * E_im(w), t + t_prime, "sin"),
-        (
-            lambda w: base(w)
-            * (-2.0)
-            * (E_re(w) * (A * A2 - w * w * B * B2) + E_im(w) * w * (A * B2 + A2 * B)),
-            0.0,
-            "cos",
-        ),
-        (lambda w: base(w) * 2.0 * (A2 * E_re(w) + B2 * w * E_im(w)), t, "cos"),
-        (lambda w: base(w) * 2.0 * (A2 * E_im(w) - B2 * w * E_re(w)), t, "sin"),
-        (lambda w: base(w) * 2.0 * (A * E_re(w) + B * w * E_im(w)), t_prime, "cos"),
-        (lambda w: base(w) * 2.0 * (A * E_im(w) - B * w * E_re(w)), t_prime, "sin"),
-    ]
-    stationary = _sum_fourier_terms(stationary_terms, 0.0, quad)
-    nonstationary = _sum_fourier_terms(nonstationary_terms, 0.0, quad)
-    return stationary, nonstationary
+    return _bilinear(
+        resp,
+        _unit_mix(beta, theta, quad),
+        _f_factor(resp, t),
+        _f_factor(resp, t_prime),
+        quad,
+    )
 
 
 def chi_hadamard(

@@ -1,12 +1,13 @@
 """
 Numerical engine: regulated semi-infinite frequency integrals.
 
-Every spectral integral in the package reduces to one of three shapes:
+Every spectral integral in the package reduces to one of two shapes:
 
 * plain      ``int K(w) dw`` over ``(a, b)`` with ``b`` possibly infinite,
 * oscillatory ``int K(w) cos(c w) dw`` / ``int K(w) sin(c w) dw``,
-* either of the above with a thermal ``coth(beta w / 2)`` or Boltzmann
-  ``e^{-n beta w}`` weight and a hard-cutoff or exponential regulator.
+
+where the caller folds the thermal weight, the squeeze weights and the
+exponential regulator into ``K``; a hard cutoff is the upper limit.
 
 The adaptive core is QUADPACK (through scipy): QAGS/QAGI for smooth
 kernels, QAWO on finite intervals and QAWF on semi-infinite ones for the
@@ -14,38 +15,30 @@ oscillatory shapes.  QAWO/QAWF evaluate the trigonometric factor by
 half-period panels with Chebyshev moments and accelerate the panel sums
 with the epsilon algorithm, so integrands oscillating over ~1e5 cycles
 remain cheap.  Everything here is stateless and deterministic: a fixed
-spec and tolerance always reproduce the same value bit for bit.
+kernel and tolerance always reproduce the same value bit for bit.
 
-The module also carries the Bessel J1 used by the massive-field memory
-kernel and the direct time-domain convolution used as a test oracle for
-the closed-form response integrals.
+The module also carries the thermal factors and the Bessel J1 used by
+the massive-field memory kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy import integrate as _sciint
+from scipy import special as _special
 
 from .errors import ConfigurationError, ConvergenceError, DomainError
 
 __all__ = [
     "QuadratureConfig",
-    "IntegralSpec",
-    "CothHalfBeta",
-    "Boltzmann",
-    "HardCutoff",
-    "Exponential",
-    "integrate",
     "fourier_quad",
     "plain_quad",
     "coth_half_beta",
     "omega_coth_half_beta",
     "bessel_j1",
-    "convolve_response",
 ]
 
 DEFAULT_REL_TOL = 1e-8
@@ -121,54 +114,6 @@ class QuadratureConfig:
         return b
 
 
-@dataclass(frozen=True)
-class CothHalfBeta:
-    """Thermal weight coth(beta w / 2)."""
-
-    beta: float
-
-
-@dataclass(frozen=True)
-class Boltzmann:
-    """Boltzmann weight e^{-n beta w}."""
-
-    n: int
-    beta: float
-
-
-@dataclass(frozen=True)
-class HardCutoff:
-    cutoff: float
-
-
-@dataclass(frozen=True)
-class Exponential:
-    epsilon: float
-
-
-@dataclass(frozen=True)
-class IntegralSpec:
-    """Declarative description of a regulated frequency integral.
-
-    ``oscillation_freq_hint`` is the frequency c of a trigonometric factor.
-    When ``oscillation_kind`` is ``"cos"`` or ``"sin"``, the full integrand
-    is ``integrand * weight * regulator * {cos,sin}(c w)`` and the
-    oscillation is handled by dedicated panel rules; when it is ``None``
-    the hint merely widens the subdivision budget.
-
-    ``divergent`` marks integrands that need a regulator to exist at all;
-    such a spec without a regulator is a configuration error.
-    """
-
-    integrand: Callable[[np.ndarray], np.ndarray]
-    domain: tuple[float, float]
-    weight: CothHalfBeta | Boltzmann | None = None
-    regulator: HardCutoff | Exponential | None = None
-    oscillation_freq_hint: float = 0.0
-    oscillation_kind: str | None = None
-    divergent: bool = False
-
-
 # ---------------------------------------------------------------------------
 # thermal weights
 
@@ -198,18 +143,6 @@ def omega_coth_half_beta(omega, beta: float):
     direct = omega / np.tanh(safe)
     series = (2.0 / beta) * (1.0 + u * u / 3.0 - u**4 / 45.0)
     return np.where(small, series, direct)
-
-
-def _weight_factor(weight, omega):
-    if weight is None:
-        return 1.0
-    if isinstance(weight, CothHalfBeta):
-        return coth_half_beta(omega, weight.beta)
-    if isinstance(weight, Boltzmann):
-        if weight.n == 0:
-            return np.ones_like(np.asarray(omega, dtype=float))
-        return np.exp(-weight.n * weight.beta * np.asarray(omega, dtype=float))
-    raise DomainError(f"unknown weight {weight!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -355,180 +288,18 @@ def cusp_head(lower: float, freq: float) -> float | None:
     return lower + min(2.0, 20.0 * math.pi / max(freq, 10.0 * math.pi))
 
 
-def integrate(
-    spec: IntegralSpec,
-    rel_tol: float = DEFAULT_REL_TOL,
-    abs_tol: float = DEFAULT_ABS_TOL,
-) -> tuple[float, float]:
-    """Evaluate an :class:`IntegralSpec`, returning (value, error estimate).
-
-    Deterministic for a fixed spec and tolerances.  Raises
-    :class:`ConfigurationError` for a divergent integrand without
-    regulator and :class:`ConvergenceError` (carrying the partial value)
-    when the adaptive rules cannot reach the target.
-    """
-    a, b = spec.domain
-    if not a < b:
-        raise DomainError(f"empty integration domain {spec.domain}")
-    if spec.divergent and spec.regulator is None:
-        raise ConfigurationError(
-            "divergent-class integrand must carry a regulator"
-        )
-
-    eps = 0.0
-    if isinstance(spec.regulator, HardCutoff):
-        b = min(b, spec.regulator.cutoff)
-    elif isinstance(spec.regulator, Exponential):
-        eps = spec.regulator.epsilon
-        if eps <= 0 and spec.divergent:
-            raise ConfigurationError("exponential regulator needs epsilon > 0")
-
-    raw = spec.integrand
-    weight = spec.weight
-
-    def kernel(w, _raw=raw, _weight=weight, _eps=eps):
-        val = _raw(w) * _weight_factor(_weight, w)
-        if _eps > 0.0:
-            val = val * math.exp(-_eps * w)
-        return val
-
-    if spec.oscillation_kind is not None:
-        return fourier_quad(
-            kernel,
-            spec.oscillation_freq_hint,
-            spec.oscillation_kind,
-            a,
-            b,
-            rel_tol=rel_tol,
-            abs_tol=abs_tol,
-        )
-    # A bare hint only buys a larger subdivision budget.
-    limit = 2000
-    if spec.oscillation_freq_hint > 0 and not math.isinf(b):
-        limit = max(limit, int(2 * spec.oscillation_freq_hint * (b - a)))
-    return plain_quad(kernel, a, b, rel_tol=rel_tol, abs_tol=abs_tol, limit=limit)
-
-
 # ---------------------------------------------------------------------------
 # Bessel J1
 
-_J1_SERIES_CUT = 8.0
-_J1_ASYMPT_CUT = 30.0
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(160)
-# mapped once to [0, pi] for the integral representation
-_GL_THETA = 0.5 * math.pi * (_GL_NODES + 1.0)
-_GL_W = 0.5 * math.pi * _GL_WEIGHTS
-
-
-def _j1_series(x):
-    """Power series sum_m (-1)^m (x/2)^{2m+1} / (m! (m+1)!), x <= 8."""
-    x = np.asarray(x, dtype=float)
-    half = 0.5 * x
-    term = half.copy()
-    total = term.copy()
-    for m in range(1, 40):
-        term = term * (-(half * half) / (m * (m + 1)))
-        total += term
-        if np.all(np.abs(term) <= 1e-18 * (np.abs(total) + 1e-300)):
-            break
-    return total
-
-
-def _j1_integral(x):
-    """J1 from (1/pi) int_0^pi cos(theta - x sin(theta)) dtheta."""
-    x = np.asarray(x, dtype=float)
-    phase = _GL_THETA[None, :] - x[:, None] * np.sin(_GL_THETA)[None, :]
-    return (np.cos(phase) @ _GL_W) / math.pi
-
-
-def _j1_asymptotic(x):
-    """Hankel expansion, accurate to ~1e-16 for x >= 30."""
-    x = np.asarray(x, dtype=float)
-    mu = 4.0  # 4 nu^2 for nu = 1
-    inv = 1.0 / x
-    # a_k = prod_{j<=k} (mu - (2j-1)^2) / (k 8)
-    n_terms = 16
-    a = np.empty(n_terms)
-    a[0] = 1.0
-    for k in range(1, n_terms):
-        a[k] = a[k - 1] * (mu - (2 * k - 1) ** 2) / (k * 8.0)
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    for k in range(n_terms // 2):
-        p += (-1) ** k * a[2 * k] * inv ** (2 * k)
-        q += (-1) ** k * a[2 * k + 1] * inv ** (2 * k + 1)
-    chi = x - 0.75 * math.pi
-    return np.sqrt(2.0 / (math.pi * x)) * (p * np.cos(chi) - q * np.sin(chi))
-
 
 def bessel_j1(x):
-    """Bessel function J1 for x >= 0, accurate to ~1e-12 up to x = 1e3.
+    """Bessel function J1 for x >= 0 (``scipy.special.j1``).
 
-    Power series below x = 8, the integral representation on a fixed
-    Gauss-Legendre rule up to x = 30, and the Hankel asymptotic series
-    beyond.  Accepts scalars or arrays.
+    Negative arguments are rejected rather than continued as the odd
+    function.  Accepts scalars (returning a float) or arrays.
     """
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0):
         raise DomainError("bessel_j1 requires x >= 0")
-    scalar = arr.ndim == 0
-    flat = np.atleast_1d(arr)
-    out = np.empty_like(flat)
-    lo = flat < _J1_SERIES_CUT
-    mid = (~lo) & (flat < _J1_ASYMPT_CUT)
-    hi = flat >= _J1_ASYMPT_CUT
-    if np.any(lo):
-        out[lo] = _j1_series(flat[lo])
-    if np.any(mid):
-        out[mid] = _j1_integral(flat[mid])
-    if np.any(hi):
-        out[hi] = _j1_asymptotic(flat[hi])
-    return float(out[0]) if scalar else out.reshape(arr.shape)
-
-
-# ---------------------------------------------------------------------------
-# time-domain convolution oracle
-
-_GREGORY = np.array([3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0])
-
-
-def convolve_response(kernel_samples, source_samples, grid):
-    """``int_0^t kernel(t - s) source(s) ds`` sampled on a uniform grid.
-
-    Fourth-order Gregory end corrections on top of the raw discrete
-    convolution; the first few points (fewer than six panels) fall back
-    to the trapezoid rule.  Used only as a test oracle against the
-    closed-form response integrals.
-    """
-    kern = np.asarray(kernel_samples)
-    src = np.asarray(source_samples)
-    grid = np.asarray(grid, dtype=float)
-    if kern.shape != grid.shape or src.shape != grid.shape:
-        raise DomainError("kernel, source and grid must have matching shapes")
-    n = grid.size
-    if n < 2:
-        return np.zeros_like(src)
-    steps = np.diff(grid)
-    h = steps[0]
-    if not np.allclose(steps, h, rtol=1e-12, atol=1e-15):
-        raise DomainError("convolve_response requires a uniform grid")
-
-    base = np.convolve(kern, src)[:n]
-    out = base.astype(np.result_type(kern, src, float))
-    idx = np.arange(n)
-    for m, w in enumerate(_GREGORY):
-        c = w - 1.0
-        head = np.where(idx >= m, kern[np.minimum(np.maximum(idx - m, 0), n - 1)] * src[m], 0.0)
-        tail = np.where(idx >= m, kern[m] * src[np.minimum(np.maximum(idx - m, 0), n - 1)], 0.0)
-        out = out + c * (head + tail)
-    out = out * h
-
-    # short windows: plain trapezoid, exact enough at O(t^3) amplitudes
-    n_head = min(6, n)
-    for j in range(n_head):
-        if j == 0:
-            out[j] = 0.0
-            continue
-        prod = kern[j::-1] * src[: j + 1]
-        out[j] = h * (np.sum(prod) - 0.5 * (prod[0] + prod[-1]))
-    return out
+    out = _special.j1(arr)
+    return float(out) if arr.ndim == 0 else out

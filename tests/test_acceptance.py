@@ -17,6 +17,7 @@ import pytest
 
 import mpmath as mp
 
+from oracles import convolve_response
 from sqbath.bath_kernels import BathSpec, bath_fdr
 from sqbath.energy_fdr import fdr_oscillator, jn_falloff, power_in, power_out
 from sqbath.gaussian_state import (
@@ -39,12 +40,7 @@ from sqbath.oscillator_dynamics import (
     ns_st_split,
 )
 from sqbath.parametric_mode import MassProfile, bogoliubov_from_mode, integrate_mode
-from sqbath.quadrature import (
-    IntegralSpec,
-    convolve_response,
-    integrate,
-    omega_coth_half_beta,
-)
+from sqbath.quadrature import omega_coth_half_beta, plain_quad
 
 GROUND = CovarianceState(xx=0.5, pp=0.5, xp=0.0)
 
@@ -477,13 +473,13 @@ def test_criterion_9_oracle_equivalence(spec):
     i_xx, _, _ = covariance_integral_parts(spec, bath, t, quad_eps)
     err_b = abs(i_xx / xx_oracle - 1.0)
 
-    # (c) integrate() vs a dense trapezoid on the late-time xx integrand
+    # (c) plain_quad vs a dense trapezoid on the late-time xx integrand
     def kern(w):
         from sqbath.oscillator_dynamics import d2_fourier
 
         return omega_coth_half_beta(w, 1.0) * 2.0 * np.abs(d2_fourier(spec, w)) ** 2
 
-    val, _ = integrate(IntegralSpec(kern, (0.0, 500.0)), rel_tol=1e-10, abs_tol=1e-14)
+    val, _ = plain_quad(kern, 0.0, 500.0, rel_tol=1e-10, abs_tol=1e-14)
     w = np.linspace(0.0, 500.0, 10_000_001)
     err_c = abs(val / np.trapezoid(kern(w), w) - 1.0)
 
@@ -492,7 +488,7 @@ def test_criterion_9_oracle_equivalence(spec):
         9,
         ok,
         f"f_aux vs convolution {err_a:.2e} (< 1e-8); covariance vs double "
-        f"time integral {err_b:.2e} (< 1e-4); integrate vs trapezoid "
+        f"time integral {err_b:.2e} (< 1e-4); plain_quad vs trapezoid "
         f"{err_c:.2e} (< 1e-6)",
     )
     assert err_a < 1e-8

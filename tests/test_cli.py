@@ -181,6 +181,13 @@ class TestMainEntry:
         )
         assert code == 2
 
+    def test_run_has_no_threads_option(self, tmp_path, capsys):
+        # worker processes belong to `sweep`; `run` rejects the option
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--figure", "grn3d", "--out", str(tmp_path / "o"), "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
 
 class TestFigurePresets:
     def test_all_presets_parse(self):

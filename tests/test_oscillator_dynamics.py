@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sqbath.bath_kernels import BathSpec
+from sqbath.energy_fdr import power_in
 from sqbath.errors import ConfigurationError, DomainError, UnsupportedRegimeError
 from sqbath.gaussian_state import CovarianceState, SqueezeParam
 from sqbath.oscillator_dynamics import (
@@ -269,6 +270,51 @@ class TestCovarianceEvolution:
         assert abs(i_xx / xx_oracle - 1.0) < 1e-4
         assert abs(i_pp / pp_oracle - 1.0) < 1e-4
         assert abs(i_xp / xp_oracle - 1.0) < 1e-4
+
+
+def bilinear_panel_oracle(spec, beta, eta, theta, t, cutoff):
+    """(xx, pp, xp, P_xi) integral parts from their defining bilinear forms.
+
+    Each is int dmu [cosh 2eta 2 Re(u v*) - 2 Re(sinh 2eta e^{i theta} u v)]
+    with dmu = w coth(bw/2) dw / 8 pi^2 and (u, v) = (f, f), (f', f'),
+    (f, f') and (f', e^{-iwt}), f and f' from f_aux and fdot_aux, times
+    e^2/m^2, e^2, e^2/m and 8 pi gamma.  Summed by a 16-node
+    Gauss-Legendre rule on uniform panels 0.01 wide over [0, cutoff],
+    without QUADPACK.
+    """
+    width, chunk = 0.01, 5000
+    x, wts = np.polynomial.legendre.leggauss(16)
+    ch, sh = math.cosh(2 * eta), math.sinh(2 * eta) * cmath.exp(1j * theta)
+    n_panels = int(round(cutoff / width))
+    sums = np.zeros(4)
+    for first in range(0, n_panels, chunk):
+        left = width * np.arange(first, min(first + chunk, n_panels))
+        w = (left[:, None] + 0.5 * width * (x + 1.0)).ravel()
+        mu = np.tile(0.5 * width * wts, left.size) * w / np.tanh(0.5 * beta * w)
+        mu /= 8.0 * math.pi**2
+        f, fd = f_aux(spec, t, w), fdot_aux(spec, t, w)
+        wave = np.exp(-1j * w * t)
+        for i, (u, v) in enumerate(((f, f), (fd, fd), (f, fd), (fd, wave))):
+            form = ch * 2.0 * (u * v.conj()).real - 2.0 * (sh * u * v).real
+            sums[i] += mu @ form
+    e_sq = 8.0 * math.pi * spec.gamma * spec.m
+    return sums * np.array([e_sq / spec.m**2, e_sq, e_sq / spec.m, 8.0 * math.pi * spec.gamma])
+
+
+class TestBilinearFormsOracle:
+    @pytest.mark.parametrize("t", [5.0, 20.0])
+    @pytest.mark.parametrize(
+        "gamma, beta, eta, theta", [(0.1, 0.3, 1.0, 0.7), (0.3, 10.0, 0.5, 1.2)]
+    )
+    def test_covariance_and_power_match_panel_oracle(self, quad, gamma, beta, eta, theta, t):
+        spec = OscillatorSpec.from_resonance(m=1.0, Omega=1.0, gamma=gamma)
+        bath = BathSpec(beta=beta, squeeze=SqueezeParam(eta, theta))
+        got = np.array(
+            [*covariance_integral_parts(spec, bath, t, quad), power_in(spec, bath, t, quad)]
+        )
+        ref = bilinear_panel_oracle(spec, beta, eta, theta, t, quad.cutoff)
+        dev = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+        assert dev < quad.rel_tol, f"(xx, pp, xp, P_xi) = {got} vs oracle {ref}"
 
 
 class TestNsStSplit:

@@ -4,40 +4,28 @@ import numpy as np
 import pytest
 import scipy.special
 
+from oracles import convolve_response
 from sqbath.errors import ConfigurationError, DomainError
 from sqbath.oscillator_dynamics import d2_fourier, f_aux, fundamental_solutions
 from sqbath.quadrature import (
-    Boltzmann,
-    CothHalfBeta,
-    Exponential,
-    HardCutoff,
-    IntegralSpec,
     QuadratureConfig,
     bessel_j1,
-    convolve_response,
     coth_half_beta,
-    integrate,
+    fourier_quad,
     omega_coth_half_beta,
+    plain_quad,
 )
 
 
 def test_exponential_integral_exact():
-    spec = IntegralSpec(integrand=lambda w: np.exp(-w), domain=(0.0, math.inf))
-    value, err = integrate(spec)
+    value, err = plain_quad(lambda w: np.exp(-w), 0.0, math.inf)
     assert abs(value - 1.0) < 1e-12
     assert err >= abs(value - 1.0)
 
 
 def test_oscillatory_lorentzian_closed_form():
     # int_0^inf e^{-w/100} cos(50 w) dw = (1/100) / ((1/100)^2 + 2500)
-    spec = IntegralSpec(
-        integrand=lambda w: np.ones_like(np.asarray(w, dtype=float)),
-        domain=(0.0, math.inf),
-        regulator=Exponential(0.01),
-        oscillation_freq_hint=50.0,
-        oscillation_kind="cos",
-    )
-    value, err = integrate(spec)
+    value, err = fourier_quad(lambda w: math.exp(-0.01 * w), 50.0, "cos", 0.0, math.inf)
     assert abs(value - 3.999999840000006e-06) < 1e-10
     # reported estimates stay conservative against the known answer,
     # down to the double-precision floor
@@ -51,59 +39,36 @@ def test_late_time_xx_integrand_vs_dense_trapezoid(spec):
     def kernel(w):
         return omega_coth_half_beta(w, beta) * 2.0 * np.abs(d2_fourier(spec, w)) ** 2
 
-    ispec = IntegralSpec(integrand=kernel, domain=(0.0, 500.0))
-    value, _ = integrate(ispec, rel_tol=1e-10, abs_tol=1e-14)
+    value, _ = plain_quad(kernel, 0.0, 500.0, rel_tol=1e-10, abs_tol=1e-14)
     w = np.linspace(0.0, 500.0, 10_000_001)
     oracle = np.trapezoid(kernel(w), w)
     assert abs(value / oracle - 1.0) < 1e-6
 
 
-def test_divergent_without_regulator_rejected():
-    spec = IntegralSpec(
-        integrand=lambda w: np.asarray(w, dtype=float),
-        domain=(0.0, math.inf),
-        divergent=True,
-    )
-    with pytest.raises(ConfigurationError):
-        integrate(spec)
-
-
 def test_weights_and_hard_cutoff():
-    # int_0^L w e^{-2 b w} dw via the Boltzmann weight, closed form
+    # int_0^L w e^{-2 b w} dw: Boltzmann weight e^{-2 b w}, cutoff L = 30
     b = 0.7
-    spec = IntegralSpec(
-        integrand=lambda w: np.asarray(w, dtype=float),
-        domain=(0.0, math.inf),
-        weight=Boltzmann(2, b),
-        regulator=HardCutoff(30.0),
-    )
-    value, _ = integrate(spec)
+    value, _ = plain_quad(lambda w: w * math.exp(-2 * b * w), 0.0, 30.0)
     a = 2 * b
     exact = (1.0 - math.exp(-a * 30.0) * (1.0 + a * 30.0)) / a**2
     assert abs(value - exact) < 1e-10
 
     # coth weight: w coth(bw/2) stays finite at the origin
-    spec2 = IntegralSpec(
-        integrand=lambda w: np.asarray(w, dtype=float) * np.exp(-w),
-        domain=(0.0, math.inf),
-        weight=CothHalfBeta(b),
+    value2, _ = plain_quad(
+        lambda w: w * math.exp(-w) * coth_half_beta(w, b), 0.0, math.inf
     )
-    value2, _ = integrate(spec2)
     w = np.linspace(1e-8, 80.0, 2_000_001)
     oracle = np.trapezoid(omega_coth_half_beta(w, b) * np.exp(-w), w)
     assert abs(value2 / oracle - 1.0) < 1e-7
 
 
 def test_determinism():
-    spec = IntegralSpec(
-        integrand=lambda w: 1.0 / (1.0 + np.asarray(w, dtype=float) ** 2),
-        domain=(0.0, math.inf),
-        oscillation_freq_hint=2.0,
-        oscillation_kind="cos",
-    )
-    first = integrate(spec)
+    def kernel(w):
+        return 1.0 / (1.0 + w * w)
+
+    first = fourier_quad(kernel, 2.0, "cos", 0.0, math.inf)
     for _ in range(3):
-        assert integrate(spec) == first
+        assert fourier_quad(kernel, 2.0, "cos", 0.0, math.inf) == first
 
 
 def test_regulator_consistency_documented_level(spec):
@@ -115,12 +80,8 @@ def test_regulator_consistency_documented_level(spec):
         w = np.asarray(w, dtype=float)
         return w * w * omega_coth_half_beta(w, beta) * np.abs(d2_fourier(spec, w)) ** 2
 
-    hard, _ = integrate(
-        IntegralSpec(kernel, (0.0, math.inf), regulator=HardCutoff(1000.0), divergent=True)
-    )
-    soft, _ = integrate(
-        IntegralSpec(kernel, (0.0, math.inf), regulator=Exponential(1e-3), divergent=True)
-    )
+    hard, _ = plain_quad(kernel, 0.0, 1000.0)
+    soft, _ = plain_quad(lambda w: kernel(w) * math.exp(-1e-3 * w), 0.0, math.inf)
     assert abs(hard / soft - 1.0) < 0.05
 
 
