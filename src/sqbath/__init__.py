@@ -59,7 +59,6 @@ from .gaussian_state import (
 from .oscillator_dynamics import (
     MassiveOscParams,
     OscillatorSpec,
-    QuadratureConfig,
     chi_hadamard,
     covariance_evolution,
     covariance_integral_parts,
@@ -79,6 +78,6 @@ from .parametric_mode import (
     integrate_mode,
     squeeze_spectrum,
 )
-from .quadrature import bessel_j1
+from .quadrature import QuadratureConfig, bessel_j1
 
 __version__ = "0.1.0"

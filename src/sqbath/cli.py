@@ -29,7 +29,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +42,6 @@ from .errors import ConfigurationError, ConvergenceError, SqbathError
 from .gaussian_state import CovarianceState, SqueezeParam, extract_squeeze
 from .oscillator_dynamics import (
     OscillatorSpec,
-    QuadratureConfig,
     chi_hadamard,
     chi_hadamard_components,
     covariance_evolution,
@@ -50,6 +49,7 @@ from .oscillator_dynamics import (
     ns_st_split,
 )
 from .parametric_mode import MassProfile, ProfileShape, squeeze_spectrum
+from .quadrature import QuadratureConfig
 
 SCENARIOS = ("constant_squeeze", "parametric", "finite_coupling")
 PRODUCTS = (
@@ -82,6 +82,13 @@ def _as_float(value, where: str) -> float:
     raise ConfigurationError(f"{where}: expected a number, got {value!r}")
 
 
+def _as_int(value, where: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigurationError(f"{where}: expected an integer, got {value!r}")
+
+
 def _grid(section, where: str, default=None) -> np.ndarray:
     if section is None:
         if default is not None:
@@ -89,7 +96,7 @@ def _grid(section, where: str, default=None) -> np.ndarray:
         raise ConfigurationError(f"{where}: missing grid section")
     start = _as_float(section.get("start", section.get("min")), f"{where}.start")
     stop = _as_float(section.get("stop", section.get("max")), f"{where}.stop")
-    points = int(section.get("points", 0))
+    points = _as_int(section.get("points", 0), f"{where}.points")
     if points < 2 or not stop > start:
         raise ConfigurationError(f"{where}: need stop > start and points >= 2")
     if section.get("spacing", "linear") == "log":
@@ -175,7 +182,9 @@ def parse_config(data: dict) -> RunConfig:
                 t_i=_as_float(prof.get("t_i", 0.0), "profile.t_i"),
                 t_f=_as_float(prof.get("t_f", 1.0), "profile.t_f"),
                 shape=ProfileShape(prof.get("shape", "tanh")),
-                smoothstep_order=int(prof.get("smoothstep_order", 2)),
+                smoothstep_order=_as_int(
+                    prof.get("smoothstep_order", 2), "smoothstep_order"
+                ),
             )
         except (ValueError, SqbathError) as exc:
             raise ConfigurationError(f"profile: {exc}") from exc
@@ -196,7 +205,9 @@ def parse_config(data: dict) -> RunConfig:
             epsilon=_as_float(quad_sec.get("epsilon", 0.0), "quadrature.epsilon"),
             rel_tol=_as_float(quad_sec.get("rel_tol", 1e-8), "quadrature.rel_tol"),
             abs_tol=_as_float(quad_sec.get("abs_tol", 1e-12), "quadrature.abs_tol"),
-            max_subdivisions=int(quad_sec.get("max_subdivisions", 2000)),
+            max_subdivisions=_as_int(
+                quad_sec.get("max_subdivisions", 2000), "max_subdivisions"
+            ),
         )
     except SqbathError as exc:
         raise ConfigurationError(f"quadrature: {exc}") from exc
@@ -282,10 +293,12 @@ def _sweep_values(sweep: dict) -> list[float]:
         return [_as_float(v, "sweep.values") for v in sweep["values"]]
     start = _as_float(sweep.get("start"), "sweep.start")
     stop = _as_float(sweep.get("stop"), "sweep.stop")
-    steps = int(sweep.get("steps", 0))
+    steps = _as_int(sweep.get("steps", 0), "sweep.steps")
     if steps < 1:
         raise ConfigurationError("sweep: steps must be >= 1")
     if sweep.get("spacing", "linear") == "log":
+        if not (start > 0 and stop > 0):
+            raise ConfigurationError("sweep: log spacing requires start, stop > 0")
         return list(np.geomspace(start, stop, steps))
     return list(np.linspace(start, stop, steps))
 
@@ -368,115 +381,105 @@ def _build_bath(cfg: RunConfig) -> tuple[BathSpec, SqueezeSpectrum | None]:
     return BathSpec(beta=cfg.bath_beta), None
 
 
-def _product_covariances(cfg, bath):
-    rows = []
-    for t in cfg.time_grid:
-        cov = covariance_evolution(cfg.oscillator, bath, cfg.init, float(t), cfg.quad)
-        rows.append((t, cov.xx, cov.pp, cov.xp))
-    return ("t", "xx", "pp", "xp"), rows, {}
+def _product_files(cfg: RunConfig, bath: BathSpec):
+    """Yield (product, file stem, header, rows, params) for every requested file.
 
-
-def _product_fluxes(cfg, bath):
-    rows = []
-    for t in cfg.time_grid:
-        p_in = power_in(cfg.oscillator, bath, float(t), cfg.quad)
-        p_out = power_out(cfg.oscillator, bath, float(t), cfg.quad, init=cfg.init)
-        rows.append((t, p_in, p_out))
-    _, gamma_damp = effective_response(cfg.oscillator, bath)
-    t_end = float(cfg.time_grid[-1])
-    residual = (
-        abs(rows[-1][1] + rows[-1][2]) / abs(rows[-1][2]) if rows[-1][2] else math.inf
-    )
-    meta = {
-        "balance_residual": residual,
-        "late_time_ok": bool(gamma_damp > 0 and t_end >= 30.0 / gamma_damp),
-        "damping_rate": gamma_damp,
-    }
-    return ("t", "p_xi", "p_gamma"), rows, meta
-
-
-def _product_fdr(cfg, bath):
-    report = fdr_oscillator(cfg.oscillator, bath, cfg.fdr_grid)
-    rows = list(
-        zip(report.omegas, report.hadamard_side, report.dissipation_side)
-    )
-    return (
-        ("omega", "hadamard_side", "dissipation_side"),
-        rows,
-        {"max_rel_deviation": report.max_rel_deviation},
-    )
-
-
-def _product_hadamard_surface(cfg, bath):
-    rows = []
-    for t in cfg.hadamard_grid:
-        for tp in cfg.hadamard_grid:
-            if cfg.hadamard_factored:
-                stat, nonstat = chi_hadamard_components(
-                    cfg.oscillator,
-                    cfg.bath_beta,
-                    cfg.bath_theta,
-                    float(t),
-                    float(tp),
-                    cfg.quad,
+    Each time point's covariance is computed once and feeds
+    ``covariances``, ``fluxes`` (P_gamma = -(2 Gamma/m) pp) and
+    ``squeeze_trajectory``.  The two-time Hadamard function is symmetric
+    in t <-> t', so each unordered pair of the grid is integrated once and
+    written at both (t, t') and (t', t).
+    """
+    spec, quad, times = cfg.oscillator, cfg.quad, cfg.time_grid
+    covs = []
+    if {"covariances", "fluxes", "squeeze_trajectory"} & set(cfg.outputs):
+        covs = [
+            covariance_evolution(spec, bath, cfg.init, float(t), quad) for t in times
+        ]
+    for name in cfg.outputs:
+        if name == "covariances":
+            rows = [(t, cov.xx, cov.pp, cov.xp) for t, cov in zip(times, covs)]
+            yield name, name, ("t", "xx", "pp", "xp"), rows, {}
+        elif name == "fluxes":
+            rows = [
+                (t, power_in(spec, bath, float(t), quad), power_out(spec, bath, cov.pp))
+                for t, cov in zip(times, covs)
+            ]
+            _, gamma_damp = effective_response(spec, bath)
+            p_in, p_out = rows[-1][1:]
+            residual = abs(p_in + p_out) / abs(p_out) if p_out else math.inf
+            meta = {
+                "balance_residual": residual,
+                "late_time_ok": bool(gamma_damp > 0 and times[-1] >= 30.0 / gamma_damp),
+                "damping_rate": gamma_damp,
+            }
+            yield name, name, ("t", "p_xi", "p_gamma"), rows, meta
+        elif name == "fdr":
+            report = fdr_oscillator(spec, bath, cfg.fdr_grid)
+            rows = list(
+                zip(report.omegas, report.hadamard_side, report.dissipation_side)
+            )
+            header = ("omega", "hadamard_side", "dissipation_side")
+            meta = {"max_rel_deviation": report.max_rel_deviation}
+            yield name, name, header, rows, meta
+        elif name == "hadamard_surface":
+            grid = [float(t) for t in cfg.hadamard_grid]
+            pair = {}
+            for i, t in enumerate(grid):
+                for j, tp in enumerate(grid[i:], start=i):
+                    if cfg.hadamard_factored:
+                        pair[i, j] = chi_hadamard_components(
+                            spec, cfg.bath_beta, cfg.bath_theta, t, tp, quad
+                        )
+                    else:
+                        kv = chi_hadamard(spec, bath, t, tp, quad)
+                        pair[i, j] = kv.stationary, kv.nonstationary
+            rows = [
+                (t, tp, *pair[min(i, j), max(i, j)])
+                for i, t in enumerate(grid)
+                for j, tp in enumerate(grid)
+            ]
+            header = ("t", "t_prime", "stationary", "nonstationary")
+            yield name, name, header, rows, {"factored_out": cfg.hadamard_factored}
+        elif name == "squeeze_trajectory":
+            rows = []
+            for t, cov in zip(times, covs):
+                dec = extract_squeeze(cov, spec.m, spec.omega_r)
+                eta, theta = dec.squeeze.eta, dec.squeeze.theta
+                rows.append(
+                    (t, dec.xi, eta, theta, math.sinh(2 * eta) ** 2, math.sin(theta))
                 )
-            else:
-                kv = chi_hadamard(cfg.oscillator, bath, float(t), float(tp), cfg.quad)
-                stat, nonstat = kv.stationary, kv.nonstationary
-            rows.append((t, tp, stat, nonstat))
-    return (
-        ("t", "t_prime", "stationary", "nonstationary"),
-        rows,
-        {"factored_out": cfg.hadamard_factored},
-    )
-
-
-def _product_squeeze_trajectory(cfg, bath):
-    rows = []
-    for t in cfg.time_grid:
-        cov = covariance_evolution(cfg.oscillator, bath, cfg.init, float(t), cfg.quad)
-        dec = extract_squeeze(cov, cfg.oscillator.m, cfg.oscillator.omega_r)
-        eta = dec.squeeze.eta
-        theta = dec.squeeze.theta
-        rows.append(
-            (t, dec.xi, eta, theta, math.sinh(2 * eta) ** 2, math.sin(theta))
-        )
-    return ("t", "xi", "eta", "theta", "sinh_sq_2eta", "sin_theta"), rows, {}
-
-
-def _product_ns_split(cfg, bath):
-    ins_rows, ist_rows = [], []
-    for theta in cfg.ns_thetas:
-        bath_theta = BathSpec(
-            beta=cfg.bath_beta, squeeze=SqueezeParam(max(cfg.bath_eta, 1.0), theta)
-        )
-        for t in cfg.time_grid:
-            i_ns, i_st = ns_st_split(cfg.oscillator, bath_theta, float(t), cfg.quad)
-            ins_rows.append((t, theta, i_ns))
-            ist_rows.append((t, theta, i_st))
-    return ins_rows, ist_rows
-
-
-_PRODUCT_BUILDERS = {
-    "covariances": _product_covariances,
-    "fluxes": _product_fluxes,
-    "fdr": _product_fdr,
-    "hadamard_surface": _product_hadamard_surface,
-    "squeeze_trajectory": _product_squeeze_trajectory,
-}
+            header = ("t", "xi", "eta", "theta", "sinh_sq_2eta", "sin_theta")
+            yield name, name, header, rows, {}
+        elif name == "ns_split":
+            ins_rows, ist_rows = [], []
+            for theta in cfg.ns_thetas:
+                bath_theta = BathSpec(
+                    beta=cfg.bath_beta,
+                    squeeze=SqueezeParam(max(cfg.bath_eta, 1.0), theta),
+                )
+                for t in times:
+                    i_ns, i_st = ns_st_split(spec, bath_theta, float(t), quad)
+                    ins_rows.append((t, theta, i_ns))
+                    ist_rows.append((t, theta, i_st))
+            meta = {"thetas": list(cfg.ns_thetas)}
+            yield name, "ins_vs_t", ("t", "theta", "I_NS"), ins_rows, meta
+            yield name, "ist_vs_t", ("t", "theta", "I_ST"), ist_rows, meta
 
 
 # ---------------------------------------------------------------------------
 # output plumbing
 
 
-def _write_csv(path: Path, header, rows) -> str:
+def _write_product(out: Path, name: str, fname: str, header, rows, params) -> dict:
+    """Write one CSV and return its manifest entry."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_FLOAT_FMT.format(float(v)) for v in row))
     body = "\n".join(lines) + "\n"
-    path.write_text(body)
-    return hashlib.sha256(body.encode()).hexdigest()
+    (out / fname).write_text(body)
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    return {"name": name, "file": fname, "sha256": digest, "params": params}
 
 
 def config_hash(resolved: dict) -> str:
@@ -493,15 +496,23 @@ class RunManifest:
     products: list
     resolved_config: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "tool_version": self.tool_version,
-            "regulator": self.regulator,
-            "wall_time_s": self.wall_time_s,
-            "products": self.products,
-            "resolved_config": self.resolved_config,
-        }
+
+def _write_manifest(out: Path, cfg: RunConfig, started: float, products, **extra):
+    """Write ``run_manifest.json``; ``extra`` keys follow the manifest fields."""
+    resolved = resolved_config(cfg)
+    manifest = RunManifest(
+        config_hash=config_hash(resolved),
+        tool_version=__version__,
+        regulator=resolved["quadrature"],
+        wall_time_s=time.perf_counter() - started,
+        products=products,
+        resolved_config=resolved,
+    )
+    payload = {**asdict(manifest), **extra}
+    (out / "run_manifest.json").write_text(
+        json.dumps(payload, indent=2, default=str) + "\n"
+    )
+    return manifest
 
 
 def run(cfg: RunConfig, out_dir) -> RunManifest:
@@ -509,7 +520,6 @@ def run(cfg: RunConfig, out_dir) -> RunManifest:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    resolved = resolved_config(cfg)
     products = []
 
     bath, spectrum = _build_bath(cfg)
@@ -524,42 +534,9 @@ def run(cfg: RunConfig, out_dir) -> RunManifest:
                 "params": {"k_points": int(spectrum.k.size)},
             }
         )
-
-    for name in cfg.outputs:
-        if name == "ns_split":
-            ins_rows, ist_rows = _product_ns_split(cfg, bath)
-            for fname, rows in (("ins_vs_t.csv", ins_rows), ("ist_vs_t.csv", ist_rows)):
-                path = out / fname
-                column = "I_NS" if fname.startswith("ins") else "I_ST"
-                digest = _write_csv(path, ("t", "theta", column), rows)
-                products.append(
-                    {
-                        "name": "ns_split",
-                        "file": fname,
-                        "sha256": digest,
-                        "params": {"thetas": list(cfg.ns_thetas)},
-                    }
-                )
-            continue
-        header, rows, meta = _PRODUCT_BUILDERS[name](cfg, bath)
-        path = out / f"{name}.csv"
-        digest = _write_csv(path, header, rows)
-        products.append(
-            {"name": name, "file": path.name, "sha256": digest, "params": meta}
-        )
-
-    manifest = RunManifest(
-        config_hash=config_hash(resolved),
-        tool_version=__version__,
-        regulator=resolved["quadrature"],
-        wall_time_s=time.perf_counter() - started,
-        products=products,
-        resolved_config=resolved,
-    )
-    (out / "run_manifest.json").write_text(
-        json.dumps(manifest.to_dict(), indent=2, default=str) + "\n"
-    )
-    return manifest
+    for name, stem, header, rows, params in _product_files(cfg, bath):
+        products.append(_write_product(out, name, f"{stem}.csv", header, rows, params))
+    return _write_manifest(out, cfg, started, products)
 
 
 # ---------------------------------------------------------------------------
@@ -577,26 +554,22 @@ def _set_path(data: dict, path: str, value) -> None:
 
 
 def _sweep_point(args):
-    raw, path, value, products = args
+    raw, path, value = args
     data = copy.deepcopy(raw)
     data.pop("sweep", None)
     _set_path(data, path, value)
     cfg = parse_config(data)
     bath, _ = _build_bath(cfg)
-    result = {}
-    for name in products:
-        if name == "ns_split":
-            continue
-        header, rows, meta = _PRODUCT_BUILDERS[name](cfg, bath)
-        result[name] = (header, rows, meta)
-    return result
+    return list(_product_files(cfg, bath))
 
 
 def run_sweep(cfg: RunConfig, out_dir, threads: int = 1) -> RunManifest:
     """Run every sweep point and collect long-format CSVs.
 
-    Points are independent; failures are recorded and the remaining
-    points still run.  Row groups follow the declared value order.
+    Each file of :func:`run` becomes ``sweep_<file>`` with the swept value
+    in front of every row.  Points are independent; failures are recorded
+    and the remaining points still run.  Row groups follow the declared
+    value order.
     """
     if cfg.sweep is None:
         raise ConfigurationError("config has no sweep section")
@@ -605,9 +578,8 @@ def run_sweep(cfg: RunConfig, out_dir, threads: int = 1) -> RunManifest:
     started = time.perf_counter()
     path = cfg.sweep["path"]
     values = _sweep_values(cfg.sweep)
-    resolved = resolved_config(cfg)
 
-    jobs = [(cfg.raw, path, value, cfg.outputs) for value in values]
+    jobs = [(cfg.raw, path, value) for value in values]
     results: list = [None] * len(values)
     failures = []
     if threads > 1:
@@ -626,41 +598,17 @@ def run_sweep(cfg: RunConfig, out_dir, threads: int = 1) -> RunManifest:
             except SqbathError as exc:
                 failures.append({"value": values[i], "error": str(exc)})
 
-    products = []
-    for name in cfg.outputs:
-        if name == "ns_split":
-            continue
-        header = None
-        rows = []
-        metas = {}
-        for value, result in zip(values, results):
-            if result is None or name not in result:
-                continue
-            hdr, point_rows, meta = result[name]
-            header = (path, *hdr)
-            rows.extend((value, *row) for row in point_rows)
-            metas[repr(value)] = meta
-        if header is None:
-            continue
-        fname = f"sweep_{name}.csv"
-        digest = _write_csv(out / fname, header, rows)
-        products.append(
-            {"name": name, "file": fname, "sha256": digest, "params": metas}
-        )
-
-    manifest = RunManifest(
-        config_hash=config_hash(resolved),
-        tool_version=__version__,
-        regulator=resolved["quadrature"],
-        wall_time_s=time.perf_counter() - started,
-        products=products,
-        resolved_config=resolved,
-    )
-    payload = manifest.to_dict()
-    payload["sweep_failures"] = failures
-    (out / "run_manifest.json").write_text(
-        json.dumps(payload, indent=2, default=str) + "\n"
-    )
+    files: dict = {}  # file stem -> (product, header, rows, params by value)
+    for value, result in zip(values, results):
+        for name, stem, header, rows, params in result or ():
+            entry = files.setdefault(stem, (name, (path, *header), [], {}))
+            entry[2].extend((value, *row) for row in rows)
+            entry[3][repr(value)] = params
+    products = [
+        _write_product(out, name, f"sweep_{stem}.csv", header, rows, metas)
+        for stem, (name, header, rows, metas) in files.items()
+    ]
+    manifest = _write_manifest(out, cfg, started, products, sweep_failures=failures)
     if failures:
         raise ConvergenceError(
             f"{len(failures)} of {len(values)} sweep points failed",

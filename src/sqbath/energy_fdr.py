@@ -31,16 +31,17 @@ from .errors import DomainError, EstimationError
 from .gaussian_state import CovarianceState
 from .oscillator_dynamics import (
     OscillatorSpec,
-    QuadratureConfig,
     _bilinear,
     _d2_tilde,
     _fdot_factor,
-    _fundamental,
     _resp,
     _wave,
+    covariance_evolution,
+    covariance_integral_parts,
     effective_response,
 )
 from .quadrature import (
+    QuadratureConfig,
     bessel_j1,
     coth_half_beta,
     fourier_quad,
@@ -102,7 +103,6 @@ def power_in(
         raise DomainError("power_in requires t >= 0")
     if t == 0.0:
         return 0.0
-    quad.require_regulator("the injected power P_xi")
     resp, _ = effective_response(spec, bath)
     total = sum(
         _bilinear(resp, bath_mix(bath, quad), _fdot_factor(resp, t), _wave(t), quad)
@@ -110,46 +110,18 @@ def power_in(
     return 8.0 * math.pi * spec.gamma * total
 
 
-def momentum_dispersion_driven(
-    spec: OscillatorSpec, bath: BathSpec, t: float, quad: QuadratureConfig
-) -> float:
-    """Bath-driven part of <p^2(t)> (no initial-condition terms)."""
-    quad.require_regulator("the momentum dispersion <p^2>")
-    resp, _ = effective_response(spec, bath)
-    f_dot = _fdot_factor(resp, t)
-    e_sq = 8.0 * math.pi * spec.gamma * spec.m
-    return e_sq * sum(_bilinear(resp, bath_mix(bath, quad), f_dot, f_dot, quad))
-
-
-def power_out(
-    spec: OscillatorSpec,
-    bath: BathSpec,
-    t: float,
-    quad: QuadratureConfig,
-    init: CovarianceState | None = None,
-) -> float:
+def power_out(spec: OscillatorSpec, bath: BathSpec, pp: float) -> float:
     """Power dissipated back into the bath through the damping force.
 
-    P_gamma(t) = -(2 Gamma / m) <p^2(t)> with Gamma the local damping
-    rate of the detector response: gamma for a massless bath, Upsilon
-    for the memory-dressed massive case (the local reduction of the
-    nonlocal dissipation kernel).  With ``init`` the homogeneous decay
-    of the initial momentum dispersion is included; by default only the
-    bath-driven part enters.
+    P_gamma = -(2 Gamma / m) <p^2> with Gamma the local damping rate of
+    the detector response: gamma for a massless bath, Upsilon for the
+    memory-dressed massive case (the local reduction of the nonlocal
+    dissipation kernel).  ``pp`` is the momentum dispersion at the time
+    of interest: ``covariance_evolution(...).pp`` includes the decay of
+    the initial state, ``covariance_integral_parts(...)[1]`` is the
+    bath-driven part alone.
     """
-    if t < 0:
-        raise DomainError("power_out requires t >= 0")
-    if spec.gamma == 0.0:
-        return 0.0
-    resp, gamma_damp = effective_response(spec, bath)
-    pp = momentum_dispersion_driven(spec, bath, t, quad) if t > 0 else 0.0
-    if init is not None:
-        _, _, d1_dot, d2_dot = _fundamental(resp, t)
-        pp += (
-            (spec.m * d1_dot) ** 2 * init.xx
-            + d2_dot**2 * init.pp
-            + 2.0 * spec.m * d1_dot * d2_dot * init.xp
-        )
+    _, gamma_damp = effective_response(spec, bath)
     return -(2.0 * gamma_damp / spec.m) * pp
 
 
@@ -182,9 +154,11 @@ def flux_report(
                 f"(= {late_time_factor}/Gamma); grid ends at {times[-1]:.3g}"
             )
     p_xi = np.array([power_in(spec, bath, t, quad) for t in times])
-    p_gamma = np.array(
-        [power_out(spec, bath, t, quad, init=init) for t in times]
-    )
+    if init is None:
+        pps = [covariance_integral_parts(spec, bath, t, quad)[1] for t in times]
+    else:
+        pps = [covariance_evolution(spec, bath, init, t, quad).pp for t in times]
+    p_gamma = np.array([power_out(spec, bath, pp) for pp in pps])
     if enforce_late_time:
         dt = times[-1] - times[-2]
         rate = abs(p_gamma[-1] - p_gamma[-2]) / dt

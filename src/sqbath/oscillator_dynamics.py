@@ -57,7 +57,6 @@ from .quadrature import QuadratureConfig, cusp_head, fourier_quad
 __all__ = [
     "OscillatorSpec",
     "MassiveOscParams",
-    "QuadratureConfig",
     "fundamental_solutions",
     "massive_roots",
     "f_aux",
@@ -461,8 +460,11 @@ def _sum_fourier_terms(terms, lower, quad: QuadratureConfig) -> float:
     """Sum integrals of kernel(w) * {1, cos, sin}(freq w) over the domain.
 
     A positive lower limit marks a mass threshold whose sqrt cusp is
-    handled by a plain-rule head interval.
+    handled by a plain-rule head interval.  At finite t the responses
+    fall off only like 1/w, so every bilinear form grows with the log of
+    the cutoff and a regulator is required.
     """
+    quad.require_regulator("the frequency integral of a response bilinear form")
     upper = quad.upper()
     total = 0.0
     for kernel, freq, kind in terms:
@@ -497,7 +499,6 @@ def covariance_integral_parts(
         raise DomainError("covariance evolution requires t >= 0")
     if t == 0.0:
         return 0.0, 0.0, 0.0
-    quad.require_regulator("the momentum dispersion <p^2>")
     resp, _ = effective_response(spec, bath)
     mix = bath_mix(bath, quad)
     f, f_dot = _f_factor(resp, t), _fdot_factor(resp, t)

@@ -4,18 +4,20 @@ Numerical engine: regulated semi-infinite frequency integrals.
 Every spectral integral in the package reduces to one of two shapes:
 
 * plain      ``int K(w) dw`` over ``(a, b)`` with ``b`` possibly infinite,
-* oscillatory ``int K(w) cos(c w) dw`` / ``int K(w) sin(c w) dw``,
+* oscillatory ``int K(w) cos(c w) dw`` / ``int K(w) sin(c w) dw`` over a
+  finite ``(a, b)``,
 
 where the caller folds the thermal weight, the squeeze weights and the
-exponential regulator into ``K``; a hard cutoff is the upper limit.
+exponential regulator into ``K``; the upper limit is the hard cutoff, or
+the point where the exponential regulator has decayed to e^{-45}
+(:meth:`QuadratureConfig.upper`).
 
 The adaptive core is QUADPACK (through scipy): QAGS/QAGI for smooth
-kernels, QAWO on finite intervals and QAWF on semi-infinite ones for the
-oscillatory shapes.  QAWO/QAWF evaluate the trigonometric factor by
-half-period panels with Chebyshev moments and accelerate the panel sums
-with the epsilon algorithm, so integrands oscillating over ~1e5 cycles
-remain cheap.  Everything here is stateless and deterministic: a fixed
-kernel and tolerance always reproduce the same value bit for bit.
+kernels and QAWO for the oscillatory shapes.  QAWO evaluates the
+trigonometric factor by Chebyshev moments on its subintervals, so
+integrands oscillating over ~1e5 cycles remain cheap.  Everything here
+is stateless and deterministic: a fixed kernel and tolerance always
+reproduce the same value bit for bit.
 
 The module also carries the thermal factors and the Bessel J1 used by
 the massive-field memory kernel.
@@ -203,7 +205,7 @@ def fourier_quad(
     head: float | None = None,
     what: str = "oscillatory integral",
 ) -> tuple[float, float]:
-    """``int_a^b kernel(w) {cos,sin}(freq w) dw`` with panel rules.
+    """``int_a^b kernel(w) {cos,sin}(freq w) dw`` with panel rules, b finite.
 
     Negative frequencies are folded by parity.  ``freq = 0`` falls back to
     the plain rule (and to 0 identically for the sine).
@@ -215,6 +217,11 @@ def fourier_quad(
     """
     if kind not in ("cos", "sin"):
         raise DomainError(f"oscillation kind must be cos or sin, got {kind!r}")
+    if math.isinf(b):
+        raise DomainError(
+            "fourier_quad needs a finite upper limit: truncate at the cutoff "
+            "or where the regulator has decayed (QuadratureConfig.upper)"
+        )
     sign = 1.0
     if freq < 0:
         freq = -freq
@@ -247,26 +254,6 @@ def fourier_quad(
             rel_tol=rel_tol, abs_tol=abs_tol, limit=limit, what=what,
         )
         return sign * (head_val + tail_val), head_err + tail_err
-
-    if math.isinf(b):
-        # QAWF: absolute tolerance only.  Run once at a coarse target to
-        # learn the magnitude, then once more at the requested accuracy.
-        coarse = max(abs_tol, 1e-10)
-        out = _sciint.quad(
-            kernel, a, b, weight=kind, wvar=freq,
-            epsabs=coarse, limlst=max(50, limit // 10), limit=limit,
-            full_output=1,
-        )
-        val, err = _check_quad_result(out, coarse, rel_tol, what)
-        target = max(abs_tol, rel_tol * abs(val))
-        if err > target and target < coarse:
-            out = _sciint.quad(
-                kernel, a, b, weight=kind, wvar=freq,
-                epsabs=target, limlst=max(50, limit // 10), limit=limit,
-                full_output=1,
-            )
-            val, err = _check_quad_result(out, target, rel_tol, what)
-        return sign * val, err
 
     out = _sciint.quad(
         kernel, a, b, weight=kind, wvar=freq,

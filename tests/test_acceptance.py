@@ -30,7 +30,6 @@ from sqbath.gaussian_state import (
 )
 from sqbath.oscillator_dynamics import (
     OscillatorSpec,
-    QuadratureConfig,
     chi_hadamard_components,
     covariance_evolution,
     covariance_integral_parts,
@@ -40,7 +39,7 @@ from sqbath.oscillator_dynamics import (
     ns_st_split,
 )
 from sqbath.parametric_mode import MassProfile, bogoliubov_from_mode, integrate_mode
-from sqbath.quadrature import omega_coth_half_beta, plain_quad
+from sqbath.quadrature import QuadratureConfig, omega_coth_half_beta, plain_quad
 
 GROUND = CovarianceState(xx=0.5, pp=0.5, xp=0.0)
 
@@ -79,12 +78,14 @@ def test_criterion_2_energy_balance(spec, quad, bath_parametric):
     for eta in (0.0, 1.0):
         bath = BathSpec(beta=0.3, squeeze=SqueezeParam(eta, 0.0) if eta else None)
         p_in = power_in(spec, bath, t_a, quad)
-        p_out = power_out(spec, bath, t_a, quad)
+        pp = covariance_integral_parts(spec, bath, t_a, quad)[1]
+        p_out = power_out(spec, bath, pp)
         residuals[f"A(eta={eta:g})"] = abs(p_in + p_out) / abs(p_out)
     _, gamma_b = effective_response(spec, bath_parametric)
     t_b = 30.0 / gamma_b
     p_in = power_in(spec, bath_parametric, t_b, quad)
-    p_out = power_out(spec, bath_parametric, t_b, quad)
+    pp = covariance_integral_parts(spec, bath_parametric, t_b, quad)[1]
+    p_out = power_out(spec, bath_parametric, pp)
     residuals["B(tanh, 64-pt k grid)"] = abs(p_in + p_out) / abs(p_out)
     elapsed = time.perf_counter() - started
     ok = (

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -5,8 +6,10 @@ import numpy as np
 import pytest
 import yaml
 
+import sqbath.cli
 from sqbath.cli import config_hash, figure_preset, main, parse_config, run, run_sweep
 from sqbath.errors import ConfigurationError
+from sqbath.gaussian_state import CovarianceState, extract_squeeze
 
 SMALL_CONSTANT = {
     "scenario": "constant_squeeze",
@@ -23,6 +26,13 @@ def write_config(tmp_path, data, name="cfg.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(data))
     return path
+
+
+def read_rows(path):
+    """Header and rows of a product CSV, parsed with Python's float."""
+    with open(path, newline="") as handle:
+        header, *rows = csv.reader(handle)
+    return header, [tuple(float(v) for v in row) for row in rows]
 
 
 class TestConfigParsing:
@@ -93,6 +103,48 @@ class TestRun:
                 tmp_path / "b" / name
             ).read_bytes()
 
+    def test_one_product_path(self, tmp_path, monkeypatch):
+        # each time point's covariance feeds covariances, fluxes and
+        # squeeze_trajectory; each unordered Hadamard pair is integrated once
+        data = dict(SMALL_CONSTANT)
+        data["time_grid"] = {"start": 5.0, "stop": 20.0, "points": 3}
+        data["hadamard_grid"] = {"start": 5.0, "stop": 10.0, "points": 3}
+        data["hadamard_factored"] = True
+        data["outputs"] = [
+            "covariances", "fluxes", "squeeze_trajectory", "hadamard_surface"
+        ]
+        calls = {"covariance_evolution": 0, "chi_hadamard_components": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            original = getattr(sqbath.cli, name)
+            monkeypatch.setattr(sqbath.cli, name, counted(name, original))
+        run(parse_config(data), tmp_path)
+        assert calls == {"covariance_evolution": 3, "chi_hadamard_components": 6}
+
+        _, covs = read_rows(tmp_path / "covariances.csv")
+        _, fluxes = read_rows(tmp_path / "fluxes.csv")
+        _, trajectory = read_rows(tmp_path / "squeeze_trajectory.csv")
+        assert len(covs) == len(fluxes) == len(trajectory) == 3
+        for (t, xx, pp, xp), flux, squeeze in zip(covs, fluxes, trajectory):
+            # P_gamma = -(2 gamma / m) pp, bit for bit
+            assert flux[0] == t and flux[2] == -(2.0 * 0.1 / 1.0) * pp
+            dec = extract_squeeze(CovarianceState(xx=xx, pp=pp, xp=xp), 1.0, 1.0)
+            eta, theta = dec.squeeze.eta, dec.squeeze.theta
+            assert squeeze == (
+                t, dec.xi, eta, theta, math.sinh(2 * eta) ** 2, math.sin(theta)
+            )
+        _, surface = read_rows(tmp_path / "hadamard_surface.csv")
+        assert len(surface) == 9
+        values = {(t, tp): rest for t, tp, *rest in surface}
+        assert all(values[t, tp] == values[tp, t] for t, tp in values)
+
     def test_header_and_precision(self, tmp_path):
         cfg = parse_config(dict(SMALL_CONSTANT))
         run(cfg, tmp_path)
@@ -131,6 +183,25 @@ class TestSweep:
         rows = np.loadtxt(tmp_path / "sweep_covariances.csv", delimiter=",", skiprows=1)
         plateaus = [rows[rows[:, 0] == b][0, 2] for b in (100.0, 10.0, 1.0, 0.1)]
         assert plateaus[0] < plateaus[1] < plateaus[2] < plateaus[3]
+
+    def test_ns_split_in_sweep(self, tmp_path):
+        data = dict(SMALL_CONSTANT)
+        data["time_grid"] = {"start": 5.0, "stop": 20.0, "points": 2}
+        data["ns_thetas"] = [0.0, math.pi / 2.0]
+        data["outputs"] = ["ns_split"]
+        data["sweep"] = {"path": "bath.beta", "values": [0.3, 1.0, 3.0]}
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(write_config(tmp_path, data)),
+                     "--out", str(out)]) == 0
+        for stem, column in (("ins_vs_t", "I_NS"), ("ist_vs_t", "I_ST")):
+            header, rows = read_rows(out / f"sweep_{stem}.csv")
+            assert header == ["bath.beta", "t", "theta", column]
+            assert len(rows) == 3 * 2 * 2  # values x thetas x times
+            assert [row[0] for row in rows[::4]] == [0.3, 1.0, 3.0]
+        payload = json.loads((out / "run_manifest.json").read_text())
+        assert [p["file"] for p in payload["products"]] == [
+            "sweep_ins_vs_t.csv", "sweep_ist_vs_t.csv"
+        ]
 
     def test_failures_recorded_and_raised(self, tmp_path):
         data = dict(SMALL_CONSTANT)
@@ -173,6 +244,48 @@ class TestMainEntry:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfgp), "--out", str(out)]) == 0
         assert (out / "run_manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "section, value",
+        [
+            ("sweep", {"path": "bath.beta", "start": 0, "stop": 10, "steps": 3,
+                       "spacing": "log"}),
+            ("sweep", {"path": "bath.beta", "start": -1, "stop": 1, "steps": 3,
+                       "spacing": "log"}),
+            ("sweep", {"path": "bath.beta", "start": 1, "stop": 2, "steps": "many"}),
+            ("time_grid", {"start": 5.0, "stop": 20.0, "points": "many"}),
+            ("quadrature", {"cutoff": 200.0, "max_subdivisions": "many"}),
+            ("profile", {"mass_f": 0.5, "t_f": 2.0, "smoothstep_order": None}),
+        ],
+        ids=[
+            "log-start-zero",
+            "log-start-negative",
+            "steps-word",
+            "points-word",
+            "max-subdivisions-word",
+            "smoothstep-order-null",
+        ],
+    )
+    def test_malformed_number_exit_code(self, tmp_path, section, value):
+        data = dict(SMALL_CONSTANT, **{section: value})
+        if section == "profile":
+            data.update(
+                scenario="parametric",
+                bath={"beta": 1.0},
+                k_grid={"start": 0.1, "stop": 10.0, "points": 4},
+            )
+        cfgp = write_config(tmp_path, data)
+        assert main(["run", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("product", ["ns_split", "hadamard_surface"])
+    def test_unregulated_bilinear_form_exit_code(self, tmp_path, product):
+        data = dict(SMALL_CONSTANT)
+        data["quadrature"] = {"cutoff": None}
+        data["time_grid"] = {"start": 5.0, "stop": 6.0, "points": 2}
+        data["hadamard_grid"] = {"start": 5.0, "stop": 6.0, "points": 2}
+        data["outputs"] = [product]
+        cfgp = write_config(tmp_path, data)
+        assert main(["run", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
 
     def test_figure_and_config_conflict(self, tmp_path):
         cfgp = write_config(tmp_path, SMALL_CONSTANT)

@@ -11,7 +11,6 @@ from sqbath.energy_fdr import (
     gamma_kernel_check,
     jn_falloff,
     jn_integral,
-    momentum_dispersion_driven,
     power_in,
     power_out,
 )
@@ -19,10 +18,17 @@ from sqbath.errors import ConfigurationError, DomainError, EstimationError
 from sqbath.gaussian_state import CovarianceState, SqueezeParam
 from sqbath.oscillator_dynamics import (
     OscillatorSpec,
-    QuadratureConfig,
+    covariance_evolution,
+    covariance_integral_parts,
     d2_fourier,
+    effective_response,
 )
-from sqbath.quadrature import omega_coth_half_beta, plain_quad
+from sqbath.quadrature import QuadratureConfig, omega_coth_half_beta, plain_quad
+
+
+def driven_pp(spec, bath, t, quad):
+    """Bath-driven <p^2(t)>, without the initial-state terms."""
+    return covariance_integral_parts(spec, bath, t, quad)[1]
 
 
 def stationary_power_oracle(spec, beta, cutoff, ch2=1.0):
@@ -66,23 +72,34 @@ class TestPowerIn:
 
 
 class TestPowerOut:
-    def test_decoupled(self, quad, bath_thermal):
+    def test_decoupled(self, bath_thermal):
         free = OscillatorSpec(m=1.0, omega_r=1.0, gamma=0.0)
-        assert power_out(free, bath_thermal, 5.0, quad) == 0.0
+        assert power_out(free, bath_thermal, 5.0) == 0.0
 
     def test_proportional_to_momentum_dispersion(self, spec, quad, bath_squeezed):
-        t = 12.0
-        pp = momentum_dispersion_driven(spec, bath_squeezed, t, quad)
-        p_out = power_out(spec, bath_squeezed, t, quad)
+        pp = driven_pp(spec, bath_squeezed, 12.0, quad)
+        p_out = power_out(spec, bath_squeezed, pp)
         assert abs(p_out + 2.0 * spec.gamma / spec.m * pp) < 1e-12 * abs(p_out)
+
+    def test_massive_bath_damps_at_upsilon(self, spec, bath_parametric):
+        _, upsilon = effective_response(spec, bath_parametric)
+        assert upsilon != spec.gamma
+        assert power_out(spec, bath_parametric, 1.5) == -(2.0 * upsilon / spec.m) * 1.5
 
     def test_initial_state_contribution_decays(self, spec, quad, bath_thermal):
         init = CovarianceState(xx=2.0, pp=1.0, xp=0.0)
-        early_with = power_out(spec, bath_thermal, 1.0, quad, init=init)
-        early_without = power_out(spec, bath_thermal, 1.0, quad)
+
+        def with_and_without(t):
+            pp_with = covariance_evolution(spec, bath_thermal, init, t, quad).pp
+            pp_without = driven_pp(spec, bath_thermal, t, quad)
+            return (
+                power_out(spec, bath_thermal, pp_with),
+                power_out(spec, bath_thermal, pp_without),
+            )
+
+        early_with, early_without = with_and_without(1.0)
         assert abs(early_with - early_without) > 1e-3 * abs(early_without)
-        late_with = power_out(spec, bath_thermal, 300.0, quad, init=init)
-        late_without = power_out(spec, bath_thermal, 300.0, quad)
+        late_with, late_without = with_and_without(300.0)
         assert abs(late_with - late_without) < 1e-10 * abs(late_without)
 
 
@@ -92,16 +109,15 @@ class TestEnergyBalance:
         bath = BathSpec(beta=0.3, squeeze=SqueezeParam(eta, 0.0) if eta else None)
         t = 30.0 / spec.gamma
         p_in = power_in(spec, bath, t, quad)
-        p_out = power_out(spec, bath, t, quad)
+        p_out = power_out(spec, bath, driven_pp(spec, bath, t, quad))
         assert abs(p_in + p_out) / abs(p_out) < 1e-3
 
     def test_case_b_balance(self, spec, quad, bath_parametric):
-        from sqbath.oscillator_dynamics import effective_response
-
         _, gamma_damp = effective_response(spec, bath_parametric)
         t = 30.0 / gamma_damp
         p_in = power_in(spec, bath_parametric, t, quad)
-        p_out = power_out(spec, bath_parametric, t, quad)
+        pp = driven_pp(spec, bath_parametric, t, quad)
+        p_out = power_out(spec, bath_parametric, pp)
         assert abs(p_in + p_out) / abs(p_out) < 1e-2
 
     def test_flux_report(self, spec, quad, bath_thermal):

@@ -10,8 +10,8 @@ from sqbath.errors import ConfigurationError, DomainError, UnsupportedRegimeErro
 from sqbath.gaussian_state import CovarianceState, SqueezeParam
 from sqbath.oscillator_dynamics import (
     OscillatorSpec,
-    QuadratureConfig,
     chi_hadamard,
+    chi_hadamard_components,
     covariance_evolution,
     covariance_integral_parts,
     d2_fourier,
@@ -22,7 +22,7 @@ from sqbath.oscillator_dynamics import (
     massive_roots,
     ns_st_split,
 )
-from sqbath.quadrature import omega_coth_half_beta, plain_quad
+from sqbath.quadrature import QuadratureConfig, omega_coth_half_beta, plain_quad
 
 GROUND = CovarianceState(xx=0.5, pp=0.5, xp=0.0)
 
@@ -342,6 +342,15 @@ class TestNsStSplit:
     def test_parametric_bath_rejected(self, spec, quad, bath_parametric):
         with pytest.raises(DomainError):
             ns_st_split(spec, bath_parametric, 1.0, quad)
+
+
+def test_unregulated_split_and_two_time_forms_rejected(spec, bath_squeezed):
+    # the switch-on term of f makes both log divergent at finite t
+    bare = QuadratureConfig()
+    with pytest.raises(ConfigurationError):
+        ns_st_split(spec, bath_squeezed, 5.0, bare)
+    with pytest.raises(ConfigurationError):
+        chi_hadamard_components(spec, 0.3, 0.0, 5.0, 6.0, bare)
 
 
 class TestChiHadamard:
