@@ -13,8 +13,7 @@ from .bath_kernels import (
     SqueezeSpectrum,
     bath_fdr,
     coth_expansion,
-    hadamard_massless_coincident,
-    hadamard_parametric,
+    hadamard_coincident,
     load_spectrum_csv,
     retarded_massive,
     save_spectrum_csv,

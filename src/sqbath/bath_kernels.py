@@ -1,22 +1,23 @@
 """
 Two-point functions of the free bath field.
 
-Hadamard (noise) kernels of squeezed-thermal and parametrically squeezed
-baths at the detector position, the retarded (dissipation) kernel of the
-massive field with its Bessel memory tail, and the bath-level
-fluctuation-dissipation relation.
-
-The coincident-point Hadamard kernels are UV divergent and must be called
-with an active regulator.  Delta-function contact parts of retarded
-kernels are never sampled numerically: they are returned as symbolic tags
-and consumed analytically by the detector dynamics (local damping plus
-frequency renormalization).
+The Hadamard (noise) kernel of the bath at the detector position, the
+retarded (dissipation) kernel of the massive field with its Bessel memory
+tail, and the bath-level fluctuation-dissipation relation.
 
 Every frequency integral of the package sees the bath through
 :func:`bath_mix`: the measure (dw/2pi)(kappa/4pi) coth(b w/2) with its
 regulator, and the stationary and nonstationary squeeze weights
 cosh 2eta and sinh 2eta e^{i theta}, constant or read from a squeeze
-spectrum.
+spectrum.  The stationary weight cosh 2eta_kappa, which both FDRs carry,
+is :meth:`BathSpec.cosh2eta_at`.  One kernel, :func:`hadamard_coincident`,
+serves thermal, constant-squeeze and parametric baths alike.
+
+The coincident-point Hadamard kernel is UV divergent and must be called
+with an active regulator.  Delta-function contact parts of retarded
+kernels are never sampled numerically: they are returned as symbolic tags
+and consumed analytically by the detector dynamics (local damping plus
+frequency renormalization).
 
 Conventions: frequencies carry the initial field mass, w_i = sqrt(k^2 +
 m_i^2); k integrals are performed in w_i above threshold, which removes
@@ -60,9 +61,8 @@ __all__ = [
     "BathSpec",
     "DELTA_PRIME_CONTACT",
     "RetardedMassive",
-    "hadamard_massless_coincident",
+    "hadamard_coincident",
     "retarded_massive",
-    "hadamard_parametric",
     "bath_fdr",
     "coth_expansion",
     "save_spectrum_csv",
@@ -129,9 +129,7 @@ class SqueezeSpectrum:
         out = self._theta_interp(np.clip(k, self.k[0], self.k[-1]))
         return np.where(k > self.k[-1], 0.0, out)
 
-    def check_resolution(
-        self, quad: QuadratureConfig | None = None, mass_i: float = 0.0
-    ) -> None:
+    def check_resolution(self, quad: QuadratureConfig, mass_i: float) -> None:
         """Fail if the grid would truncate significant squeezing.
 
         A spectrum still sizeable at its largest k is acceptable when the
@@ -144,12 +142,11 @@ class SqueezeSpectrum:
         peak = float(np.max(self.eta))
         if peak == 0.0 or self.eta[-1] <= 1e-2 * peak:
             return
-        if quad is not None:
-            w_max = math.hypot(float(self.k[-1]), mass_i)
-            if quad.cutoff is not None and quad.cutoff <= w_max:
-                return
-            if quad.epsilon * w_max >= 30.0:
-                return
+        w_max = math.hypot(float(self.k[-1]), mass_i)
+        if quad.cutoff is not None and quad.cutoff <= w_max:
+            return
+        if quad.epsilon * w_max >= 30.0:
+            return
         raise ResolutionError(
             "squeeze spectrum is not resolved: eta at the largest k is "
             f"{self.eta[-1]:.3e} (> 1% of the peak {peak:.3e}); extend the "
@@ -190,6 +187,16 @@ class BathSpec:
         if isinstance(self.squeeze, SqueezeSpectrum):
             raise DomainError("bath carries a squeeze spectrum, not a constant")
         return self.squeeze if self.squeeze is not None else SqueezeParam(0.0, 0.0)
+
+    def cosh2eta_at(self, kappa):
+        """Stationary squeeze weight cosh 2eta at wavenumber kappa.
+
+        The constant cosh 2eta (1 for a thermal bath), or cosh 2eta(kappa)
+        read from the squeeze spectrum.
+        """
+        if isinstance(self.squeeze, SqueezeSpectrum):
+            return np.cosh(2.0 * self.squeeze.eta_at(kappa))
+        return self.constant_squeeze().cosh2eta
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +243,7 @@ def bath_mix(bath: BathSpec, quad: QuadratureConfig) -> BathMix:
         spectrum.check_resolution(quad, mass_i)
 
         def cosh(w):
-            return np.cosh(2.0 * spectrum.eta_at(kappa(w)))
+            return bath.cosh2eta_at(kappa(w))
 
         def sinh(w):
             k = kappa(w)
@@ -254,41 +261,57 @@ def bath_mix(bath: BathSpec, quad: QuadratureConfig) -> BathMix:
 
 
 # ---------------------------------------------------------------------------
-# coincident-point Hadamard kernels
+# coincident-point Hadamard kernel
 
 
-def hadamard_massless_coincident(
+def hadamard_coincident(
     bath: BathSpec, t: float, t_prime: float, quad: QuadratureConfig
 ) -> KernelValue:
-    """Hadamard function of the massless squeezed thermal field at x = 0.
+    """Hadamard function of the bath field at x = 0.
 
-    stationary  = cosh 2eta  int (dw/2pi)(w/4pi) coth(bw/2) 2cos w(t-t')
-    nonstationary = -sinh 2eta int (dw/2pi)(w/4pi) coth(bw/2) 2cos(w(t+t') - theta)
+    stationary    =  2 int dmu cosh 2eta_kappa cos w(t - t')
+    nonstationary = -2 int dmu Re[sinh 2eta_kappa e^{i theta_kappa} e^{-iw(t+t')}]
+
+    with the measure dmu = (dw/2pi)(kappa/4pi) coth(bw/2) above the mass
+    threshold and the weights of :func:`bath_mix`.  For a parametric bath
+    the times are measured from the end of the process.  A weight that
+    depends on w goes into the integrand; a constant one multiplies the
+    integral of the measure, which is skipped when the weight is zero.
 
     UV divergent at coincidence: the quadrature config must carry a hard
     cutoff or an exponential regulator.
     """
     if t < 0 or t_prime < 0:
         raise DomainError("kernel times must be >= 0")
-    if not bath.is_massless:
-        raise DomainError("hadamard_massless_coincident requires a massless bath")
-    sq = bath.constant_squeeze()
+    mix = bath_mix(bath, quad)
     quad.require_regulator("the coincident-point Hadamard kernel")
-
-    base = bath_mix(bath, quad).measure
     upper = quad.upper()
-    opts = dict(rel_tol=quad.rel_tol, abs_tol=quad.abs_tol, limit=quad.max_subdivisions)
 
-    stat_cos, _ = fourier_quad(base, t - t_prime, "cos", 0.0, upper, **opts)
-    stationary = sq.cosh2eta * 2.0 * stat_cos
+    def integral(weight, part: str, freq: float, kind: str) -> float:
+        """int dmu part(weight) {cos, sin}(freq w)."""
+        if callable(weight):
+            scale = 1.0
 
-    ns_cos, _ = fourier_quad(base, t + t_prime, "cos", 0.0, upper, **opts)
-    ns_sin, _ = fourier_quad(base, t + t_prime, "sin", 0.0, upper, **opts)
-    # cos(w(t+t') - theta) = cos(w(t+t')) cos(theta) + sin(w(t+t')) sin(theta)
-    nonstationary = -sq.sinh2eta * 2.0 * (
-        math.cos(sq.theta) * ns_cos + math.sin(sq.theta) * ns_sin
+            def kernel(w):
+                return getattr(mix.measure(w) * weight(w), part)
+        else:
+            scale, kernel = getattr(weight, part), mix.measure
+            if scale == 0.0:
+                return 0.0
+        val, _ = fourier_quad(
+            kernel, freq, kind, mix.lower, upper,
+            rel_tol=quad.rel_tol, abs_tol=quad.abs_tol, limit=quad.max_subdivisions,
+            head=cusp_head(mix.lower, abs(freq)),
+        )
+        return scale * val
+
+    stationary = integral(mix.cosh, "real", t - t_prime, "cos")
+    # Re[S e^{-iwT}] = Re S cos wT + Im S sin wT
+    ns_cos = integral(mix.sinh, "real", t + t_prime, "cos")
+    ns_sin = integral(mix.sinh, "imag", t + t_prime, "sin")
+    return KernelValue(
+        stationary=2.0 * stationary, nonstationary=-2.0 * (ns_cos + ns_sin)
     )
-    return KernelValue(stationary=stationary, nonstationary=nonstationary)
 
 
 DELTA_PRIME_CONTACT = "delta_prime_contact"
@@ -323,45 +346,6 @@ def retarded_massive(tau: float, mass: float) -> RetardedMassive:
     return RetardedMassive(DELTA_PRIME_CONTACT, float(tail))
 
 
-def hadamard_parametric(
-    bath: BathSpec, t: float, t_prime: float, quad: QuadratureConfig
-) -> KernelValue:
-    """Hadamard function of the parametric bath for t, t' past the process.
-
-    Times are measured from the end of the parametric process.  The
-    isotropic k integral is performed in w_i = sqrt(k^2 + m_i^2) above
-    threshold, with stationary weight coth(b w_i/2) cosh 2eta_k and
-    nonstationary weight -coth(b w_i/2) sinh 2eta_k cos(w_i(t+t') -
-    theta_k).
-    """
-    if t < 0 or t_prime < 0:
-        raise DomainError("kernel times must be >= 0 (origin at the process end)")
-    if not isinstance(bath.squeeze, SqueezeSpectrum):
-        raise DomainError("hadamard_parametric requires a squeeze spectrum")
-    mix = bath_mix(bath, quad)
-    quad.require_regulator("the coincident-point Hadamard kernel")
-
-    a = mix.lower
-    upper = quad.upper()
-    opts = dict(rel_tol=quad.rel_tol, abs_tol=quad.abs_tol, limit=quad.max_subdivisions)
-
-    stat, _ = fourier_quad(
-        lambda w: mix.measure(w) * mix.cosh(w), t - t_prime, "cos", a, upper,
-        head=cusp_head(a, abs(t - t_prime)), **opts
-    )
-    ns_cos, _ = fourier_quad(
-        lambda w: (mix.measure(w) * mix.sinh(w)).real, t + t_prime, "cos", a, upper,
-        head=cusp_head(a, t + t_prime), **opts
-    )
-    ns_sin, _ = fourier_quad(
-        lambda w: (mix.measure(w) * mix.sinh(w)).imag, t + t_prime, "sin", a, upper,
-        head=cusp_head(a, t + t_prime), **opts
-    )
-    return KernelValue(
-        stationary=2.0 * stat, nonstationary=-2.0 * (ns_cos + ns_sin)
-    )
-
-
 def bath_fdr(omega: float, bath: BathSpec) -> tuple[float, float]:
     """Both sides of the bath-level fluctuation-dissipation relation.
 
@@ -379,10 +363,7 @@ def bath_fdr(omega: float, bath: BathSpec) -> tuple[float, float]:
             f"|omega| = {aw} is at or below the field-mass threshold {bath.mass_i}"
         )
     kappa = math.sqrt(omega * omega - bath.mass_i * bath.mass_i)
-    if isinstance(bath.squeeze, SqueezeSpectrum):
-        ch2 = float(np.cosh(2.0 * bath.squeeze.eta_at(kappa)))
-    else:
-        ch2 = bath.constant_squeeze().cosh2eta
+    ch2 = float(bath.cosh2eta_at(kappa))
     coth_abs = float(coth_half_beta(aw, bath.beta))
     im_gr0 = kappa / (4.0 * math.pi)
 

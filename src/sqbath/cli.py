@@ -37,7 +37,7 @@ import yaml
 
 from . import __version__
 from .bath_kernels import BathSpec, SqueezeSpectrum, save_spectrum_csv
-from .energy_fdr import fdr_oscillator, power_in, power_out
+from .energy_fdr import LATE_TIME_FACTOR, fdr_oscillator, power_in, power_out
 from .errors import ConfigurationError, ConvergenceError, SqbathError
 from .gaussian_state import CovarianceState, SqueezeParam, extract_squeeze
 from .oscillator_dynamics import (
@@ -94,8 +94,8 @@ def _grid(section, where: str, default=None) -> np.ndarray:
         if default is not None:
             return default
         raise ConfigurationError(f"{where}: missing grid section")
-    start = _as_float(section.get("start", section.get("min")), f"{where}.start")
-    stop = _as_float(section.get("stop", section.get("max")), f"{where}.stop")
+    start = _as_float(section.get("start"), f"{where}.start")
+    stop = _as_float(section.get("stop"), f"{where}.stop")
     points = _as_int(section.get("points", 0), f"{where}.points")
     if points < 2 or not stop > start:
         raise ConfigurationError(f"{where}: need stop > start and points >= 2")
@@ -234,11 +234,14 @@ def parse_config(data: dict) -> RunConfig:
             raise ConfigurationError(
                 f"unknown output product {product!r}; known: {PRODUCTS}"
             )
+        if product != "fdr":
+            # every product but the closed-form FDR integrates over frequency
+            quad.require_regulator(f"the {product} output")
 
     time_grid = _grid(
         data.get("time_grid"),
         "time_grid",
-        default=np.linspace(1.0, 30.0 / max(spec.gamma, 1e-3), 40),
+        default=np.linspace(1.0, LATE_TIME_FACTOR / max(spec.gamma, 1e-3), 40),
     )
     fdr_grid = None
     if "fdr" in outputs:
@@ -410,7 +413,9 @@ def _product_files(cfg: RunConfig, bath: BathSpec):
             residual = abs(p_in + p_out) / abs(p_out) if p_out else math.inf
             meta = {
                 "balance_residual": residual,
-                "late_time_ok": bool(gamma_damp > 0 and times[-1] >= 30.0 / gamma_damp),
+                "late_time_ok": bool(
+                    gamma_damp > 0 and times[-1] >= LATE_TIME_FACTOR / gamma_damp
+                ),
                 "damping_rate": gamma_damp,
             }
             yield name, name, ("t", "p_xi", "p_gamma"), rows, meta

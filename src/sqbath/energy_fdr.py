@@ -10,12 +10,18 @@ dies off exponentially on the relaxation time, while the oscillating
 remnants in P_xi (the J integrals) die off only polynomially, t^-2 for
 the thermal part and t^-3 for the vacuum part.
 
-The fluctuation-dissipation relation is assembled on its
-positive-frequency branch and extended evenly, so both sides are even in
-omega and the relation holds on symmetric grids:
+The fluctuation-dissipation relation of the oscillator is one formula for
+every bath.  It inherits the stationary bath kernel, weighted by
+cosh 2eta_kappa at the bath wavenumber kappa = sqrt(w^2 - m_i^2), through
+the dressed susceptibility G(w) = 1/(w_r^2 - w^2 - 2 i gamma kappa), and
+it is assembled on the positive-frequency branch and extended evenly, so
+both sides are even in omega and the relation holds on symmetric grids:
 
-    hadamard side     = coth(b|w|/2) cosh(2 eta_kappa) Im G_R(|w|)-form,
-    dissipation side  = sgn(w) coth(bw/2) cosh(2 eta_kappa) Im G_R(w).
+    hadamard side     = (2 gamma/m) cosh 2eta_kappa |G|^2 kappa coth(b|w|/2),
+    dissipation side  = sgn(w) coth(bw/2) cosh 2eta_kappa Im G(w) / m.
+
+The late-time checks share one horizon: a balance or a stationary value
+is read only past LATE_TIME_FACTOR relaxation times.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath_kernels import _MEASURE_NORM, BathSpec, SqueezeSpectrum, bath_mix
+from .bath_kernels import _MEASURE_NORM, BathSpec, bath_mix
 from .errors import DomainError, EstimationError
 from .gaussian_state import CovarianceState
 from .oscillator_dynamics import (
@@ -60,7 +66,14 @@ __all__ = [
     "fdr_oscillator",
     "gamma_kernel_check",
     "bessel_tail_endpoint_integral",
+    "LATE_TIME_FACTOR",
 ]
+
+LATE_TIME_FACTOR = 30.0  # relaxation times 1/Gamma before late-time values
+_STATIONARITY_RTOL = 1e-4  # |dP_gamma/dt| / |P_gamma| at the last sample
+_JN_REL_TOL, _JN_ABS_TOL = 1e-9, 1e-14
+_TAIL_RANGE = 10.0  # window over which the Bessel tail must stay finite
+_TAIL_DELTA = 5e-8  # final endpoint window of the contact check
 
 
 @dataclass(frozen=True)
@@ -131,27 +144,23 @@ def flux_report(
     times,
     quad: QuadratureConfig,
     init: CovarianceState | None = None,
-    late_time_factor: float = 30.0,
-    stationarity_rtol: float = 1e-4,
-    enforce_late_time: bool = True,
 ) -> FluxReport:
     """Sample P_xi and P_gamma over a time grid and check the balance.
 
     The balance residual is evaluated at the last grid point, which must
-    lie past ``late_time_factor`` relaxation times and pass a
-    stationarity pre-check |dP_gamma/dt| < stationarity_rtol * |P_gamma|
-    (both configurable).
+    lie past LATE_TIME_FACTOR relaxation times and pass a stationarity
+    pre-check |dP_gamma/dt| < _STATIONARITY_RTOL |P_gamma|.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
         raise DomainError("times must be a strictly increasing grid")
     _, gamma_damp = effective_response(spec, bath)
-    if enforce_late_time and gamma_damp > 0:
-        t_min = late_time_factor / gamma_damp
+    if gamma_damp > 0:
+        t_min = LATE_TIME_FACTOR / gamma_damp
         if times[-1] < t_min:
             raise DomainError(
                 f"late-time balance requires t >= {t_min:.3g} "
-                f"(= {late_time_factor}/Gamma); grid ends at {times[-1]:.3g}"
+                f"(= {LATE_TIME_FACTOR}/Gamma); grid ends at {times[-1]:.3g}"
             )
     p_xi = np.array([power_in(spec, bath, t, quad) for t in times])
     if init is None:
@@ -159,14 +168,12 @@ def flux_report(
     else:
         pps = [covariance_evolution(spec, bath, init, t, quad).pp for t in times]
     p_gamma = np.array([power_out(spec, bath, pp) for pp in pps])
-    if enforce_late_time:
-        dt = times[-1] - times[-2]
-        rate = abs(p_gamma[-1] - p_gamma[-2]) / dt
-        if rate > stationarity_rtol * abs(p_gamma[-1]):
-            raise DomainError(
-                "stationarity pre-check failed: |dP_gamma/dt| = "
-                f"{rate:.3e} exceeds {stationarity_rtol:.1e} |P_gamma|"
-            )
+    rate = abs(p_gamma[-1] - p_gamma[-2]) / (times[-1] - times[-2])
+    if rate > _STATIONARITY_RTOL * abs(p_gamma[-1]):
+        raise DomainError(
+            "stationarity pre-check failed: |dP_gamma/dt| = "
+            f"{rate:.3e} exceeds {_STATIONARITY_RTOL:.1e} |P_gamma|"
+        )
     residual = abs(p_xi[-1] + p_gamma[-1]) / abs(p_gamma[-1])
     return FluxReport(
         times=times, p_xi=p_xi, p_gamma=p_gamma, balance_residual=float(residual)
@@ -183,8 +190,6 @@ def jn_integral(
     n: int,
     t: float,
     epsilon: float = 1e-2,
-    rel_tol: float = 1e-9,
-    abs_tol: float = 1e-14,
     subtract_pole: bool = True,
 ) -> complex:
     """Oscillating remnant J(t) = int (dw/2pi)(w/4pi) W(w) (-iw) d2~ e^{-2iwt}.
@@ -233,7 +238,7 @@ def jn_integral(
     # the envelope decays exponentially; truncate where it reaches e^-45
     scale = epsilon if n == 0 else n * beta
     upper = 45.0 / scale
-    opts = dict(rel_tol=rel_tol, abs_tol=abs_tol, limit=4000)
+    opts = dict(rel_tol=_JN_REL_TOL, abs_tol=_JN_ABS_TOL, limit=4000)
     freq = 2.0 * t
     x = (
         fourier_quad(h_re, freq, "cos", 0.0, upper, **opts)[0]
@@ -298,63 +303,42 @@ def jn_falloff(
 # fluctuation-dissipation relation of the oscillator
 
 
-def _cosh2eta_of_kappa(bath: BathSpec, kappa):
-    if isinstance(bath.squeeze, SqueezeSpectrum):
-        return np.cosh(2.0 * bath.squeeze.eta_at(kappa))
-    return np.full_like(np.asarray(kappa, dtype=float), bath.constant_squeeze().cosh2eta)
-
-
 def fdr_oscillator(
     spec: OscillatorSpec, bath: BathSpec, omega_grid
 ) -> FdrReport:
     """Both sides of the detector FDR on a frequency grid.
 
-    Massless baths use the closed forms
+    With kappa = sqrt(w^2 - m_i^2) and G(w) = 1/(w_r^2 - w^2 - 2 i gamma kappa),
 
-        hadamard     = (2 gamma / m) cosh 2eta |d2~(w)|^2 [|w| coth(b|w|/2)]
-        dissipation  = sgn(w) coth(bw/2) cosh 2eta Im d2~(w form) / m
+        hadamard     = (2 gamma / m) cosh 2eta_kappa |G|^2 kappa coth(b|w|/2)
+        dissipation  = coth(b|w|/2) cosh 2eta_kappa Im G / m
 
-    evaluated on the positive branch and extended evenly.  Parametric
-    baths carry cosh 2eta_kappa with kappa = sqrt(w^2 - m_i^2) and the
-    dressed response G_R(w) = (1/m)/(w_r^2 - w^2 - 2 i gamma kappa);
-    frequencies at or below the mass threshold are dropped from the grid.
+    on the positive branch, extended evenly.  Frequencies below the mass
+    threshold |w| < m_i are dropped from the grid; a bath with m_i = 0
+    keeps the whole grid, w = 0 included, where both sides have the
+    finite limit (4 gamma / (b m)) cosh 2eta_0 / w_r^4.
     """
     omegas = np.asarray(omega_grid, dtype=float)
     if omegas.ndim != 1 or omegas.size == 0:
         raise DomainError("omega grid must be a nonempty 1-d array")
+    omegas = omegas[np.abs(omegas) >= bath.mass_i * (1.0 + 1e-12)]
+    if omegas.size == 0:
+        raise DomainError("no grid frequencies above the mass threshold")
     beta = bath.beta
-
-    if isinstance(bath.squeeze, SqueezeSpectrum) or bath.mass_i > 0:
-        mask = np.abs(omegas) > bath.mass_i * (1.0 + 1e-12)
-        omegas = omegas[mask]
-        if omegas.size == 0:
-            raise DomainError("no grid frequencies above the mass threshold")
-        aw = np.abs(omegas)
-        kappa = np.sqrt(aw * aw - bath.mass_i**2)
-        ch2 = _cosh2eta_of_kappa(bath, kappa)
-        denom = spec.omega_r**2 - omegas**2 - 2j * spec.gamma * kappa
-        g_r = (1.0 / spec.m) / denom
-        im_gr0 = kappa / (4.0 * math.pi)
-        e_sq = 8.0 * math.pi * spec.gamma * spec.m
-        coth_abs = coth_half_beta(aw, beta)
-        hadamard = e_sq * coth_abs * ch2 * np.abs(g_r) ** 2 * im_gr0
-        # sgn(w) coth(bw/2) Im G_R(w) = coth(b|w|/2) Im G_R(|w|); Im G_R
-        # of the dressed denominator above is positive for w > 0.
-        dissipation = coth_abs * ch2 * np.abs(g_r.imag)
-    else:
-        sq = bath.constant_squeeze()
-        ch2 = sq.cosh2eta
-        aw = np.abs(omegas)
-        d = _d2_tilde(_resp(spec), aw)
-        weighted = omega_coth_half_beta(aw, beta)  # |w| coth(b|w|/2), even
-        hadamard = (2.0 * spec.gamma / spec.m) * ch2 * np.abs(d) ** 2 * weighted
-        # at w = 0 the product coth * Im d2~ has a finite limit equal to
-        # the hadamard side (Im d2~ = 2 gamma w |d2~|^2); patch it there
-        safe = aw > 1e-12 * spec.omega_r
-        coth_abs = coth_half_beta(np.where(safe, aw, 1.0), beta)
-        dissipation = np.where(
-            safe, ch2 * coth_abs * d.imag / spec.m, hadamard
-        )
+    aw = np.abs(omegas)
+    kappa = np.sqrt(aw * aw - bath.mass_i**2)
+    ch2 = bath.cosh2eta_at(kappa)
+    g = 1.0 / (spec.omega_r**2 - aw**2 - 2j * spec.gamma * kappa)
+    # kappa coth(b|w|/2) = (kappa/|w|) |w| coth(b|w|/2), finite at w = 0,
+    # where kappa/|w| = 1 (only a massless bath keeps w = 0)
+    kappa_over_w = np.divide(kappa, aw, out=np.ones_like(aw), where=aw > 0)
+    weighted = omega_coth_half_beta(aw, beta) * kappa_over_w
+    hadamard = (2.0 * spec.gamma / spec.m) * ch2 * np.abs(g) ** 2 * weighted
+    # at w = 0 the product coth * Im G has a finite limit equal to the
+    # hadamard side (Im G = 2 gamma kappa |G|^2); patch it there
+    safe = aw > 1e-12 * spec.omega_r
+    coth_abs = coth_half_beta(np.where(safe, aw, 1.0), beta)
+    dissipation = np.where(safe, ch2 * coth_abs * g.imag / spec.m, hadamard)
 
     scale = np.maximum(np.abs(dissipation), np.abs(hadamard))
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -389,27 +373,21 @@ def bessel_tail_endpoint_integral(mass: float, delta: float) -> float:
     return val
 
 
-def gamma_kernel_check(
-    mass: float,
-    t_range: float = 10.0,
-    delta_final: float = 5e-8,
-) -> float:
+def gamma_kernel_check(mass: float) -> float:
     """Residual of the vanishing endpoint limit of the memory kernel.
 
     The non-contact (Bessel tail) part of the dissipation kernel must not
     contribute to the frequency renormalization: its integral over a
     shrinking window [t - delta, t] tends to zero.  Returns
-    |int_0^delta (m/u) J1(m u) du| at the final window size, after
-    confirming the full integral over [0, t_range] is finite.
+    |int_0^delta (m/u) J1(m u) du| at delta = _TAIL_DELTA, after
+    confirming the full integral over [0, _TAIL_RANGE] is finite.
     """
     if mass < 0:
         raise DomainError("mass must be nonnegative")
     if mass == 0.0:
         return 0.0
-    if t_range <= 0:
-        raise DomainError("t_range must be positive")
     # full tail integral stays finite (closed form: m(1 - J0 - ...) bounded)
-    full = bessel_tail_endpoint_integral(mass, t_range)
+    full = bessel_tail_endpoint_integral(mass, _TAIL_RANGE)
     if not math.isfinite(full):
         raise DomainError("memory tail integral did not stay finite")
-    return abs(bessel_tail_endpoint_integral(mass, delta_final))
+    return abs(bessel_tail_endpoint_integral(mass, _TAIL_DELTA))

@@ -84,7 +84,6 @@ class OscillatorSpec:
     m: float
     omega_r: float
     gamma: float = 0.0
-    omega_b: float | None = None  # bare frequency, bookkeeping only
 
     def __post_init__(self):
         if self.m <= 0:
@@ -103,11 +102,6 @@ class OscillatorSpec:
     def Omega(self) -> float:
         """Resonance frequency sqrt(omega_r^2 - gamma^2)."""
         return math.sqrt(self.omega_r**2 - self.gamma**2)
-
-    @property
-    def coupling(self) -> float:
-        """Field coupling e with gamma = e^2 / (8 pi m)."""
-        return math.sqrt(8.0 * math.pi * self.gamma * self.m)
 
     @classmethod
     def from_resonance(cls, m: float, Omega: float, gamma: float) -> "OscillatorSpec":
@@ -579,7 +573,6 @@ def chi_hadamard_components(
     t: float,
     t_prime: float,
     quad: QuadratureConfig,
-    resp: _Response | None = None,
 ) -> tuple[float, float]:
     """Unit-weight stationary / nonstationary parts of G_H^(chi)(t, t').
 
@@ -597,7 +590,7 @@ def chi_hadamard_components(
     """
     if t < 0 or t_prime < 0:
         raise DomainError("two-time Hadamard requires t, t' >= 0")
-    resp = resp if resp is not None else _resp(spec)
+    resp = _resp(spec)
     return _bilinear(
         resp,
         _unit_mix(beta, theta, quad),

@@ -117,9 +117,8 @@ class ModeSolution:
     """Fundamental solutions of one field mode on a time grid.
 
     d1 and d2 carry initial data (1, 0) and (0, 1); their Wronskian
-    d1 d2' - d2 d1' stays at 1 (canonical commutation).  ``renormalized``
-    records whether per-step Wronskian rescaling was applied (off by
-    default; the drift is the honest error metric).
+    d1 d2' - d2 d1' stays at 1 (canonical commutation); its drift is the
+    error metric :func:`integrate_mode` checks.
     """
 
     k: float
@@ -129,7 +128,6 @@ class ModeSolution:
     d1_dot: np.ndarray
     d2_dot: np.ndarray
     profile: MassProfile
-    renormalized: bool = False
 
     def wronskian(self) -> np.ndarray:
         return self.d1 * self.d2_dot - self.d2 * self.d1_dot
@@ -206,7 +204,6 @@ def integrate_mode(
     profile: MassProfile,
     grid,
     tol: float = 1e-10,
-    renormalize: bool = False,
 ) -> ModeSolution:
     """Integrate both fundamental solutions of mode k over the grid.
 
@@ -254,16 +251,9 @@ def integrate_mode(
         raise ConvergenceError(f"mode integration failed: {sol.message}")
     d1, d1_dot, d2, d2_dot = sol.y
 
-    if renormalize:
-        w = d1 * d2_dot - d2 * d1_dot
-        scale = 1.0 / np.sqrt(w)
-        d1, d1_dot, d2, d2_dot = d1 * scale, d1_dot * scale, d2 * scale, d2_dot * scale
-
-    out = ModeSolution(
-        k, times, d1, d2, d1_dot, d2_dot, profile, renormalized=renormalize
-    )
+    out = ModeSolution(k, times, d1, d2, d1_dot, d2_dot, profile)
     drift = float(np.max(np.abs(out.wronskian() - 1.0)))
-    if not renormalize and drift > 10.0 * max(tol, 1e-13):
+    if drift > 10.0 * max(tol, 1e-13):
         raise ConvergenceError(
             f"Wronskian drift {drift:.3e} exceeds 10x tolerance {tol:.1e}",
             partial_value=out,
@@ -314,12 +304,11 @@ def bogoliubov_from_mode(
     return BogoliubovPair(alpha=alpha, beta=beta)
 
 
-def squeeze_spectrum(
-    profile: MassProfile,
-    k_grid,
-    tol: float = 1e-9,
-    points_per_period: int = 24,
-) -> SqueezeSpectrum:
+_SPECTRUM_TOL = 1e-9  # Wronskian tolerance of each mode integration
+_POINTS_PER_PERIOD = 24  # samples per period of the fastest mode frequency
+
+
+def squeeze_spectrum(profile: MassProfile, k_grid) -> SqueezeSpectrum:
     """Squeeze parameters eta(k), theta(k) left behind by the process.
 
     Integrates every mode to the end of the process and projects on
@@ -339,9 +328,9 @@ def squeeze_spectrum(
     thetas = np.empty_like(k_arr)
     for i, k in enumerate(k_arr):
         om_max = max(profile.omega_i(k), profile.omega_f(k), 1.0 / profile.duration)
-        n_pts = max(64, int(points_per_period * om_max * profile.t_f / (2 * math.pi)))
+        n_pts = max(64, int(_POINTS_PER_PERIOD * om_max * profile.t_f / (2 * math.pi)))
         grid = np.linspace(0.0, profile.t_f, n_pts + 1)
-        sol = integrate_mode(k, profile, grid, tol=tol)
+        sol = integrate_mode(k, profile, grid, tol=_SPECTRUM_TOL)
         pair = bogoliubov_from_mode(
             sol,
             profile.omega_i(k),

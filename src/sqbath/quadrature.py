@@ -123,10 +123,11 @@ _COTH_PATCH = 1e-3  # switch to the series below beta*w = 1e-3
 
 
 def coth_half_beta(omega, beta: float):
-    """coth(beta w / 2); the zero-temperature limit beta = inf gives 1."""
+    """coth(beta w / 2); the zero-temperature limit beta = inf gives sgn(w)
+    (1 at w = 0)."""
     omega = np.asarray(omega, dtype=float)
     if math.isinf(beta):
-        return np.ones_like(omega)
+        return np.where(omega < 0.0, -1.0, 1.0)
     return 1.0 / np.tanh(0.5 * beta * omega)
 
 def omega_coth_half_beta(omega, beta: float):

@@ -10,8 +10,7 @@ from sqbath.bath_kernels import (
     SqueezeSpectrum,
     bath_fdr,
     coth_expansion,
-    hadamard_massless_coincident,
-    hadamard_parametric,
+    hadamard_coincident,
     load_spectrum_csv,
     retarded_massive,
     save_spectrum_csv,
@@ -43,23 +42,23 @@ class TestHadamardMasslessCoincident:
 
     def test_requires_regulator(self, bath_squeezed):
         with pytest.raises(ConfigurationError):
-            hadamard_massless_coincident(bath_squeezed, 1.0, 1.0, QuadratureConfig())
+            hadamard_coincident(bath_squeezed, 1.0, 1.0, QuadratureConfig())
 
     def test_no_squeeze_kills_nonstationary(self, bath_thermal):
-        kv = hadamard_massless_coincident(bath_thermal, 0.8, 0.3, self.QUAD)
+        kv = hadamard_coincident(bath_thermal, 0.8, 0.3, self.QUAD)
         assert kv.nonstationary == 0.0
         assert kv.total == kv.stationary
 
     def test_symmetry(self, bath_squeezed):
-        a = hadamard_massless_coincident(bath_squeezed, 1.3, 0.4, self.QUAD)
-        b = hadamard_massless_coincident(bath_squeezed, 0.4, 1.3, self.QUAD)
+        a = hadamard_coincident(bath_squeezed, 1.3, 0.4, self.QUAD)
+        b = hadamard_coincident(bath_squeezed, 0.4, 1.3, self.QUAD)
         assert abs(a.stationary - b.stationary) < 1e-10 * abs(a.stationary)
         assert abs(a.nonstationary - b.nonstationary) < 1e-10 * abs(a.nonstationary)
 
     def test_against_brute_force_grid(self):
         # beta = 0.3, eta = 1, theta = 0, t = t' = 1, exponential regulator
         bath = BathSpec(beta=0.3, squeeze=SqueezeParam(1.0, 0.0))
-        kv = hadamard_massless_coincident(bath, 1.0, 1.0, self.QUAD)
+        kv = hadamard_coincident(bath, 1.0, 1.0, self.QUAD)
         w = np.linspace(0.0, 45_000.0, 2_000_001)  # Simpson, e^-45 envelope end
         base = omega_coth_half_beta(w, 0.3) * np.exp(-1e-3 * w) / (8 * math.pi**2)
         from scipy.integrate import simpson
@@ -72,7 +71,7 @@ class TestHadamardMasslessCoincident:
     def test_against_trigamma_closed_form(self):
         beta, eta, theta, t, tp, eps = 0.3, 0.4, 1.1, 1.3, 0.6, 1e-3
         bath = BathSpec(beta=beta, squeeze=SqueezeParam(eta, theta))
-        kv = hadamard_massless_coincident(bath, t, tp, QuadratureConfig(epsilon=eps))
+        kv = hadamard_coincident(bath, t, tp, QuadratureConfig(epsilon=eps))
         s_cf = math.cosh(2 * eta) * 2 * hurwitz_closed_form(beta, eps, t - tp)
         n_cf = -math.sinh(2 * eta) * 2 * hurwitz_closed_form(beta, eps, t + tp, theta)
         norm = 8 * math.pi**2
@@ -82,7 +81,7 @@ class TestHadamardMasslessCoincident:
     def test_massive_bath_rejected(self):
         bath = BathSpec(beta=1.0, mass_i=0.5, mass_f=0.5)
         with pytest.raises(DomainError):
-            hadamard_massless_coincident(bath, 1.0, 1.0, self.QUAD)
+            hadamard_coincident(bath, 1.0, 1.0, self.QUAD)
 
 
 class TestRetardedMassive:
@@ -115,7 +114,7 @@ class TestHadamardParametric:
         spect = SqueezeSpectrum(k, np.zeros_like(k))
         quad = QuadratureConfig(epsilon=1e-3)
         bath = BathSpec(beta=0.5, squeeze=spect, mass_i=0.4, mass_f=0.4)
-        kv = hadamard_parametric(bath, 0.9, 0.2, quad)
+        kv = hadamard_coincident(bath, 0.9, 0.2, quad)
         assert kv.nonstationary == 0.0
         # massive thermal Hadamard, brute force in k space (cusp free)
         kk = np.linspace(0.0, 45_000.0, 4_000_001)
@@ -132,8 +131,8 @@ class TestHadamardParametric:
         spect = SqueezeSpectrum(k, np.full_like(k, 0.4), np.full_like(k, 1.1))
         bath_p = BathSpec(beta=0.3, squeeze=spect)
         bath_c = BathSpec(beta=0.3, squeeze=SqueezeParam(0.4, 1.1))
-        kv_p = hadamard_parametric(bath_p, 1.3, 0.6, quad)
-        kv_c = hadamard_massless_coincident(bath_c, 1.3, 0.6, quad)
+        kv_p = hadamard_coincident(bath_p, 1.3, 0.6, quad)
+        kv_c = hadamard_coincident(bath_c, 1.3, 0.6, quad)
         assert abs(kv_p.stationary / kv_c.stationary - 1.0) < 1e-7
         assert abs(kv_p.nonstationary / kv_c.nonstationary - 1.0) < 1e-7
 
@@ -149,7 +148,7 @@ class TestHadamardParametric:
         quad = QuadratureConfig(cutoff=1000.0)
         tau = 0.8
         pairs = [(2.0, 2.0 - tau), (8.0, 8.0 - tau), (20.0, 20.0 - tau)]
-        out = [hadamard_parametric(bath, t, tp, quad) for t, tp in pairs]
+        out = [hadamard_coincident(bath, t, tp, quad) for t, tp in pairs]
         stats = [kv.stationary for kv in out]
         ratios = [abs(kv.nonstationary / kv.stationary) for kv in out]
         assert ratios[0] > 3.0 * ratios[1] > 3.0 * ratios[2]
@@ -157,8 +156,8 @@ class TestHadamardParametric:
 
     def test_symmetry(self, bath_parametric):
         quad = QuadratureConfig(cutoff=1000.0)
-        a = hadamard_parametric(bath_parametric, 1.4, 0.3, quad)
-        b = hadamard_parametric(bath_parametric, 0.3, 1.4, quad)
+        a = hadamard_coincident(bath_parametric, 1.4, 0.3, quad)
+        b = hadamard_coincident(bath_parametric, 0.3, 1.4, quad)
         assert abs(a.stationary - b.stationary) < 1e-10 * abs(a.stationary)
         assert abs(a.nonstationary - b.nonstationary) < 1e-10 * abs(a.nonstationary)
 
@@ -167,7 +166,7 @@ class TestHadamardParametric:
         spect = SqueezeSpectrum(k, np.full_like(k, 0.5))
         bath = BathSpec(beta=1.0, squeeze=spect)
         with pytest.raises(ResolutionError):
-            hadamard_parametric(bath, 1.0, 1.0, QuadratureConfig(cutoff=1e5))
+            hadamard_coincident(bath, 1.0, 1.0, QuadratureConfig(cutoff=1e5))
 
 
 class TestBathFdr:

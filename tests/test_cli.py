@@ -287,6 +287,18 @@ class TestMainEntry:
         cfgp = write_config(tmp_path, data)
         assert main(["run", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
 
+    def test_unregulated_sweep_exit_code(self, tmp_path, capsys):
+        # a config-wide error stops the sweep before any point runs
+        data = dict(SMALL_CONSTANT)
+        data["quadrature"] = {"cutoff": None}
+        data["time_grid"] = {"start": 5.0, "stop": 6.0, "points": 2}
+        data["outputs"] = ["ns_split"]
+        data["sweep"] = {"path": "bath.theta", "values": [0.0, 0.5]}
+        cfgp = write_config(tmp_path, data)
+        assert main(["sweep", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+        assert "regulator" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_figure_and_config_conflict(self, tmp_path):
         cfgp = write_config(tmp_path, SMALL_CONSTANT)
         code = main(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sqbath.bath_kernels import BathSpec
+from sqbath.bath_kernels import BathSpec, bath_fdr
 from sqbath.energy_fdr import (
     bessel_tail_endpoint_integral,
     fdr_oscillator,
@@ -198,6 +198,48 @@ class TestFdrOscillator:
         grid = np.linspace(-1.0, 1.0, 201)
         rep = fdr_oscillator(spec, bath, grid)
         assert np.all(np.abs(rep.omegas) > 0.2)
+        assert rep.max_rel_deviation < 1e-6
+
+    @pytest.mark.parametrize("bath_kind", ["thermal", "squeezed", "zero-T", "parametric"])
+    def test_absolute_values_pinned_to_bath_fdr(self, bath_kind):
+        # each side is the bath FDR side times the oscillator's response:
+        # hadamard = 8 pi gamma m |G_R|^2 lhs, dissipation = rhs Im G_R / (kappa/4pi)
+        # with G_R = (1/m)/(w_r^2 - w^2 - 2 i gamma kappa); m != 1 exposes 1/m
+        from sqbath.parametric_mode import MassProfile, squeeze_spectrum
+
+        spec = OscillatorSpec(m=2.0, omega_r=1.2, gamma=0.15)
+        if bath_kind == "parametric":
+            prof = MassProfile(0.2, 0.5, 0.0, 2.0)
+            spect = squeeze_spectrum(prof, np.geomspace(0.02, 60.0, 32))
+            bath = BathSpec(beta=1.0, squeeze=spect, mass_i=0.2, mass_f=0.5)
+        else:
+            bath = {
+                "thermal": BathSpec(beta=0.3),
+                "squeezed": BathSpec(beta=10.0, squeeze=SqueezeParam(1.0, 0.4)),
+                "zero-T": BathSpec(beta=math.inf, squeeze=SqueezeParam(0.5, 0.0)),
+            }[bath_kind]
+        rep = fdr_oscillator(spec, bath, np.linspace(-10.0, 10.0, 1000))
+        for w, had, dis in zip(rep.omegas, rep.hadamard_side, rep.dissipation_side):
+            lhs, rhs = bath_fdr(float(w), bath)
+            kappa = math.sqrt(w * w - bath.mass_i**2)
+            g_r = (1.0 / spec.m) / complex(spec.omega_r**2 - w * w, -2.0 * spec.gamma * kappa)
+            want_had = 8.0 * math.pi * spec.gamma * spec.m * abs(g_r) ** 2 * lhs
+            want_dis = rhs * g_r.imag / (kappa / (4.0 * math.pi))
+            assert abs(had - want_had) <= 1e-13 * abs(want_had)
+            assert abs(dis - want_dis) <= 1e-13 * abs(want_dis)
+
+    def test_massless_parametric_keeps_zero_frequency(self, spec, bath_parametric):
+        assert bath_parametric.mass_i == 0.0
+        grid = np.linspace(-1.0, 1.0, 201)
+        rep = fdr_oscillator(spec, bath_parametric, grid)
+        np.testing.assert_array_equal(rep.omegas, grid)
+        i0 = int(np.flatnonzero(rep.omegas == 0.0)[0])
+        had, dis = rep.hadamard_side[i0], rep.dissipation_side[i0]
+        assert math.isfinite(had) and had > 0.0 and dis == had
+        # limit of (2 gamma/m) cosh 2eta_kappa |G|^2 kappa coth(b kappa/2) at w = 0
+        ch2 = math.cosh(2.0 * bath_parametric.squeeze.eta[0])
+        limit = 4.0 * spec.gamma * ch2 / (bath_parametric.beta * spec.m * spec.omega_r**4)
+        assert abs(had - limit) <= 1e-12 * limit
         assert rep.max_rel_deviation < 1e-6
 
     def test_parity(self, spec, bath_thermal):

@@ -60,12 +60,6 @@ class TestIntegrateMode:
         sol = integrate_mode(1.0, tanh_profile, grid, tol=1e-10)
         assert np.max(np.abs(sol.wronskian() - 1.0)) < 1e-9
 
-    def test_renormalized_mode_flagged(self, tanh_profile):
-        grid = np.linspace(0.0, 3.0, 301)
-        sol = integrate_mode(1.0, tanh_profile, grid, renormalize=True)
-        assert sol.renormalized
-        np.testing.assert_allclose(sol.wronskian(), 1.0, atol=1e-14)
-
     def test_grid_validation(self, tanh_profile):
         with pytest.raises(DomainError):
             integrate_mode(1.0, tanh_profile, np.linspace(1.0, 2.0, 10))

@@ -104,6 +104,13 @@ def test_coth_series_patch_continuity():
     assert coth_half_beta(3.0, math.inf) == 1.0
 
 
+def test_coth_zero_temperature_limit_is_odd():
+    # coth(b w/2) -> sgn(w) as b -> inf, the limit of any large finite b
+    w = np.array([-3.0, -1e-3, 1e-3, 3.0])
+    np.testing.assert_array_equal(coth_half_beta(w, math.inf), np.sign(w))
+    np.testing.assert_array_equal(coth_half_beta(w, math.inf), coth_half_beta(w, 1e300))
+
+
 class TestBesselJ1:
     def test_zero_and_reference_value(self):
         assert bessel_j1(0.0) == 0.0
