@@ -30,6 +30,7 @@ from __future__ import annotations
 import cmath
 import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -84,6 +85,40 @@ class KernelValue:
         return self.stationary + self.nonstationary
 
 
+class _Pchip:
+    """Monotone cubic (PCHIP) through (x, y), held at the ends of the grid.
+
+    The coefficients are scipy's :class:`PchipInterpolator`; the pieces
+    are summed in the order of scipy's own evaluation, c3 + c2 s + c1 s^2
+    + c0 s^3 with the powers of s built by repeated multiplication, so
+    the values are scipy's bit for bit.  A float argument, as a quadrature
+    node passes it, is looked up with :func:`bisect.bisect_right` on
+    Python floats and returns a float; an array is looked up with
+    :func:`numpy.searchsorted`.
+    """
+
+    def __init__(self, x, y):
+        poly = PchipInterpolator(x, y, extrapolate=False)
+        self.x, self.c = poly.x, poly.c
+        self._xs, self._pieces = self.x.tolist(), self.c.T.tolist()
+
+    def __call__(self, k):
+        if isinstance(k, float):
+            xs = self._xs
+            k = min(max(k, xs[0]), xs[-1])
+            i = min(bisect_right(xs, k), len(xs) - 1) - 1
+            s = k - xs[i]
+            c0, c1, c2, c3 = self._pieces[i]
+        else:
+            x = self.x
+            k = np.clip(k, x[0], x[-1])
+            i = np.minimum(np.searchsorted(x, k, side="right"), x.size - 1) - 1
+            s = k - x[i]
+            c0, c1, c2, c3 = self.c[:, i]
+        z = s * s
+        return 0.0 + c3 + c2 * s + c1 * z + c0 * (z * s)
+
+
 class SqueezeSpectrum:
     """Mode-dependent squeeze parameters eta(k), theta(k) on a k grid.
 
@@ -91,7 +126,7 @@ class SqueezeSpectrum:
     grid point the squeeze magnitude extrapolates to zero (high modes are
     barely excited by a finite-energy process), below the first point it
     is held at the first sample.  The angle is interpolated after phase
-    unwrapping.
+    unwrapping.  A float k returns a float, an array an array.
     """
 
     def __init__(self, k, eta, theta=None):
@@ -113,21 +148,25 @@ class SqueezeSpectrum:
         self.k = k
         self.eta = eta
         self.theta = theta
-        self._eta_interp = PchipInterpolator(k, eta, extrapolate=False)
-        self._theta_interp = PchipInterpolator(
-            k, np.unwrap(theta), extrapolate=False
-        )
+        self._k_max = float(k[-1])
+        self._eta_interp = _Pchip(k, eta)
+        self._theta_interp = _Pchip(k, np.unwrap(theta))
 
     def eta_at(self, k):
+        if isinstance(k, float):
+            if k > self._k_max:
+                return 0.0
+            out = self._eta_interp(k)
+            return 0.0 if out < 0.0 else out
         k = np.asarray(k, dtype=float)
-        out = self._eta_interp(np.clip(k, self.k[0], self.k[-1]))
-        out = np.where(k > self.k[-1], 0.0, out)
+        out = np.where(k > self._k_max, 0.0, self._eta_interp(k))
         return np.maximum(out, 0.0)
 
     def theta_at(self, k):
+        if isinstance(k, float):
+            return 0.0 if k > self._k_max else self._theta_interp(k)
         k = np.asarray(k, dtype=float)
-        out = self._theta_interp(np.clip(k, self.k[0], self.k[-1]))
-        return np.where(k > self.k[-1], 0.0, out)
+        return np.where(k > self._k_max, 0.0, self._theta_interp(k))
 
     def check_resolution(self, quad: QuadratureConfig, mass_i: float) -> None:
         """Fail if the grid would truncate significant squeezing.
@@ -195,7 +234,8 @@ class BathSpec:
         read from the squeeze spectrum.
         """
         if isinstance(self.squeeze, SqueezeSpectrum):
-            return np.cosh(2.0 * self.squeeze.eta_at(kappa))
+            out = np.cosh(2.0 * self.squeeze.eta_at(kappa))
+            return float(out) if isinstance(kappa, float) else out
         return self.constant_squeeze().cosh2eta
 
 
@@ -213,6 +253,8 @@ class BathMix(NamedTuple):
     (kappa = w for a massless bath).  ``cosh`` is cosh 2eta and ``sinh``
     the complex sinh 2eta e^{i theta}: numbers for a constant squeeze,
     functions of w for a squeeze spectrum, which is read at kappa.
+    QUADPACK calls the functions once per node with a float w; they then
+    compute on scalars and return scalars, and accept arrays as well.
     """
 
     lower: float
@@ -226,12 +268,14 @@ def bath_mix(bath: BathSpec, quad: QuadratureConfig) -> BathMix:
     beta, mass_i = bath.beta, bath.mass_i
     if mass_i == 0.0:
         def kappa(w):
-            return np.asarray(w, dtype=float)
+            return w if isinstance(w, float) else np.asarray(w, dtype=float)
 
         def measure(w):
             return _MEASURE_NORM * omega_coth_half_beta(w, beta) * quad.damping(w)
     else:
         def kappa(w):
+            if isinstance(w, float):
+                return math.sqrt(max(w * w - mass_i * mass_i, 0.0))
             w = np.asarray(w, dtype=float)
             return np.sqrt(np.maximum(w * w - mass_i * mass_i, 0.0))
 
@@ -247,7 +291,8 @@ def bath_mix(bath: BathSpec, quad: QuadratureConfig) -> BathMix:
 
         def sinh(w):
             k = kappa(w)
-            return np.sinh(2.0 * spectrum.eta_at(k)) * np.exp(1j * spectrum.theta_at(k))
+            out = np.sinh(2.0 * spectrum.eta_at(k)) * np.exp(1j * spectrum.theta_at(k))
+            return complex(out) if isinstance(w, float) else out
 
         return BathMix(mass_i, measure, cosh, sinh)
 
@@ -354,16 +399,21 @@ def bath_fdr(omega: float, bath: BathSpec) -> tuple[float, float]:
     rhs: sgn(w) coth(bw/2) cosh 2eta_kappa Im G_R0 with Im G_R0 = kappa/4pi
     on the positive-frequency branch, so both sides are even in w.
 
-    Below the threshold |w| <= m_i the retarded transform has no imaginary
-    part and the relation is empty; such frequencies are rejected.
+    In a massive bath the retarded transform has no imaginary part at or
+    below the threshold |w| <= m_i and the relation is empty; such
+    frequencies are rejected.  A massless bath keeps w = 0, where both
+    sides tend to (1/4pi)(2/b) cosh 2eta_0 (0 at zero temperature).
     """
     aw = abs(omega)
-    if aw <= bath.mass_i:
+    if bath.mass_i > 0.0 and aw <= bath.mass_i:
         raise BelowThresholdError(
             f"|omega| = {aw} is at or below the field-mass threshold {bath.mass_i}"
         )
     kappa = math.sqrt(omega * omega - bath.mass_i * bath.mass_i)
     ch2 = float(bath.cosh2eta_at(kappa))
+    if aw == 0.0:
+        limit = float(omega_coth_half_beta(0.0, bath.beta)) / (4.0 * math.pi) * ch2
+        return limit, limit
     coth_abs = float(coth_half_beta(aw, bath.beta))
     im_gr0 = kappa / (4.0 * math.pi)
 

@@ -5,10 +5,14 @@ The power fed into the detector by the bath fluctuations, P_xi, and the
 power dissipated back through the damping force, P_gamma, individually
 approach constants once transients have relaxed; their sum vanishes.
 The balance is checked at finite late times, together with the decay
-classes of the nonstationary contributions: covariance nonstationarity
-dies off exponentially on the relaxation time, while the oscillating
-remnants in P_xi (the J integrals) die off only polynomially, t^-2 for
-the thermal part and t^-3 for the vacuum part.
+classes of the nonstationary contributions.  The covariance
+nonstationarity does not die off exponentially on the relaxation time:
+it keeps an endpoint tail from w = 0, where
+w coth(bw/2) -> 2/b: at finite temperature
+xx_NS(t) -> -(2 gamma/(pi b m w_r^4)) sinh 2eta sin theta / t, which
+vanishes at theta = 0; at b = inf the tail falls as t^-2.  The
+oscillating remnants in P_xi (the J integrals) fall off as t^-2 for the
+thermal part and t^-3 for the vacuum part.
 
 The fluctuation-dissipation relation of the oscillator is one formula for
 every bath.  It inherits the stationary bath kernel, weighted by

@@ -96,10 +96,17 @@ class QuadratureConfig:
             )
 
     def damping(self, omega):
-        """Regulator factor e^{-epsilon w} (1 when epsilon = 0)."""
+        """Regulator factor e^{-epsilon w} (1 when epsilon = 0).
+
+        A float w gives a scalar, an array an array.
+        """
+        scalar = isinstance(omega, float)
+        if not scalar:
+            omega = np.asarray(omega, dtype=float)
         if self.epsilon == 0.0:
-            return np.ones_like(np.asarray(omega, dtype=float))
-        return np.exp(-self.epsilon * np.asarray(omega, dtype=float))
+            return 1.0 if scalar else np.ones_like(omega)
+        out = np.exp(-self.epsilon * omega)
+        return float(out) if scalar else out
 
     def upper(self, b: float = math.inf) -> float:
         """Effective upper integration limit.
@@ -121,14 +128,27 @@ class QuadratureConfig:
 
 _COTH_PATCH = 1e-3  # switch to the series below beta*w = 1e-3
 
+# The thermal factors are called once per quadrature node with a Python
+# float.  A float argument takes float arithmetic and numpy ufuncs on
+# scalars (np.tanh, not math.tanh, whose last bit differs on some hosts),
+# so it returns bit for bit what a 0-d array would, without the array
+# round trip, and as a Python float, whose arithmetic with the complex
+# response factors is much cheaper than a numpy scalar's.
+
 
 def coth_half_beta(omega, beta: float):
     """coth(beta w / 2); the zero-temperature limit beta = inf gives sgn(w)
     (1 at w = 0)."""
-    omega = np.asarray(omega, dtype=float)
+    scalar = isinstance(omega, float)
+    if not scalar:
+        omega = np.asarray(omega, dtype=float)
     if math.isinf(beta):
+        if scalar:
+            return -1.0 if omega < 0.0 else 1.0
         return np.where(omega < 0.0, -1.0, 1.0)
-    return 1.0 / np.tanh(0.5 * beta * omega)
+    out = 1.0 / np.tanh(0.5 * beta * omega)
+    return float(out) if scalar else out
+
 
 def omega_coth_half_beta(omega, beta: float):
     """w * coth(beta w / 2), finite at w = 0.
@@ -137,15 +157,24 @@ def omega_coth_half_beta(omega, beta: float):
     expansion w coth(beta w/2) = (2/beta)(1 + u^2/3 - u^4/45 + ...) with
     u = beta w / 2, which avoids the 0/0 of the direct form.
     """
-    omega = np.asarray(omega, dtype=float)
+    scalar = isinstance(omega, float)
+    if not scalar:
+        omega = np.asarray(omega, dtype=float)
     if math.isinf(beta):
-        return omega.copy()
+        return float(omega) if scalar else omega.copy()
     u = 0.5 * beta * omega
+    if scalar:
+        if abs(u) < 0.5 * _COTH_PATCH:
+            return float(_coth_series(u, beta))
+        return float(omega / np.tanh(u))
     small = np.abs(u) < 0.5 * _COTH_PATCH
     safe = np.where(small, 1.0, u)
-    direct = omega / np.tanh(safe)
-    series = (2.0 / beta) * (1.0 + u * u / 3.0 - u**4 / 45.0)
-    return np.where(small, series, direct)
+    return np.where(small, _coth_series(u, beta), omega / np.tanh(safe))
+
+
+def _coth_series(u, beta: float):
+    """(2/beta)(1 + u^2/3 - u^4/45), w coth(beta w/2) near w = 0."""
+    return (2.0 / beta) * (1.0 + u * u / 3.0 - np.power(u, 4) / 45.0)
 
 
 # ---------------------------------------------------------------------------

@@ -168,7 +168,13 @@ def test_criterion_4_bath_fdr(bath_parametric):
 
 
 def test_criterion_5_decay_classes(spec, quad):
-    """Exponential covariance nonstationarity vs polynomial J falloff."""
+    """Small covariance nonstationarity at theta = 0 and polynomial J falloff.
+
+    The nonstationary covariance does not decay exponentially: an endpoint
+    tail from w = 0 gives 1/t at finite temperature when theta != 0 and
+    1/t^2 at beta = inf.  This criterion checks the theta = 0 bath, where
+    the 1/t term vanishes, and the J exponents -2 (thermal) and -3 (vacuum).
+    """
     bath = BathSpec(beta=0.3, squeeze=SqueezeParam(1.0, 0.0))
     i_ns, i_st = ns_st_split(spec, bath, 15.0 / spec.gamma, quad)
     ns_ratio = abs(i_ns) / i_st

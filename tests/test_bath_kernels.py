@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -186,12 +187,32 @@ class TestBathFdr:
             lhs, rhs = bath_fdr(float(omega), bath)
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1e-300)
 
+    @pytest.mark.parametrize("beta", [0.5, 3.0, math.inf])
+    def test_massless_zero_frequency_limit(self, beta, bath_parametric):
+        # kappa coth(b|w|/2) -> 2/b at w = 0: a finite row with equal sides
+        baths = (
+            BathSpec(beta=beta),
+            BathSpec(beta=beta, squeeze=SqueezeParam(0.8, 0.3)),
+            dataclasses.replace(bath_parametric, beta=beta),
+        )
+        for bath in baths:
+            ch2 = float(bath.cosh2eta_at(0.0))
+            limit = (2.0 / beta) / (4 * math.pi) * ch2
+            lhs, rhs = bath_fdr(0.0, bath)
+            assert lhs == rhs
+            assert abs(lhs - limit) <= 1e-15 * limit
+            # the limit continues the values nearby
+            near, _ = bath_fdr(1e-5, bath)
+            assert abs(near - lhs) <= 1e-6 * ch2
+
     def test_threshold_behavior(self, bath_parametric):
         mass_bath = BathSpec(beta=1.0, squeeze=None, mass_i=0.4, mass_f=0.4)
         with pytest.raises(BelowThresholdError):
             bath_fdr(0.4, mass_bath)
         with pytest.raises(BelowThresholdError):
             bath_fdr(-0.2, mass_bath)
+        with pytest.raises(BelowThresholdError):
+            bath_fdr(0.0, mass_bath)
         # both sides vanish like kappa just above threshold
         lhs1, _ = bath_fdr(0.4 * (1 + 1e-6), mass_bath)
         lhs2, _ = bath_fdr(0.4 * (1 + 4e-6), mass_bath)

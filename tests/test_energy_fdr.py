@@ -260,8 +260,9 @@ class TestFdrOscillator:
 class TestNonstationaryPowerDecayClass:
     def test_polynomial_not_exponential(self, spec):
         # the oscillating remnant of P_xi decays polynomially: fitted
-        # exponent in a [-3.5, -1.5] band, against the exponential decay
-        # of the covariance nonstationarity (tested in ns_st_split).
+        # exponent in a [-3.5, -1.5] band (the covariance nonstationarity
+        # has its own power-law tail, 1/t when theta != 0 at finite
+        # temperature).
         # The smooth regulator matters: a hard cutoff Lambda leaves a
         # spurious cos(2 Lambda t)/t boundary remnant instead.
         quad = QuadratureConfig(epsilon=1e-3, abs_tol=1e-14)

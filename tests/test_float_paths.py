@@ -1,0 +1,140 @@
+"""The per-node callbacks give the same bits on a float as on an array.
+
+QUADPACK calls the bath measure and weights with one Python float per
+node and the mode ODE calls the mass profile with one float per stage, so
+these functions take a float path that avoids numpy array round trips.
+Each float result must equal the array result exactly (``==``), or the
+shipped outputs would move with the path taken.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.interpolate import PchipInterpolator
+
+from sqbath import BathSpec, MassProfile, QuadratureConfig, SqueezeParam
+from sqbath.bath_kernels import SqueezeSpectrum, bath_mix
+from sqbath.parametric_mode import ProfileShape
+from sqbath.quadrature import coth_half_beta, omega_coth_half_beta
+
+
+def assert_paths_equal(fn, points):
+    """fn(float) is a scalar equal to fn on a 0-d array and on a 1-d array."""
+    points = [float(x) for x in points]
+    vector = fn(np.array(points))
+    for x, from_vector in zip(points, vector):
+        value = fn(x)
+        assert not isinstance(value, np.ndarray), x
+        from_0d = fn(np.asarray(x))
+        assert value == from_0d, (x, value, from_0d)
+        assert value == from_vector, (x, value, from_vector)
+
+
+BETAS = (0.3, 1.0, 10.0, math.inf)
+# dense sets: a last-bit difference between the paths shows on a few
+# percent of the arguments only
+SPREAD = np.geomspace(1e-7, 1e3, 301)
+
+
+@pytest.mark.parametrize("beta", BETAS)
+def test_omega_coth_half_beta(beta):
+    patch = 1e-3 / beta if math.isfinite(beta) else 1e-3
+    points = [0.0, 1e-9, -1e-9, 0.3 * patch, -0.3 * patch, 0.999 * patch,
+              1.001 * patch, 0.7, -0.7, 42.0, 999.9, *SPREAD, *-SPREAD]
+    assert_paths_equal(lambda w: omega_coth_half_beta(w, beta), points)
+    if math.isfinite(beta):
+        assert omega_coth_half_beta(0.0, beta) == 2.0 / beta
+    else:
+        assert omega_coth_half_beta(-0.7, beta) == -0.7
+
+
+@pytest.mark.parametrize("beta", BETAS)
+def test_coth_half_beta(beta):
+    points = [1e-6, -1e-6, 0.7, -0.7, 42.0, -42.0, *SPREAD, *-SPREAD]
+    if math.isinf(beta):
+        points.append(0.0)
+    assert_paths_equal(lambda w: coth_half_beta(w, beta), points)
+    if math.isinf(beta):
+        assert coth_half_beta(-0.7, beta) == -1.0
+        assert coth_half_beta(0.0, beta) == 1.0
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 1e-3])
+def test_damping(epsilon):
+    quad = QuadratureConfig(cutoff=1000.0, epsilon=epsilon)
+    assert_paths_equal(quad.damping, [0.0, 0.5, 137.0, 4.5e4, *SPREAD])
+
+
+@pytest.fixture(scope="module")
+def spectrum():
+    k = np.geomspace(0.02, 60.0, 16)
+    eta = 0.3 * np.exp(-k) + 1e-3 / (1.0 + k)
+    theta = 2.5 * np.tanh(k) + 0.1 * k  # wraps past pi
+    return SqueezeSpectrum(k, eta, np.angle(np.exp(1j * theta)))
+
+
+def spectrum_points(spec):
+    k = spec.k
+    return [k[0], k[5], k[-1], 0.5 * (k[5] + k[6]), 0.37 * k[3] + 0.63 * k[4],
+            0.5 * k[0], 1e-9, 1.5 * k[-1], 1e9]
+
+
+def test_spectrum_lookup(spectrum):
+    points = spectrum_points(spectrum)
+    assert_paths_equal(spectrum.eta_at, points)
+    assert_paths_equal(spectrum.theta_at, points)
+    assert spectrum.eta_at(1.5 * float(spectrum.k[-1])) == 0.0
+    assert spectrum.theta_at(1.5 * float(spectrum.k[-1])) == 0.0
+    assert spectrum.eta_at(1e-9) == spectrum.eta[0]
+
+
+def test_spectrum_lookup_is_scipy_pchip(spectrum):
+    # the cubic pieces are summed in scipy's order, so the bits are scipy's
+    k = spectrum.k
+    grid = np.concatenate([k, np.geomspace(k[0], k[-1], 2001)])
+    eta = PchipInterpolator(k, spectrum.eta, extrapolate=False)(grid)
+    theta = PchipInterpolator(k, np.unwrap(spectrum.theta), extrapolate=False)(grid)
+    np.testing.assert_array_equal(spectrum.eta_at(grid), np.maximum(eta, 0.0))
+    np.testing.assert_array_equal(spectrum.theta_at(grid), theta)
+    assert [spectrum.eta_at(float(x)) for x in grid] == list(np.maximum(eta, 0.0))
+
+
+@pytest.mark.parametrize(
+    "bath, quad",
+    [
+        (BathSpec(beta=0.3), QuadratureConfig(cutoff=1000.0)),
+        (BathSpec(beta=math.inf), QuadratureConfig(epsilon=1e-3)),
+        (BathSpec(beta=10.0, squeeze=SqueezeParam(1.0, 0.4)), QuadratureConfig(cutoff=1000.0)),
+        ("spectrum", QuadratureConfig(cutoff=50.0, epsilon=1e-3)),
+    ],
+    ids=["thermal", "zero-temperature", "squeezed", "massive-spectrum"],
+)
+def test_bath_mix(bath, quad, spectrum):
+    if bath == "spectrum":
+        bath = BathSpec(beta=1.0, squeeze=spectrum, mass_i=0.2, mass_f=0.5)
+    mix = bath_mix(bath, quad)
+    lower = mix.lower
+    points = [lower, lower + 1e-7, lower + 0.01, 0.7, 3.3, 49.0, *(lower + SPREAD)]
+    assert_paths_equal(mix.measure, points)
+    for weight in (mix.cosh, mix.sinh):
+        if callable(weight):
+            assert_paths_equal(weight, points)
+
+
+@pytest.mark.parametrize(
+    "shape, order",
+    [(ProfileShape.TANH, 2), (ProfileShape.SMOOTHSTEP, 1), (ProfileShape.SMOOTHSTEP, 2),
+     (ProfileShape.SMOOTHSTEP, 3), (ProfileShape.STEP, 2)],
+)
+def test_mass_sq(shape, order):
+    prof = MassProfile(mass_i=0.1, mass_f=0.6, t_i=1.0, t_f=3.0, shape=shape,
+                       smoothstep_order=order)
+    points = [0.0, 0.5, 1.0, 1.0 + 1e-9, 1.3, 2.0, 2.7, 3.0 - 1e-9, 3.0, 7.5,
+              *np.linspace(0.9, 3.1, 301)]
+    assert_paths_equal(prof.mass_sq, points)
+    assert_paths_equal(lambda t: prof.omega_sq(0.3, t), points)
+    # the ODE stepper passes numpy float64 times
+    assert prof.mass_sq(np.float64(1.3)) == prof.mass_sq(1.3)
+    assert prof.mass_sq(0.5) == 0.1**2
+    assert prof.mass_sq(7.5) == 0.6**2
