@@ -12,29 +12,15 @@ from .bath_kernels import (
     KernelValue,
     SqueezeSpectrum,
     bath_fdr,
-    coth_expansion,
     hadamard_coincident,
-    load_spectrum_csv,
-    retarded_massive,
     save_spectrum_csv,
 )
-from .energy_fdr import (
-    FdrReport,
-    FluxReport,
-    fdr_oscillator,
-    flux_report,
-    gamma_kernel_check,
-    jn_falloff,
-    power_in,
-    power_out,
-)
+from .energy_fdr import FdrReport, fdr_oscillator, flux_balance, power_in, power_out
 from .errors import (
     BelowThresholdError,
-    CausalityError,
     ConfigurationError,
     ConvergenceError,
     DomainError,
-    EstimationError,
     InvalidStateError,
     ResolutionError,
     SqbathError,
@@ -45,15 +31,7 @@ from .gaussian_state import (
     CovarianceState,
     SqueezeParam,
     StateDecomposition,
-    amplified_number,
-    covariance_from_decomposition,
-    effective_temp_squeezed,
-    effective_temperature,
     extract_squeeze,
-    free_squeezed_variance,
-    squeezed_thermal_moments,
-    two_mode_out_number,
-    two_mode_vacuum_amplitude,
 )
 from .oscillator_dynamics import (
     MassiveOscParams,
@@ -61,11 +39,6 @@ from .oscillator_dynamics import (
     chi_hadamard,
     covariance_evolution,
     covariance_integral_parts,
-    d2_fourier,
-    f_aux,
-    fdot_aux,
-    fundamental_solutions,
-    g_aux,
     massive_roots,
     ns_st_split,
 )
@@ -77,6 +50,6 @@ from .parametric_mode import (
     integrate_mode,
     squeeze_spectrum,
 )
-from .quadrature import QuadratureConfig, bessel_j1
+from .quadrature import QuadratureConfig
 
 __version__ = "0.1.0"

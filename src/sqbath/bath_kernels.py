@@ -1,9 +1,8 @@
 """
 Two-point functions of the free bath field.
 
-The Hadamard (noise) kernel of the bath at the detector position, the
-retarded (dissipation) kernel of the massive field with its Bessel memory
-tail, and the bath-level fluctuation-dissipation relation.
+The Hadamard (noise) kernel of the bath at the detector position and the
+bath-level fluctuation-dissipation relation.
 
 Every frequency integral of the package sees the bath through
 :func:`bath_mix`: the measure (dw/2pi)(kappa/4pi) coth(b w/2) with its
@@ -14,10 +13,7 @@ is :meth:`BathSpec.cosh2eta_at`.  One kernel, :func:`hadamard_coincident`,
 serves thermal, constant-squeeze and parametric baths alike.
 
 The coincident-point Hadamard kernel is UV divergent and must be called
-with an active regulator.  Delta-function contact parts of retarded
-kernels are never sampled numerically: they are returned as symbolic tags
-and consumed analytically by the detector dynamics (local damping plus
-frequency renormalization).
+with an active regulator.
 
 Conventions: frequencies carry the initial field mass, w_i = sqrt(k^2 +
 m_i^2); k integrals are performed in w_i above threshold, which removes
@@ -38,16 +34,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .errors import (
-    BelowThresholdError,
-    CausalityError,
-    DomainError,
-    ResolutionError,
-)
+from .errors import BelowThresholdError, DomainError, ResolutionError
 from .gaussian_state import SqueezeParam
 from .quadrature import (
     QuadratureConfig,
-    bessel_j1,
     coth_half_beta,
     cusp_head,
     fourier_quad,
@@ -60,14 +50,9 @@ __all__ = [
     "bath_mix",
     "SqueezeSpectrum",
     "BathSpec",
-    "DELTA_PRIME_CONTACT",
-    "RetardedMassive",
     "hadamard_coincident",
-    "retarded_massive",
     "bath_fdr",
-    "coth_expansion",
     "save_spectrum_csv",
-    "load_spectrum_csv",
 ]
 
 SPECTRUM_CSV_HEADER = ("k", "eta_k", "theta_k")
@@ -359,38 +344,6 @@ def hadamard_coincident(
     )
 
 
-DELTA_PRIME_CONTACT = "delta_prime_contact"
-
-
-class RetardedMassive(NamedTuple):
-    """Retarded kernel of the massive field at coincident spatial points.
-
-    ``contact`` tags the -(1/2pi) theta(tau) delta'(tau) part, which is
-    consumed analytically (local damping + frequency renormalization) and
-    never sampled; ``tail`` is the smooth memory part
-    -(1/4pi)(m/tau) J1(m tau).
-    """
-
-    contact: str
-    tail: float
-
-
-def retarded_massive(tau: float, mass: float) -> RetardedMassive:
-    """Smooth memory part of the massive retarded kernel at separation tau.
-
-    The massless limit removes the Bessel tail entirely, reproducing the
-    purely local kernel of the massless-bath equation of motion.
-    """
-    if tau <= 0:
-        raise CausalityError("retarded kernel requires tau > 0")
-    if mass < 0:
-        raise DomainError("mass must be nonnegative")
-    if mass == 0.0:
-        return RetardedMassive(DELTA_PRIME_CONTACT, 0.0)
-    tail = -(mass / (4.0 * math.pi * tau)) * bessel_j1(mass * tau)
-    return RetardedMassive(DELTA_PRIME_CONTACT, float(tail))
-
-
 def bath_fdr(omega: float, bath: BathSpec) -> tuple[float, float]:
     """Both sides of the bath-level fluctuation-dissipation relation.
 
@@ -403,6 +356,10 @@ def bath_fdr(omega: float, bath: BathSpec) -> tuple[float, float]:
     below the threshold |w| <= m_i and the relation is empty; such
     frequencies are rejected.  A massless bath keeps w = 0, where both
     sides tend to (1/4pi)(2/b) cosh 2eta_0 (0 at zero temperature).
+
+    The two sides are equal algebraically, since coth(b|w|/2) =
+    sgn(w) coth(bw/2), so their difference reads round-off; it tests the
+    evaluation, not the relation.
     """
     aw = abs(omega)
     if bath.mass_i > 0.0 and aw <= bath.mass_i:
@@ -424,26 +381,8 @@ def bath_fdr(omega: float, bath: BathSpec) -> tuple[float, float]:
     return lhs, rhs
 
 
-def coth_expansion(x: float, n_max: int) -> float:
-    """Partial geometric expansion coth(x) ~ 1 + 2 sum_{n<=n_max} e^{-2nx}.
-
-    In the thermal variable x = beta w / 2 the terms are the Boltzmann
-    factors e^{-n beta w}.  Converges geometrically; x <= 0 diverges.
-    """
-    if x <= 0:
-        raise DomainError("coth expansion diverges for x <= 0")
-    if n_max < 0:
-        raise DomainError("n_max must be >= 0")
-    if n_max == 0:
-        return 1.0
-    r = math.exp(-2.0 * x)
-    if r == 0.0:
-        return 1.0
-    return 1.0 + 2.0 * r * (1.0 - r**n_max) / (1.0 - r)
-
-
 # ---------------------------------------------------------------------------
-# spectrum exchange format: CSV with header k,eta_k[,theta_k]
+# spectrum exchange format: CSV with header k,eta_k,theta_k
 
 
 def save_spectrum_csv(spectrum: SqueezeSpectrum, path) -> None:
@@ -453,21 +392,3 @@ def save_spectrum_csv(spectrum: SqueezeSpectrum, path) -> None:
         writer.writerow(SPECTRUM_CSV_HEADER)
         for k, eta, theta in zip(spectrum.k, spectrum.eta, spectrum.theta):
             writer.writerow([f"{k:.16e}", f"{eta:.16e}", f"{theta:.16e}"])
-
-
-def load_spectrum_csv(path) -> SqueezeSpectrum:
-    path = Path(path)
-    with path.open("r", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or header[0].strip() != "k":
-            raise DomainError(f"{path}: expected a header row starting with 'k'")
-        rows = [row for row in reader if row]
-    if not rows:
-        raise DomainError(f"{path}: no spectrum samples")
-    data = np.array([[float(cell) for cell in row] for row in rows])
-    if data.shape[1] == 2:
-        return SqueezeSpectrum(data[:, 0], data[:, 1])
-    if data.shape[1] == 3:
-        return SqueezeSpectrum(data[:, 0], data[:, 1], data[:, 2])
-    raise DomainError(f"{path}: expected 2 or 3 columns, got {data.shape[1]}")

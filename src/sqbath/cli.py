@@ -22,13 +22,13 @@ Exit codes: 0 success, 2 configuration error, 3 numerical error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import copy
 import hashlib
 import json
 import math
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -37,7 +37,13 @@ import yaml
 
 from . import __version__
 from .bath_kernels import BathSpec, SqueezeSpectrum, save_spectrum_csv
-from .energy_fdr import LATE_TIME_FACTOR, fdr_oscillator, power_in, power_out
+from .energy_fdr import (
+    LATE_TIME_FACTOR,
+    fdr_oscillator,
+    flux_balance,
+    power_in,
+    power_out,
+)
 from .errors import ConfigurationError, ConvergenceError, SqbathError
 from .gaussian_state import CovarianceState, SqueezeParam, extract_squeeze
 from .oscillator_dynamics import (
@@ -45,7 +51,6 @@ from .oscillator_dynamics import (
     chi_hadamard,
     chi_hadamard_components,
     covariance_evolution,
-    effective_response,
     ns_st_split,
 )
 from .parametric_mode import MassProfile, ProfileShape, squeeze_spectrum
@@ -61,6 +66,30 @@ PRODUCTS = (
     "ns_split",
 )
 FIGURES = ("4", "5", "6", "7", "grn3d", "tan2eta", "tanphi")
+
+# every key the parser reads, by section; any other key is rejected, so a
+# misspelt key cannot fall back to its default unnoticed
+_GRID_KEYS = ("start", "stop", "points", "spacing")
+_SECTION_KEYS = {
+    "oscillator": ("m", "omega_r", "Omega", "gamma"),
+    "bath": ("beta", "eta", "theta"),
+    "profile": ("mass_i", "mass_f", "t_i", "t_f", "shape", "smoothstep_order"),
+    "k_grid": _GRID_KEYS,
+    "quadrature": ("cutoff", "epsilon", "rel_tol", "abs_tol", "max_subdivisions"),
+    "initial_state": ("xx", "pp", "xp"),
+    "time_grid": _GRID_KEYS,
+    "fdr_grid": _GRID_KEYS,
+    "hadamard_grid": _GRID_KEYS,
+    "sweep": ("path", "values", "start", "stop", "steps", "spacing"),
+}
+_TOP_KEYS = ("scenario", "outputs", "ns_thetas", "hadamard_factored", *_SECTION_KEYS)
+_SWEEP_PATHS = tuple(
+    f"{name}.{key}"
+    for name, keys in _SECTION_KEYS.items()
+    if name != "sweep"
+    for key in keys
+)
+_SPACINGS = ("linear", "log")
 
 _FLOAT_FMT = "{:.16e}"  # 17 significant digits
 
@@ -89,7 +118,36 @@ def _as_int(value, where: str) -> int:
         raise ConfigurationError(f"{where}: expected an integer, got {value!r}")
 
 
-def _grid(section, where: str, default=None) -> np.ndarray:
+def _section(data: dict, name: str) -> dict | None:
+    """The mapping ``data[name]`` (None if absent), holding only known keys."""
+    section = data.get(name)
+    if section is None:
+        return None
+    if not isinstance(section, dict):
+        raise ConfigurationError(f"{name}: expected a mapping, got {section!r}")
+    _reject_unknown(section, _SECTION_KEYS[name], name)
+    return section
+
+
+def _reject_unknown(mapping: dict, known, where: str) -> None:
+    unknown = [key for key in mapping if key not in known]
+    if unknown:
+        raise ConfigurationError(
+            f"{where}: unknown key(s) {unknown}; known: {list(known)}"
+        )
+
+
+def _spacing(section: dict, where: str, default: str = "linear") -> str:
+    spacing = section.get("spacing", default)
+    if spacing not in _SPACINGS:
+        raise ConfigurationError(
+            f"{where}.spacing must be one of {_SPACINGS}, got {spacing!r}"
+        )
+    return spacing
+
+
+def _grid(data: dict, where: str, default=None, spacing="linear") -> np.ndarray:
+    section = _section(data, where)
     if section is None:
         if default is not None:
             return default
@@ -99,7 +157,7 @@ def _grid(section, where: str, default=None) -> np.ndarray:
     points = _as_int(section.get("points", 0), f"{where}.points")
     if points < 2 or not stop > start:
         raise ConfigurationError(f"{where}: need stop > start and points >= 2")
-    if section.get("spacing", "linear") == "log":
+    if _spacing(section, where, spacing) == "log":
         if start <= 0:
             raise ConfigurationError(f"{where}: log spacing requires start > 0")
         return np.geomspace(start, stop, points)
@@ -133,13 +191,14 @@ class RunConfig:
 def parse_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigurationError("config root must be a mapping")
+    _reject_unknown(data, _TOP_KEYS, "config")
     scenario = data.get("scenario")
     if scenario not in SCENARIOS:
         raise ConfigurationError(
             f"scenario must be one of {SCENARIOS}, got {scenario!r}"
         )
 
-    osc = data.get("oscillator", {})
+    osc = _section(data, "oscillator") or {}
     m = _as_float(osc.get("m", 1.0), "oscillator.m")
     gamma = _as_float(osc.get("gamma", 0.1), "oscillator.gamma")
     convention = "omega_r"
@@ -160,10 +219,16 @@ def parse_config(data: dict) -> RunConfig:
     except SqbathError as exc:
         raise ConfigurationError(f"oscillator: {exc}") from exc
 
-    bath = data.get("bath", {})
+    bath = _section(data, "bath") or {}
     beta = _as_float(bath.get("beta", 1.0), "bath.beta")
     eta = _as_float(bath.get("eta", 0.0), "bath.eta")
     theta = _as_float(bath.get("theta", 0.0), "bath.theta")
+    if not beta > 0:
+        raise ConfigurationError(f"bath.beta must be > 0 (inf for T = 0), got {beta}")
+    if not 0 <= eta < math.inf:
+        raise ConfigurationError(f"bath.eta must be finite and >= 0, got {eta}")
+    if not math.isfinite(theta):
+        raise ConfigurationError(f"bath.theta must be finite, got {theta}")
     if scenario != "constant_squeeze" and eta != 0.0:
         raise ConfigurationError(
             f"bath.eta is only meaningful for constant_squeeze (scenario {scenario})"
@@ -172,7 +237,7 @@ def parse_config(data: dict) -> RunConfig:
     profile = None
     k_grid = None
     if scenario == "parametric":
-        prof = data.get("profile")
+        prof = _section(data, "profile")
         if prof is None:
             raise ConfigurationError("parametric scenario requires a profile section")
         try:
@@ -188,16 +253,11 @@ def parse_config(data: dict) -> RunConfig:
             )
         except (ValueError, SqbathError) as exc:
             raise ConfigurationError(f"profile: {exc}") from exc
-        kg = data.get("k_grid")
-        if kg is None:
-            raise ConfigurationError("parametric scenario requires a k_grid section")
-        kg = dict(kg)
-        kg.setdefault("spacing", "log")
-        k_grid = _grid(kg, "k_grid")
+        k_grid = _grid(data, "k_grid", spacing="log")
     elif data.get("profile") is not None:
         raise ConfigurationError(f"scenario {scenario} forbids a profile section")
 
-    quad_sec = data.get("quadrature", {})
+    quad_sec = _section(data, "quadrature") or {}
     cutoff = quad_sec.get("cutoff", 1000.0 * spec.omega_r)
     try:
         quad = QuadratureConfig(
@@ -212,7 +272,7 @@ def parse_config(data: dict) -> RunConfig:
     except SqbathError as exc:
         raise ConfigurationError(f"quadrature: {exc}") from exc
 
-    init_sec = data.get("initial_state")
+    init_sec = _section(data, "initial_state")
     if init_sec is None:
         # oscillator ground state
         init = CovarianceState(
@@ -239,21 +299,21 @@ def parse_config(data: dict) -> RunConfig:
             quad.require_regulator(f"the {product} output")
 
     time_grid = _grid(
-        data.get("time_grid"),
+        data,
         "time_grid",
         default=np.linspace(1.0, LATE_TIME_FACTOR / max(spec.gamma, 1e-3), 40),
     )
     fdr_grid = None
     if "fdr" in outputs:
         fdr_grid = _grid(
-            data.get("fdr_grid"),
+            data,
             "fdr_grid",
             default=np.linspace(-10.0 * spec.omega_r, 10.0 * spec.omega_r, 1001),
         )
     hadamard_grid = None
     if "hadamard_surface" in outputs:
         hadamard_grid = _grid(
-            data.get("hadamard_grid"),
+            data,
             "hadamard_grid",
             default=np.linspace(20.0, 40.0, 9),
         )
@@ -261,10 +321,19 @@ def parse_config(data: dict) -> RunConfig:
         _as_float(v, "ns_thetas") for v in data.get("ns_thetas", [theta])
     )
 
-    sweep = data.get("sweep")
+    hadamard_factored = data.get("hadamard_factored", False)
+    if not isinstance(hadamard_factored, bool):
+        raise ConfigurationError(
+            f"hadamard_factored must be true or false, got {hadamard_factored!r}"
+        )
+
+    sweep = _section(data, "sweep")
     if sweep is not None:
-        if "path" not in sweep:
-            raise ConfigurationError("sweep: missing parameter path")
+        if sweep.get("path") not in _SWEEP_PATHS:
+            raise ConfigurationError(
+                f"sweep.path must name a config key, got {sweep.get('path')!r}; "
+                f"known: {_SWEEP_PATHS}"
+            )
         values = _sweep_values(sweep)
         if len(values) == 0:
             raise ConfigurationError("sweep: empty value range")
@@ -284,7 +353,7 @@ def parse_config(data: dict) -> RunConfig:
         fdr_grid=fdr_grid,
         hadamard_grid=hadamard_grid,
         ns_thetas=ns_thetas,
-        hadamard_factored=bool(data.get("hadamard_factored", False)),
+        hadamard_factored=hadamard_factored,
         sweep=sweep,
         frequency_convention=convention,
         raw=copy.deepcopy(data),
@@ -299,7 +368,7 @@ def _sweep_values(sweep: dict) -> list[float]:
     steps = _as_int(sweep.get("steps", 0), "sweep.steps")
     if steps < 1:
         raise ConfigurationError("sweep: steps must be >= 1")
-    if sweep.get("spacing", "linear") == "log":
+    if _spacing(sweep, "sweep") == "log":
         if not (start > 0 and stop > 0):
             raise ConfigurationError("sweep: log spacing requires start, stop > 0")
         return list(np.geomspace(start, stop, steps))
@@ -408,16 +477,8 @@ def _product_files(cfg: RunConfig, bath: BathSpec):
                 (t, power_in(spec, bath, float(t), quad), power_out(spec, bath, cov.pp))
                 for t, cov in zip(times, covs)
             ]
-            _, gamma_damp = effective_response(spec, bath)
-            p_in, p_out = rows[-1][1:]
-            residual = abs(p_in + p_out) / abs(p_out) if p_out else math.inf
-            meta = {
-                "balance_residual": residual,
-                "late_time_ok": bool(
-                    gamma_damp > 0 and times[-1] >= LATE_TIME_FACTOR / gamma_damp
-                ),
-                "damping_rate": gamma_damp,
-            }
+            _, p_xi, p_gamma = zip(*rows)
+            meta = flux_balance(spec, bath, times, p_xi, p_gamma)
             yield name, name, ("t", "p_xi", "p_gamma"), rows, meta
         elif name == "fdr":
             report = fdr_oscillator(spec, bath, cfg.fdr_grid)
@@ -548,21 +609,12 @@ def run(cfg: RunConfig, out_dir) -> RunManifest:
 # sweeps
 
 
-def _set_path(data: dict, path: str, value) -> None:
-    keys = path.split(".")
-    node = data
-    for key in keys[:-1]:
-        node = node.setdefault(key, {})
-        if not isinstance(node, dict):
-            raise ConfigurationError(f"sweep path {path!r} does not address a mapping")
-    node[keys[-1]] = value
-
-
 def _sweep_point(args):
     raw, path, value = args
     data = copy.deepcopy(raw)
     data.pop("sweep", None)
-    _set_path(data, path, value)
+    section, key = path.split(".")  # one of _SWEEP_PATHS
+    data[section] = {**(data.get(section) or {}), key: value}
     cfg = parse_config(data)
     bath, _ = _build_bath(cfg)
     return list(_product_files(cfg, bath))
@@ -574,10 +626,13 @@ def run_sweep(cfg: RunConfig, out_dir, threads: int = 1) -> RunManifest:
     Each file of :func:`run` becomes ``sweep_<file>`` with the swept value
     in front of every row.  Points are independent; failures are recorded
     and the remaining points still run.  Row groups follow the declared
-    value order.
+    value order.  ``threads`` > 1 runs the points in min(threads, points)
+    worker processes.
     """
     if cfg.sweep is None:
         raise ConfigurationError("config has no sweep section")
+    if threads < 1:
+        raise ConfigurationError(f"--threads must be >= 1, got {threads}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
@@ -587,10 +642,11 @@ def run_sweep(cfg: RunConfig, out_dir, threads: int = 1) -> RunManifest:
     jobs = [(cfg.raw, path, value) for value in values]
     results: list = [None] * len(values)
     failures = []
-    if threads > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(_sweep_point, job): i for i, job in enumerate(jobs)}
-            for future in concurrent.futures.as_completed(futures):
+            for future in as_completed(futures):
                 i = futures[future]
                 try:
                     results[i] = future.result()

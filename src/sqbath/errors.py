@@ -18,10 +18,6 @@ class UnsupportedRegimeError(DomainError):
     (overdamped oscillator, field mass at or above the resonance, ...)."""
 
 
-class CausalityError(DomainError):
-    """A retarded kernel was requested at non-positive time separation."""
-
-
 class BelowThresholdError(DomainError):
     """A spectral quantity was requested below the field-mass threshold."""
 
@@ -45,7 +41,3 @@ class ConvergenceError(SqbathError):
         super().__init__(message)
         self.partial_value = partial_value
         self.diagnostics = diagnostics or {}
-
-
-class EstimationError(SqbathError):
-    """A fit window is too narrow or too noisy to estimate an exponent."""

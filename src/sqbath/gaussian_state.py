@@ -1,15 +1,14 @@
 """
-Algebra of Gaussian oscillator states.
+Gaussian oscillator states.
 
-Squeezed-thermal second moments, Bogoliubov / two-mode-squeeze
-transformations, the covariance <-> (thermal factor, squeeze parameter)
-conversion used to track finite-coupling squeezing, and the effective
-temperatures a detector reads out after equilibration.
+The squeeze parameter, the Bogoliubov pair a field mode leaves behind,
+the oscillator covariance matrix, and its inversion to (thermal factor,
+squeeze parameter) used to track finite-coupling squeezing.
 
 Conventions (hbar = 1 throughout): the squeeze parameter is written in
 polar form zeta = eta e^{i theta}; a squeeze with magnitude eta amplifies
-covariances by cosh 2eta and the Bogoliubov pair it generates is
-alpha = cosh eta, beta = -e^{-i theta} sinh eta.
+covariances by cosh 2eta, and a Bogoliubov pair (alpha, beta) carries
+eta = arcsinh |beta| and theta = arg(-alpha beta*).
 """
 
 from __future__ import annotations
@@ -25,38 +24,12 @@ __all__ = [
     "BogoliubovPair",
     "CovarianceState",
     "StateDecomposition",
-    "squeezed_thermal_moments",
-    "amplified_number",
-    "free_squeezed_variance",
     "extract_squeeze",
-    "covariance_from_decomposition",
-    "effective_temperature",
-    "effective_temp_squeezed",
-    "two_mode_out_number",
-    "two_mode_vacuum_amplitude",
-    "arccoth",
 ]
 
 TWO_PI = 2.0 * math.pi
 
-_ARCCOTH_GUARD = 1e-12
 _UNCERTAINTY_TOL = 1e-9
-
-
-def arccoth(x: float) -> float:
-    """Inverse of coth on x > 1, via (1/2) ln((x+1)/(x-1)).
-
-    Guarded against the catastrophic cancellation at x -> 1+.
-    """
-    if x <= 1.0 + _ARCCOTH_GUARD:
-        raise DomainError(f"arccoth requires x > 1 (got {x})")
-    return 0.5 * math.log((x + 1.0) / (x - 1.0))
-
-
-def _coth(x: float) -> float:
-    if math.isinf(x):
-        return 1.0
-    return 1.0 / math.tanh(x)
 
 
 @dataclass(frozen=True)
@@ -82,13 +55,6 @@ class SqueezeParam:
     @property
     def sinh2eta(self) -> float:
         return math.sinh(2.0 * self.eta)
-
-    def bogoliubov_pair(self) -> "BogoliubovPair":
-        """Pair (alpha, beta) = (cosh eta, -e^{-i theta} sinh eta)."""
-        return BogoliubovPair(
-            alpha=complex(math.cosh(self.eta)),
-            beta=-cmath.exp(-1j * self.theta) * math.sinh(self.eta),
-        )
 
 
 @dataclass(frozen=True)
@@ -161,76 +127,6 @@ class StateDecomposition:
             raise DomainError(f"thermal factor must satisfy Xi >= 1, got {self.xi}")
 
 
-def squeezed_thermal_moments(
-    eta: float, theta: float, nbar: float
-) -> tuple[complex, float]:
-    """First two mode moments of a squeezed thermal state.
-
-    Returns ``(<a^2>, <a^dag a>)`` with
-    ``<a^2> = -e^{i theta} sinh(2 eta) (nbar + 1/2)`` and
-    ``<a^dag a> = cosh(2 eta) nbar + sinh^2(eta)``.
-    """
-    if eta < 0:
-        raise DomainError("eta must be >= 0")
-    if nbar < 0:
-        raise DomainError("nbar must be >= 0")
-    a_sq = -cmath.exp(1j * theta) * math.sinh(2.0 * eta) * (nbar + 0.5)
-    adag_a = math.cosh(2.0 * eta) * nbar + math.sinh(eta) ** 2
-    return a_sq, adag_a
-
-
-def amplified_number(n: float, delta_sq: float) -> float:
-    """Occupation after squeezing: n + 2|delta|^2 (n + 1/2).
-
-    The second term is the stimulated piece; with n = 0 it reduces to
-    spontaneous pair creation out of vacuum.
-    """
-    if n < 0 or delta_sq < 0:
-        raise DomainError("occupation and |delta|^2 must be >= 0")
-    return n + 2.0 * delta_sq * (n + 0.5)
-
-
-def free_squeezed_variance(
-    m: float, omega_r: float, beta: float, eta: float, theta: float, t: float
-) -> float:
-    """<chi^2(t)> of a free oscillator in a squeezed thermal state.
-
-    [cosh 2eta - cos(2 omega_r t - theta) sinh 2eta] coth(beta omega_r/2)
-    / (2 m omega_r); oscillates between e^{-2 eta} and e^{+2 eta} times
-    the thermal value.  ``beta = inf`` gives the squeezed vacuum.
-    """
-    if m <= 0 or omega_r <= 0:
-        raise DomainError("mass and frequency must be positive")
-    if beta <= 0:
-        raise DomainError("inverse temperature must be positive")
-    if eta < 0:
-        raise DomainError("eta must be >= 0")
-    thermal = _coth(0.5 * beta * omega_r) / (2.0 * m * omega_r)
-    envelope = math.cosh(2 * eta) - math.cos(2 * omega_r * t - theta) * math.sinh(2 * eta)
-    return envelope * thermal
-
-
-def covariance_from_decomposition(
-    decomp: StateDecomposition, m: float, omega_r: float
-) -> CovarianceState:
-    """Forward map (Xi, eta, theta) -> covariance matrix elements.
-
-    xx = Xi [cosh 2eta - sinh 2eta cos theta] / (2 m omega_r)
-    pp = (m omega_r / 2) Xi [cosh 2eta + sinh 2eta cos theta]
-    xp = -(1/2) Xi sinh 2eta sin theta
-    """
-    if m <= 0 or omega_r <= 0:
-        raise DomainError("mass and frequency must be positive")
-    xi = decomp.xi
-    ch = decomp.squeeze.cosh2eta
-    sh = decomp.squeeze.sinh2eta
-    th = decomp.squeeze.theta
-    xx = xi * (ch - sh * math.cos(th)) / (2.0 * m * omega_r)
-    pp = 0.5 * m * omega_r * xi * (ch + sh * math.cos(th))
-    xp = -0.5 * xi * sh * math.sin(th)
-    return CovarianceState(xx=xx, pp=pp, xp=xp)
-
-
 _ETA_DEGENERACY = 1e-12
 
 
@@ -242,8 +138,9 @@ def extract_squeeze(
     Xi = 2 sqrt(xx pp - xp^2); cosh 2eta, sinh 2eta cos theta and
     sinh 2eta sin theta are read off the three elements.  At eta = 0 the
     angle is undefined; theta = 0 is returned with the degeneracy flag
-    set.  Round trip with :func:`covariance_from_decomposition` is the
-    identity to better than 1e-8.
+    set.  The forward map xx = Xi [cosh 2eta - sinh 2eta cos theta] /
+    (2 m omega_r), pp = (m omega_r / 2) Xi [cosh 2eta + sinh 2eta cos theta],
+    xp = -(1/2) Xi sinh 2eta sin theta round-trips to better than 1e-8.
     """
     if m <= 0 or omega_r <= 0:
         raise DomainError("mass and frequency must be positive")
@@ -268,79 +165,3 @@ def extract_squeeze(
         )
     theta = math.atan2(sinh_sin, sinh_cos) % TWO_PI
     return StateDecomposition(xi=xi, squeeze=SqueezeParam(eta=eta, theta=theta))
-
-
-def effective_temperature(cov: CovarianceState, omega_r: float) -> float:
-    """Nonequilibrium effective inverse temperature beta_eff.
-
-    beta_eff = (2/omega_r) ln[(1 + sqrt(1 + 4 S)) / (2 sqrt(S))] with the
-    uncertainty function S = xx pp - xp^2 - 1/4.  S -> 0+ (pure state)
-    diverges and is rejected.
-    """
-    if omega_r <= 0:
-        raise DomainError("omega_r must be positive")
-    s = cov.uncertainty - 0.25
-    if s <= 0:
-        raise InvalidStateError(
-            "uncertainty function S <= 0: state is pure (or invalid), "
-            "beta_eff diverges"
-        )
-    return (2.0 / omega_r) * math.log((1.0 + math.sqrt(1.0 + 4.0 * s)) / (2.0 * math.sqrt(s)))
-
-
-def effective_temp_squeezed(beta: float, omega_r: float, eta: float) -> float:
-    """Inverse temperature beta_s read out in a squeezed thermal bath.
-
-    Solves coth(beta_s omega_r / 2) = coth(beta omega_r / 2) cosh 2eta.
-    Always beta_s <= beta: the detector feels hotter.  ``beta = inf``
-    (zero temperature) is allowed.
-
-    Evaluated through the cancellation-free grouping
-
-        beta_s = ln[(cosh 2eta cosh a + sinh a) /
-                    (2 sinh^2 eta cosh a + e^{-a})] / omega_r,
-
-    a = beta omega_r / 2, whose terms are all positive, so tiny squeeze
-    magnitudes at large beta omega_r remain accurate (the naive
-    arccoth(coth a cosh 2eta) loses all digits there).
-    """
-    if beta <= 0 or omega_r <= 0:
-        raise DomainError("beta and omega_r must be positive")
-    if eta < 0:
-        raise DomainError("eta must be >= 0")
-    if eta == 0.0:
-        return beta
-    c = math.cosh(2.0 * eta)
-    c_minus_1 = 2.0 * math.sinh(eta) ** 2
-    a = 0.5 * beta * omega_r
-    if math.isinf(beta) or a > 350.0:
-        # zero-temperature limit: beta_s -> ln((c+1)/(c-1)) / omega_r
-        return math.log((c + 1.0) / c_minus_1) / omega_r
-    num = c * math.cosh(a) + math.sinh(a)
-    den = c_minus_1 * math.cosh(a) + math.exp(-a)
-    return math.log(num / den) / omega_r
-
-
-def two_mode_out_number(nbar_in: float, beta_sq: float) -> float:
-    """Per-mode-pair out-particle number over a two-mode squeeze.
-
-    2 (|beta_k|^2 + 1/2)(nbar_in + 1/2) - 1/2, with beta_sq = |beta_k|^2.
-    """
-    if nbar_in < 0 or beta_sq < 0:
-        raise DomainError("occupations must be >= 0")
-    return 2.0 * (beta_sq + 0.5) * (nbar_in + 0.5) - 0.5
-
-
-def two_mode_vacuum_amplitude(eta: float, theta: float, n: int) -> complex:
-    """Amplitude of |n_{+k}, n_{-k}> in a two-mode squeezed vacuum.
-
-    (-tanh eta e^{i theta})^n / cosh eta; the squared magnitudes form a
-    geometric series summing to 1.
-    """
-    if eta < 0:
-        raise DomainError("eta must be >= 0")
-    if n < 0 or int(n) != n:
-        raise DomainError("n must be a nonnegative integer")
-    if n == 0:
-        return complex(1.0 / math.cosh(eta))
-    return (-math.tanh(eta) * cmath.exp(1j * theta)) ** int(n) / math.cosh(eta)

@@ -1,11 +1,10 @@
 """
 Internal dynamics of the detector oscillator.
 
-Fundamental solutions of the damped equation of motion, the auxiliary
-response functions f(t; w) and g(t; w), the covariance-matrix evolution
-driven by squeezed-thermal or parametric baths, the stationary /
-nonstationary split of the displacement dispersion, and the two-time
-Hadamard function of the displacement operator.
+The covariance-matrix evolution driven by squeezed-thermal or parametric
+baths, the stationary / nonstationary split of the displacement
+dispersion, and the two-time Hadamard function of the displacement
+operator.
 
 All spectral integrals are evaluated in closed form in the frequency
 domain.  The response enters only through
@@ -26,8 +25,8 @@ One expander multiplies out either product and groups its phases
 e^{-iw tau} by |tau| into cos and sin Fourier integrals with smooth
 kernels: (f, f), (f', f') and (f, f') give xx, pp and xp, (f(t), f(t'))
 the two-time Hadamard function, and (f', e^{-iwt}) the injected power.
-The double time-integral form survives only as a test oracle.  Fourier
-convention: g~(w) = int dt g(t) e^{+iwt}.
+f, f' and d2~ as functions of w, and the double time-integral form, live
+with the tests as oracles.  Fourier convention: g~(w) = int dt g(t) e^{+iwt}.
 
 For a massive (parametric) bath the equation of motion acquires a Bessel
 memory term; for field masses small against the resonance it reduces to a
@@ -57,12 +56,7 @@ from .quadrature import QuadratureConfig, cusp_head, fourier_quad
 __all__ = [
     "OscillatorSpec",
     "MassiveOscParams",
-    "fundamental_solutions",
     "massive_roots",
-    "f_aux",
-    "g_aux",
-    "fdot_aux",
-    "d2_fourier",
     "covariance_evolution",
     "covariance_integral_parts",
     "ns_st_split",
@@ -157,22 +151,6 @@ def _fundamental(resp: _Response, t):
     return d1, d2, d1_dot, d2_dot
 
 
-def fundamental_solutions(spec: OscillatorSpec, t):
-    """Homogeneous solutions d1, d2 and their derivatives at time t >= 0.
-
-    d1 = e^{-gt}[cos Wt + (g/W) sin Wt], d2 = e^{-gt} sin(Wt)/W with
-    W = Omega; the Wronskian d1 d2' - d1' d2 equals e^{-2 gamma t}.
-    Accepts scalar or array t.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise DomainError("fundamental solutions are defined for t >= 0")
-    out = _fundamental(_resp(spec), t_arr)
-    if np.ndim(t) == 0:
-        return tuple(float(x) for x in out)
-    return out
-
-
 def massive_roots(
     gamma: float, Omega: float, mass_f: float, branch: int = +1
 ) -> MassiveOscParams:
@@ -222,83 +200,6 @@ def massive_roots(
                 f"massive root residual {residual:.3e} too large", partial_value=z
             )
     return MassiveOscParams(upsilon=-z.real, varpi=abs(z.imag), root=z)
-
-
-# ---------------------------------------------------------------------------
-# auxiliary response functions
-
-
-def _d2_tilde(resp: _Response, omega):
-    omega = np.asarray(omega, dtype=float)
-    return 1.0 / (resp.omega_sq - omega**2 - 2j * resp.gamma * omega)
-
-
-def d2_fourier(spec: OscillatorSpec, omega):
-    """Fourier transform d2~(w) = 1 / (w_r^2 - w^2 - 2 i gamma w).
-
-    Satisfies 2 gamma w |d2~|^2 = Im d2~ pointwise, the identity behind
-    the late-time energy balance.
-    """
-    out = _d2_tilde(_resp(spec), omega)
-    return complex(out) if np.ndim(omega) == 0 else out
-
-
-def _f_aux(resp: _Response, t: float, omega):
-    d1, d2, _, _ = _fundamental(resp, t)
-    omega = np.asarray(omega, dtype=float)
-    return _d2_tilde(resp, omega) * (
-        np.exp(-1j * omega * t) - d1 + 1j * omega * d2
-    )
-
-
-def _fdot_aux(resp: _Response, t: float, omega):
-    _, _, d1_dot, d2_dot = _fundamental(resp, t)
-    omega = np.asarray(omega, dtype=float)
-    return _d2_tilde(resp, omega) * (
-        -1j * omega * np.exp(-1j * omega * t) - d1_dot + 1j * omega * d2_dot
-    )
-
-
-def f_aux(spec: OscillatorSpec, t: float, omega):
-    """Response integral f(t; w) = int_0^t d2(t-s) e^{-iws} ds, closed form.
-
-    Equals d2~(w)[e^{-iwt} - d1(t) + i w d2(t)]; vanishes at t = 0 and
-    tends to d2~(w) e^{-iwt} once the homogeneous solutions have decayed.
-    """
-    if t < 0:
-        raise DomainError("f(t; w) is defined for t >= 0")
-    out = _f_aux(_resp(spec), t, omega)
-    return complex(out) if np.ndim(omega) == 0 else out
-
-
-def fdot_aux(spec: OscillatorSpec, t: float, omega):
-    """Time derivative of f(t; w), also in closed form (no 1/w pole)."""
-    if t < 0:
-        raise DomainError("f(t; w) is defined for t >= 0")
-    out = _fdot_aux(_resp(spec), t, omega)
-    return complex(out) if np.ndim(omega) == 0 else out
-
-
-def g_aux(spec: OscillatorSpec, t: float, omega):
-    """g(t; w) = 1 - i e^{+iwt} d1'(t)/w - d2'(t) e^{+iwt}.
-
-    Defined so that f' = -i w d2~(w) e^{-iwt} g identically.  g itself has
-    a genuine 1/w pole at w = 0 (only the combination w g is finite
-    there), so zero frequency is rejected; use :func:`fdot_aux`, which is
-    regular, when the product is what is needed.
-    """
-    if t < 0:
-        raise DomainError("g(t; w) is defined for t >= 0")
-    omega_arr = np.asarray(omega, dtype=float)
-    if np.any(omega_arr == 0.0):
-        raise DomainError(
-            "g(t; w) has a removable 1/w pole only inside the product w g; "
-            "evaluate fdot_aux at w = 0 instead"
-        )
-    _, _, d1_dot, d2_dot = _fundamental(_resp(spec), t)
-    phase = np.exp(1j * omega_arr * t)
-    out = 1.0 - 1j * phase * d1_dot / omega_arr - d2_dot * phase
-    return complex(out) if np.ndim(omega) == 0 else out
 
 
 def effective_response(

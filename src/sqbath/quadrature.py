@@ -19,8 +19,7 @@ integrands oscillating over ~1e5 cycles remain cheap.  Everything here
 is stateless and deterministic: a fixed kernel and tolerance always
 reproduce the same value bit for bit.
 
-The module also carries the thermal factors and the Bessel J1 used by
-the massive-field memory kernel.
+The module also carries the thermal factors.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate as _sciint
-from scipy import special as _special
 
 from .errors import ConfigurationError, ConvergenceError, DomainError
 
@@ -40,7 +38,6 @@ __all__ = [
     "plain_quad",
     "coth_half_beta",
     "omega_coth_half_beta",
-    "bessel_j1",
 ]
 
 DEFAULT_REL_TOL = 1e-8
@@ -303,20 +300,3 @@ def cusp_head(lower: float, freq: float) -> float | None:
     if lower <= 0.0:
         return None
     return lower + min(2.0, 20.0 * math.pi / max(freq, 10.0 * math.pi))
-
-
-# ---------------------------------------------------------------------------
-# Bessel J1
-
-
-def bessel_j1(x):
-    """Bessel function J1 for x >= 0 (``scipy.special.j1``).
-
-    Negative arguments are rejected rather than continued as the odd
-    function.  Accepts scalars (returning a float) or arrays.
-    """
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
-        raise DomainError("bessel_j1 requires x >= 0")
-    out = _special.j1(arr)
-    return float(out) if arr.ndim == 0 else out

@@ -1,8 +1,26 @@
-"""Independent numerical oracles shared by the test modules."""
+"""Reference formulas and independent oracles shared by the test modules.
+
+``sqbath run`` and ``sqbath sweep`` never call these; they hold the
+closed forms the package is checked against: the response functions of
+the detector, the (Xi, eta, theta) forward map and the effective
+temperature, the Bessel J1 and the oscillating power remnants J_n(t).
+"""
+
+import cmath
+import math
 
 import numpy as np
+from scipy import special
 
-from sqbath.errors import DomainError
+from sqbath.errors import DomainError, InvalidStateError, SqbathError
+from sqbath.gaussian_state import CovarianceState
+from sqbath.oscillator_dynamics import _fundamental, _resp
+from sqbath.quadrature import fourier_quad
+
+
+class EstimationError(SqbathError):
+    """A fit window is too narrow or too noisy to estimate an exponent."""
+
 
 _GREGORY = np.array([3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0])
 
@@ -47,3 +65,200 @@ def convolve_response(kernel_samples, source_samples, grid):
         prod = kern[j::-1] * src[: j + 1]
         out[j] = h * (np.sum(prod) - 0.5 * (prod[0] + prod[-1]))
     return out
+
+
+def bessel_j1(x):
+    """Bessel function J1 for x >= 0 (``scipy.special.j1``).
+
+    Negative arguments are rejected rather than continued as the odd
+    function.  Accepts scalars (returning a float) or arrays.
+    """
+    arr = np.asarray(x, dtype=float)
+    if np.any(arr < 0):
+        raise DomainError("bessel_j1 requires x >= 0")
+    out = special.j1(arr)
+    return float(out) if arr.ndim == 0 else out
+
+
+# ---------------------------------------------------------------------------
+# response functions of the detector
+
+
+def fundamental_solutions(spec, t):
+    """Homogeneous solutions d1, d2 and their derivatives at time t >= 0.
+
+    d1 = e^{-gt}[cos Wt + (g/W) sin Wt], d2 = e^{-gt} sin(Wt)/W with
+    W = Omega; the Wronskian d1 d2' - d1' d2 equals e^{-2 gamma t}.
+    Accepts scalar or array t.  The values are those the dynamics use.
+    """
+    t_arr = np.asarray(t, dtype=float)
+    if np.any(t_arr < 0):
+        raise DomainError("fundamental solutions are defined for t >= 0")
+    out = _fundamental(_resp(spec), t_arr)
+    if np.ndim(t) == 0:
+        return tuple(float(x) for x in out)
+    return out
+
+
+def d2_fourier(spec, omega):
+    """Fourier transform d2~(w) = 1 / (w_r^2 - w^2 - 2 i gamma w).
+
+    Satisfies 2 gamma w |d2~|^2 = Im d2~ pointwise, the identity behind
+    the late-time energy balance.
+    """
+    w = np.asarray(omega, dtype=float)
+    out = 1.0 / (spec.gamma**2 + spec.Omega**2 - w**2 - 2j * spec.gamma * w)
+    return complex(out) if np.ndim(omega) == 0 else out
+
+
+def f_aux(spec, t: float, omega):
+    """Response integral f(t; w) = int_0^t d2(t-s) e^{-iws} ds, closed form.
+
+    Equals d2~(w)[e^{-iwt} - d1(t) + i w d2(t)]; vanishes at t = 0 and
+    tends to d2~(w) e^{-iwt} once the homogeneous solutions have decayed.
+    """
+    d1, d2, _, _ = fundamental_solutions(spec, t)
+    w = np.asarray(omega, dtype=float)
+    out = d2_fourier(spec, w) * (np.exp(-1j * w * t) - d1 + 1j * w * d2)
+    return complex(out) if np.ndim(omega) == 0 else out
+
+
+# ---------------------------------------------------------------------------
+# Gaussian states
+
+
+def covariance_from_decomposition(decomp, m: float, omega_r: float):
+    """Forward map (Xi, eta, theta) -> covariance matrix elements.
+
+    xx = Xi [cosh 2eta - sinh 2eta cos theta] / (2 m omega_r)
+    pp = (m omega_r / 2) Xi [cosh 2eta + sinh 2eta cos theta]
+    xp = -(1/2) Xi sinh 2eta sin theta
+    """
+    xi = decomp.xi
+    ch = decomp.squeeze.cosh2eta
+    sh = decomp.squeeze.sinh2eta
+    th = decomp.squeeze.theta
+    xx = xi * (ch - sh * math.cos(th)) / (2.0 * m * omega_r)
+    pp = 0.5 * m * omega_r * xi * (ch + sh * math.cos(th))
+    xp = -0.5 * xi * sh * math.sin(th)
+    return CovarianceState(xx=xx, pp=pp, xp=xp)
+
+
+def effective_temperature(cov, omega_r: float) -> float:
+    """Nonequilibrium effective inverse temperature beta_eff.
+
+    beta_eff = (2/omega_r) ln[(1 + sqrt(1 + 4 S)) / (2 sqrt(S))] with the
+    uncertainty function S = xx pp - xp^2 - 1/4.  S -> 0+ (pure state)
+    diverges and is rejected.
+    """
+    s = cov.uncertainty - 0.25
+    if s <= 0:
+        raise InvalidStateError(
+            "uncertainty function S <= 0: state is pure (or invalid), "
+            "beta_eff diverges"
+        )
+    return (2.0 / omega_r) * math.log((1.0 + math.sqrt(1.0 + 4.0 * s)) / (2.0 * math.sqrt(s)))
+
+
+# ---------------------------------------------------------------------------
+# late-time falloff of the oscillating power remnants
+
+_JN_REL_TOL, _JN_ABS_TOL = 1e-9, 1e-14
+
+
+def jn_integral(
+    spec,
+    beta: float,
+    n: int,
+    t: float,
+    epsilon: float = 1e-2,
+    subtract_pole: bool = True,
+) -> complex:
+    """Oscillating remnant J(t) = int (dw/2pi)(w/4pi) W(w) (-iw) d2~ e^{-2iwt}.
+
+    ``n = 0`` is the vacuum piece of the coth expansion, regulated by
+    e^{-epsilon w}.  ``n >= 1`` carries the summed thermal remainder
+    W(w) = sum_{j>=n} e^{-j beta w} = e^{-n beta w} / (1 - e^{-beta w});
+    the t^-2 (thermal) / t^-3 (vacuum) falloff classes concern the
+    resummed series, a single Boltzmann term alone decays like vacuum.
+
+    The exact integral also carries the residue of the response pole at
+    w = Omega - i gamma, an e^{-2 gamma t} transient that the
+    exponential-integral closed form of the late-time analysis discards.
+    ``subtract_pole`` (default) removes it analytically, leaving the
+    algebraically decaying part whose exponent the falloff fit targets;
+    pass False for the raw integral.
+    """
+    if n == 0:
+        if epsilon <= 0:
+            raise DomainError("vacuum term requires an epsilon regulator")
+
+        def wfac(w):
+            # w^2 e^{-eps w}
+            return w * w * math.exp(-epsilon * w)
+    else:
+        def wfac(w):
+            # w^2 e^{-n b w} / (1 - e^{-b w}); series patch keeps the
+            # integrable ~ w/beta endpoint NaN-free for the panel rules
+            u = beta * w
+            if u < 1e-6:
+                return (w / beta) * math.exp(-n * u) / (1.0 - 0.5 * u + u * u / 6.0)
+            return w * w * math.exp(-n * u) / (-math.expm1(-u))
+
+    def h_re(w):
+        return wfac(w) * d2_fourier(spec, w).real
+
+    def h_im(w):
+        return wfac(w) * d2_fourier(spec, w).imag
+
+    # the envelope decays exponentially; truncate where it reaches e^-45
+    scale = epsilon if n == 0 else n * beta
+    upper = 45.0 / scale
+    opts = dict(rel_tol=_JN_REL_TOL, abs_tol=_JN_ABS_TOL, limit=4000)
+    freq = 2.0 * t
+    x = (
+        fourier_quad(h_re, freq, "cos", 0.0, upper, **opts)[0]
+        + fourier_quad(h_im, freq, "sin", 0.0, upper, **opts)[0]
+    )
+    y = (
+        fourier_quad(h_im, freq, "cos", 0.0, upper, **opts)[0]
+        - fourier_quad(h_re, freq, "sin", 0.0, upper, **opts)[0]
+    )
+    # J = -i (X + iY) / (8 pi^2)
+    norm = 1.0 / (8.0 * math.pi**2)
+    value = complex(y * norm, -x * norm)
+
+    if subtract_pole:
+        # rotating int_0^inf to the negative imaginary axis sweeps the
+        # fourth quadrant, which contains the single response pole
+        # w+ = Omega - i gamma with residue -1/(2 Omega); the swept term
+        # is the e^{-2 gamma t} transient absent from the closed form
+        w_plus = complex(spec.Omega, -spec.gamma)
+        if n == 0:
+            w_pole = cmath.exp(-epsilon * w_plus)
+        else:
+            w_pole = cmath.exp(-n * beta * w_plus) / (1.0 - cmath.exp(-beta * w_plus))
+        pole = (
+            w_plus * w_plus * w_pole * cmath.exp(-2j * w_plus * t)
+            / (8.0 * math.pi * spec.Omega)
+        )
+        value -= pole
+    return value
+
+
+def jn_falloff(spec, beta: float, n: int, t_list, epsilon: float = 1e-2) -> float:
+    """Fitted decay exponent of log|J_n(t)| against log t.
+
+    The fit window must span at least one decade; expect roughly -2 for
+    thermal terms (n >= 1) and -3 for the vacuum term (n = 0).
+    """
+    t_arr = np.asarray(t_list, dtype=float)
+    if np.max(t_arr) < 10.0 * np.min(t_arr):
+        raise EstimationError(
+            "fit window too narrow: t_list must span at least one decade"
+        )
+    mags = np.array(
+        [abs(jn_integral(spec, beta, n, t, epsilon=epsilon)) for t in t_arr]
+    )
+    slope, _ = np.polyfit(np.log(t_arr), np.log(mags), 1)
+    return float(slope)

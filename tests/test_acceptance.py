@@ -17,15 +17,20 @@ import pytest
 
 import mpmath as mp
 
-from oracles import convolve_response
+from oracles import (
+    convolve_response,
+    covariance_from_decomposition,
+    effective_temperature,
+    f_aux,
+    fundamental_solutions,
+    jn_falloff,
+)
 from sqbath.bath_kernels import BathSpec, bath_fdr
-from sqbath.energy_fdr import fdr_oscillator, jn_falloff, power_in, power_out
+from sqbath.energy_fdr import fdr_oscillator, power_in, power_out
 from sqbath.gaussian_state import (
     CovarianceState,
     SqueezeParam,
     StateDecomposition,
-    covariance_from_decomposition,
-    effective_temperature,
     extract_squeeze,
 )
 from sqbath.oscillator_dynamics import (
@@ -34,8 +39,6 @@ from sqbath.oscillator_dynamics import (
     covariance_evolution,
     covariance_integral_parts,
     effective_response,
-    f_aux,
-    fundamental_solutions,
     ns_st_split,
 )
 from sqbath.parametric_mode import MassProfile, bogoliubov_from_mode, integrate_mode
@@ -108,7 +111,13 @@ def test_criterion_2_energy_balance(spec, quad, bath_parametric):
 
 
 def test_criterion_3_oscillator_fdr(spec, bath_parametric):
-    """Pointwise FDR for the detector, massless and parametric."""
+    """Pointwise FDR for the detector, massless and parametric.
+
+    The two sides are equal algebraically (Im G = 2 gamma kappa |G|^2), so
+    the deviation reads round-off for any G: this checks the assembly.
+    The values are checked by ``test_absolute_values_pinned_to_bath_fdr``
+    in ``tests/test_energy_fdr.py``.
+    """
     started = time.perf_counter()
     grid = np.linspace(-10.0, 10.0, 1000)
     devs = {}
@@ -140,7 +149,13 @@ def test_criterion_3_oscillator_fdr(spec, bath_parametric):
 
 
 def test_criterion_4_bath_fdr(bath_parametric):
-    """Bath-level FDR with the parametric cosh 2eta_kappa factor."""
+    """Bath-level FDR with the parametric cosh 2eta_kappa factor.
+
+    The two sides are equal algebraically (coth(b|w|/2) = sgn w coth(bw/2)),
+    so the deviation reads round-off: this checks the evaluation.  The
+    values are checked by ``test_absolute_values_pinned_to_bath_fdr`` in
+    ``tests/test_energy_fdr.py``.
+    """
     from sqbath.parametric_mode import squeeze_spectrum
 
     worst = 0.0
@@ -482,7 +497,7 @@ def test_criterion_9_oracle_equivalence(spec):
 
     # (c) plain_quad vs a dense trapezoid on the late-time xx integrand
     def kern(w):
-        from sqbath.oscillator_dynamics import d2_fourier
+        from oracles import d2_fourier
 
         return omega_coth_half_beta(w, 1.0) * 2.0 * np.abs(d2_fourier(spec, w)) ** 2
 

@@ -1,6 +1,11 @@
+import concurrent.futures
+import copy
 import csv
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +24,56 @@ SMALL_CONSTANT = {
     "time_grid": {"start": 5.0, "stop": 20.0, "points": 4},
     "fdr_grid": {"start": -5.0, "stop": 5.0, "points": 51},
     "outputs": ["covariances", "fdr"],
+}
+
+
+# a config that has every section the parser reads
+EVERY_SECTION = {
+    "scenario": "parametric",
+    "oscillator": {"m": 1.0, "Omega": 1.0, "gamma": 0.1},
+    "bath": {"beta": 1.0},
+    "profile": {"mass_i": 0.0, "mass_f": 0.5, "t_i": 0.0, "t_f": 2.0},
+    "k_grid": {"start": 0.1, "stop": 10.0, "points": 8},
+    "quadrature": {"cutoff": 100.0},
+    "initial_state": {"xx": 0.5, "pp": 0.5},
+    "time_grid": {"start": 5.0, "stop": 20.0, "points": 2},
+    "fdr_grid": {"start": 0.1, "stop": 5.0, "points": 3},
+    "hadamard_grid": {"start": 5.0, "stop": 6.0, "points": 2},
+    "outputs": ["covariances", "fdr", "hadamard_surface"],
+    "sweep": {"path": "bath.beta", "values": [1.0, 2.0]},
+}
+
+# config_hash of the shipped configs, presets and workload configs (seed 0):
+# the key and value checks must leave what they resolve to unchanged
+SHIPPED_HASHES = {
+    "constant_squeeze": "45c3f6d5a8de00ab",
+    "parametric": "74699d1f361628e5",
+    "finite_coupling": "27568f0eb9a6101b",
+    "4": "194cc330bfc46417",
+    "5": "194cc330bfc46417",
+    "6": "20906212820e2f50",
+    "7": "efd71b21b9c85c4b",
+    "grn3d": "77520f6b018e8963",
+    "tan2eta": "e0d1db5288a3dcd7",
+    "tanphi": "e0d1db5288a3dcd7",
+    "squeeze-products": "fd32b765964a1ae7",
+    "mass-ramp": "73640fabe5f1b897",
+    "thermal-sweep": "cda4a6d977f95e51",
+}
+REPO = Path(__file__).resolve().parents[1]
+
+INVALID_VALUES = {
+    "negative-eta": {"bath": {"beta": 1.0, "eta": -0.5}},
+    "negative-beta": {"bath": {"beta": -1.0, "eta": 0.5}},
+    "grid-spacing-word": {
+        "time_grid": {"start": 1, "stop": 9, "points": 3, "spacing": "logarithmic"}
+    },
+    "factored-string": {"hadamard_factored": "false"},
+    "sweep-path-misspelt": {"sweep": {"path": "bath.bta", "values": [1.0]}},
+    "sweep-path-no-section": {"sweep": {"path": "gamma", "values": [0.1]}},
+    "sweep-spacing-word": {
+        "sweep": {"path": "bath.beta", "start": 1, "stop": 2, "steps": 2, "spacing": "log2"}
+    },
 }
 
 
@@ -73,6 +128,58 @@ class TestConfigParsing:
         data["sweep"] = {"path": "bath.eta", "values": []}
         with pytest.raises(ConfigurationError):
             parse_config(data)
+
+    def test_shipped_configs_keep_their_hash(self, monkeypatch):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", REPO / "perfbench" / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
+        spec.loader.exec_module(workloads)
+        configs = {
+            name: yaml.safe_load((REPO / "configs" / f"{name}.yaml").read_text())
+            for name in ("constant_squeeze", "parametric", "finite_coupling")
+        }
+        configs.update({name: figure_preset(name) for name in sqbath.cli.FIGURES})
+        configs.update(
+            {name: w.make_config(0) for name, w in workloads.WORKLOADS.items()}
+        )
+        hashes = {
+            name: config_hash(sqbath.cli.resolved_config(parse_config(data)))[:16]
+            for name, data in configs.items()
+        }
+        assert hashes == SHIPPED_HASHES
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            (None, "time_gird"),
+            ("oscillator", "gama"),
+            ("bath", "bta"),
+            ("profile", "mass_ff"),
+            ("k_grid", "point"),
+            ("quadrature", "cutof"),
+            ("initial_state", "x"),
+            ("time_grid", "stpo"),
+            ("fdr_grid", "spaceing"),
+            ("hadamard_grid", "strat"),
+            ("sweep", "vals"),
+        ],
+    )
+    def test_misspelt_key_exit_code(self, tmp_path, capsys, section, key):
+        parse_config(EVERY_SECTION)  # valid as it stands
+        data = copy.deepcopy(EVERY_SECTION)
+        (data if section is None else data[section])[key] = 1.0
+        cfgp = write_config(tmp_path, data)
+        assert main(["run", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", INVALID_VALUES.values(), ids=INVALID_VALUES.keys())
+    def test_invalid_value_exit_code(self, tmp_path, case):
+        data = dict(SMALL_CONSTANT, **case)
+        cfgp = write_config(tmp_path, data)
+        assert main(["run", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
 
 
 class TestRun:
@@ -202,6 +309,46 @@ class TestSweep:
         assert [p["file"] for p in payload["products"]] == [
             "sweep_ins_vs_t.csv", "sweep_ist_vs_t.csv"
         ]
+
+    @pytest.mark.parametrize("threads, points, workers", [(64, 2, 2), (2, 3, 2), (1, 3, None)])
+    def test_worker_pool_size(self, tmp_path, monkeypatch, threads, points, workers):
+        started = []
+
+        class RecordingPool:
+            """Records the pool size and runs each job in-process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(sqbath.cli, "ProcessPoolExecutor", RecordingPool)
+        data = dict(SMALL_CONSTANT, outputs=["fdr"])
+        data["sweep"] = {"path": "bath.beta", "values": [0.3 * (i + 1) for i in range(points)]}
+        run_sweep(parse_config(data), tmp_path, threads=threads)
+        assert started == ([] if workers is None else [workers])
+        rows = np.loadtxt(tmp_path / "sweep_fdr.csv", delimiter=",", skiprows=1)
+        assert rows.shape[0] == points * 51
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_exit_code(self, tmp_path, monkeypatch, threads):
+        monkeypatch.setattr(sqbath.cli, "ProcessPoolExecutor", None)  # never started
+        data = dict(SMALL_CONSTANT, outputs=["fdr"])
+        data["sweep"] = {"path": "bath.beta", "values": [0.3, 0.6]}
+        cfgp = write_config(tmp_path, data)
+        out = tmp_path / "o"
+        args = ["sweep", "--config", str(cfgp), "--out", str(out), "--threads", threads]
+        assert main(args) == 2
+        assert not out.exists()
 
     def test_failures_recorded_and_raised(self, tmp_path):
         data = dict(SMALL_CONSTANT)

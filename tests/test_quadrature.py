@@ -4,12 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import convolve_response
+from oracles import bessel_j1, convolve_response, d2_fourier, f_aux, fundamental_solutions
 from sqbath.errors import ConfigurationError, DomainError
-from sqbath.oscillator_dynamics import d2_fourier, f_aux, fundamental_solutions
 from sqbath.quadrature import (
     QuadratureConfig,
-    bessel_j1,
     coth_half_beta,
     fourier_quad,
     omega_coth_half_beta,
