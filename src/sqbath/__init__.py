@@ -7,14 +7,7 @@ and dissipation output; generalized fluctuation-dissipation relations;
 and the finite-coupling squeezing acquired by the oscillator itself.
 """
 
-from .bath_kernels import (
-    BathSpec,
-    KernelValue,
-    SqueezeSpectrum,
-    bath_fdr,
-    hadamard_coincident,
-    save_spectrum_csv,
-)
+from .bath_kernels import BathSpec, SqueezeSpectrum, bath_fdr
 from .energy_fdr import FdrReport, fdr_oscillator, flux_balance, power_in, power_out
 from .errors import (
     BelowThresholdError,
@@ -34,11 +27,13 @@ from .gaussian_state import (
     extract_squeeze,
 )
 from .oscillator_dynamics import (
+    KernelValue,
     MassiveOscParams,
     OscillatorSpec,
     chi_hadamard,
     covariance_evolution,
     covariance_integral_parts,
+    hadamard_coincident,
     massive_roots,
     ns_st_split,
 )

@@ -1,19 +1,16 @@
 """
-Two-point functions of the free bath field.
-
-The Hadamard (noise) kernel of the bath at the detector position and the
-bath-level fluctuation-dissipation relation.
+The free bath field: its squeeze spectrum, its state and its measure.
 
 Every frequency integral of the package sees the bath through
 :func:`bath_mix`: the measure (dw/2pi)(kappa/4pi) coth(b w/2) with its
 regulator, and the stationary and nonstationary squeeze weights
 cosh 2eta and sinh 2eta e^{i theta}, constant or read from a squeeze
 spectrum.  The stationary weight cosh 2eta_kappa, which both FDRs carry,
-is :meth:`BathSpec.cosh2eta_at`.  One kernel, :func:`hadamard_coincident`,
-serves thermal, constant-squeeze and parametric baths alike.
-
-The coincident-point Hadamard kernel is UV divergent and must be called
-with an active regulator.
+is :meth:`BathSpec.cosh2eta_at`.  The module also holds the bath-level
+fluctuation-dissipation relation, :func:`bath_fdr`.  The bath's own
+two-point function, the coincident-point Hadamard kernel, is the
+plane-wave bilinear form of the response expander and lives with it in
+:mod:`oscillator_dynamics` (:func:`oscillator_dynamics.hadamard_coincident`).
 
 Conventions: frequencies carry the initial field mass, w_i = sqrt(k^2 +
 m_i^2); k integrals are performed in w_i above threshold, which removes
@@ -24,11 +21,9 @@ g~(w) = int dt g(t) e^{+i w t}.
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -36,38 +31,21 @@ from scipy.interpolate import PchipInterpolator
 
 from .errors import BelowThresholdError, DomainError, ResolutionError
 from .gaussian_state import SqueezeParam
-from .quadrature import (
+# fourier_quad stays importable here for perfbench/tracing.py
+from .quadrature import (  # noqa: F401
     QuadratureConfig,
     coth_half_beta,
-    cusp_head,
     fourier_quad,
     omega_coth_half_beta,
 )
 
 __all__ = [
-    "KernelValue",
     "BathMix",
     "bath_mix",
     "SqueezeSpectrum",
     "BathSpec",
-    "hadamard_coincident",
     "bath_fdr",
-    "save_spectrum_csv",
 ]
-
-SPECTRUM_CSV_HEADER = ("k", "eta_k", "theta_k")
-
-
-@dataclass(frozen=True)
-class KernelValue:
-    """Stationary / nonstationary split of a two-point function."""
-
-    stationary: float
-    nonstationary: float
-
-    @property
-    def total(self) -> float:
-        return self.stationary + self.nonstationary
 
 
 class _Pchip:
@@ -200,10 +178,6 @@ class BathSpec:
             raise DomainError("field masses must be nonnegative")
 
     @property
-    def is_parametric(self) -> bool:
-        return isinstance(self.squeeze, SqueezeSpectrum)
-
-    @property
     def is_massless(self) -> bool:
         return self.mass_i == 0.0 and self.mass_f == 0.0
 
@@ -290,60 +264,6 @@ def bath_mix(bath: BathSpec, quad: QuadratureConfig) -> BathMix:
     return BathMix(0.0, measure, sq.cosh2eta, sq.sinh2eta * cmath.exp(1j * sq.theta))
 
 
-# ---------------------------------------------------------------------------
-# coincident-point Hadamard kernel
-
-
-def hadamard_coincident(
-    bath: BathSpec, t: float, t_prime: float, quad: QuadratureConfig
-) -> KernelValue:
-    """Hadamard function of the bath field at x = 0.
-
-    stationary    =  2 int dmu cosh 2eta_kappa cos w(t - t')
-    nonstationary = -2 int dmu Re[sinh 2eta_kappa e^{i theta_kappa} e^{-iw(t+t')}]
-
-    with the measure dmu = (dw/2pi)(kappa/4pi) coth(bw/2) above the mass
-    threshold and the weights of :func:`bath_mix`.  For a parametric bath
-    the times are measured from the end of the process.  A weight that
-    depends on w goes into the integrand; a constant one multiplies the
-    integral of the measure, which is skipped when the weight is zero.
-
-    UV divergent at coincidence: the quadrature config must carry a hard
-    cutoff or an exponential regulator.
-    """
-    if t < 0 or t_prime < 0:
-        raise DomainError("kernel times must be >= 0")
-    mix = bath_mix(bath, quad)
-    quad.require_regulator("the coincident-point Hadamard kernel")
-    upper = quad.upper()
-
-    def integral(weight, part: str, freq: float, kind: str) -> float:
-        """int dmu part(weight) {cos, sin}(freq w)."""
-        if callable(weight):
-            scale = 1.0
-
-            def kernel(w):
-                return getattr(mix.measure(w) * weight(w), part)
-        else:
-            scale, kernel = getattr(weight, part), mix.measure
-            if scale == 0.0:
-                return 0.0
-        val, _ = fourier_quad(
-            kernel, freq, kind, mix.lower, upper,
-            rel_tol=quad.rel_tol, abs_tol=quad.abs_tol, limit=quad.max_subdivisions,
-            head=cusp_head(mix.lower, abs(freq)),
-        )
-        return scale * val
-
-    stationary = integral(mix.cosh, "real", t - t_prime, "cos")
-    # Re[S e^{-iwT}] = Re S cos wT + Im S sin wT
-    ns_cos = integral(mix.sinh, "real", t + t_prime, "cos")
-    ns_sin = integral(mix.sinh, "imag", t + t_prime, "sin")
-    return KernelValue(
-        stationary=2.0 * stationary, nonstationary=-2.0 * (ns_cos + ns_sin)
-    )
-
-
 def bath_fdr(omega: float, bath: BathSpec) -> tuple[float, float]:
     """Both sides of the bath-level fluctuation-dissipation relation.
 
@@ -379,16 +299,3 @@ def bath_fdr(omega: float, bath: BathSpec) -> tuple[float, float]:
     coth_signed = sgn * float(coth_half_beta(omega, bath.beta))
     rhs = coth_signed * ch2 * im_gr0
     return lhs, rhs
-
-
-# ---------------------------------------------------------------------------
-# spectrum exchange format: CSV with header k,eta_k,theta_k
-
-
-def save_spectrum_csv(spectrum: SqueezeSpectrum, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(SPECTRUM_CSV_HEADER)
-        for k, eta, theta in zip(spectrum.k, spectrum.eta, spectrum.theta):
-            writer.writerow([f"{k:.16e}", f"{eta:.16e}", f"{theta:.16e}"])

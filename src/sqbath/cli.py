@@ -36,7 +36,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .bath_kernels import BathSpec, SqueezeSpectrum, save_spectrum_csv
+from .bath_kernels import BathSpec, SqueezeSpectrum
 from .energy_fdr import (
     LATE_TIME_FACTOR,
     fdr_oscillator,
@@ -520,12 +520,8 @@ def _product_files(cfg: RunConfig, bath: BathSpec):
         elif name == "ns_split":
             ins_rows, ist_rows = [], []
             for theta in cfg.ns_thetas:
-                bath_theta = BathSpec(
-                    beta=cfg.bath_beta,
-                    squeeze=SqueezeParam(max(cfg.bath_eta, 1.0), theta),
-                )
                 for t in times:
-                    i_ns, i_st = ns_st_split(spec, bath_theta, float(t), quad)
+                    i_ns, i_st = ns_st_split(spec, cfg.bath_beta, theta, float(t), quad)
                     ins_rows.append((t, theta, i_ns))
                     ist_rows.append((t, theta, i_st))
             meta = {"thetas": list(cfg.ns_thetas)}
@@ -590,15 +586,13 @@ def run(cfg: RunConfig, out_dir) -> RunManifest:
 
     bath, spectrum = _build_bath(cfg)
     if spectrum is not None:
-        path = out / "squeeze_spectrum.csv"
-        save_spectrum_csv(spectrum, path)
+        rows = zip(spectrum.k, spectrum.eta, spectrum.theta)
+        params = {"k_points": int(spectrum.k.size)}
+        header = ("k", "eta_k", "theta_k")
         products.append(
-            {
-                "name": "squeeze_spectrum",
-                "file": path.name,
-                "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
-                "params": {"k_points": int(spectrum.k.size)},
-            }
+            _write_product(
+                out, "squeeze_spectrum", "squeeze_spectrum.csv", header, rows, params
+            )
         )
     for name, stem, header, rows, params in _product_files(cfg, bath):
         products.append(_write_product(out, name, f"{stem}.csv", header, rows, params))
@@ -609,13 +603,19 @@ def run(cfg: RunConfig, out_dir) -> RunManifest:
 # sweeps
 
 
-def _sweep_point(args):
-    raw, path, value = args
+def _point_config(raw: dict, path: str, value: float) -> RunConfig:
+    """The config of one sweep point: ``raw`` with ``path`` set to ``value``."""
     data = copy.deepcopy(raw)
     data.pop("sweep", None)
     section, key = path.split(".")  # one of _SWEEP_PATHS
     data[section] = {**(data.get(section) or {}), key: value}
-    cfg = parse_config(data)
+    try:
+        return parse_config(data)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"sweep point {path} = {value}: {exc}") from exc
+
+
+def _sweep_point(cfg: RunConfig):
     bath, _ = _build_bath(cfg)
     return list(_product_files(cfg, bath))
 
@@ -624,22 +624,24 @@ def run_sweep(cfg: RunConfig, out_dir, threads: int = 1) -> RunManifest:
     """Run every sweep point and collect long-format CSVs.
 
     Each file of :func:`run` becomes ``sweep_<file>`` with the swept value
-    in front of every row.  Points are independent; failures are recorded
-    and the remaining points still run.  Row groups follow the declared
-    value order.  ``threads`` > 1 runs the points in min(threads, points)
-    worker processes.
+    in front of every row.  Every point's config is parsed before any
+    point runs, so a rejected value raises :class:`ConfigurationError`
+    and nothing is written.  Points are independent; numerical failures
+    are recorded and the remaining points still run.  Row groups follow
+    the declared value order.  ``threads`` > 1 runs the points in
+    min(threads, points) worker processes.
     """
     if cfg.sweep is None:
         raise ConfigurationError("config has no sweep section")
     if threads < 1:
         raise ConfigurationError(f"--threads must be >= 1, got {threads}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     path = cfg.sweep["path"]
     values = _sweep_values(cfg.sweep)
+    jobs = [_point_config(cfg.raw, path, value) for value in values]
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
-    jobs = [(cfg.raw, path, value) for value in values]
     results: list = [None] * len(values)
     failures = []
     workers = min(threads, len(jobs))

@@ -86,22 +86,23 @@ def power_in(
 ) -> float:
     """Power delivered to the detector by the bath fluctuations.
 
-    P_xi(t) = 8 pi gamma int (dw/2pi)(w/4pi) coth(bw/2) {
+    P_xi(t) = (e^2/m) int (dw/2pi)(w/4pi) coth(bw/2) {
         cosh 2eta  2 Re[e^{+iwt} f'(t;w)]
       - sinh 2eta  2 Re[e^{-iwt} e^{i theta} f'(t;w)] }
 
-    The stationary integrand approaches 2 w Im d2~(w), which falls off
-    only like 1/w against the thermal weight, so a regulator is required.
+    with e^2/m = 8 pi gamma.  The stationary integrand approaches
+    2 w Im d2~(w), which falls off only like 1/w against the thermal
+    weight, so a regulator is required.
     """
     if t < 0:
         raise DomainError("power_in requires t >= 0")
     if t == 0.0:
         return 0.0
-    resp, _ = effective_response(spec, bath)
+    resp = effective_response(spec, bath)
     total = sum(
         _bilinear(resp, bath_mix(bath, quad), _fdot_factor(resp, t), _wave(t), quad)
     )
-    return 8.0 * math.pi * spec.gamma * total
+    return spec.e_sq / spec.m * total
 
 
 def power_out(spec: OscillatorSpec, bath: BathSpec, pp: float) -> float:
@@ -115,8 +116,7 @@ def power_out(spec: OscillatorSpec, bath: BathSpec, pp: float) -> float:
     the initial state, ``covariance_integral_parts(...)[1]`` is the
     bath-driven part alone.
     """
-    _, gamma_damp = effective_response(spec, bath)
-    return -(2.0 * gamma_damp / spec.m) * pp
+    return -(2.0 * effective_response(spec, bath).gamma / spec.m) * pp
 
 
 def flux_balance(spec: OscillatorSpec, bath: BathSpec, times, p_xi, p_gamma) -> dict:
@@ -128,7 +128,7 @@ def flux_balance(spec: OscillatorSpec, bath: BathSpec, times, p_xi, p_gamma) -> 
     |dP_gamma/dt| <= _STATIONARITY_RTOL |P_gamma| over the last interval.
     ``damping_rate`` is the Gamma of :func:`power_out`.
     """
-    _, gamma_damp = effective_response(spec, bath)
+    gamma_damp = effective_response(spec, bath).gamma
     p_in, p_out = p_xi[-1], p_gamma[-1]
     residual = abs(p_in + p_out) / abs(p_out) if p_out else math.inf
     late = gamma_damp > 0 and times[-1] >= LATE_TIME_FACTOR / gamma_damp

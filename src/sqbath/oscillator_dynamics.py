@@ -24,9 +24,12 @@ with the bath measure dmu and weights of :func:`bath_kernels.bath_mix`.
 One expander multiplies out either product and groups its phases
 e^{-iw tau} by |tau| into cos and sin Fourier integrals with smooth
 kernels: (f, f), (f', f') and (f, f') give xx, pp and xp, (f(t), f(t'))
-the two-time Hadamard function, and (f', e^{-iwt}) the injected power.
-f, f' and d2~ as functions of w, and the double time-integral form, live
-with the tests as oracles.  Fourier convention: g~(w) = int dt g(t) e^{+iwt}.
+the two-time Hadamard function, (f', e^{-iwt}) the injected power and
+(e^{-iwt}, e^{-iwt'}) the coincident-point Hadamard kernel of the bath
+itself, which needs no response.  :func:`_sum_fourier_terms` is the one
+driver that turns these terms into quadrature calls.  f, f' and d2~ as
+functions of w, and the double time-integral form, live with the tests
+as oracles.  Fourier convention: g~(w) = int dt g(t) e^{+iwt}.
 
 For a massive (parametric) bath the equation of motion acquires a Bessel
 memory term; for field masses small against the resonance it reduces to a
@@ -44,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bath_kernels import BathMix, BathSpec, KernelValue, bath_mix
+from .bath_kernels import BathMix, BathSpec, bath_mix
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -54,6 +57,7 @@ from .gaussian_state import CovarianceState
 from .quadrature import QuadratureConfig, cusp_head, fourier_quad
 
 __all__ = [
+    "KernelValue",
     "OscillatorSpec",
     "MassiveOscParams",
     "massive_roots",
@@ -62,8 +66,21 @@ __all__ = [
     "ns_st_split",
     "chi_hadamard",
     "chi_hadamard_components",
+    "hadamard_coincident",
     "effective_response",
 ]
+
+
+@dataclass(frozen=True)
+class KernelValue:
+    """Stationary / nonstationary split of a two-point function."""
+
+    stationary: float
+    nonstationary: float
+
+    @property
+    def total(self) -> float:
+        return self.stationary + self.nonstationary
 
 
 @dataclass(frozen=True)
@@ -96,6 +113,11 @@ class OscillatorSpec:
     def Omega(self) -> float:
         """Resonance frequency sqrt(omega_r^2 - gamma^2)."""
         return math.sqrt(self.omega_r**2 - self.gamma**2)
+
+    @property
+    def e_sq(self) -> float:
+        """Squared field coupling e^2 = 8 pi gamma m."""
+        return 8.0 * math.pi * self.gamma * self.m
 
     @classmethod
     def from_resonance(cls, m: float, Omega: float, gamma: float) -> "OscillatorSpec":
@@ -202,20 +224,17 @@ def massive_roots(
     return MassiveOscParams(upsilon=-z.real, varpi=abs(z.imag), root=z)
 
 
-def effective_response(
-    spec: OscillatorSpec, bath: BathSpec
-) -> tuple[_Response, float]:
-    """Local response parameters of the detector in the given bath.
+def effective_response(spec: OscillatorSpec, bath: BathSpec) -> _Response:
+    """Local response (decay rate, oscillation frequency) of the detector.
 
-    Returns ``((decay rate, oscillation frequency), damping rate)``: the
-    massless pair (gamma, Omega) for a massless bath, the memory-dressed
-    (Upsilon, varpi) for a massive one.  The damping rate is what enters
-    the dissipated power -2 m Gamma <chi'^2>.
+    The massless pair (gamma, Omega) for a massless bath, the
+    memory-dressed (Upsilon, varpi) for a massive one.  The decay rate is
+    also the damping rate Gamma of the dissipated power -2 m Gamma <chi'^2>.
     """
     if bath.mass_f == 0.0:
-        return _resp(spec), spec.gamma
+        return _resp(spec)
     roots = massive_roots(spec.gamma, spec.Omega, bath.mass_f)
-    return _Response(roots.upsilon, roots.varpi), roots.upsilon
+    return _Response(roots.upsilon, roots.varpi)
 
 
 # ---------------------------------------------------------------------------
@@ -261,20 +280,29 @@ def _times(a, b, scale):
 
 
 def _d_power(n_u: int, n_v: int, conj: bool):
-    """d2~^{n_u} (d2~*)^{n_v} (conj) or d2~^{n_u + n_v} as a function of d2~."""
+    """d2~^{n_u} (d2~*)^{n_v} (conj) or d2~^{n_u + n_v} as a function of d2~.
+
+    None when both powers are 0: the form then carries no response.
+    """
     if conj and n_v:
         return (lambda d: d.conjugate(), lambda d: (d * d.conjugate()).real)[n_u]
-    return (lambda d: 1.0, lambda d: d, lambda d: d * d)[n_u + n_v]
+    return (None, lambda d: d, lambda d: d * d)[n_u + n_v]
 
 
-def _kernel(resp: _Response, measure, weight, d_power, coeffs, part: str):
-    """w -> part of measure(w) weight(w) d_power(d2~(w)) (c0 + c1 w + c2 w^2)."""
-    gamma, omega_sq = resp.gamma, resp.omega_sq
+def _kernel(resp: _Response | None, measure, weight, d_power, coeffs, part: str):
+    """w -> part of measure(w) weight(w) d_power(d2~(w)) (c0 + c1 w + c2 w^2).
+
+    Without a d_power the kernel never evaluates d2~, and resp may be None.
+    """
+    if d_power is not None:
+        gamma, omega_sq = resp.gamma, resp.omega_sq
     c0, c1, c2 = coeffs
 
     def kernel(w):
-        d = 1.0 / (omega_sq - w * w - 2j * gamma * w)
-        value = measure(w) * d_power(d) * (c0 + w * (c1 + w * c2))
+        value = measure(w)
+        if d_power is not None:
+            value = value * d_power(1.0 / (omega_sq - w * w - 2j * gamma * w))
+        value = value * (c0 + w * (c1 + w * c2))
         if weight is not None:
             value = value * weight(w)
         return getattr(value, part)
@@ -283,7 +311,7 @@ def _kernel(resp: _Response, measure, weight, d_power, coeffs, part: str):
 
 
 def _fourier_terms(
-    resp: _Response, mix: BathMix, u: _Factor, v: _Factor, stationary: bool
+    resp: _Response | None, mix: BathMix, u: _Factor, v: _Factor, stationary: bool
 ) -> list:
     """Fourier terms of one part of the bilinear form of u and v.
 
@@ -294,9 +322,10 @@ def _fourier_terms(
     measure, weight and d2~ factor, p+ sums the polynomials and p- sums
     them with the sign of tau.  A kernel that vanishes identically is
     dropped: the sin kernel at tau = 0, any part that a real F (u v* with
-    equal d2~ powers under the real cosh weight) takes from a purely real
-    or purely imaginary polynomial, and every kernel of a part whose
-    constant weight is zero (the nonstationary part of an unsqueezed bath).
+    equal d2~ powers under the real cosh weight, or plane waves under a
+    constant weight) takes from a purely real or purely imaginary
+    polynomial, and every kernel of a part whose constant weight is zero
+    (the nonstationary part of an unsqueezed bath).
     """
     if stationary:
         weight, scale = mix.cosh, 2.0
@@ -321,7 +350,7 @@ def _fourier_terms(
                 tuple(x + sign * y for x, y in zip(minus, poly)),
             )
 
-    real_f = stationary and u.n == v.n
+    real_f = (stationary and u.n == v.n) or (u.n + v.n == 0 and weight is None)
     d_power = _d_power(u.n, v.n, stationary)
     terms = []
     for freq, polys in groups.items():
@@ -342,9 +371,16 @@ def _unit_mix(beta: float, theta: float, quad: QuadratureConfig) -> BathMix:
 
 
 def _bilinear(
-    resp: _Response, mix: BathMix, u: _Factor, v: _Factor, quad: QuadratureConfig
+    resp: _Response | None,
+    mix: BathMix,
+    u: _Factor,
+    v: _Factor,
+    quad: QuadratureConfig,
 ) -> tuple[float, float]:
-    """(stationary, nonstationary) parts of the bilinear form of u and v."""
+    """(stationary, nonstationary) parts of the bilinear form of u and v.
+
+    ``resp`` may be None when neither factor carries d2~ (plane waves).
+    """
     return tuple(
         _sum_fourier_terms(_fourier_terms(resp, mix, u, v, part), mix.lower, quad)
         for part in (True, False)
@@ -354,8 +390,9 @@ def _bilinear(
 def _sum_fourier_terms(terms, lower, quad: QuadratureConfig) -> float:
     """Sum integrals of kernel(w) * {1, cos, sin}(freq w) over the domain.
 
-    A positive lower limit marks a mass threshold whose sqrt cusp is
-    handled by a plain-rule head interval.  At finite t the responses
+    The only caller of the quadrature engine.  A positive lower limit
+    marks a mass threshold whose sqrt cusp is handled by a plain-rule
+    head interval.  At finite t the responses
     fall off only like 1/w, so every bilinear form grows with the log of
     the cutoff and a regulator is required.
     """
@@ -394,11 +431,10 @@ def covariance_integral_parts(
         raise DomainError("covariance evolution requires t >= 0")
     if t == 0.0:
         return 0.0, 0.0, 0.0
-    resp, _ = effective_response(spec, bath)
+    resp = effective_response(spec, bath)
     mix = bath_mix(bath, quad)
     f, f_dot = _f_factor(resp, t), _fdot_factor(resp, t)
-    e_sq = 8.0 * math.pi * spec.gamma * spec.m
-    m = spec.m
+    e_sq, m = spec.e_sq, spec.m
     i_xx = (e_sq / m**2) * sum(_bilinear(resp, mix, f, f, quad))
     i_pp = e_sq * sum(_bilinear(resp, mix, f_dot, f_dot, quad))
     i_xp = (e_sq / m) * sum(_bilinear(resp, mix, f, f_dot, quad))
@@ -425,7 +461,7 @@ def covariance_evolution(
     if t == 0.0:
         return init
     i_xx, i_pp, i_xp = covariance_integral_parts(spec, bath, t, quad)
-    resp, _ = effective_response(spec, bath)
+    resp = effective_response(spec, bath)
     m = spec.m
     d1, d2, d1_dot, d2_dot = _fundamental(resp, t)
     xx = d1 * d1 * init.xx + (d2 / m) ** 2 * init.pp + 2.0 * d1 * d2 * init.xp / m
@@ -445,25 +481,20 @@ def covariance_evolution(
 
 
 def ns_st_split(
-    spec: OscillatorSpec, bath: BathSpec, t: float, quad: QuadratureConfig
+    spec: OscillatorSpec, beta: float, theta: float, t: float, quad: QuadratureConfig
 ) -> tuple[float, float]:
     """Nonstationary and stationary integrals feeding <chi^2(t)>.
 
     I_NS = -int (dw/2pi)(w/4pi) coth(bw/2) 2 Re[f^2(t;w) e^{i theta}],
-    I_ST = +int (dw/2pi)(w/4pi) coth(bw/2) 2 |f(t;w)|^2.
+    I_ST = +int (dw/2pi)(w/4pi) coth(bw/2) 2 |f(t;w)|^2,
 
-    The squeeze magnitude prefactors (sinh/cosh 2eta) are deliberately
-    not included: the split isolates the temporal behavior.  Massless
-    constant-squeeze baths only.
+    the components of :func:`chi_hadamard_components` at (t, t).  The
+    squeeze magnitude prefactors (sinh/cosh 2eta) are deliberately not
+    included: the split isolates the temporal behavior.
     """
     if t < 0:
         raise DomainError("ns_st_split requires t >= 0")
-    if bath.is_parametric or not bath.is_massless:
-        raise DomainError("ns_st_split is defined for massless constant-squeeze baths")
-    resp = _resp(spec)
-    f = _f_factor(resp, t)
-    mix = _unit_mix(bath.beta, bath.constant_squeeze().theta, quad)
-    i_st, i_ns = _bilinear(resp, mix, f, f, quad)
+    i_st, i_ns = chi_hadamard_components(spec, beta, theta, t, t, quad)
     return i_ns, i_st
 
 
@@ -510,23 +541,46 @@ def chi_hadamard(
 ) -> KernelValue:
     """Bath-driven part of the displacement Hadamard function G_H^(chi).
 
-    The initial-condition terms (exponentially small past the relaxation
-    time) are not included.  At t = t' the total reproduces the integral
-    part of <chi^2(t)>; for t, t' >> 1/gamma the stationary part depends
-    on t - t' only and the total approaches cosh 2eta times the thermal
-    correlation.  At finite t both parts still carry the switch-on term
-    (1/4 pi^2) d2(t) d2(t') ln Lambda of :func:`chi_hadamard_components`
-    (unit weight there, scaled here by the prefactor and cosh 2eta or
-    sinh 2eta); it depends on the regulator and decays as e^{-gamma(t+t')}.
+    e^2/m^2 times the bilinear form of f(t) and f(t') under the bath's
+    own measure and weights, with the response of the covariances, so
+    every bath is served.  The initial-condition terms (exponentially
+    small past the relaxation time) are not included.  At t = t' the
+    total reproduces the integral part of <chi^2(t)>; for t, t' >> 1/gamma
+    the stationary part depends on t - t' only and the total approaches
+    cosh 2eta times the thermal correlation.  At finite t both parts still
+    carry the switch-on term (1/4 pi^2) d2(t) d2(t') ln Lambda of
+    :func:`chi_hadamard_components`, scaled by the prefactor and the
+    squeeze weights; it depends on the regulator and decays as
+    e^{-gamma(t+t')}.
     """
-    if bath.is_parametric or not bath.is_massless:
-        raise DomainError("chi_hadamard is implemented for massless constant baths")
-    sq = bath.constant_squeeze()
-    stationary, nonstationary = chi_hadamard_components(
-        spec, bath.beta, sq.theta, t, t_prime, quad
+    if t < 0 or t_prime < 0:
+        raise DomainError("two-time Hadamard requires t, t' >= 0")
+    resp = effective_response(spec, bath)
+    stationary, nonstationary = _bilinear(
+        resp, bath_mix(bath, quad), _f_factor(resp, t), _f_factor(resp, t_prime), quad
     )
-    pref = 8.0 * math.pi * spec.gamma / spec.m
+    pref = spec.e_sq / spec.m**2
+    return KernelValue(pref * stationary, pref * nonstationary)
+
+
+def hadamard_coincident(
+    bath: BathSpec, t: float, t_prime: float, quad: QuadratureConfig
+) -> KernelValue:
+    """Hadamard function of the bath field at x = 0.
+
+    stationary    =  2 int dmu cosh 2eta_kappa cos w(t - t')
+    nonstationary = -2 int dmu Re[sinh 2eta_kappa e^{i theta_kappa} e^{-iw(t+t')}]
+
+    the bilinear form of the plane waves e^{-iwt} and e^{-iwt'} under the
+    measure dmu and the weights of :func:`bath_mix`, above the mass
+    threshold.  For a parametric bath the times are measured from the end
+    of the process.
+
+    UV divergent at coincidence: the quadrature config must carry a hard
+    cutoff or an exponential regulator.
+    """
+    if t < 0 or t_prime < 0:
+        raise DomainError("kernel times must be >= 0")
     return KernelValue(
-        stationary=pref * sq.cosh2eta * stationary,
-        nonstationary=pref * sq.sinh2eta * nonstationary,
+        *_bilinear(None, bath_mix(bath, quad), _wave(t), _wave(t_prime), quad)
     )

@@ -84,7 +84,7 @@ def test_criterion_2_energy_balance(spec, quad, bath_parametric):
         pp = covariance_integral_parts(spec, bath, t_a, quad)[1]
         p_out = power_out(spec, bath, pp)
         residuals[f"A(eta={eta:g})"] = abs(p_in + p_out) / abs(p_out)
-    _, gamma_b = effective_response(spec, bath_parametric)
+    gamma_b = effective_response(spec, bath_parametric).gamma
     t_b = 30.0 / gamma_b
     p_in = power_in(spec, bath_parametric, t_b, quad)
     pp = covariance_integral_parts(spec, bath_parametric, t_b, quad)[1]
@@ -190,8 +190,8 @@ def test_criterion_5_decay_classes(spec, quad):
     1/t^2 at beta = inf.  This criterion checks the theta = 0 bath, where
     the 1/t term vanishes, and the J exponents -2 (thermal) and -3 (vacuum).
     """
-    bath = BathSpec(beta=0.3, squeeze=SqueezeParam(1.0, 0.0))
-    i_ns, i_st = ns_st_split(spec, bath, 15.0 / spec.gamma, quad)
+    # the unit-weight split of the beta = 0.3, theta = 0 bath
+    i_ns, i_st = ns_st_split(spec, 0.3, 0.0, 15.0 / spec.gamma, quad)
     ns_ratio = abs(i_ns) / i_st
     ts = np.geomspace(20.0, 200.0, 10)
     thermal = jn_falloff(spec, 1.0, 1, ts)

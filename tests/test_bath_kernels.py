@@ -5,14 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import bessel_j1
-from sqbath.bath_kernels import (
-    BathSpec,
-    KernelValue,
-    SqueezeSpectrum,
-    bath_fdr,
-    hadamard_coincident,
-    save_spectrum_csv,
-)
+from sqbath.bath_kernels import BathSpec, SqueezeSpectrum, bath_fdr
 from sqbath.errors import (
     BelowThresholdError,
     ConfigurationError,
@@ -20,6 +13,7 @@ from sqbath.errors import (
     ResolutionError,
 )
 from sqbath.gaussian_state import SqueezeParam
+from sqbath.oscillator_dynamics import KernelValue, hadamard_coincident
 from sqbath.quadrature import QuadratureConfig, omega_coth_half_beta
 
 
@@ -276,17 +270,6 @@ class TestCothExpansion:
             coth_expansion(0.0, 10)
         with pytest.raises(DomainError):
             coth_expansion(-1.0, 10)
-
-
-class TestSpectrumCsv:
-    def test_round_trip(self, tanh_spectrum, tmp_path):
-        path = tmp_path / "spectrum.csv"
-        save_spectrum_csv(tanh_spectrum, path)
-        assert path.read_text().splitlines()[0] == "k,eta_k,theta_k"
-        back = np.loadtxt(path, delimiter=",", skiprows=1)
-        np.testing.assert_allclose(back[:, 0], tanh_spectrum.k, rtol=1e-15)
-        np.testing.assert_allclose(back[:, 1], tanh_spectrum.eta, rtol=1e-15)
-        np.testing.assert_allclose(back[:, 2], tanh_spectrum.theta, rtol=1e-15)
 
 
 class TestSqueezeSpectrumType:

@@ -13,8 +13,10 @@ import yaml
 
 import sqbath.cli
 from sqbath.cli import config_hash, figure_preset, main, parse_config, run, run_sweep
-from sqbath.errors import ConfigurationError
+from sqbath.errors import ConfigurationError, ConvergenceError
 from sqbath.gaussian_state import CovarianceState, extract_squeeze
+from sqbath.oscillator_dynamics import covariance_integral_parts
+from sqbath.parametric_mode import squeeze_spectrum
 
 SMALL_CONSTANT = {
     "scenario": "constant_squeeze",
@@ -88,6 +90,17 @@ def read_rows(path):
     with open(path, newline="") as handle:
         header, *rows = csv.reader(handle)
     return header, [tuple(float(v) for v in row) for row in rows]
+
+
+@pytest.fixture(scope="module")
+def parametric_run(tmp_path_factory):
+    """Exit code, config and output directory of a parametric Hadamard run."""
+    data = {key: value for key, value in EVERY_SECTION.items() if key != "sweep"}
+    data["outputs"] = ["hadamard_surface"]
+    base = tmp_path_factory.mktemp("parametric")
+    cfgp = write_config(base, data)
+    code = main(["run", "--config", str(cfgp), "--out", str(base / "out")])
+    return code, parse_config(data), base / "out"
 
 
 class TestConfigParsing:
@@ -252,6 +265,28 @@ class TestRun:
         values = {(t, tp): rest for t, tp, *rest in surface}
         assert all(values[t, tp] == values[tp, t] for t, tp in values)
 
+    def test_parametric_hadamard_surface(self, parametric_run):
+        # chi_hadamard serves every bath; at (t, t) its total is the driven xx
+        code, cfg, out = parametric_run
+        assert code == 0
+        bath, _ = sqbath.cli._build_bath(cfg)
+        _, rows = read_rows(out / "hadamard_surface.csv")
+        diagonal = [(t, st + ns) for t, tp, st, ns in rows if t == tp]
+        assert len(diagonal) == 2
+        for t, total in diagonal:
+            i_xx = covariance_integral_parts(cfg.oscillator, bath, t, cfg.quad)[0]
+            assert abs(total - i_xx) <= 1e-14 * abs(i_xx)
+
+    def test_squeeze_spectrum_csv(self, parametric_run):
+        # written like every product: LF line ends, 17 significant digits
+        _, cfg, out = parametric_run
+        assert b"\r" not in (out / "squeeze_spectrum.csv").read_bytes()
+        header, rows = read_rows(out / "squeeze_spectrum.csv")
+        assert header == ["k", "eta_k", "theta_k"]
+        spectrum = squeeze_spectrum(cfg.profile, cfg.k_grid)
+        expected = np.column_stack([spectrum.k, spectrum.eta, spectrum.theta])
+        np.testing.assert_array_equal(np.array(rows), expected)
+
     def test_header_and_precision(self, tmp_path):
         cfg = parse_config(dict(SMALL_CONSTANT))
         run(cfg, tmp_path)
@@ -350,20 +385,45 @@ class TestSweep:
         assert main(args) == 2
         assert not out.exists()
 
-    def test_failures_recorded_and_raised(self, tmp_path):
+    def test_failures_recorded_and_raised(self, tmp_path, monkeypatch):
+        original = sqbath.cli.covariance_evolution
+
+        def failing(spec, *args):
+            """Stands in for a quadrature that fails at gamma = 0.2."""
+            if spec.gamma == 0.2:
+                raise ConvergenceError("stand-in failure")
+            return original(spec, *args)
+
+        monkeypatch.setattr(sqbath.cli, "covariance_evolution", failing)
         data = dict(SMALL_CONSTANT)
         data["outputs"] = ["covariances"]
-        data["sweep"] = {"path": "oscillator.gamma", "values": [0.1, 5.0]}  # overdamped
-        cfg = parse_config(data)
-        from sqbath.errors import SqbathError
-
-        with pytest.raises(SqbathError):
-            run_sweep(cfg, tmp_path)
+        data["sweep"] = {"path": "oscillator.gamma", "values": [0.1, 0.2]}
+        with pytest.raises(ConvergenceError):
+            run_sweep(parse_config(data), tmp_path)
         payload = json.loads((tmp_path / "run_manifest.json").read_text())
-        assert len(payload["sweep_failures"]) == 1
+        assert payload["sweep_failures"] == [{"value": 0.2, "error": "stand-in failure"}]
         # the good point still produced rows
         rows = np.loadtxt(tmp_path / "sweep_covariances.csv", delimiter=",", skiprows=1)
         assert rows.shape[0] == 4
+
+    @pytest.mark.parametrize(
+        "path, values, cause",
+        [
+            ("bath.beta", [1.0, -1.0], "bath.beta must be > 0"),
+            ("oscillator.gamma", [0.1, 5.0], "overdamped"),
+        ],
+        ids=["negative-beta", "overdamped"],
+    )
+    def test_rejected_value_exit_code(self, tmp_path, capsys, path, values, cause):
+        # every point is parsed before any runs: nothing is written
+        data = dict(SMALL_CONSTANT, outputs=["covariances"])
+        data["sweep"] = {"path": path, "values": values}
+        cfgp = write_config(tmp_path, data)
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfgp), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"{path} = {values[1]}" in err and cause in err
 
 
 class TestMainEntry:

@@ -106,7 +106,7 @@ class TestPowerOut:
         assert abs(p_out + 2.0 * spec.gamma / spec.m * pp) < 1e-12 * abs(p_out)
 
     def test_massive_bath_damps_at_upsilon(self, spec, bath_parametric):
-        _, upsilon = effective_response(spec, bath_parametric)
+        upsilon = effective_response(spec, bath_parametric).gamma
         assert upsilon != spec.gamma
         assert power_out(spec, bath_parametric, 1.5) == -(2.0 * upsilon / spec.m) * 1.5
 
@@ -137,7 +137,7 @@ class TestEnergyBalance:
         assert abs(p_in + p_out) / abs(p_out) < 1e-3
 
     def test_case_b_balance(self, spec, quad, bath_parametric):
-        _, gamma_damp = effective_response(spec, bath_parametric)
+        gamma_damp = effective_response(spec, bath_parametric).gamma
         t = 30.0 / gamma_damp
         p_in = power_in(spec, bath_parametric, t, quad)
         pp = driven_pp(spec, bath_parametric, t, quad)

@@ -317,37 +317,30 @@ class TestBilinearFormsOracle:
 
 
 class TestNsStSplit:
-    def test_zero_time(self, spec, quad, bath_squeezed):
-        i_ns, i_st = ns_st_split(spec, bath_squeezed, 0.0, quad)
+    def test_zero_time(self, spec, quad):
+        i_ns, i_st = ns_st_split(spec, 0.3, 0.0, 0.0, quad)
         assert abs(i_ns) < 1e-10
         assert abs(i_st) < 1e-10
 
-    def test_ratio_decays(self, spec, quad, bath_squeezed):
-        i_ns, i_st = ns_st_split(spec, bath_squeezed, 15.0 / spec.gamma, quad)
+    def test_ratio_decays(self, spec, quad):
+        i_ns, i_st = ns_st_split(spec, 0.3, 0.0, 15.0 / spec.gamma, quad)
         assert abs(i_ns) / i_st < 1e-2
 
     def test_stationary_plateau_theta_independent(self, spec, quad):
         vals = []
         for theta in (0.0, math.pi / 6, math.pi / 2):
-            bath = BathSpec(beta=0.3, squeeze=SqueezeParam(1.0, theta))
-            _, i_st = ns_st_split(spec, bath, 12.0 / spec.gamma, quad)
+            _, i_st = ns_st_split(spec, 0.3, theta, 12.0 / spec.gamma, quad)
             vals.append(i_st)
         assert max(vals) - min(vals) < 1e-6 * vals[0]
-        _, late = ns_st_split(
-            spec, BathSpec(beta=0.3, squeeze=SqueezeParam(1.0, 0.0)), 30.0 / spec.gamma, quad
-        )
+        _, late = ns_st_split(spec, 0.3, 0.0, 30.0 / spec.gamma, quad)
         assert abs(late / vals[0] - 1.0) < 1e-4
 
-    def test_parametric_bath_rejected(self, spec, quad, bath_parametric):
-        with pytest.raises(DomainError):
-            ns_st_split(spec, bath_parametric, 1.0, quad)
 
-
-def test_unregulated_split_and_two_time_forms_rejected(spec, bath_squeezed):
+def test_unregulated_split_and_two_time_forms_rejected(spec):
     # the switch-on term of f makes both log divergent at finite t
     bare = QuadratureConfig()
     with pytest.raises(ConfigurationError):
-        ns_st_split(spec, bath_squeezed, 5.0, bare)
+        ns_st_split(spec, 0.3, 0.0, 5.0, bare)
     with pytest.raises(ConfigurationError):
         chi_hadamard_components(spec, 0.3, 0.0, 5.0, 6.0, bare)
 

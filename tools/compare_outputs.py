@@ -1,0 +1,161 @@
+"""Compare the outputs of two source trees of sqbath, file by file.
+
+    python tools/compare_outputs.py PARENT_SRC CHANGE_SRC
+
+PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.
+The script runs ``configs/*.yaml`` of this checkout (``sqbath run``, and
+``sqbath sweep`` for ``finite_coupling.yaml``) and the figure presets 4,
+6, grn3d and tan2eta, once with each tree's package, each run in its own
+Python subprocess.  For every CSV it prints whether the two files are
+byte-identical and, if not, the largest |difference| of a column divided
+by that column's largest |value| in the PARENT_SRC run.  For
+``run_manifest.json`` it prints how many values are identical and each
+value that is not; ``wall_time_s`` is not compared.
+
+Exit status: 0 if every file and value is identical, 1 if any differs,
+2 if a run fails in either tree.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+SWEEP_CONFIGS = ("finite_coupling",)
+PRESETS = ("4", "6", "grn3d", "tan2eta")
+SKIPPED_KEYS = ("wall_time_s",)
+
+_ENTRY = "import sys; from sqbath.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def default_runs() -> list[tuple[str, list[str]]]:
+    """(label, sqbath arguments without --out) for every compared run."""
+    runs = []
+    for path in sorted((REPO / "configs").glob("*.yaml")):
+        command = "sweep" if path.stem in SWEEP_CONFIGS else "run"
+        runs.append((path.stem, [command, "--config", str(path)]))
+    runs += [(f"preset-{name}", ["run", "--figure", name]) for name in PRESETS]
+    return runs
+
+
+def run_tree(src: Path, args: list[str], out: Path) -> subprocess.CompletedProcess:
+    """Run ``sqbath`` with the package of ``src`` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(src), OMP_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-c", _ENTRY, *args, "--out", str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+
+
+def _read_csv(path: Path):
+    with open(path, newline="") as handle:
+        header, *rows = csv.reader(handle)
+    return header, [[float(v) for v in row] for row in rows]
+
+
+def compare_csv(parent: Path, change: Path) -> tuple[bool, str]:
+    """(identical, one-line verdict) for two CSV files."""
+    if parent.read_bytes() == change.read_bytes():
+        return True, "byte-identical"
+    head_a, rows_a = _read_csv(parent)
+    head_b, rows_b = _read_csv(change)
+    if head_a != head_b or [len(r) for r in rows_a] != [len(r) for r in rows_b]:
+        return False, f"DIFFERS in header or shape ({len(rows_a)} vs {len(rows_b)} rows)"
+    ratios = []
+    for j, name in enumerate(head_a):
+        scale = max((abs(row[j]) for row in rows_a), default=0.0)
+        delta = max((abs(a[j] - b[j]) for a, b in zip(rows_a, rows_b)), default=0.0)
+        ratios.append((delta / scale if scale else delta, name))
+    worst, where = max(ratios)
+    return False, f"DIFFERS: max |d|/max|value| = {worst:.3e} (column {where})"
+
+
+def _flatten(value, prefix=""):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if key not in SKIPPED_KEYS:
+                yield from _flatten(item, f"{prefix}/{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _flatten(item, f"{prefix}[{i}]")
+    else:
+        yield prefix, value
+
+
+def compare_manifest(parent: Path, change: Path) -> tuple[bool, list[str]]:
+    """(identical, report lines) for two run manifests."""
+    a = dict(_flatten(json.loads(parent.read_text())))
+    b = dict(_flatten(json.loads(change.read_text())))
+    lines, same = [], 0
+    for key in sorted(a.keys() | b.keys()):
+        va, vb = a.get(key, "<missing>"), b.get(key, "<missing>")
+        if json.dumps(va) == json.dumps(vb):
+            same += 1
+            continue
+        if isinstance(va, float) and isinstance(vb, float):
+            rel = abs(va - vb) / abs(va) if va else abs(vb)
+            lines.append(f"    DIFFERS {key}: {va!r} -> {vb!r} (|d|/|value| = {rel:.3e})")
+        else:
+            lines.append(f"    DIFFERS {key}: {va!r} -> {vb!r}")
+    header = f"  run_manifest.json: {same} values identical, {len(lines)} differ"
+    return not lines, [header, *lines]
+
+
+def compare_dirs(parent: Path, change: Path) -> tuple[bool, list[str]]:
+    """(identical, report lines) for the output directories of one run."""
+    ok, lines = True, []
+    files = sorted({p.name for p in parent.iterdir()} | {p.name for p in change.iterdir()})
+    for name in files:
+        a, b = parent / name, change / name
+        if not (a.exists() and b.exists()):
+            ok = False
+            lines.append(f"  {name}: only in {'PARENT' if a.exists() else 'CHANGE'}")
+        elif name.endswith(".csv"):
+            same, verdict = compare_csv(a, b)
+            ok &= same
+            lines.append(f"  {name}: {verdict}")
+        elif name == "run_manifest.json":
+            same, report = compare_manifest(a, b)
+            ok &= same
+            lines += report
+    return ok, lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_src", type=Path)
+    parser.add_argument("change_src", type=Path)
+    args = parser.parse_args(argv)
+    status = 0
+    with tempfile.TemporaryDirectory(prefix="sqbath-compare-") as tmp:
+        for label, sqbath_args in default_runs():
+            outs, failed = [], False
+            for tag, src in (("parent", args.parent_src), ("change", args.change_src)):
+                out = Path(tmp) / label / tag
+                done = run_tree(src.resolve(), sqbath_args, out)
+                if done.returncode != 0:
+                    print(f"{label}: {tag} run exited {done.returncode}\n{done.stderr}")
+                    failed = True
+                outs.append(out)
+            if failed:
+                status = 2
+                continue
+            same, lines = compare_dirs(*outs)
+            print(f"{label}: {'identical' if same else 'DIFFERS'}")
+            print("\n".join(lines))
+            if not same:
+                status = max(status, 1)
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())
