@@ -371,8 +371,8 @@ def _sweep_values(sweep: dict) -> list[float]:
     if _spacing(sweep, "sweep") == "log":
         if not (start > 0 and stop > 0):
             raise ConfigurationError("sweep: log spacing requires start, stop > 0")
-        return list(np.geomspace(start, stop, steps))
-    return list(np.linspace(start, stop, steps))
+        return np.geomspace(start, stop, steps).tolist()
+    return np.linspace(start, stop, steps).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -798,6 +798,8 @@ def main(argv=None) -> int:
         return 2
     except SqbathError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        if getattr(exc, "diagnostics", None):
+            print(f"diagnostics: {json.dumps(exc.diagnostics, default=str)}", file=sys.stderr)
         return 3
 
     print(f"wrote {len(manifest.products)} product(s); config {manifest.config_hash[:12]}")

@@ -16,7 +16,7 @@ from sqbath.cli import config_hash, figure_preset, main, parse_config, run, run_
 from sqbath.errors import ConfigurationError, ConvergenceError
 from sqbath.gaussian_state import CovarianceState, extract_squeeze
 from sqbath.oscillator_dynamics import covariance_integral_parts
-from sqbath.parametric_mode import squeeze_spectrum
+from sqbath.parametric_mode import MassProfile, squeeze_spectrum
 
 SMALL_CONSTANT = {
     "scenario": "constant_squeeze",
@@ -407,6 +407,26 @@ class TestSweep:
         assert rows.shape[0] == 4
 
     @pytest.mark.parametrize(
+        "spacing, keys",
+        [("linear", ["0.5", "1.0", "1.5"]), ("log", ["0.5", "1.0", "2.0"])],
+    )
+    def test_range_sweep_keys_are_plain_floats(self, tmp_path, spacing, keys):
+        stop = 1.5 if spacing == "linear" else 2.0
+        data = dict(SMALL_CONSTANT, outputs=["fdr"])
+        data["sweep"] = {
+            "path": "bath.beta", "start": 0.5, "stop": stop, "steps": 3, "spacing": spacing
+        }
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(write_config(tmp_path, data)),
+                     "--out", str(out)]) == 0
+        text = (out / "run_manifest.json").read_text()
+        assert "np.float64" not in text
+        (product,) = json.loads(text)["products"]
+        assert list(product["params"]) == keys
+        _, rows = read_rows(out / "sweep_fdr.csv")
+        assert sorted({row[0] for row in rows}) == [float(key) for key in keys]
+
+    @pytest.mark.parametrize(
         "path, values, cause",
         [
             ("bath.beta", [1.0, -1.0], "bath.beta must be > 0"),
@@ -427,6 +447,30 @@ class TestSweep:
 
 
 class TestMainEntry:
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_mode_failure_prints_diagnostics(self, tmp_path, capsys, monkeypatch, command):
+        original = MassProfile.mass_sq
+
+        def cut(self, t):
+            """m^2(t) turns NaN after t = 1: every mode solve stalls there."""
+            return np.where(np.asarray(t) > 1.0, np.nan, original(self, t))
+
+        monkeypatch.setattr(MassProfile, "mass_sq", cut)
+        cfgp = write_config(tmp_path, EVERY_SECTION)
+        assert main([command, "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 3
+        message, diagnostics, *_ = capsys.readouterr().err.splitlines()
+        assert message.startswith("numerical error: ")
+        assert diagnostics.startswith("diagnostics: {")
+        payload = json.loads(diagnostics.removeprefix("diagnostics: "))
+        if command == "run":
+            assert payload["k"] in parse_config(EVERY_SECTION).k_grid
+            assert f"mode k = {payload['k']:.6g}: step size" in message
+            assert 0.99 < payload["t_reached"] <= 1.0 and payload["drift"] < 1e-8
+        else:
+            assert message == "numerical error: 2 of 2 sweep points failed"
+            assert [f["value"] for f in payload["failures"]] == [1.0, 2.0]
+            assert all(": step size" in f["error"] for f in payload["failures"])
+
     def test_config_error_exit_code(self, tmp_path):
         bad = write_config(tmp_path, {"scenario": "bogus"})
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2

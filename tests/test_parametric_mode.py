@@ -1,11 +1,15 @@
 import math
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from sqbath.errors import DomainError
+from sqbath.errors import ConvergenceError, DomainError
 from sqbath.parametric_mode import (
     MassProfile,
+    ModeSolution,
     ProfileShape,
     bogoliubov_from_mode,
     integrate_mode,
@@ -15,6 +19,53 @@ from sqbath.parametric_mode import (
 
 def step_beta_modulus(om_i, om_f):
     return abs(om_f - om_i) / (2.0 * math.sqrt(om_i * om_f))
+
+
+def solve_ivp_mode(k, profile, grid, tol):
+    """Rows (d1, d1', d2, d2') of one mode from scipy's own DOP853 driver,
+    at the tolerances and maximum step ``integrate_mode`` derives from tol."""
+    def rhs(t, y):
+        w_sq = profile.omega_sq(k, t)
+        return [y[1], -w_sq * y[0], y[3], -w_sq * y[2]]
+
+    sol = solve_ivp(
+        rhs,
+        (grid[0], grid[-1]),
+        [1.0, 0.0, 0.0, 1.0],
+        method="DOP853",
+        t_eval=grid,
+        rtol=max(tol / 50.0, 1e-13),
+        atol=max(tol / 5000.0, 1e-15),
+        max_step=profile.duration / 8.0,
+    )
+    assert sol.success
+    return sol.y, sol.nfev
+
+
+ORACLE_PROFILES = {
+    "tanh": MassProfile(0.0, 0.5, 0.0, 2.0),
+    "smoothstep-1": MassProfile(0.1, 0.6, 0.0, 2.0, ProfileShape.SMOOTHSTEP, 1),
+    "smoothstep-2": MassProfile(0.0, 0.5, 0.0, 1.5, ProfileShape.SMOOTHSTEP, 2),
+    "smoothstep-3": MassProfile(0.3, 0.1, 0.0, 2.5, ProfileShape.SMOOTHSTEP, 3),
+    "late-start": MassProfile(0.2, 0.7, 1.0, 3.0),
+}
+# wavenumbers whose modes take different numbers of step attempts, so the
+# lockstep loop keeps stepping after the first modes have finished
+ORACLE_KS = np.array([0.03, 0.4, 2.5, 9.0, 40.0])
+
+
+@pytest.fixture(scope="module", params=sorted(ORACLE_PROFILES))
+def oracle_case(request):
+    """A profile, one grid per k (ending at different times) and the
+    per-mode solve_ivp rows on them."""
+    profile = ORACLE_PROFILES[request.param]
+    grids = [
+        np.linspace(0.0, profile.t_f + 0.5 * i, 40 + 17 * i) for i in range(ORACLE_KS.size)
+    ]
+    solved = [solve_ivp_mode(k, profile, g, 1e-9) for k, g in zip(ORACLE_KS, grids)]
+    nfev = [n for _, n in solved]
+    assert len(set(nfev)) == len(nfev)  # the modes finish at different attempts
+    return profile, grids, [rows for rows, _ in solved]
 
 
 class TestMassProfile:
@@ -65,6 +116,91 @@ class TestIntegrateMode:
             integrate_mode(1.0, tanh_profile, np.linspace(1.0, 2.0, 10))
         with pytest.raises(DomainError):
             integrate_mode(-1.0, tanh_profile, np.linspace(0.0, 2.0, 10))
+
+
+class TestLockstepOracle:
+    """The one batched solve equals scipy's per-mode DOP853 bit for bit."""
+
+    def test_every_dense_sample(self, oracle_case):
+        profile, grids, reference = oracle_case
+        sols = integrate_mode(ORACLE_KS, profile, grids, tol=1e-9)
+        for sol, rows in zip(sols, reference):
+            for got, want in zip((sol.d1, sol.d1_dot, sol.d2, sol.d2_dot), rows):
+                assert np.array_equal(got, want)
+
+    def test_last_samples_and_end_point(self, oracle_case):
+        profile, grids, reference = oracle_case
+        sols = integrate_mode(ORACLE_KS, profile, grids, tol=1e-9, keep_last=4)
+        for sol, grid, rows in zip(sols, grids, reference):
+            assert np.array_equal(sol.times, grid[-4:])
+            for got, want in zip((sol.d1, sol.d1_dot, sol.d2, sol.d2_dot), rows):
+                assert np.array_equal(got, want[-4:])
+            assert sol.d1[-1] == rows[0][-1] and sol.d2_dot[-1] == rows[3][-1]
+
+    def test_one_mode_call_matches_the_batch(self, oracle_case):
+        profile, grids, _ = oracle_case
+        batch = integrate_mode(ORACLE_KS, profile, grids, tol=1e-9)
+        single = integrate_mode(float(ORACLE_KS[2]), profile, grids[2], tol=1e-9)
+        assert isinstance(single, ModeSolution)
+        assert np.array_equal(single.d2, batch[2].d2)
+
+    @pytest.mark.parametrize("name", ["tanh", "smoothstep-3", "late-start"])
+    def test_squeeze_spectrum_equals_per_mode_reference(self, name):
+        profile = ORACLE_PROFILES[name]
+        k_grid = np.geomspace(0.02, 60.0, 24)
+        spect = squeeze_spectrum(profile, k_grid)
+        etas, thetas = [], []
+        for k in k_grid:
+            om_max = max(profile.omega_i(k), profile.omega_f(k), 1.0 / profile.duration)
+            n_pts = max(64, int(24 * om_max * profile.t_f / (2 * math.pi)))
+            grid = np.linspace(0.0, profile.t_f, n_pts + 1)
+            (d1, d1_dot, d2, d2_dot), _ = solve_ivp_mode(k, profile, grid, 1e-9)
+            sol = ModeSolution(k, grid, d1, d2, d1_dot, d2_dot, profile)
+            pair = bogoliubov_from_mode(
+                sol,
+                profile.omega_i(k),
+                profile.t_f,
+                omega_out=profile.omega_f(k),
+                reference_time=profile.t_f,
+            ).validate(tol=1e-8)
+            etas.append(pair.eta)
+            thetas.append(pair.theta)
+        assert np.array_equal(spect.eta, etas)
+        assert np.array_equal(spect.theta, thetas)
+
+
+@dataclass(frozen=True)
+class CutProfile(MassProfile):
+    """A tanh ramp whose m^2(t) turns NaN after t = 1: no step can pass it."""
+
+    def mass_sq(self, t):
+        return np.where(np.asarray(t) > 1.0, np.nan, super().mass_sq(t))
+
+
+class TestModeFailures:
+    def test_step_size_failure_names_mode_time_and_drift(self):
+        prof = CutProfile(0.0, 0.5, 0.0, 2.0)
+        grid = np.linspace(0.0, 2.0, 41)
+        with pytest.raises(ConvergenceError) as info:
+            integrate_mode(np.array([0.5, 3.0]), prof, [grid, grid], tol=1e-9)
+        exc = info.value
+        assert exc.diagnostics["k"] == 0.5
+        assert 0.99 < exc.diagnostics["t_reached"] <= 1.0
+        assert 0.0 < exc.diagnostics["drift"] < 1e-8
+        assert "mode k = 0.5" in str(exc) and "step size" in str(exc)
+        partial = exc.partial_value
+        assert isinstance(partial, ModeSolution) and partial.k == 0.5
+        assert np.array_equal(partial.times, grid[grid <= exc.diagnostics["t_reached"]])
+        assert np.max(np.abs(partial.wronskian() - 1.0)) < 1e-8
+
+    def test_drift_failure(self):
+        prof = MassProfile(0.0, 0.5, 0.0, 2.0)
+        with pytest.raises(ConvergenceError) as info:
+            integrate_mode(20.0, prof, np.linspace(0.0, 20.0, 11), tol=1e-13)
+        exc = info.value
+        assert exc.diagnostics["drift"] > 1e-12
+        assert exc.diagnostics["t_reached"] < 20.0
+        assert "drift above 1.0e-12" in str(exc)
 
 
 class TestBogoliubov:

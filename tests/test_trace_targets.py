@@ -52,7 +52,8 @@ def test_traced_layers_see_the_per_node_calls(tracer, tmp_path):
     cfg = dataclasses.replace(cfg, time_grid=np.array([10.0]))
     run(cfg, tmp_path)
     metrics = tracer.metrics()
-    assert metrics["parametric_mode.modes"] == 8
+    # one batched integrate_mode call solves all 8 modes
+    assert metrics["parametric_mode.modes"] == 1
     assert metrics["parametric_mode.rhs_evals"] > 0
     assert metrics["bath_kernels.spectrum_calls"] > 0
     assert metrics["quadrature.calls"] > 0

@@ -1,12 +1,14 @@
 """Compare the outputs of two source trees of sqbath, file by file.
 
-    python tools/compare_outputs.py PARENT_SRC CHANGE_SRC
+    python tools/compare_outputs.py PARENT_SRC CHANGE_SRC [--workload-seeds N]
 
 PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.
 The script runs ``configs/*.yaml`` of this checkout (``sqbath run``, and
 ``sqbath sweep`` for ``finite_coupling.yaml``) and the figure presets 4,
 6, grn3d and tan2eta, once with each tree's package, each run in its own
-Python subprocess.  For every CSV it prints whether the two files are
+Python subprocess.  ``--workload-seeds N`` adds the configs that
+``perfbench/workloads.py`` of this checkout generates for seeds 0..N-1 of
+each workload, run through the workload's own entry point.  For every CSV it prints whether the two files are
 byte-identical and, if not, the largest |difference| of a column divided
 by that column's largest |value| in the PARENT_SRC run.  For
 ``run_manifest.json`` it prints how many values are identical and each
@@ -24,8 +26,11 @@ import json
 import os
 import subprocess
 import sys
+import importlib.util
 import tempfile
 from pathlib import Path
+
+import yaml
 
 REPO = Path(__file__).resolve().parents[1]
 SWEEP_CONFIGS = ("finite_coupling",)
@@ -42,6 +47,25 @@ def default_runs() -> list[tuple[str, list[str]]]:
         command = "sweep" if path.stem in SWEEP_CONFIGS else "run"
         runs.append((path.stem, [command, "--config", str(path)]))
     runs += [(f"preset-{name}", ["run", "--figure", name]) for name in PRESETS]
+    return runs
+
+
+def workload_runs(seeds: int, config_dir: Path) -> list[tuple[str, list[str]]]:
+    """(label, sqbath arguments) for seeds 0..seeds-1 of every benchmark
+    workload; the generated configs are written to ``config_dir``."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", REPO / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclass looks the module up
+    spec.loader.exec_module(workloads)
+    runs = []
+    for name, workload in workloads.WORKLOADS.items():
+        for seed in range(seeds):
+            label = f"{name}-seed{seed}"
+            path = config_dir / f"{label}.yaml"
+            path.write_text(yaml.safe_dump(workload.make_config(seed)))
+            runs.append((label, [workload.entry, "--config", str(path)]))
     return runs
 
 
@@ -134,10 +158,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_src", type=Path)
     parser.add_argument("change_src", type=Path)
+    parser.add_argument(
+        "--workload-seeds",
+        type=int,
+        default=0,
+        metavar="N",
+        help="also compare seeds 0..N-1 of every perfbench workload",
+    )
     args = parser.parse_args(argv)
     status = 0
     with tempfile.TemporaryDirectory(prefix="sqbath-compare-") as tmp:
-        for label, sqbath_args in default_runs():
+        runs = default_runs() + workload_runs(args.workload_seeds, Path(tmp))
+        for label, sqbath_args in runs:
             outs, failed = [], False
             for tag, src in (("parent", args.parent_src), ("change", args.change_src)):
                 out = Path(tmp) / label / tag
