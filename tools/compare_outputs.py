@@ -8,11 +8,12 @@ The script runs ``configs/*.yaml`` of this checkout (``sqbath run``, and
 6, grn3d and tan2eta, once with each tree's package, each run in its own
 Python subprocess.  ``--workload-seeds N`` adds the configs that
 ``perfbench/workloads.py`` of this checkout generates for seeds 0..N-1 of
-each workload, run through the workload's own entry point.  For every CSV it prints whether the two files are
-byte-identical and, if not, the largest |difference| of a column divided
-by that column's largest |value| in the PARENT_SRC run.  For
-``run_manifest.json`` it prints how many values are identical and each
-value that is not; ``wall_time_s`` is not compared.
+each workload, run through the workload's own entry point.  For every
+CSV it prints whether the two files are byte-identical and, if not, the
+largest |difference| of a column divided by that column's largest
+|value| in the PARENT_SRC run.  For ``run_manifest.json`` it prints how
+many values are identical and each value that is not; ``wall_time_s`` is
+not compared.
 
 Exit status: 0 if every file and value is identical, 1 if any differs,
 2 if a run fails in either tree.
@@ -22,11 +23,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib.util
 import json
 import os
 import subprocess
 import sys
-import importlib.util
 import tempfile
 from pathlib import Path
 
