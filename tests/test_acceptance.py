@@ -341,7 +341,7 @@ def test_criterion_7_invariant_suites(tanh_profile):
     ks = rng.uniform(0.05, 20.0, size=25)
     grid = np.linspace(0.0, 4.0, 801)
     for k in ks:
-        sol = integrate_mode(float(k), tanh_profile, grid)
+        sol = integrate_mode(np.array([k]), tanh_profile, [grid])[0]
         worst_w = max(worst_w, float(np.max(np.abs(sol.wronskian() - 1.0))))
         om_i = tanh_profile.omega_i(float(k))
         om_f = tanh_profile.omega_f(float(k))

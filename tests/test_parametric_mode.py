@@ -42,6 +42,23 @@ def solve_ivp_mode(k, profile, grid, tol):
     return sol.y, sol.nfev
 
 
+def one_mode(k, profile, grid, tol=1e-10):
+    """The solution of a single mode from the batched solver."""
+    return integrate_mode(np.array([k]), profile, [grid], tol=tol)[0]
+
+
+# Bitwise equality with solve_ivp holds for the BLAS build this suite was
+# checked on (see parametric_mode._stage_sums).  Each exact check is
+# preceded by one at the solver tolerance, so that on another BLAS a
+# rounding-level difference tells itself apart from a solver regression.
+BLAS_NOTE = "agrees to the solver tolerance but not bit for bit: BLAS build?"
+
+
+def assert_rows_equal(got, want):
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
+    assert np.array_equal(got, want), BLAS_NOTE
+
+
 ORACLE_PROFILES = {
     "tanh": MassProfile(0.0, 0.5, 0.0, 2.0),
     "smoothstep-1": MassProfile(0.1, 0.6, 0.0, 2.0, ProfileShape.SMOOTHSTEP, 1),
@@ -94,7 +111,7 @@ class TestIntegrateMode:
     def test_constant_mass_closed_form(self):
         prof = MassProfile(0.3, 0.3, 0.0, 2.0)
         grid = np.linspace(0.0, 5.0, 401)
-        sol = integrate_mode(1.2, prof, grid)
+        sol = one_mode(1.2, prof, grid)
         om = math.hypot(1.2, 0.3)
         np.testing.assert_allclose(sol.d1, np.cos(om * grid), atol=1e-12)
         np.testing.assert_allclose(sol.d2, np.sin(om * grid) / om, atol=1e-12)
@@ -102,20 +119,20 @@ class TestIntegrateMode:
 
     def test_initial_conditions(self, tanh_profile):
         grid = np.linspace(0.0, 3.0, 301)
-        sol = integrate_mode(0.7, tanh_profile, grid)
+        sol = one_mode(0.7, tanh_profile, grid)
         assert sol.d1[0] == 1.0 and sol.d1_dot[0] == 0.0
         assert sol.d2[0] == 0.0 and sol.d2_dot[0] == 1.0
 
     def test_tanh_wronskian_stays_unit(self, tanh_profile):
         grid = np.linspace(0.0, 6.0, 1201)
-        sol = integrate_mode(1.0, tanh_profile, grid, tol=1e-10)
+        sol = one_mode(1.0, tanh_profile, grid, tol=1e-10)
         assert np.max(np.abs(sol.wronskian() - 1.0)) < 1e-9
 
     def test_grid_validation(self, tanh_profile):
         with pytest.raises(DomainError):
-            integrate_mode(1.0, tanh_profile, np.linspace(1.0, 2.0, 10))
+            one_mode(1.0, tanh_profile, np.linspace(1.0, 2.0, 10))
         with pytest.raises(DomainError):
-            integrate_mode(-1.0, tanh_profile, np.linspace(0.0, 2.0, 10))
+            one_mode(-1.0, tanh_profile, np.linspace(0.0, 2.0, 10))
 
 
 class TestLockstepOracle:
@@ -126,21 +143,22 @@ class TestLockstepOracle:
         sols = integrate_mode(ORACLE_KS, profile, grids, tol=1e-9)
         for sol, rows in zip(sols, reference):
             for got, want in zip((sol.d1, sol.d1_dot, sol.d2, sol.d2_dot), rows):
-                assert np.array_equal(got, want)
+                assert_rows_equal(got, want)
 
     def test_last_samples_and_end_point(self, oracle_case):
+        """The trimmed grids squeeze_spectrum passes: the start and the last 4."""
         profile, grids, reference = oracle_case
-        sols = integrate_mode(ORACLE_KS, profile, grids, tol=1e-9, keep_last=4)
+        pick = [0, -4, -3, -2, -1]
+        sols = integrate_mode(ORACLE_KS, profile, [g[pick] for g in grids], tol=1e-9)
         for sol, grid, rows in zip(sols, grids, reference):
-            assert np.array_equal(sol.times, grid[-4:])
+            assert np.array_equal(sol.times, grid[pick])
             for got, want in zip((sol.d1, sol.d1_dot, sol.d2, sol.d2_dot), rows):
-                assert np.array_equal(got, want[-4:])
-            assert sol.d1[-1] == rows[0][-1] and sol.d2_dot[-1] == rows[3][-1]
+                assert_rows_equal(got, want[pick])
 
     def test_one_mode_call_matches_the_batch(self, oracle_case):
         profile, grids, _ = oracle_case
         batch = integrate_mode(ORACLE_KS, profile, grids, tol=1e-9)
-        single = integrate_mode(float(ORACLE_KS[2]), profile, grids[2], tol=1e-9)
+        single = one_mode(float(ORACLE_KS[2]), profile, grids[2], tol=1e-9)
         assert isinstance(single, ModeSolution)
         assert np.array_equal(single.d2, batch[2].d2)
 
@@ -165,8 +183,8 @@ class TestLockstepOracle:
             ).validate(tol=1e-8)
             etas.append(pair.eta)
             thetas.append(pair.theta)
-        assert np.array_equal(spect.eta, etas)
-        assert np.array_equal(spect.theta, thetas)
+        assert_rows_equal(spect.eta, etas)
+        assert_rows_equal(spect.theta, thetas)
 
 
 @dataclass(frozen=True)
@@ -196,7 +214,7 @@ class TestModeFailures:
     def test_drift_failure(self):
         prof = MassProfile(0.0, 0.5, 0.0, 2.0)
         with pytest.raises(ConvergenceError) as info:
-            integrate_mode(20.0, prof, np.linspace(0.0, 20.0, 11), tol=1e-13)
+            one_mode(20.0, prof, np.linspace(0.0, 20.0, 11), tol=1e-13)
         exc = info.value
         assert exc.diagnostics["drift"] > 1e-12
         assert exc.diagnostics["t_reached"] < 20.0
@@ -207,7 +225,7 @@ class TestBogoliubov:
     def test_constant_mass_identity(self):
         prof = MassProfile(0.3, 0.3, 0.0, 2.0)
         grid = np.linspace(0.0, 5.0, 501)
-        sol = integrate_mode(1.0, prof, grid)
+        sol = one_mode(1.0, prof, grid)
         for t in (0.0, 1.3, 4.9):
             pair = bogoliubov_from_mode(sol, prof.omega_i(1.0), t)
             assert abs(pair.alpha - 1.0) < 1e-10
@@ -217,7 +235,7 @@ class TestBogoliubov:
         prof = MassProfile(0.0, 0.5, 0.0, 2.0, shape=ProfileShape.STEP)
         grid = np.linspace(0.0, 2.0, 801)
         for k in (0.3, 0.7, 2.0):
-            sol = integrate_mode(k, prof, grid)
+            sol = one_mode(k, prof, grid)
             om_i, om_f = prof.omega_i(k), prof.omega_f(k)
             pair = bogoliubov_from_mode(
                 sol, om_i, 2.0, omega_out=om_f, reference_time=2.0
@@ -227,7 +245,7 @@ class TestBogoliubov:
 
     def test_moduli_frozen_after_process(self, tanh_profile):
         grid = np.linspace(0.0, 8.0, 1601)
-        sol = integrate_mode(0.8, tanh_profile, grid, tol=1e-10)
+        sol = one_mode(0.8, tanh_profile, grid, tol=1e-10)
         om_i, om_f = tanh_profile.omega_i(0.8), tanh_profile.omega_f(0.8)
         mods = [
             abs(bogoliubov_from_mode(sol, om_i, float(t), omega_out=om_f).beta)
@@ -237,7 +255,7 @@ class TestBogoliubov:
 
     def test_wronskian_normalization_everywhere(self, tanh_profile):
         grid = np.linspace(0.0, 4.0, 801)
-        sol = integrate_mode(1.4, tanh_profile, grid, tol=1e-10)
+        sol = one_mode(1.4, tanh_profile, grid, tol=1e-10)
         om_i, om_f = tanh_profile.omega_i(1.4), tanh_profile.omega_f(1.4)
         for t in np.linspace(0.0, 4.0, 15):
             for nu in (None, om_f):
@@ -246,7 +264,7 @@ class TestBogoliubov:
 
     def test_hyperbolic_identity(self, tanh_profile):
         grid = np.linspace(0.0, 4.0, 801)
-        sol = integrate_mode(0.5, tanh_profile, grid, tol=1e-10)
+        sol = one_mode(0.5, tanh_profile, grid, tol=1e-10)
         pair = bogoliubov_from_mode(
             sol,
             tanh_profile.omega_i(0.5),
