@@ -21,6 +21,7 @@ g~(w) = int dt g(t) e^{+i w t}.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -36,6 +37,7 @@ from .quadrature import (  # noqa: F401
     QuadratureConfig,
     coth_half_beta,
     fourier_quad,
+    node_memo,
     omega_coth_half_beta,
 )
 
@@ -89,7 +91,8 @@ class SqueezeSpectrum:
     grid point the squeeze magnitude extrapolates to zero (high modes are
     barely excited by a finite-energy process), below the first point it
     is held at the first sample.  The angle is interpolated after phase
-    unwrapping.  A float k returns a float, an array an array.
+    unwrapping.  A float k returns a float, an array an array.  Spectra
+    with the same samples are equal.
     """
 
     def __init__(self, k, eta, theta=None):
@@ -114,6 +117,13 @@ class SqueezeSpectrum:
         self._k_max = float(k[-1])
         self._eta_interp = _Pchip(k, eta)
         self._theta_interp = _Pchip(k, np.unwrap(theta))
+        self._key = (k.tobytes(), eta.tobytes(), theta.tobytes())
+
+    def __eq__(self, other):
+        return isinstance(other, SqueezeSpectrum) and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
 
     def eta_at(self, k):
         if isinstance(k, float):
@@ -193,8 +203,7 @@ class BathSpec:
         read from the squeeze spectrum.
         """
         if isinstance(self.squeeze, SqueezeSpectrum):
-            out = np.cosh(2.0 * self.squeeze.eta_at(kappa))
-            return float(out) if isinstance(kappa, float) else out
+            return np.cosh(2.0 * self.squeeze.eta_at(kappa))
         return self.constant_squeeze().cosh2eta
 
 
@@ -212,8 +221,10 @@ class BathMix(NamedTuple):
     (kappa = w for a massless bath).  ``cosh`` is cosh 2eta and ``sinh``
     the complex sinh 2eta e^{i theta}: numbers for a constant squeeze,
     functions of w for a squeeze spectrum, which is read at kappa.
-    QUADPACK calls the functions once per node with a float w; they then
+    QUADPACK calls the functions with one float w per node; they then
     compute on scalars and return scalars, and accept arrays as well.
+    They evaluate each distinct node once (:func:`quadrature.node_memo`)
+    and the mix is cached, so all integrals of a bath share that value.
     """
 
     lower: float
@@ -222,13 +233,16 @@ class BathMix(NamedTuple):
     sinh: complex | Callable
 
 
+@functools.lru_cache(maxsize=8)
 def bath_mix(bath: BathSpec, quad: QuadratureConfig) -> BathMix:
-    """Measure and weights of ``bath`` under the regulator of ``quad``."""
+    """Measure and weights of ``bath`` under the regulator of ``quad``, built
+    once per (bath, quad) value (the 8 most recent are kept) and shared."""
     beta, mass_i = bath.beta, bath.mass_i
     if mass_i == 0.0:
         def kappa(w):
             return w if isinstance(w, float) else np.asarray(w, dtype=float)
 
+        @node_memo
         def measure(w):
             return _MEASURE_NORM * omega_coth_half_beta(w, beta) * quad.damping(w)
     else:
@@ -238,6 +252,7 @@ def bath_mix(bath: BathSpec, quad: QuadratureConfig) -> BathMix:
             w = np.asarray(w, dtype=float)
             return np.sqrt(np.maximum(w * w - mass_i * mass_i, 0.0))
 
+        @node_memo
         def measure(w):
             return _MEASURE_NORM * kappa(w) * coth_half_beta(w, beta) * quad.damping(w)
 
@@ -245,15 +260,15 @@ def bath_mix(bath: BathSpec, quad: QuadratureConfig) -> BathMix:
         spectrum = bath.squeeze
         spectrum.check_resolution(quad, mass_i)
 
-        def cosh(w):
-            return bath.cosh2eta_at(kappa(w))
-
-        def sinh(w):
+        @node_memo
+        def weights(w):
             k = kappa(w)
-            out = np.sinh(2.0 * spectrum.eta_at(k)) * np.exp(1j * spectrum.theta_at(k))
-            return complex(out) if isinstance(w, float) else out
+            eta = spectrum.eta_at(k)
+            cosh = np.cosh(2.0 * eta)
+            sinh = np.sinh(2.0 * eta) * np.exp(1j * spectrum.theta_at(k))
+            return (float(cosh), complex(sinh)) if isinstance(w, float) else (cosh, sinh)
 
-        return BathMix(mass_i, measure, cosh, sinh)
+        return BathMix(mass_i, measure, lambda w: weights(w)[0], lambda w: weights(w)[1])
 
     if not bath.is_massless:
         raise DomainError(

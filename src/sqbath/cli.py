@@ -453,6 +453,17 @@ def _build_bath(cfg: RunConfig) -> tuple[BathSpec, SqueezeSpectrum | None]:
     return BathSpec(beta=cfg.bath_beta), None
 
 
+def _at(product: str, point: dict, fn, *args):
+    """fn(*args); a ConvergenceError gets the product and the point added."""
+    try:
+        return fn(*args)
+    except ConvergenceError as exc:
+        where = ", ".join(f"{key} = {value:g}" for key, value in point.items())
+        exc.args = (f"{product} at {where}: {exc}",)
+        exc.diagnostics.update(product=product, **point)
+        raise
+
+
 def _product_files(cfg: RunConfig, bath: BathSpec):
     """Yield (product, file stem, header, rows, params) for every requested file.
 
@@ -466,19 +477,20 @@ def _product_files(cfg: RunConfig, bath: BathSpec):
     covs = []
     if {"covariances", "fluxes", "squeeze_trajectory"} & set(cfg.outputs):
         covs = [
-            covariance_evolution(spec, bath, cfg.init, float(t), quad) for t in times
+            _at("covariances", {"t": t}, covariance_evolution, spec, bath, cfg.init, t, quad)
+            for t in map(float, times)
         ]
     for name in cfg.outputs:
         if name == "covariances":
             rows = [(t, cov.xx, cov.pp, cov.xp) for t, cov in zip(times, covs)]
             yield name, name, ("t", "xx", "pp", "xp"), rows, {}
         elif name == "fluxes":
-            rows = [
-                (t, power_in(spec, bath, float(t), quad), power_out(spec, bath, cov.pp))
-                for t, cov in zip(times, covs)
+            p_xi = [
+                _at(name, {"t": t}, power_in, spec, bath, t, quad) for t in map(float, times)
             ]
-            _, p_xi, p_gamma = zip(*rows)
+            p_gamma = [power_out(spec, bath, cov.pp) for cov in covs]
             meta = flux_balance(spec, bath, times, p_xi, p_gamma)
+            rows = list(zip(times, p_xi, p_gamma))
             yield name, name, ("t", "p_xi", "p_gamma"), rows, meta
         elif name == "fdr":
             report = fdr_oscillator(spec, bath, cfg.fdr_grid)
@@ -493,12 +505,14 @@ def _product_files(cfg: RunConfig, bath: BathSpec):
             pair = {}
             for i, t in enumerate(grid):
                 for j, tp in enumerate(grid[i:], start=i):
+                    point = {"t": t, "t_prime": tp}
                     if cfg.hadamard_factored:
-                        pair[i, j] = chi_hadamard_components(
-                            spec, cfg.bath_beta, cfg.bath_theta, t, tp, quad
+                        pair[i, j] = _at(
+                            name, point, chi_hadamard_components,
+                            spec, cfg.bath_beta, cfg.bath_theta, t, tp, quad,
                         )
                     else:
-                        kv = chi_hadamard(spec, bath, t, tp, quad)
+                        kv = _at(name, point, chi_hadamard, spec, bath, t, tp, quad)
                         pair[i, j] = kv.stationary, kv.nonstationary
             rows = [
                 (t, tp, *pair[min(i, j), max(i, j)])
@@ -521,7 +535,10 @@ def _product_files(cfg: RunConfig, bath: BathSpec):
             ins_rows, ist_rows = [], []
             for theta in cfg.ns_thetas:
                 for t in times:
-                    i_ns, i_st = ns_st_split(spec, cfg.bath_beta, theta, float(t), quad)
+                    i_ns, i_st = _at(
+                        name, {"t": t, "theta": theta}, ns_st_split,
+                        spec, cfg.bath_beta, theta, float(t), quad,
+                    )
                     ins_rows.append((t, theta, i_ns))
                     ist_rows.append((t, theta, i_st))
             meta = {"thetas": list(cfg.ns_thetas)}

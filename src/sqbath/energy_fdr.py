@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath_kernels import BathSpec, bath_mix
+from .bath_kernels import BathSpec
 from .errors import DomainError
 from .oscillator_dynamics import (
     OscillatorSpec,
@@ -99,9 +99,7 @@ def power_in(
     if t == 0.0:
         return 0.0
     resp = effective_response(spec, bath)
-    total = sum(
-        _bilinear(resp, bath_mix(bath, quad), _fdot_factor(resp, t), _wave(t), quad)
-    )
+    total = sum(_bilinear(resp, bath, _fdot_factor(resp, t), _wave(t), quad))
     return spec.e_sq / spec.m * total
 
 

@@ -41,6 +41,7 @@ massless damped pair.  The full nonlocal convolution is out of scope.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -54,7 +55,7 @@ from .errors import (
     UnsupportedRegimeError,
 )
 from .gaussian_state import CovarianceState
-from .quadrature import QuadratureConfig, cusp_head, fourier_quad
+from .quadrature import QuadratureConfig, cusp_head, fourier_quad, node_memo
 
 __all__ = [
     "KernelValue",
@@ -279,30 +280,41 @@ def _times(a, b, scale):
     )
 
 
-def _d_power(n_u: int, n_v: int, conj: bool):
-    """d2~^{n_u} (d2~*)^{n_v} (conj) or d2~^{n_u + n_v} as a function of d2~.
-
-    None when both powers are 0: the form then carries no response.
-    """
-    if conj and n_v:
-        return (lambda d: d.conjugate(), lambda d: (d * d.conjugate()).real)[n_u]
-    return (None, lambda d: d, lambda d: d * d)[n_u + n_v]
+_POWERS = {  # the d2~ powers of a bilinear form, as functions of d2~
+    "d": lambda d: d,
+    "d^2": lambda d: d * d,
+    "conj": lambda d: d.conjugate(),
+    "abs^2": lambda d: (d * d.conjugate()).real,
+}
 
 
-def _kernel(resp: _Response | None, measure, weight, d_power, coeffs, part: str):
-    """w -> part of measure(w) weight(w) d_power(d2~(w)) (c0 + c1 w + c2 w^2).
+def _power(n_u: int, n_v: int, conj: bool) -> str | None:
+    """The _POWERS key of d2~^{n_u} (d2~*)^{n_v} (conj) or d2~^{n_u + n_v};
+    None when both powers are 0: the form then carries no response."""
+    return ("conj", "abs^2")[n_u] if conj and n_v else (None, "d", "d^2")[n_u + n_v]
 
-    Without a d_power the kernel never evaluates d2~, and resp may be None.
-    """
-    if d_power is not None:
-        gamma, omega_sq = resp.gamma, resp.omega_sq
+
+@functools.lru_cache(maxsize=16)
+def _response_power(
+    bath: BathSpec, quad: QuadratureConfig, resp: _Response, power: str
+):
+    """w -> measure(w) d_power(d2~(w)) with the measure of bath_mix(bath, quad),
+    a node_memo kept for the 16 most recent (bath, quad, resp, power)."""
+    measure, d_power = bath_mix(bath, quad).measure, _POWERS[power]
+    gamma, omega_sq = resp.gamma, resp.omega_sq
+    return node_memo(
+        lambda w: measure(w) * d_power(1.0 / (omega_sq - w * w - 2j * gamma * w))
+    )
+
+
+def _kernel(scaled, weight, coeffs, part: str):
+    """w -> part of scaled(w) (c0 + c1 w + c2 w^2) weight(w), where the
+    measure times d2~ power ``scaled`` and the squeeze ``weight`` (or None)
+    are node memos, so a call computes only its own polynomial."""
     c0, c1, c2 = coeffs
 
     def kernel(w):
-        value = measure(w)
-        if d_power is not None:
-            value = value * d_power(1.0 / (omega_sq - w * w - 2j * gamma * w))
-        value = value * (c0 + w * (c1 + w * c2))
+        value = scaled(w) * (c0 + w * (c1 + w * c2))
         if weight is not None:
             value = value * weight(w)
         return getattr(value, part)
@@ -311,7 +323,7 @@ def _kernel(resp: _Response | None, measure, weight, d_power, coeffs, part: str)
 
 
 def _fourier_terms(
-    resp: _Response | None, mix: BathMix, u: _Factor, v: _Factor, stationary: bool
+    mix: BathMix, scaled, u: _Factor, v: _Factor, stationary: bool
 ) -> list:
     """Fourier terms of one part of the bilinear form of u and v.
 
@@ -325,7 +337,8 @@ def _fourier_terms(
     equal d2~ powers under the real cosh weight, or plane waves under a
     constant weight) takes from a purely real or purely imaginary
     polynomial, and every kernel of a part whose constant weight is zero
-    (the nonstationary part of an unsqueezed bath).
+    (the nonstationary part of an unsqueezed bath).  ``scaled(power)``
+    gives the measure times the d2~ power of that _POWERS key.
     """
     if stationary:
         weight, scale = mix.cosh, 2.0
@@ -350,39 +363,38 @@ def _fourier_terms(
                 tuple(x + sign * y for x, y in zip(minus, poly)),
             )
 
+    if not groups:  # a zero constant weight: no terms, and no memo to build
+        return []
     real_f = (stationary and u.n == v.n) or (u.n + v.n == 0 and weight is None)
-    d_power = _d_power(u.n, v.n, stationary)
+    power = _power(u.n, v.n, stationary)
+    factor = mix.measure if power is None else scaled(power)
     terms = []
     for freq, polys in groups.items():
         for poly, part, kind in zip(polys, ("real", "imag"), ("cos", "sin")):
             if any(getattr(c, part) for c in poly) if real_f else any(poly):
-                kernel = _kernel(resp, mix.measure, weight, d_power, poly, part)
-                terms.append((kernel, freq, kind))
+                terms.append((_kernel(factor, weight, poly, part), freq, kind))
     return terms
-
-
-def _unit_mix(beta: float, theta: float, quad: QuadratureConfig) -> BathMix:
-    """Massless thermal measure with the squeeze magnitude factored out.
-
-    The weights are 1 and e^{i theta} in place of cosh 2eta and
-    sinh 2eta e^{i theta}.
-    """
-    return bath_mix(BathSpec(beta), quad)._replace(cosh=1.0, sinh=cmath.exp(1j * theta))
 
 
 def _bilinear(
     resp: _Response | None,
-    mix: BathMix,
+    bath: BathSpec,
     u: _Factor,
     v: _Factor,
     quad: QuadratureConfig,
+    weights: tuple | None = None,
 ) -> tuple[float, float]:
     """(stationary, nonstationary) parts of the bilinear form of u and v.
 
-    ``resp`` may be None when neither factor carries d2~ (plane waves).
+    ``weights``, a (cosh, sinh) pair of constants, replaces the weights of
+    ``bath``.  ``resp`` may be None when neither factor carries d2~.
     """
+    mix = bath_mix(bath, quad)
+    if weights is not None:
+        mix = mix._replace(cosh=weights[0], sinh=weights[1])
+    scaled = functools.partial(_response_power, bath, quad, resp)
     return tuple(
-        _sum_fourier_terms(_fourier_terms(resp, mix, u, v, part), mix.lower, quad)
+        _sum_fourier_terms(_fourier_terms(mix, scaled, u, v, part), mix.lower, quad)
         for part in (True, False)
     )
 
@@ -400,17 +412,17 @@ def _sum_fourier_terms(terms, lower, quad: QuadratureConfig) -> float:
     upper = quad.upper()
     total = 0.0
     for kernel, freq, kind in terms:
-        val, _ = fourier_quad(
-            kernel,
-            freq,
-            kind,
-            lower,
-            upper,
-            rel_tol=quad.rel_tol,
-            abs_tol=quad.abs_tol,
-            limit=quad.max_subdivisions,
-            head=cusp_head(lower, abs(freq)),
-        )
+        try:
+            val, _ = fourier_quad(
+                kernel, freq, kind, lower, upper,
+                rel_tol=quad.rel_tol, abs_tol=quad.abs_tol,
+                limit=quad.max_subdivisions, head=cusp_head(lower, abs(freq)),
+            )
+        except ConvergenceError as exc:
+            where = f"{kind} term at frequency {freq:.6g} over [{lower:.6g}, {upper:.6g}]"
+            exc.args = (f"{where}: {exc}",)
+            exc.diagnostics.update(freq=freq, kind=kind, interval=[lower, upper])
+            raise
         total += val
     return total
 
@@ -432,12 +444,11 @@ def covariance_integral_parts(
     if t == 0.0:
         return 0.0, 0.0, 0.0
     resp = effective_response(spec, bath)
-    mix = bath_mix(bath, quad)
     f, f_dot = _f_factor(resp, t), _fdot_factor(resp, t)
     e_sq, m = spec.e_sq, spec.m
-    i_xx = (e_sq / m**2) * sum(_bilinear(resp, mix, f, f, quad))
-    i_pp = e_sq * sum(_bilinear(resp, mix, f_dot, f_dot, quad))
-    i_xp = (e_sq / m) * sum(_bilinear(resp, mix, f, f_dot, quad))
+    i_xx = (e_sq / m**2) * sum(_bilinear(resp, bath, f, f, quad))
+    i_pp = e_sq * sum(_bilinear(resp, bath, f_dot, f_dot, quad))
+    i_xp = (e_sq / m) * sum(_bilinear(resp, bath, f, f_dot, quad))
     return i_xx, i_pp, i_xp
 
 
@@ -525,10 +536,11 @@ def chi_hadamard_components(
     resp = _resp(spec)
     return _bilinear(
         resp,
-        _unit_mix(beta, theta, quad),
+        BathSpec(beta),
         _f_factor(resp, t),
         _f_factor(resp, t_prime),
         quad,
+        weights=(1.0, cmath.exp(1j * theta)),
     )
 
 
@@ -557,7 +569,7 @@ def chi_hadamard(
         raise DomainError("two-time Hadamard requires t, t' >= 0")
     resp = effective_response(spec, bath)
     stationary, nonstationary = _bilinear(
-        resp, bath_mix(bath, quad), _f_factor(resp, t), _f_factor(resp, t_prime), quad
+        resp, bath, _f_factor(resp, t), _f_factor(resp, t_prime), quad
     )
     pref = spec.e_sq / spec.m**2
     return KernelValue(pref * stationary, pref * nonstationary)
@@ -582,5 +594,5 @@ def hadamard_coincident(
     if t < 0 or t_prime < 0:
         raise DomainError("kernel times must be >= 0")
     return KernelValue(
-        *_bilinear(None, bath_mix(bath, quad), _wave(t), _wave(t_prime), quad)
+        *_bilinear(None, bath, _wave(t), _wave(t_prime), quad)
     )

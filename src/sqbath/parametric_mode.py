@@ -82,42 +82,30 @@ class MassProfile:
         return self.t_f - self.t_i
 
     def _ramp(self, t):
-        """Dimensionless ramp s(t) with s(t_i) = 0, s(t_f) = 1.
-
-        The ODE right-hand side calls this once per stage with a float t,
-        which then takes float arithmetic and numpy ufuncs on scalars (so
-        the bits equal those of the array path) and returns a float.
-        """
-        scalar = isinstance(t, float)
-        if scalar:
-            t = float(t)
-            u = min(max((t - self.t_i) / self.duration, 0.0), 1.0)
-        else:
-            t = np.asarray(t, dtype=float)
-            u = np.clip((t - self.t_i) / self.duration, 0.0, 1.0)
+        """Dimensionless ramp s(t) with s(t_i) = 0, s(t_f) = 1, on an array t."""
+        t = np.asarray(t, dtype=float)
+        u = np.minimum(np.maximum((t - self.t_i) / self.duration, 0.0), 1.0)
         if self.shape is ProfileShape.TANH:
             # arguments run over +-3 widths; rescale to hit 0 and 1 exactly
             raw = np.tanh(6.0 * (u - 0.5))
             lim = math.tanh(3.0)
-            out = (raw + lim) / (2.0 * lim)
+            return (raw + lim) / (2.0 * lim)
         elif self.shape is ProfileShape.SMOOTHSTEP:
             n = self.smoothstep_order
             # general smoothstep S_n(u), C^n at both ends
             acc = 0.0
             for j in range(n + 1):
                 acc = acc + math.comb(n + j, j) * math.comb(2 * n + 1, n - j) * np.power(-u, j)
-            out = np.power(u, n + 1) * acc
-        else:
-            # Step: jump at the midpoint
-            out = np.where(t >= 0.5 * (self.t_i + self.t_f), 1.0, 0.0)
-        return float(out) if scalar else out
+            return np.power(u, n + 1) * acc
+        # Step: jump at the midpoint
+        return np.where(t >= 0.5 * (self.t_i + self.t_f), 1.0, 0.0)
 
     def mass_sq(self, t):
         """m^2(t), constant outside [t_i, t_f], monotone in between."""
         return self.mass_i**2 + (self.mass_f**2 - self.mass_i**2) * self._ramp(t)
 
     def omega_sq(self, k, t):
-        """k^2 + m^2(t); k and t are floats or arrays of one shape."""
+        """k^2 + m^2(t) on arrays k and t of one shape."""
         return k * k + self.mass_sq(t)
 
     def omega_i(self, k: float) -> float:

@@ -15,9 +15,9 @@ the point where the exponential regulator has decayed to e^{-45}
 The adaptive core is QUADPACK (through scipy): QAGS/QAGI for smooth
 kernels and QAWO for the oscillatory shapes.  QAWO evaluates the
 trigonometric factor by Chebyshev moments on its subintervals, so
-integrands oscillating over ~1e5 cycles remain cheap.  Everything here
-is stateless and deterministic: a fixed kernel and tolerance always
-reproduce the same value bit for bit.
+integrands oscillating over ~1e5 cycles remain cheap.  A fixed kernel
+and tolerance always reproduce the same value bit for bit.  The kernels
+of a run share factors at recurring nodes; :func:`node_memo` keeps them.
 
 The module also carries the thermal factors.
 """
@@ -42,6 +42,7 @@ __all__ = [
 
 DEFAULT_REL_TOL = 1e-8
 DEFAULT_ABS_TOL = 1e-12
+_MEMO_NODES = 1 << 15  # float nodes kept per memoized factor
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +119,25 @@ class QuadratureConfig:
         if self.epsilon > 0.0:
             return min(b, 45.0 / self.epsilon)
         return b
+
+
+def node_memo(fn):
+    """fn, evaluated once per distinct float node (the first _MEMO_NODES
+    are kept), so it returns fn's bits; arrays pass straight through."""
+    values = {}
+
+    def memo(w):
+        if not isinstance(w, float):
+            return fn(w)
+        try:
+            return values[w]
+        except KeyError:
+            out = fn(w)
+            if len(values) < _MEMO_NODES:
+                values[w] = out
+            return out
+
+    return memo
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,23 @@ from sqbath import (
     QuadratureConfig,
     SqueezeParam,
 )
+from sqbath.bath_kernels import bath_mix
+from sqbath.oscillator_dynamics import _response_power
 from sqbath.parametric_mode import squeeze_spectrum
+
+
+def clear_node_memos():
+    """Drop the cached bath mixes and response powers with their node memos."""
+    bath_mix.cache_clear()
+    _response_power.cache_clear()
+
+
+@pytest.fixture
+def cold_memo():
+    """Run the test from empty node memos, as a fresh process would."""
+    clear_node_memos()
+    yield clear_node_memos
+    clear_node_memos()
 
 
 @pytest.fixture(scope="session")

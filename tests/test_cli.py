@@ -401,7 +401,9 @@ class TestSweep:
         with pytest.raises(ConvergenceError):
             run_sweep(parse_config(data), tmp_path)
         payload = json.loads((tmp_path / "run_manifest.json").read_text())
-        assert payload["sweep_failures"] == [{"value": 0.2, "error": "stand-in failure"}]
+        # the record names the product and the time point of the failure
+        failure = {"value": 0.2, "error": "covariances at t = 5: stand-in failure"}
+        assert payload["sweep_failures"] == [failure]
         # the good point still produced rows
         rows = np.loadtxt(tmp_path / "sweep_covariances.csv", delimiter=",", skiprows=1)
         assert rows.shape[0] == 4
@@ -470,6 +472,25 @@ class TestMainEntry:
             assert message == "numerical error: 2 of 2 sweep points failed"
             assert [f["value"] for f in payload["failures"]] == [1.0, 2.0]
             assert all(": step size" in f["error"] for f in payload["failures"])
+
+    @pytest.mark.parametrize(
+        "product, point",
+        [("covariances", {"t": 30.0}), ("hadamard_surface", {"t": 30.0, "t_prime": 30.0})],
+    )
+    def test_quadrature_failure_names_product_and_time(
+        self, tmp_path, capsys, product, point
+    ):
+        # QUADPACK cannot reach rel_tol at this cutoff (ROADMAP Direction B)
+        data = dict(SMALL_CONSTANT, quadrature={"cutoff": 2e4}, outputs=[product])
+        data["time_grid"] = data["hadamard_grid"] = {"start": 30.0, "stop": 60.0, "points": 2}
+        cfgp = write_config(tmp_path, data)
+        assert main(["run", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 3
+        message, diagnostics, *_ = capsys.readouterr().err.splitlines()
+        where = ", ".join(f"{key} = {value:g}" for key, value in point.items())
+        assert message.startswith(f"numerical error: {product} at {where}: cos term at ")
+        payload = json.loads(diagnostics.removeprefix("diagnostics: "))
+        assert payload["product"] == product and payload["interval"] == [0.0, 2e4]
+        assert {key: payload[key] for key in point} == point
 
     def test_config_error_exit_code(self, tmp_path):
         bad = write_config(tmp_path, {"scenario": "bogus"})

@@ -5,16 +5,26 @@ import numpy as np
 import pytest
 
 from oracles import d2_fourier, f_aux, fundamental_solutions
-from sqbath.bath_kernels import BathSpec
+import sqbath.bath_kernels
+import sqbath.oscillator_dynamics
+from sqbath.bath_kernels import BathSpec, SqueezeSpectrum, bath_mix
 from sqbath.energy_fdr import power_in
-from sqbath.errors import ConfigurationError, DomainError, UnsupportedRegimeError
+from sqbath.errors import (
+    ConfigurationError,
+    ConvergenceError,
+    DomainError,
+    UnsupportedRegimeError,
+)
 from sqbath.gaussian_state import CovarianceState, SqueezeParam
 from sqbath.oscillator_dynamics import (
     OscillatorSpec,
+    _response_power,
     chi_hadamard,
     chi_hadamard_components,
     covariance_evolution,
     covariance_integral_parts,
+    effective_response,
+    hadamard_coincident,
     massive_roots,
     ns_st_split,
 )
@@ -370,3 +380,121 @@ class TestChiHadamard:
         assert abs(kv.stationary / (math.cosh(2.0) * thermal.stationary) - 1.0) < 1e-6
         assert abs(kv.nonstationary) < 1e-3 * abs(kv.stationary)
         assert abs(kv.total / (math.cosh(2.0) * thermal.total) - 1.0) < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# the run-wide node memos of the bath measure, response powers and weights
+
+MEMO_QUAD = QuadratureConfig(cutoff=200.0)
+
+
+def three_products(spec, bath, t=12.0):
+    """Covariances, power_in and chi_hadamard of ``bath`` at t."""
+    return (
+        covariance_evolution(spec, bath, GROUND, t, MEMO_QUAD),
+        power_in(spec, bath, t, MEMO_QUAD),
+        chi_hadamard(spec, bath, t, 0.5 * t, MEMO_QUAD),
+    )
+
+
+def record_nodes(monkeypatch):
+    """Every node at which a quadrature call evaluates an integrand."""
+    nodes = []
+    original = sqbath.oscillator_dynamics.fourier_quad
+
+    def recording(kernel, *args, **kwargs):
+        def kernel_at(w):
+            nodes.append(w)
+            return kernel(w)
+
+        return original(kernel_at, *args, **kwargs)
+
+    monkeypatch.setattr(sqbath.oscillator_dynamics, "fourier_quad", recording)
+    return nodes
+
+
+def count_calls(monkeypatch, owner, name):
+    """Count the calls of ``owner.name``; returns a one-element list."""
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestNodeMemo:
+    @pytest.mark.parametrize("which", ["squeezed", "parametric"])
+    def test_cold_values_equal_warm_values(
+        self, spec, which, bath_squeezed, bath_parametric, cold_memo
+    ):
+        bath = bath_squeezed if which == "squeezed" else bath_parametric
+        cold = three_products(spec, bath)
+        cold_memo()
+        # other products and time points of the same bath fill the memos first
+        for t in (3.0, 25.0):
+            three_products(spec, bath, t)
+        hadamard_coincident(bath, 12.0, 6.0, MEMO_QUAD)
+        assert three_products(spec, bath) == cold
+
+    def test_interleaved_baths_keep_their_solo_bits(self, bath_parametric, cold_memo):
+        slow = OscillatorSpec.from_resonance(1.0, 1.0, 0.1)
+        fast = OscillatorSpec.from_resonance(1.0, 1.0, 0.2)
+        cases = [
+            (slow, BathSpec(beta=0.3)),
+            (fast, BathSpec(beta=0.3)),
+            (slow, BathSpec(beta=2.0)),
+            (slow, BathSpec(beta=0.3, squeeze=SqueezeParam(1.0, 0.5))),
+            (slow, bath_parametric),
+        ]
+        solo = []
+        for spec, bath in cases:
+            cold_memo()
+            solo.append(three_products(spec, bath))
+        cold_memo()
+        for i in [*range(len(cases)), *reversed(range(len(cases)))]:
+            assert three_products(*cases[i]) == solo[i], i
+
+    def test_caches_hold_at_most_maxsize(self, spec, cold_memo):
+        resp = effective_response(spec, BathSpec(beta=1.0))
+        size = max(bath_mix.cache_info().maxsize, _response_power.cache_info().maxsize)
+        for i in range(size + 3):
+            bath = BathSpec(beta=1.0 + 0.1 * i)
+            assert bath_mix(bath, MEMO_QUAD) is bath_mix(bath, MEMO_QUAD)
+            _response_power(bath, MEMO_QUAD, resp, "abs^2")
+        for cache in (bath_mix, _response_power):
+            info = cache.cache_info()
+            assert 0 < info.currsize <= info.maxsize
+
+    @pytest.mark.parametrize("which", ["constant", "parametric"])
+    def test_each_node_is_evaluated_once(
+        self, spec, which, bath_squeezed, bath_parametric, cold_memo, monkeypatch
+    ):
+        # hardware-independent: counts the underlying evaluations of the
+        # measure (constant squeeze) or of the squeeze spectrum (parametric)
+        nodes = record_nodes(monkeypatch)
+        if which == "constant":
+            evals = count_calls(monkeypatch, sqbath.bath_kernels, "omega_coth_half_beta")
+            for t in (10.0, 20.0, 30.0):
+                covariance_evolution(spec, bath_squeezed, GROUND, t, MEMO_QUAD)
+        else:
+            evals = count_calls(monkeypatch, SqueezeSpectrum, "eta_at")
+            for t in (10.0, 20.0):
+                covariance_evolution(spec, bath_parametric, GROUND, t, MEMO_QUAD)
+                power_in(spec, bath_parametric, t, MEMO_QUAD)
+        assert 0 < evals[0] <= len(set(nodes))
+        assert evals[0] <= len(nodes) / 5
+
+
+def test_quadrature_failure_names_the_term(spec, bath_squeezed):
+    # QUADPACK cannot reach rel_tol on this cutoff (ROADMAP Direction B)
+    with pytest.raises(ConvergenceError) as info:
+        covariance_evolution(spec, bath_squeezed, GROUND, 30.0, QuadratureConfig(cutoff=2e4))
+    exc = info.value
+    kind, freq = exc.diagnostics["kind"], exc.diagnostics["freq"]
+    assert kind in ("cos", "sin") and exc.diagnostics["interval"] == [0.0, 2e4]
+    assert str(exc).startswith(f"{kind} term at frequency {freq:.6g} over [0, 20000]: ")
+    assert exc.diagnostics["abserr"] > 0 and math.isfinite(exc.partial_value)

@@ -47,7 +47,9 @@ def test_every_trace_target_resolves(tracer):
     assert tracer.layer_of
 
 
-def test_traced_layers_see_the_per_node_calls(tracer, tmp_path):
+def test_traced_layers_see_the_per_node_calls(tracer, tmp_path, cold_memo):
+    # from empty node memos, as in the benchmark's fresh interpreter: a bath
+    # already cached by an earlier test would evaluate no spectrum node
     cfg = parse_config(dict(TINY_PARAMETRIC))
     cfg = dataclasses.replace(cfg, time_grid=np.array([10.0]))
     run(cfg, tmp_path)
