@@ -99,16 +99,21 @@ _FLOAT_FMT = "{:.16e}"  # 17 significant digits
 
 
 def _as_float(value, where: str) -> float:
+    """A config number; inf is allowed (beta = inf), NaN is not."""
     if isinstance(value, str):
         if value.strip().lower() in ("inf", ".inf", "+inf", "infinity"):
             return math.inf
         try:
-            return float(value)
+            number = float(value)
         except ValueError:
             raise ConfigurationError(f"{where}: expected a number, got {value!r}")
-    if isinstance(value, (int, float)):
-        return float(value)
-    raise ConfigurationError(f"{where}: expected a number, got {value!r}")
+    elif isinstance(value, (int, float)):
+        number = float(value)
+    else:
+        raise ConfigurationError(f"{where}: expected a number, got {value!r}")
+    if math.isnan(number):
+        raise ConfigurationError(f"{where}: expected a number, got NaN")
+    return number
 
 
 def _as_int(value, where: str) -> int:
@@ -637,6 +642,17 @@ def _sweep_point(cfg: RunConfig):
     return list(_product_files(cfg, bath))
 
 
+def _failure_record(value, exc: SqbathError) -> dict:
+    """The manifest's record of a failed sweep point: the value, the message
+    and, for a ConvergenceError, its diagnostics and a numeric partial value."""
+    record = {"value": value, "error": str(exc)}
+    if isinstance(exc, ConvergenceError):
+        record["diagnostics"] = exc.diagnostics
+        if isinstance(exc.partial_value, float):
+            record["partial_value"] = float(exc.partial_value)
+    return record
+
+
 def run_sweep(cfg: RunConfig, out_dir, threads: int = 1) -> RunManifest:
     """Run every sweep point and collect long-format CSVs.
 
@@ -670,13 +686,13 @@ def run_sweep(cfg: RunConfig, out_dir, threads: int = 1) -> RunManifest:
                 try:
                     results[i] = future.result()
                 except SqbathError as exc:
-                    failures.append({"value": values[i], "error": str(exc)})
+                    failures.append(_failure_record(values[i], exc))
     else:
         for i, job in enumerate(jobs):
             try:
                 results[i] = _sweep_point(job)
             except SqbathError as exc:
-                failures.append({"value": values[i], "error": str(exc)})
+                failures.append(_failure_record(values[i], exc))
 
     files: dict = {}  # file stem -> (product, header, rows, params by value)
     for value, result in zip(values, results):

@@ -68,10 +68,10 @@ class MassProfile:
     smoothstep_order: int = 2
 
     def __post_init__(self):
-        if self.mass_i < 0 or self.mass_f < 0:
-            raise DomainError("field masses must be nonnegative")
-        if not self.t_f > self.t_i:
-            raise DomainError("profile requires t_f > t_i")
+        if not (0 <= self.mass_i < math.inf and 0 <= self.mass_f < math.inf):
+            raise DomainError("field masses must be finite and nonnegative")
+        if not self.t_i < self.t_f < math.inf:
+            raise DomainError("profile requires finite t_f > t_i")
         if self.t_i < 0:
             raise DomainError("profile must start at t_i >= 0")
         if self.smoothstep_order < 1:
@@ -159,13 +159,11 @@ class ModeSolution:
         width = min(4, times.size)
         lo = max(0, min(idx - width // 2, times.size - width))
         sl = slice(lo, lo + width)
-        vals = []
-        for comp in (self.d1, self.d2, self.d1_dot, self.d2_dot):
-            poly = np.polynomial.polynomial.polyfit(
-                times[sl] - t, comp[sl], width - 1
-            )
-            vals.append(float(poly[0]))
-        return tuple(vals)
+        # one least-squares solve with a column per component: the same
+        # bits as four separate fits (checked in the tests), at one call
+        comps = np.column_stack((self.d1[sl], self.d2[sl], self.d1_dot[sl], self.d2_dot[sl]))
+        poly = np.polynomial.polynomial.polyfit(times[sl] - t, comps, width - 1)
+        return tuple(poly[0].tolist())
 
 
 def _constant_mode(k: float, mass: float, times: np.ndarray):
@@ -212,15 +210,21 @@ _MAX_FACTOR = 10
 _ERROR_EXPONENT = -1 / (DOP853.error_estimator_order + 1)
 
 
-def _mode_rhs(profile: MassProfile, k: np.ndarray, t: np.ndarray, y: np.ndarray):
-    """d/dt of the rows (d1, d1', d2, d2') of modes k at their own times t."""
-    w_sq = profile.omega_sq(k, t)
-    out = np.empty_like(y)
-    out[:, 0] = y[:, 1]
-    out[:, 1] = -w_sq * y[:, 0]
-    out[:, 2] = y[:, 3]
-    out[:, 3] = -w_sq * y[:, 2]
+# the rows (d1, d1', d2, d2') swapped to (d1', d1, d2', d2): their
+# derivatives up to the factors of _rhs_factors
+_SWAP = np.array([1, 0, 3, 2])
+
+
+def _rhs_factors(w_sq: np.ndarray) -> np.ndarray:
+    """Factors (1, -w_sq, 1, -w_sq) of the swapped rows, one per w_sq entry."""
+    out = np.ones(w_sq.shape + (4,))
+    out[..., 1::2] = -w_sq[..., None]
     return out
+
+
+def _mode_rhs(profile: MassProfile, k: np.ndarray, t: np.ndarray, y: np.ndarray):
+    """d/dt of the (modes, 4) rows (d1, d1', d2, d2') of modes k at times t."""
+    return y[..., _SWAP] * _rhs_factors(profile.omega_sq(k, t))
 
 
 def _rms(x: np.ndarray):
@@ -228,7 +232,7 @@ def _rms(x: np.ndarray):
 
 
 def _stage_sums(K: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """sum_j a_j K[j] of a (stages, modes, 4) stage array, per mode.
+    """sum_j a_j K[j] of a (stages, modes*4) stage array.
 
     The (modes*4, s) transposed view of the contiguous array gives every
     mode the BLAS reduction that scipy's (4, s) view gives one mode.  The
@@ -237,8 +241,7 @@ def _stage_sums(K: np.ndarray, a: np.ndarray) -> np.ndarray:
     with); on another build the results still agree to rounding, which
     the Wronskian drift bound and the benchmark's reference rows check.
     """
-    s, m, _ = K.shape
-    return np.dot(K.reshape(s, 4 * m).T, a).reshape(m, 4)
+    return np.dot(K.T, a)
 
 
 def _initial_steps(profile, k, t_end, y0, f0, rtol, atol, max_step):
@@ -269,11 +272,12 @@ def _dense_samples(profile, k, K, t_old, t_new, y_old, y_new, times):
     """
     n_stages = DOP853.n_stages
     h = t_new - t_old
+    factors = _rhs_factors(profile.omega_sq(k, t_old + DOP853.C_EXTRA * h))
     Kx = np.empty((DOP853.A_EXTRA.shape[1], 4))
     Kx[: n_stages + 1] = K
-    for s, (a, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=n_stages + 1):
-        dy = _stage_sums(Kx[:s, None], a[:s]) * h
-        Kx[s] = _mode_rhs(profile, np.array([k]), np.array([t_old + c * h]), y_old + dy)[0]
+    for s, (a, fac) in enumerate(zip(DOP853.A_EXTRA, factors), start=n_stages + 1):
+        dy = _stage_sums(Kx[:s], a[:s]) * h
+        Kx[s] = (y_old + dy)[_SWAP] * fac
     F = np.empty((3 + len(DOP853.D), 4))
     delta_y = y_new - y_old
     F[0] = delta_y
@@ -292,19 +296,55 @@ def _wronskian_drift(y: np.ndarray) -> np.ndarray:
     return np.abs(y[:, 0] * y[:, 3] - y[:, 2] * y[:, 1] - 1.0)
 
 
+def _step_control(h_abs, dot5, dot3, retry):
+    """scipy's DOP853 error norm and step factor of every mode.
+
+    ``dot5`` and ``dot3`` are the squared lengths of the modes' scaled
+    error vectors.  Python floats carry scipy's numpy-scalar arithmetic
+    bit for bit; array arithmetic would not: both ``** 2`` and the step
+    exponent go through libm's pow, which rounds some values differently
+    from numpy's array square and power.  (The square of a rounded
+    square root of a finite float never overflows.)  Returns the step
+    factors and which attempts were accepted.
+    """
+    factor, accepted = [], []
+    for h, d5, d3, again in zip(h_abs.tolist(), dot5.tolist(), dot3.tolist(), retry.tolist()):
+        norm5 = math.sqrt(d5) ** 2
+        norm3 = math.sqrt(d3) ** 2
+        if norm5 == 0 and norm3 == 0:
+            error_norm = 0.0
+        else:
+            error_norm = h * norm5 / math.sqrt((norm5 + 0.01 * norm3) * 4)
+        ok = error_norm < 1
+        if not ok:
+            # a NaN norm takes the minimum factor, as in scipy
+            factor.append(max(_MIN_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT))
+        else:
+            grow = (
+                _MAX_FACTOR
+                if error_norm == 0
+                else min(_MAX_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
+            )
+            factor.append(min(1, grow) if again else grow)
+        accepted.append(ok)
+    return np.array(factor, dtype=float), np.array(accepted)
+
+
 def _lockstep_dop853(profile, k, samples, tol):
     """Integrate modes k from t = 0 to the end of their own sample times.
 
     Every mode runs scipy's DOP853 driver, sampled at its own times as
     scipy's ``t_eval`` would sample it, under its own t, step size and
     accept/reject state; one loop iteration is one step attempt of every
-    unfinished mode, so the right-hand side and the stage sums act on all
-    of them at once.  Norms and step factors stay per-mode scalars, and
-    the per-mode results are bit-identical to the separate solves (on a
-    BLAS build that reduces as :func:`_stage_sums` assumes).  The
-    interpolant is built only for steps that hold a sample.  The
-    Wronskian drift is checked at every accepted step and every sample.
-    Returns one (samples, 4) array per mode with rows (d1, d1', d2, d2').
+    unfinished mode, so m^2(t) at all stage times, the right-hand side and
+    the stage sums act on all of them at once; error norms and step
+    factors stay per-mode scalars (:func:`_step_control`).  The per-mode
+    results are bit-identical to the separate solves (on a BLAS build
+    that reduces as :func:`_stage_sums` assumes).  The interpolant
+    is built only for steps that hold a sample after t = 0, where it
+    returns the initial data.  The Wronskian drift is checked at every
+    accepted step and every sample.  Returns one (samples, 4) array per
+    mode with rows (d1, d1', d2, d2').
     """
     # run the stepper well below the requested tolerance: the Wronskian
     # drift accumulates over the whole span and is the quantity under
@@ -313,17 +353,24 @@ def _lockstep_dop853(profile, k, samples, tol):
     atol = max(tol / 5000.0, 1e-15)
     max_step = profile.duration / 8.0
     bound = 10.0 * max(tol, 1e-13)
-    A, B, C, E3, E5 = DOP853.A, DOP853.B, DOP853.C, DOP853.E3, DOP853.E5
+    A, B, E3, E5 = DOP853.A, DOP853.B, DOP853.E3, DOP853.E5
     n_stages = DOP853.n_stages
+    # a step's stage times t + c h (c = 1 for the end point, 1 * h == h),
+    # known before its first stage: m^2(t) is evaluated once per attempt
+    stage_c = np.append(DOP853.C[1:], 1.0)[:, None]
 
     n = k.size
+    # the state is kept flat, (modes*4,) and (stages, modes*4); the first
+    # 4m entries of swap gather the swapped rows of m modes
+    swap = (4 * np.arange(n)[:, None] + _SWAP).ravel()
+    y0 = np.array([1.0, 0.0, 0.0, 1.0])
     t_end = np.array([times[-1] for times in samples])
-    taken = [[] for _ in range(n)]  # per mode: arrays of sampled rows
-    next_sample = np.zeros(n, dtype=int)
+    taken = [[y0[None]] for _ in range(n)]  # per mode: arrays of sampled rows
+    next_sample = np.ones(n, dtype=int)
     drift_max = np.zeros(n)
 
     def fail(i, t_reached, what):
-        rows = np.vstack(taken[i]) if taken[i] else np.empty((0, 4))
+        rows = np.vstack(taken[i])
         times = samples[i][: rows.shape[0]]
         partial = ModeSolution(
             float(k[i]), times, rows[:, 0], rows[:, 2], rows[:, 1], rows[:, 3], profile
@@ -343,11 +390,12 @@ def _lockstep_dop853(profile, k, samples, tol):
     idx = np.arange(n)
     kk = k.copy()
     t = np.zeros(n)
-    y = np.tile([1.0, 0.0, 0.0, 1.0], (n, 1))
+    y = np.tile(y0, (n, 1))
     f = _mode_rhs(profile, kk, t, y)
     h_abs = _initial_steps(profile, kk, t_end, y, f, rtol, atol, max_step)
+    y, f = y.ravel(), f.ravel()
     retry = np.zeros(n, dtype=bool)
-    t_next = np.array([times[0] for times in samples])
+    t_next = np.array([times[1] for times in samples])
 
     while idx.size:
         m = idx.size
@@ -356,53 +404,41 @@ def _lockstep_dop853(profile, k, samples, tol):
         # the max_step / min_step clamp applies to the first try of a step
         clamped = np.where(h_abs > max_step, max_step, np.maximum(h_abs, min_step))
         h_abs = np.where(retry, h_abs, clamped)
-        too_small = h_abs < min_step
+        # a NaN step size fails here too
+        too_small = ~(h_abs >= min_step)
         if too_small.any():
             j = int(np.argmax(too_small))
             fail(idx[j], t[j], f"step size {h_abs[j]:.3e} below {min_step[j]:.3e}")
         t_new = np.minimum(t + h_abs, end)
         h = t_new - t
         h_abs = np.abs(h)
-        hcol = h[:, None]
+        h4 = np.repeat(h, 4)
+        # k^2 + m^2 at every later stage time of the step, the end included
+        factors = _rhs_factors(profile.omega_sq(kk, t + stage_c * h)).reshape(n_stages, 4 * m)
+        perm = swap[: 4 * m]
 
-        K = np.empty((n_stages + 1, m, 4))
+        K = np.empty((n_stages + 1, 4 * m))
         K[0] = f
         for s in range(1, n_stages):
-            dy = _stage_sums(K[:s], A[s, :s]) * hcol
-            K[s] = _mode_rhs(profile, kk, t + C[s] * h, y + dy)
-        y_new = y + hcol * _stage_sums(K[:n_stages], B)
-        f_new = _mode_rhs(profile, kk, t + h, y_new)
-        K[n_stages] = f_new
+            y_stage = y + _stage_sums(K[:s], A[s, :s]) * h4
+            np.multiply(y_stage[perm], factors[s - 1], out=K[s])
+        y_new = y + h4 * _stage_sums(K[:n_stages], B)
+        f_new = K[n_stages]
+        np.multiply(y_new[perm], factors[-1], out=f_new)
 
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        err5 = _stage_sums(K, E5) / scale
-        err3 = _stage_sums(K, E3) / scale
-        factor = np.empty(m)
-        accepted = np.empty(m, dtype=bool)
-        for j in range(m):
-            e5, e3 = err5[j], err3[j]
-            norm5 = np.sqrt(e5.dot(e5)) ** 2
-            norm3 = np.sqrt(e3.dot(e3)) ** 2
-            if norm5 == 0 and norm3 == 0:
-                error_norm = 0.0
-            else:
-                error_norm = h_abs[j] * norm5 / np.sqrt((norm5 + 0.01 * norm3) * 4)
-            accepted[j] = error_norm < 1
-            if not accepted[j]:
-                factor[j] = max(_MIN_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
-                continue
-            grow = (
-                _MAX_FACTOR
-                if error_norm == 0
-                else min(_MAX_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
-            )
-            factor[j] = min(1, grow) if retry[j] else grow
+        err5 = (_stage_sums(K, E5) / scale).reshape(m, 4)
+        err3 = (_stage_sums(K, E3) / scale).reshape(m, 4)
+        # np.vecdot gives each row the bits of its own e.dot(e)
+        factor, accepted = _step_control(
+            h_abs, np.vecdot(err5, err5), np.vecdot(err3, err3), retry
+        )
         h_abs = h_abs * factor
         retry = ~accepted
         if not accepted.any():
             continue
 
-        drift = np.where(accepted, _wronskian_drift(y_new), 0.0)
+        drift = np.where(accepted, _wronskian_drift(y_new.reshape(m, 4)), 0.0)
         drift_max[idx] = np.maximum(drift_max[idx], drift)
         if (drift > bound).any():
             j = int(np.argmax(drift > bound))
@@ -412,8 +448,10 @@ def _lockstep_dop853(profile, k, samples, tol):
             i = idx[j]
             lo = next_sample[i]
             hi = int(np.searchsorted(samples[i], t_new[j], side="right"))
+            cols = slice(4 * j, 4 * j + 4)
             rows = _dense_samples(
-                profile, kk[j], K[:, j], t[j], t_new[j], y[j], y_new[j], samples[i][lo:hi]
+                profile, kk[j], K[:, cols], t[j], t_new[j], y[cols], y_new[cols],
+                samples[i][lo:hi],
             )
             taken[i].append(rows)
             drift_max[i] = max(drift_max[i], np.max(_wronskian_drift(rows)))
@@ -423,12 +461,14 @@ def _lockstep_dop853(profile, k, samples, tol):
             t_next[i] = samples[i][hi] if hi < samples[i].size else np.inf
 
         t = np.where(accepted, t_new, t)
-        y = np.where(accepted[:, None], y_new, y)
-        f = np.where(accepted[:, None], f_new, f)
+        accepted4 = np.repeat(accepted, 4)
+        y = np.where(accepted4, y_new, y)
+        f = np.where(accepted4, f_new, f)
         live = ~(accepted & (t_new == end))
         if not live.all():
-            idx, kk, t, y, f = idx[live], kk[live], t[live], y[live], f[live]
-            h_abs, retry = h_abs[live], retry[live]
+            live4 = np.repeat(live, 4)
+            idx, kk, t, h_abs, retry = idx[live], kk[live], t[live], h_abs[live], retry[live]
+            y, f = y[live4], f[live4]
 
     return [np.vstack(rows) for rows in taken]
 

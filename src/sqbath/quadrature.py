@@ -277,10 +277,10 @@ def fourier_quad(
     if freq == 0.0:
         if kind == "sin":
             return 0.0, 0.0
-        val, err = plain_quad(
-            kernel, a, b, rel_tol=rel_tol, abs_tol=abs_tol, limit=limit, what=what
+        return plain_quad(
+            kernel, a, b, rel_tol=rel_tol, abs_tol=abs_tol, limit=limit,
+            what="plain integral (frequency 0)",
         )
-        return val, err
 
     if head is not None and head > a:
         split = min(head, b)

@@ -4,6 +4,7 @@ import csv
 import importlib.util
 import json
 import math
+import pickle
 import sys
 from pathlib import Path
 
@@ -385,13 +386,17 @@ class TestSweep:
         assert main(args) == 2
         assert not out.exists()
 
-    def test_failures_recorded_and_raised(self, tmp_path, monkeypatch):
+    @staticmethod
+    def failing_sweep(tmp_path, monkeypatch, threads):
+        """A two-point sweep whose gamma = 0.2 point fails; its manifest."""
         original = sqbath.cli.covariance_evolution
 
         def failing(spec, *args):
             """Stands in for a quadrature that fails at gamma = 0.2."""
             if spec.gamma == 0.2:
-                raise ConvergenceError("stand-in failure")
+                raise ConvergenceError(
+                    "stand-in failure", partial_value=0.25, diagnostics={"abserr": 0.5}
+                )
             return original(spec, *args)
 
         monkeypatch.setattr(sqbath.cli, "covariance_evolution", failing)
@@ -399,14 +404,50 @@ class TestSweep:
         data["outputs"] = ["covariances"]
         data["sweep"] = {"path": "oscillator.gamma", "values": [0.1, 0.2]}
         with pytest.raises(ConvergenceError):
-            run_sweep(parse_config(data), tmp_path)
-        payload = json.loads((tmp_path / "run_manifest.json").read_text())
-        # the record names the product and the time point of the failure
-        failure = {"value": 0.2, "error": "covariances at t = 5: stand-in failure"}
-        assert payload["sweep_failures"] == [failure]
+            run_sweep(parse_config(data), tmp_path, threads=threads)
         # the good point still produced rows
         rows = np.loadtxt(tmp_path / "sweep_covariances.csv", delimiter=",", skiprows=1)
         assert rows.shape[0] == 4
+        return json.loads((tmp_path / "run_manifest.json").read_text())
+
+    # the record names the product and the time point of the failure, and
+    # keeps the solver's diagnostics and partial value
+    FAILURE = {
+        "value": 0.2,
+        "error": "covariances at t = 5: stand-in failure",
+        "diagnostics": {"abserr": 0.5, "product": "covariances", "t": 5.0},
+        "partial_value": 0.25,
+    }
+
+    def test_failures_recorded_and_raised(self, tmp_path, monkeypatch):
+        payload = self.failing_sweep(tmp_path, monkeypatch, threads=1)
+        assert payload["sweep_failures"] == [self.FAILURE]
+
+    def test_failure_record_survives_the_worker_pool(self, tmp_path, monkeypatch):
+        class PicklingPool:
+            """Runs each job in-process; a failure comes back pickled, as
+            from a worker process."""
+
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                try:
+                    future.set_result(fn(*args))
+                except ConvergenceError as exc:
+                    future.set_exception(pickle.loads(pickle.dumps(exc)))
+                return future
+
+        monkeypatch.setattr(sqbath.cli, "ProcessPoolExecutor", PicklingPool)
+        payload = self.failing_sweep(tmp_path, monkeypatch, threads=2)
+        assert payload["sweep_failures"] == [self.FAILURE]
 
     @pytest.mark.parametrize(
         "spacing, keys",
@@ -528,6 +569,11 @@ class TestMainEntry:
             ("time_grid", {"start": 5.0, "stop": 20.0, "points": "many"}),
             ("quadrature", {"cutoff": 200.0, "max_subdivisions": "many"}),
             ("profile", {"mass_f": 0.5, "t_f": 2.0, "smoothstep_order": None}),
+            # a NaN mass once stalled the mode solve forever
+            ("profile", {"mass_f": math.nan, "t_f": 2.0}),
+            ("profile", {"mass_f": 0.5, "t_f": math.inf}),
+            ("oscillator", {"m": 1.0, "omega_r": 1.0, "gamma": math.nan}),
+            ("quadrature", {"cutoff": 200.0, "rel_tol": "nan"}),
         ],
         ids=[
             "log-start-zero",
@@ -536,6 +582,10 @@ class TestMainEntry:
             "points-word",
             "max-subdivisions-word",
             "smoothstep-order-null",
+            "mass-nan",
+            "t-f-inf",
+            "gamma-nan",
+            "rel-tol-nan-word",
         ],
     )
     def test_malformed_number_exit_code(self, tmp_path, section, value):

@@ -142,3 +142,11 @@ def test_mass_sq(shape, order):
         assert prof.omega_sq(k[i:i + 1], np.array([t]))[0] == omega_batch[i], t
     assert prof.mass_sq(np.array([0.5]))[0] == 0.1**2
     assert prof.mass_sq(np.array([7.5]))[0] == 0.6**2
+    # one (stage times, modes) table per step: each row has the bits of
+    # its own 1-D call
+    ks = np.geomspace(0.02, 60.0, 7)
+    table = points[: 13 * ks.size].reshape(13, ks.size)
+    omega_table = prof.omega_sq(ks, table)
+    assert omega_table.shape == table.shape
+    for row, omega_row in zip(table, omega_table):
+        assert np.array_equal(prof.omega_sq(ks, row), omega_row)

@@ -497,4 +497,7 @@ def test_quadrature_failure_names_the_term(spec, bath_squeezed):
     kind, freq = exc.diagnostics["kind"], exc.diagnostics["freq"]
     assert kind in ("cos", "sin") and exc.diagnostics["interval"] == [0.0, 2e4]
     assert str(exc).startswith(f"{kind} term at frequency {freq:.6g} over [0, 20000]: ")
+    # a zero-frequency term falls back to the plain rule and says so
+    label = "plain integral (frequency 0)" if freq == 0 else "oscillatory integral"
+    assert f"quadrature did not converge for {label}: " in str(exc)
     assert exc.diagnostics["abserr"] > 0 and math.isfinite(exc.partial_value)

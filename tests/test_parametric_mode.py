@@ -15,6 +15,7 @@ from sqbath.parametric_mode import (
     integrate_mode,
     squeeze_spectrum,
 )
+from sqbath.parametric_mode import _step_control
 
 
 def step_beta_modulus(om_i, om_f):
@@ -105,6 +106,13 @@ class TestMassProfile:
             MassProfile(0.0, 0.5, 2.0, 1.0)
         with pytest.raises(DomainError):
             MassProfile(-0.1, 0.5, 0.0, 1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="finite"):
+                MassProfile(0.0, bad, 0.0, 1.0)
+            with pytest.raises(DomainError, match="finite"):
+                MassProfile(bad, 0.5, 0.0, 1.0)
+            with pytest.raises(DomainError):
+                MassProfile(0.0, 0.5, 0.0, bad)
 
 
 class TestIntegrateMode:
@@ -187,6 +195,75 @@ class TestLockstepOracle:
         assert_rows_equal(spect.theta, thetas)
 
 
+def four_fits(sol, t):
+    """The end-point fit as four separate cubic fits, one per component."""
+    times = sol.times
+    idx = int(np.searchsorted(times, t))
+    lo = max(0, min(idx - 2, times.size - 4))
+    sl = slice(lo, lo + 4)
+    return tuple(
+        float(np.polynomial.polynomial.polyfit(times[sl] - t, comp[sl], 3)[0])
+        for comp in (sol.d1, sol.d2, sol.d1_dot, sol.d2_dot)
+    )
+
+
+class TestEndPointFit:
+    """ModeSolution.at fits the 4 components jointly: the bits of 4 fits."""
+
+    @pytest.mark.parametrize("name", ["tanh", "smoothstep-1", "smoothstep-3"])
+    def test_joint_fit_equals_four_fits(self, name):
+        profile = ORACLE_PROFILES[name]
+        ks = np.geomspace(0.02, 60.0, 12)
+        grids = [np.linspace(0.0, profile.t_f, 97 + 8 * i) for i in range(ks.size)]
+        for sol in integrate_mode(ks, profile, grids, tol=1e-9):
+            for t in (profile.t_f, 0.37 * profile.t_f, float(sol.times[5])):
+                assert sol.at(t) == four_fits(sol, t), (sol.k, t)
+
+
+def scalar_step_control(h_abs, err5, err3, retry):
+    """scipy's DOP853 error norm and step factor, one mode at a time on
+    numpy scalars, as rk.py and DOP853._estimate_error_norm compute them."""
+    factor, accepted = np.empty(h_abs.size), np.empty(h_abs.size, dtype=bool)
+    for j, (e5, e3) in enumerate(zip(err5, err3)):
+        norm5 = np.linalg.norm(e5) ** 2
+        norm3 = np.linalg.norm(e3) ** 2
+        if norm5 == 0 and norm3 == 0:
+            error_norm = 0.0
+        else:
+            error_norm = h_abs[j] * norm5 / np.sqrt((norm5 + 0.01 * norm3) * 4)
+        accepted[j] = error_norm < 1
+        if not accepted[j]:
+            factor[j] = max(0.2, 0.9 * error_norm ** (-1 / 8))
+        else:
+            grow = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** (-1 / 8))
+            factor[j] = min(1, grow) if retry[j] else grow
+    return factor, accepted
+
+
+def test_step_control_equals_the_scalar_loop():
+    # the lockstep step control runs on Python floats: the same bits as
+    # numpy scalars, where numpy arrays round some squares and powers
+    # differently; zero, NaN and overflowing error vectors included
+    rng = np.random.default_rng(7)
+    m = 20000
+    # error norms mostly where the factor is not clamped, so that a last
+    # bit of difference in a norm shows in the factor
+    h_abs = 10.0 ** rng.uniform(-1, 0, m)
+    err5 = rng.standard_normal((m, 4)) * 10.0 ** rng.uniform(-4, 2, (m, 1))
+    err3 = rng.standard_normal((m, 4)) * 10.0 ** rng.uniform(-4, 2, (m, 1))
+    err5[:40], err3[:20] = 0.0, 0.0
+    err5[40:60, 1] = np.nan
+    err5[60:80, 2] = 1e160  # overflows to an infinite norm
+    err5[100:120] = np.sqrt(np.finfo(float).max) / 2.0  # the largest finite norm
+    err3[80:100, 0] = np.inf
+    retry = rng.random(m) < 0.3
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = scalar_step_control(h_abs, err5, err3, retry)
+        got = _step_control(h_abs, np.vecdot(err5, err5), np.vecdot(err3, err3), retry)
+    assert np.array_equal(got[1], want[1])
+    assert np.array_equal(got[0], want[0], equal_nan=True)
+
+
 @dataclass(frozen=True)
 class CutProfile(MassProfile):
     """A tanh ramp whose m^2(t) turns NaN after t = 1: no step can pass it."""
@@ -195,7 +272,25 @@ class CutProfile(MassProfile):
         return np.where(np.asarray(t) > 1.0, np.nan, super().mass_sq(t))
 
 
+@dataclass(frozen=True)
+class NanProfile(MassProfile):
+    """m^2(t) is NaN from t = 0: the very first step size is NaN."""
+
+    def mass_sq(self, t):
+        return np.full(np.shape(t), np.nan)
+
+
 class TestModeFailures:
+    def test_nan_step_size_fails_at_the_start(self):
+        prof = NanProfile(0.0, 0.5, 0.0, 2.0)
+        grid = np.linspace(0.0, 2.0, 41)
+        with pytest.raises(ConvergenceError) as info:
+            integrate_mode(np.array([0.5, 3.0]), prof, [grid, grid], tol=1e-9)
+        exc = info.value
+        assert exc.diagnostics["k"] == 0.5 and exc.diagnostics["t_reached"] == 0.0
+        assert "mode k = 0.5: step size nan" in str(exc)
+        assert np.array_equal(exc.partial_value.times, grid[:1])
+
     def test_step_size_failure_names_mode_time_and_drift(self):
         prof = CutProfile(0.0, 0.5, 0.0, 2.0)
         grid = np.linspace(0.0, 2.0, 41)
