@@ -28,22 +28,24 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import BelowThresholdError, DomainError, ResolutionError
 from .gaussian_state import SqueezeParam
 # fourier_quad stays importable here for perfbench/tracing.py
 from .quadrature import (  # noqa: F401
+    NodeTable,
     QuadratureConfig,
     coth_half_beta,
     fourier_quad,
-    node_memo,
+    node_tables,
     omega_coth_half_beta,
 )
 
 __all__ = [
     "BathMix",
     "bath_mix",
+    "bath_measure",
+    "spectrum_weights",
     "SqueezeSpectrum",
     "BathSpec",
     "bath_fdr",
@@ -53,18 +55,25 @@ __all__ = [
 class _Pchip:
     """Monotone cubic (PCHIP) through (x, y), held at the ends of the grid.
 
-    The coefficients are scipy's :class:`PchipInterpolator`; the pieces
-    are summed in the order of scipy's own evaluation, c3 + c2 s + c1 s^2
-    + c0 s^3 with the powers of s built by repeated multiplication, so
-    the values are scipy's bit for bit.  A float argument, as a quadrature
-    node passes it, is looked up with :func:`bisect.bisect_right` on
-    Python floats and returns a float; an array is looked up with
-    :func:`numpy.searchsorted`.
+    The coefficients are scipy's :class:`~scipy.interpolate.PchipInterpolator`
+    computed with the same numpy operations (:func:`_pchip_slopes`, then
+    the cubic Hermite pieces), so they are scipy's bit for bit without
+    importing ``scipy.interpolate``.  The pieces are summed in the order of
+    scipy's own evaluation, c3 + c2 s + c1 s^2 + c0 s^3 with the powers of
+    s built by repeated multiplication, so the values are scipy's too.  A
+    float argument, as a quadrature node passes it, is looked up with
+    :func:`bisect.bisect_right` on Python floats and returns a float; an
+    array is looked up with :func:`numpy.searchsorted`.
     """
 
     def __init__(self, x, y):
-        poly = PchipInterpolator(x, y, extrapolate=False)
-        self.x, self.c = poly.x, poly.c
+        self.x = x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        h = np.diff(x)
+        slope = np.diff(y) / h
+        d = _pchip_slopes(h, slope, y)
+        t = (d[:-1] + d[1:] - 2 * slope) / h
+        self.c = np.stack((t / h, (slope - d[:-1]) / h - t, d[:-1], y[:-1]))
         self._xs, self._pieces = self.x.tolist(), self.c.T.tolist()
 
     def __call__(self, k):
@@ -82,6 +91,37 @@ class _Pchip:
             c0, c1, c2, c3 = self.c[:, i]
         z = s * s
         return 0.0 + c3 + c2 * s + c1 * z + c0 * (z * s)
+
+
+def _pchip_slopes(h, m, y):
+    """The PCHIP derivatives at the knots, as scipy's
+    ``PchipInterpolator._find_derivatives`` computes them: the weighted
+    harmonic mean of the neighbouring secant slopes m (0 where they differ
+    in sign or one is 0), and a shape-preserving one-sided estimate at the
+    two ends.  Two knots give the secant slope at both."""
+    if y.size == 2:
+        return np.array([m[0], m[0]])
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+    d = np.zeros_like(y)
+    d[1:-1][~flat] = 1.0 / whmean[~flat]
+    d[0] = _pchip_end(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end(h[-1], h[-2], m[-1], m[-2])
+    return d
+
+
+def _pchip_end(h0, h1, m0, m1):
+    """One-sided three-point derivative at an end knot, clipped to keep
+    the shape (scipy's ``PchipInterpolator._edge_case``)."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
 
 class SqueezeSpectrum:
@@ -216,59 +256,80 @@ _MEASURE_NORM = 1.0 / (8.0 * math.pi**2)  # (dw/2pi)(w/4pi) -> w dw / 8 pi^2
 class BathMix(NamedTuple):
     """Measure and squeeze weights of the bath integrals over w.
 
-    ``measure(w)`` is (1/8 pi^2) kappa coth(b w/2) times the regulator,
-    with kappa = sqrt(w^2 - m_i^2) above the threshold ``lower`` = m_i
-    (kappa = w for a massless bath).  ``cosh`` is cosh 2eta and ``sinh``
-    the complex sinh 2eta e^{i theta}: numbers for a constant squeeze,
-    functions of w for a squeeze spectrum, which is read at kappa.
-    QUADPACK calls the functions with one float w per node; they then
-    compute on scalars and return scalars, and accept arrays as well.
-    They evaluate each distinct node once (:func:`quadrature.node_memo`)
-    and the mix is cached, so all integrals of a bath share that value.
+    ``measure`` holds (1/8 pi^2) kappa coth(b w/2) times the regulator
+    (:func:`bath_measure`), with kappa = sqrt(w^2 - m_i^2) above the
+    threshold ``lower`` = m_i (kappa = w for a massless bath).  ``cosh`` is
+    cosh 2eta and ``sinh`` the complex sinh 2eta e^{i theta}: numbers for
+    a constant squeeze; for a squeeze spectrum, read at kappa, the two
+    :class:`quadrature.NodeTable` of :func:`spectrum_weights`, filled
+    together.  QUADPACK calls a kernel with one float w per node, and the
+    kernel reads ``measure[w]`` or ``cosh[w]`` with one dict lookup; a
+    node's values are computed on its first lookup.  The mix is cached,
+    so all integrals of a bath share the tables.
     """
 
     lower: float
-    measure: Callable
-    cosh: float | Callable
-    sinh: complex | Callable
+    measure: NodeTable
+    cosh: float | NodeTable
+    sinh: complex | NodeTable
+
+
+def _kappa(mass_i: float) -> Callable:
+    """w -> kappa = sqrt(w^2 - m_i^2), 0 below the threshold (w itself for
+    a massless bath); a float w gives a float, an array an array."""
+    if mass_i == 0.0:
+        return lambda w: w if isinstance(w, float) else np.asarray(w, dtype=float)
+
+    def kappa(w):
+        if isinstance(w, float):
+            return math.sqrt(max(w * w - mass_i * mass_i, 0.0))
+        w = np.asarray(w, dtype=float)
+        return np.sqrt(np.maximum(w * w - mass_i * mass_i, 0.0))
+
+    return kappa
+
+
+def bath_measure(beta: float, mass_i: float, quad: QuadratureConfig) -> Callable:
+    """w -> (1/8 pi^2) kappa coth(b w/2) e^{-epsilon w}, the bath measure
+    per dw under the regulator of ``quad``; a float w gives a float, an
+    array an array."""
+    if mass_i == 0.0:
+        def measure(w):
+            return _MEASURE_NORM * omega_coth_half_beta(w, beta) * quad.damping(w)
+    else:
+        kappa = _kappa(mass_i)
+
+        def measure(w):
+            return _MEASURE_NORM * kappa(w) * coth_half_beta(w, beta) * quad.damping(w)
+
+    return measure
+
+
+def spectrum_weights(spectrum: SqueezeSpectrum, mass_i: float) -> Callable:
+    """w -> (cosh 2eta, sinh 2eta e^{i theta}) of ``spectrum`` read at kappa;
+    a float w gives a (float, complex) pair, an array a pair of arrays."""
+    kappa = _kappa(mass_i)
+
+    def weights(w):
+        k = kappa(w)
+        eta = spectrum.eta_at(k)
+        cosh = np.cosh(2.0 * eta)
+        sinh = np.sinh(2.0 * eta) * np.exp(1j * spectrum.theta_at(k))
+        return (float(cosh), complex(sinh)) if isinstance(w, float) else (cosh, sinh)
+
+    return weights
 
 
 @functools.lru_cache(maxsize=8)
 def bath_mix(bath: BathSpec, quad: QuadratureConfig) -> BathMix:
     """Measure and weights of ``bath`` under the regulator of ``quad``, built
     once per (bath, quad) value (the 8 most recent are kept) and shared."""
-    beta, mass_i = bath.beta, bath.mass_i
-    if mass_i == 0.0:
-        def kappa(w):
-            return w if isinstance(w, float) else np.asarray(w, dtype=float)
-
-        @node_memo
-        def measure(w):
-            return _MEASURE_NORM * omega_coth_half_beta(w, beta) * quad.damping(w)
-    else:
-        def kappa(w):
-            if isinstance(w, float):
-                return math.sqrt(max(w * w - mass_i * mass_i, 0.0))
-            w = np.asarray(w, dtype=float)
-            return np.sqrt(np.maximum(w * w - mass_i * mass_i, 0.0))
-
-        @node_memo
-        def measure(w):
-            return _MEASURE_NORM * kappa(w) * coth_half_beta(w, beta) * quad.damping(w)
-
+    measure_at = bath_measure(bath.beta, bath.mass_i, quad)
+    (measure,) = node_tables(lambda w: (measure_at(w),), 1)
     if isinstance(bath.squeeze, SqueezeSpectrum):
-        spectrum = bath.squeeze
-        spectrum.check_resolution(quad, mass_i)
-
-        @node_memo
-        def weights(w):
-            k = kappa(w)
-            eta = spectrum.eta_at(k)
-            cosh = np.cosh(2.0 * eta)
-            sinh = np.sinh(2.0 * eta) * np.exp(1j * spectrum.theta_at(k))
-            return (float(cosh), complex(sinh)) if isinstance(w, float) else (cosh, sinh)
-
-        return BathMix(mass_i, measure, lambda w: weights(w)[0], lambda w: weights(w)[1])
+        bath.squeeze.check_resolution(quad, bath.mass_i)
+        cosh, sinh = node_tables(spectrum_weights(bath.squeeze, bath.mass_i), 2)
+        return BathMix(bath.mass_i, measure, cosh, sinh)
 
     if not bath.is_massless:
         raise DomainError(

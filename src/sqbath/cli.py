@@ -28,7 +28,7 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import as_completed
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -117,10 +117,21 @@ def _as_float(value, where: str) -> float:
 
 
 def _as_int(value, where: str) -> int:
+    """A config integer; a boolean or a number with a fractional part is
+    rejected, not rounded."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigurationError(f"{where}: expected an integer, got {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigurationError(f"{where}: expected an integer, got {value!r}")
+
+
+def _as_list(value, where: str) -> list:
+    """A config list; a lone value is rejected, not iterated."""
+    if not isinstance(value, list):
+        raise ConfigurationError(f"{where}: expected a list, got {value!r}")
+    return value
 
 
 def _section(data: dict, name: str) -> dict | None:
@@ -293,7 +304,7 @@ def parse_config(data: dict) -> RunConfig:
         except SqbathError as exc:
             raise ConfigurationError(f"initial_state: {exc}") from exc
 
-    outputs = tuple(data.get("outputs", ["covariances"]))
+    outputs = tuple(_as_list(data.get("outputs", ["covariances"]), "outputs"))
     for product in outputs:
         if product not in PRODUCTS:
             raise ConfigurationError(
@@ -323,7 +334,8 @@ def parse_config(data: dict) -> RunConfig:
             default=np.linspace(20.0, 40.0, 9),
         )
     ns_thetas = tuple(
-        _as_float(v, "ns_thetas") for v in data.get("ns_thetas", [theta])
+        _as_float(v, "ns_thetas")
+        for v in _as_list(data.get("ns_thetas", [theta]), "ns_thetas")
     )
 
     hadamard_factored = data.get("hadamard_factored", False)
@@ -367,7 +379,8 @@ def parse_config(data: dict) -> RunConfig:
 
 def _sweep_values(sweep: dict) -> list[float]:
     if "values" in sweep:
-        return [_as_float(v, "sweep.values") for v in sweep["values"]]
+        values = _as_list(sweep["values"], "sweep.values")
+        return [_as_float(v, "sweep.values") for v in values]
     start = _as_float(sweep.get("start"), "sweep.start")
     stop = _as_float(sweep.get("stop"), "sweep.stop")
     steps = _as_int(sweep.get("steps", 0), "sweep.steps")
@@ -679,6 +692,10 @@ def run_sweep(cfg: RunConfig, out_dir, threads: int = 1) -> RunManifest:
     failures = []
     workers = min(threads, len(jobs))
     if workers > 1:
+        # imported here: the process pool's import chain (multiprocessing)
+        # would otherwise be paid by every run
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(_sweep_point, job): i for i, job in enumerate(jobs)}
             for future in as_completed(futures):

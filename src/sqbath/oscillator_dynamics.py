@@ -48,14 +48,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bath_kernels import BathMix, BathSpec, bath_mix
+from .bath_kernels import BathSpec, SqueezeSpectrum, bath_measure, bath_mix
 from .errors import (
     ConvergenceError,
     DomainError,
     UnsupportedRegimeError,
 )
 from .gaussian_state import CovarianceState
-from .quadrature import QuadratureConfig, cusp_head, fourier_quad, node_memo
+from .quadrature import (
+    NodeTable,
+    QuadratureConfig,
+    cusp_head,
+    fourier_quad,
+    node_tables,
+)
 
 __all__ = [
     "KernelValue",
@@ -280,75 +286,76 @@ def _times(a, b, scale):
     )
 
 
-_POWERS = {  # the d2~ powers of a bilinear form, as functions of d2~
-    "d": lambda d: d,
-    "d^2": lambda d: d * d,
-    "conj": lambda d: d.conjugate(),
-    "abs^2": lambda d: (d * d.conjugate()).real,
-}
+_POWERS = ("d", "d^2", "abs^2")  # the d2~ powers of a bilinear form
 
 
 def _power(n_u: int, n_v: int, conj: bool) -> str | None:
-    """The _POWERS key of d2~^{n_u} (d2~*)^{n_v} (conj) or d2~^{n_u + n_v};
-    None when both powers are 0: the form then carries no response."""
-    return ("conj", "abs^2")[n_u] if conj and n_v else (None, "d", "d^2")[n_u + n_v]
+    """The _POWERS key of d2~^{n_u} (d2~*)^{n_v} (conj) or d2~^{n_u + n_v},
+    for n_u >= n_v; None when both powers are 0: the form then carries no
+    response."""
+    return "abs^2" if conj and n_v else (None, "d", "d^2")[n_u + n_v]
 
 
-@functools.lru_cache(maxsize=16)
-def _response_power(
-    bath: BathSpec, quad: QuadratureConfig, resp: _Response, power: str
-):
-    """w -> measure(w) d_power(d2~(w)) with the measure of bath_mix(bath, quad),
-    a node_memo kept for the 16 most recent (bath, quad, resp, power)."""
-    measure, d_power = bath_mix(bath, quad).measure, _POWERS[power]
+@functools.lru_cache(maxsize=8)
+def _response_powers(bath: BathSpec, quad: QuadratureConfig, resp: _Response) -> dict:
+    """The bath measure (:func:`bath_kernels.bath_measure`) times each d2~
+    power, NodeTables by _POWERS key for the 8 most recent (bath, quad,
+    resp).  They are filled together, so a node's first lookup evaluates
+    the measure and d2~ once for every power."""
+    measure = bath_measure(bath.beta, bath.mass_i, quad)
     gamma, omega_sq = resp.gamma, resp.omega_sq
-    return node_memo(
-        lambda w: measure(w) * d_power(1.0 / (omega_sq - w * w - 2j * gamma * w))
-    )
+
+    def powers(w):
+        m = measure(w)
+        d = 1.0 / (omega_sq - w * w - 2j * gamma * w)
+        return m * d, m * (d * d), m * (d * d.conjugate()).real
+
+    return dict(zip(_POWERS, node_tables(powers, len(_POWERS))))
 
 
 def _kernel(scaled, weight, coeffs, part: str):
-    """w -> part of scaled(w) (c0 + c1 w + c2 w^2) weight(w), where the
-    measure times d2~ power ``scaled`` and the squeeze ``weight`` (or None)
-    are node memos, so a call computes only its own polynomial."""
+    """w -> part of (scaled[w] (c0 + c1 w + c2 w^2)) weight[w].
+
+    ``scaled`` holds the measure times a d2~ power and ``weight`` (or
+    None) the squeeze weight, both NodeTables, so a call makes one C-level
+    lookup per factor and computes only its own polynomial; the
+    multiplication order is fixed, so the bits are too."""
     c0, c1, c2 = coeffs
+    if weight is None:
+        if part == "real":
+            return lambda w: (scaled[w] * (c0 + w * (c1 + w * c2))).real
+        return lambda w: (scaled[w] * (c0 + w * (c1 + w * c2))).imag
+    if part == "real":
+        return lambda w: (scaled[w] * (c0 + w * (c1 + w * c2)) * weight[w]).real
+    return lambda w: (scaled[w] * (c0 + w * (c1 + w * c2)) * weight[w]).imag
 
-    def kernel(w):
-        value = scaled(w) * (c0 + w * (c1 + w * c2))
-        if weight is not None:
-            value = value * weight(w)
-        return getattr(value, part)
 
-    return kernel
-
-
-def _fourier_terms(
-    mix: BathMix, scaled, u: _Factor, v: _Factor, stationary: bool
-) -> list:
+def _fourier_terms(factor, weight, u: _Factor, v: _Factor, stationary: bool) -> list:
     """Fourier terms of one part of the bilinear form of u and v.
 
     The stationary part is int dmu cosh 2eta 2 Re[u v*], the
-    nonstationary part -int dmu 2 Re[sinh 2eta e^{i theta} u v].  The four
-    products of P and Q carry phases e^{-iw tau}; the phases of one |tau|
-    share a cos kernel Re[F p+] and a sin kernel Im[F p-], where F is the
-    measure, weight and d2~ factor, p+ sums the polynomials and p- sums
-    them with the sign of tau.  A kernel that vanishes identically is
-    dropped: the sin kernel at tau = 0, any part that a real F (u v* with
-    equal d2~ powers under the real cosh weight, or plane waves under a
-    constant weight) takes from a purely real or purely imaginary
-    polynomial, and every kernel of a part whose constant weight is zero
-    (the nonstationary part of an unsqueezed bath).  ``scaled(power)``
-    gives the measure times the d2~ power of that _POWERS key.
+    nonstationary part -int dmu 2 Re[sinh 2eta e^{i theta} u v].
+    ``factor`` holds the measure times the part's d2~ power
+    (:func:`_power`), and ``weight`` is the part's squeeze weight, a
+    constant or a NodeTable.  The four products of P and Q carry phases
+    e^{-iw tau}; the phases of one |tau| share a cos kernel Re[F p+] and a
+    sin kernel Im[F p-], where F is the measure, weight and d2~ factor, p+
+    sums the polynomials and p- sums them with the sign of tau.  A kernel
+    that vanishes identically is dropped: the sin kernel at tau = 0, any
+    part that a real F (u v* with equal d2~ powers under the real cosh
+    weight, or plane waves under a constant weight) takes from a purely
+    real or purely imaginary polynomial, and every kernel of a part whose
+    constant weight is zero (the nonstationary part of an unsqueezed bath).
     """
     if stationary:
-        weight, scale = mix.cosh, 2.0
+        scale = 2.0
         vp = tuple(c.conjugate() for c in v.p)
         vq = tuple(c.conjugate() for c in v.q)
         vs = -v.s
     else:
-        weight, scale = mix.sinh, -2.0
+        scale = -2.0
         vp, vq, vs = v.p, v.q, v.s
-    if not callable(weight):
+    if not isinstance(weight, NodeTable):
         weight, scale = None, scale * weight
 
     groups: dict[float, tuple] = {}
@@ -363,11 +370,7 @@ def _fourier_terms(
                 tuple(x + sign * y for x, y in zip(minus, poly)),
             )
 
-    if not groups:  # a zero constant weight: no terms, and no memo to build
-        return []
     real_f = (stationary and u.n == v.n) or (u.n + v.n == 0 and weight is None)
-    power = _power(u.n, v.n, stationary)
-    factor = mix.measure if power is None else scaled(power)
     terms = []
     for freq, polys in groups.items():
         for poly, part, kind in zip(polys, ("real", "imag"), ("cos", "sin")):
@@ -387,16 +390,49 @@ def _bilinear(
     """(stationary, nonstationary) parts of the bilinear form of u and v.
 
     ``weights``, a (cosh, sinh) pair of constants, replaces the weights of
-    ``bath``.  ``resp`` may be None when neither factor carries d2~.
+    ``bath``.  ``resp`` may be None when neither factor carries d2~.  Both
+    parts are symmetric in u and v, so the factor with more d2~ powers
+    goes first.  Each part is one :func:`_part`, memoized by value: a
+    constant weight is part of its key and the bath is reduced to its
+    measure, so the stationary part of a constant-squeeze bath is
+    integrated once for every squeeze angle.
     """
-    mix = bath_mix(bath, quad)
-    if weights is not None:
-        mix = mix._replace(cosh=weights[0], sinh=weights[1])
-    scaled = functools.partial(_response_power, bath, quad, resp)
+    mix = bath_mix(bath, quad)  # checks the bath
+    if v.n > u.n:
+        u, v = v, u
+    if weights is None:
+        spectral = isinstance(bath.squeeze, SqueezeSpectrum)
+        weights = (None, None) if spectral else (mix.cosh, mix.sinh)
+    if weights[0] is not None and bath.mass_i == 0.0:
+        bath = BathSpec(bath.beta)
     return tuple(
-        _sum_fourier_terms(_fourier_terms(mix, scaled, u, v, part), mix.lower, quad)
-        for part in (True, False)
+        _part(resp, bath, u, v, quad, stationary, weight)
+        for stationary, weight in zip((True, False), weights)
     )
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _part(
+    resp: _Response | None,
+    bath: BathSpec,
+    u: _Factor,
+    v: _Factor,
+    quad: QuadratureConfig,
+    stationary: bool,
+    weight: float | complex | None,
+) -> float:
+    """The stationary or nonstationary part of the bilinear form of u and v
+    under the measure of ``bath`` and the constant ``weight`` (None: the
+    weights of the bath's squeeze spectrum).  Kept for the 4096 most recent
+    argument values, so an integral repeated across squeeze angles,
+    products or sweep points of a run is computed once."""
+    mix = bath_mix(bath, quad)
+    if weight is None:
+        weight = mix.cosh if stationary else mix.sinh
+    power = _power(u.n, v.n, stationary)
+    factor = mix.measure if power is None else _response_powers(bath, quad, resp)[power]
+    terms = _fourier_terms(factor, weight, u, v, stationary)
+    return _sum_fourier_terms(terms, mix.lower, quad)
 
 
 def _sum_fourier_terms(terms, lower, quad: QuadratureConfig) -> float:

@@ -16,8 +16,11 @@ The adaptive core is QUADPACK (through scipy): QAGS/QAGI for smooth
 kernels and QAWO for the oscillatory shapes.  QAWO evaluates the
 trigonometric factor by Chebyshev moments on its subintervals, so
 integrands oscillating over ~1e5 cycles remain cheap.  A fixed kernel
-and tolerance always reproduce the same value bit for bit.  The kernels
-of a run share factors at recurring nodes; :func:`node_memo` keeps them.
+and tolerance always reproduce the same value bit for bit.  QUADPACK
+calls a kernel with one Python float per node, and the kernels of a run
+revisit the same nodes many times; their shared per-node factors are
+kept in :class:`NodeTable` dicts, which a kernel reads with one C-level
+lookup per factor and which compute a node's values on its first visit.
 
 The module also carries the thermal factors.
 """
@@ -42,7 +45,7 @@ __all__ = [
 
 DEFAULT_REL_TOL = 1e-8
 DEFAULT_ABS_TOL = 1e-12
-_MEMO_NODES = 1 << 15  # float nodes kept per memoized factor
+_MEMO_NODES = 1 << 15  # float nodes kept per NodeTable
 
 
 # ---------------------------------------------------------------------------
@@ -121,23 +124,42 @@ class QuadratureConfig:
         return b
 
 
-def node_memo(fn):
-    """fn, evaluated once per distinct float node (the first _MEMO_NODES
-    are kept), so it returns fn's bits; arrays pass straight through."""
-    values = {}
+class NodeTable(dict):
+    """Per-node factors of the kernels, keyed by the float node w.
 
-    def memo(w):
-        if not isinstance(w, float):
-            return fn(w)
-        try:
-            return values[w]
-        except KeyError:
-            out = fn(w)
-            if len(values) < _MEMO_NODES:
-                values[w] = out
-            return out
+    ``table[w]`` is one C-level dict lookup.  A node that is not in the
+    table calls ``fill(w)`` (through ``__missing__``), which computes the
+    node's values for this table and the tables filled with it
+    (:func:`node_tables`), stores them while the tables hold fewer than
+    _MEMO_NODES nodes, and returns them; the table's own is at ``index``.
+    So every lookup of a node returns the bits of one evaluation.
+    """
 
-    return memo
+    __slots__ = ("fill", "index")
+
+    def __missing__(self, w):
+        return self.fill(w)[self.index]
+
+
+def node_tables(fn, count: int) -> tuple:
+    """``count`` NodeTables of the values of ``fn``, filled together.
+
+    ``fn(w)`` returns a tuple of ``count`` values.  A miss in any of the
+    tables evaluates fn once and stores every value under the same key,
+    so fn runs once per node and the tables share the key object.
+    """
+    tables = tuple(NodeTable() for _ in range(count))
+
+    def fill(w):
+        values = fn(w)
+        if len(tables[0]) < _MEMO_NODES:
+            for table, value in zip(tables, values):
+                table[w] = value
+        return values
+
+    for i, table in enumerate(tables):
+        table.fill, table.index = fill, i
+    return tables
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,17 @@ from sqbath import (
     SqueezeParam,
 )
 from sqbath.bath_kernels import bath_mix
-from sqbath.oscillator_dynamics import _response_power
+from sqbath.oscillator_dynamics import _part, _response_powers
 from sqbath.parametric_mode import squeeze_spectrum
 
 
 def clear_node_memos():
-    """Drop the cached bath mixes and response powers with their node memos."""
+    """Drop the memoized bilinear-form parts and the cached bath mixes and
+    response powers with their node tables; a part served from its memo
+    would not touch the node tables at all."""
+    _part.cache_clear()
     bath_mix.cache_clear()
-    _response_power.cache_clear()
+    _response_powers.cache_clear()
 
 
 @pytest.fixture

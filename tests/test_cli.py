@@ -4,7 +4,9 @@ import csv
 import importlib.util
 import json
 import math
+import os
 import pickle
+import subprocess
 import sys
 from pathlib import Path
 
@@ -77,6 +79,14 @@ INVALID_VALUES = {
     "sweep-spacing-word": {
         "sweep": {"path": "bath.beta", "start": 1, "stop": 2, "steps": 2, "spacing": "log2"}
     },
+    # a lone value where a list belongs is rejected, not iterated
+    "ns-thetas-scalar": {"ns_thetas": 0.5, "outputs": ["ns_split"]},
+    "sweep-values-scalar": {"sweep": {"path": "bath.beta", "values": 2.0}},
+    "outputs-string": {"outputs": "covariances"},
+    # a fractional or boolean count is rejected, not rounded
+    "points-fractional": {"time_grid": {"start": 1, "stop": 9, "points": 2.7}},
+    "steps-boolean": {"sweep": {"path": "bath.beta", "start": 1, "stop": 2, "steps": True}},
+    "steps-fractional": {"sweep": {"path": "bath.beta", "start": 1, "stop": 2, "steps": 2.5}},
 }
 
 
@@ -189,11 +199,16 @@ class TestConfigParsing:
         assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", INVALID_VALUES.values(), ids=INVALID_VALUES.keys())
-    def test_invalid_value_exit_code(self, tmp_path, case):
+    def test_invalid_value_exit_code(self, tmp_path, capsys, case):
         data = dict(SMALL_CONSTANT, **case)
         cfgp = write_config(tmp_path, data)
         assert main(["run", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
+        assert "unknown output product 'c'" not in capsys.readouterr().err
+
+    def test_integral_float_count_accepted(self):
+        data = dict(SMALL_CONSTANT, time_grid={"start": 5.0, "stop": 20.0, "points": 4.0})
+        assert parse_config(data).time_grid.size == 4
 
 
 class TestRun:
@@ -367,7 +382,7 @@ class TestSweep:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(sqbath.cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         data = dict(SMALL_CONSTANT, outputs=["fdr"])
         data["sweep"] = {"path": "bath.beta", "values": [0.3 * (i + 1) for i in range(points)]}
         run_sweep(parse_config(data), tmp_path, threads=threads)
@@ -377,7 +392,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_threads_below_one_exit_code(self, tmp_path, monkeypatch, threads):
-        monkeypatch.setattr(sqbath.cli, "ProcessPoolExecutor", None)  # never started
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)  # never started
         data = dict(SMALL_CONSTANT, outputs=["fdr"])
         data["sweep"] = {"path": "bath.beta", "values": [0.3, 0.6]}
         cfgp = write_config(tmp_path, data)
@@ -445,7 +460,7 @@ class TestSweep:
                     future.set_exception(pickle.loads(pickle.dumps(exc)))
                 return future
 
-        monkeypatch.setattr(sqbath.cli, "ProcessPoolExecutor", PicklingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
         payload = self.failing_sweep(tmp_path, monkeypatch, threads=2)
         assert payload["sweep_failures"] == [self.FAILURE]
 
@@ -667,3 +682,19 @@ class TestFigurePresets:
         from sqbath.cli import resolved_config
 
         assert config_hash(resolved_config(cfg)) == config_hash(resolved_config(cfg))
+
+
+def test_import_leaves_out_interpolation_and_process_pool():
+    # the PCHIP coefficients are computed without scipy.interpolate, and the
+    # process pool is imported only by a sweep with more than one worker
+    code = (
+        "import sys, sqbath.cli; "
+        "print([m for m in ('scipy.interpolate', 'concurrent.futures.process') "
+        "if m in sys.modules])"
+    )
+    paths = [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

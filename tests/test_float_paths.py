@@ -15,7 +15,13 @@ import pytest
 from scipy.interpolate import PchipInterpolator
 
 from sqbath import BathSpec, MassProfile, QuadratureConfig, SqueezeParam
-from sqbath.bath_kernels import SqueezeSpectrum, bath_mix
+from sqbath.bath_kernels import (
+    SqueezeSpectrum,
+    _Pchip,
+    bath_measure,
+    bath_mix,
+    spectrum_weights,
+)
 from sqbath.parametric_mode import ProfileShape
 from sqbath.quadrature import coth_half_beta, omega_coth_half_beta
 
@@ -101,6 +107,27 @@ def test_spectrum_lookup_is_scipy_pchip(spectrum):
     assert [spectrum.eta_at(float(x)) for x in grid] == list(np.maximum(eta, 0.0))
 
 
+PCHIP_SAMPLES = {
+    "two-knots": [0.3, -1.2],
+    "three-knots": [0.0, 1.0, 0.5],
+    "monotone": list(np.cumsum(np.linspace(0.1, 2.0, 12))),
+    "flats-and-turns": [0.0, 0.0, 1.0, 1.0, 0.2, -0.5, -0.5, 3.0, 2.9, 2.9, 0.0, 4.0],
+    "end-overshoot": [0.0, 5.0, 5.1, 5.0, 0.0, -0.1, 2.0, 9.0],
+    "decaying": list(0.3 * np.exp(-np.geomspace(0.02, 60.0, 16))),
+}
+
+
+@pytest.mark.parametrize("y", PCHIP_SAMPLES.values(), ids=PCHIP_SAMPLES.keys())
+def test_pchip_coefficients_are_scipys(y):
+    # the slopes and pieces repeat scipy's numpy operations, so the
+    # coefficients agree bit for bit, the end-knot clipping included
+    x = np.cumsum(np.linspace(0.05, 1.7, len(y))) ** 1.3
+    ours = _Pchip(x, np.array(y))
+    scipys = PchipInterpolator(x, np.array(y), extrapolate=False)
+    np.testing.assert_array_equal(ours.x, scipys.x)
+    np.testing.assert_array_equal(ours.c, scipys.c)
+
+
 @pytest.mark.parametrize(
     "bath, quad",
     [
@@ -111,16 +138,27 @@ def test_spectrum_lookup_is_scipy_pchip(spectrum):
     ],
     ids=["thermal", "zero-temperature", "squeezed", "massive-spectrum"],
 )
-def test_bath_mix(bath, quad, spectrum):
+def test_bath_mix(bath, quad, spectrum, cold_memo):
     if bath == "spectrum":
         bath = BathSpec(beta=1.0, squeeze=spectrum, mass_i=0.2, mass_f=0.5)
     mix = bath_mix(bath, quad)
     lower = mix.lower
     points = [lower, lower + 1e-7, lower + 0.01, 0.7, 3.3, 49.0, *(lower + SPREAD)]
-    assert_paths_equal(mix.measure, points)
-    for weight in (mix.cosh, mix.sinh):
-        if callable(weight):
-            assert_paths_equal(weight, points)
+    points = [float(x) for x in points]
+    measure = bath_measure(bath.beta, bath.mass_i, quad)
+    assert_paths_equal(measure, points)
+    # the node tables hold the float path's values, on the first and on a
+    # repeated lookup
+    for _ in range(2):
+        assert [mix.measure[x] for x in points] == [measure(x) for x in points]
+    if isinstance(bath.squeeze, SqueezeSpectrum):
+        weights = spectrum_weights(bath.squeeze, bath.mass_i)
+        assert_paths_equal(lambda w: weights(w)[0], points)
+        assert_paths_equal(lambda w: weights(w)[1], points)
+        for _ in range(2):
+            assert [(mix.cosh[x], mix.sinh[x]) for x in points] == [
+                weights(x) for x in points
+            ]
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,9 @@ from sqbath.errors import (
 from sqbath.gaussian_state import CovarianceState, SqueezeParam
 from sqbath.oscillator_dynamics import (
     OscillatorSpec,
-    _response_power,
+    _bilinear,
+    _f_factor,
+    _response_powers,
     chi_hadamard,
     chi_hadamard_components,
     covariance_evolution,
@@ -460,12 +462,12 @@ class TestNodeMemo:
 
     def test_caches_hold_at_most_maxsize(self, spec, cold_memo):
         resp = effective_response(spec, BathSpec(beta=1.0))
-        size = max(bath_mix.cache_info().maxsize, _response_power.cache_info().maxsize)
+        size = max(bath_mix.cache_info().maxsize, _response_powers.cache_info().maxsize)
         for i in range(size + 3):
             bath = BathSpec(beta=1.0 + 0.1 * i)
             assert bath_mix(bath, MEMO_QUAD) is bath_mix(bath, MEMO_QUAD)
-            _response_power(bath, MEMO_QUAD, resp, "abs^2")
-        for cache in (bath_mix, _response_power):
+            _response_powers(bath, MEMO_QUAD, resp)
+        for cache in (bath_mix, _response_powers):
             info = cache.cache_info()
             assert 0 < info.currsize <= info.maxsize
 
@@ -487,6 +489,62 @@ class TestNodeMemo:
                 power_in(spec, bath_parametric, t, MEMO_QUAD)
         assert 0 < evals[0] <= len(set(nodes))
         assert evals[0] <= len(nodes) / 5
+
+
+class TestPartMemo:
+    """Each part of a bilinear form is memoized by value for the whole run:
+    the stationary part of the squeeze-angle split does not depend on the
+    angle, so a second angle integrates only the nonstationary part."""
+
+    THETAS = (0.0, math.pi / 6.0, math.pi / 2.0)
+    TIMES = (5.0, 12.0, 30.0)
+    BETA = 0.3
+
+    def split(self, spec, theta):
+        return [ns_st_split(spec, self.BETA, theta, t, MEMO_QUAD) for t in self.TIMES]
+
+    def test_ns_split_over_thetas_keeps_cold_values(self, spec, cold_memo):
+        cold = []
+        for theta in self.THETAS:
+            cold_memo()
+            cold.append(self.split(spec, theta))
+        cold_memo()
+        assert [self.split(spec, theta) for theta in self.THETAS] == cold
+        # and again, now served from the part memo
+        assert [self.split(spec, theta) for theta in self.THETAS] == cold
+
+    def test_stationary_part_integrated_once_per_time(self, spec, cold_memo, monkeypatch):
+        calls = [0]
+        original = sqbath.oscillator_dynamics.fourier_quad
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sqbath.oscillator_dynamics, "fourier_quad", counted)
+
+        def count(fn, *args):
+            before = calls[0]
+            fn(*args)
+            return calls[0] - before
+
+        def stationary_only():
+            # a zero nonstationary weight leaves no nonstationary terms
+            resp = effective_response(spec, BathSpec(self.BETA))
+            for t in self.TIMES:
+                f = _f_factor(resp, t)
+                _bilinear(resp, BathSpec(self.BETA), f, f, MEMO_QUAD, weights=(1.0, 0j))
+
+        cold_memo()
+        stationary = count(stationary_only)
+        cold = []
+        for theta in self.THETAS:
+            cold_memo()
+            cold.append(count(self.split, spec, theta))
+        cold_memo()
+        warm = [count(self.split, spec, theta) for theta in self.THETAS]
+        assert 0 < stationary < cold[0]
+        assert warm == [cold[0], *(n - stationary for n in cold[1:])]
 
 
 def test_quadrature_failure_names_the_term(spec, bath_squeezed):
