@@ -1,16 +1,19 @@
 """
 The free bath field: its squeeze spectrum, its state and its measure.
 
-Every frequency integral of the package sees the bath through
-:func:`bath_mix`: the measure (dw/2pi)(kappa/4pi) coth(b w/2) with its
-regulator, and the stationary and nonstationary squeeze weights
-cosh 2eta and sinh 2eta e^{i theta}, constant or read from a squeeze
-spectrum.  The stationary weight cosh 2eta_kappa, which both FDRs carry,
-is :meth:`BathSpec.cosh2eta_at`.  The module also holds the bath-level
-fluctuation-dissipation relation, :func:`bath_fdr`.  The bath's own
-two-point function, the coincident-point Hadamard kernel, is the
-plane-wave bilinear form of the response expander and lives with it in
-:mod:`oscillator_dynamics` (:func:`oscillator_dynamics.hadamard_coincident`).
+Every frequency integral of the package sees the bath through the
+measure (dw/2pi)(kappa/4pi) coth(b w/2) with its regulator
+(:func:`bath_measure`) and the stationary and nonstationary squeeze
+weights cosh 2eta and sinh 2eta e^{i theta}: constants (:func:`bath_mix`)
+or read from a squeeze spectrum (:func:`spectrum_weights`).  The
+integrals of a run keep these per-node values in the tables of
+:func:`oscillator_dynamics._node_factors`.  The stationary weight
+cosh 2eta_kappa, which both FDRs carry, is :meth:`BathSpec.cosh2eta_at`.
+The module also holds the bath-level fluctuation-dissipation relation,
+:func:`bath_fdr`.  The bath's own two-point function, the
+coincident-point Hadamard kernel, is the plane-wave bilinear form of the
+response expander and lives with it in :mod:`oscillator_dynamics`
+(:func:`oscillator_dynamics.hadamard_coincident`).
 
 Conventions: frequencies carry the initial field mass, w_i = sqrt(k^2 +
 m_i^2); k integrals are performed in w_i above threshold, which removes
@@ -21,11 +24,10 @@ g~(w) = int dt g(t) e^{+i w t}.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -33,16 +35,13 @@ from .errors import BelowThresholdError, DomainError, ResolutionError
 from .gaussian_state import SqueezeParam
 # fourier_quad stays importable here for perfbench/tracing.py
 from .quadrature import (  # noqa: F401
-    NodeTable,
     QuadratureConfig,
     coth_half_beta,
     fourier_quad,
-    node_tables,
     omega_coth_half_beta,
 )
 
 __all__ = [
-    "BathMix",
     "bath_mix",
     "bath_measure",
     "spectrum_weights",
@@ -253,27 +252,6 @@ class BathSpec:
 _MEASURE_NORM = 1.0 / (8.0 * math.pi**2)  # (dw/2pi)(w/4pi) -> w dw / 8 pi^2
 
 
-class BathMix(NamedTuple):
-    """Measure and squeeze weights of the bath integrals over w.
-
-    ``measure`` holds (1/8 pi^2) kappa coth(b w/2) times the regulator
-    (:func:`bath_measure`), with kappa = sqrt(w^2 - m_i^2) above the
-    threshold ``lower`` = m_i (kappa = w for a massless bath).  ``cosh`` is
-    cosh 2eta and ``sinh`` the complex sinh 2eta e^{i theta}: numbers for
-    a constant squeeze; for a squeeze spectrum, read at kappa, the two
-    :class:`quadrature.NodeTable` of :func:`spectrum_weights`, filled
-    together.  QUADPACK calls a kernel with one float w per node, and the
-    kernel reads ``measure[w]`` or ``cosh[w]`` with one dict lookup; a
-    node's values are computed on its first lookup.  The mix is cached,
-    so all integrals of a bath share the tables.
-    """
-
-    lower: float
-    measure: NodeTable
-    cosh: float | NodeTable
-    sinh: complex | NodeTable
-
-
 def _kappa(mass_i: float) -> Callable:
     """w -> kappa = sqrt(w^2 - m_i^2), 0 below the threshold (w itself for
     a massless bath); a float w gives a float, an array an array."""
@@ -320,24 +298,21 @@ def spectrum_weights(spectrum: SqueezeSpectrum, mass_i: float) -> Callable:
     return weights
 
 
-@functools.lru_cache(maxsize=8)
-def bath_mix(bath: BathSpec, quad: QuadratureConfig) -> BathMix:
-    """Measure and weights of ``bath`` under the regulator of ``quad``, built
-    once per (bath, quad) value (the 8 most recent are kept) and shared."""
-    measure_at = bath_measure(bath.beta, bath.mass_i, quad)
-    (measure,) = node_tables(lambda w: (measure_at(w),), 1)
+def bath_mix(bath: BathSpec, quad: QuadratureConfig) -> tuple:
+    """The constant squeeze weights (cosh 2eta, sinh 2eta e^{i theta}) of
+    ``bath``, or (None, None) for a squeeze spectrum, which must be
+    resolved under the regulator of ``quad``.  A massive bath needs a
+    spectrum."""
     if isinstance(bath.squeeze, SqueezeSpectrum):
         bath.squeeze.check_resolution(quad, bath.mass_i)
-        cosh, sinh = node_tables(spectrum_weights(bath.squeeze, bath.mass_i), 2)
-        return BathMix(bath.mass_i, measure, cosh, sinh)
-
+        return None, None
     if not bath.is_massless:
         raise DomainError(
             "constant-squeeze dynamics is implemented for massless baths; "
             "massive baths require a parametric squeeze spectrum"
         )
     sq = bath.constant_squeeze()
-    return BathMix(0.0, measure, sq.cosh2eta, sq.sinh2eta * cmath.exp(1j * sq.theta))
+    return sq.cosh2eta, sq.sinh2eta * cmath.exp(1j * sq.theta)
 
 
 def bath_fdr(omega: float, bath: BathSpec) -> tuple[float, float]:

@@ -99,7 +99,7 @@ _FLOAT_FMT = "{:.16e}"  # 17 significant digits
 
 
 def _as_float(value, where: str) -> float:
-    """A config number; inf is allowed (beta = inf), NaN is not."""
+    """A config number; inf is allowed (beta = inf), NaN and booleans are not."""
     if isinstance(value, str):
         if value.strip().lower() in ("inf", ".inf", "+inf", "infinity"):
             return math.inf
@@ -107,7 +107,7 @@ def _as_float(value, where: str) -> float:
             number = float(value)
         except ValueError:
             raise ConfigurationError(f"{where}: expected a number, got {value!r}")
-    elif isinstance(value, (int, float)):
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
         number = float(value)
     else:
         raise ConfigurationError(f"{where}: expected a number, got {value!r}")
@@ -262,9 +262,10 @@ def parse_config(data: dict) -> RunConfig:
                 mass_f=_as_float(prof.get("mass_f", 0.0), "profile.mass_f"),
                 t_i=_as_float(prof.get("t_i", 0.0), "profile.t_i"),
                 t_f=_as_float(prof.get("t_f", 1.0), "profile.t_f"),
-                shape=ProfileShape(prof.get("shape", "tanh")),
+                shape=ProfileShape(prof.get("shape", MassProfile.shape)),
                 smoothstep_order=_as_int(
-                    prof.get("smoothstep_order", 2), "smoothstep_order"
+                    prof.get("smoothstep_order", MassProfile.smoothstep_order),
+                    "smoothstep_order",
                 ),
             )
         except (ValueError, SqbathError) as exc:
@@ -275,14 +276,16 @@ def parse_config(data: dict) -> RunConfig:
 
     quad_sec = _section(data, "quadrature") or {}
     cutoff = quad_sec.get("cutoff", 1000.0 * spec.omega_r)
+    default = QuadratureConfig()
     try:
         quad = QuadratureConfig(
             cutoff=None if cutoff is None else _as_float(cutoff, "quadrature.cutoff"),
-            epsilon=_as_float(quad_sec.get("epsilon", 0.0), "quadrature.epsilon"),
-            rel_tol=_as_float(quad_sec.get("rel_tol", 1e-8), "quadrature.rel_tol"),
-            abs_tol=_as_float(quad_sec.get("abs_tol", 1e-12), "quadrature.abs_tol"),
+            epsilon=_as_float(quad_sec.get("epsilon", default.epsilon), "quadrature.epsilon"),
+            rel_tol=_as_float(quad_sec.get("rel_tol", default.rel_tol), "quadrature.rel_tol"),
+            abs_tol=_as_float(quad_sec.get("abs_tol", default.abs_tol), "quadrature.abs_tol"),
             max_subdivisions=_as_int(
-                quad_sec.get("max_subdivisions", 2000), "max_subdivisions"
+                quad_sec.get("max_subdivisions", default.max_subdivisions),
+                "max_subdivisions",
             ),
         )
     except SqbathError as exc:
@@ -838,8 +841,6 @@ def main(argv=None) -> int:
         cfg = parse_config(data)
 
         if args.command == "sweep" or (cfg.sweep is not None and args.figure):
-            if cfg.sweep is None:
-                raise ConfigurationError("config has no sweep section")
             manifest = run_sweep(cfg, args.out, threads=getattr(args, "threads", 1))
         else:
             manifest = run(cfg, args.out)

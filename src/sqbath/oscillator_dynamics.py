@@ -20,11 +20,12 @@ the parts the fluctuation-dissipation argument rests on,
     stationary    =  int dmu cosh 2eta 2 Re[u v*],
     nonstationary = -int dmu 2 Re[sinh 2eta e^{i theta} u v],
 
-with the bath measure dmu and weights of :func:`bath_kernels.bath_mix`.
-One expander multiplies out either product and groups its phases
-e^{-iw tau} by |tau| into cos and sin Fourier integrals with smooth
-kernels: (f, f), (f', f') and (f, f') give xx, pp and xp, (f(t), f(t'))
-the two-time Hadamard function, (f', e^{-iwt}) the injected power and
+with the bath measure dmu and weights of :mod:`bath_kernels`, read per
+quadrature node from the tables of :func:`_node_factors`.  One expander
+multiplies out either product and groups its phases e^{-iw tau} by |tau|
+into cos and sin Fourier integrals with smooth kernels: (f, f), (f', f')
+and (f, f') give xx, pp and xp, (f(t), f(t')) the two-time Hadamard
+function, (f', e^{-iwt}) the injected power and
 (e^{-iwt}, e^{-iwt'}) the coincident-point Hadamard kernel of the bath
 itself, which needs no response.  :func:`_sum_fourier_terms` is the one
 driver that turns these terms into quadrature calls.  f, f' and d2~ as
@@ -48,20 +49,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bath_kernels import BathSpec, SqueezeSpectrum, bath_measure, bath_mix
+from .bath_kernels import (
+    BathSpec,
+    SqueezeSpectrum,
+    bath_measure,
+    bath_mix,
+    spectrum_weights,
+)
 from .errors import (
     ConvergenceError,
     DomainError,
     UnsupportedRegimeError,
 )
 from .gaussian_state import CovarianceState
-from .quadrature import (
-    NodeTable,
-    QuadratureConfig,
-    cusp_head,
-    fourier_quad,
-    node_tables,
-)
+from .quadrature import QuadratureConfig, cusp_head, fourier_quad
 
 __all__ = [
     "KernelValue",
@@ -286,31 +287,62 @@ def _times(a, b, scale):
     )
 
 
-_POWERS = ("d", "d^2", "abs^2")  # the d2~ powers of a bilinear form
+_MEMO_NODES = 1 << 15  # float nodes kept per table set
 
 
-def _power(n_u: int, n_v: int, conj: bool) -> str | None:
-    """The _POWERS key of d2~^{n_u} (d2~*)^{n_v} (conj) or d2~^{n_u + n_v},
-    for n_u >= n_v; None when both powers are 0: the form then carries no
-    response."""
-    return "abs^2" if conj and n_v else (None, "d", "d^2")[n_u + n_v]
+class NodeTable(dict):
+    """One per-node factor of the kernels, keyed by the float node w.
+
+    ``table[w]`` is one C-level dict lookup.  A node that is not in the
+    table calls ``fill(w)`` (through ``__missing__``), which computes the
+    node's row of every table of its set (:func:`_node_factors`), stores
+    it while the tables hold fewer than _MEMO_NODES nodes, and returns
+    it; the table's own value is at ``index``.  So every lookup of a node
+    returns the bits of one evaluation.
+    """
+
+    __slots__ = ("fill", "index")
+
+    def __missing__(self, w):
+        return self.fill(w)[self.index]
 
 
 @functools.lru_cache(maxsize=8)
-def _response_powers(bath: BathSpec, quad: QuadratureConfig, resp: _Response) -> dict:
-    """The bath measure (:func:`bath_kernels.bath_measure`) times each d2~
-    power, NodeTables by _POWERS key for the 8 most recent (bath, quad,
-    resp).  They are filled together, so a node's first lookup evaluates
-    the measure and d2~ once for every power."""
+def _node_factors(
+    bath: BathSpec, quad: QuadratureConfig, resp: _Response | None
+) -> tuple:
+    """One NodeTable per factor of the integrals over the measure of
+    ``bath`` under the regulator of ``quad``, for the 8 most recent
+    (bath, quad, resp): the measure times d2~, d2~^2 and |d2~|^2 of
+    ``resp`` (the measure alone when ``resp`` is None), then cosh 2eta
+    and sinh 2eta e^{i theta} of a squeeze spectrum.  A node's first
+    lookup in any table evaluates its row once and stores it in all."""
     measure = bath_measure(bath.beta, bath.mass_i, quad)
-    gamma, omega_sq = resp.gamma, resp.omega_sq
+    spectral = isinstance(bath.squeeze, SqueezeSpectrum)
+    weights = spectrum_weights(bath.squeeze, bath.mass_i) if spectral else lambda w: ()
+    if resp is None:
+        def row(w):
+            return (measure(w), *weights(w))
+    else:
+        gamma, omega_sq = resp.gamma, resp.omega_sq
 
-    def powers(w):
-        m = measure(w)
-        d = 1.0 / (omega_sq - w * w - 2j * gamma * w)
-        return m * d, m * (d * d), m * (d * d.conjugate()).real
+        def row(w):
+            m = measure(w)
+            d = 1.0 / (omega_sq - w * w - 2j * gamma * w)
+            return (m * d, m * (d * d), m * (d * d.conjugate()).real, *weights(w))
+    count = (1 if resp is None else 3) + (2 if spectral else 0)
+    tables = tuple(NodeTable() for _ in range(count))
 
-    return dict(zip(_POWERS, node_tables(powers, len(_POWERS))))
+    def fill(w):
+        values = row(w)
+        if len(tables[0]) < _MEMO_NODES:
+            for table, value in zip(tables, values):
+                table[w] = value
+        return values
+
+    for i, table in enumerate(tables):
+        table.fill, table.index = fill, i
+    return tables
 
 
 def _kernel(scaled, weight, coeffs, part: str):
@@ -335,12 +367,12 @@ def _fourier_terms(factor, weight, u: _Factor, v: _Factor, stationary: bool) -> 
 
     The stationary part is int dmu cosh 2eta 2 Re[u v*], the
     nonstationary part -int dmu 2 Re[sinh 2eta e^{i theta} u v].
-    ``factor`` holds the measure times the part's d2~ power
-    (:func:`_power`), and ``weight`` is the part's squeeze weight, a
-    constant or a NodeTable.  The four products of P and Q carry phases
-    e^{-iw tau}; the phases of one |tau| share a cos kernel Re[F p+] and a
-    sin kernel Im[F p-], where F is the measure, weight and d2~ factor, p+
-    sums the polynomials and p- sums them with the sign of tau.  A kernel
+    ``factor`` holds the measure times the part's d2~ power, and
+    ``weight`` is the part's squeeze weight, a constant or a NodeTable.
+    The four products of P and Q carry phases e^{-iw tau}; the phases of
+    one |tau| share a cos kernel Re[F p+] and a sin kernel Im[F p-], where
+    F is the measure, weight and d2~ factor, p+ sums the polynomials and
+    p- sums them with the sign of tau.  A kernel
     that vanishes identically is dropped: the sin kernel at tau = 0, any
     part that a real F (u v* with equal d2~ powers under the real cosh
     weight, or plane waves under a constant weight) takes from a purely
@@ -400,9 +432,7 @@ def _bilinear(
     mix = bath_mix(bath, quad)  # checks the bath
     if v.n > u.n:
         u, v = v, u
-    if weights is None:
-        spectral = isinstance(bath.squeeze, SqueezeSpectrum)
-        weights = (None, None) if spectral else (mix.cosh, mix.sinh)
+    weights = mix if weights is None else weights
     if weights[0] is not None and bath.mass_i == 0.0:
         bath = BathSpec(bath.beta)
     return tuple(
@@ -426,13 +456,14 @@ def _part(
     weights of the bath's squeeze spectrum).  Kept for the 4096 most recent
     argument values, so an integral repeated across squeeze angles,
     products or sweep points of a run is computed once."""
-    mix = bath_mix(bath, quad)
+    n = u.n + v.n  # u.n >= v.n
+    tables = _node_factors(bath, quad, resp if n else None)
     if weight is None:
-        weight = mix.cosh if stationary else mix.sinh
-    power = _power(u.n, v.n, stationary)
-    factor = mix.measure if power is None else _response_powers(bath, quad, resp)[power]
+        weight = tables[-2] if stationary else tables[-1]
+    # the measure alone, or times d2~^n, or times |d2~|^2 for u v*
+    factor = tables[2 if stationary and v.n else max(n - 1, 0)]
     terms = _fourier_terms(factor, weight, u, v, stationary)
-    return _sum_fourier_terms(terms, mix.lower, quad)
+    return _sum_fourier_terms(terms, bath.mass_i, quad)
 
 
 def _sum_fourier_terms(terms, lower, quad: QuadratureConfig) -> float:
@@ -620,7 +651,7 @@ def hadamard_coincident(
     nonstationary = -2 int dmu Re[sinh 2eta_kappa e^{i theta_kappa} e^{-iw(t+t')}]
 
     the bilinear form of the plane waves e^{-iwt} and e^{-iwt'} under the
-    measure dmu and the weights of :func:`bath_mix`, above the mass
+    measure dmu and the squeeze weights of the bath, above the mass
     threshold.  For a parametric bath the times are measured from the end
     of the process.
 

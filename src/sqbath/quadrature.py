@@ -17,10 +17,8 @@ kernels and QAWO for the oscillatory shapes.  QAWO evaluates the
 trigonometric factor by Chebyshev moments on its subintervals, so
 integrands oscillating over ~1e5 cycles remain cheap.  A fixed kernel
 and tolerance always reproduce the same value bit for bit.  QUADPACK
-calls a kernel with one Python float per node, and the kernels of a run
-revisit the same nodes many times; their shared per-node factors are
-kept in :class:`NodeTable` dicts, which a kernel reads with one C-level
-lookup per factor and which compute a node's values on its first visit.
+calls a kernel with one Python float per node; the per-node factors the
+kernels of a run share are kept by :mod:`oscillator_dynamics`.
 
 The module also carries the thermal factors.
 """
@@ -45,7 +43,6 @@ __all__ = [
 
 DEFAULT_REL_TOL = 1e-8
 DEFAULT_ABS_TOL = 1e-12
-_MEMO_NODES = 1 << 15  # float nodes kept per NodeTable
 
 
 # ---------------------------------------------------------------------------
@@ -122,44 +119,6 @@ class QuadratureConfig:
         if self.epsilon > 0.0:
             return min(b, 45.0 / self.epsilon)
         return b
-
-
-class NodeTable(dict):
-    """Per-node factors of the kernels, keyed by the float node w.
-
-    ``table[w]`` is one C-level dict lookup.  A node that is not in the
-    table calls ``fill(w)`` (through ``__missing__``), which computes the
-    node's values for this table and the tables filled with it
-    (:func:`node_tables`), stores them while the tables hold fewer than
-    _MEMO_NODES nodes, and returns them; the table's own is at ``index``.
-    So every lookup of a node returns the bits of one evaluation.
-    """
-
-    __slots__ = ("fill", "index")
-
-    def __missing__(self, w):
-        return self.fill(w)[self.index]
-
-
-def node_tables(fn, count: int) -> tuple:
-    """``count`` NodeTables of the values of ``fn``, filled together.
-
-    ``fn(w)`` returns a tuple of ``count`` values.  A miss in any of the
-    tables evaluates fn once and stores every value under the same key,
-    so fn runs once per node and the tables share the key object.
-    """
-    tables = tuple(NodeTable() for _ in range(count))
-
-    def fill(w):
-        values = fn(w)
-        if len(tables[0]) < _MEMO_NODES:
-            for table, value in zip(tables, values):
-                table[w] = value
-        return values
-
-    for i, table in enumerate(tables):
-        table.fill, table.index = fill, i
-    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +233,9 @@ def fourier_quad(
     head: float | None = None,
     what: str = "oscillatory integral",
 ) -> tuple[float, float]:
-    """``int_a^b kernel(w) {cos,sin}(freq w) dw`` with panel rules, b finite.
-
-    Negative frequencies are folded by parity.  ``freq = 0`` falls back to
-    the plain rule (and to 0 identically for the sine).
+    """``int_a^b kernel(w) {cos,sin}(freq w) dw`` with panel rules, b finite
+    and ``freq`` >= 0.  The cosine at ``freq = 0`` falls back to the plain
+    rule.
 
     ``head`` marks an integrable singularity (e.g. the sqrt cusp of a
     mass-threshold measure) at the lower end: [a, head] is then handled
@@ -291,14 +249,7 @@ def fourier_quad(
             "fourier_quad needs a finite upper limit: truncate at the cutoff "
             "or where the regulator has decayed (QuadratureConfig.upper)"
         )
-    sign = 1.0
-    if freq < 0:
-        freq = -freq
-        if kind == "sin":
-            sign = -1.0
-    if freq == 0.0:
-        if kind == "sin":
-            return 0.0, 0.0
+    if freq == 0.0 and kind == "cos":
         return plain_quad(
             kernel, a, b, rel_tol=rel_tol, abs_tol=abs_tol, limit=limit,
             what="plain integral (frequency 0)",
@@ -317,20 +268,19 @@ def fourier_quad(
             what=f"{what} (singular head)",
         )
         if split >= b:
-            return sign * head_val, head_err
+            return head_val, head_err
         tail_val, tail_err = fourier_quad(
             kernel, freq, kind, split, b,
             rel_tol=rel_tol, abs_tol=abs_tol, limit=limit, what=what,
         )
-        return sign * (head_val + tail_val), head_err + tail_err
+        return head_val + tail_val, head_err + tail_err
 
     out = _sciint.quad(
         kernel, a, b, weight=kind, wvar=freq,
         epsabs=abs_tol, epsrel=rel_tol, limit=limit, maxp1=100,
         full_output=1,
     )
-    val, err = _check_quad_result(out, abs_tol, rel_tol, what)
-    return sign * val, err
+    return _check_quad_result(out, abs_tol, rel_tol, what)
 
 
 def cusp_head(lower: float, freq: float) -> float | None:

@@ -8,18 +8,15 @@ from sqbath import (
     QuadratureConfig,
     SqueezeParam,
 )
-from sqbath.bath_kernels import bath_mix
-from sqbath.oscillator_dynamics import _part, _response_powers
+from sqbath.oscillator_dynamics import _node_factors, _part
 from sqbath.parametric_mode import squeeze_spectrum
 
 
 def clear_node_memos():
-    """Drop the memoized bilinear-form parts and the cached bath mixes and
-    response powers with their node tables; a part served from its memo
-    would not touch the node tables at all."""
+    """Drop the memoized bilinear-form parts and the cached node tables; a
+    part served from its memo would not touch the node tables at all."""
     _part.cache_clear()
-    bath_mix.cache_clear()
-    _response_powers.cache_clear()
+    _node_factors.cache_clear()
 
 
 @pytest.fixture

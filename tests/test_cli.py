@@ -87,6 +87,9 @@ INVALID_VALUES = {
     "points-fractional": {"time_grid": {"start": 1, "stop": 9, "points": 2.7}},
     "steps-boolean": {"sweep": {"path": "bath.beta", "start": 1, "stop": 2, "steps": True}},
     "steps-fractional": {"sweep": {"path": "bath.beta", "start": 1, "stop": 2, "steps": 2.5}},
+    # a boolean number is rejected, not read as 1.0 or 0.0
+    "eta-boolean": {"bath": {"beta": 1.0, "eta": True}},
+    "cutoff-boolean": {"quadrature": {"cutoff": True}},
 }
 
 
@@ -502,6 +505,13 @@ class TestSweep:
         assert not out.exists()
         err = capsys.readouterr().err
         assert f"{path} = {values[1]}" in err and cause in err
+
+    def test_missing_sweep_section_exit_code(self, tmp_path, capsys):
+        cfgp = write_config(tmp_path, SMALL_CONSTANT)
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfgp), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "config has no sweep section" in capsys.readouterr().err
 
 
 class TestMainEntry:

@@ -22,6 +22,7 @@ from sqbath.bath_kernels import (
     bath_mix,
     spectrum_weights,
 )
+from sqbath.oscillator_dynamics import _node_factors
 from sqbath.parametric_mode import ProfileShape
 from sqbath.quadrature import coth_half_beta, omega_coth_half_beta
 
@@ -141,8 +142,10 @@ def test_pchip_coefficients_are_scipys(y):
 def test_bath_mix(bath, quad, spectrum, cold_memo):
     if bath == "spectrum":
         bath = BathSpec(beta=1.0, squeeze=spectrum, mass_i=0.2, mass_f=0.5)
-    mix = bath_mix(bath, quad)
-    lower = mix.lower
+    spectral = isinstance(bath.squeeze, SqueezeSpectrum)
+    assert (bath_mix(bath, quad) == (None, None)) is spectral
+    tables = _node_factors(bath, quad, None)
+    lower = bath.mass_i
     points = [lower, lower + 1e-7, lower + 0.01, 0.7, 3.3, 49.0, *(lower + SPREAD)]
     points = [float(x) for x in points]
     measure = bath_measure(bath.beta, bath.mass_i, quad)
@@ -150,13 +153,14 @@ def test_bath_mix(bath, quad, spectrum, cold_memo):
     # the node tables hold the float path's values, on the first and on a
     # repeated lookup
     for _ in range(2):
-        assert [mix.measure[x] for x in points] == [measure(x) for x in points]
-    if isinstance(bath.squeeze, SqueezeSpectrum):
+        assert [tables[0][x] for x in points] == [measure(x) for x in points]
+    assert len(tables) == (3 if spectral else 1)
+    if spectral:
         weights = spectrum_weights(bath.squeeze, bath.mass_i)
         assert_paths_equal(lambda w: weights(w)[0], points)
         assert_paths_equal(lambda w: weights(w)[1], points)
         for _ in range(2):
-            assert [(mix.cosh[x], mix.sinh[x]) for x in points] == [
+            assert [(tables[1][x], tables[2][x]) for x in points] == [
                 weights(x) for x in points
             ]
 

@@ -7,7 +7,7 @@ import pytest
 from oracles import d2_fourier, f_aux, fundamental_solutions
 import sqbath.bath_kernels
 import sqbath.oscillator_dynamics
-from sqbath.bath_kernels import BathSpec, SqueezeSpectrum, bath_mix
+from sqbath.bath_kernels import BathSpec, SqueezeSpectrum
 from sqbath.energy_fdr import power_in
 from sqbath.errors import (
     ConfigurationError,
@@ -20,7 +20,7 @@ from sqbath.oscillator_dynamics import (
     OscillatorSpec,
     _bilinear,
     _f_factor,
-    _response_powers,
+    _node_factors,
     chi_hadamard,
     chi_hadamard_components,
     covariance_evolution,
@@ -462,14 +462,42 @@ class TestNodeMemo:
 
     def test_caches_hold_at_most_maxsize(self, spec, cold_memo):
         resp = effective_response(spec, BathSpec(beta=1.0))
-        size = max(bath_mix.cache_info().maxsize, _response_powers.cache_info().maxsize)
+        size = _node_factors.cache_info().maxsize
         for i in range(size + 3):
             bath = BathSpec(beta=1.0 + 0.1 * i)
-            assert bath_mix(bath, MEMO_QUAD) is bath_mix(bath, MEMO_QUAD)
-            _response_powers(bath, MEMO_QUAD, resp)
-        for cache in (bath_mix, _response_powers):
-            info = cache.cache_info()
-            assert 0 < info.currsize <= info.maxsize
+            tables = _node_factors(bath, MEMO_QUAD, resp)
+            assert _node_factors(bath, MEMO_QUAD, resp) is tables
+        info = _node_factors.cache_info()
+        assert info.misses == size + 3
+        assert 0 < info.currsize <= info.maxsize
+
+    @pytest.mark.parametrize("which", ["squeezed", "parametric"])
+    def test_one_table_set_per_bath(
+        self, spec, which, bath_squeezed, bath_parametric, cold_memo
+    ):
+        # covariances, power_in and chi_hadamard share the response of the
+        # bath, so all their parts read one table set
+        bath = bath_squeezed if which == "squeezed" else bath_parametric
+        three_products(spec, bath)
+        assert _node_factors.cache_info().misses == 1
+
+    @pytest.mark.parametrize("which", ["squeezed", "parametric"])
+    def test_capped_tables_keep_the_values(
+        self, spec, which, bath_squeezed, bath_parametric, cold_memo, monkeypatch
+    ):
+        bath = bath_squeezed if which == "squeezed" else bath_parametric
+        uncapped = three_products(spec, bath)
+        cold_memo()
+        monkeypatch.setattr(sqbath.oscillator_dynamics, "_MEMO_NODES", 5)
+        capped = three_products(spec, bath)
+        # _bilinear reduces a constant-squeeze bath to its measure
+        measure_bath = bath if which == "parametric" else BathSpec(bath.beta)
+        tables = _node_factors(measure_bath, MEMO_QUAD, effective_response(spec, bath))
+        assert _node_factors.cache_info().misses == 1
+        # a full table set stops growing; later nodes are evaluated afresh
+        # on every lookup, with the same bits
+        assert [len(table) for table in tables] == [5] * len(tables)
+        assert capped == uncapped
 
     @pytest.mark.parametrize("which", ["constant", "parametric"])
     def test_each_node_is_evaluated_once(

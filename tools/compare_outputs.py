@@ -3,9 +3,10 @@
     python tools/compare_outputs.py PARENT_SRC CHANGE_SRC [--workload-seeds N]
 
 PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.
-The script runs ``configs/*.yaml`` of this checkout (``sqbath run``, and
-``sqbath sweep`` for ``finite_coupling.yaml``) and the figure presets 4,
-6, grn3d and tan2eta, once with each tree's package, each run in its own
+The script runs ``configs/*.yaml`` of this checkout (``sqbath run``,
+``sqbath sweep`` too for ``constant_squeeze.yaml`` and only ``sqbath
+sweep`` for ``finite_coupling.yaml``) and the figure presets 4, 6, 7,
+grn3d and tan2eta, once with each tree's package, each run in its own
 Python subprocess.  ``--workload-seeds N`` adds the configs that
 ``perfbench/workloads.py`` of this checkout generates for seeds 0..N-1 of
 each workload, run through the workload's own entry point.  For every
@@ -34,8 +35,8 @@ from pathlib import Path
 import yaml
 
 REPO = Path(__file__).resolve().parents[1]
-SWEEP_CONFIGS = ("finite_coupling",)
-PRESETS = ("4", "6", "grn3d", "tan2eta")
+COMMANDS = {"constant_squeeze": ("run", "sweep"), "finite_coupling": ("sweep",)}
+PRESETS = ("4", "6", "7", "grn3d", "tan2eta")
 SKIPPED_KEYS = ("wall_time_s",)
 
 _ENTRY = "import sys; from sqbath.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -45,8 +46,8 @@ def default_runs() -> list[tuple[str, list[str]]]:
     """(label, sqbath arguments without --out) for every compared run."""
     runs = []
     for path in sorted((REPO / "configs").glob("*.yaml")):
-        command = "sweep" if path.stem in SWEEP_CONFIGS else "run"
-        runs.append((path.stem, [command, "--config", str(path)]))
+        for command in COMMANDS.get(path.stem, ("run",)):
+            runs.append((f"{path.stem}-{command}", [command, "--config", str(path)]))
     runs += [(f"preset-{name}", ["run", "--figure", name]) for name in PRESETS]
     return runs
 
