@@ -16,6 +16,12 @@ materialized into the run manifest so outputs are reproducible from the
 manifest alone.  CSV bodies are deterministic: re-running an identical
 config reproduces them byte for byte.
 
+Run path: ``parse_config`` checks every value and builds the parsed
+objects, ``_build_bath`` the bath and ``_product_files`` the rows of each
+file; ``run`` writes them (and the bath's sampled squeeze spectrum).
+``run_sweep`` maps ``_sweep_point`` over the points, serially or in a
+process pool, and records files and failures in the declared value order.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical error.
 """
 
@@ -28,7 +34,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import as_completed
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -39,6 +44,7 @@ from . import __version__
 from .bath_kernels import BathSpec, SqueezeSpectrum
 from .energy_fdr import (
     LATE_TIME_FACTOR,
+    fdr_frequencies,
     fdr_oscillator,
     flux_balance,
     power_in,
@@ -51,6 +57,7 @@ from .oscillator_dynamics import (
     chi_hadamard,
     chi_hadamard_components,
     covariance_evolution,
+    massive_roots,
     ns_st_split,
 )
 from .parametric_mode import MassProfile, ProfileShape, squeeze_spectrum
@@ -98,21 +105,22 @@ _FLOAT_FMT = "{:.16e}"  # 17 significant digits
 # config parsing
 
 
-def _as_float(value, where: str) -> float:
-    """A config number; inf is allowed (beta = inf), NaN and booleans are not."""
+def _as_float(value, where: str, finite: bool = True) -> float:
+    """A config number; NaN and booleans are rejected, and so is +-inf
+    unless ``finite`` is False (bath.beta = inf is zero temperature)."""
     if isinstance(value, str):
-        if value.strip().lower() in ("inf", ".inf", "+inf", "infinity"):
-            return math.inf
+        text = value.strip().lower()  # float() reads inf, +inf and infinity
         try:
-            number = float(value)
+            number = math.inf if text == ".inf" else float(text)
         except ValueError:
             raise ConfigurationError(f"{where}: expected a number, got {value!r}")
     elif isinstance(value, (int, float)) and not isinstance(value, bool):
         number = float(value)
     else:
         raise ConfigurationError(f"{where}: expected a number, got {value!r}")
-    if math.isnan(number):
-        raise ConfigurationError(f"{where}: expected a number, got NaN")
+    if math.isnan(number) or (finite and math.isinf(number)):
+        kind = "a finite number" if finite else "a number"
+        raise ConfigurationError(f"{where}: expected {kind}, got {number}")
     return number
 
 
@@ -132,6 +140,15 @@ def _as_list(value, where: str) -> list:
     if not isinstance(value, list):
         raise ConfigurationError(f"{where}: expected a list, got {value!r}")
     return value
+
+
+def _make(where: str, make, *args, **kwargs):
+    """make(*args, **kwargs); a domain error becomes a ConfigurationError
+    that names ``where``."""
+    try:
+        return make(*args, **kwargs)
+    except (ValueError, SqbathError) as exc:
+        raise ConfigurationError(f"{where}: {exc}") from exc
 
 
 def _section(data: dict, name: str) -> dict | None:
@@ -217,34 +234,21 @@ def parse_config(data: dict) -> RunConfig:
     osc = _section(data, "oscillator") or {}
     m = _as_float(osc.get("m", 1.0), "oscillator.m")
     gamma = _as_float(osc.get("gamma", 0.1), "oscillator.gamma")
-    convention = "omega_r"
-    try:
-        if "Omega" in osc:
-            if "omega_r" in osc:
-                raise ConfigurationError(
-                    "oscillator: give either omega_r or Omega, not both"
-                )
-            spec = OscillatorSpec.from_resonance(
-                m, _as_float(osc["Omega"], "oscillator.Omega"), gamma
-            )
-            convention = "Omega"
-        else:
-            spec = OscillatorSpec(
-                m, _as_float(osc.get("omega_r", 1.0), "oscillator.omega_r"), gamma
-            )
-    except SqbathError as exc:
-        raise ConfigurationError(f"oscillator: {exc}") from exc
+    if "Omega" in osc and "omega_r" in osc:
+        raise ConfigurationError("oscillator: give either omega_r or Omega, not both")
+    convention = "Omega" if "Omega" in osc else "omega_r"
+    frequency = _as_float(osc.get(convention, 1.0), f"oscillator.{convention}")
+    make = OscillatorSpec.from_resonance if convention == "Omega" else OscillatorSpec
+    spec = _make("oscillator", make, m, frequency, gamma)
 
     bath = _section(data, "bath") or {}
-    beta = _as_float(bath.get("beta", 1.0), "bath.beta")
+    beta = _as_float(bath.get("beta", 1.0), "bath.beta", finite=False)
     eta = _as_float(bath.get("eta", 0.0), "bath.eta")
     theta = _as_float(bath.get("theta", 0.0), "bath.theta")
     if not beta > 0:
         raise ConfigurationError(f"bath.beta must be > 0 (inf for T = 0), got {beta}")
-    if not 0 <= eta < math.inf:
-        raise ConfigurationError(f"bath.eta must be finite and >= 0, got {eta}")
-    if not math.isfinite(theta):
-        raise ConfigurationError(f"bath.theta must be finite, got {theta}")
+    if not eta >= 0:
+        raise ConfigurationError(f"bath.eta must be >= 0, got {eta}")
     if scenario != "constant_squeeze" and eta != 0.0:
         raise ConfigurationError(
             f"bath.eta is only meaningful for constant_squeeze (scenario {scenario})"
@@ -256,40 +260,40 @@ def parse_config(data: dict) -> RunConfig:
         prof = _section(data, "profile")
         if prof is None:
             raise ConfigurationError("parametric scenario requires a profile section")
-        try:
-            profile = MassProfile(
-                mass_i=_as_float(prof.get("mass_i", 0.0), "profile.mass_i"),
-                mass_f=_as_float(prof.get("mass_f", 0.0), "profile.mass_f"),
-                t_i=_as_float(prof.get("t_i", 0.0), "profile.t_i"),
-                t_f=_as_float(prof.get("t_f", 1.0), "profile.t_f"),
-                shape=ProfileShape(prof.get("shape", MassProfile.shape)),
-                smoothstep_order=_as_int(
-                    prof.get("smoothstep_order", MassProfile.smoothstep_order),
-                    "smoothstep_order",
-                ),
-            )
-        except (ValueError, SqbathError) as exc:
-            raise ConfigurationError(f"profile: {exc}") from exc
+        profile = _make(
+            "profile",
+            MassProfile,
+            mass_i=_as_float(prof.get("mass_i", 0.0), "profile.mass_i"),
+            mass_f=_as_float(prof.get("mass_f", 0.0), "profile.mass_f"),
+            t_i=_as_float(prof.get("t_i", 0.0), "profile.t_i"),
+            t_f=_as_float(prof.get("t_f", 1.0), "profile.t_f"),
+            shape=_make("profile.shape", ProfileShape, prof.get("shape", MassProfile.shape)),
+            smoothstep_order=_as_int(
+                prof.get("smoothstep_order", MassProfile.smoothstep_order),
+                "profile.smoothstep_order",
+            ),
+        )
         k_grid = _grid(data, "k_grid", spacing="log")
+        if not k_grid[0] > 0:
+            raise ConfigurationError(f"k_grid.start must be > 0, got {k_grid[0]}")
     elif data.get("profile") is not None:
         raise ConfigurationError(f"scenario {scenario} forbids a profile section")
 
     quad_sec = _section(data, "quadrature") or {}
     cutoff = quad_sec.get("cutoff", 1000.0 * spec.omega_r)
     default = QuadratureConfig()
-    try:
-        quad = QuadratureConfig(
-            cutoff=None if cutoff is None else _as_float(cutoff, "quadrature.cutoff"),
-            epsilon=_as_float(quad_sec.get("epsilon", default.epsilon), "quadrature.epsilon"),
-            rel_tol=_as_float(quad_sec.get("rel_tol", default.rel_tol), "quadrature.rel_tol"),
-            abs_tol=_as_float(quad_sec.get("abs_tol", default.abs_tol), "quadrature.abs_tol"),
-            max_subdivisions=_as_int(
-                quad_sec.get("max_subdivisions", default.max_subdivisions),
-                "max_subdivisions",
-            ),
-        )
-    except SqbathError as exc:
-        raise ConfigurationError(f"quadrature: {exc}") from exc
+    quad = _make(
+        "quadrature",
+        QuadratureConfig,
+        cutoff=None if cutoff is None else _as_float(cutoff, "quadrature.cutoff"),
+        epsilon=_as_float(quad_sec.get("epsilon", default.epsilon), "quadrature.epsilon"),
+        rel_tol=_as_float(quad_sec.get("rel_tol", default.rel_tol), "quadrature.rel_tol"),
+        abs_tol=_as_float(quad_sec.get("abs_tol", default.abs_tol), "quadrature.abs_tol"),
+        max_subdivisions=_as_int(
+            quad_sec.get("max_subdivisions", default.max_subdivisions),
+            "quadrature.max_subdivisions",
+        ),
+    )
 
     init_sec = _section(data, "initial_state")
     if init_sec is None:
@@ -298,14 +302,13 @@ def parse_config(data: dict) -> RunConfig:
             xx=1.0 / (2.0 * spec.m * spec.omega_r), pp=0.5 * spec.m * spec.omega_r
         )
     else:
-        try:
-            init = CovarianceState(
-                xx=_as_float(init_sec.get("xx"), "initial_state.xx"),
-                pp=_as_float(init_sec.get("pp"), "initial_state.pp"),
-                xp=_as_float(init_sec.get("xp", 0.0), "initial_state.xp"),
-            )
-        except SqbathError as exc:
-            raise ConfigurationError(f"initial_state: {exc}") from exc
+        init = _make(
+            "initial_state",
+            CovarianceState,
+            xx=_as_float(init_sec.get("xx"), "initial_state.xx"),
+            pp=_as_float(init_sec.get("pp"), "initial_state.pp"),
+            xp=_as_float(init_sec.get("xp", 0.0), "initial_state.xp"),
+        )
 
     outputs = tuple(_as_list(data.get("outputs", ["covariances"]), "outputs"))
     for product in outputs:
@@ -316,26 +319,26 @@ def parse_config(data: dict) -> RunConfig:
         if product != "fdr":
             # every product but the closed-form FDR integrates over frequency
             quad.require_regulator(f"the {product} output")
+    if profile is not None and set(outputs) - {"fdr"}:
+        # the detector response in the ramped bath needs mass_f < Omega
+        _make("profile.mass_f", massive_roots, spec.gamma, spec.Omega, profile.mass_f)
 
-    time_grid = _grid(
-        data,
-        "time_grid",
-        default=np.linspace(1.0, LATE_TIME_FACTOR / max(spec.gamma, 1e-3), 40),
-    )
-    fdr_grid = None
+    late = LATE_TIME_FACTOR / max(spec.gamma, 1e-3)
+    time_grid = _grid(data, "time_grid", default=np.linspace(1.0, late, 40))
+    fdr_grid = hadamard_grid = None
     if "fdr" in outputs:
         fdr_grid = _grid(
             data,
             "fdr_grid",
             default=np.linspace(-10.0 * spec.omega_r, 10.0 * spec.omega_r, 1001),
         )
-    hadamard_grid = None
+        if profile is not None:
+            _make("fdr_grid", fdr_frequencies, fdr_grid, profile.mass_i)
     if "hadamard_surface" in outputs:
-        hadamard_grid = _grid(
-            data,
-            "hadamard_grid",
-            default=np.linspace(20.0, 40.0, 9),
-        )
+        hadamard_grid = _grid(data, "hadamard_grid", default=np.linspace(20.0, 40.0, 9))
+    for name, grid in (("time_grid", time_grid), ("hadamard_grid", hadamard_grid)):
+        if grid is not None and not grid[0] >= 0:
+            raise ConfigurationError(f"{name}.start must be >= 0, got {grid[0]}")
     ns_thetas = tuple(
         _as_float(v, "ns_thetas")
         for v in _as_list(data.get("ns_thetas", [theta]), "ns_thetas")
@@ -383,7 +386,8 @@ def parse_config(data: dict) -> RunConfig:
 def _sweep_values(sweep: dict) -> list[float]:
     if "values" in sweep:
         values = _as_list(sweep["values"], "sweep.values")
-        return [_as_float(v, "sweep.values") for v in values]
+        # each value is parsed again, and checked, by its own point
+        return [_as_float(v, "sweep.values", finite=False) for v in values]
     start = _as_float(sweep.get("start"), "sweep.start")
     stop = _as_float(sweep.get("stop"), "sweep.stop")
     steps = _as_int(sweep.get("steps", 0), "sweep.steps")
@@ -400,14 +404,24 @@ def _sweep_values(sweep: dict) -> list[float]:
 # manifest-friendly resolved view of a config
 
 
+_RAMPS = {
+    ProfileShape.TANH: "tanh acts on m^2(t), centered mid-ramp, width "
+    "(t_f - t_i)/6, clipped to the constants outside",
+    ProfileShape.SMOOTHSTEP: "smoothstep polynomial of order smoothstep_order "
+    "acts on m^2(t) over [t_i, t_f], constant outside",
+    ProfileShape.STEP: "m^2(t) jumps from mass_i^2 to mass_f^2 at (t_i + t_f)/2, "
+    "the modes matched analytically across the jump",
+}
+
+
 def resolved_config(cfg: RunConfig) -> dict:
+    """The config as the manifest records it: the parsed objects' fields,
+    plus Omega, the frequency convention and the profile's ramp text."""
     out = {
         "scenario": cfg.scenario,
         "oscillator": {
-            "m": cfg.oscillator.m,
-            "omega_r": cfg.oscillator.omega_r,
+            **asdict(cfg.oscillator),
             "Omega": cfg.oscillator.Omega,
-            "gamma": cfg.oscillator.gamma,
             "frequency_convention": cfg.frequency_convention,
         },
         "bath": {
@@ -415,30 +429,16 @@ def resolved_config(cfg: RunConfig) -> dict:
             "eta": cfg.bath_eta,
             "theta": cfg.bath_theta,
         },
-        "quadrature": {
-            "cutoff": cfg.quad.cutoff,
-            "epsilon": cfg.quad.epsilon,
-            "rel_tol": cfg.quad.rel_tol,
-            "abs_tol": cfg.quad.abs_tol,
-            "max_subdivisions": cfg.quad.max_subdivisions,
-        },
-        "initial_state": {"xx": cfg.init.xx, "pp": cfg.init.pp, "xp": cfg.init.xp},
+        "quadrature": asdict(cfg.quad),
+        "initial_state": asdict(cfg.init),
         "time_grid": [float(t) for t in cfg.time_grid],
         "outputs": list(cfg.outputs),
         "units": "hbar = c = k_B = 1; frequencies in units of the "
         "configured oscillator frequency",
     }
     if cfg.profile is not None:
-        out["profile"] = {
-            "mass_i": cfg.profile.mass_i,
-            "mass_f": cfg.profile.mass_f,
-            "t_i": cfg.profile.t_i,
-            "t_f": cfg.profile.t_f,
-            "shape": cfg.profile.shape.value,
-            "smoothstep_order": cfg.profile.smoothstep_order,
-            "ramp": "tanh acts on m^2(t), centered mid-ramp, width "
-            "(t_f - t_i)/6, clipped to the constants outside",
-        }
+        shape = cfg.profile.shape
+        out["profile"] = {**asdict(cfg.profile), "shape": shape.value, "ramp": _RAMPS[shape]}
         out["k_grid"] = [float(k) for k in cfg.k_grid]
     if cfg.fdr_grid is not None:
         out["fdr_grid"] = [float(w) for w in cfg.fdr_grid]
@@ -456,22 +456,16 @@ def resolved_config(cfg: RunConfig) -> dict:
 # products
 
 
-def _build_bath(cfg: RunConfig) -> tuple[BathSpec, SqueezeSpectrum | None]:
+def _build_bath(cfg: RunConfig) -> BathSpec:
     if cfg.scenario == "parametric":
-        spectrum = squeeze_spectrum(cfg.profile, cfg.k_grid)
-        bath = BathSpec(
+        return BathSpec(
             beta=cfg.bath_beta,
-            squeeze=spectrum,
+            squeeze=squeeze_spectrum(cfg.profile, cfg.k_grid),
             mass_i=cfg.profile.mass_i,
             mass_f=cfg.profile.mass_f,
         )
-        return bath, spectrum
-    if cfg.scenario == "constant_squeeze":
-        squeeze = (
-            SqueezeParam(cfg.bath_eta, cfg.bath_theta) if cfg.bath_eta > 0 else None
-        )
-        return BathSpec(beta=cfg.bath_beta, squeeze=squeeze), None
-    return BathSpec(beta=cfg.bath_beta), None
+    squeeze = SqueezeParam(cfg.bath_eta, cfg.bath_theta) if cfg.bath_eta > 0 else None
+    return BathSpec(beta=cfg.bath_beta, squeeze=squeeze)
 
 
 def _at(product: str, point: dict, fn, *args):
@@ -622,8 +616,9 @@ def run(cfg: RunConfig, out_dir) -> RunManifest:
     started = time.perf_counter()
     products = []
 
-    bath, spectrum = _build_bath(cfg)
-    if spectrum is not None:
+    bath = _build_bath(cfg)
+    if isinstance(bath.squeeze, SqueezeSpectrum):
+        spectrum = bath.squeeze
         rows = zip(spectrum.k, spectrum.eta, spectrum.theta)
         params = {"k_points": int(spectrum.k.size)}
         header = ("k", "eta_k", "theta_k")
@@ -654,8 +649,12 @@ def _point_config(raw: dict, path: str, value: float) -> RunConfig:
 
 
 def _sweep_point(cfg: RunConfig):
-    bath, _ = _build_bath(cfg)
-    return list(_product_files(cfg, bath))
+    """(files, None) for a point that ran, (None, error) for a point that
+    failed numerically."""
+    try:
+        return list(_product_files(cfg, _build_bath(cfg))), None
+    except SqbathError as exc:
+        return None, exc
 
 
 def _failure_record(value, exc: SqbathError) -> dict:
@@ -676,9 +675,9 @@ def run_sweep(cfg: RunConfig, out_dir, threads: int = 1) -> RunManifest:
     in front of every row.  Every point's config is parsed before any
     point runs, so a rejected value raises :class:`ConfigurationError`
     and nothing is written.  Points are independent; numerical failures
-    are recorded and the remaining points still run.  Row groups follow
-    the declared value order.  ``threads`` > 1 runs the points in
-    min(threads, points) worker processes.
+    are recorded and the remaining points still run.  Row groups and
+    failure records follow the declared value order.  ``threads`` > 1
+    runs the points in min(threads, points) worker processes.
     """
     if cfg.sweep is None:
         raise ConfigurationError("config has no sweep section")
@@ -691,8 +690,6 @@ def run_sweep(cfg: RunConfig, out_dir, threads: int = 1) -> RunManifest:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    results: list = [None] * len(values)
-    failures = []
     workers = min(threads, len(jobs))
     if workers > 1:
         # imported here: the process pool's import chain (multiprocessing)
@@ -700,22 +697,15 @@ def run_sweep(cfg: RunConfig, out_dir, threads: int = 1) -> RunManifest:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_sweep_point, job): i for i, job in enumerate(jobs)}
-            for future in as_completed(futures):
-                i = futures[future]
-                try:
-                    results[i] = future.result()
-                except SqbathError as exc:
-                    failures.append(_failure_record(values[i], exc))
+            outcomes = list(pool.map(_sweep_point, jobs))
     else:
-        for i, job in enumerate(jobs):
-            try:
-                results[i] = _sweep_point(job)
-            except SqbathError as exc:
-                failures.append(_failure_record(values[i], exc))
+        outcomes = map(_sweep_point, jobs)
 
+    failures = []
     files: dict = {}  # file stem -> (product, header, rows, params by value)
-    for value, result in zip(values, results):
+    for value, (result, exc) in zip(values, outcomes):
+        if exc is not None:
+            failures.append(_failure_record(value, exc))
         for name, stem, header, rows, params in result or ():
             entry = files.setdefault(stem, (name, (path, *header), [], {}))
             entry[2].extend((value, *row) for row in rows)
@@ -816,16 +806,15 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="execute one scenario config")
-    run_p.add_argument("--config", help="YAML config path")
-    run_p.add_argument("--out", required=True, help="output directory")
-    run_p.add_argument("--figure", choices=FIGURES, help="built-in figure preset")
-
-    sweep_p = sub.add_parser("sweep", help="execute the sweep block of a config")
-    sweep_p.add_argument("--config", help="YAML config path")
-    sweep_p.add_argument("--out", required=True, help="output directory")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="YAML config path")
+    common.add_argument("--out", required=True, help="output directory")
+    common.add_argument("--figure", choices=FIGURES, help="built-in figure preset")
+    sub.add_parser("run", parents=[common], help="execute one scenario config")
+    sweep_p = sub.add_parser(
+        "sweep", parents=[common], help="execute the sweep block of a config"
+    )
     sweep_p.add_argument("--threads", type=int, default=1)
-    sweep_p.add_argument("--figure", choices=FIGURES, help="built-in figure preset")
 
     args = parser.parse_args(argv)
 

@@ -59,6 +59,7 @@ __all__ = [
     "power_in",
     "power_out",
     "flux_balance",
+    "fdr_frequencies",
     "fdr_oscillator",
     "LATE_TIME_FACTOR",
 ]
@@ -145,6 +146,17 @@ def flux_balance(spec: OscillatorSpec, bath: BathSpec, times, p_xi, p_gamma) -> 
 # fluctuation-dissipation relation of the oscillator
 
 
+def fdr_frequencies(omega_grid, mass_i: float) -> np.ndarray:
+    """The frequencies of a grid at or above the field-mass threshold m_i."""
+    omegas = np.asarray(omega_grid, dtype=float)
+    if omegas.ndim != 1 or omegas.size == 0:
+        raise DomainError("omega grid must be a nonempty 1-d array")
+    omegas = omegas[np.abs(omegas) >= mass_i * (1.0 + 1e-12)]
+    if omegas.size == 0:
+        raise DomainError(f"no grid frequencies above the mass threshold {mass_i}")
+    return omegas
+
+
 def fdr_oscillator(
     spec: OscillatorSpec, bath: BathSpec, omega_grid
 ) -> FdrReport:
@@ -165,12 +177,7 @@ def fdr_oscillator(
     weight.  The values themselves are checked against :func:`bath_fdr`
     (``bath_kernels``) by the test suite.
     """
-    omegas = np.asarray(omega_grid, dtype=float)
-    if omegas.ndim != 1 or omegas.size == 0:
-        raise DomainError("omega grid must be a nonempty 1-d array")
-    omegas = omegas[np.abs(omegas) >= bath.mass_i * (1.0 + 1e-12)]
-    if omegas.size == 0:
-        raise DomainError("no grid frequencies above the mass threshold")
+    omegas = fdr_frequencies(omega_grid, bath.mass_i)
     beta = bath.beta
     aw = np.abs(omegas)
     kappa = np.sqrt(aw * aw - bath.mass_i**2)

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -47,6 +48,7 @@ EVERY_SECTION = {
     "outputs": ["covariances", "fdr", "hadamard_surface"],
     "sweep": {"path": "bath.beta", "values": [1.0, 2.0]},
 }
+PARAMETRIC = {key: value for key, value in EVERY_SECTION.items() if key != "sweep"}
 
 # config_hash of the shipped configs, presets and workload configs (seed 0):
 # the key and value checks must leave what they resolve to unchanged
@@ -66,6 +68,22 @@ SHIPPED_HASHES = {
     "thermal-sweep": "cda4a6d977f95e51",
 }
 REPO = Path(__file__).resolve().parents[1]
+
+# +-inf is a number only for bath.beta (zero temperature); for every other
+# key it once ran to NaN or inf rows, or failed after the run had started
+NON_FINITE = {
+    "time_grid.stop": {"time_grid": {"start": 5.0, "stop": math.inf, "points": 4}},
+    "oscillator.m": {"oscillator": {"m": math.inf}},
+    "oscillator.omega_r": {"oscillator": {"omega_r": math.inf}},
+    "initial_state.xx": {"initial_state": {"xx": math.inf, "pp": 0.5}},
+    "ns_thetas": {"ns_thetas": [math.inf], "outputs": ["ns_split"]},
+    "fdr_grid.stop": {"fdr_grid": {"start": -5.0, "stop": math.inf, "points": 51}},
+    "quadrature.rel_tol": {"quadrature": {"cutoff": 200.0, "rel_tol": math.inf}},
+    "quadrature.cutoff": {"quadrature": {"cutoff": math.inf}},
+    "quadrature.epsilon": {"quadrature": {"cutoff": 200.0, "epsilon": math.inf}},
+    "bath.eta": {"bath": {"beta": 1.0, "eta": math.inf}},
+    "bath.theta": {"bath": {"beta": 1.0, "eta": 0.5, "theta": math.inf}},
+}
 
 INVALID_VALUES = {
     "negative-eta": {"bath": {"beta": 1.0, "eta": -0.5}},
@@ -90,6 +108,20 @@ INVALID_VALUES = {
     # a boolean number is rejected, not read as 1.0 or 0.0
     "eta-boolean": {"bath": {"beta": 1.0, "eta": True}},
     "cutoff-boolean": {"quadrature": {"cutoff": True}},
+    **{f"{key}-inf": case for key, case in NON_FINITE.items()},
+}
+
+# config errors of a parametric run that once surfaced as numerical errors
+# (exit 3) after the run had started writing
+RUN_TIME_CONFIG_ERRORS = {
+    "time_grid": {"time_grid": {"start": -1.0, "stop": 20.0, "points": 2}},
+    "hadamard_grid": {"hadamard_grid": {"start": -1.0, "stop": 6.0, "points": 2}},
+    "k_grid": {"k_grid": {"start": 0.0, "stop": 10.0, "points": 8, "spacing": "linear"}},
+    "profile.mass_f": {"profile": {"mass_i": 0.0, "mass_f": 1.0, "t_i": 0.0, "t_f": 2.0}},
+    "fdr_grid": {
+        "profile": {"mass_i": 0.5, "mass_f": 0.25, "t_i": 0.0, "t_f": 2.0},
+        "fdr_grid": {"start": 0.1, "stop": 0.4, "points": 3},
+    },
 }
 
 
@@ -109,8 +141,7 @@ def read_rows(path):
 @pytest.fixture(scope="module")
 def parametric_run(tmp_path_factory):
     """Exit code, config and output directory of a parametric Hadamard run."""
-    data = {key: value for key, value in EVERY_SECTION.items() if key != "sweep"}
-    data["outputs"] = ["hadamard_surface"]
+    data = dict(PARAMETRIC, outputs=["hadamard_surface"])
     base = tmp_path_factory.mktemp("parametric")
     cfgp = write_config(base, data)
     code = main(["run", "--config", str(cfgp), "--out", str(base / "out")])
@@ -149,6 +180,10 @@ class TestConfigParsing:
         data["bath"] = {"beta": "inf", "eta": 0.5}
         cfg = parse_config(data)
         assert math.isinf(cfg.bath_beta)
+        # a swept inf is parsed again by its point, where beta takes it
+        data["sweep"] = {"path": "bath.beta", "values": [1.0, ".inf"]}
+        cfg = parse_config(data)
+        assert math.isinf(sqbath.cli._point_config(cfg.raw, "bath.beta", math.inf).bath_beta)
 
     def test_empty_sweep_rejected(self):
         data = dict(SMALL_CONSTANT)
@@ -208,6 +243,35 @@ class TestConfigParsing:
         assert main(["run", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
         assert "unknown output product 'c'" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", NON_FINITE)
+    def test_non_finite_value_names_its_key(self, key):
+        message = f"^{re.escape(key)}: expected a finite number, got inf$"
+        with pytest.raises(ConfigurationError, match=message):
+            parse_config(dict(SMALL_CONSTANT, **NON_FINITE[key]))
+
+    @pytest.mark.parametrize(
+        "key, case", RUN_TIME_CONFIG_ERRORS.items(), ids=RUN_TIME_CONFIG_ERRORS.keys()
+    )
+    def test_run_time_config_error_caught_at_parse(self, tmp_path, capsys, key, case):
+        cfgp = write_config(tmp_path, dict(PARAMETRIC, **case))
+        assert main(["run", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+        assert capsys.readouterr().err.startswith(f"configuration error: {key}")
+
+    def test_both_frequencies_reported_once(self, tmp_path, capsys):
+        data = dict(SMALL_CONSTANT, oscillator={"Omega": 1.0, "omega_r": 1.0})
+        cfgp = write_config(tmp_path, data)
+        assert main(["run", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: oscillator: give either omega_r or Omega, not both\n"
+        )
+
+    @pytest.mark.parametrize("shape, words", [("smoothstep", "smoothstep"), ("step", "jumps")])
+    def test_manifest_ramp_describes_the_shape(self, shape, words):
+        data = dict(PARAMETRIC, profile={**PARAMETRIC["profile"], "shape": shape})
+        ramp = sqbath.cli.resolved_config(parse_config(data))["profile"]["ramp"]
+        assert words in ramp and "tanh" not in ramp
 
     def test_integral_float_count_accepted(self):
         data = dict(SMALL_CONSTANT, time_grid={"start": 5.0, "stop": 20.0, "points": 4.0})
@@ -288,7 +352,7 @@ class TestRun:
         # chi_hadamard serves every bath; at (t, t) its total is the driven xx
         code, cfg, out = parametric_run
         assert code == 0
-        bath, _ = sqbath.cli._build_bath(cfg)
+        bath = sqbath.cli._build_bath(cfg)
         _, rows = read_rows(out / "hadamard_surface.csv")
         diagonal = [(t, st + ns) for t, tp, st, ns in rows if t == tp]
         assert len(diagonal) == 2
@@ -380,10 +444,8 @@ class TestSweep:
             def __exit__(self, *exc):
                 return False
 
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
+            def map(self, fn, jobs):
+                return map(fn, jobs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         data = dict(SMALL_CONSTANT, outputs=["fdr"])
@@ -403,6 +465,21 @@ class TestSweep:
         args = ["sweep", "--config", str(cfgp), "--out", str(out), "--threads", threads]
         assert main(args) == 2
         assert not out.exists()
+
+    def test_pooled_failures_in_value_order(self, tmp_path):
+        # the k grid stops short of the cutoff, so every point fails once its
+        # covariances start; the 400-mode spectrum solve outlasts the 8-mode
+        # one, so in the pool the first point fails after the second
+        data = dict(PARAMETRIC, outputs=["covariances"])
+        data["k_grid"] = {"start": 0.1, "stop": 1.0, "points": 8}
+        data["sweep"] = {"path": "k_grid.points", "values": [400, 8]}
+        cfgp = write_config(tmp_path, data)
+        out = tmp_path / "o"
+        args = ["sweep", "--config", str(cfgp), "--out", str(out), "--threads", "2"]
+        assert main(args) == 3
+        failures = json.loads((out / "run_manifest.json").read_text())["sweep_failures"]
+        assert [f["value"] for f in failures] == [400, 8]
+        assert all("squeeze spectrum is not resolved" in f["error"] for f in failures)
 
     @staticmethod
     def failing_sweep(tmp_path, monkeypatch, threads):
@@ -443,8 +520,8 @@ class TestSweep:
 
     def test_failure_record_survives_the_worker_pool(self, tmp_path, monkeypatch):
         class PicklingPool:
-            """Runs each job in-process; a failure comes back pickled, as
-            from a worker process."""
+            """Runs each job in-process; each outcome, a failure included,
+            comes back pickled, as from a worker process."""
 
             def __init__(self, max_workers):
                 pass
@@ -455,13 +532,8 @@ class TestSweep:
             def __exit__(self, *exc):
                 return False
 
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                try:
-                    future.set_result(fn(*args))
-                except ConvergenceError as exc:
-                    future.set_exception(pickle.loads(pickle.dumps(exc)))
-                return future
+            def map(self, fn, jobs):
+                return [pickle.loads(pickle.dumps(fn(job))) for job in jobs]
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
         payload = self.failing_sweep(tmp_path, monkeypatch, threads=2)
@@ -492,8 +564,10 @@ class TestSweep:
         [
             ("bath.beta", [1.0, -1.0], "bath.beta must be > 0"),
             ("oscillator.gamma", [0.1, 5.0], "overdamped"),
+            ("time_grid.start", [5.0, -1.0], "time_grid.start must be >= 0"),
+            ("bath.theta", [0.0, math.inf], "bath.theta: expected a finite number"),
         ],
-        ids=["negative-beta", "overdamped"],
+        ids=["negative-beta", "overdamped", "negative-time", "theta-inf"],
     )
     def test_rejected_value_exit_code(self, tmp_path, capsys, path, values, cause):
         # every point is parsed before any runs: nothing is written

@@ -5,9 +5,9 @@
 PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.
 The script runs ``configs/*.yaml`` of this checkout (``sqbath run``,
 ``sqbath sweep`` too for ``constant_squeeze.yaml`` and only ``sqbath
-sweep`` for ``finite_coupling.yaml``) and the figure presets 4, 6, 7,
-grn3d and tan2eta, once with each tree's package, each run in its own
-Python subprocess.  ``--workload-seeds N`` adds the configs that
+sweep``, serial and with ``--threads 2``, for ``finite_coupling.yaml``)
+and the figure presets 4, 6, 7, grn3d and tan2eta, once with each tree's
+package, each run in its own Python subprocess.  ``--workload-seeds N`` adds the configs that
 ``perfbench/workloads.py`` of this checkout generates for seeds 0..N-1 of
 each workload, run through the workload's own entry point.  For every
 CSV it prints whether the two files are byte-identical and, if not, the
@@ -35,7 +35,10 @@ from pathlib import Path
 import yaml
 
 REPO = Path(__file__).resolve().parents[1]
-COMMANDS = {"constant_squeeze": ("run", "sweep"), "finite_coupling": ("sweep",)}
+COMMANDS = {
+    "constant_squeeze": (("run",), ("sweep",)),
+    "finite_coupling": (("sweep",), ("sweep", "--threads", "2")),
+}
 PRESETS = ("4", "6", "7", "grn3d", "tan2eta")
 SKIPPED_KEYS = ("wall_time_s",)
 
@@ -46,8 +49,9 @@ def default_runs() -> list[tuple[str, list[str]]]:
     """(label, sqbath arguments without --out) for every compared run."""
     runs = []
     for path in sorted((REPO / "configs").glob("*.yaml")):
-        for command in COMMANDS.get(path.stem, ("run",)):
-            runs.append((f"{path.stem}-{command}", [command, "--config", str(path)]))
+        for command in COMMANDS.get(path.stem, (("run",),)):
+            label = "-".join([path.stem, *(word.lstrip("-") for word in command)])
+            runs.append((label, [*command, "--config", str(path)]))
     runs += [(f"preset-{name}", ["run", "--figure", name]) for name in PRESETS]
     return runs
 
