@@ -7,7 +7,7 @@ and dissipation output; generalized fluctuation-dissipation relations;
 and the finite-coupling squeezing acquired by the oscillator itself.
 """
 
-from .bath_kernels import BathSpec, SqueezeSpectrum, bath_fdr
+from .bath_kernels import BathSpec, SqueezeSpectrum
 from .energy_fdr import FdrReport, fdr_oscillator, flux_balance, power_in, power_out
 from .errors import (
     BelowThresholdError,

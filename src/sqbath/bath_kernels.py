@@ -9,10 +9,9 @@ or read from a squeeze spectrum (:func:`spectrum_weights`).  The
 integrals of a run keep these per-node values in the tables of
 :func:`oscillator_dynamics._node_factors`.  The stationary weight
 cosh 2eta_kappa, which both FDRs carry, is :meth:`BathSpec.cosh2eta_at`.
-The module also holds the bath-level fluctuation-dissipation relation,
-:func:`bath_fdr`.  The bath's own two-point function, the
-coincident-point Hadamard kernel, is the plane-wave bilinear form of the
-response expander and lives with it in :mod:`oscillator_dynamics`
+The bath's own two-point function, the coincident-point Hadamard kernel,
+is the plane-wave bilinear form of the response expander and lives with
+it in :mod:`oscillator_dynamics`
 (:func:`oscillator_dynamics.hadamard_coincident`).
 
 Conventions: frequencies carry the initial field mass, w_i = sqrt(k^2 +
@@ -31,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BelowThresholdError, DomainError, ResolutionError
+from .errors import DomainError, ResolutionError
 from .gaussian_state import SqueezeParam
 # fourier_quad stays importable here for perfbench/tracing.py
 from .quadrature import (  # noqa: F401
@@ -47,7 +46,6 @@ __all__ = [
     "spectrum_weights",
     "SqueezeSpectrum",
     "BathSpec",
-    "bath_fdr",
 ]
 
 
@@ -189,7 +187,7 @@ class SqueezeSpectrum:
         integrands.
         """
         if self.k.size < 8:
-            raise ResolutionError("squeeze spectrum grid has fewer than 8 points")
+            raise ResolutionError("k_grid: squeeze spectrum grid has fewer than 8 points")
         peak = float(np.max(self.eta))
         if peak == 0.0 or self.eta[-1] <= 1e-2 * peak:
             return
@@ -199,7 +197,7 @@ class SqueezeSpectrum:
         if quad.epsilon * w_max >= 30.0:
             return
         raise ResolutionError(
-            "squeeze spectrum is not resolved: eta at the largest k is "
+            "k_grid: squeeze spectrum is not resolved: eta at the largest k is "
             f"{self.eta[-1]:.3e} (> 1% of the peak {peak:.3e}); extend the "
             "k grid (or regulate below it) so the zero extrapolation is "
             "harmless"
@@ -313,40 +311,3 @@ def bath_mix(bath: BathSpec, quad: QuadratureConfig) -> tuple:
         )
     sq = bath.constant_squeeze()
     return sq.cosh2eta, sq.sinh2eta * cmath.exp(1j * sq.theta)
-
-
-def bath_fdr(omega: float, bath: BathSpec) -> tuple[float, float]:
-    """Both sides of the bath-level fluctuation-dissipation relation.
-
-    lhs: stationary Hadamard transform (kappa/4pi) coth(b|w|/2) cosh 2eta_kappa,
-    kappa = sqrt(w^2 - m_i^2).
-    rhs: sgn(w) coth(bw/2) cosh 2eta_kappa Im G_R0 with Im G_R0 = kappa/4pi
-    on the positive-frequency branch, so both sides are even in w.
-
-    In a massive bath the retarded transform has no imaginary part at or
-    below the threshold |w| <= m_i and the relation is empty; such
-    frequencies are rejected.  A massless bath keeps w = 0, where both
-    sides tend to (1/4pi)(2/b) cosh 2eta_0 (0 at zero temperature).
-
-    The two sides are equal algebraically, since coth(b|w|/2) =
-    sgn(w) coth(bw/2), so their difference reads round-off; it tests the
-    evaluation, not the relation.
-    """
-    aw = abs(omega)
-    if bath.mass_i > 0.0 and aw <= bath.mass_i:
-        raise BelowThresholdError(
-            f"|omega| = {aw} is at or below the field-mass threshold {bath.mass_i}"
-        )
-    kappa = math.sqrt(omega * omega - bath.mass_i * bath.mass_i)
-    ch2 = float(bath.cosh2eta_at(kappa))
-    if aw == 0.0:
-        limit = float(omega_coth_half_beta(0.0, bath.beta)) / (4.0 * math.pi) * ch2
-        return limit, limit
-    coth_abs = float(coth_half_beta(aw, bath.beta))
-    im_gr0 = kappa / (4.0 * math.pi)
-
-    lhs = im_gr0 * coth_abs * ch2
-    sgn = 1.0 if omega > 0 else -1.0
-    coth_signed = sgn * float(coth_half_beta(omega, bath.beta))
-    rhs = coth_signed * ch2 * im_gr0
-    return lhs, rhs

@@ -22,7 +22,9 @@ file; ``run`` writes them (and the bath's sampled squeeze spectrum).
 ``run_sweep`` maps ``_sweep_point`` over the points, serially or in a
 process pool, and records files and failures in the declared value order.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical error.
+Exit codes: 0 success, 2 configuration error, 3 numerical error.  A
+sweep point whose squeeze spectrum fails its resolution check is a
+failed point, recorded like a numerical failure (exit 3).
 """
 
 from __future__ import annotations
@@ -276,6 +278,11 @@ def parse_config(data: dict) -> RunConfig:
         k_grid = _grid(data, "k_grid", spacing="log")
         if not k_grid[0] > 0:
             raise ConfigurationError(f"k_grid.start must be > 0, got {k_grid[0]}")
+        if k_grid.size < 8:
+            raise ConfigurationError(
+                f"k_grid.points must be >= 8 to resolve the squeeze spectrum, "
+                f"got {k_grid.size}"
+            )
     elif data.get("profile") is not None:
         raise ConfigurationError(f"scenario {scenario} forbids a profile section")
 
@@ -349,6 +356,20 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigurationError(
             f"hadamard_factored must be true or false, got {hadamard_factored!r}"
         )
+    if profile is not None:
+        # the unit-weight S/NS split is a constant-squeeze construction; in
+        # the ramped bath eta_k and theta_k come from the squeeze spectrum,
+        # which these products would ignore
+        if "ns_split" in outputs:
+            raise ConfigurationError(
+                "outputs: ns_split is not computed for the parametric scenario "
+                "(it would ignore the squeeze spectrum)"
+            )
+        if hadamard_factored:
+            raise ConfigurationError(
+                "hadamard_factored: the factored Hadamard surface is not computed "
+                "for the parametric scenario (it would ignore the squeeze spectrum)"
+            )
 
     sweep = _section(data, "sweep")
     if sweep is not None:
@@ -458,9 +479,14 @@ def resolved_config(cfg: RunConfig) -> dict:
 
 def _build_bath(cfg: RunConfig) -> BathSpec:
     if cfg.scenario == "parametric":
+        spectrum = squeeze_spectrum(cfg.profile, cfg.k_grid)
+        if set(cfg.outputs) - {"fdr"}:
+            # checked before anything is written: every product but the
+            # closed-form FDR integrates over the spectrum
+            spectrum.check_resolution(cfg.quad, cfg.profile.mass_i)
         return BathSpec(
             beta=cfg.bath_beta,
-            squeeze=squeeze_spectrum(cfg.profile, cfg.k_grid),
+            squeeze=spectrum,
             mass_i=cfg.profile.mass_i,
             mass_f=cfg.profile.mass_f,
         )

@@ -174,8 +174,8 @@ def fdr_oscillator(
 
     Since Im G = 2 gamma kappa |G|^2 the two sides are one number written
     twice, and ``max_rel_deviation`` reads round-off for any G and any
-    weight.  The values themselves are checked against :func:`bath_fdr`
-    (``bath_kernels``) by the test suite.
+    weight.  The values themselves are checked against the bath-level FDR
+    (``bath_fdr`` in ``tests/oracles.py``) by the test suite.
     """
     omegas = fdr_frequencies(omega_grid, bath.mass_i)
     beta = bath.beta

@@ -11,6 +11,17 @@ every mode gets the bits of its own scipy DOP853 run.  A sharp Step
 profile bypasses the ODE solver entirely and is matched analytically,
 serving both as an oracle and to avoid stiffness at the jump.
 
+The Butcher tableau is scipy's ``integrate/_ivp/dop853_coefficients.py``
+(it imports only numpy), loaded from its file by
+:func:`quadrature.load_scipy_file`, and the constants below are built
+from it exactly as ``class DOP853`` in scipy's ``_ivp/rk.py`` builds
+them; importing ``scipy.integrate`` for them would cost about 0.5 s of
+start-up.  The load reaches into scipy's private layout: a scipy release
+that moves the file makes ``import sqbath`` fail loudly, and the tests
+compare every constant with ``scipy.integrate.DOP853``'s under ``==``.
+Should the load be unwelcome, the fallback is to copy the tableau's
+literals into this package.
+
 Bogoliubov coefficients are read off the fundamental solutions by
 projecting on single-frequency modes.  Projecting on the incoming
 frequency reproduces the instantaneous coefficients; projecting the
@@ -27,11 +38,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DOP853
 
 from .bath_kernels import SqueezeSpectrum
 from .errors import ConvergenceError, DomainError
 from .gaussian_state import BogoliubovPair
+from .quadrature import load_scipy_file
 
 __all__ = [
     "ProfileShape",
@@ -203,11 +214,24 @@ def _step_mode(k: float, profile: MassProfile, times: np.ndarray):
     return d1, d2, d1_dot, d2_dot
 
 
+# the DOP853 tableau as scipy's class DOP853 (rk.py) holds it
+_coefficients = load_scipy_file("integrate._ivp.dop853_coefficients")
+N_STAGES = _coefficients.N_STAGES
+ERROR_ESTIMATOR_ORDER = 7
+A = _coefficients.A[:N_STAGES, :N_STAGES]
+B = _coefficients.B
+C = _coefficients.C[:N_STAGES]
+E3 = _coefficients.E3
+E5 = _coefficients.E5
+D = _coefficients.D
+A_EXTRA = _coefficients.A[N_STAGES + 1:]
+C_EXTRA = _coefficients.C[N_STAGES + 1:]
+
 # scipy's step-size control for its explicit Runge-Kutta methods (rk.py)
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10
-_ERROR_EXPONENT = -1 / (DOP853.error_estimator_order + 1)
+_ERROR_EXPONENT = -1 / (ERROR_ESTIMATOR_ORDER + 1)
 
 
 # the rows (d1, d1', d2, d2') swapped to (d1', d1, d2', d2): their
@@ -270,20 +294,19 @@ def _dense_samples(profile, k, K, t_old, t_new, y_old, y_new, times):
 
     ``K`` holds the step's 13 stages, the last one f(t_new, y_new).
     """
-    n_stages = DOP853.n_stages
     h = t_new - t_old
-    factors = _rhs_factors(profile.omega_sq(k, t_old + DOP853.C_EXTRA * h))
-    Kx = np.empty((DOP853.A_EXTRA.shape[1], 4))
-    Kx[: n_stages + 1] = K
-    for s, (a, fac) in enumerate(zip(DOP853.A_EXTRA, factors), start=n_stages + 1):
+    factors = _rhs_factors(profile.omega_sq(k, t_old + C_EXTRA * h))
+    Kx = np.empty((A_EXTRA.shape[1], 4))
+    Kx[: N_STAGES + 1] = K
+    for s, (a, fac) in enumerate(zip(A_EXTRA, factors), start=N_STAGES + 1):
         dy = _stage_sums(Kx[:s], a[:s]) * h
         Kx[s] = (y_old + dy)[_SWAP] * fac
-    F = np.empty((3 + len(DOP853.D), 4))
+    F = np.empty((3 + len(D), 4))
     delta_y = y_new - y_old
     F[0] = delta_y
     F[1] = h * Kx[0] - delta_y
-    F[2] = 2 * delta_y - h * (Kx[n_stages] + Kx[0])
-    F[3:] = h * np.dot(DOP853.D, Kx)
+    F[2] = 2 * delta_y - h * (Kx[N_STAGES] + Kx[0])
+    F[3:] = h * np.dot(D, Kx)
     x = ((times - t_old) / h)[:, None]
     y = np.zeros((times.size, 4))
     for i, coef in enumerate(reversed(F)):
@@ -353,11 +376,9 @@ def _lockstep_dop853(profile, k, samples, tol):
     atol = max(tol / 5000.0, 1e-15)
     max_step = profile.duration / 8.0
     bound = 10.0 * max(tol, 1e-13)
-    A, B, E3, E5 = DOP853.A, DOP853.B, DOP853.E3, DOP853.E5
-    n_stages = DOP853.n_stages
     # a step's stage times t + c h (c = 1 for the end point, 1 * h == h),
     # known before its first stage: m^2(t) is evaluated once per attempt
-    stage_c = np.append(DOP853.C[1:], 1.0)[:, None]
+    stage_c = np.append(C[1:], 1.0)[:, None]
 
     n = k.size
     # the state is kept flat, (modes*4,) and (stages, modes*4); the first
@@ -414,16 +435,16 @@ def _lockstep_dop853(profile, k, samples, tol):
         h_abs = np.abs(h)
         h4 = np.repeat(h, 4)
         # k^2 + m^2 at every later stage time of the step, the end included
-        factors = _rhs_factors(profile.omega_sq(kk, t + stage_c * h)).reshape(n_stages, 4 * m)
+        factors = _rhs_factors(profile.omega_sq(kk, t + stage_c * h)).reshape(N_STAGES, 4 * m)
         perm = swap[: 4 * m]
 
-        K = np.empty((n_stages + 1, 4 * m))
+        K = np.empty((N_STAGES + 1, 4 * m))
         K[0] = f
-        for s in range(1, n_stages):
+        for s in range(1, N_STAGES):
             y_stage = y + _stage_sums(K[:s], A[s, :s]) * h4
             np.multiply(y_stage[perm], factors[s - 1], out=K[s])
-        y_new = y + h4 * _stage_sums(K[:n_stages], B)
-        f_new = K[n_stages]
+        y_new = y + h4 * _stage_sums(K[:N_STAGES], B)
+        f_new = K[N_STAGES]
         np.multiply(y_new[perm], factors[-1], out=f_new)
 
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol

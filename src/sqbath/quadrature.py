@@ -12,24 +12,42 @@ exponential regulator into ``K``; the upper limit is the hard cutoff, or
 the point where the exponential regulator has decayed to e^{-45}
 (:meth:`QuadratureConfig.upper`).
 
-The adaptive core is QUADPACK (through scipy): QAGS/QAGI for smooth
-kernels and QAWO for the oscillatory shapes.  QAWO evaluates the
-trigonometric factor by Chebyshev moments on its subintervals, so
-integrands oscillating over ~1e5 cycles remain cheap.  A fixed kernel
-and tolerance always reproduce the same value bit for bit.  QUADPACK
-calls a kernel with one Python float per node; the per-node factors the
-kernels of a run share are kept by :mod:`oscillator_dynamics`.
+The adaptive core is QUADPACK: QAGS/QAGI for smooth kernels and QAWO
+for the oscillatory shapes.  QAWO evaluates the trigonometric factor by
+Chebyshev moments on its subintervals, so integrands oscillating over
+~1e5 cycles remain cheap.  A fixed kernel and tolerance always reproduce
+the same value bit for bit.  QUADPACK calls a kernel with one Python
+float per node; the per-node factors the kernels of a run share are kept
+by :mod:`oscillator_dynamics`.
+
+QUADPACK is scipy's compiled ``scipy.integrate._quadpack``, loaded from
+its file by :func:`load_scipy_file` and called with the arguments
+``scipy.integrate.quad`` passes (:func:`_quad`).  Importing
+``scipy.integrate`` itself would also import ``scipy.special``,
+``scipy.optimize`` and ``numpy.f2py``, about 0.5 s of every run's
+start-up; what remains is the extension's first call, which imports the
+``scipy`` package for its ``LowLevelCallable`` check (about 15 ms).
+The trade: the load reaches into scipy's private layout, so a scipy
+release that moves the file makes ``import sqbath`` fail loudly
+(:class:`ImportError`), and one that changes the routines' signatures
+or messages fails the tests that compare :func:`plain_quad` and
+:func:`fourier_quad` with ``scipy.integrate.quad`` under ``==``.  A
+numpy-only quadrature engine (ROADMAP Direction B) would remove this
+load altogether.
 
 The module also carries the thermal factors.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-from scipy import integrate as _sciint
 
 from .errors import ConfigurationError, ConvergenceError, DomainError
 
@@ -178,6 +196,102 @@ def _coth_series(u, beta: float):
 # ---------------------------------------------------------------------------
 # QUADPACK wrappers
 
+
+def load_scipy_file(name: str):
+    """The module ``scipy.<name>``, loaded from its own file.
+
+    ``find_spec`` locates the scipy package without running its
+    ``__init__``, and only the named file (a compiled extension or a
+    ``.py`` file) is executed, so none of the subpackages' ``__init__``
+    imports are paid.  A module already in ``sys.modules`` (say, because
+    ``scipy.integrate`` was imported) is returned as it is.  Raises
+    :class:`ImportError` when the installed scipy has no such file.
+    """
+    full = f"scipy.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    base = Path(scipy_dir, *name.split("."))
+    for suffix in (*importlib.machinery.EXTENSION_SUFFIXES, ".py"):
+        path = base.with_name(base.name + suffix)
+        if path.is_file():
+            break
+    else:
+        raise ImportError(
+            f"{full} not found under {base.parent}: sqbath loads this file "
+            "of scipy's private layout, which this scipy version has moved"
+        )
+    spec = importlib.util.spec_from_file_location(full, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_quadpack = load_scipy_file("integrate._quadpack")
+
+# scipy.integrate.quad's texts for the warning codes it returns rather than
+# raises (scipy 1.17.1, finite limits or b = inf), verbatim:
+# _check_quad_result looks for "roundoff" in them and quotes them
+_QUAD_WARNINGS = {
+    1: "The maximum number of subdivisions ({limit}) has been achieved.\n  "
+    "If increasing the limit yields no improvement it is advised to "
+    "analyze \n  the integrand in order to determine the difficulties.  "
+    "If the position of a \n  local difficulty can be determined "
+    "(singularity, discontinuity) one will \n  probably gain from "
+    "splitting up the interval and calling the integrator \n  on the "
+    "subranges.  Perhaps a special-purpose integrator should be used.",
+    2: "The occurrence of roundoff error is detected, which prevents \n  "
+    "the requested tolerance from being achieved.  "
+    "The error may be \n  underestimated.",
+    3: "Extremely bad integrand behavior occurs at some points of the\n  "
+    "integration interval.",
+    4: "The algorithm does not converge.  Roundoff error is detected\n  "
+    "in the extrapolation table.  It is assumed that the requested "
+    "tolerance\n  cannot be achieved, and that the returned result "
+    "(if full_output = 1) is \n  the best which can be obtained.",
+    5: "The integral is probably divergent, or slowly convergent.",
+    7: "Abnormal termination of the routine.  The estimates for result\n  "
+    "and error are less reliable.  It is assumed that the requested "
+    "accuracy\n  has not been achieved.",
+}
+
+_KINDS = {"cos": 1, "sin": 2}
+
+
+def _quad(kernel, a, b, epsabs, epsrel, limit, kind=None, freq=0.0):
+    """``scipy.integrate.quad(kernel, a, b, full_output=1, ...)`` for the
+    shapes sqbath uses: no weight (QAGS, or QAGI when b = inf) or a cos/sin
+    weight on a finite interval (QAWO with ``maxp1 = 100``).
+
+    The routines get the arguments that scipy's ``_quad`` and
+    ``_quad_weight`` pass, and the result is post-processed as ``quad``
+    does: an empty interval gives zero, reversed limits flip the sign,
+    a warning code appends its message and code 6 (invalid input) raises
+    :class:`ValueError`.  Returns (value, abserr, info[, message]).
+    """
+    if a == b:
+        return 0.0, 0.0, {}
+    flip, a, b = b < a, min(a, b), max(a, b)
+    if math.isinf(a):
+        raise DomainError("the lower integration limit must be finite")
+    if kind is not None:
+        out = _quadpack._qawoe(
+            kernel, a, b, freq, _KINDS[kind], (), 1, epsabs, epsrel, limit, 100, 1
+        )
+    elif math.isinf(b):
+        out = _quadpack._qagie(kernel, a, 1, (), 1, epsabs, epsrel, limit)
+    else:
+        out = _quadpack._qagse(kernel, a, b, (), 1, epsabs, epsrel, limit)
+    if flip:
+        out = (-out[0],) + out[1:]
+    ier = out[-1]
+    if ier == 0:
+        return out[:-1]
+    if ier in _QUAD_WARNINGS:
+        return out[:-1] + (_QUAD_WARNINGS[ier].format(limit=limit),)
+    raise ValueError("The input is invalid." if ier == 6 else "Unknown error.")
+
+
 def _check_quad_result(out, epsabs, epsrel, what):
     value, abserr = out[0], out[1]
     if len(out) > 3:  # warning message present
@@ -214,9 +328,7 @@ def plain_quad(
     what: str = "integral",
 ) -> tuple[float, float]:
     """Adaptive integral of a smooth kernel over (a, b), b possibly inf."""
-    out = _sciint.quad(
-        kernel, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=limit, full_output=1
-    )
+    out = _quad(kernel, a, b, abs_tol, rel_tol, limit)
     return _check_quad_result(out, abs_tol, rel_tol, what)
 
 
@@ -275,11 +387,7 @@ def fourier_quad(
         )
         return head_val + tail_val, head_err + tail_err
 
-    out = _sciint.quad(
-        kernel, a, b, weight=kind, wvar=freq,
-        epsabs=abs_tol, epsrel=rel_tol, limit=limit, maxp1=100,
-        full_output=1,
-    )
+    out = _quad(kernel, a, b, abs_tol, rel_tol, limit, kind, freq)
     return _check_quad_result(out, abs_tol, rel_tol, what)
 
 

@@ -3,7 +3,8 @@
 ``sqbath run`` and ``sqbath sweep`` never call these; they hold the
 closed forms the package is checked against: the response functions of
 the detector, the (Xi, eta, theta) forward map and the effective
-temperature, the Bessel J1 and the oscillating power remnants J_n(t).
+temperature, the Bessel J1, the oscillating power remnants J_n(t) and
+the two sides of the bath-level fluctuation-dissipation relation.
 """
 
 import cmath
@@ -12,10 +13,11 @@ import math
 import numpy as np
 from scipy import special
 
-from sqbath.errors import DomainError, InvalidStateError, SqbathError
+from sqbath.bath_kernels import BathSpec
+from sqbath.errors import BelowThresholdError, DomainError, InvalidStateError, SqbathError
 from sqbath.gaussian_state import CovarianceState
 from sqbath.oscillator_dynamics import _fundamental, _resp
-from sqbath.quadrature import fourier_quad
+from sqbath.quadrature import coth_half_beta, fourier_quad, omega_coth_half_beta
 
 
 class EstimationError(SqbathError):
@@ -262,3 +264,40 @@ def jn_falloff(spec, beta: float, n: int, t_list, epsilon: float = 1e-2) -> floa
     )
     slope, _ = np.polyfit(np.log(t_arr), np.log(mags), 1)
     return float(slope)
+
+
+def bath_fdr(omega: float, bath: BathSpec) -> tuple[float, float]:
+    """Both sides of the bath-level fluctuation-dissipation relation.
+
+    lhs: stationary Hadamard transform (kappa/4pi) coth(b|w|/2) cosh 2eta_kappa,
+    kappa = sqrt(w^2 - m_i^2).
+    rhs: sgn(w) coth(bw/2) cosh 2eta_kappa Im G_R0 with Im G_R0 = kappa/4pi
+    on the positive-frequency branch, so both sides are even in w.
+
+    In a massive bath the retarded transform has no imaginary part at or
+    below the threshold |w| <= m_i and the relation is empty; such
+    frequencies are rejected.  A massless bath keeps w = 0, where both
+    sides tend to (1/4pi)(2/b) cosh 2eta_0 (0 at zero temperature).
+
+    The two sides are equal algebraically, since coth(b|w|/2) =
+    sgn(w) coth(bw/2), so their difference reads round-off; it tests the
+    evaluation, not the relation.
+    """
+    aw = abs(omega)
+    if bath.mass_i > 0.0 and aw <= bath.mass_i:
+        raise BelowThresholdError(
+            f"|omega| = {aw} is at or below the field-mass threshold {bath.mass_i}"
+        )
+    kappa = math.sqrt(omega * omega - bath.mass_i * bath.mass_i)
+    ch2 = float(bath.cosh2eta_at(kappa))
+    if aw == 0.0:
+        limit = float(omega_coth_half_beta(0.0, bath.beta)) / (4.0 * math.pi) * ch2
+        return limit, limit
+    coth_abs = float(coth_half_beta(aw, bath.beta))
+    im_gr0 = kappa / (4.0 * math.pi)
+
+    lhs = im_gr0 * coth_abs * ch2
+    sgn = 1.0 if omega > 0 else -1.0
+    coth_signed = sgn * float(coth_half_beta(omega, bath.beta))
+    rhs = coth_signed * ch2 * im_gr0
+    return lhs, rhs

@@ -18,6 +18,7 @@ import pytest
 import mpmath as mp
 
 from oracles import (
+    bath_fdr,
     convolve_response,
     covariance_from_decomposition,
     effective_temperature,
@@ -25,7 +26,7 @@ from oracles import (
     fundamental_solutions,
     jn_falloff,
 )
-from sqbath.bath_kernels import BathSpec, bath_fdr
+from sqbath.bath_kernels import BathSpec
 from sqbath.energy_fdr import fdr_oscillator, power_in, power_out
 from sqbath.gaussian_state import (
     CovarianceState,
@@ -113,8 +114,9 @@ def test_criterion_2_energy_balance(spec, quad, bath_parametric):
 def test_criterion_3_oscillator_fdr(spec, bath_parametric):
     """Pointwise FDR for the detector, massless and parametric.
 
-    The two sides are equal algebraically (Im G = 2 gamma kappa |G|^2), so
-    the deviation reads round-off for any G: this checks the assembly.
+    This tests an identity: the two sides are equal algebraically
+    (Im G = 2 gamma kappa |G|^2), so the deviation reads round-off for
+    any G and checks the assembly, not the physics.
     The values are checked by ``test_absolute_values_pinned_to_bath_fdr``
     in ``tests/test_energy_fdr.py``.
     """
@@ -151,10 +153,11 @@ def test_criterion_3_oscillator_fdr(spec, bath_parametric):
 def test_criterion_4_bath_fdr(bath_parametric):
     """Bath-level FDR with the parametric cosh 2eta_kappa factor.
 
-    The two sides are equal algebraically (coth(b|w|/2) = sgn w coth(bw/2)),
-    so the deviation reads round-off: this checks the evaluation.  The
-    values are checked by ``test_absolute_values_pinned_to_bath_fdr`` in
-    ``tests/test_energy_fdr.py``.
+    This tests an identity: the two sides are equal algebraically
+    (coth(b|w|/2) = sgn w coth(bw/2)), so the deviation reads round-off
+    and checks the evaluation of ``bath_fdr`` (``tests/oracles.py``), not
+    the physics.  The values are checked by
+    ``test_absolute_values_pinned_to_bath_fdr`` in ``tests/test_energy_fdr.py``.
     """
     from sqbath.parametric_mode import squeeze_spectrum
 

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import bessel_j1
-from sqbath.bath_kernels import BathSpec, SqueezeSpectrum, bath_fdr
+from oracles import bath_fdr, bessel_j1
+from sqbath.bath_kernels import BathSpec, SqueezeSpectrum
 from sqbath.errors import (
     BelowThresholdError,
     ConfigurationError,

@@ -117,6 +117,7 @@ RUN_TIME_CONFIG_ERRORS = {
     "time_grid": {"time_grid": {"start": -1.0, "stop": 20.0, "points": 2}},
     "hadamard_grid": {"hadamard_grid": {"start": -1.0, "stop": 6.0, "points": 2}},
     "k_grid": {"k_grid": {"start": 0.0, "stop": 10.0, "points": 8, "spacing": "linear"}},
+    "k_grid.points": {"k_grid": {"start": 0.1, "stop": 10.0, "points": 4}},
     "profile.mass_f": {"profile": {"mass_i": 0.0, "mass_f": 1.0, "t_i": 0.0, "t_f": 2.0}},
     "fdr_grid": {
         "profile": {"mass_i": 0.5, "mass_f": 0.25, "t_i": 0.0, "t_f": 2.0},
@@ -259,6 +260,21 @@ class TestConfigParsing:
         assert not (tmp_path / "o").exists()
         assert capsys.readouterr().err.startswith(f"configuration error: {key}")
 
+    # constant-squeeze products that a parametric config once computed,
+    # with exit 0, from the bath's beta and theta alone, ignoring the profile
+    @pytest.mark.parametrize(
+        "key, case",
+        [
+            ("outputs", {"outputs": ["covariances", "ns_split"]}),
+            ("hadamard_factored", {"hadamard_factored": True}),
+        ],
+    )
+    def test_parametric_refuses_factored_products(self, tmp_path, capsys, key, case):
+        cfgp = write_config(tmp_path, dict(PARAMETRIC, **case))
+        assert main(["run", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+        assert capsys.readouterr().err.startswith(f"configuration error: {key}")
+
     def test_both_frequencies_reported_once(self, tmp_path, capsys):
         data = dict(SMALL_CONSTANT, oscillator={"Omega": 1.0, "omega_r": 1.0})
         cfgp = write_config(tmp_path, data)
@@ -359,6 +375,17 @@ class TestRun:
         for t, total in diagonal:
             i_xx = covariance_integral_parts(cfg.oscillator, bath, t, cfg.quad)[0]
             assert abs(total - i_xx) <= 1e-14 * abs(i_xx)
+
+    def test_unresolved_spectrum_refused_before_writing(self, tmp_path, capsys):
+        # the k grid stops at 1, where the ramp's squeezing is still large
+        data = dict(PARAMETRIC, outputs=["covariances"])
+        data["k_grid"] = {"start": 0.1, "stop": 1.0, "points": 8}
+        cfgp = write_config(tmp_path, data)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfgp), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: k_grid: squeeze spectrum is not resolved")
+        assert not (out / "squeeze_spectrum.csv").exists()
 
     def test_squeeze_spectrum_csv(self, parametric_run):
         # written like every product: LF line ends, 17 significant digits
@@ -769,12 +796,22 @@ class TestFigurePresets:
 
 
 def test_import_leaves_out_interpolation_and_process_pool():
-    # the PCHIP coefficients are computed without scipy.interpolate, and the
-    # process pool is imported only by a sweep with more than one worker
+    # the PCHIP coefficients are computed without scipy.interpolate, the
+    # process pool is imported only by a sweep with more than one worker,
+    # and of scipy only the QUADPACK extension and the DOP853 tableau file
+    # are loaded, so no scipy package __init__ runs
+    absent = (
+        "scipy",
+        "scipy.integrate",
+        "scipy.interpolate",
+        "scipy.optimize",
+        "scipy.special",
+        "numpy.f2py",
+        "concurrent.futures.process",
+    )
     code = (
         "import sys, sqbath.cli; "
-        "print([m for m in ('scipy.interpolate', 'concurrent.futures.process') "
-        "if m in sys.modules])"
+        f"print([m for m in {absent!r} if m in sys.modules])"
     )
     paths = [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))

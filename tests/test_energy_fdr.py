@@ -3,8 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from oracles import EstimationError, bessel_j1, d2_fourier, jn_falloff, jn_integral
-from sqbath.bath_kernels import BathSpec, bath_fdr
+from oracles import (
+    EstimationError,
+    bath_fdr,
+    bessel_j1,
+    d2_fourier,
+    jn_falloff,
+    jn_integral,
+)
+from sqbath.bath_kernels import BathSpec
 from sqbath.energy_fdr import fdr_oscillator, flux_balance, power_in, power_out
 from sqbath.errors import ConfigurationError, DomainError
 from sqbath.gaussian_state import CovarianceState, SqueezeParam

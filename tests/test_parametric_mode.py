@@ -4,8 +4,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
+import sqbath.parametric_mode
 from sqbath.errors import ConvergenceError, DomainError
 from sqbath.parametric_mode import (
     MassProfile,
@@ -141,6 +142,30 @@ class TestIntegrateMode:
             one_mode(1.0, tanh_profile, np.linspace(1.0, 2.0, 10))
         with pytest.raises(DomainError):
             one_mode(-1.0, tanh_profile, np.linspace(0.0, 2.0, 10))
+
+
+# the tableau constants, loaded from scipy's coefficient file, and the class
+# attribute of scipy's DOP853 that each stands for
+TABLEAU = {
+    "N_STAGES": "n_stages",
+    "ERROR_ESTIMATOR_ORDER": "error_estimator_order",
+    "A": "A",
+    "B": "B",
+    "C": "C",
+    "E3": "E3",
+    "E5": "E5",
+    "D": "D",
+    "A_EXTRA": "A_EXTRA",
+    "C_EXTRA": "C_EXTRA",
+}
+
+
+@pytest.mark.parametrize("name", TABLEAU)
+def test_tableau_is_scipys(name):
+    ours = getattr(sqbath.parametric_mode, name)
+    theirs = getattr(DOP853, TABLEAU[name])
+    assert np.shape(ours) == np.shape(theirs)
+    assert np.all(ours == theirs)
 
 
 class TestLockstepOracle:

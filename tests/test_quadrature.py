@@ -3,11 +3,13 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy import integrate
 
 from oracles import bessel_j1, convolve_response, d2_fourier, f_aux, fundamental_solutions
-from sqbath.errors import ConfigurationError, DomainError
+from sqbath.errors import ConfigurationError, ConvergenceError, DomainError
 from sqbath.quadrature import (
     QuadratureConfig,
+    _quad,
     coth_half_beta,
     fourier_quad,
     omega_coth_half_beta,
@@ -188,3 +190,127 @@ def test_quadrature_config_validation():
     assert QuadratureConfig(epsilon=0.01).upper() == 4500.0
     with pytest.raises(ConfigurationError):
         QuadratureConfig().require_regulator("anything")
+
+
+# The QUADPACK routines are loaded from scipy's extension file and called
+# as scipy.integrate.quad calls them; these cases pin every result, and
+# every warning text, to the installed scipy's quad under ==.
+
+def _lorentzian(w):
+    return 1.0 / (1.0 + w * w)
+
+
+def _rising(w):
+    return math.sqrt(w)
+
+
+TIGHT = {"rel_tol": 1e-15, "abs_tol": 1e-300}  # QUADPACK stops on roundoff
+
+# id: (kernel, a, b, keyword arguments of plain_quad)
+PLAIN_CASES = {
+    "finite": (_lorentzian, 0.0, 100.0, {}),
+    "b-inf": (lambda w: math.exp(-w) * math.cos(w), 0.0, math.inf, {}),
+    "a-equals-b": (_lorentzian, 2.0, 2.0, {}),
+    "reversed": (_lorentzian, 100.0, 0.0, {}),
+    "roundoff": (_lorentzian, 0.0, 100.0, TIGHT),
+    "roundoff-b-inf": (lambda w: math.exp(-w), 0.0, math.inf, TIGHT),
+    "subdivision-limit": (lambda w: math.sin(50.0 * w), 0.0, 100.0, {"limit": 10}),
+}
+
+# id: (kernel, freq, kind, a, b, keyword arguments of fourier_quad)
+FOURIER_CASES = {
+    "cos": (_lorentzian, 3.0, "cos", 0.0, 100.0, {}),
+    "sin": (_lorentzian, 3.0, "sin", 0.0, 100.0, {}),
+    "cos-frequency-0": (_lorentzian, 0.0, "cos", 0.0, 100.0, {}),
+    "sin-frequency-0": (_lorentzian, 0.0, "sin", 0.0, 100.0, {}),
+    "head": (_rising, 40.0, "cos", 0.0, 100.0, {"head": 0.5}),
+    "head-past-b": (_rising, 40.0, "sin", 0.0, 0.3, {"head": 0.5}),
+    "roundoff": (_lorentzian, 3.0, "cos", 0.0, 100.0, TIGHT),
+    "subdivision-limit": (_rising, 300.0, "sin", 0.0, 100.0, {"limit": 10}),
+}
+
+
+def _scipy_quad(kernel, a, b, rel_tol=1e-8, abs_tol=1e-12, limit=2000, **weight):
+    return integrate.quad(
+        kernel, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=limit, full_output=1,
+        **weight,
+    )
+
+
+def _scipy_fourier(kernel, freq, kind, a, b, head=None, **tol):
+    """fourier_quad's value and error estimate from scipy.integrate.quad:
+    the plain rule at frequency 0 (cos) and on the head, QAWO elsewhere."""
+    if freq == 0.0 and kind == "cos":
+        return _scipy_quad(kernel, a, b, **tol)[:2]
+    if head is not None:
+        split = min(head, b)
+        osc = np.cos if kind == "cos" else np.sin
+        head_out = _scipy_quad(lambda w: kernel(w) * osc(freq * w), a, split, **tol)
+        if split >= b:
+            return head_out[:2]
+        tail_out = _scipy_fourier(kernel, freq, kind, split, b, **tol)
+        return head_out[0] + tail_out[0], head_out[1] + tail_out[1]
+    return _scipy_quad(kernel, a, b, weight=kind, wvar=freq, maxp1=100, **tol)[:2]
+
+
+def _sqbath_result(quad_fn, *args, **kwargs):
+    """(value, abserr, message) of a sqbath quadrature; the message is None
+    unless the result was refused with a ConvergenceError."""
+    try:
+        value, abserr = quad_fn(*args, **kwargs)
+    except ConvergenceError as exc:
+        return exc.partial_value, exc.diagnostics["abserr"], exc.diagnostics["message"]
+    return value, abserr, None
+
+
+class TestScipyBits:
+    @pytest.mark.parametrize("case", PLAIN_CASES.values(), ids=PLAIN_CASES.keys())
+    def test_plain_quad_is_scipys_quad(self, case):
+        kernel, a, b, kwargs = case
+        expected = _scipy_quad(kernel, a, b, **kwargs)
+        tol = {"rel_tol": 1e-8, "abs_tol": 1e-12, "limit": 2000, **kwargs}
+        ours = _quad(kernel, a, b, tol["abs_tol"], tol["rel_tol"], tol["limit"])
+        assert ours[:2] == expected[:2]
+        assert len(ours) == len(expected)
+        if len(expected) > 3:
+            assert ours[3] == expected[3]
+        value, abserr, message = _sqbath_result(plain_quad, kernel, a, b, **kwargs)
+        assert (value, abserr) == expected[:2]
+        assert message in (None, expected[-1])
+
+    @pytest.mark.parametrize("case", FOURIER_CASES.values(), ids=FOURIER_CASES.keys())
+    def test_fourier_quad_is_scipys_quad(self, case):
+        kernel, freq, kind, a, b, kwargs = case
+        value, abserr, message = _sqbath_result(fourier_quad, kernel, freq, kind, a, b, **kwargs)
+        assert (value, abserr) == _scipy_fourier(kernel, freq, kind, a, b, **kwargs)
+        if "head" not in kwargs and freq > 0.0:
+            tol = {"rel_tol": 1e-8, "abs_tol": 1e-12, "limit": 2000, **kwargs}
+            expected = _scipy_quad(
+                kernel, a, b, weight=kind, wvar=freq, maxp1=100, **kwargs
+            )
+            ours = _quad(
+                kernel, a, b, tol["abs_tol"], tol["rel_tol"], tol["limit"], kind, freq
+            )
+            assert ours[:2] == expected[:2]
+            assert len(ours) == len(expected)
+            if len(expected) > 3:
+                assert ours[3] == expected[3]
+                assert message in (None, expected[3])
+
+    def test_warning_cases_reach_their_codes(self):
+        # the cases above do exercise the roundoff (ier 2) and the
+        # subdivision-limit (ier 1) texts, and the latter is refused
+        assert "roundoff" in _scipy_quad(_lorentzian, 0.0, 100.0, **TIGHT)[3]
+        kernel, a, b, kwargs = PLAIN_CASES["subdivision-limit"]
+        _, _, message = _sqbath_result(plain_quad, kernel, a, b, **kwargs)
+        assert message.startswith("The maximum number of subdivisions (10)")
+        kernel, freq, kind, a, b, kwargs = FOURIER_CASES["subdivision-limit"]
+        _, _, message = _sqbath_result(fourier_quad, kernel, freq, kind, a, b, **kwargs)
+        assert message.startswith("The maximum number of subdivisions (10)")
+
+    def test_invalid_input_raises_like_scipy(self):
+        # QUADPACK flags limit < 1 as invalid input (ier 6)
+        with pytest.raises(ValueError):
+            integrate.quad(_lorentzian, 0.0, 1.0, limit=0, full_output=1)
+        with pytest.raises(ValueError):
+            plain_quad(_lorentzian, 0.0, 1.0, limit=0)
