@@ -10,7 +10,6 @@ and the finite-coupling squeezing acquired by the oscillator itself.
 from .bath_kernels import BathSpec, SqueezeSpectrum
 from .energy_fdr import FdrReport, fdr_oscillator, flux_balance, power_in, power_out
 from .errors import (
-    BelowThresholdError,
     ConfigurationError,
     ConvergenceError,
     DomainError,

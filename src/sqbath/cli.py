@@ -329,6 +329,12 @@ def parse_config(data: dict) -> RunConfig:
     if profile is not None and set(outputs) - {"fdr"}:
         # the detector response in the ramped bath needs mass_f < Omega
         _make("profile.mass_f", massive_roots, spec.gamma, spec.Omega, profile.mass_f)
+        # the frequency integrals run from the threshold mass_i to quad.upper()
+        if not profile.mass_i < quad.upper():
+            raise ConfigurationError(
+                f"profile.mass_i = {profile.mass_i} must be below the upper "
+                f"frequency limit {quad.upper():g} (the cutoff, or 45/epsilon)"
+            )
 
     late = LATE_TIME_FACTOR / max(spec.gamma, 1e-3)
     time_grid = _grid(data, "time_grid", default=np.linspace(1.0, late, 40))
@@ -550,7 +556,7 @@ def _product_files(cfg: RunConfig, bath: BathSpec):
                     if cfg.hadamard_factored:
                         pair[i, j] = _at(
                             name, point, chi_hadamard_components,
-                            spec, cfg.bath_beta, cfg.bath_theta, t, tp, quad,
+                            spec, bath, cfg.bath_theta, t, tp, quad,
                         )
                     else:
                         kv = _at(name, point, chi_hadamard, spec, bath, t, tp, quad)
@@ -578,7 +584,7 @@ def _product_files(cfg: RunConfig, bath: BathSpec):
                 for t in times:
                     i_ns, i_st = _at(
                         name, {"t": t, "theta": theta}, ns_st_split,
-                        spec, cfg.bath_beta, theta, float(t), quad,
+                        spec, bath, theta, float(t), quad,
                     )
                     ins_rows.append((t, theta, i_ns))
                     ist_rows.append((t, theta, i_st))

@@ -18,10 +18,6 @@ class UnsupportedRegimeError(DomainError):
     (overdamped oscillator, field mass at or above the resonance, ...)."""
 
 
-class BelowThresholdError(DomainError):
-    """A spectral quantity was requested below the field-mass threshold."""
-
-
 class ConfigurationError(SqbathError):
     """A run or quadrature configuration is inconsistent, e.g. a
     UV-divergent integral was requested without any regulator."""

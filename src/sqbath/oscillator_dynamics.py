@@ -417,23 +417,20 @@ def _bilinear(
     u: _Factor,
     v: _Factor,
     quad: QuadratureConfig,
-    weights: tuple | None = None,
 ) -> tuple[float, float]:
     """(stationary, nonstationary) parts of the bilinear form of u and v.
 
-    ``weights``, a (cosh, sinh) pair of constants, replaces the weights of
-    ``bath``.  ``resp`` may be None when neither factor carries d2~.  Both
-    parts are symmetric in u and v, so the factor with more d2~ powers
-    goes first.  Each part is one :func:`_part`, memoized by value: a
-    constant weight is part of its key and the bath is reduced to its
-    measure, so the stationary part of a constant-squeeze bath is
-    integrated once for every squeeze angle.
+    ``resp`` may be None when neither factor carries d2~.  Both parts are
+    symmetric in u and v, so the factor with more d2~ powers goes first.
+    Each part is one :func:`_part`, memoized by value: a constant weight
+    is part of its key and the bath is reduced to its measure, so the
+    stationary part of a constant-squeeze bath is integrated once for
+    every squeeze angle.
     """
-    mix = bath_mix(bath, quad)  # checks the bath
+    weights = bath_mix(bath, quad)  # checks the bath
     if v.n > u.n:
         u, v = v, u
-    weights = mix if weights is None else weights
-    if weights[0] is not None and bath.mass_i == 0.0:
+    if weights[0] is not None:  # constant squeeze: a massless bath
         bath = BathSpec(bath.beta)
     return tuple(
         _part(resp, bath, u, v, quad, stationary, weight)
@@ -559,26 +556,25 @@ def covariance_evolution(
 
 
 def ns_st_split(
-    spec: OscillatorSpec, beta: float, theta: float, t: float, quad: QuadratureConfig
+    spec: OscillatorSpec, bath: BathSpec, theta: float, t: float, quad: QuadratureConfig
 ) -> tuple[float, float]:
     """Nonstationary and stationary integrals feeding <chi^2(t)>.
 
     I_NS = -int (dw/2pi)(w/4pi) coth(bw/2) 2 Re[f^2(t;w) e^{i theta}],
     I_ST = +int (dw/2pi)(w/4pi) coth(bw/2) 2 |f(t;w)|^2,
 
-    the components of :func:`chi_hadamard_components` at (t, t).  The
-    squeeze magnitude prefactors (sinh/cosh 2eta) are deliberately not
-    included: the split isolates the temporal behavior.
+    the components of :func:`chi_hadamard_components` at (t, t), under
+    the same conditions on ``bath``.  The squeeze magnitude prefactors
+    (sinh/cosh 2eta) are deliberately not included: the split isolates
+    the temporal behavior.
     """
-    if t < 0:
-        raise DomainError("ns_st_split requires t >= 0")
-    i_st, i_ns = chi_hadamard_components(spec, beta, theta, t, t, quad)
+    i_st, i_ns = chi_hadamard_components(spec, bath, theta, t, t, quad)
     return i_ns, i_st
 
 
 def chi_hadamard_components(
     spec: OscillatorSpec,
-    beta: float,
+    bath: BathSpec,
     theta: float,
     t: float,
     t_prime: float,
@@ -589,9 +585,12 @@ def chi_hadamard_components(
     stationary    = int dmu 2 Re[f(t) f*(t')]
     nonstationary = -int dmu 2 Re[f(t) f(t') e^{i theta}]
 
-    with dmu = (dw/2pi)(w/4pi) coth(bw/2).  The cosh/sinh 2eta weights
-    and the e^2/m^2 prefactor are left to the caller, which lets figure
-    code factor them out.
+    with dmu = (dw/2pi)(w/4pi) coth(bw/2) at the temperature of ``bath``
+    and the squeeze angle ``theta``.  The cosh/sinh 2eta weights and the
+    e^2/m^2 prefactor are left to the caller, which lets figure code
+    factor them out.  This unit-weight split is a constant-squeeze
+    construction: a massive bath or a squeeze spectrum raises
+    :class:`DomainError` (:func:`chi_hadamard` serves every bath).
 
     The coupling is switched on suddenly at t = 0, so f(t; w) -> -i d2(t)/w
     at large w and both components carry the switch-on term
@@ -600,14 +599,13 @@ def chi_hadamard_components(
     """
     if t < 0 or t_prime < 0:
         raise DomainError("two-time Hadamard requires t, t' >= 0")
-    resp = _resp(spec)
-    return _bilinear(
-        resp,
-        BathSpec(beta),
-        _f_factor(resp, t),
-        _f_factor(resp, t_prime),
-        quad,
-        weights=(1.0, cmath.exp(1j * theta)),
+    if not bath.is_massless or isinstance(bath.squeeze, SqueezeSpectrum):
+        raise DomainError("the unit-weight split needs a massless constant-squeeze bath")
+    resp, thermal = _resp(spec), BathSpec(bath.beta)
+    u, v = _f_factor(resp, t), _f_factor(resp, t_prime)
+    return (
+        _part(resp, thermal, u, v, quad, True, 1.0),
+        _part(resp, thermal, u, v, quad, False, cmath.exp(1j * theta)),
     )
 
 

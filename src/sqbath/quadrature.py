@@ -1,19 +1,19 @@
 """
 Numerical engine: regulated semi-infinite frequency integrals.
 
-Every spectral integral in the package reduces to one of two shapes:
+Every spectral integral in the package reduces to one of two shapes
+over a finite ``(a, b)``:
 
-* plain      ``int K(w) dw`` over ``(a, b)`` with ``b`` possibly infinite,
-* oscillatory ``int K(w) cos(c w) dw`` / ``int K(w) sin(c w) dw`` over a
-  finite ``(a, b)``,
+* plain      ``int K(w) dw``,
+* oscillatory ``int K(w) cos(c w) dw`` / ``int K(w) sin(c w) dw``,
 
 where the caller folds the thermal weight, the squeeze weights and the
 exponential regulator into ``K``; the upper limit is the hard cutoff, or
 the point where the exponential regulator has decayed to e^{-45}
 (:meth:`QuadratureConfig.upper`).
 
-The adaptive core is QUADPACK: QAGS/QAGI for smooth kernels and QAWO
-for the oscillatory shapes.  QAWO evaluates the trigonometric factor by
+The adaptive core is QUADPACK: QAGS for smooth kernels and QAWO for
+the oscillatory shapes.  QAWO evaluates the trigonometric factor by
 Chebyshev moments on its subintervals, so integrands oscillating over
 ~1e5 cycles remain cheap.  A fixed kernel and tolerance always reproduce
 the same value bit for bit.  QUADPACK calls a kernel with one Python
@@ -22,7 +22,8 @@ by :mod:`oscillator_dynamics`.
 
 QUADPACK is scipy's compiled ``scipy.integrate._quadpack``, loaded from
 its file by :func:`load_scipy_file` and called with the arguments
-``scipy.integrate.quad`` passes (:func:`_quad`).  Importing
+``scipy.integrate.quad`` passes (:func:`_quad`); each result is judged
+by QUADPACK's return code ``ier`` (:func:`_check_quad_result`).  Importing
 ``scipy.integrate`` itself would also import ``scipy.special``,
 ``scipy.optimize`` and ``numpy.f2py``, about 0.5 s of every run's
 start-up; what remains is the extension's first call, which imports the
@@ -30,7 +31,7 @@ start-up; what remains is the extension's first call, which imports the
 The trade: the load reaches into scipy's private layout, so a scipy
 release that moves the file makes ``import sqbath`` fail loudly
 (:class:`ImportError`), and one that changes the routines' signatures
-or messages fails the tests that compare :func:`plain_quad` and
+fails the tests that compare :func:`plain_quad` and
 :func:`fourier_quad` with ``scipy.integrate.quad`` under ``==``.  A
 numpy-only quadrature engine (ROADMAP Direction B) would remove this
 load altogether.
@@ -124,8 +125,8 @@ class QuadratureConfig:
         out = np.exp(-self.epsilon * omega)
         return float(out) if scalar else out
 
-    def upper(self, b: float = math.inf) -> float:
-        """Effective upper integration limit.
+    def upper(self) -> float:
+        """Effective upper integration limit (inf without a regulator).
 
         The hard cutoff truncates directly.  With only an exponential
         regulator the domain is truncated where the damping factor has
@@ -133,10 +134,10 @@ class QuadratureConfig:
         handle far more robustly than a formally infinite tail of zeros.
         """
         if self.cutoff is not None:
-            return min(b, self.cutoff)
+            return self.cutoff
         if self.epsilon > 0.0:
-            return min(b, 45.0 / self.epsilon)
-        return b
+            return 45.0 / self.epsilon
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -229,91 +230,68 @@ def load_scipy_file(name: str):
 
 _quadpack = load_scipy_file("integrate._quadpack")
 
-# scipy.integrate.quad's texts for the warning codes it returns rather than
-# raises (scipy 1.17.1, finite limits or b = inf), verbatim:
-# _check_quad_result looks for "roundoff" in them and quotes them
-_QUAD_WARNINGS = {
-    1: "The maximum number of subdivisions ({limit}) has been achieved.\n  "
-    "If increasing the limit yields no improvement it is advised to "
-    "analyze \n  the integrand in order to determine the difficulties.  "
-    "If the position of a \n  local difficulty can be determined "
-    "(singularity, discontinuity) one will \n  probably gain from "
-    "splitting up the interval and calling the integrator \n  on the "
-    "subranges.  Perhaps a special-purpose integrator should be used.",
-    2: "The occurrence of roundoff error is detected, which prevents \n  "
-    "the requested tolerance from being achieved.  "
-    "The error may be \n  underestimated.",
-    3: "Extremely bad integrand behavior occurs at some points of the\n  "
-    "integration interval.",
-    4: "The algorithm does not converge.  Roundoff error is detected\n  "
-    "in the extrapolation table.  It is assumed that the requested "
-    "tolerance\n  cannot be achieved, and that the returned result "
-    "(if full_output = 1) is \n  the best which can be obtained.",
-    5: "The integral is probably divergent, or slowly convergent.",
-    7: "Abnormal termination of the routine.  The estimates for result\n  "
-    "and error are less reliable.  It is assumed that the requested "
-    "accuracy\n  has not been achieved.",
+# QUADPACK's return codes ier for a result it could not bring to the
+# requested tolerance (Piessens et al., QUADPACK, 1983); 0 is success and
+# 6, the only other code, flags invalid input
+_IER = {
+    1: "subdivision limit reached",
+    2: "roundoff error detected",
+    3: "extremely bad integrand behaviour",
+    4: "no convergence: roundoff in the extrapolation table",
+    5: "integral probably divergent",
+    7: "abnormal termination",
 }
 
 _KINDS = {"cos": 1, "sin": 2}
 
 
 def _quad(kernel, a, b, epsabs, epsrel, limit, kind=None, freq=0.0):
-    """``scipy.integrate.quad(kernel, a, b, full_output=1, ...)`` for the
-    shapes sqbath uses: no weight (QAGS, or QAGI when b = inf) or a cos/sin
-    weight on a finite interval (QAWO with ``maxp1 = 100``).
-
-    The routines get the arguments that scipy's ``_quad`` and
-    ``_quad_weight`` pass, and the result is post-processed as ``quad``
-    does: an empty interval gives zero, reversed limits flip the sign,
-    a warning code appends its message and code 6 (invalid input) raises
-    :class:`ValueError`.  Returns (value, abserr, info[, message]).
+    """QUADPACK over the finite interval a < b: QAGS for no weight, QAWO
+    (``maxp1 = 100``) for a cos/sin weight, called with the arguments
+    ``scipy.integrate.quad(..., full_output=0)`` passes.  Returns
+    (value, abserr, ier).
     """
-    if a == b:
-        return 0.0, 0.0, {}
-    flip, a, b = b < a, min(a, b), max(a, b)
-    if math.isinf(a):
-        raise DomainError("the lower integration limit must be finite")
-    if kind is not None:
-        out = _quadpack._qawoe(
-            kernel, a, b, freq, _KINDS[kind], (), 1, epsabs, epsrel, limit, 100, 1
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise DomainError(
+            f"quadrature needs finite limits a < b, got [{a}, {b}]: truncate "
+            "at the cutoff or where the regulator has decayed "
+            "(QuadratureConfig.upper)"
         )
-    elif math.isinf(b):
-        out = _quadpack._qagie(kernel, a, 1, (), 1, epsabs, epsrel, limit)
-    else:
-        out = _quadpack._qagse(kernel, a, b, (), 1, epsabs, epsrel, limit)
-    if flip:
-        out = (-out[0],) + out[1:]
-    ier = out[-1]
-    if ier == 0:
-        return out[:-1]
-    if ier in _QUAD_WARNINGS:
-        return out[:-1] + (_QUAD_WARNINGS[ier].format(limit=limit),)
-    raise ValueError("The input is invalid." if ier == 6 else "Unknown error.")
+    if kind is None:
+        return _quadpack._qagse(kernel, a, b, (), 0, epsabs, epsrel, limit)
+    return _quadpack._qawoe(
+        kernel, a, b, freq, _KINDS[kind], (), 0, epsabs, epsrel, limit, 100, 1
+    )
 
 
-def _check_quad_result(out, epsabs, epsrel, what):
-    value, abserr = out[0], out[1]
-    if len(out) > 3:  # warning message present
+def _check_quad_result(value, abserr, ier, epsabs, epsrel, what):
+    """(value, abserr) of a QUADPACK result judged by its return code.
+
+    ier 0 is accepted.  Roundoff-limited results (ier 2: C^1 kernels from
+    monotone-cubic spectra stall slightly above a 1e-8 target) still carry
+    honest error estimates; they are kept unless the estimate says the
+    value has lost real accuracy.  Any other warning code failing the
+    target by a wide margin is a genuine nonconvergence.  A non-finite
+    value or estimate is refused whatever the code; ier 6 (invalid input)
+    raises :class:`DomainError`.
+    """
+    if ier != 0 and ier not in _IER:
+        raise DomainError(f"QUADPACK rejected the input of {what} (ier {ier})")
+    accepted = math.isfinite(value) and math.isfinite(abserr)
+    if accepted and ier != 0:
         tolerated = max(epsabs, epsrel * abs(value))
-        message = str(out[3])
-        # Roundoff-limited results (C^1 kernels from monotone-cubic
-        # spectra stall slightly above a 1e-8 target) still carry honest
-        # error estimates; keep them unless the estimate says the value
-        # has lost real accuracy.  Anything else failing the target by
-        # a wide margin is a genuine nonconvergence.
-        roundoff = "roundoff" in message
-        limit = (
-            max(1e-3 * abs(value), 1e6 * tolerated)
-            if roundoff
-            else 50.0 * tolerated
+        if ier == 2:
+            accepted = abserr <= max(1e-3 * abs(value), 1e6 * tolerated)
+        else:
+            accepted = abserr <= 50.0 * tolerated
+    if not accepted:
+        meaning = _IER.get(ier, "no warning")
+        raise ConvergenceError(
+            f"quadrature did not converge for {what}: ier {ier} ({meaning}), "
+            f"value {value:.6g}, abserr {abserr:.3g}",
+            partial_value=value,
+            diagnostics={"abserr": abserr, "ier": ier, "message": meaning},
         )
-        if abserr > limit:
-            raise ConvergenceError(
-                f"quadrature did not converge for {what}: {message}",
-                partial_value=value,
-                diagnostics={"abserr": abserr, "message": message},
-            )
     return float(value), float(abserr)
 
 
@@ -327,9 +305,9 @@ def plain_quad(
     limit: int = 2000,
     what: str = "integral",
 ) -> tuple[float, float]:
-    """Adaptive integral of a smooth kernel over (a, b), b possibly inf."""
+    """Adaptive integral of a smooth kernel over the finite (a, b), a < b."""
     out = _quad(kernel, a, b, abs_tol, rel_tol, limit)
-    return _check_quad_result(out, abs_tol, rel_tol, what)
+    return _check_quad_result(*out, abs_tol, rel_tol, what)
 
 
 def fourier_quad(
@@ -345,22 +323,17 @@ def fourier_quad(
     head: float | None = None,
     what: str = "oscillatory integral",
 ) -> tuple[float, float]:
-    """``int_a^b kernel(w) {cos,sin}(freq w) dw`` with panel rules, b finite
-    and ``freq`` >= 0.  The cosine at ``freq = 0`` falls back to the plain
-    rule.
+    """``int_a^b kernel(w) {cos,sin}(freq w) dw`` with panel rules, a < b
+    finite and ``freq`` >= 0.  The cosine at ``freq = 0`` falls back to the
+    plain rule.
 
     ``head`` marks an integrable singularity (e.g. the sqrt cusp of a
     mass-threshold measure) at the lower end: [a, head] is then handled
     by the endpoint-extrapolating plain rule with the trigonometric
     factor folded in, and the panel rule starts only at ``head``.
     """
-    if kind not in ("cos", "sin"):
+    if kind not in _KINDS:
         raise DomainError(f"oscillation kind must be cos or sin, got {kind!r}")
-    if math.isinf(b):
-        raise DomainError(
-            "fourier_quad needs a finite upper limit: truncate at the cutoff "
-            "or where the regulator has decayed (QuadratureConfig.upper)"
-        )
     if freq == 0.0 and kind == "cos":
         return plain_quad(
             kernel, a, b, rel_tol=rel_tol, abs_tol=abs_tol, limit=limit,
@@ -371,12 +344,8 @@ def fourier_quad(
         split = min(head, b)
         osc = np.cos if kind == "cos" else np.sin
         head_val, head_err = plain_quad(
-            lambda w, _f=freq: kernel(w) * osc(_f * w),
-            a,
-            split,
-            rel_tol=rel_tol,
-            abs_tol=abs_tol,
-            limit=limit,
+            lambda w, _f=freq: kernel(w) * osc(_f * w), a, split,
+            rel_tol=rel_tol, abs_tol=abs_tol, limit=limit,
             what=f"{what} (singular head)",
         )
         if split >= b:
@@ -388,7 +357,7 @@ def fourier_quad(
         return head_val + tail_val, head_err + tail_err
 
     out = _quad(kernel, a, b, abs_tol, rel_tol, limit, kind, freq)
-    return _check_quad_result(out, abs_tol, rel_tol, what)
+    return _check_quad_result(*out, abs_tol, rel_tol, what)
 
 
 def cusp_head(lower: float, freq: float) -> float | None:

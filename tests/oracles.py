@@ -14,7 +14,7 @@ import numpy as np
 from scipy import special
 
 from sqbath.bath_kernels import BathSpec
-from sqbath.errors import BelowThresholdError, DomainError, InvalidStateError, SqbathError
+from sqbath.errors import DomainError, InvalidStateError, SqbathError
 from sqbath.gaussian_state import CovarianceState
 from sqbath.oscillator_dynamics import _fundamental, _resp
 from sqbath.quadrature import coth_half_beta, fourier_quad, omega_coth_half_beta
@@ -22,6 +22,10 @@ from sqbath.quadrature import coth_half_beta, fourier_quad, omega_coth_half_beta
 
 class EstimationError(SqbathError):
     """A fit window is too narrow or too noisy to estimate an exponent."""
+
+
+class BelowThresholdError(DomainError):
+    """A spectral quantity was requested below the field-mass threshold."""
 
 
 _GREGORY = np.array([3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0])

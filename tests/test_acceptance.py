@@ -194,7 +194,7 @@ def test_criterion_5_decay_classes(spec, quad):
     the 1/t term vanishes, and the J exponents -2 (thermal) and -3 (vacuum).
     """
     # the unit-weight split of the beta = 0.3, theta = 0 bath
-    i_ns, i_st = ns_st_split(spec, 0.3, 0.0, 15.0 / spec.gamma, quad)
+    i_ns, i_st = ns_st_split(spec, BathSpec(0.3), 0.0, 15.0 / spec.gamma, quad)
     ns_ratio = abs(i_ns) / i_st
     ts = np.geomspace(20.0, 200.0, 10)
     thermal = jn_falloff(spec, 1.0, 1, ts)
@@ -223,7 +223,7 @@ def _hadamard_grid(spec, quad, grid):
     for i in range(n):
         for j in range(i, n):
             stat[i, j], nonstat[i, j] = chi_hadamard_components(
-                spec, math.inf, 0.0, float(grid[i]), float(grid[j]), quad
+                spec, BathSpec(math.inf), 0.0, float(grid[i]), float(grid[j]), quad
             )
             stat[j, i], nonstat[j, i] = stat[i, j], nonstat[i, j]
     return stat, nonstat

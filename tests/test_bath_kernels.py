@@ -4,14 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import bath_fdr, bessel_j1
+from oracles import BelowThresholdError, bath_fdr, bessel_j1
 from sqbath.bath_kernels import BathSpec, SqueezeSpectrum
-from sqbath.errors import (
-    BelowThresholdError,
-    ConfigurationError,
-    DomainError,
-    ResolutionError,
-)
+from sqbath.errors import ConfigurationError, DomainError, ResolutionError
 from sqbath.gaussian_state import SqueezeParam
 from sqbath.oscillator_dynamics import KernelValue, hadamard_coincident
 from sqbath.quadrature import QuadratureConfig, omega_coth_half_beta

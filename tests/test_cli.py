@@ -119,6 +119,8 @@ RUN_TIME_CONFIG_ERRORS = {
     "k_grid": {"k_grid": {"start": 0.0, "stop": 10.0, "points": 8, "spacing": "linear"}},
     "k_grid.points": {"k_grid": {"start": 0.1, "stop": 10.0, "points": 4}},
     "profile.mass_f": {"profile": {"mass_i": 0.0, "mass_f": 1.0, "t_i": 0.0, "t_f": 2.0}},
+    # at or above the cutoff 100 the frequency integrals would be empty or reversed
+    "profile.mass_i": {"profile": {"mass_i": 150.0, "mass_f": 0.5, "t_i": 0.0, "t_f": 2.0}},
     "fdr_grid": {
         "profile": {"mass_i": 0.5, "mass_f": 0.25, "t_i": 0.0, "t_f": 2.0},
         "fdr_grid": {"start": 0.1, "stop": 0.4, "points": 3},
@@ -606,6 +608,15 @@ class TestSweep:
         assert not out.exists()
         err = capsys.readouterr().err
         assert f"{path} = {values[1]}" in err and cause in err
+
+    def test_mass_i_at_the_cutoff_refused_for_every_point(self, tmp_path, capsys):
+        data = dict(PARAMETRIC, outputs=["covariances"])
+        data["sweep"] = {"path": "profile.mass_i", "values": [0.0, 100.0]}
+        cfgp = write_config(tmp_path, data)
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfgp), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "profile.mass_i = 100.0 must be below" in capsys.readouterr().err
 
     def test_missing_sweep_section_exit_code(self, tmp_path, capsys):
         cfgp = write_config(tmp_path, SMALL_CONSTANT)

@@ -18,9 +18,9 @@ from sqbath.errors import (
 from sqbath.gaussian_state import CovarianceState, SqueezeParam
 from sqbath.oscillator_dynamics import (
     OscillatorSpec,
-    _bilinear,
     _f_factor,
     _node_factors,
+    _part,
     chi_hadamard,
     chi_hadamard_components,
     covariance_evolution,
@@ -330,21 +330,21 @@ class TestBilinearFormsOracle:
 
 class TestNsStSplit:
     def test_zero_time(self, spec, quad):
-        i_ns, i_st = ns_st_split(spec, 0.3, 0.0, 0.0, quad)
+        i_ns, i_st = ns_st_split(spec, BathSpec(0.3), 0.0, 0.0, quad)
         assert abs(i_ns) < 1e-10
         assert abs(i_st) < 1e-10
 
     def test_ratio_decays(self, spec, quad):
-        i_ns, i_st = ns_st_split(spec, 0.3, 0.0, 15.0 / spec.gamma, quad)
+        i_ns, i_st = ns_st_split(spec, BathSpec(0.3), 0.0, 15.0 / spec.gamma, quad)
         assert abs(i_ns) / i_st < 1e-2
 
     def test_stationary_plateau_theta_independent(self, spec, quad):
         vals = []
         for theta in (0.0, math.pi / 6, math.pi / 2):
-            _, i_st = ns_st_split(spec, 0.3, theta, 12.0 / spec.gamma, quad)
+            _, i_st = ns_st_split(spec, BathSpec(0.3), theta, 12.0 / spec.gamma, quad)
             vals.append(i_st)
         assert max(vals) - min(vals) < 1e-6 * vals[0]
-        _, late = ns_st_split(spec, 0.3, 0.0, 30.0 / spec.gamma, quad)
+        _, late = ns_st_split(spec, BathSpec(0.3), 0.0, 30.0 / spec.gamma, quad)
         assert abs(late / vals[0] - 1.0) < 1e-4
 
 
@@ -352,9 +352,23 @@ def test_unregulated_split_and_two_time_forms_rejected(spec):
     # the switch-on term of f makes both log divergent at finite t
     bare = QuadratureConfig()
     with pytest.raises(ConfigurationError):
-        ns_st_split(spec, 0.3, 0.0, 5.0, bare)
+        ns_st_split(spec, BathSpec(0.3), 0.0, 5.0, bare)
     with pytest.raises(ConfigurationError):
-        chi_hadamard_components(spec, 0.3, 0.0, 5.0, 6.0, bare)
+        chi_hadamard_components(spec, BathSpec(0.3), 0.0, 5.0, 6.0, bare)
+
+
+def test_factored_parts_refuse_spectrum_and_massive_baths(spec, quad):
+    # the unit-weight split would ignore eta_k, theta_k and the field mass
+    spectrum = SqueezeSpectrum(np.geomspace(0.1, 10.0, 8), np.full(8, 0.2))
+    for bath in (
+        BathSpec(0.3, squeeze=spectrum),
+        BathSpec(0.3, squeeze=spectrum, mass_i=0.2, mass_f=0.5),
+        BathSpec(0.3, mass_f=0.5),
+    ):
+        with pytest.raises(DomainError):
+            chi_hadamard_components(spec, bath, 0.0, 5.0, 6.0, quad)
+        with pytest.raises(DomainError):
+            ns_st_split(spec, bath, 0.0, 5.0, quad)
 
 
 class TestChiHadamard:
@@ -529,7 +543,8 @@ class TestPartMemo:
     BETA = 0.3
 
     def split(self, spec, theta):
-        return [ns_st_split(spec, self.BETA, theta, t, MEMO_QUAD) for t in self.TIMES]
+        bath = BathSpec(self.BETA)
+        return [ns_st_split(spec, bath, theta, t, MEMO_QUAD) for t in self.TIMES]
 
     def test_ns_split_over_thetas_keeps_cold_values(self, spec, cold_memo):
         cold = []
@@ -557,11 +572,11 @@ class TestPartMemo:
             return calls[0] - before
 
         def stationary_only():
-            # a zero nonstationary weight leaves no nonstationary terms
+            # the unit-weight stationary part the split integrates
             resp = effective_response(spec, BathSpec(self.BETA))
             for t in self.TIMES:
                 f = _f_factor(resp, t)
-                _bilinear(resp, BathSpec(self.BETA), f, f, MEMO_QUAD, weights=(1.0, 0j))
+                _part(resp, BathSpec(self.BETA), f, f, MEMO_QUAD, True, 1.0)
 
         cold_memo()
         stationary = count(stationary_only)

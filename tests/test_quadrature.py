@@ -18,7 +18,9 @@ from sqbath.quadrature import (
 
 
 def test_exponential_integral_exact():
-    value, err = plain_quad(lambda w: np.exp(-w), 0.0, math.inf)
+    # truncated where e^{-w} has decayed to e^{-45}
+    upper = QuadratureConfig(epsilon=1.0).upper()
+    value, err = plain_quad(lambda w: np.exp(-w), 0.0, upper)
     assert abs(value - 1.0) < 1e-12
     assert err >= abs(value - 1.0)
 
@@ -56,7 +58,9 @@ def test_weights_and_hard_cutoff():
 
     # coth weight: w coth(bw/2) stays finite at the origin
     value2, _ = plain_quad(
-        lambda w: w * math.exp(-w) * coth_half_beta(w, b), 0.0, math.inf
+        lambda w: w * math.exp(-w) * coth_half_beta(w, b),
+        0.0,
+        QuadratureConfig(epsilon=1.0).upper(),
     )
     w = np.linspace(1e-8, 80.0, 2_000_001)
     oracle = np.trapezoid(omega_coth_half_beta(w, b) * np.exp(-w), w)
@@ -88,7 +92,9 @@ def test_regulator_consistency_documented_level(spec):
         return w * w * omega_coth_half_beta(w, beta) * np.abs(d2_fourier(spec, w)) ** 2
 
     hard, _ = plain_quad(kernel, 0.0, 1000.0)
-    soft, _ = plain_quad(lambda w: kernel(w) * math.exp(-1e-3 * w), 0.0, math.inf)
+    soft, _ = plain_quad(
+        lambda w: kernel(w) * math.exp(-1e-3 * w), 0.0, QuadratureConfig(epsilon=1e-3).upper()
+    )
     assert abs(hard / soft - 1.0) < 0.05
 
 
@@ -193,8 +199,8 @@ def test_quadrature_config_validation():
 
 
 # The QUADPACK routines are loaded from scipy's extension file and called
-# as scipy.integrate.quad calls them; these cases pin every result, and
-# every warning text, to the installed scipy's quad under ==.
+# as scipy.integrate.quad calls them; these cases pin every result to the
+# installed scipy's quad under ==, and _quad's return code to QUADPACK's.
 
 def _lorentzian(w):
     return 1.0 / (1.0 + w * w)
@@ -206,27 +212,24 @@ def _rising(w):
 
 TIGHT = {"rel_tol": 1e-15, "abs_tol": 1e-300}  # QUADPACK stops on roundoff
 
-# id: (kernel, a, b, keyword arguments of plain_quad)
+# id: (kernel, a, b, keyword arguments of plain_quad, _quad's ier)
 PLAIN_CASES = {
-    "finite": (_lorentzian, 0.0, 100.0, {}),
-    "b-inf": (lambda w: math.exp(-w) * math.cos(w), 0.0, math.inf, {}),
-    "a-equals-b": (_lorentzian, 2.0, 2.0, {}),
-    "reversed": (_lorentzian, 100.0, 0.0, {}),
-    "roundoff": (_lorentzian, 0.0, 100.0, TIGHT),
-    "roundoff-b-inf": (lambda w: math.exp(-w), 0.0, math.inf, TIGHT),
-    "subdivision-limit": (lambda w: math.sin(50.0 * w), 0.0, 100.0, {"limit": 10}),
+    "finite": (_lorentzian, 0.0, 100.0, {}, 0),
+    "roundoff": (_lorentzian, 0.0, 100.0, TIGHT, 2),
+    "subdivision-limit": (lambda w: math.sin(50.0 * w), 0.0, 100.0, {"limit": 10}, 1),
 }
 
-# id: (kernel, freq, kind, a, b, keyword arguments of fourier_quad)
+# id: (kernel, freq, kind, a, b, keyword arguments of fourier_quad, _quad's
+# ier when fourier_quad makes one QAWO call, else None)
 FOURIER_CASES = {
-    "cos": (_lorentzian, 3.0, "cos", 0.0, 100.0, {}),
-    "sin": (_lorentzian, 3.0, "sin", 0.0, 100.0, {}),
-    "cos-frequency-0": (_lorentzian, 0.0, "cos", 0.0, 100.0, {}),
-    "sin-frequency-0": (_lorentzian, 0.0, "sin", 0.0, 100.0, {}),
-    "head": (_rising, 40.0, "cos", 0.0, 100.0, {"head": 0.5}),
-    "head-past-b": (_rising, 40.0, "sin", 0.0, 0.3, {"head": 0.5}),
-    "roundoff": (_lorentzian, 3.0, "cos", 0.0, 100.0, TIGHT),
-    "subdivision-limit": (_rising, 300.0, "sin", 0.0, 100.0, {"limit": 10}),
+    "cos": (_lorentzian, 3.0, "cos", 0.0, 100.0, {}, 0),
+    "sin": (_lorentzian, 3.0, "sin", 0.0, 100.0, {}, 0),
+    "cos-frequency-0": (_lorentzian, 0.0, "cos", 0.0, 100.0, {}, None),
+    "sin-frequency-0": (_lorentzian, 0.0, "sin", 0.0, 100.0, {}, 0),
+    "head": (_rising, 40.0, "cos", 0.0, 100.0, {"head": 0.5}, None),
+    "head-past-b": (_rising, 40.0, "sin", 0.0, 0.3, {"head": 0.5}, None),
+    "roundoff": (_lorentzian, 3.0, "cos", 0.0, 100.0, TIGHT, 2),
+    "subdivision-limit": (_rising, 300.0, "sin", 0.0, 100.0, {"limit": 10}, 1),
 }
 
 
@@ -254,63 +257,79 @@ def _scipy_fourier(kernel, freq, kind, a, b, head=None, **tol):
 
 
 def _sqbath_result(quad_fn, *args, **kwargs):
-    """(value, abserr, message) of a sqbath quadrature; the message is None
-    unless the result was refused with a ConvergenceError."""
+    """(value, abserr, ier) of a sqbath quadrature; ier is None unless the
+    result was refused with a ConvergenceError."""
     try:
         value, abserr = quad_fn(*args, **kwargs)
     except ConvergenceError as exc:
-        return exc.partial_value, exc.diagnostics["abserr"], exc.diagnostics["message"]
+        return exc.partial_value, exc.diagnostics["abserr"], exc.diagnostics["ier"]
     return value, abserr, None
+
+
+def _tolerances(kwargs):
+    tol = {"rel_tol": 1e-8, "abs_tol": 1e-12, "limit": 2000, **kwargs}
+    return tol["abs_tol"], tol["rel_tol"], tol["limit"]
 
 
 class TestScipyBits:
     @pytest.mark.parametrize("case", PLAIN_CASES.values(), ids=PLAIN_CASES.keys())
     def test_plain_quad_is_scipys_quad(self, case):
-        kernel, a, b, kwargs = case
+        kernel, a, b, kwargs, ier = case
         expected = _scipy_quad(kernel, a, b, **kwargs)
-        tol = {"rel_tol": 1e-8, "abs_tol": 1e-12, "limit": 2000, **kwargs}
-        ours = _quad(kernel, a, b, tol["abs_tol"], tol["rel_tol"], tol["limit"])
-        assert ours[:2] == expected[:2]
-        assert len(ours) == len(expected)
-        if len(expected) > 3:
-            assert ours[3] == expected[3]
-        value, abserr, message = _sqbath_result(plain_quad, kernel, a, b, **kwargs)
+        assert _quad(kernel, a, b, *_tolerances(kwargs)) == (*expected[:2], ier)
+        value, abserr, _ = _sqbath_result(plain_quad, kernel, a, b, **kwargs)
         assert (value, abserr) == expected[:2]
-        assert message in (None, expected[-1])
 
     @pytest.mark.parametrize("case", FOURIER_CASES.values(), ids=FOURIER_CASES.keys())
     def test_fourier_quad_is_scipys_quad(self, case):
-        kernel, freq, kind, a, b, kwargs = case
-        value, abserr, message = _sqbath_result(fourier_quad, kernel, freq, kind, a, b, **kwargs)
+        kernel, freq, kind, a, b, kwargs, ier = case
+        value, abserr, _ = _sqbath_result(fourier_quad, kernel, freq, kind, a, b, **kwargs)
         assert (value, abserr) == _scipy_fourier(kernel, freq, kind, a, b, **kwargs)
-        if "head" not in kwargs and freq > 0.0:
-            tol = {"rel_tol": 1e-8, "abs_tol": 1e-12, "limit": 2000, **kwargs}
+        if ier is not None:
             expected = _scipy_quad(
                 kernel, a, b, weight=kind, wvar=freq, maxp1=100, **kwargs
             )
-            ours = _quad(
-                kernel, a, b, tol["abs_tol"], tol["rel_tol"], tol["limit"], kind, freq
-            )
-            assert ours[:2] == expected[:2]
-            assert len(ours) == len(expected)
-            if len(expected) > 3:
-                assert ours[3] == expected[3]
-                assert message in (None, expected[3])
+            ours = _quad(kernel, a, b, *_tolerances(kwargs), kind, freq)
+            assert ours == (*expected[:2], ier)
 
     def test_warning_cases_reach_their_codes(self):
-        # the cases above do exercise the roundoff (ier 2) and the
-        # subdivision-limit (ier 1) texts, and the latter is refused
-        assert "roundoff" in _scipy_quad(_lorentzian, 0.0, 100.0, **TIGHT)[3]
-        kernel, a, b, kwargs = PLAIN_CASES["subdivision-limit"]
-        _, _, message = _sqbath_result(plain_quad, kernel, a, b, **kwargs)
-        assert message.startswith("The maximum number of subdivisions (10)")
-        kernel, freq, kind, a, b, kwargs = FOURIER_CASES["subdivision-limit"]
-        _, _, message = _sqbath_result(fourier_quad, kernel, freq, kind, a, b, **kwargs)
-        assert message.startswith("The maximum number of subdivisions (10)")
+        # the roundoff cases (ier 2) pass the roundoff hatch; the
+        # subdivision-limit cases (ier 1) are refused with their code
+        for quad_fn, cases, args in (
+            (plain_quad, PLAIN_CASES, lambda c: c[:3]),
+            (fourier_quad, FOURIER_CASES, lambda c: c[:5]),
+        ):
+            roundoff, limit = cases["roundoff"], cases["subdivision-limit"]
+            assert _sqbath_result(quad_fn, *args(roundoff), **roundoff[-2])[2] is None
+            assert _sqbath_result(quad_fn, *args(limit), **limit[-2])[2] == 1
 
     def test_invalid_input_raises_like_scipy(self):
         # QUADPACK flags limit < 1 as invalid input (ier 6)
         with pytest.raises(ValueError):
             integrate.quad(_lorentzian, 0.0, 1.0, limit=0, full_output=1)
-        with pytest.raises(ValueError):
+        assert _quad(_lorentzian, 0.0, 1.0, 1e-12, 1e-8, 0)[2] == 6
+        with pytest.raises(DomainError):
             plain_quad(_lorentzian, 0.0, 1.0, limit=0)
+
+
+def test_quad_needs_finite_increasing_limits():
+    limits = ((0.0, math.inf), (-math.inf, 0.0), (2.0, 2.0), (1.0, 0.0), (0.0, math.nan))
+    for a, b in limits:
+        with pytest.raises(DomainError):
+            _quad(_lorentzian, a, b, 1e-12, 1e-8, 2000)
+
+
+def test_non_finite_results_are_refused():
+    # QUADPACK reports a kernel that turns NaN as roundoff (ier 2); the NaN
+    # must not pass the roundoff hatch
+    def kernel(w):
+        return math.nan if w > 0.5 else 1.0
+
+    with pytest.raises(ConvergenceError) as plain:
+        plain_quad(kernel, 0.0, 1.0)
+    with pytest.raises(ConvergenceError) as fourier:
+        fourier_quad(kernel, 2.0, "cos", 0.0, 1.0)
+    assert _quad(kernel, 0.0, 1.0, 1e-12, 1e-8, 2000)[2] == 2
+    for exc in (plain, fourier):
+        assert exc.value.diagnostics["ier"] == 2
+        assert math.isnan(exc.value.partial_value)

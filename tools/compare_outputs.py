@@ -6,8 +6,13 @@ PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.
 The script runs ``configs/*.yaml`` of this checkout (``sqbath run``,
 ``sqbath sweep`` too for ``constant_squeeze.yaml`` and only ``sqbath
 sweep``, serial and with ``--threads 2``, for ``finite_coupling.yaml``)
-and the figure presets 4, 6, 7, grn3d and tan2eta, once with each tree's
-package, each run in its own Python subprocess.  ``--workload-seeds N`` adds the configs that
+and the figure presets 4, 6, 7, grn3d and tan2eta, and three small
+generated parametric configs (a smoothstep and a step ramp from
+``mass_i`` 0.2 to ``mass_f`` 0.5, and a constant mass 0.3) that reach
+the paths no other run does: the cusp-head split above a mass threshold,
+the massive kappa and ``chi_hadamard`` on a squeeze-spectrum bath.
+Every run is made once with each tree's package, in its own Python
+subprocess.  ``--workload-seeds N`` adds the configs that
 ``perfbench/workloads.py`` of this checkout generates for seeds 0..N-1 of
 each workload, run through the workload's own entry point.  For every
 CSV it prints whether the two files are byte-identical and, if not, the
@@ -23,6 +28,7 @@ Exit status: 0 if every file and value is identical, 1 if any differs,
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import importlib.util
 import json
@@ -42,6 +48,26 @@ COMMANDS = {
 PRESETS = ("4", "6", "7", "grn3d", "tan2eta")
 SKIPPED_KEYS = ("wall_time_s",)
 
+# a massive parametric bath with every product an unfactored run computes
+MASSIVE_RAMP = {
+    "scenario": "parametric",
+    "oscillator": {"m": 1.0, "Omega": 1.0, "gamma": 0.1},
+    "bath": {"beta": 1.0},
+    "profile": {"mass_i": 0.2, "mass_f": 0.5, "t_i": 0.0, "t_f": 2.0, "shape": "smoothstep"},
+    "k_grid": {"start": 0.05, "stop": 60.0, "points": 16, "spacing": "log"},
+    "quadrature": {"cutoff": 100.0},
+    "time_grid": {"start": 10.0, "stop": 20.0, "points": 2},
+    "fdr_grid": {"start": -3.0, "stop": 3.0, "points": 31},
+    "hadamard_grid": {"start": 10.0, "stop": 12.0, "points": 2},
+    "outputs": ["covariances", "fluxes", "fdr", "hadamard_surface"],
+}
+# label: changes to MASSIVE_RAMP's profile
+GENERATED = {
+    "massive-smoothstep": {},
+    "massive-step": {"shape": "step"},
+    "massive-constant-mass": {"mass_i": 0.3, "mass_f": 0.3},
+}
+
 _ENTRY = "import sys; from sqbath.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -53,6 +79,19 @@ def default_runs() -> list[tuple[str, list[str]]]:
             label = "-".join([path.stem, *(word.lstrip("-") for word in command)])
             runs.append((label, [*command, "--config", str(path)]))
     runs += [(f"preset-{name}", ["run", "--figure", name]) for name in PRESETS]
+    return runs
+
+
+def generated_runs(config_dir: Path) -> list[tuple[str, list[str]]]:
+    """(label, sqbath arguments) for the GENERATED configs, which are
+    written to ``config_dir``."""
+    runs = []
+    for label, profile in GENERATED.items():
+        data = copy.deepcopy(MASSIVE_RAMP)
+        data["profile"].update(profile)
+        path = config_dir / f"{label}.yaml"
+        path.write_text(yaml.safe_dump(data))
+        runs.append((label, ["run", "--config", str(path)]))
     return runs
 
 
@@ -174,7 +213,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     status = 0
     with tempfile.TemporaryDirectory(prefix="sqbath-compare-") as tmp:
-        runs = default_runs() + workload_runs(args.workload_seeds, Path(tmp))
+        runs = (
+            default_runs()
+            + generated_runs(Path(tmp))
+            + workload_runs(args.workload_seeds, Path(tmp))
+        )
         for label, sqbath_args in runs:
             outs, failed = [], False
             for tag, src in (("parent", args.parent_src), ("change", args.change_src)):
