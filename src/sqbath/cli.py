@@ -318,7 +318,9 @@ def parse_config(data: dict) -> RunConfig:
         )
 
     outputs = tuple(_as_list(data.get("outputs", ["covariances"]), "outputs"))
-    for product in outputs:
+    for i, product in enumerate(outputs):
+        if product in outputs[:i]:
+            raise ConfigurationError(f"outputs: product {product!r} is named twice")
         if product not in PRODUCTS:
             raise ConfigurationError(
                 f"unknown output product {product!r}; known: {PRODUCTS}"

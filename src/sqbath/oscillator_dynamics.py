@@ -21,7 +21,10 @@ the parts the fluctuation-dissipation argument rests on,
     nonstationary = -int dmu 2 Re[sinh 2eta e^{i theta} u v],
 
 with the bath measure dmu and weights of :mod:`bath_kernels`, read per
-quadrature node from the tables of :func:`_node_factors`.  One expander
+quadrature node from the tables of :func:`_node_factors`, which share one
+measure table per bath (:func:`_measure_table`) across responses.  Under
+constant weights the factors are (re, im) float pairs and the kernels
+write the complex product out in floats.  One expander
 multiplies out either product and groups its phases e^{-iw tau} by |tau|
 into cos and sin Fourier integrals with smooth kernels: (f, f), (f', f')
 and (f, f') give xx, pp and xp, (f(t), f(t')) the two-time Hadamard
@@ -295,7 +298,7 @@ class NodeTable(dict):
 
     ``table[w]`` is one C-level dict lookup.  A node that is not in the
     table calls ``fill(w)`` (through ``__missing__``), which computes the
-    node's row of every table of its set (:func:`_node_factors`), stores
+    node's row of every table of its set (:func:`_table_set`), stores
     it while the tables hold fewer than _MEMO_NODES nodes, and returns
     it; the table's own value is at ``index``.  So every lookup of a node
     returns the bits of one evaluation.
@@ -307,30 +310,10 @@ class NodeTable(dict):
         return self.fill(w)[self.index]
 
 
-@functools.lru_cache(maxsize=8)
-def _node_factors(
-    bath: BathSpec, quad: QuadratureConfig, resp: _Response | None
-) -> tuple:
-    """One NodeTable per factor of the integrals over the measure of
-    ``bath`` under the regulator of ``quad``, for the 8 most recent
-    (bath, quad, resp): the measure times d2~, d2~^2 and |d2~|^2 of
-    ``resp`` (the measure alone when ``resp`` is None), then cosh 2eta
-    and sinh 2eta e^{i theta} of a squeeze spectrum.  A node's first
-    lookup in any table evaluates its row once and stores it in all."""
-    measure = bath_measure(bath.beta, bath.mass_i, quad)
-    spectral = isinstance(bath.squeeze, SqueezeSpectrum)
-    weights = spectrum_weights(bath.squeeze, bath.mass_i) if spectral else lambda w: ()
-    if resp is None:
-        def row(w):
-            return (measure(w), *weights(w))
-    else:
-        gamma, omega_sq = resp.gamma, resp.omega_sq
-
-        def row(w):
-            m = measure(w)
-            d = 1.0 / (omega_sq - w * w - 2j * gamma * w)
-            return (m * d, m * (d * d), m * (d * d.conjugate()).real, *weights(w))
-    count = (1 if resp is None else 3) + (2 if spectral else 0)
+def _table_set(row, count: int) -> tuple:
+    """``count`` NodeTables filled together: a node's first lookup in any
+    of them evaluates ``row(w)``, one value per table, and stores it in
+    all while they hold fewer than _MEMO_NODES nodes."""
     tables = tuple(NodeTable() for _ in range(count))
 
     def fill(w):
@@ -345,18 +328,74 @@ def _node_factors(
     return tables
 
 
+@functools.lru_cache(maxsize=8)
+def _measure_table(bath: BathSpec, quad: QuadratureConfig) -> NodeTable:
+    """The measure of ``bath`` under the regulator of ``quad`` as one
+    NodeTable, for the 8 most recent (bath, quad).  Every table set of the
+    bath reads it, so the responses of a gamma sweep share its nodes."""
+    measure = bath_measure(bath.beta, bath.mass_i, quad)
+    return _table_set(lambda w: (measure(w),), 1)[0]
+
+
+@functools.lru_cache(maxsize=8)
+def _node_factors(
+    bath: BathSpec, quad: QuadratureConfig, resp: _Response | None
+) -> tuple:
+    """One NodeTable per factor of the integrals over the measure of
+    ``bath`` under the regulator of ``quad``, for the 8 most recent
+    (bath, quad, resp): the measure times d2~, d2~^2 and |d2~|^2 of
+    ``resp`` (the measure alone when ``resp`` is None), then cosh 2eta
+    and sinh 2eta e^{i theta} of a squeeze spectrum.  The measure is read
+    from :func:`_measure_table`.  A node's first lookup in any table
+    evaluates its row once and stores it in all.
+
+    A bath with constant weights stores each factor as a float pair
+    (re, im), a real one as (x, 0.0), for the pair kernels of
+    :func:`_kernel`; a squeeze spectrum's set keeps floats and complex
+    numbers."""
+    measure = _measure_table(bath, quad)
+    spectral = isinstance(bath.squeeze, SqueezeSpectrum)
+    if spectral:
+        weights = spectrum_weights(bath.squeeze, bath.mass_i)
+    if resp is None:
+        def row(w):
+            return (measure[w], *weights(w)) if spectral else ((measure[w], 0.0),)
+    else:
+        gamma, omega_sq = resp.gamma, resp.omega_sq
+
+        def row(w):
+            m = measure[w]
+            d = 1.0 / (omega_sq - w * w - 2j * gamma * w)
+            md, mdd, mabs = m * d, m * (d * d), m * (d * d.conjugate()).real
+            if spectral:
+                return (md, mdd, mabs, *weights(w))
+            return ((md.real, md.imag), (mdd.real, mdd.imag), (mabs, 0.0))
+    return _table_set(row, (1 if resp is None else 3) + (2 if spectral else 0))
+
+
 def _kernel(scaled, weight, coeffs, part: str):
     """w -> part of (scaled[w] (c0 + c1 w + c2 w^2)) weight[w].
 
     ``scaled`` holds the measure times a d2~ power and ``weight`` (or
     None) the squeeze weight, both NodeTables, so a call makes one C-level
     lookup per factor and computes only its own polynomial; the
-    multiplication order is fixed, so the bits are too."""
+    multiplication order is fixed, so the bits are too.  A constant
+    weight is already in the coefficients, and ``scaled`` then holds
+    (re, im) pairs: the kernel is CPython's complex product written out
+    in floats, equal to the complex one up to the sign of an exact zero."""
     c0, c1, c2 = coeffs
     if weight is None:
+        c0r, c1r, c2r = c0.real, c1.real, c2.real
+        c0i, c1i, c2i = c0.imag, c1.imag, c2.imag
         if part == "real":
-            return lambda w: (scaled[w] * (c0 + w * (c1 + w * c2))).real
-        return lambda w: (scaled[w] * (c0 + w * (c1 + w * c2))).imag
+            def kernel(w):
+                sr, si = scaled[w]
+                return sr * (c0r + w * (c1r + w * c2r)) - si * (c0i + w * (c1i + w * c2i))
+        else:
+            def kernel(w):
+                sr, si = scaled[w]
+                return sr * (c0i + w * (c1i + w * c2i)) + si * (c0r + w * (c1r + w * c2r))
+        return kernel
     if part == "real":
         return lambda w: (scaled[w] * (c0 + w * (c1 + w * c2)) * weight[w]).real
     return lambda w: (scaled[w] * (c0 + w * (c1 + w * c2)) * weight[w]).imag

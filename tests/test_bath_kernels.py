@@ -187,6 +187,19 @@ class TestHadamardParametric:
         with pytest.raises(ResolutionError):
             hadamard_coincident(bath, 1.0, 1.0, QuadratureConfig(cutoff=1e5))
 
+    def test_cutoff_at_the_grid_edge_resolves(self):
+        # a spectrum still sizeable at k_max is harmless when the hard
+        # cutoff stops at or below w_max = sqrt(k_max^2 + m_i^2)
+        k = np.geomspace(0.1, 1.0, 16)
+        spect = SqueezeSpectrum(k, np.full_like(k, 0.5))
+        mass_i = 0.3
+        w_max = math.hypot(float(k[-1]), mass_i)
+        spect.check_resolution(QuadratureConfig(cutoff=w_max), mass_i)
+        above = QuadratureConfig(cutoff=math.nextafter(w_max, math.inf))
+        assert above.epsilon == 0.0
+        with pytest.raises(ResolutionError):
+            spect.check_resolution(above, mass_i)
+
 
 class TestBathFdr:
     def test_massless_unsqueezed(self):

@@ -101,6 +101,8 @@ INVALID_VALUES = {
     "ns-thetas-scalar": {"ns_thetas": 0.5, "outputs": ["ns_split"]},
     "sweep-values-scalar": {"sweep": {"path": "bath.beta", "values": 2.0}},
     "outputs-string": {"outputs": "covariances"},
+    # a repeated product was computed twice and listed twice in the manifest
+    "outputs-repeated": {"outputs": ["covariances", "covariances"]},
     # a fractional or boolean count is rejected, not rounded
     "points-fractional": {"time_grid": {"start": 1, "stop": 9, "points": 2.7}},
     "steps-boolean": {"sweep": {"path": "bath.beta", "start": 1, "stop": 2, "steps": True}},

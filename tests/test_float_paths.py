@@ -5,7 +5,8 @@ node, so these functions take a float path that avoids numpy array round
 trips.  Each float result must equal the array result exactly (``==``),
 or the shipped outputs would move with the path taken.  The mass profile
 of the mode ODE is called on arrays only, and a time must give the same
-bits in a batch of any size.
+bits in a batch of any size.  A constant-weight kernel computes on float
+pairs and must give the bits of the complex product it writes out.
 """
 
 import math
@@ -22,7 +23,12 @@ from sqbath.bath_kernels import (
     bath_mix,
     spectrum_weights,
 )
-from sqbath.oscillator_dynamics import _node_factors
+from sqbath.oscillator_dynamics import (
+    _kernel,
+    _measure_table,
+    _node_factors,
+    effective_response,
+)
 from sqbath.parametric_mode import ProfileShape
 from sqbath.quadrature import coth_half_beta, omega_coth_half_beta
 
@@ -151,9 +157,14 @@ def test_bath_mix(bath, quad, spectrum, cold_memo):
     measure = bath_measure(bath.beta, bath.mass_i, quad)
     assert_paths_equal(measure, points)
     # the node tables hold the float path's values, on the first and on a
-    # repeated lookup
+    # repeated lookup: a float in a squeeze spectrum's set, the pair
+    # (value, 0.0) in the set of a bath with constant weights
+    values = [measure(x) for x in points]
     for _ in range(2):
-        assert [tables[0][x] for x in points] == [measure(x) for x in points]
+        assert [_measure_table(bath, quad)[x] for x in points] == values
+        assert [tables[0][x] for x in points] == (
+            values if spectral else [(value, 0.0) for value in values]
+        )
     assert len(tables) == (3 if spectral else 1)
     if spectral:
         weights = spectrum_weights(bath.squeeze, bath.mass_i)
@@ -163,6 +174,43 @@ def test_bath_mix(bath, quad, spectrum, cold_memo):
             assert [(tables[1][x], tables[2][x]) for x in points] == [
                 weights(x) for x in points
             ]
+
+
+# (c0, c1, c2) as the response expander builds them, floats and complex
+PAIR_COEFFS = {
+    "all-parts": (0.3 - 1.7j, -2.1 + 0.4j, 0.05 + 1.3j),
+    "c2-zero": (1.1 + 0.2j, -0.7 - 3.0j, 0.0),
+    "c1-c2-zero": (-0.9 + 2.5j, 0.0, 0.0),
+    "imaginary-linear": (0.0, 1.7j, 0.0),
+    "real-even": (2.0, 0.0, -0.6),
+    "negative-zeros": (complex(-0.0, 1.2), complex(0.8, -0.0), complex(-0.0, -0.0)),
+}
+
+
+def _real_value(re, im):
+    assert im == 0.0
+    return re
+
+
+@pytest.mark.parametrize("coeffs", PAIR_COEFFS.values(), ids=PAIR_COEFFS.keys())
+def test_pair_kernels(coeffs, spec, quad, cold_memo):
+    # a constant-weight kernel reads (re, im) pairs and must give the bits
+    # of the complex product it writes out
+    bath = BathSpec(beta=0.3)
+    tables = [
+        *_node_factors(bath, quad, effective_response(spec, bath)),
+        *_node_factors(bath, quad, None),
+    ]
+    # the factor as a complex or a float: measure times d2~ and d2~^2,
+    # then measure times |d2~|^2 and the measure alone
+    as_value = [complex, complex, _real_value, _real_value]
+    c0, c1, c2 = coeffs
+    for table, value_of in zip(tables, as_value):
+        for part in ("real", "imag"):
+            kernel = _kernel(table, None, coeffs, part)
+            for w in [float(x) for x in SPREAD]:
+                oracle = getattr(value_of(*table[w]) * (c0 + w * (c1 + w * c2)), part)
+                assert kernel(w) == oracle, (part, w)
 
 
 @pytest.mark.parametrize(

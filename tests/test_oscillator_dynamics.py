@@ -19,6 +19,7 @@ from sqbath.gaussian_state import CovarianceState, SqueezeParam
 from sqbath.oscillator_dynamics import (
     OscillatorSpec,
     _f_factor,
+    _measure_table,
     _node_factors,
     _part,
     chi_hadamard,
@@ -494,6 +495,18 @@ class TestNodeMemo:
         bath = bath_squeezed if which == "squeezed" else bath_parametric
         three_products(spec, bath)
         assert _node_factors.cache_info().misses == 1
+
+    def test_gamma_sweep_shares_one_measure(self, cold_memo, monkeypatch):
+        # each gamma has its own table set, all read one measure table
+        nodes = record_nodes(monkeypatch)
+        evals = count_calls(monkeypatch, sqbath.bath_kernels, "omega_coth_half_beta")
+        bath = BathSpec(beta=0.3)
+        for gamma in (0.3, 0.1, 0.03):
+            spec = OscillatorSpec.from_resonance(1.0, 1.0, gamma)
+            covariance_evolution(spec, bath, GROUND, 12.0, MEMO_QUAD)
+        assert _node_factors.cache_info().misses == 3
+        assert _measure_table.cache_info().misses == 1
+        assert 0 < evals[0] == len(set(nodes))
 
     @pytest.mark.parametrize("which", ["squeezed", "parametric"])
     def test_capped_tables_keep_the_values(

@@ -6,11 +6,13 @@ PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.
 The script runs ``configs/*.yaml`` of this checkout (``sqbath run``,
 ``sqbath sweep`` too for ``constant_squeeze.yaml`` and only ``sqbath
 sweep``, serial and with ``--threads 2``, for ``finite_coupling.yaml``)
-and the figure presets 4, 6, 7, grn3d and tan2eta, and three small
+and the figure presets 4, 6, 7, grn3d and tan2eta, and four small
 generated parametric configs (a smoothstep and a step ramp from
-``mass_i`` 0.2 to ``mass_f`` 0.5, and a constant mass 0.3) that reach
-the paths no other run does: the cusp-head split above a mass threshold,
-the massive kappa and ``chi_hadamard`` on a squeeze-spectrum bath.
+``mass_i`` 0.2 to ``mass_f`` 0.5, a constant mass 0.3, and the
+smoothstep ramp at zero temperature) that reach the paths no other run
+does: the cusp-head split above a mass threshold, the massive kappa,
+``chi_hadamard`` on a squeeze-spectrum bath and the beta = inf branch of
+``coth_half_beta``.
 Every run is made once with each tree's package, in its own Python
 subprocess.  ``--workload-seeds N`` adds the configs that
 ``perfbench/workloads.py`` of this checkout generates for seeds 0..N-1 of
@@ -61,11 +63,12 @@ MASSIVE_RAMP = {
     "hadamard_grid": {"start": 10.0, "stop": 12.0, "points": 2},
     "outputs": ["covariances", "fluxes", "fdr", "hadamard_surface"],
 }
-# label: changes to MASSIVE_RAMP's profile
+# label: changes to MASSIVE_RAMP, section by section
 GENERATED = {
     "massive-smoothstep": {},
-    "massive-step": {"shape": "step"},
-    "massive-constant-mass": {"mass_i": 0.3, "mass_f": 0.3},
+    "massive-step": {"profile": {"shape": "step"}},
+    "massive-constant-mass": {"profile": {"mass_i": 0.3, "mass_f": 0.3}},
+    "massive-zero-temperature": {"bath": {"beta": float("inf")}},
 }
 
 _ENTRY = "import sys; from sqbath.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -86,9 +89,10 @@ def generated_runs(config_dir: Path) -> list[tuple[str, list[str]]]:
     """(label, sqbath arguments) for the GENERATED configs, which are
     written to ``config_dir``."""
     runs = []
-    for label, profile in GENERATED.items():
+    for label, changes in GENERATED.items():
         data = copy.deepcopy(MASSIVE_RAMP)
-        data["profile"].update(profile)
+        for section, values in changes.items():
+            data[section].update(values)
         path = config_dir / f"{label}.yaml"
         path.write_text(yaml.safe_dump(data))
         runs.append((label, ["run", "--config", str(path)]))
