@@ -27,7 +27,6 @@ from .gaussian_state import (
 )
 from .oscillator_dynamics import (
     KernelValue,
-    MassiveOscParams,
     OscillatorSpec,
     chi_hadamard,
     covariance_evolution,

@@ -144,6 +144,15 @@ def _as_list(value, where: str) -> list:
     return value
 
 
+def _distinct(values: list, where: str) -> list:
+    """``values``, refused if one repeats; numbers are compared as parsed,
+    so 0.5 and "0.5" are one value."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigurationError(f"{where}: {value!r} appears twice")
+    return values
+
+
 def _make(where: str, make, *args, **kwargs):
     """make(*args, **kwargs); a domain error becomes a ConfigurationError
     that names ``where``."""
@@ -232,6 +241,8 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigurationError(
             f"scenario must be one of {SCENARIOS}, got {scenario!r}"
         )
+    for name in _SECTION_KEYS:  # also the sections this run does not read
+        _section(data, name)
 
     osc = _section(data, "oscillator") or {}
     m = _as_float(osc.get("m", 1.0), "oscillator.m")
@@ -317,10 +328,9 @@ def parse_config(data: dict) -> RunConfig:
             xp=_as_float(init_sec.get("xp", 0.0), "initial_state.xp"),
         )
 
-    outputs = tuple(_as_list(data.get("outputs", ["covariances"]), "outputs"))
-    for i, product in enumerate(outputs):
-        if product in outputs[:i]:
-            raise ConfigurationError(f"outputs: product {product!r} is named twice")
+    outputs = _as_list(data.get("outputs", ["covariances"]), "outputs")
+    outputs = tuple(_distinct(outputs, "outputs"))
+    for product in outputs:
         if product not in PRODUCTS:
             raise ConfigurationError(
                 f"unknown output product {product!r}; known: {PRODUCTS}"
@@ -354,10 +364,8 @@ def parse_config(data: dict) -> RunConfig:
     for name, grid in (("time_grid", time_grid), ("hadamard_grid", hadamard_grid)):
         if grid is not None and not grid[0] >= 0:
             raise ConfigurationError(f"{name}.start must be >= 0, got {grid[0]}")
-    ns_thetas = tuple(
-        _as_float(v, "ns_thetas")
-        for v in _as_list(data.get("ns_thetas", [theta]), "ns_thetas")
-    )
+    thetas = _as_list(data.get("ns_thetas", [theta]), "ns_thetas")
+    ns_thetas = tuple(_distinct([_as_float(v, "ns_thetas") for v in thetas], "ns_thetas"))
 
     hadamard_factored = data.get("hadamard_factored", False)
     if not isinstance(hadamard_factored, bool):
@@ -416,7 +424,8 @@ def _sweep_values(sweep: dict) -> list[float]:
     if "values" in sweep:
         values = _as_list(sweep["values"], "sweep.values")
         # each value is parsed again, and checked, by its own point
-        return [_as_float(v, "sweep.values", finite=False) for v in values]
+        values = [_as_float(v, "sweep.values", finite=False) for v in values]
+        return _distinct(values, "sweep.values")
     start = _as_float(sweep.get("start"), "sweep.start")
     stop = _as_float(sweep.get("stop"), "sweep.stop")
     steps = _as_int(sweep.get("steps", 0), "sweep.steps")
@@ -425,8 +434,8 @@ def _sweep_values(sweep: dict) -> list[float]:
     if _spacing(sweep, "sweep") == "log":
         if not (start > 0 and stop > 0):
             raise ConfigurationError("sweep: log spacing requires start, stop > 0")
-        return np.geomspace(start, stop, steps).tolist()
-    return np.linspace(start, stop, steps).tolist()
+        return _distinct(np.geomspace(start, stop, steps).tolist(), "sweep")
+    return _distinct(np.linspace(start, stop, steps).tolist(), "sweep")
 
 
 # ---------------------------------------------------------------------------

@@ -21,14 +21,14 @@ the parts the fluctuation-dissipation argument rests on,
     nonstationary = -int dmu 2 Re[sinh 2eta e^{i theta} u v],
 
 with the bath measure dmu and weights of :mod:`bath_kernels`, read per
-quadrature node from the tables of :func:`_node_factors`, which share one
-measure table per bath (:func:`_measure_table`) across responses.  Under
-constant weights the factors are (re, im) float pairs and the kernels
-write the complex product out in floats.  One expander
-multiplies out either product and groups its phases e^{-iw tau} by |tau|
-into cos and sin Fourier integrals with smooth kernels: (f, f), (f', f')
-and (f, f') give xx, pp and xp, (f(t), f(t')) the two-time Hadamard
-function, (f', e^{-iwt}) the injected power and
+quadrature node from the tables of :func:`_node_factors`: one base set
+per bath holds the measure and a spectrum's weights, and the set of each
+response reads it.  Under constant weights the factors are (re, im)
+float pairs and the kernels write the complex product out in floats.
+One expander multiplies out either product and groups its phases
+e^{-iw tau} by |tau| into cos and sin Fourier integrals with smooth
+kernels: (f, f), (f', f') and (f, f') give xx, pp and xp, (f(t), f(t'))
+the two-time Hadamard function, (f', e^{-iwt}) the injected power and
 (e^{-iwt}, e^{-iwt'}) the coincident-point Hadamard kernel of the bath
 itself, which needs no response.  :func:`_sum_fourier_terms` is the one
 driver that turns these terms into quadrature calls.  f, f' and d2~ as
@@ -39,7 +39,9 @@ For a massive (parametric) bath the equation of motion acquires a Bessel
 memory term; for field masses small against the resonance it reduces to a
 local equation with shifted decay rate Upsilon and frequency varpi, the
 roots of z^2 + w_r^2 - 2 gamma sqrt(z^2 + m_f^2) = 0 continued from the
-massless damped pair.  The full nonlocal convolution is out of scope.
+massless damped pair.  :func:`massive_roots` returns them as the same
+response type as the massless (gamma, Omega), which it reproduces at
+m_f = 0.  The full nonlocal convolution is out of scope.
 """
 
 from __future__ import annotations
@@ -70,7 +72,6 @@ from .quadrature import QuadratureConfig, cusp_head, fourier_quad
 __all__ = [
     "KernelValue",
     "OscillatorSpec",
-    "MassiveOscParams",
     "massive_roots",
     "covariance_evolution",
     "covariance_integral_parts",
@@ -136,27 +137,6 @@ class OscillatorSpec:
         return cls(m=m, omega_r=math.hypot(Omega, gamma), gamma=gamma)
 
 
-@dataclass(frozen=True)
-class MassiveOscParams:
-    """Local reduction of the detector response in a massive bath.
-
-    ``root`` is the characteristic root z = -Upsilon + i varpi of the
-    memory-dressed equation; solutions decay like e^{-Upsilon t} and
-    oscillate at varpi.  The massless limit is (gamma, Omega).
-    """
-
-    upsilon: float
-    varpi: float
-    root: complex
-
-    def __post_init__(self):
-        if self.upsilon < 0 or self.varpi <= 0:
-            raise UnsupportedRegimeError(
-                "massive-bath root must decay (Upsilon >= 0) and oscillate "
-                "(varpi > 0)"
-            )
-
-
 class _Response(NamedTuple):
     """Decay rate and oscillation frequency of the local d1, d2 pair."""
 
@@ -166,10 +146,6 @@ class _Response(NamedTuple):
     @property
     def omega_sq(self) -> float:
         return self.gamma**2 + self.Omega**2
-
-
-def _resp(spec: OscillatorSpec) -> _Response:
-    return _Response(spec.gamma, spec.Omega)
 
 
 def _fundamental(resp: _Response, t):
@@ -184,17 +160,17 @@ def _fundamental(resp: _Response, t):
     return d1, d2, d1_dot, d2_dot
 
 
-def massive_roots(
-    gamma: float, Omega: float, mass_f: float, branch: int = +1
-) -> MassiveOscParams:
-    """Characteristic root of the detector in a massive bath.
+def massive_roots(gamma: float, Omega: float, mass_f: float) -> _Response:
+    """Local response of the detector in a bath of field mass ``mass_f``.
 
     Solves z^2 + (Omega^2 + gamma^2) - 2 gamma sqrt(z^2 + mass_f^2) = 0 by
-    Newton iteration from the massless root -gamma + i Omega (branch = -1
-    starts from the conjugate).  The square-root branch is the analytic
-    continuation that reproduces the massless damped pair, which fixes the
-    sign ambiguity in the closed-form radical.  Requires mass_f < Omega;
-    at or beyond the resonance the continuation is ambiguous.
+    Newton iteration from the massless root -gamma + i Omega and returns
+    the decay rate Upsilon = -Re z and the frequency varpi = |Im z| of the
+    memory-dressed pair; at mass_f = 0 that is (gamma, Omega) itself.  The
+    square-root branch is the analytic continuation that reproduces the
+    massless damped pair, which fixes the sign ambiguity in the
+    closed-form radical.  Requires mass_f < Omega; at or beyond the
+    resonance the continuation is ambiguous.
     """
     if Omega <= 0:
         raise DomainError("Omega must be positive")
@@ -207,11 +183,9 @@ def massive_roots(
             f"mass_f = {mass_f} >= Omega = {Omega}: small-mass local "
             "reduction is not valid"
         )
-    if branch not in (+1, -1):
-        raise DomainError("branch must be +1 or -1")
 
     omega_r_sq = Omega * Omega + gamma * gamma
-    z = complex(-gamma, branch * Omega)
+    z = complex(-gamma, Omega)
     if mass_f > 0.0 and gamma > 0.0:
         msq = mass_f * mass_f
         for _ in range(60):
@@ -232,7 +206,13 @@ def massive_roots(
             raise ConvergenceError(
                 f"massive root residual {residual:.3e} too large", partial_value=z
             )
-    return MassiveOscParams(upsilon=-z.real, varpi=abs(z.imag), root=z)
+    resp = _Response(-z.real, abs(z.imag))
+    if resp.gamma < 0 or resp.Omega <= 0:
+        raise UnsupportedRegimeError(
+            "massive-bath root must decay (Upsilon >= 0) and oscillate "
+            "(varpi > 0)"
+        )
+    return resp
 
 
 def effective_response(spec: OscillatorSpec, bath: BathSpec) -> _Response:
@@ -242,10 +222,7 @@ def effective_response(spec: OscillatorSpec, bath: BathSpec) -> _Response:
     memory-dressed (Upsilon, varpi) for a massive one.  The decay rate is
     also the damping rate Gamma of the dissipated power -2 m Gamma <chi'^2>.
     """
-    if bath.mass_f == 0.0:
-        return _resp(spec)
-    roots = massive_roots(spec.gamma, spec.Omega, bath.mass_f)
-    return _Response(roots.upsilon, roots.varpi)
+    return massive_roots(spec.gamma, spec.Omega, bath.mass_f)
 
 
 # ---------------------------------------------------------------------------
@@ -329,48 +306,40 @@ def _table_set(row, count: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=8)
-def _measure_table(bath: BathSpec, quad: QuadratureConfig) -> NodeTable:
-    """The measure of ``bath`` under the regulator of ``quad`` as one
-    NodeTable, for the 8 most recent (bath, quad).  Every table set of the
-    bath reads it, so the responses of a gamma sweep share its nodes."""
-    measure = bath_measure(bath.beta, bath.mass_i, quad)
-    return _table_set(lambda w: (measure(w),), 1)[0]
-
-
-@functools.lru_cache(maxsize=8)
 def _node_factors(
     bath: BathSpec, quad: QuadratureConfig, resp: _Response | None
 ) -> tuple:
     """One NodeTable per factor of the integrals over the measure of
     ``bath`` under the regulator of ``quad``, for the 8 most recent
-    (bath, quad, resp): the measure times d2~, d2~^2 and |d2~|^2 of
-    ``resp`` (the measure alone when ``resp`` is None), then cosh 2eta
-    and sinh 2eta e^{i theta} of a squeeze spectrum.  The measure is read
-    from :func:`_measure_table`.  A node's first lookup in any table
-    evaluates its row once and stores it in all.
+    (bath, quad, resp).  The base set (``resp`` None) holds the measure,
+    then cosh 2eta and sinh 2eta e^{i theta} of a squeeze spectrum; the
+    set of a response holds the measure times d2~, d2~^2 and |d2~|^2 and
+    reads the measure from the base set, so the responses of a gamma
+    sweep share its nodes and a spectrum's weights.  A node's first
+    lookup in any table evaluates its row once and stores it in all.
 
     A bath with constant weights stores each factor as a float pair
     (re, im), a real one as (x, 0.0), for the pair kernels of
-    :func:`_kernel`; a squeeze spectrum's set keeps floats and complex
+    :func:`_kernel`; a squeeze spectrum's sets keep floats and complex
     numbers."""
-    measure = _measure_table(bath, quad)
     spectral = isinstance(bath.squeeze, SqueezeSpectrum)
-    if spectral:
-        weights = spectrum_weights(bath.squeeze, bath.mass_i)
     if resp is None:
-        def row(w):
-            return (measure[w], *weights(w)) if spectral else ((measure[w], 0.0),)
-    else:
-        gamma, omega_sq = resp.gamma, resp.omega_sq
+        measure = bath_measure(bath.beta, bath.mass_i, quad)
+        if spectral:
+            weights = spectrum_weights(bath.squeeze, bath.mass_i)
+            return _table_set(lambda w: (measure(w), *weights(w)), 3)
+        return _table_set(lambda w: ((measure(w), 0.0),), 1)
+    measure = _node_factors(bath, quad, None)[0]
+    gamma, omega_sq = resp.gamma, resp.omega_sq
 
-        def row(w):
-            m = measure[w]
-            d = 1.0 / (omega_sq - w * w - 2j * gamma * w)
-            md, mdd, mabs = m * d, m * (d * d), m * (d * d.conjugate()).real
-            if spectral:
-                return (md, mdd, mabs, *weights(w))
-            return ((md.real, md.imag), (mdd.real, mdd.imag), (mabs, 0.0))
-    return _table_set(row, (1 if resp is None else 3) + (2 if spectral else 0))
+    def row(w):
+        m = measure[w] if spectral else measure[w][0]
+        d = 1.0 / (omega_sq - w * w - 2j * gamma * w)
+        md, mdd, mabs = m * d, m * (d * d), m * (d * d.conjugate()).real
+        if spectral:
+            return md, mdd, mabs
+        return ((md.real, md.imag), (mdd.real, mdd.imag), (mabs, 0.0))
+    return _table_set(row, 3)
 
 
 def _kernel(scaled, weight, coeffs, part: str):
@@ -493,9 +462,10 @@ def _part(
     argument values, so an integral repeated across squeeze angles,
     products or sweep points of a run is computed once."""
     n = u.n + v.n  # u.n >= v.n
-    tables = _node_factors(bath, quad, resp if n else None)
+    base = _node_factors(bath, quad, None)
+    tables = _node_factors(bath, quad, resp) if n else base
     if weight is None:
-        weight = tables[-2] if stationary else tables[-1]
+        weight = base[1] if stationary else base[2]
     # the measure alone, or times d2~^n, or times |d2~|^2 for u v*
     factor = tables[2 if stationary and v.n else max(n - 1, 0)]
     terms = _fourier_terms(factor, weight, u, v, stationary)
@@ -640,7 +610,7 @@ def chi_hadamard_components(
         raise DomainError("two-time Hadamard requires t, t' >= 0")
     if not bath.is_massless or isinstance(bath.squeeze, SqueezeSpectrum):
         raise DomainError("the unit-weight split needs a massless constant-squeeze bath")
-    resp, thermal = _resp(spec), BathSpec(bath.beta)
+    resp, thermal = effective_response(spec, bath), BathSpec(bath.beta)
     u, v = _f_factor(resp, t), _f_factor(resp, t_prime)
     return (
         _part(resp, thermal, u, v, quad, True, 1.0),

@@ -8,17 +8,15 @@ from sqbath import (
     QuadratureConfig,
     SqueezeParam,
 )
-from sqbath.oscillator_dynamics import _measure_table, _node_factors, _part
+from sqbath.oscillator_dynamics import _node_factors, _part
 from sqbath.parametric_mode import squeeze_spectrum
 
 
 def clear_node_memos():
-    """Drop the memoized bilinear-form parts and the cached node and
-    measure tables; a part served from its memo would not touch the node
-    tables at all."""
+    """Drop the memoized bilinear-form parts and the cached node tables;
+    a part served from its memo would not touch the node tables at all."""
     _part.cache_clear()
     _node_factors.cache_clear()
-    _measure_table.cache_clear()
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ from scipy import special
 from sqbath.bath_kernels import BathSpec
 from sqbath.errors import DomainError, InvalidStateError, SqbathError
 from sqbath.gaussian_state import CovarianceState
-from sqbath.oscillator_dynamics import _fundamental, _resp
+from sqbath.oscillator_dynamics import _fundamental, _Response
 from sqbath.quadrature import coth_half_beta, fourier_quad, omega_coth_half_beta
 
 
@@ -100,7 +100,7 @@ def fundamental_solutions(spec, t):
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise DomainError("fundamental solutions are defined for t >= 0")
-    out = _fundamental(_resp(spec), t_arr)
+    out = _fundamental(_Response(spec.gamma, spec.Omega), t_arr)
     if np.ndim(t) == 0:
         return tuple(float(x) for x in out)
     return out

@@ -113,6 +113,25 @@ INVALID_VALUES = {
     **{f"{key}-inf": case for key, case in NON_FINITE.items()},
 }
 
+# a repeated angle or sweep point once wrote its rows twice; the message
+# starts with the list's key.  Values are compared as parsed floats.
+REPEATED_VALUES = {
+    "ns_thetas": {"ns_thetas": [0.5, "0.5"], "outputs": ["ns_split"]},
+    "sweep.values": {"sweep": {"path": "bath.theta", "values": [0.5, "0.5"]}},
+    "sweep": {"sweep": {"path": "bath.theta", "start": 0.5, "stop": 0.5, "steps": 2}},
+}
+
+# sections this run does not read are checked all the same; the message
+# names the bad key (or the section that is not a mapping)
+UNREAD_SECTIONS = {
+    "strat": {"k_grid": {"strat": 1}},
+    "k_grid": {"k_grid": "nonsense"},
+    "stpo": {"fdr_grid": {"stpo": 3}, "outputs": ["covariances"]},
+    "x": {"hadamard_grid": {"x": 1}},
+}
+INVALID_VALUES.update({f"{key}-repeated": case for key, case in REPEATED_VALUES.items()})
+INVALID_VALUES.update({f"unread-{key}": case for key, case in UNREAD_SECTIONS.items()})
+
 # config errors of a parametric run that once surfaced as numerical errors
 # (exit 3) after the run had started writing
 RUN_TIME_CONFIG_ERRORS = {
@@ -248,6 +267,18 @@ class TestConfigParsing:
         assert main(["run", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
         assert "unknown output product 'c'" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", REPEATED_VALUES)
+    def test_repeated_value_names_its_list(self, key):
+        message = f"^{re.escape(key)}: 0.5 appears twice$"
+        with pytest.raises(ConfigurationError, match=message):
+            parse_config(dict(SMALL_CONSTANT, **REPEATED_VALUES[key]))
+
+    @pytest.mark.parametrize("key", UNREAD_SECTIONS)
+    def test_unread_section_names_its_key(self, tmp_path, capsys, key):
+        cfgp = write_config(tmp_path, dict(SMALL_CONSTANT, **UNREAD_SECTIONS[key]))
+        assert main(["run", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", NON_FINITE)
     def test_non_finite_value_names_its_key(self, key):

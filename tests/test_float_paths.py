@@ -25,7 +25,6 @@ from sqbath.bath_kernels import (
 )
 from sqbath.oscillator_dynamics import (
     _kernel,
-    _measure_table,
     _node_factors,
     effective_response,
 )
@@ -156,12 +155,11 @@ def test_bath_mix(bath, quad, spectrum, cold_memo):
     points = [float(x) for x in points]
     measure = bath_measure(bath.beta, bath.mass_i, quad)
     assert_paths_equal(measure, points)
-    # the node tables hold the float path's values, on the first and on a
+    # the base set holds the float path's values, on the first and on a
     # repeated lookup: a float in a squeeze spectrum's set, the pair
     # (value, 0.0) in the set of a bath with constant weights
     values = [measure(x) for x in points]
     for _ in range(2):
-        assert [_measure_table(bath, quad)[x] for x in points] == values
         assert [tables[0][x] for x in points] == (
             values if spectral else [(value, 0.0) for value in values]
         )

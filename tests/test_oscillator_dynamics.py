@@ -19,7 +19,6 @@ from sqbath.gaussian_state import CovarianceState, SqueezeParam
 from sqbath.oscillator_dynamics import (
     OscillatorSpec,
     _f_factor,
-    _measure_table,
     _node_factors,
     _part,
     chi_hadamard,
@@ -91,8 +90,11 @@ class TestFundamentalSolutions:
 class TestMassiveRoots:
     def test_massless_limit(self):
         r = massive_roots(0.1, 1.0, 0.0)
-        assert r.upsilon == 0.1
-        assert r.varpi == 1.0
+        assert (r.gamma, r.Omega) == (0.1, 1.0)
+        # a massless bath keeps the spec's own pair, bit for bit
+        spec = OscillatorSpec.from_resonance(1.0, 1.3, 0.2)
+        resp = effective_response(spec, BathSpec(beta=1.0))
+        assert (resp.gamma, resp.Omega) == (spec.gamma, spec.Omega)
 
     def test_small_mass_expansion(self):
         # exact root against the O(m_f^2) expansion: the decay rate comes
@@ -102,21 +104,15 @@ class TestMassiveRoots:
             r = massive_roots(g, om, mf)
             ups = g * (1.0 - mf**2 / (2 * (om**2 + g**2)))
             varpi = om - g**2 * mf**2 / (2 * om * (om**2 + g**2))
-            assert abs(r.upsilon - ups) < 2.0 * g * mf**4
-            assert abs(r.varpi - varpi) < 2.0 * g * mf**4
+            assert abs(r.gamma - ups) < 2.0 * g * mf**4
+            assert abs(r.Omega - varpi) < 2.0 * g * mf**4
 
     def test_root_solves_characteristic_equation(self):
         g, om, mf = 0.2, 1.1, 0.3
         r = massive_roots(g, om, mf)
-        z = r.root
+        z = complex(-r.gamma, r.Omega)
         residual = z * z + (om**2 + g**2) - 2 * g * cmath.sqrt(z * z + mf * mf)
         assert abs(residual) < 1e-12
-
-    def test_conjugate_branches(self):
-        up = massive_roots(0.1, 1.0, 0.05, branch=+1)
-        dn = massive_roots(0.1, 1.0, 0.05, branch=-1)
-        assert abs(up.root - dn.root.conjugate()) < 1e-14
-        assert up.upsilon == dn.upsilon and up.varpi == dn.varpi
 
     def test_large_mass_rejected(self):
         with pytest.raises(UnsupportedRegimeError):
@@ -125,13 +121,12 @@ class TestMassiveRoots:
     def test_massive_pair_wronskian(self):
         # the memory-dressed local pair obeys the Abel identity with the
         # dressed decay rate: d1 d2' - d1' d2 = e^{-2 Upsilon t}
-        from sqbath.oscillator_dynamics import _fundamental, _Response
+        from sqbath.oscillator_dynamics import _fundamental
 
-        roots = massive_roots(0.1, 1.0, 0.3)
-        resp = _Response(roots.upsilon, roots.varpi)
+        resp = massive_roots(0.1, 1.0, 0.3)
         for t in (0.0, 0.7, 5.0, 25.0):
             d1, d2, d1d, d2d = _fundamental(resp, t)
-            expected = math.exp(-2.0 * roots.upsilon * t)
+            expected = math.exp(-2.0 * resp.gamma * t)
             assert abs(d1 * d2d - d1d * d2 - expected) < 1e-10
 
 
@@ -483,7 +478,7 @@ class TestNodeMemo:
             tables = _node_factors(bath, MEMO_QUAD, resp)
             assert _node_factors(bath, MEMO_QUAD, resp) is tables
         info = _node_factors.cache_info()
-        assert info.misses == size + 3
+        assert info.misses == 2 * (size + 3)  # a base set and a response set per bath
         assert 0 < info.currsize <= info.maxsize
 
     @pytest.mark.parametrize("which", ["squeezed", "parametric"])
@@ -491,22 +486,32 @@ class TestNodeMemo:
         self, spec, which, bath_squeezed, bath_parametric, cold_memo
     ):
         # covariances, power_in and chi_hadamard share the response of the
-        # bath, so all their parts read one table set
+        # bath, so all their parts read one response set and its base set
         bath = bath_squeezed if which == "squeezed" else bath_parametric
         three_products(spec, bath)
-        assert _node_factors.cache_info().misses == 1
+        assert _node_factors.cache_info().misses == 2
 
     def test_gamma_sweep_shares_one_measure(self, cold_memo, monkeypatch):
-        # each gamma has its own table set, all read one measure table
+        # each gamma has its own response set, all read one base set
         nodes = record_nodes(monkeypatch)
         evals = count_calls(monkeypatch, sqbath.bath_kernels, "omega_coth_half_beta")
         bath = BathSpec(beta=0.3)
         for gamma in (0.3, 0.1, 0.03):
             spec = OscillatorSpec.from_resonance(1.0, 1.0, gamma)
             covariance_evolution(spec, bath, GROUND, 12.0, MEMO_QUAD)
-        assert _node_factors.cache_info().misses == 3
-        assert _measure_table.cache_info().misses == 1
+        assert _node_factors.cache_info().misses == 1 + 3
         assert 0 < evals[0] == len(set(nodes))
+
+    def test_gamma_sweep_shares_one_spectrum(self, bath_parametric, cold_memo, monkeypatch):
+        # the responses of two gammas read one base set, so the squeeze
+        # spectrum is evaluated once per distinct node, not once per gamma
+        nodes = record_nodes(monkeypatch)
+        evals = count_calls(monkeypatch, SqueezeSpectrum, "eta_at")
+        for gamma in (0.1, 0.05):
+            spec = OscillatorSpec.from_resonance(1.0, 1.0, gamma)
+            covariance_evolution(spec, bath_parametric, GROUND, 12.0, MEMO_QUAD)
+        assert 0 < evals[0] == len(set(nodes))
+        assert _node_factors.cache_info().misses == 1 + 2
 
     @pytest.mark.parametrize("which", ["squeezed", "parametric"])
     def test_capped_tables_keep_the_values(
@@ -519,8 +524,11 @@ class TestNodeMemo:
         capped = three_products(spec, bath)
         # _bilinear reduces a constant-squeeze bath to its measure
         measure_bath = bath if which == "parametric" else BathSpec(bath.beta)
-        tables = _node_factors(measure_bath, MEMO_QUAD, effective_response(spec, bath))
-        assert _node_factors.cache_info().misses == 1
+        tables = [
+            *_node_factors(measure_bath, MEMO_QUAD, effective_response(spec, bath)),
+            *_node_factors(measure_bath, MEMO_QUAD, None),
+        ]
+        assert _node_factors.cache_info().misses == 2
         # a full table set stops growing; later nodes are evaluated afresh
         # on every lookup, with the same bits
         assert [len(table) for table in tables] == [5] * len(tables)

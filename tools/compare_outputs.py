@@ -6,13 +6,14 @@ PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.
 The script runs ``configs/*.yaml`` of this checkout (``sqbath run``,
 ``sqbath sweep`` too for ``constant_squeeze.yaml`` and only ``sqbath
 sweep``, serial and with ``--threads 2``, for ``finite_coupling.yaml``)
-and the figure presets 4, 6, 7, grn3d and tan2eta, and four small
+and the figure presets 4, 6, 7, grn3d and tan2eta, and five small
 generated parametric configs (a smoothstep and a step ramp from
-``mass_i`` 0.2 to ``mass_f`` 0.5, a constant mass 0.3, and the
-smoothstep ramp at zero temperature) that reach the paths no other run
-does: the cusp-head split above a mass threshold, the massive kappa,
-``chi_hadamard`` on a squeeze-spectrum bath and the beta = inf branch of
-``coth_half_beta``.
+``mass_i`` 0.2 to ``mass_f`` 0.5, a constant mass 0.3, the smoothstep
+ramp at zero temperature, and the smoothstep ramp swept over two gamma
+with ``sqbath sweep``) that reach the paths no other run does: the
+cusp-head split above a mass threshold, the massive kappa,
+``chi_hadamard`` on a squeeze-spectrum bath, the beta = inf branch of
+``coth_half_beta`` and several responses reading one spectrum bath.
 Every run is made once with each tree's package, in its own Python
 subprocess.  ``--workload-seeds N`` adds the configs that
 ``perfbench/workloads.py`` of this checkout generates for seeds 0..N-1 of
@@ -63,12 +64,14 @@ MASSIVE_RAMP = {
     "hadamard_grid": {"start": 10.0, "stop": 12.0, "points": 2},
     "outputs": ["covariances", "fluxes", "fdr", "hadamard_surface"],
 }
-# label: changes to MASSIVE_RAMP, section by section
+# label: changes to MASSIVE_RAMP, section by section (a new section is
+# added); a config with a sweep section runs with ``sqbath sweep``
 GENERATED = {
     "massive-smoothstep": {},
     "massive-step": {"profile": {"shape": "step"}},
     "massive-constant-mass": {"profile": {"mass_i": 0.3, "mass_f": 0.3}},
     "massive-zero-temperature": {"bath": {"beta": float("inf")}},
+    "massive-gamma-sweep": {"sweep": {"path": "oscillator.gamma", "values": [0.1, 0.05]}},
 }
 
 _ENTRY = "import sys; from sqbath.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -92,10 +95,10 @@ def generated_runs(config_dir: Path) -> list[tuple[str, list[str]]]:
     for label, changes in GENERATED.items():
         data = copy.deepcopy(MASSIVE_RAMP)
         for section, values in changes.items():
-            data[section].update(values)
+            data.setdefault(section, {}).update(values)
         path = config_dir / f"{label}.yaml"
         path.write_text(yaml.safe_dump(data))
-        runs.append((label, ["run", "--config", str(path)]))
+        runs.append((label, ["sweep" if "sweep" in data else "run", "--config", str(path)]))
     return runs
 
 
