@@ -17,10 +17,11 @@ manifest alone.  CSV bodies are deterministic: re-running an identical
 config reproduces them byte for byte.
 
 Run path: ``parse_config`` checks every value and builds the parsed
-objects, ``_build_bath`` the bath and ``_product_files`` the rows of each
-file; ``run`` writes them (and the bath's sampled squeeze spectrum).
-``run_sweep`` maps ``_sweep_point`` over the points, serially or in a
-process pool, and records files and failures in the declared value order.
+objects; ``_product_files`` builds the bath (``_build_bath``) and yields
+the rows of each file, the bath's sampled squeeze spectrum first.
+``run`` writes them; ``run_sweep`` maps ``_sweep_point`` over the points,
+serially or in a process pool, and writes each file with the swept value
+in front of its rows, files and failures in the declared value order.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical error.  A
 sweep point whose squeeze spectrum fails its resolution check is a
@@ -36,6 +37,7 @@ import json
 import math
 import sys
 import time
+from collections.abc import Hashable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -138,9 +140,9 @@ def _as_int(value, where: str) -> int:
 
 
 def _as_list(value, where: str) -> list:
-    """A config list; a lone value is rejected, not iterated."""
-    if not isinstance(value, list):
-        raise ConfigurationError(f"{where}: expected a list, got {value!r}")
+    """A non-empty config list; a lone value is rejected, not iterated."""
+    if not isinstance(value, list) or not value:
+        raise ConfigurationError(f"{where}: expected a non-empty list, got {value!r}")
     return value
 
 
@@ -338,6 +340,12 @@ def parse_config(data: dict) -> RunConfig:
         if product != "fdr":
             # every product but the closed-form FDR integrates over frequency
             quad.require_regulator(f"the {product} output")
+    if spec.gamma == 0.0 and set(outputs) - {"fdr"}:
+        # the uncoupled response d2~ has a real pole at omega_r, on the path
+        # of every frequency integral
+        raise ConfigurationError(
+            "oscillator.gamma must be > 0 for every output but fdr, got 0"
+        )
     if profile is not None and set(outputs) - {"fdr"}:
         # the detector response in the ramped bath needs mass_f < Omega
         _make("profile.mass_f", massive_roots, spec.gamma, spec.Omega, profile.mass_f)
@@ -394,9 +402,7 @@ def parse_config(data: dict) -> RunConfig:
                 f"sweep.path must name a config key, got {sweep.get('path')!r}; "
                 f"known: {_SWEEP_PATHS}"
             )
-        values = _sweep_values(sweep)
-        if len(values) == 0:
-            raise ConfigurationError("sweep: empty value range")
+        _sweep_values(sweep)
 
     return RunConfig(
         scenario=scenario,
@@ -421,7 +427,11 @@ def parse_config(data: dict) -> RunConfig:
 
 
 def _sweep_values(sweep: dict) -> list[float]:
+    """The sweep points: ``values``, or a range from start/stop/steps."""
     if "values" in sweep:
+        ranged = [key for key in ("start", "stop", "steps", "spacing") if key in sweep]
+        if ranged:
+            raise ConfigurationError(f"sweep: give values or a range, not both: {ranged}")
         values = _as_list(sweep["values"], "sweep.values")
         # each value is parsed again, and checked, by its own point
         values = [_as_float(v, "sweep.values", finite=False) for v in values]
@@ -429,8 +439,8 @@ def _sweep_values(sweep: dict) -> list[float]:
     start = _as_float(sweep.get("start"), "sweep.start")
     stop = _as_float(sweep.get("stop"), "sweep.stop")
     steps = _as_int(sweep.get("steps", 0), "sweep.steps")
-    if steps < 1:
-        raise ConfigurationError("sweep: steps must be >= 1")
+    if steps < 2:
+        raise ConfigurationError(f"sweep: steps must be >= 2 (a range), got {steps}")
     if _spacing(sweep, "sweep") == "log":
         if not (start > 0 and stop > 0):
             raise ConfigurationError("sweep: log spacing requires start, stop > 0")
@@ -522,8 +532,9 @@ def _at(product: str, point: dict, fn, *args):
         raise
 
 
-def _product_files(cfg: RunConfig, bath: BathSpec):
-    """Yield (product, file stem, header, rows, params) for every requested file.
+def _product_files(cfg: RunConfig):
+    """Yield (product, file stem, header, rows, params) for every requested
+    file, the sampled squeeze spectrum of a spectrum bath first.
 
     Each time point's covariance is computed once and feeds
     ``covariances``, ``fluxes`` (P_gamma = -(2 Gamma/m) pp) and
@@ -531,6 +542,13 @@ def _product_files(cfg: RunConfig, bath: BathSpec):
     in t <-> t', so each unordered pair of the grid is integrated once and
     written at both (t, t') and (t', t).
     """
+    bath = _build_bath(cfg)
+    if isinstance(bath.squeeze, SqueezeSpectrum):
+        spectrum = bath.squeeze
+        header = ("k", "eta_k", "theta_k")
+        rows = list(zip(spectrum.k, spectrum.eta, spectrum.theta))
+        params = {"k_points": int(spectrum.k.size)}
+        yield "squeeze_spectrum", "squeeze_spectrum", header, rows, params
     spec, quad, times = cfg.oscillator, cfg.quad, cfg.time_grid
     covs = []
     if {"covariances", "fluxes", "squeeze_trajectory"} & set(cfg.outputs):
@@ -657,21 +675,10 @@ def run(cfg: RunConfig, out_dir) -> RunManifest:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    products = []
-
-    bath = _build_bath(cfg)
-    if isinstance(bath.squeeze, SqueezeSpectrum):
-        spectrum = bath.squeeze
-        rows = zip(spectrum.k, spectrum.eta, spectrum.theta)
-        params = {"k_points": int(spectrum.k.size)}
-        header = ("k", "eta_k", "theta_k")
-        products.append(
-            _write_product(
-                out, "squeeze_spectrum", "squeeze_spectrum.csv", header, rows, params
-            )
-        )
-    for name, stem, header, rows, params in _product_files(cfg, bath):
-        products.append(_write_product(out, name, f"{stem}.csv", header, rows, params))
+    products = [
+        _write_product(out, name, f"{stem}.csv", header, rows, params)
+        for name, stem, header, rows, params in _product_files(cfg)
+    ]
     return _write_manifest(out, cfg, started, products)
 
 
@@ -695,7 +702,7 @@ def _sweep_point(cfg: RunConfig):
     """(files, None) for a point that ran, (None, error) for a point that
     failed numerically."""
     try:
-        return list(_product_files(cfg, _build_bath(cfg))), None
+        return list(_product_files(cfg)), None
     except SqbathError as exc:
         return None, exc
 
@@ -832,10 +839,30 @@ def figure_preset(name: str) -> dict:
 # entry point
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """yaml.SafeLoader refusing a key repeated within one mapping, whose
+    last value PyYAML would otherwise keep without a word."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue  # the keys of a merged mapping may be overridden
+            key = self.construct_object(key_node, deep=deep)
+            if not isinstance(key, Hashable):
+                continue  # refused by super()
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"repeated key {key!r}", key_node.start_mark
+                )
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
 def _load_yaml(path: str) -> dict:
     try:
         with open(path, "r") as handle:
-            return yaml.safe_load(handle)
+            return yaml.load(handle, Loader=_UniqueKeyLoader)
     except FileNotFoundError as exc:
         raise ConfigurationError(f"config file not found: {path}") from exc
     except yaml.YAMLError as exc:

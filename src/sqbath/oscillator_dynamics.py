@@ -487,9 +487,7 @@ def _sum_fourier_terms(terms, lower, quad: QuadratureConfig) -> float:
     for kernel, freq, kind in terms:
         try:
             val, _ = fourier_quad(
-                kernel, freq, kind, lower, upper,
-                rel_tol=quad.rel_tol, abs_tol=quad.abs_tol,
-                limit=quad.max_subdivisions, head=cusp_head(lower, abs(freq)),
+                kernel, freq, kind, lower, upper, quad, head=cusp_head(lower, abs(freq))
             )
         except ConvergenceError as exc:
             where = f"{kind} term at frequency {freq:.6g} over [{lower:.6g}, {upper:.6g}]"

@@ -15,10 +15,11 @@ the point where the exponential regulator has decayed to e^{-45}
 The adaptive core is QUADPACK: QAGS for smooth kernels and QAWO for
 the oscillatory shapes.  QAWO evaluates the trigonometric factor by
 Chebyshev moments on its subintervals, so integrands oscillating over
-~1e5 cycles remain cheap.  A fixed kernel and tolerance always reproduce
-the same value bit for bit.  QUADPACK calls a kernel with one Python
-float per node; the per-node factors the kernels of a run share are kept
-by :mod:`oscillator_dynamics`.
+~1e5 cycles remain cheap.  The tolerances and the subdivision budget
+live only in :class:`QuadratureConfig`, which every wrapper takes; a
+fixed kernel and config always reproduce the same value bit for bit.
+QUADPACK calls a kernel with one Python float per node; the per-node
+factors the kernels of a run share are kept by :mod:`oscillator_dynamics`.
 
 QUADPACK is scipy's compiled ``scipy.integrate._quadpack``, loaded from
 its file by :func:`load_scipy_file` and called with the arguments
@@ -60,9 +61,6 @@ __all__ = [
     "omega_coth_half_beta",
 ]
 
-DEFAULT_REL_TOL = 1e-8
-DEFAULT_ABS_TOL = 1e-12
-
 
 # ---------------------------------------------------------------------------
 # configuration objects
@@ -70,7 +68,8 @@ DEFAULT_ABS_TOL = 1e-12
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Regulator and tolerance settings shared by the dynamics integrals.
+    """Regulator and tolerance settings shared by the dynamics integrals;
+    the one home of the tolerances, which the QUADPACK wrappers read here.
 
     Parameters
     ----------
@@ -86,8 +85,8 @@ class QuadratureConfig:
 
     cutoff: float | None = None
     epsilon: float = 0.0
-    rel_tol: float = DEFAULT_REL_TOL
-    abs_tol: float = DEFAULT_ABS_TOL
+    rel_tol: float = 1e-8
+    abs_tol: float = 1e-12
     max_subdivisions: int = 2000
 
     def __post_init__(self):
@@ -245,26 +244,24 @@ _IER = {
 _KINDS = {"cos": 1, "sin": 2}
 
 
-def _quad(kernel, a, b, epsabs, epsrel, limit, kind=None, freq=0.0):
-    """QUADPACK over the finite interval a < b: QAGS for no weight, QAWO
-    (``maxp1 = 100``) for a cos/sin weight, called with the arguments
-    ``scipy.integrate.quad(..., full_output=0)`` passes.  Returns
-    (value, abserr, ier).
-    """
+def _quad(kernel, a, b, quad, kind=None, freq=0.0):
+    """QUADPACK over the finite interval a < b at ``quad``'s tolerances:
+    QAGS for no weight, QAWO (``maxp1 = 100``) for a cos/sin weight, called
+    with the arguments ``scipy.integrate.quad(..., full_output=0)`` passes.
+    Returns (value, abserr, ier)."""
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError(
             f"quadrature needs finite limits a < b, got [{a}, {b}]: truncate "
             "at the cutoff or where the regulator has decayed "
             "(QuadratureConfig.upper)"
         )
+    tol = (quad.abs_tol, quad.rel_tol, quad.max_subdivisions)
     if kind is None:
-        return _quadpack._qagse(kernel, a, b, (), 0, epsabs, epsrel, limit)
-    return _quadpack._qawoe(
-        kernel, a, b, freq, _KINDS[kind], (), 0, epsabs, epsrel, limit, 100, 1
-    )
+        return _quadpack._qagse(kernel, a, b, (), 0, *tol)
+    return _quadpack._qawoe(kernel, a, b, freq, _KINDS[kind], (), 0, *tol, 100, 1)
 
 
-def _check_quad_result(value, abserr, ier, epsabs, epsrel, what):
+def _check_quad_result(value, abserr, ier, quad, what):
     """(value, abserr) of a QUADPACK result judged by its return code.
 
     ier 0 is accepted.  Roundoff-limited results (ier 2: C^1 kernels from
@@ -279,7 +276,7 @@ def _check_quad_result(value, abserr, ier, epsabs, epsrel, what):
         raise DomainError(f"QUADPACK rejected the input of {what} (ier {ier})")
     accepted = math.isfinite(value) and math.isfinite(abserr)
     if accepted and ier != 0:
-        tolerated = max(epsabs, epsrel * abs(value))
+        tolerated = max(quad.abs_tol, quad.rel_tol * abs(value))
         if ier == 2:
             accepted = abserr <= max(1e-3 * abs(value), 1e6 * tolerated)
         else:
@@ -296,36 +293,20 @@ def _check_quad_result(value, abserr, ier, epsabs, epsrel, what):
 
 
 def plain_quad(
-    kernel,
-    a: float,
-    b: float,
-    *,
-    rel_tol: float = DEFAULT_REL_TOL,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    limit: int = 2000,
-    what: str = "integral",
+    kernel, a: float, b: float, quad: QuadratureConfig, what: str = "integral"
 ) -> tuple[float, float]:
-    """Adaptive integral of a smooth kernel over the finite (a, b), a < b."""
-    out = _quad(kernel, a, b, abs_tol, rel_tol, limit)
-    return _check_quad_result(*out, abs_tol, rel_tol, what)
+    """Adaptive integral of a smooth kernel over the finite (a, b), a < b,
+    at ``quad``'s tolerances."""
+    return _check_quad_result(*_quad(kernel, a, b, quad), quad, what)
 
 
 def fourier_quad(
-    kernel,
-    freq: float,
-    kind: str,
-    a: float,
-    b: float,
-    *,
-    rel_tol: float = DEFAULT_REL_TOL,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    limit: int = 2000,
-    head: float | None = None,
-    what: str = "oscillatory integral",
+    kernel, freq: float, kind: str, a: float, b: float, quad: QuadratureConfig,
+    head: float | None = None, what: str = "oscillatory integral",
 ) -> tuple[float, float]:
     """``int_a^b kernel(w) {cos,sin}(freq w) dw`` with panel rules, a < b
-    finite and ``freq`` >= 0.  The cosine at ``freq = 0`` falls back to the
-    plain rule.
+    finite and ``freq`` >= 0, at ``quad``'s tolerances.  The cosine at
+    ``freq = 0`` falls back to the plain rule.
 
     ``head`` marks an integrable singularity (e.g. the sqrt cusp of a
     mass-threshold measure) at the lower end: [a, head] is then handled
@@ -335,29 +316,21 @@ def fourier_quad(
     if kind not in _KINDS:
         raise DomainError(f"oscillation kind must be cos or sin, got {kind!r}")
     if freq == 0.0 and kind == "cos":
-        return plain_quad(
-            kernel, a, b, rel_tol=rel_tol, abs_tol=abs_tol, limit=limit,
-            what="plain integral (frequency 0)",
-        )
+        return plain_quad(kernel, a, b, quad, what="plain integral (frequency 0)")
 
     if head is not None and head > a:
         split = min(head, b)
         osc = np.cos if kind == "cos" else np.sin
         head_val, head_err = plain_quad(
-            lambda w, _f=freq: kernel(w) * osc(_f * w), a, split,
-            rel_tol=rel_tol, abs_tol=abs_tol, limit=limit,
+            lambda w, _f=freq: kernel(w) * osc(_f * w), a, split, quad,
             what=f"{what} (singular head)",
         )
         if split >= b:
             return head_val, head_err
-        tail_val, tail_err = fourier_quad(
-            kernel, freq, kind, split, b,
-            rel_tol=rel_tol, abs_tol=abs_tol, limit=limit, what=what,
-        )
+        tail_val, tail_err = fourier_quad(kernel, freq, kind, split, b, quad, what=what)
         return head_val + tail_val, head_err + tail_err
 
-    out = _quad(kernel, a, b, abs_tol, rel_tol, limit, kind, freq)
-    return _check_quad_result(*out, abs_tol, rel_tol, what)
+    return _check_quad_result(*_quad(kernel, a, b, quad, kind, freq), quad, what)
 
 
 def cusp_head(lower: float, freq: float) -> float | None:

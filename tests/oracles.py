@@ -17,7 +17,12 @@ from sqbath.bath_kernels import BathSpec
 from sqbath.errors import DomainError, InvalidStateError, SqbathError
 from sqbath.gaussian_state import CovarianceState
 from sqbath.oscillator_dynamics import _fundamental, _Response
-from sqbath.quadrature import coth_half_beta, fourier_quad, omega_coth_half_beta
+from sqbath.quadrature import (
+    QuadratureConfig,
+    coth_half_beta,
+    fourier_quad,
+    omega_coth_half_beta,
+)
 
 
 class EstimationError(SqbathError):
@@ -169,7 +174,7 @@ def effective_temperature(cov, omega_r: float) -> float:
 # ---------------------------------------------------------------------------
 # late-time falloff of the oscillating power remnants
 
-_JN_REL_TOL, _JN_ABS_TOL = 1e-9, 1e-14
+_JN_QUAD = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-14, max_subdivisions=4000)
 
 
 def jn_integral(
@@ -220,15 +225,14 @@ def jn_integral(
     # the envelope decays exponentially; truncate where it reaches e^-45
     scale = epsilon if n == 0 else n * beta
     upper = 45.0 / scale
-    opts = dict(rel_tol=_JN_REL_TOL, abs_tol=_JN_ABS_TOL, limit=4000)
     freq = 2.0 * t
     x = (
-        fourier_quad(h_re, freq, "cos", 0.0, upper, **opts)[0]
-        + fourier_quad(h_im, freq, "sin", 0.0, upper, **opts)[0]
+        fourier_quad(h_re, freq, "cos", 0.0, upper, _JN_QUAD)[0]
+        + fourier_quad(h_im, freq, "sin", 0.0, upper, _JN_QUAD)[0]
     )
     y = (
-        fourier_quad(h_im, freq, "cos", 0.0, upper, **opts)[0]
-        - fourier_quad(h_re, freq, "sin", 0.0, upper, **opts)[0]
+        fourier_quad(h_im, freq, "cos", 0.0, upper, _JN_QUAD)[0]
+        - fourier_quad(h_re, freq, "sin", 0.0, upper, _JN_QUAD)[0]
     )
     # J = -i (X + iY) / (8 pi^2)
     norm = 1.0 / (8.0 * math.pi**2)

@@ -504,7 +504,7 @@ def test_criterion_9_oracle_equivalence(spec):
 
         return omega_coth_half_beta(w, 1.0) * 2.0 * np.abs(d2_fourier(spec, w)) ** 2
 
-    val, _ = plain_quad(kern, 0.0, 500.0, rel_tol=1e-10, abs_tol=1e-14)
+    val, _ = plain_quad(kern, 0.0, 500.0, QuadratureConfig(rel_tol=1e-10, abs_tol=1e-14))
     w = np.linspace(0.0, 500.0, 10_000_001)
     err_c = abs(val / np.trapezoid(kern(w), w) - 1.0)
 

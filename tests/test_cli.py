@@ -129,6 +129,24 @@ UNREAD_SECTIONS = {
     "stpo": {"fdr_grid": {"stpo": 3}, "outputs": ["covariances"]},
     "x": {"hadamard_grid": {"x": 1}},
 }
+# values that once ran with exit 0 or failed after the run had started; the
+# message starts with the key (id: (key, case))
+REFUSED_KEYS = {
+    # the uncoupled response has a real pole at omega_r: exit 3, ier 5
+    "gamma-zero": ("oscillator.gamma", {"oscillator": {"omega_r": 1.0, "gamma": 0.0}}),
+    # values swept, the range silently dropped
+    "sweep-values-and-range": (
+        "sweep", {"sweep": {"path": "bath.beta", "values": [1.0, 2.0], "start": 1}}
+    ),
+    # start swept alone
+    "sweep-one-step": (
+        "sweep", {"sweep": {"path": "bath.beta", "start": 0.1, "stop": 0.3, "steps": 1}}
+    ),
+    # only the manifest was written
+    "outputs-empty": ("outputs", {"outputs": []}),
+    # two CSVs of headers only
+    "ns-thetas-empty": ("ns_thetas", {"ns_thetas": [], "outputs": ["ns_split"]}),
+}
 INVALID_VALUES.update({f"{key}-repeated": case for key, case in REPEATED_VALUES.items()})
 INVALID_VALUES.update({f"unread-{key}": case for key, case in UNREAD_SECTIONS.items()})
 
@@ -267,6 +285,38 @@ class TestConfigParsing:
         assert main(["run", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
         assert "unknown output product 'c'" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, case", REFUSED_KEYS.values(), ids=REFUSED_KEYS.keys())
+    def test_refusal_names_its_key(self, tmp_path, capsys, key, case):
+        cfgp = write_config(tmp_path, dict(SMALL_CONSTANT, **case))
+        assert main(["run", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+        assert capsys.readouterr().err.startswith(f"configuration error: {key}")
+
+    def test_fdr_alone_runs_at_gamma_zero(self):
+        # the closed-form FDR integrates nothing over frequency
+        oscillator = {"m": 1.0, "omega_r": 1.0, "gamma": 0.0}
+        assert parse_config(dict(SMALL_CONSTANT, oscillator=oscillator, outputs=["fdr"]))
+
+    def test_repeated_yaml_key_names_key_and_line(self, tmp_path, capsys):
+        # PyYAML kept the last value: this config ran at gamma = 0.1
+        cfgp = tmp_path / "cfg.yaml"
+        cfgp.write_text(
+            "scenario: constant_squeeze\n"
+            "oscillator:\n"
+            "  gamma: 0.3\n"
+            "  gamma: 0.1\n"
+            "outputs: [fdr]\n"
+        )
+        assert main(["run", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+        err = capsys.readouterr().err
+        assert "repeated key 'gamma'" in err and "line 4" in err
+
+    def test_merged_yaml_keys_may_be_overridden(self, tmp_path):
+        cfgp = tmp_path / "cfg.yaml"
+        cfgp.write_text("base: &b {gamma: 0.3, m: 1.0}\nosc: {<<: *b, gamma: 0.1}\n")
+        assert sqbath.cli._load_yaml(str(cfgp))["osc"] == {"gamma": 0.1, "m": 1.0}
 
     @pytest.mark.parametrize("key", REPEATED_VALUES)
     def test_repeated_value_names_its_list(self, key):
@@ -471,6 +521,23 @@ class TestSweep:
         plateaus = [rows[rows[:, 0] == b][0, 2] for b in (100.0, 10.0, 1.0, 0.1)]
         assert plateaus[0] < plateaus[1] < plateaus[2] < plateaus[3]
 
+    def test_parametric_sweep_writes_each_squeeze_spectrum(self, tmp_path):
+        # each profile.mass_f point solves its own spectrum; a sweep once
+        # wrote none
+        data = dict(PARAMETRIC, outputs=["fdr"])
+        data["sweep"] = {"path": "profile.mass_f", "values": [0.4, 0.5]}
+        manifest = run_sweep(parse_config(data), tmp_path)
+        assert manifest.products[0]["file"] == "sweep_squeeze_spectrum.csv"
+        header, rows = read_rows(tmp_path / "sweep_squeeze_spectrum.csv")
+        assert header == ["profile.mass_f", "k", "eta_k", "theta_k"]
+        cfg = parse_config(PARAMETRIC)
+        for mass_f in (0.4, 0.5):
+            profile = MassProfile(**{**PARAMETRIC["profile"], "mass_f": mass_f})
+            spectrum = squeeze_spectrum(profile, cfg.k_grid)
+            expected = np.column_stack([spectrum.k, spectrum.eta, spectrum.theta])
+            group = [row[1:] for row in rows if row[0] == mass_f]
+            np.testing.assert_array_equal(np.array(group), expected)
+
     def test_ns_split_in_sweep(self, tmp_path):
         data = dict(SMALL_CONSTANT)
         data["time_grid"] = {"start": 5.0, "stop": 20.0, "points": 2}
@@ -628,8 +695,9 @@ class TestSweep:
             ("oscillator.gamma", [0.1, 5.0], "overdamped"),
             ("time_grid.start", [5.0, -1.0], "time_grid.start must be >= 0"),
             ("bath.theta", [0.0, math.inf], "bath.theta: expected a finite number"),
+            ("oscillator.gamma", [0.1, 0.0], "oscillator.gamma must be > 0"),
         ],
-        ids=["negative-beta", "overdamped", "negative-time", "theta-inf"],
+        ids=["negative-beta", "overdamped", "negative-time", "theta-inf", "gamma-zero"],
     )
     def test_rejected_value_exit_code(self, tmp_path, capsys, path, values, cause):
         # every point is parsed before any runs: nothing is written

@@ -47,7 +47,7 @@ def stationary_power_oracle(spec, beta, cutoff, ch2=1.0):
     def d2_fourier_im(spec, w):
         return d2_fourier(spec, w).imag
 
-    val, _ = plain_quad(kern, 0.0, cutoff, rel_tol=1e-11, abs_tol=1e-14)
+    val, _ = plain_quad(kern, 0.0, cutoff, QuadratureConfig(rel_tol=1e-11, abs_tol=1e-14))
     return 8.0 * math.pi * spec.gamma * ch2 * val
 
 
@@ -59,7 +59,7 @@ def bessel_tail_endpoint_integral(mass: float, delta: float) -> float:
             return 0.5 * mass * mass
         return (mass / u) * bessel_j1(mass * u)
 
-    val, _ = plain_quad(kernel, 0.0, delta, rel_tol=1e-10, abs_tol=1e-16)
+    val, _ = plain_quad(kernel, 0.0, delta, QuadratureConfig(rel_tol=1e-10, abs_tol=1e-16))
     return val
 
 

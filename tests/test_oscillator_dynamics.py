@@ -55,7 +55,7 @@ def stationary_xx_oracle(spec, beta, cutoff):
             * np.abs(d2_fourier(spec, w)) ** 2
         )
 
-    val, _ = plain_quad(kern, 0.0, cutoff, rel_tol=1e-11, abs_tol=1e-14)
+    val, _ = plain_quad(kern, 0.0, cutoff, QuadratureConfig(rel_tol=1e-11, abs_tol=1e-14))
     return 8.0 * math.pi * spec.gamma / spec.m * val
 
 

@@ -1,4 +1,5 @@
 import math
+import types
 
 import mpmath
 import numpy as np
@@ -16,11 +17,13 @@ from sqbath.quadrature import (
     plain_quad,
 )
 
+QUAD = QuadratureConfig()  # the tolerances every run uses by default
+
 
 def test_exponential_integral_exact():
     # truncated where e^{-w} has decayed to e^{-45}
     upper = QuadratureConfig(epsilon=1.0).upper()
-    value, err = plain_quad(lambda w: np.exp(-w), 0.0, upper)
+    value, err = plain_quad(lambda w: np.exp(-w), 0.0, upper, QUAD)
     assert abs(value - 1.0) < 1e-12
     assert err >= abs(value - 1.0)
 
@@ -28,7 +31,7 @@ def test_exponential_integral_exact():
 def test_oscillatory_lorentzian_closed_form():
     # int_0^inf e^{-w/100} cos(50 w) dw = (1/100) / ((1/100)^2 + 2500); the
     # tail beyond 4500, where the regulator is e^{-45}, is ~1e-22
-    value, err = fourier_quad(lambda w: math.exp(-0.01 * w), 50.0, "cos", 0.0, 4500.0)
+    value, err = fourier_quad(lambda w: math.exp(-0.01 * w), 50.0, "cos", 0.0, 4500.0, QUAD)
     assert abs(value - 3.999999840000006e-06) < 1e-10
     # reported estimates stay conservative against the known answer,
     # down to the double-precision floor
@@ -42,7 +45,7 @@ def test_late_time_xx_integrand_vs_dense_trapezoid(spec):
     def kernel(w):
         return omega_coth_half_beta(w, beta) * 2.0 * np.abs(d2_fourier(spec, w)) ** 2
 
-    value, _ = plain_quad(kernel, 0.0, 500.0, rel_tol=1e-10, abs_tol=1e-14)
+    value, _ = plain_quad(kernel, 0.0, 500.0, QuadratureConfig(rel_tol=1e-10, abs_tol=1e-14))
     w = np.linspace(0.0, 500.0, 10_000_001)
     oracle = np.trapezoid(kernel(w), w)
     assert abs(value / oracle - 1.0) < 1e-6
@@ -51,7 +54,7 @@ def test_late_time_xx_integrand_vs_dense_trapezoid(spec):
 def test_weights_and_hard_cutoff():
     # int_0^L w e^{-2 b w} dw: Boltzmann weight e^{-2 b w}, cutoff L = 30
     b = 0.7
-    value, _ = plain_quad(lambda w: w * math.exp(-2 * b * w), 0.0, 30.0)
+    value, _ = plain_quad(lambda w: w * math.exp(-2 * b * w), 0.0, 30.0, QUAD)
     a = 2 * b
     exact = (1.0 - math.exp(-a * 30.0) * (1.0 + a * 30.0)) / a**2
     assert abs(value - exact) < 1e-10
@@ -61,6 +64,7 @@ def test_weights_and_hard_cutoff():
         lambda w: w * math.exp(-w) * coth_half_beta(w, b),
         0.0,
         QuadratureConfig(epsilon=1.0).upper(),
+        QUAD,
     )
     w = np.linspace(1e-8, 80.0, 2_000_001)
     oracle = np.trapezoid(omega_coth_half_beta(w, b) * np.exp(-w), w)
@@ -71,15 +75,15 @@ def test_determinism():
     def kernel(w):
         return 1.0 / (1.0 + w * w)
 
-    first = fourier_quad(kernel, 2.0, "cos", 0.0, 1000.0)
+    first = fourier_quad(kernel, 2.0, "cos", 0.0, 1000.0, QUAD)
     for _ in range(3):
-        assert fourier_quad(kernel, 2.0, "cos", 0.0, 1000.0) == first
+        assert fourier_quad(kernel, 2.0, "cos", 0.0, 1000.0, QUAD) == first
 
 
 def test_oscillatory_needs_finite_upper_limit():
     # every caller truncates at the cutoff or the regulator's e^{-45} point
     with pytest.raises(DomainError):
-        fourier_quad(lambda w: math.exp(-0.01 * w), 50.0, "cos", 0.0, math.inf)
+        fourier_quad(lambda w: math.exp(-0.01 * w), 50.0, "cos", 0.0, math.inf, QUAD)
 
 
 def test_regulator_consistency_documented_level(spec):
@@ -91,9 +95,10 @@ def test_regulator_consistency_documented_level(spec):
         w = np.asarray(w, dtype=float)
         return w * w * omega_coth_half_beta(w, beta) * np.abs(d2_fourier(spec, w)) ** 2
 
-    hard, _ = plain_quad(kernel, 0.0, 1000.0)
+    hard, _ = plain_quad(kernel, 0.0, 1000.0, QUAD)
     soft, _ = plain_quad(
-        lambda w: kernel(w) * math.exp(-1e-3 * w), 0.0, QuadratureConfig(epsilon=1e-3).upper()
+        lambda w: kernel(w) * math.exp(-1e-3 * w), 0.0, QuadratureConfig(epsilon=1e-3).upper(),
+        QUAD,
     )
     assert abs(hard / soft - 1.0) < 0.05
 
@@ -210,113 +215,108 @@ def _rising(w):
     return math.sqrt(w)
 
 
-TIGHT = {"rel_tol": 1e-15, "abs_tol": 1e-300}  # QUADPACK stops on roundoff
+TIGHT = QuadratureConfig(rel_tol=1e-15, abs_tol=1e-300)  # QUADPACK stops on roundoff
+FEW = QuadratureConfig(max_subdivisions=10)
 
-# id: (kernel, a, b, keyword arguments of plain_quad, _quad's ier)
+# id: (kernel, a, b, quad, _quad's ier)
 PLAIN_CASES = {
-    "finite": (_lorentzian, 0.0, 100.0, {}, 0),
+    "finite": (_lorentzian, 0.0, 100.0, QUAD, 0),
     "roundoff": (_lorentzian, 0.0, 100.0, TIGHT, 2),
-    "subdivision-limit": (lambda w: math.sin(50.0 * w), 0.0, 100.0, {"limit": 10}, 1),
+    "subdivision-limit": (lambda w: math.sin(50.0 * w), 0.0, 100.0, FEW, 1),
 }
 
-# id: (kernel, freq, kind, a, b, keyword arguments of fourier_quad, _quad's
-# ier when fourier_quad makes one QAWO call, else None)
+# id: (kernel, freq, kind, a, b, quad, head, _quad's ier when fourier_quad
+# makes one QAWO call, else None)
 FOURIER_CASES = {
-    "cos": (_lorentzian, 3.0, "cos", 0.0, 100.0, {}, 0),
-    "sin": (_lorentzian, 3.0, "sin", 0.0, 100.0, {}, 0),
-    "cos-frequency-0": (_lorentzian, 0.0, "cos", 0.0, 100.0, {}, None),
-    "sin-frequency-0": (_lorentzian, 0.0, "sin", 0.0, 100.0, {}, 0),
-    "head": (_rising, 40.0, "cos", 0.0, 100.0, {"head": 0.5}, None),
-    "head-past-b": (_rising, 40.0, "sin", 0.0, 0.3, {"head": 0.5}, None),
-    "roundoff": (_lorentzian, 3.0, "cos", 0.0, 100.0, TIGHT, 2),
-    "subdivision-limit": (_rising, 300.0, "sin", 0.0, 100.0, {"limit": 10}, 1),
+    "cos": (_lorentzian, 3.0, "cos", 0.0, 100.0, QUAD, None, 0),
+    "sin": (_lorentzian, 3.0, "sin", 0.0, 100.0, QUAD, None, 0),
+    "cos-frequency-0": (_lorentzian, 0.0, "cos", 0.0, 100.0, QUAD, None, None),
+    "sin-frequency-0": (_lorentzian, 0.0, "sin", 0.0, 100.0, QUAD, None, 0),
+    "head": (_rising, 40.0, "cos", 0.0, 100.0, QUAD, 0.5, None),
+    "head-past-b": (_rising, 40.0, "sin", 0.0, 0.3, QUAD, 0.5, None),
+    "roundoff": (_lorentzian, 3.0, "cos", 0.0, 100.0, TIGHT, None, 2),
+    "subdivision-limit": (_rising, 300.0, "sin", 0.0, 100.0, FEW, None, 1),
 }
 
 
-def _scipy_quad(kernel, a, b, rel_tol=1e-8, abs_tol=1e-12, limit=2000, **weight):
+def _scipy_quad(kernel, a, b, quad, **weight):
     return integrate.quad(
-        kernel, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=limit, full_output=1,
-        **weight,
+        kernel, a, b, epsabs=quad.abs_tol, epsrel=quad.rel_tol,
+        limit=quad.max_subdivisions, full_output=1, **weight,
     )
 
 
-def _scipy_fourier(kernel, freq, kind, a, b, head=None, **tol):
+def _scipy_fourier(kernel, freq, kind, a, b, quad, head=None):
     """fourier_quad's value and error estimate from scipy.integrate.quad:
     the plain rule at frequency 0 (cos) and on the head, QAWO elsewhere."""
     if freq == 0.0 and kind == "cos":
-        return _scipy_quad(kernel, a, b, **tol)[:2]
+        return _scipy_quad(kernel, a, b, quad)[:2]
     if head is not None:
         split = min(head, b)
         osc = np.cos if kind == "cos" else np.sin
-        head_out = _scipy_quad(lambda w: kernel(w) * osc(freq * w), a, split, **tol)
+        head_out = _scipy_quad(lambda w: kernel(w) * osc(freq * w), a, split, quad)
         if split >= b:
             return head_out[:2]
-        tail_out = _scipy_fourier(kernel, freq, kind, split, b, **tol)
+        tail_out = _scipy_fourier(kernel, freq, kind, split, b, quad)
         return head_out[0] + tail_out[0], head_out[1] + tail_out[1]
-    return _scipy_quad(kernel, a, b, weight=kind, wvar=freq, maxp1=100, **tol)[:2]
+    return _scipy_quad(kernel, a, b, quad, weight=kind, wvar=freq, maxp1=100)[:2]
 
 
-def _sqbath_result(quad_fn, *args, **kwargs):
+def _sqbath_result(quad_fn, *args):
     """(value, abserr, ier) of a sqbath quadrature; ier is None unless the
     result was refused with a ConvergenceError."""
     try:
-        value, abserr = quad_fn(*args, **kwargs)
+        value, abserr = quad_fn(*args)
     except ConvergenceError as exc:
         return exc.partial_value, exc.diagnostics["abserr"], exc.diagnostics["ier"]
     return value, abserr, None
 
 
-def _tolerances(kwargs):
-    tol = {"rel_tol": 1e-8, "abs_tol": 1e-12, "limit": 2000, **kwargs}
-    return tol["abs_tol"], tol["rel_tol"], tol["limit"]
-
-
 class TestScipyBits:
     @pytest.mark.parametrize("case", PLAIN_CASES.values(), ids=PLAIN_CASES.keys())
     def test_plain_quad_is_scipys_quad(self, case):
-        kernel, a, b, kwargs, ier = case
-        expected = _scipy_quad(kernel, a, b, **kwargs)
-        assert _quad(kernel, a, b, *_tolerances(kwargs)) == (*expected[:2], ier)
-        value, abserr, _ = _sqbath_result(plain_quad, kernel, a, b, **kwargs)
+        kernel, a, b, quad, ier = case
+        expected = _scipy_quad(kernel, a, b, quad)
+        assert _quad(kernel, a, b, quad) == (*expected[:2], ier)
+        value, abserr, _ = _sqbath_result(plain_quad, kernel, a, b, quad)
         assert (value, abserr) == expected[:2]
 
     @pytest.mark.parametrize("case", FOURIER_CASES.values(), ids=FOURIER_CASES.keys())
     def test_fourier_quad_is_scipys_quad(self, case):
-        kernel, freq, kind, a, b, kwargs, ier = case
-        value, abserr, _ = _sqbath_result(fourier_quad, kernel, freq, kind, a, b, **kwargs)
-        assert (value, abserr) == _scipy_fourier(kernel, freq, kind, a, b, **kwargs)
+        kernel, freq, kind, a, b, quad, head, ier = case
+        value, abserr, _ = _sqbath_result(fourier_quad, *case[:7])
+        assert (value, abserr) == _scipy_fourier(*case[:7])
         if ier is not None:
-            expected = _scipy_quad(
-                kernel, a, b, weight=kind, wvar=freq, maxp1=100, **kwargs
-            )
-            ours = _quad(kernel, a, b, *_tolerances(kwargs), kind, freq)
-            assert ours == (*expected[:2], ier)
+            expected = _scipy_quad(kernel, a, b, quad, weight=kind, wvar=freq, maxp1=100)
+            assert _quad(kernel, a, b, quad, kind, freq) == (*expected[:2], ier)
 
     def test_warning_cases_reach_their_codes(self):
         # the roundoff cases (ier 2) pass the roundoff hatch; the
         # subdivision-limit cases (ier 1) are refused with their code
         for quad_fn, cases, args in (
-            (plain_quad, PLAIN_CASES, lambda c: c[:3]),
-            (fourier_quad, FOURIER_CASES, lambda c: c[:5]),
+            (plain_quad, PLAIN_CASES, lambda c: c[:4]),
+            (fourier_quad, FOURIER_CASES, lambda c: c[:7]),
         ):
             roundoff, limit = cases["roundoff"], cases["subdivision-limit"]
-            assert _sqbath_result(quad_fn, *args(roundoff), **roundoff[-2])[2] is None
-            assert _sqbath_result(quad_fn, *args(limit), **limit[-2])[2] == 1
+            assert _sqbath_result(quad_fn, *args(roundoff))[2] is None
+            assert _sqbath_result(quad_fn, *args(limit))[2] == 1
 
     def test_invalid_input_raises_like_scipy(self):
-        # QUADPACK flags limit < 1 as invalid input (ier 6)
+        # QUADPACK flags limit < 1 as invalid input (ier 6); QuadratureConfig
+        # refuses such a budget, so a stand-in with its three fields carries it
         with pytest.raises(ValueError):
             integrate.quad(_lorentzian, 0.0, 1.0, limit=0, full_output=1)
-        assert _quad(_lorentzian, 0.0, 1.0, 1e-12, 1e-8, 0)[2] == 6
+        bad = types.SimpleNamespace(rel_tol=1e-8, abs_tol=1e-12, max_subdivisions=0)
+        assert _quad(_lorentzian, 0.0, 1.0, bad)[2] == 6
         with pytest.raises(DomainError):
-            plain_quad(_lorentzian, 0.0, 1.0, limit=0)
+            plain_quad(_lorentzian, 0.0, 1.0, bad)
 
 
 def test_quad_needs_finite_increasing_limits():
     limits = ((0.0, math.inf), (-math.inf, 0.0), (2.0, 2.0), (1.0, 0.0), (0.0, math.nan))
     for a, b in limits:
         with pytest.raises(DomainError):
-            _quad(_lorentzian, a, b, 1e-12, 1e-8, 2000)
+            _quad(_lorentzian, a, b, QUAD)
 
 
 def test_non_finite_results_are_refused():
@@ -326,10 +326,10 @@ def test_non_finite_results_are_refused():
         return math.nan if w > 0.5 else 1.0
 
     with pytest.raises(ConvergenceError) as plain:
-        plain_quad(kernel, 0.0, 1.0)
+        plain_quad(kernel, 0.0, 1.0, QUAD)
     with pytest.raises(ConvergenceError) as fourier:
-        fourier_quad(kernel, 2.0, "cos", 0.0, 1.0)
-    assert _quad(kernel, 0.0, 1.0, 1e-12, 1e-8, 2000)[2] == 2
+        fourier_quad(kernel, 2.0, "cos", 0.0, 1.0, QUAD)
+    assert _quad(kernel, 0.0, 1.0, QUAD)[2] == 2
     for exc in (plain, fourier):
         assert exc.value.diagnostics["ier"] == 2
         assert math.isnan(exc.value.partial_value)

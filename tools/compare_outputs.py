@@ -6,14 +6,15 @@ PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.
 The script runs ``configs/*.yaml`` of this checkout (``sqbath run``,
 ``sqbath sweep`` too for ``constant_squeeze.yaml`` and only ``sqbath
 sweep``, serial and with ``--threads 2``, for ``finite_coupling.yaml``)
-and the figure presets 4, 6, 7, grn3d and tan2eta, and five small
+and the figure presets 4, 6, 7, grn3d and tan2eta, and six small
 generated parametric configs (a smoothstep and a step ramp from
 ``mass_i`` 0.2 to ``mass_f`` 0.5, a constant mass 0.3, the smoothstep
 ramp at zero temperature, and the smoothstep ramp swept over two gamma
-with ``sqbath sweep``) that reach the paths no other run does: the
-cusp-head split above a mass threshold, the massive kappa,
-``chi_hadamard`` on a squeeze-spectrum bath, the beta = inf branch of
-``coth_half_beta`` and several responses reading one spectrum bath.
+and over two ``mass_f`` with ``sqbath sweep``) that reach the paths no
+other run does: the cusp-head split above a mass threshold, the massive
+kappa, ``chi_hadamard`` on a squeeze-spectrum bath, the beta = inf
+branch of ``coth_half_beta``, several responses reading one spectrum
+bath and one spectrum per sweep point.
 Every run is made once with each tree's package, in its own Python
 subprocess.  ``--workload-seeds N`` adds the configs that
 ``perfbench/workloads.py`` of this checkout generates for seeds 0..N-1 of
@@ -72,6 +73,7 @@ GENERATED = {
     "massive-constant-mass": {"profile": {"mass_i": 0.3, "mass_f": 0.3}},
     "massive-zero-temperature": {"bath": {"beta": float("inf")}},
     "massive-gamma-sweep": {"sweep": {"path": "oscillator.gamma", "values": [0.1, 0.05]}},
+    "massive-mass-sweep": {"sweep": {"path": "profile.mass_f", "values": [0.4, 0.5]}},
 }
 
 _ENTRY = "import sys; from sqbath.cli import main; sys.exit(main(sys.argv[1:]))"
