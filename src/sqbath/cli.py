@@ -19,9 +19,11 @@ config reproduces them byte for byte.
 Run path: ``parse_config`` checks every value and builds the parsed
 objects; ``_product_files`` builds the bath (``_build_bath``) and yields
 the rows of each file, the bath's sampled squeeze spectrum first.
-``run`` writes them; ``run_sweep`` maps ``_sweep_point`` over the points,
-serially or in a process pool, and writes each file with the swept value
-in front of its rows, files and failures in the declared value order.
+``run`` computes every file; ``run_sweep`` maps ``_sweep_point`` over the
+points, serially or in a process pool, and puts the swept value in front
+of each file's rows, files and failures in the declared value order.
+Only then does ``_write_run`` create the output directory and write the
+CSVs and ``run_manifest.json``, so a run that fails writes nothing.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical error.  A
 sweep point whose squeeze spectrum fails its resolution check is a
@@ -340,12 +342,11 @@ def parse_config(data: dict) -> RunConfig:
         if product != "fdr":
             # every product but the closed-form FDR integrates over frequency
             quad.require_regulator(f"the {product} output")
-    if spec.gamma == 0.0 and set(outputs) - {"fdr"}:
+    if spec.gamma == 0.0:
         # the uncoupled response d2~ has a real pole at omega_r, on the path
-        # of every frequency integral
-        raise ConfigurationError(
-            "oscillator.gamma must be > 0 for every output but fdr, got 0"
-        )
+        # of every frequency integral, and fdr writes nan rows where its grid
+        # meets it
+        raise ConfigurationError("oscillator.gamma must be > 0, got 0")
     if profile is not None and set(outputs) - {"fdr"}:
         # the detector response in the ramped bath needs mass_f < Omega
         _make("profile.mass_f", massive_roots, spec.gamma, spec.Omega, profile.mass_f)
@@ -506,14 +507,9 @@ def resolved_config(cfg: RunConfig) -> dict:
 
 def _build_bath(cfg: RunConfig) -> BathSpec:
     if cfg.scenario == "parametric":
-        spectrum = squeeze_spectrum(cfg.profile, cfg.k_grid)
-        if set(cfg.outputs) - {"fdr"}:
-            # checked before anything is written: every product but the
-            # closed-form FDR integrates over the spectrum
-            spectrum.check_resolution(cfg.quad, cfg.profile.mass_i)
         return BathSpec(
             beta=cfg.bath_beta,
-            squeeze=spectrum,
+            squeeze=squeeze_spectrum(cfg.profile, cfg.k_grid),
             mass_i=cfg.profile.mass_i,
             mass_f=cfg.profile.mass_f,
         )
@@ -533,7 +529,7 @@ def _at(product: str, point: dict, fn, *args):
 
 
 def _product_files(cfg: RunConfig):
-    """Yield (product, file stem, header, rows, params) for every requested
+    """Yield (product, file name, header, rows, params) for every requested
     file, the sampled squeeze spectrum of a spectrum bath first.
 
     Each time point's covariance is computed once and feeds
@@ -548,7 +544,7 @@ def _product_files(cfg: RunConfig):
         header = ("k", "eta_k", "theta_k")
         rows = list(zip(spectrum.k, spectrum.eta, spectrum.theta))
         params = {"k_points": int(spectrum.k.size)}
-        yield "squeeze_spectrum", "squeeze_spectrum", header, rows, params
+        yield "squeeze_spectrum", "squeeze_spectrum.csv", header, rows, params
     spec, quad, times = cfg.oscillator, cfg.quad, cfg.time_grid
     covs = []
     if {"covariances", "fluxes", "squeeze_trajectory"} & set(cfg.outputs):
@@ -559,7 +555,7 @@ def _product_files(cfg: RunConfig):
     for name in cfg.outputs:
         if name == "covariances":
             rows = [(t, cov.xx, cov.pp, cov.xp) for t, cov in zip(times, covs)]
-            yield name, name, ("t", "xx", "pp", "xp"), rows, {}
+            yield name, f"{name}.csv", ("t", "xx", "pp", "xp"), rows, {}
         elif name == "fluxes":
             p_xi = [
                 _at(name, {"t": t}, power_in, spec, bath, t, quad) for t in map(float, times)
@@ -567,7 +563,7 @@ def _product_files(cfg: RunConfig):
             p_gamma = [power_out(spec, bath, cov.pp) for cov in covs]
             meta = flux_balance(spec, bath, times, p_xi, p_gamma)
             rows = list(zip(times, p_xi, p_gamma))
-            yield name, name, ("t", "p_xi", "p_gamma"), rows, meta
+            yield name, f"{name}.csv", ("t", "p_xi", "p_gamma"), rows, meta
         elif name == "fdr":
             report = fdr_oscillator(spec, bath, cfg.fdr_grid)
             rows = list(
@@ -575,28 +571,26 @@ def _product_files(cfg: RunConfig):
             )
             header = ("omega", "hadamard_side", "dissipation_side")
             meta = {"max_rel_deviation": report.max_rel_deviation}
-            yield name, name, header, rows, meta
+            yield name, f"{name}.csv", header, rows, meta
         elif name == "hadamard_surface":
             grid = [float(t) for t in cfg.hadamard_grid]
+            if cfg.hadamard_factored:
+                kernel, head = chi_hadamard_components, (spec, bath, cfg.bath_theta)
+            else:
+                kernel, head = chi_hadamard, (spec, bath)
             pair = {}
             for i, t in enumerate(grid):
                 for j, tp in enumerate(grid[i:], start=i):
                     point = {"t": t, "t_prime": tp}
-                    if cfg.hadamard_factored:
-                        pair[i, j] = _at(
-                            name, point, chi_hadamard_components,
-                            spec, bath, cfg.bath_theta, t, tp, quad,
-                        )
-                    else:
-                        kv = _at(name, point, chi_hadamard, spec, bath, t, tp, quad)
-                        pair[i, j] = kv.stationary, kv.nonstationary
+                    kv = _at(name, point, kernel, *head, t, tp, quad)
+                    pair[i, j] = kv.stationary, kv.nonstationary
             rows = [
                 (t, tp, *pair[min(i, j), max(i, j)])
                 for i, t in enumerate(grid)
                 for j, tp in enumerate(grid)
             ]
             header = ("t", "t_prime", "stationary", "nonstationary")
-            yield name, name, header, rows, {"factored_out": cfg.hadamard_factored}
+            yield name, f"{name}.csv", header, rows, {"factored_out": cfg.hadamard_factored}
         elif name == "squeeze_trajectory":
             rows = []
             for t, cov in zip(times, covs):
@@ -606,7 +600,7 @@ def _product_files(cfg: RunConfig):
                     (t, dec.xi, eta, theta, math.sinh(2 * eta) ** 2, math.sin(theta))
                 )
             header = ("t", "xi", "eta", "theta", "sinh_sq_2eta", "sin_theta")
-            yield name, name, header, rows, {}
+            yield name, f"{name}.csv", header, rows, {}
         elif name == "ns_split":
             ins_rows, ist_rows = [], []
             for theta in cfg.ns_thetas:
@@ -618,8 +612,8 @@ def _product_files(cfg: RunConfig):
                     ins_rows.append((t, theta, i_ns))
                     ist_rows.append((t, theta, i_st))
             meta = {"thetas": list(cfg.ns_thetas)}
-            yield name, "ins_vs_t", ("t", "theta", "I_NS"), ins_rows, meta
-            yield name, "ist_vs_t", ("t", "theta", "I_ST"), ist_rows, meta
+            yield name, "ins_vs_t.csv", ("t", "theta", "I_NS"), ins_rows, meta
+            yield name, "ist_vs_t.csv", ("t", "theta", "I_ST"), ist_rows, meta
 
 
 # ---------------------------------------------------------------------------
@@ -642,44 +636,34 @@ def config_hash(resolved: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-@dataclass
-class RunManifest:
-    config_hash: str
-    tool_version: str
-    regulator: dict
-    wall_time_s: float
-    products: list
-    resolved_config: dict
-
-
-def _write_manifest(out: Path, cfg: RunConfig, started: float, products, **extra):
-    """Write ``run_manifest.json``; ``extra`` keys follow the manifest fields."""
+def _write_run(out_dir, cfg: RunConfig, started: float, files, **extra) -> dict:
+    """Create ``out_dir``, write every (product, file name, header, rows,
+    params) of ``files`` and ``run_manifest.json``, and return the
+    manifest; ``extra`` keys follow the manifest fields."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    products = [_write_product(out, *file) for file in files]
     resolved = resolved_config(cfg)
-    manifest = RunManifest(
-        config_hash=config_hash(resolved),
-        tool_version=__version__,
-        regulator=resolved["quadrature"],
-        wall_time_s=time.perf_counter() - started,
-        products=products,
-        resolved_config=resolved,
-    )
-    payload = {**asdict(manifest), **extra}
+    manifest = {
+        "config_hash": config_hash(resolved),
+        "tool_version": __version__,
+        "regulator": resolved["quadrature"],
+        "wall_time_s": time.perf_counter() - started,
+        "products": products,
+        "resolved_config": resolved,
+        **extra,
+    }
     (out / "run_manifest.json").write_text(
-        json.dumps(payload, indent=2, default=str) + "\n"
+        json.dumps(manifest, indent=2, default=str) + "\n"
     )
     return manifest
 
 
-def run(cfg: RunConfig, out_dir) -> RunManifest:
-    """Execute all requested products of a config into ``out_dir``."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def run(cfg: RunConfig, out_dir) -> dict:
+    """Compute every requested file of a config, then write them and the
+    manifest into ``out_dir``; a run that fails writes nothing."""
     started = time.perf_counter()
-    products = [
-        _write_product(out, name, f"{stem}.csv", header, rows, params)
-        for name, stem, header, rows, params in _product_files(cfg)
-    ]
-    return _write_manifest(out, cfg, started, products)
+    return _write_run(out_dir, cfg, started, list(_product_files(cfg)))
 
 
 # ---------------------------------------------------------------------------
@@ -718,8 +702,9 @@ def _failure_record(value, exc: SqbathError) -> dict:
     return record
 
 
-def run_sweep(cfg: RunConfig, out_dir, threads: int = 1) -> RunManifest:
-    """Run every sweep point and collect long-format CSVs.
+def run_sweep(cfg: RunConfig, out_dir, threads: int = 1) -> dict:
+    """Run every sweep point and collect long-format CSVs; return the
+    manifest.
 
     Each file of :func:`run` becomes ``sweep_<file>`` with the swept value
     in front of every row.  Every point's config is parsed before any
@@ -737,9 +722,6 @@ def run_sweep(cfg: RunConfig, out_dir, threads: int = 1) -> RunManifest:
     path = cfg.sweep["path"]
     values = _sweep_values(cfg.sweep)
     jobs = [_point_config(cfg.raw, path, value) for value in values]
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     workers = min(threads, len(jobs))
     if workers > 1:
         # imported here: the process pool's import chain (multiprocessing)
@@ -752,19 +734,16 @@ def run_sweep(cfg: RunConfig, out_dir, threads: int = 1) -> RunManifest:
         outcomes = map(_sweep_point, jobs)
 
     failures = []
-    files: dict = {}  # file stem -> (product, header, rows, params by value)
+    files: dict = {}  # file name -> (product, file name, header, rows, params by value)
     for value, (result, exc) in zip(values, outcomes):
         if exc is not None:
             failures.append(_failure_record(value, exc))
-        for name, stem, header, rows, params in result or ():
-            entry = files.setdefault(stem, (name, (path, *header), [], {}))
-            entry[2].extend((value, *row) for row in rows)
-            entry[3][repr(value)] = params
-    products = [
-        _write_product(out, name, f"sweep_{stem}.csv", header, rows, metas)
-        for stem, (name, header, rows, metas) in files.items()
-    ]
-    manifest = _write_manifest(out, cfg, started, products, sweep_failures=failures)
+        for name, fname, header, rows, params in result or ():
+            fname = f"sweep_{fname}"
+            entry = files.setdefault(fname, (name, fname, (path, *header), [], {}))
+            entry[3].extend((value, *row) for row in rows)
+            entry[4][repr(value)] = params
+    manifest = _write_run(out_dir, cfg, started, files.values(), sweep_failures=failures)
     if failures:
         raise ConvergenceError(
             f"{len(failures)} of {len(values)} sweep points failed",
@@ -912,7 +891,8 @@ def main(argv=None) -> int:
             print(f"diagnostics: {json.dumps(exc.diagnostics, default=str)}", file=sys.stderr)
         return 3
 
-    print(f"wrote {len(manifest.products)} product(s); config {manifest.config_hash[:12]}")
+    products, digest = manifest["products"], manifest["config_hash"]
+    print(f"wrote {len(products)} product(s); config {digest[:12]}")
     return 0
 
 

@@ -575,8 +575,8 @@ def ns_st_split(
     (sinh/cosh 2eta) are deliberately not included: the split isolates
     the temporal behavior.
     """
-    i_st, i_ns = chi_hadamard_components(spec, bath, theta, t, t, quad)
-    return i_ns, i_st
+    kv = chi_hadamard_components(spec, bath, theta, t, t, quad)
+    return kv.nonstationary, kv.stationary
 
 
 def chi_hadamard_components(
@@ -586,7 +586,7 @@ def chi_hadamard_components(
     t: float,
     t_prime: float,
     quad: QuadratureConfig,
-) -> tuple[float, float]:
+) -> KernelValue:
     """Unit-weight stationary / nonstationary parts of G_H^(chi)(t, t').
 
     stationary    = int dmu 2 Re[f(t) f*(t')]
@@ -610,7 +610,7 @@ def chi_hadamard_components(
         raise DomainError("the unit-weight split needs a massless constant-squeeze bath")
     resp, thermal = effective_response(spec, bath), BathSpec(bath.beta)
     u, v = _f_factor(resp, t), _f_factor(resp, t_prime)
-    return (
+    return KernelValue(
         _part(resp, thermal, u, v, quad, True, 1.0),
         _part(resp, thermal, u, v, quad, False, cmath.exp(1j * theta)),
     )

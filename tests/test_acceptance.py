@@ -222,9 +222,10 @@ def _hadamard_grid(spec, quad, grid):
     nonstat = np.empty((n, n))
     for i in range(n):
         for j in range(i, n):
-            stat[i, j], nonstat[i, j] = chi_hadamard_components(
+            kv = chi_hadamard_components(
                 spec, BathSpec(math.inf), 0.0, float(grid[i]), float(grid[j]), quad
             )
+            stat[i, j], nonstat[i, j] = kv.stationary, kv.nonstationary
             stat[j, i], nonstat[j, i] = stat[i, j], nonstat[i, j]
     return stat, nonstat
 

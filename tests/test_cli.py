@@ -134,6 +134,11 @@ UNREAD_SECTIONS = {
 REFUSED_KEYS = {
     # the uncoupled response has a real pole at omega_r: exit 3, ier 5
     "gamma-zero": ("oscillator.gamma", {"oscillator": {"omega_r": 1.0, "gamma": 0.0}}),
+    # nan rows where the fdr grid meets omega_r, max_rel_deviation 0.0
+    "gamma-zero-fdr": (
+        "oscillator.gamma",
+        {"oscillator": {"omega_r": 1.0, "gamma": 0.0}, "outputs": ["fdr"]},
+    ),
     # values swept, the range silently dropped
     "sweep-values-and-range": (
         "sweep", {"sweep": {"path": "bath.beta", "values": [1.0, 2.0], "start": 1}}
@@ -293,11 +298,6 @@ class TestConfigParsing:
         assert not (tmp_path / "o").exists()
         assert capsys.readouterr().err.startswith(f"configuration error: {key}")
 
-    def test_fdr_alone_runs_at_gamma_zero(self):
-        # the closed-form FDR integrates nothing over frequency
-        oscillator = {"m": 1.0, "omega_r": 1.0, "gamma": 0.0}
-        assert parse_config(dict(SMALL_CONSTANT, oscillator=oscillator, outputs=["fdr"]))
-
     def test_repeated_yaml_key_names_key_and_line(self, tmp_path, capsys):
         # PyYAML kept the last value: this config ran at gamma = 0.1
         cfgp = tmp_path / "cfg.yaml"
@@ -386,7 +386,7 @@ class TestRun:
         assert (tmp_path / "covariances.csv").exists()
         assert (tmp_path / "fdr.csv").exists()
         payload = json.loads((tmp_path / "run_manifest.json").read_text())
-        assert payload["config_hash"] == manifest.config_hash
+        assert payload == json.loads(json.dumps(manifest, default=str))
         assert payload["regulator"]["cutoff"] == 200.0
         names = {p["name"] for p in payload["products"]}
         assert names == {"covariances", "fdr"}
@@ -470,7 +470,18 @@ class TestRun:
         assert main(["run", "--config", str(cfgp), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: k_grid: squeeze spectrum is not resolved")
-        assert not (out / "squeeze_spectrum.csv").exists()
+        assert not out.exists()
+
+    def test_failed_run_writes_nothing(self, tmp_path, capsys):
+        # the squeeze spectrum is computed, then the covariances fail; the
+        # spectrum's CSV was once left behind alone
+        data = dict(PARAMETRIC, outputs=["covariances"])
+        data["quadrature"] = {"cutoff": 100.0, "max_subdivisions": 10}
+        cfgp = write_config(tmp_path, data)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfgp), "--out", str(out)]) == 3
+        assert "subdivision limit reached" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_squeeze_spectrum_csv(self, parametric_run):
         # written like every product: LF line ends, 17 significant digits
@@ -527,7 +538,7 @@ class TestSweep:
         data = dict(PARAMETRIC, outputs=["fdr"])
         data["sweep"] = {"path": "profile.mass_f", "values": [0.4, 0.5]}
         manifest = run_sweep(parse_config(data), tmp_path)
-        assert manifest.products[0]["file"] == "sweep_squeeze_spectrum.csv"
+        assert manifest["products"][0]["file"] == "sweep_squeeze_spectrum.csv"
         header, rows = read_rows(tmp_path / "sweep_squeeze_spectrum.csv")
         assert header == ["profile.mass_f", "k", "eta_k", "theta_k"]
         cfg = parse_config(PARAMETRIC)

@@ -14,7 +14,10 @@ and over two ``mass_f`` with ``sqbath sweep``) that reach the paths no
 other run does: the cusp-head split above a mass threshold, the massive
 kappa, ``chi_hadamard`` on a squeeze-spectrum bath, the beta = inf
 branch of ``coth_half_beta``, several responses reading one spectrum
-bath and one spectrum per sweep point.
+bath and one spectrum per sweep point.  Two more generated configs
+must fail: a k grid that stops at 1 (refused, exit 2) and
+``quadrature.max_subdivisions: 10`` (exit 3); for these the two trees'
+exit codes and the files left under ``--out`` are compared.
 Every run is made once with each tree's package, in its own Python
 subprocess.  ``--workload-seeds N`` adds the configs that
 ``perfbench/workloads.py`` of this checkout generates for seeds 0..N-1 of
@@ -26,7 +29,7 @@ many values are identical and each value that is not; ``wall_time_s`` is
 not compared.
 
 Exit status: 0 if every file and value is identical, 1 if any differs,
-2 if a run fails in either tree.
+2 if a run fails in either tree (or one that must fail succeeds in both).
 """
 
 from __future__ import annotations
@@ -75,6 +78,11 @@ GENERATED = {
     "massive-gamma-sweep": {"sweep": {"path": "oscillator.gamma", "values": [0.1, 0.05]}},
     "massive-mass-sweep": {"sweep": {"path": "profile.mass_f", "values": [0.4, 0.5]}},
 }
+# the same for runs that must fail, exit 2 and exit 3
+FAILING = {
+    "unresolved-k-grid": {"k_grid": {"stop": 1.0}},
+    "subdivision-limit": {"quadrature": {"max_subdivisions": 10}},
+}
 
 _ENTRY = "import sys; from sqbath.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -90,11 +98,11 @@ def default_runs() -> list[tuple[str, list[str]]]:
     return runs
 
 
-def generated_runs(config_dir: Path) -> list[tuple[str, list[str]]]:
-    """(label, sqbath arguments) for the GENERATED configs, which are
-    written to ``config_dir``."""
+def generated_runs(config_dir: Path, generated: dict) -> list[tuple[str, list[str]]]:
+    """(label, sqbath arguments) for the ``generated`` configs (GENERATED
+    or FAILING), which are written to ``config_dir``."""
     runs = []
-    for label, changes in GENERATED.items():
+    for label, changes in generated.items():
         data = copy.deepcopy(MASSIVE_RAMP)
         for section, values in changes.items():
             data.setdefault(section, {}).update(values)
@@ -188,6 +196,12 @@ def compare_manifest(parent: Path, change: Path) -> tuple[bool, list[str]]:
     return not lines, [header, *lines]
 
 
+def leftovers(code: int, out: Path) -> str:
+    """The exit code of a run and the files it left under ``out``."""
+    left = sorted(p.name for p in out.iterdir()) if out.exists() else "no --out"
+    return f"exit {code}, {left}"
+
+
 def compare_dirs(parent: Path, change: Path) -> tuple[bool, list[str]]:
     """(identical, report lines) for the output directories of one run."""
     ok, lines = True, []
@@ -224,18 +238,31 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="sqbath-compare-") as tmp:
         runs = (
             default_runs()
-            + generated_runs(Path(tmp))
+            + generated_runs(Path(tmp), GENERATED)
+            + generated_runs(Path(tmp), FAILING)
             + workload_runs(args.workload_seeds, Path(tmp))
         )
         for label, sqbath_args in runs:
-            outs, failed = [], False
+            outs, codes, failed = [], [], False
             for tag, src in (("parent", args.parent_src), ("change", args.change_src)):
                 out = Path(tmp) / label / tag
                 done = run_tree(src.resolve(), sqbath_args, out)
-                if done.returncode != 0:
+                if done.returncode != 0 and label not in FAILING:
                     print(f"{label}: {tag} run exited {done.returncode}\n{done.stderr}")
                     failed = True
                 outs.append(out)
+                codes.append(done.returncode)
+            if label in FAILING:
+                states = [leftovers(code, out) for code, out in zip(codes, outs)]
+                same = states[0] == states[1]
+                print(f"{label}: {'identical' if same else 'DIFFERS'}")
+                print(f"  parent: {states[0]}\n  change: {states[1]}")
+                if not same:
+                    status = max(status, 1)
+                elif codes[0] == 0:
+                    print(f"{label}: the run must fail but exited 0 in both trees")
+                    status = 2
+                continue
             if failed:
                 status = 2
                 continue
