@@ -58,9 +58,10 @@ class _Pchip:
     importing ``scipy.interpolate``.  The pieces are summed in the order of
     scipy's own evaluation, c3 + c2 s + c1 s^2 + c0 s^3 with the powers of
     s built by repeated multiplication, so the values are scipy's too.  A
-    float argument, as a quadrature node passes it, is looked up with
-    :func:`bisect.bisect_right` on Python floats and returns a float; an
-    array is looked up with :func:`numpy.searchsorted`.
+    call takes an array, looked up with :func:`numpy.searchsorted`; the
+    float lookup of a quadrature node, the same sum on Python floats, is
+    written out in :meth:`SqueezeSpectrum.eta_at` and
+    :meth:`SqueezeSpectrum.theta_at`.
     """
 
     def __init__(self, x, y):
@@ -71,21 +72,13 @@ class _Pchip:
         d = _pchip_slopes(h, slope, y)
         t = (d[:-1] + d[1:] - 2 * slope) / h
         self.c = np.stack((t / h, (slope - d[:-1]) / h - t, d[:-1], y[:-1]))
-        self._xs, self._pieces = self.x.tolist(), self.c.T.tolist()
 
     def __call__(self, k):
-        if isinstance(k, float):
-            xs = self._xs
-            k = min(max(k, xs[0]), xs[-1])
-            i = min(bisect_right(xs, k), len(xs) - 1) - 1
-            s = k - xs[i]
-            c0, c1, c2, c3 = self._pieces[i]
-        else:
-            x = self.x
-            k = np.clip(k, x[0], x[-1])
-            i = np.minimum(np.searchsorted(x, k, side="right"), x.size - 1) - 1
-            s = k - x[i]
-            c0, c1, c2, c3 = self.c[:, i]
+        x = self.x
+        k = np.clip(k, x[0], x[-1])
+        i = np.minimum(np.searchsorted(x, k, side="right"), x.size - 1) - 1
+        s = k - x[i]
+        c0, c1, c2, c3 = self.c[:, i]
         z = s * s
         return 0.0 + c3 + c2 * s + c1 * z + c0 * (z * s)
 
@@ -128,8 +121,11 @@ class SqueezeSpectrum:
     grid point the squeeze magnitude extrapolates to zero (high modes are
     barely excited by a finite-energy process), below the first point it
     is held at the first sample.  The angle is interpolated after phase
-    unwrapping.  A float k returns a float, an array an array.  Spectra
-    with the same samples are equal.
+    unwrapping.  A float k returns a float, an array an array: an array
+    goes through :class:`_Pchip`, and a float, as a quadrature node
+    passes it, is looked up in ``eta_at``/``theta_at`` themselves (one
+    bisect on Python floats, the same piece and sum as the array path).
+    Spectra with the same samples are equal.
     """
 
     def __init__(self, k, eta, theta=None):
@@ -151,9 +147,12 @@ class SqueezeSpectrum:
         self.k = k
         self.eta = eta
         self.theta = theta
-        self._k_max = float(k[-1])
         self._eta_interp = _Pchip(k, eta)
         self._theta_interp = _Pchip(k, np.unwrap(theta))
+        # the float lookup's knots and (c0, c1, c2, c3) pieces
+        self._xs = k.tolist()
+        self._eta_pieces = self._eta_interp.c.T.tolist()
+        self._theta_pieces = self._theta_interp.c.T.tolist()
         self._key = (k.tobytes(), eta.tobytes(), theta.tobytes())
 
     def __eq__(self, other):
@@ -164,19 +163,36 @@ class SqueezeSpectrum:
 
     def eta_at(self, k):
         if isinstance(k, float):
-            if k > self._k_max:
+            # the PCHIP piece on Python floats, as _Pchip sums it: one
+            # bisect over the knots below the last, k held at the first
+            xs = self._xs
+            if k > xs[-1]:
                 return 0.0
-            out = self._eta_interp(k)
+            k = max(k, xs[0])
+            i = bisect_right(xs, k, 0, len(xs) - 1) - 1
+            s = k - xs[i]
+            c0, c1, c2, c3 = self._eta_pieces[i]
+            z = s * s
+            out = 0.0 + c3 + c2 * s + c1 * z + c0 * (z * s)
             return 0.0 if out < 0.0 else out
         k = np.asarray(k, dtype=float)
-        out = np.where(k > self._k_max, 0.0, self._eta_interp(k))
+        out = np.where(k > self.k[-1], 0.0, self._eta_interp(k))
         return np.maximum(out, 0.0)
 
     def theta_at(self, k):
         if isinstance(k, float):
-            return 0.0 if k > self._k_max else self._theta_interp(k)
+            # as in eta_at, on the unwrapped angle's pieces
+            xs = self._xs
+            if k > xs[-1]:
+                return 0.0
+            k = max(k, xs[0])
+            i = bisect_right(xs, k, 0, len(xs) - 1) - 1
+            s = k - xs[i]
+            c0, c1, c2, c3 = self._theta_pieces[i]
+            z = s * s
+            return 0.0 + c3 + c2 * s + c1 * z + c0 * (z * s)
         k = np.asarray(k, dtype=float)
-        return np.where(k > self._k_max, 0.0, self._theta_interp(k))
+        return np.where(k > self.k[-1], 0.0, self._theta_interp(k))
 
     def check_resolution(self, quad: QuadratureConfig, mass_i: float) -> None:
         """Fail if the grid would truncate significant squeezing.

@@ -42,6 +42,7 @@ import time
 from collections.abc import Hashable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 import yaml
@@ -66,8 +67,10 @@ from .oscillator_dynamics import (
     massive_roots,
     ns_st_split,
 )
-from .parametric_mode import MassProfile, ProfileShape, squeeze_spectrum
 from .quadrature import QuadratureConfig
+
+if TYPE_CHECKING:
+    from .parametric_mode import MassProfile
 
 SCENARIOS = ("constant_squeeze", "parametric", "finite_coupling")
 PRODUCTS = (
@@ -274,6 +277,8 @@ def parse_config(data: dict) -> RunConfig:
     profile = None
     k_grid = None
     if scenario == "parametric":
+        from .parametric_mode import MassProfile, ProfileShape
+
         prof = _section(data, "profile")
         if prof is None:
             raise ConfigurationError("parametric scenario requires a profile section")
@@ -453,12 +458,13 @@ def _sweep_values(sweep: dict) -> list[float]:
 # manifest-friendly resolved view of a config
 
 
+# keyed by ProfileShape values
 _RAMPS = {
-    ProfileShape.TANH: "tanh acts on m^2(t), centered mid-ramp, width "
+    "tanh": "tanh acts on m^2(t), centered mid-ramp, width "
     "(t_f - t_i)/6, clipped to the constants outside",
-    ProfileShape.SMOOTHSTEP: "smoothstep polynomial of order smoothstep_order "
+    "smoothstep": "smoothstep polynomial of order smoothstep_order "
     "acts on m^2(t) over [t_i, t_f], constant outside",
-    ProfileShape.STEP: "m^2(t) jumps from mass_i^2 to mass_f^2 at (t_i + t_f)/2, "
+    "step": "m^2(t) jumps from mass_i^2 to mass_f^2 at (t_i + t_f)/2, "
     "the modes matched analytically across the jump",
 }
 
@@ -486,8 +492,8 @@ def resolved_config(cfg: RunConfig) -> dict:
         "configured oscillator frequency",
     }
     if cfg.profile is not None:
-        shape = cfg.profile.shape
-        out["profile"] = {**asdict(cfg.profile), "shape": shape.value, "ramp": _RAMPS[shape]}
+        shape = cfg.profile.shape.value
+        out["profile"] = {**asdict(cfg.profile), "shape": shape, "ramp": _RAMPS[shape]}
         out["k_grid"] = [float(k) for k in cfg.k_grid]
     if cfg.fdr_grid is not None:
         out["fdr_grid"] = [float(w) for w in cfg.fdr_grid]
@@ -503,6 +509,15 @@ def resolved_config(cfg: RunConfig) -> dict:
 
 # ---------------------------------------------------------------------------
 # products
+
+
+def squeeze_spectrum(profile: MassProfile, k_grid) -> SqueezeSpectrum:
+    """:func:`parametric_mode.squeeze_spectrum`, whose module is imported
+    here on first use, so only a parametric run loads the mode solver.
+    A name of this module, so ``perfbench/tracing.py`` can wrap it."""
+    from .parametric_mode import squeeze_spectrum as solve
+
+    return solve(profile, k_grid)
 
 
 def _build_bath(cfg: RunConfig) -> BathSpec:

@@ -288,17 +288,27 @@ class NodeTable(dict):
 
 
 def _table_set(row, count: int) -> tuple:
-    """``count`` NodeTables filled together: a node's first lookup in any
-    of them evaluates ``row(w)``, one value per table, and stores it in
-    all while they hold fewer than _MEMO_NODES nodes."""
+    """``count`` (1 or 3) NodeTables filled together: a node's first
+    lookup in any of them evaluates ``row(w)``, one value per table, and
+    stores it in all while they hold fewer than _MEMO_NODES nodes."""
     tables = tuple(NodeTable() for _ in range(count))
+    if count == 1:
+        (only,) = tables
 
-    def fill(w):
-        values = row(w)
-        if len(tables[0]) < _MEMO_NODES:
-            for table, value in zip(tables, values):
-                table[w] = value
-        return values
+        def fill(w):
+            values = row(w)
+            if len(only) < _MEMO_NODES:
+                only[w] = values[0]
+            return values
+    else:
+        # one unpacking stores the row: this runs once per node
+        first, second, third = tables
+
+        def fill(w):
+            values = row(w)
+            if len(first) < _MEMO_NODES:
+                first[w], second[w], third[w] = values
+            return values
 
     for i, table in enumerate(tables):
         table.fill, table.index = fill, i

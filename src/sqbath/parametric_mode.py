@@ -7,7 +7,9 @@ over [t_i, t_f].  The fundamental solutions d1, d2 (unit initial data,
 Wronskian 1) are integrated with DOP853 (Hairer, Norsett & Wanner,
 *Solving Ordinary Differential Equations I*, 1993, II.10): all modes
 step together in one loop, each under scipy's own step-size control, so
-every mode gets the bits of its own scipy DOP853 run.  A sharp Step
+every mode gets the bits of its own scipy DOP853 run.  The dense output
+(II.6) at the grid samples is built in flushes, for a batch of accepted
+steps at a time, each step's samples with scipy's bits.  A sharp Step
 profile bypasses the ODE solver entirely and is matched analytically,
 serving both as an oracle and to avoid stiffness at the jump.
 
@@ -17,7 +19,8 @@ The Butcher tableau is scipy's ``integrate/_ivp/dop853_coefficients.py``
 from it exactly as ``class DOP853`` in scipy's ``_ivp/rk.py`` builds
 them; importing ``scipy.integrate`` for them would cost about 0.5 s of
 start-up.  The load reaches into scipy's private layout: a scipy release
-that moves the file makes ``import sqbath`` fail loudly, and the tests
+that moves the file makes the import of this module (which ``sqbath.cli``
+makes when it parses a parametric config) fail loudly, and the tests
 compare every constant with ``scipy.integrate.DOP853``'s under ``==``.
 Should the load be unwelcome, the fallback is to copy the tableau's
 literals into this package.
@@ -233,6 +236,9 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10
 _ERROR_EXPONENT = -1 / (ERROR_ESTIMATOR_ORDER + 1)
 
+# accepted steps whose interpolant is built together (_lockstep_dop853)
+_QUEUED_STEPS = 32
+
 
 # the rows (d1, d1', d2, d2') swapped to (d1', d1, d2', d2): their
 # derivatives up to the factors of _rhs_factors
@@ -289,30 +295,41 @@ def _initial_steps(profile, k, t_end, y0, f0, rtol, atol, max_step):
     return h
 
 
-def _dense_samples(profile, k, K, t_old, t_new, y_old, y_new, times):
-    """scipy's DOP853 interpolant of one accepted step of mode k, at ``times``.
+def _dense_output(profile, k, t_old, h, y_old, y_new, K, step, times):
+    """scipy's DOP853 interpolant of n accepted steps, at ``times``.
 
-    ``K`` holds the step's 13 stages, the last one f(t_new, y_new).
+    Step q takes mode k[q] from t_old[q] over h[q], from the flat rows
+    y_old[4q:4q+4] to y_new[4q:4q+4]; columns 4q..4q+3 of the (13, 4n)
+    ``K`` hold its stages, the last one f(t_new, y_new).  ``step[s]`` is
+    the step that holds times[s].  The 3 extra stages read one m^2(t)
+    table and share the stage sums of :func:`_stage_sums`; every sample
+    gets the bits of scipy's own dense output of its step.  Returns one
+    row (d1, d1', d2, d2') per time.
     """
-    h = t_new - t_old
-    factors = _rhs_factors(profile.omega_sq(k, t_old + C_EXTRA * h))
-    Kx = np.empty((A_EXTRA.shape[1], 4))
+    n = k.size
+    h4 = np.repeat(h, 4)
+    perm = (4 * np.arange(n)[:, None] + _SWAP).ravel()
+    w_sq = profile.omega_sq(k, t_old + C_EXTRA[:, None] * h)
+    factors = _rhs_factors(w_sq).reshape(C_EXTRA.size, 4 * n)
+    Kx = np.empty((A_EXTRA.shape[1], 4 * n))
     Kx[: N_STAGES + 1] = K
     for s, (a, fac) in enumerate(zip(A_EXTRA, factors), start=N_STAGES + 1):
-        dy = _stage_sums(Kx[:s], a[:s]) * h
-        Kx[s] = (y_old + dy)[_SWAP] * fac
-    F = np.empty((3 + len(D), 4))
+        Kx[s] = (y_old + _stage_sums(Kx[:s], a[:s]) * h4)[perm] * fac
+    F = np.empty((3 + len(D), 4 * n))
     delta_y = y_new - y_old
     F[0] = delta_y
-    F[1] = h * Kx[0] - delta_y
-    F[2] = 2 * delta_y - h * (Kx[N_STAGES] + Kx[0])
-    F[3:] = h * np.dot(D, Kx)
-    x = ((times - t_old) / h)[:, None]
+    F[1] = h4 * Kx[0] - delta_y
+    F[2] = 2 * delta_y - h4 * (Kx[N_STAGES] + Kx[0])
+    # one (4, 16) by (16, 4) product per step, as scipy forms it: a single
+    # product over all 4n columns rounds some entries differently
+    per_step = np.matmul(D, Kx.reshape(-1, n, 4).transpose(1, 0, 2))
+    F[3:] = h4 * per_step.transpose(1, 0, 2).reshape(len(D), 4 * n)
+    x = ((times - t_old[step]) / h[step])[:, None]
     y = np.zeros((times.size, 4))
-    for i, coef in enumerate(reversed(F)):
+    for i, coef in enumerate(F.reshape(len(F), n, 4)[::-1, step]):
         y += coef
         y *= x if i % 2 == 0 else 1 - x
-    return y + y_old
+    return y + y_old.reshape(n, 4)[step]
 
 
 def _wronskian_drift(y: np.ndarray) -> np.ndarray:
@@ -365,9 +382,14 @@ def _lockstep_dop853(profile, k, samples, tol):
     results are bit-identical to the separate solves (on a BLAS build
     that reduces as :func:`_stage_sums` assumes).  The interpolant
     is built only for steps that hold a sample after t = 0, where it
-    returns the initial data.  The Wronskian drift is checked at every
-    accepted step and every sample.  Returns one (samples, 4) array per
-    mode with rows (d1, d1', d2, d2').
+    returns the initial data: such a step is queued, and a flush builds
+    the interpolants of up to _QUEUED_STEPS queued steps at once
+    (:func:`_dense_output`).  The queue is flushed when full, at the end
+    and before any failure is raised, so a failure at a queued sample is
+    reported as the per-step check reported it, with the samples up to
+    it.  The Wronskian drift is checked at every accepted step and every
+    sample.  Returns one (samples, 4) array per mode with rows (d1, d1',
+    d2, d2').
     """
     # run the stepper well below the requested tolerance: the Wronskian
     # drift accumulates over the whole span and is the quantity under
@@ -390,7 +412,42 @@ def _lockstep_dop853(profile, k, samples, tol):
     next_sample = np.ones(n, dtype=int)
     drift_max = np.zeros(n)
 
-    def fail(i, t_reached, what):
+    # accepted steps that hold samples wait in a queue of fixed size, and
+    # one flush builds the interpolant of all of them (_dense_output)
+    size = _QUEUED_STEPS
+    q_k, q_t, q_h = np.empty(size), np.empty(size), np.empty(size)
+    q_y, q_y_new = np.empty(4 * size), np.empty(4 * size)
+    q_K = np.empty((N_STAGES + 1, 4 * size))
+    queued = []  # (mode, first sample, end of its samples) per queued step
+
+    def flush():
+        steps = queued.copy()
+        queued.clear()  # a failure below must not flush them again
+        if not steps:
+            return
+        n = len(steps)
+        counts = [hi - lo for _, lo, hi in steps]
+        starts = np.cumsum([0, *counts[:-1]])
+        rows = _dense_output(
+            profile, q_k[:n], q_t[:n], q_h[:n], q_y[: 4 * n], q_y_new[: 4 * n], q_K[:, : 4 * n],
+            np.repeat(np.arange(n), counts),
+            np.concatenate([samples[i][lo:hi] for i, lo, hi in steps]),
+        )
+        # each step's largest sample drift, NaN if one is NaN (as np.max)
+        worst = np.maximum.reduceat(_wronskian_drift(rows), starts).tolist()
+        for (i, _, hi), start, count, drift in zip(steps, starts.tolist(), counts, worst):
+            taken[i].append(rows[start: start + count])
+            drift_max[i] = max(drift_max[i], drift)
+            # drift_max may hold later steps already: the step's own drift
+            # is checked and reported
+            if drift > bound:
+                fail(i, samples[i][hi - 1], f"drift above {bound:.1e} (10x tolerance)", drift)
+
+    def fail(i, t_reached, what, drift=None):
+        # the queued samples come first: an earlier failure among them
+        # is raised instead, and the partial solution holds them all
+        flush()
+        drift = drift_max[i] if drift is None else drift
         rows = np.vstack(taken[i])
         times = samples[i][: rows.shape[0]]
         partial = ModeSolution(
@@ -398,12 +455,12 @@ def _lockstep_dop853(profile, k, samples, tol):
         )
         raise ConvergenceError(
             f"mode k = {k[i]:.6g}: {what} at t = {t_reached:.6g} of "
-            f"{t_end[i]:.6g}; Wronskian drift {drift_max[i]:.3e}",
+            f"{t_end[i]:.6g}; Wronskian drift {drift:.3e}",
             partial_value=partial,
             diagnostics={
                 "k": float(k[i]),
                 "t_reached": float(t_reached),
-                "drift": float(drift_max[i]),
+                "drift": float(drift),
             },
         )
 
@@ -467,19 +524,17 @@ def _lockstep_dop853(profile, k, samples, tol):
 
         for j in np.flatnonzero(accepted & (t_next[idx] <= t_new)):
             i = idx[j]
-            lo = next_sample[i]
             hi = int(np.searchsorted(samples[i], t_new[j], side="right"))
-            cols = slice(4 * j, 4 * j + 4)
-            rows = _dense_samples(
-                profile, kk[j], K[:, cols], t[j], t_new[j], y[cols], y_new[cols],
-                samples[i][lo:hi],
-            )
-            taken[i].append(rows)
-            drift_max[i] = max(drift_max[i], np.max(_wronskian_drift(rows)))
-            if drift_max[i] > bound:
-                fail(i, samples[i][hi - 1], f"drift above {bound:.1e} (10x tolerance)")
+            e = len(queued)
+            queued.append((i, next_sample[i], hi))
+            q_k[e], q_t[e], q_h[e] = kk[j], t[j], h[j]
+            q_y[4 * e: 4 * e + 4] = y[4 * j: 4 * j + 4]
+            q_y_new[4 * e: 4 * e + 4] = y_new[4 * j: 4 * j + 4]
+            q_K[:, 4 * e: 4 * e + 4] = K[:, 4 * j: 4 * j + 4]
             next_sample[i] = hi
             t_next[i] = samples[i][hi] if hi < samples[i].size else np.inf
+            if e + 1 == size:
+                flush()
 
         t = np.where(accepted, t_new, t)
         accepted4 = np.repeat(accepted, 4)
@@ -491,6 +546,7 @@ def _lockstep_dop853(profile, k, samples, tol):
             idx, kk, t, h_abs, retry = idx[live], kk[live], t[live], h_abs[live], retry[live]
             y, f = y[live4], f[live4]
 
+    flush()
     return [np.vstack(rows) for rows in taken]
 
 

@@ -922,7 +922,8 @@ def test_import_leaves_out_interpolation_and_process_pool():
     # the PCHIP coefficients are computed without scipy.interpolate, the
     # process pool is imported only by a sweep with more than one worker,
     # and of scipy only the QUADPACK extension and the DOP853 tableau file
-    # are loaded, so no scipy package __init__ runs
+    # are loaded, so no scipy package __init__ runs; the mode solver is
+    # imported only when a parametric config is parsed
     absent = (
         "scipy",
         "scipy.integrate",
@@ -932,13 +933,21 @@ def test_import_leaves_out_interpolation_and_process_pool():
         "numpy.f2py",
         "concurrent.futures.process",
     )
-    code = (
-        "import sys, sqbath.cli; "
-        f"print([m for m in {absent!r} if m in sys.modules])"
-    )
+    code = "\n".join([
+        "import json, sys, sqbath.cli",
+        f"absent = [m for m in {absent!r} if m in sys.modules]",
+        "solver = ['sqbath.parametric_mode' in sys.modules]",
+        f"sqbath.cli.parse_config({SMALL_CONSTANT!r})",
+        "solver.append('sqbath.parametric_mode' in sys.modules)",
+        f"sqbath.cli.parse_config({PARAMETRIC!r})",
+        "solver.append('sqbath.parametric_mode' in sys.modules)",
+        "print(json.dumps([absent, solver]))",
+    ])
     paths = [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    # after import sqbath.cli, then after parsing a constant-squeeze and a
+    # parametric config
+    assert json.loads(out.stdout) == [[], [False, False, True]]

@@ -102,6 +102,47 @@ def test_spectrum_lookup(spectrum):
     assert spectrum.eta_at(1e-9) == spectrum.eta[0]
 
 
+@pytest.fixture(scope="module")
+def dipping_spectrum():
+    """eta falls to 0 at knot 6 and at the last knot, where the cubic
+    pieces round to just below 0."""
+    k = np.geomspace(0.02, 60.0, 16)
+    eta = 0.3 * np.exp(-k / 10.0)
+    eta[6] = eta[-1] = 0.0
+    return SqueezeSpectrum(k, eta, np.angle(np.exp(1j * 2.5 * np.tanh(k))))
+
+
+def test_spectrum_lookup_at_knots_and_ends(spectrum, dipping_spectrum):
+    # eta_at and theta_at write the float lookup out: at every knot it takes
+    # the array path's piece, k_max is evaluated on the last piece (not
+    # zeroed as above the grid) and k below the first knot is held there
+    for spec in (spectrum, dipping_spectrum):
+        k = spec.k
+        points = [*k, np.nextafter(k[-1], 0.0), 0.5 * k[0], np.nextafter(k[0], 0.0), 0.0]
+        assert_paths_equal(spec.eta_at, points)
+        assert_paths_equal(spec.theta_at, points)
+        for below in (0.5 * float(k[0]), 0.0):
+            assert spec.eta_at(below) == spec.eta[0]
+            assert spec.theta_at(below) == spec.theta[0]
+        at_max = PchipInterpolator(k, np.unwrap(spec.theta))(k[-1])
+        assert spec.theta_at(float(k[-1])) == at_max != 0.0
+    k_max = float(spectrum.k[-1])
+    assert spectrum.eta_at(k_max) == PchipInterpolator(spectrum.k, spectrum.eta)(k_max) > 0.0
+
+
+def test_negative_eta_piece_is_clamped(dipping_spectrum):
+    # the pieces around a zero sample round below 0 at a few points; both
+    # paths clamp them to 0
+    k, eta = dipping_spectrum.k, dipping_spectrum.eta
+    below_zero_knot = k[6] - np.linspace(0.0, 1e-3, 100001)[1:] * (k[6] - k[5])
+    points = np.append(below_zero_knot, k[-1])
+    raw = PchipInterpolator(k, eta)(points)
+    negative = points[raw < 0.0]
+    assert negative.size >= 2 and negative[-1] == k[-1]
+    assert_paths_equal(dipping_spectrum.eta_at, negative)
+    assert [dipping_spectrum.eta_at(float(x)) for x in negative] == [0.0] * negative.size
+
+
 def test_spectrum_lookup_is_scipy_pchip(spectrum):
     # the cubic pieces are summed in scipy's order, so the bits are scipy's
     k = spectrum.k

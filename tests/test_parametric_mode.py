@@ -44,6 +44,39 @@ def solve_ivp_mode(k, profile, grid, tol):
     return sol.y, sol.nfev
 
 
+def scipy_first_failure(k, profile, grid, tol):
+    """The first Wronskian drift failure of scipy's DOP853 driver on one
+    mode, checked where ``integrate_mode`` checks it: at every accepted
+    step, then at the grid samples that step's dense output gives.
+    Returns the kind of failure ("step", "sample" or None), the time it
+    names and the rows (d1, d1', d2, d2') sampled up to it."""
+    def rhs(t, y):
+        w_sq = profile.omega_sq(k, t)
+        return [y[1], -w_sq * y[0], y[3], -w_sq * y[2]]
+
+    solver = DOP853(
+        rhs, 0.0, [1.0, 0.0, 0.0, 1.0], grid[-1],
+        rtol=max(tol / 50.0, 1e-13), atol=max(tol / 5000.0, 1e-15),
+        max_step=profile.duration / 8.0,
+    )
+    bound = 10.0 * max(tol, 1e-13)
+    rows, lo = [solver.y.copy()], 1
+    while solver.status == "running":
+        solver.step()
+        y = solver.y
+        if abs(y[0] * y[3] - y[2] * y[1] - 1.0) > bound:
+            return "step", solver.t, np.array(rows)
+        hi = int(np.searchsorted(grid, solver.t, side="right"))
+        if hi > lo:
+            sampled = solver.dense_output()(grid[lo:hi]).T
+            rows.extend(sampled)
+            drift = np.abs(sampled[:, 0] * sampled[:, 3] - sampled[:, 2] * sampled[:, 1] - 1.0)
+            if np.max(drift) > bound:
+                return "sample", grid[hi - 1], np.array(rows)
+            lo = hi
+    return None, None, np.array(rows)
+
+
 def one_mode(k, profile, grid, tol=1e-10):
     """The solution of a single mode from the batched solver."""
     return integrate_mode(np.array([k]), profile, [grid], tol=tol)[0]
@@ -174,6 +207,30 @@ class TestLockstepOracle:
     def test_every_dense_sample(self, oracle_case):
         profile, grids, reference = oracle_case
         sols = integrate_mode(ORACLE_KS, profile, grids, tol=1e-9)
+        for sol, rows in zip(sols, reference):
+            for got, want in zip((sol.d1, sol.d1_dot, sol.d2, sol.d2_dot), rows):
+                assert_rows_equal(got, want)
+
+    @pytest.mark.parametrize("queued", [1, 3, None], ids=["1", "3", "default"])
+    def test_every_dense_sample_across_flushes(self, oracle_case, queued, monkeypatch):
+        """Accepted steps wait in a queue and a flush builds the interpolant
+        of all of them at once; whatever the queue's size, flushes inside
+        the loop and at its end give every sample scipy's bits."""
+        profile, grids, reference = oracle_case
+        if queued is not None:
+            monkeypatch.setattr(sqbath.parametric_mode, "_QUEUED_STEPS", queued)
+        shapes = []
+        omega_sq = MassProfile.omega_sq
+
+        def recorded(self, k, t):
+            shapes.append(np.shape(t))
+            return omega_sq(self, k, t)
+
+        monkeypatch.setattr(MassProfile, "omega_sq", recorded)
+        sols = integrate_mode(ORACLE_KS, profile, grids, tol=1e-9)
+        # a flush reads one (3 extra stages, queued steps) table
+        flushes = [shape for shape in shapes if len(shape) == 2 and shape[0] == 3]
+        assert len(flushes) > 1
         for sol, rows in zip(sols, reference):
             for got, want in zip((sol.d1, sol.d1_dot, sol.d2, sol.d2_dot), rows):
                 assert_rows_equal(got, want)
@@ -339,6 +396,33 @@ class TestModeFailures:
         assert exc.diagnostics["drift"] > 1e-12
         assert exc.diagnostics["t_reached"] < 20.0
         assert "drift above 1.0e-12" in str(exc)
+
+
+@pytest.mark.parametrize("queued", [1, 2, None], ids=["1", "2", "default"])
+def test_sample_drift_failure_as_scipy_driver(queued, monkeypatch):
+    # a sample between two accepted steps drifts above the bound: the error
+    # names the mode, the step's last sample time and the drift there, and
+    # the partial solution ends with that step's samples, whenever the
+    # queue holding the step is flushed
+    if queued is not None:
+        monkeypatch.setattr(sqbath.parametric_mode, "_QUEUED_STEPS", queued)
+    prof = MassProfile(0.1, 3.0, 0.0, 1.0)
+    grids = [np.linspace(0.0, 4.0, 201), np.linspace(0.0, 4.0, 31)]
+    kind, t_failed, rows = scipy_first_failure(0.5, prof, grids[0], 1e-13)
+    assert kind == "sample" and t_failed < 4.0
+    # the other mode runs on to the end, past the failing step
+    assert scipy_first_failure(0.05, prof, grids[1], 1e-13)[0] is None
+    with pytest.raises(ConvergenceError) as info:
+        integrate_mode(np.array([0.5, 0.05]), prof, grids, tol=1e-13)
+    exc = info.value
+    assert exc.diagnostics["k"] == 0.5 and exc.diagnostics["t_reached"] == t_failed
+    assert "mode k = 0.5: drift above 1.0e-12" in str(exc)
+    partial = exc.partial_value
+    assert np.array_equal(partial.times, grids[0][: len(rows)])
+    got = np.column_stack((partial.d1, partial.d1_dot, partial.d2, partial.d2_dot))
+    assert_rows_equal(got, rows)
+    # the failing sample's drift: every step and earlier sample stayed below
+    assert exc.diagnostics["drift"] == np.max(np.abs(partial.wronskian() - 1.0)) > 1e-12
 
 
 class TestBogoliubov:
