@@ -125,7 +125,8 @@ class SqueezeSpectrum:
     goes through :class:`_Pchip`, and a float, as a quadrature node
     passes it, is looked up in ``eta_at``/``theta_at`` themselves (one
     bisect on Python floats, the same piece and sum as the array path).
-    Spectra with the same samples are equal.
+    Spectra are keyed by identity: :func:`cli.squeeze_spectrum` solves a
+    ramp once per process, and its products and sweep points share it.
     """
 
     def __init__(self, k, eta, theta=None):
@@ -153,13 +154,6 @@ class SqueezeSpectrum:
         self._xs = k.tolist()
         self._eta_pieces = self._eta_interp.c.T.tolist()
         self._theta_pieces = self._theta_interp.c.T.tolist()
-        self._key = (k.tobytes(), eta.tobytes(), theta.tobytes())
-
-    def __eq__(self, other):
-        return isinstance(other, SqueezeSpectrum) and self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
 
     def eta_at(self, k):
         if isinstance(k, float):

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import hashlib
 import json
 import math
@@ -511,10 +512,13 @@ def resolved_config(cfg: RunConfig) -> dict:
 # products
 
 
-def squeeze_spectrum(profile: MassProfile, k_grid) -> SqueezeSpectrum:
-    """:func:`parametric_mode.squeeze_spectrum`, whose module is imported
-    here on first use, so only a parametric run loads the mode solver.
-    A name of this module, so ``perfbench/tracing.py`` can wrap it."""
+@functools.lru_cache(maxsize=4)
+def squeeze_spectrum(profile: MassProfile, k_grid: tuple) -> SqueezeSpectrum:
+    """:func:`parametric_mode.squeeze_spectrum` on the k values ``k_grid``,
+    solved once per (profile, k values) in a process, or in each worker of
+    ``--threads N``, and kept for the 4 most recent: the products and sweep
+    points of one ramp read one spectrum and one set of node tables.  Loads
+    the mode solver on first use; ``perfbench/tracing.py`` wraps this name."""
     from .parametric_mode import squeeze_spectrum as solve
 
     return solve(profile, k_grid)
@@ -524,7 +528,7 @@ def _build_bath(cfg: RunConfig) -> BathSpec:
     if cfg.scenario == "parametric":
         return BathSpec(
             beta=cfg.bath_beta,
-            squeeze=squeeze_spectrum(cfg.profile, cfg.k_grid),
+            squeeze=squeeze_spectrum(cfg.profile, tuple(cfg.k_grid.tolist())),
             mass_i=cfg.profile.mass_i,
             mass_f=cfg.profile.mass_f,
         )

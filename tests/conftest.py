@@ -8,15 +8,21 @@ from sqbath import (
     QuadratureConfig,
     SqueezeParam,
 )
+from sqbath.cli import squeeze_spectrum as cli_squeeze_spectrum
 from sqbath.oscillator_dynamics import _node_factors, _part
 from sqbath.parametric_mode import squeeze_spectrum
 
 
 def clear_node_memos():
-    """Drop the memoized bilinear-form parts and the cached node tables;
-    a part served from its memo would not touch the node tables at all."""
+    """Drop the memoized bilinear-form parts, the cached node tables and
+    the solved squeeze spectra; a part served from its memo would not
+    touch the node tables at all, and a spectrum served from its cache
+    would not run the mode solver.  The cache is bound here, at import,
+    so a tracer that wraps ``sqbath.cli.squeeze_spectrum`` leaves it
+    reachable."""
     _part.cache_clear()
     _node_factors.cache_clear()
+    cli_squeeze_spectrum.cache_clear()
 
 
 @pytest.fixture

@@ -16,6 +16,7 @@ import pytest
 import yaml
 
 import sqbath.cli
+import sqbath.parametric_mode
 from sqbath.cli import config_hash, figure_preset, main, parse_config, run, run_sweep
 from sqbath.errors import ConfigurationError, ConvergenceError
 from sqbath.gaussian_state import CovarianceState, extract_squeeze
@@ -549,6 +550,47 @@ class TestSweep:
             group = [row[1:] for row in rows if row[0] == mass_f]
             np.testing.assert_array_equal(np.array(group), expected)
 
+    @pytest.mark.parametrize(
+        "path, values, solves",
+        [
+            ("oscillator.gamma", [0.1, 0.05], 1),
+            ("bath.beta", [1.0, 2.0], 1),
+            ("profile.mass_f", [0.4, 0.5], 2),
+        ],
+    )
+    def test_one_solve_per_ramp(self, tmp_path, monkeypatch, cold_memo, path, values, solves):
+        # points that keep the ramp read the spectrum the first point
+        # solved, and each point's rows are those of a separate run of it
+        solved = []
+        original = sqbath.parametric_mode.squeeze_spectrum
+
+        def counted(profile, k_grid):
+            solved.append(profile)
+            return original(profile, k_grid)
+
+        monkeypatch.setattr(sqbath.parametric_mode, "squeeze_spectrum", counted)
+        outputs = ["covariances", "fdr"]
+        data = dict(PARAMETRIC, outputs=outputs, sweep={"path": path, "values": values})
+        run_sweep(parse_config(data), tmp_path / "sweep")
+        assert len(solved) == solves
+        section, key = path.split(".")
+        for value in values:
+            cold_memo()  # as in a process of its own
+            point = dict(PARAMETRIC, outputs=outputs)
+            point[section] = {**PARAMETRIC[section], key: value}
+            run(parse_config(point), tmp_path / repr(value))
+        for name in ("squeeze_spectrum.csv", "covariances.csv", "fdr.csv"):
+            header, *lines = (tmp_path / "sweep" / f"sweep_{name}").read_bytes().split(b"\n")
+            groups = {}
+            for line in lines[:-1]:
+                value, row = line.split(b",", 1)
+                groups.setdefault(float(value), []).append(row)
+            assert list(groups) == values
+            for value in values:
+                single = (tmp_path / repr(value) / name).read_bytes()
+                assert header == path.encode() + b"," + single.split(b"\n", 1)[0]
+                assert b"\n".join(groups[value]) + b"\n" == single.split(b"\n", 1)[1]
+
     def test_ns_split_in_sweep(self, tmp_path):
         data = dict(SMALL_CONSTANT)
         data["time_grid"] = {"start": 5.0, "stop": 20.0, "points": 2}
@@ -740,7 +782,11 @@ class TestSweep:
 
 class TestMainEntry:
     @pytest.mark.parametrize("command", ["run", "sweep"])
-    def test_mode_failure_prints_diagnostics(self, tmp_path, capsys, monkeypatch, command):
+    def test_mode_failure_prints_diagnostics(
+        self, tmp_path, capsys, monkeypatch, command, cold_memo
+    ):
+        # from an empty spectrum cache: a ramp solved by an earlier test
+        # would not run the patched mode solve
         original = MassProfile.mass_sq
 
         def cut(self, t):

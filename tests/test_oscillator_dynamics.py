@@ -8,6 +8,7 @@ from oracles import d2_fourier, f_aux, fundamental_solutions
 import sqbath.bath_kernels
 import sqbath.oscillator_dynamics
 from sqbath.bath_kernels import BathSpec, SqueezeSpectrum
+from sqbath.cli import parse_config, run_sweep
 from sqbath.energy_fdr import power_in
 from sqbath.errors import (
     ConfigurationError,
@@ -512,6 +513,25 @@ class TestNodeMemo:
             covariance_evolution(spec, bath_parametric, GROUND, 12.0, MEMO_QUAD)
         assert 0 < evals[0] == len(set(nodes))
         assert _node_factors.cache_info().misses == 1 + 2
+
+    def test_cli_gamma_sweep_shares_one_spectrum(self, tmp_path, cold_memo, monkeypatch):
+        # through the CLI each point builds its own bath; the points share
+        # one base set because both baths carry the one solved spectrum
+        data = {
+            "scenario": "parametric",
+            "oscillator": {"m": 1.0, "Omega": 1.0, "gamma": 0.1},
+            "bath": {"beta": 1.0},
+            "profile": {"mass_i": 0.0, "mass_f": 0.5, "t_i": 0.0, "t_f": 2.0},
+            "k_grid": {"start": 0.05, "stop": 60.0, "points": 8, "spacing": "log"},
+            "quadrature": {"cutoff": 100.0},
+            "time_grid": {"start": 10.0, "stop": 20.0, "points": 2},
+            "outputs": ["covariances"],
+            "sweep": {"path": "oscillator.gamma", "values": [0.1, 0.05]},
+        }
+        nodes = record_nodes(monkeypatch)
+        evals = count_calls(monkeypatch, SqueezeSpectrum, "eta_at")
+        run_sweep(parse_config(data), tmp_path)
+        assert 0 < evals[0] == len(set(nodes))
 
     @pytest.mark.parametrize("which", ["squeezed", "parametric"])
     def test_capped_tables_keep_the_values(

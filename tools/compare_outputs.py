@@ -6,18 +6,19 @@ PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.
 The script runs ``configs/*.yaml`` of this checkout (``sqbath run``,
 ``sqbath sweep`` too for ``constant_squeeze.yaml`` and only ``sqbath
 sweep``, serial and with ``--threads 2``, for ``finite_coupling.yaml``)
-and the figure presets 4, 6, 7, grn3d and tan2eta, and six small
+and the figure presets 4, 6, 7, grn3d and tan2eta, and seven small
 generated parametric configs (a smoothstep and a step ramp from
 ``mass_i`` 0.2 to ``mass_f`` 0.5, a constant mass 0.3, the smoothstep
-ramp at zero temperature, and the smoothstep ramp swept over two gamma
-and over two ``mass_f`` with ``sqbath sweep``) that reach the paths no
-other run does: the cusp-head split above a mass threshold, the massive
-kappa, ``chi_hadamard`` on a squeeze-spectrum bath, the beta = inf
-branch of ``coth_half_beta``, several responses reading one spectrum
-bath and one spectrum per sweep point.  Two more generated configs
-must fail: a k grid that stops at 1 (refused, exit 2) and
-``quadrature.max_subdivisions: 10`` (exit 3); for these the two trees'
-exit codes and the files left under ``--out`` are compared.
+ramp at zero temperature, and the smoothstep ramp swept over two gamma,
+over two ``mass_f`` and over two beta with ``sqbath sweep``) that reach
+the paths no other run does: the cusp-head split above a mass
+threshold, the massive kappa, ``chi_hadamard`` on a squeeze-spectrum
+bath, the beta = inf branch of ``coth_half_beta``, several responses
+reading one spectrum bath, one spectrum per sweep point of a changing
+ramp and one spectrum shared by baths of different beta.  Two more
+generated configs must fail: a k grid that stops at 1 (refused, exit 2)
+and ``quadrature.max_subdivisions: 10`` (exit 3); for these the two
+trees' exit codes and the files left under ``--out`` are compared.
 Every run is made once with each tree's package, in its own Python
 subprocess.  ``--workload-seeds N`` adds the configs that
 ``perfbench/workloads.py`` of this checkout generates for seeds 0..N-1 of
@@ -77,6 +78,7 @@ GENERATED = {
     "massive-zero-temperature": {"bath": {"beta": float("inf")}},
     "massive-gamma-sweep": {"sweep": {"path": "oscillator.gamma", "values": [0.1, 0.05]}},
     "massive-mass-sweep": {"sweep": {"path": "profile.mass_f", "values": [0.4, 0.5]}},
+    "massive-beta-sweep": {"sweep": {"path": "bath.beta", "values": [1.0, 2.0]}},
 }
 # the same for runs that must fail, exit 2 and exit 3
 FAILING = {
