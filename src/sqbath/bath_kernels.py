@@ -2,12 +2,15 @@
 The free bath field: its squeeze spectrum, its state and its measure.
 
 Every frequency integral of the package sees the bath through the
-measure (dw/2pi)(kappa/4pi) coth(b w/2) with its regulator
-(:func:`bath_measure`) and the stationary and nonstationary squeeze
-weights cosh 2eta and sinh 2eta e^{i theta}: constants (:func:`bath_mix`)
-or read from a squeeze spectrum (:func:`spectrum_weights`).  The
-integrals of a run keep these per-node values in the tables of
-:func:`oscillator_dynamics._node_factors`.  The stationary weight
+measure (dw/2pi)(kappa/4pi) coth(b w/2) with its regulator and the
+stationary and nonstationary squeeze weights cosh 2eta and sinh 2eta
+e^{i theta}: constants (:func:`bath_mix`) or read from a squeeze
+spectrum (:meth:`SqueezeSpectrum.eta_at`, :meth:`SqueezeSpectrum.theta_at`).
+The integrals of a run compute these per node in ``math`` arithmetic,
+with the norm ``_MEASURE_NORM`` defined here
+(:func:`oscillator_dynamics._base_row`), and keep them in the tables of
+:func:`oscillator_dynamics._node_factors`; their array forms are oracles
+in ``tests/oracles.py``.  The stationary weight
 cosh 2eta_kappa, which both FDRs carry, is :meth:`BathSpec.cosh2eta_at`.
 The bath's own two-point function, the coincident-point Hadamard kernel,
 is the plane-wave bilinear form of the response expander and lives with
@@ -26,24 +29,16 @@ import cmath
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, ResolutionError
 from .gaussian_state import SqueezeParam
 # fourier_quad stays importable here for perfbench/tracing.py
-from .quadrature import (  # noqa: F401
-    QuadratureConfig,
-    coth_half_beta,
-    fourier_quad,
-    omega_coth_half_beta,
-)
+from .quadrature import QuadratureConfig, fourier_quad  # noqa: F401
 
 __all__ = [
     "bath_mix",
-    "bath_measure",
-    "spectrum_weights",
     "SqueezeSpectrum",
     "BathSpec",
 ]
@@ -258,52 +253,6 @@ class BathSpec:
 # the bath as seen by every frequency integral
 
 _MEASURE_NORM = 1.0 / (8.0 * math.pi**2)  # (dw/2pi)(w/4pi) -> w dw / 8 pi^2
-
-
-def _kappa(mass_i: float) -> Callable:
-    """w -> kappa = sqrt(w^2 - m_i^2), 0 below the threshold (w itself for
-    a massless bath); a float w gives a float, an array an array."""
-    if mass_i == 0.0:
-        return lambda w: w if isinstance(w, float) else np.asarray(w, dtype=float)
-
-    def kappa(w):
-        if isinstance(w, float):
-            return math.sqrt(max(w * w - mass_i * mass_i, 0.0))
-        w = np.asarray(w, dtype=float)
-        return np.sqrt(np.maximum(w * w - mass_i * mass_i, 0.0))
-
-    return kappa
-
-
-def bath_measure(beta: float, mass_i: float, quad: QuadratureConfig) -> Callable:
-    """w -> (1/8 pi^2) kappa coth(b w/2) e^{-epsilon w}, the bath measure
-    per dw under the regulator of ``quad``; a float w gives a float, an
-    array an array."""
-    if mass_i == 0.0:
-        def measure(w):
-            return _MEASURE_NORM * omega_coth_half_beta(w, beta) * quad.damping(w)
-    else:
-        kappa = _kappa(mass_i)
-
-        def measure(w):
-            return _MEASURE_NORM * kappa(w) * coth_half_beta(w, beta) * quad.damping(w)
-
-    return measure
-
-
-def spectrum_weights(spectrum: SqueezeSpectrum, mass_i: float) -> Callable:
-    """w -> (cosh 2eta, sinh 2eta e^{i theta}) of ``spectrum`` read at kappa;
-    a float w gives a (float, complex) pair, an array a pair of arrays."""
-    kappa = _kappa(mass_i)
-
-    def weights(w):
-        k = kappa(w)
-        eta = spectrum.eta_at(k)
-        cosh = np.cosh(2.0 * eta)
-        sinh = np.sinh(2.0 * eta) * np.exp(1j * spectrum.theta_at(k))
-        return (float(cosh), complex(sinh)) if isinstance(w, float) else (cosh, sinh)
-
-    return weights
 
 
 def bath_mix(bath: BathSpec, quad: QuadratureConfig) -> tuple:

@@ -109,6 +109,7 @@ _SWEEP_PATHS = tuple(
 _SPACINGS = ("linear", "log")
 
 _FLOAT_FMT = "{:.16e}"  # 17 significant digits
+_ETA_MAX = 0.5 * math.acosh(sys.float_info.max)  # cosh 2eta overflows above it
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +269,11 @@ def parse_config(data: dict) -> RunConfig:
     theta = _as_float(bath.get("theta", 0.0), "bath.theta")
     if not beta > 0:
         raise ConfigurationError(f"bath.beta must be > 0 (inf for T = 0), got {beta}")
-    if not eta >= 0:
-        raise ConfigurationError(f"bath.eta must be >= 0, got {eta}")
+    if not 0.0 <= eta <= _ETA_MAX:
+        raise ConfigurationError(
+            f"bath.eta must be in [0, {_ETA_MAX:.6g}], where cosh 2eta is a "
+            f"finite float, got {eta}"
+        )
     if scenario != "constant_squeeze" and eta != 0.0:
         raise ConfigurationError(
             f"bath.eta is only meaningful for constant_squeeze (scenario {scenario})"

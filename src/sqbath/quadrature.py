@@ -19,7 +19,8 @@ Chebyshev moments on its subintervals, so integrands oscillating over
 live only in :class:`QuadratureConfig`, which every wrapper takes; a
 fixed kernel and config always reproduce the same value bit for bit.
 QUADPACK calls a kernel with one Python float per node; the per-node
-factors the kernels of a run share are kept by :mod:`oscillator_dynamics`.
+factors the kernels of a run share are computed in ``math`` arithmetic
+and kept by :mod:`oscillator_dynamics`.
 
 QUADPACK is scipy's compiled ``scipy.integrate._quadpack``, loaded from
 its file by :func:`load_scipy_file` and called with the arguments
@@ -37,7 +38,9 @@ fails the tests that compare :func:`plain_quad` and
 numpy-only quadrature engine (ROADMAP Direction B) would remove this
 load altogether.
 
-The module also carries the thermal factors.
+The module also carries the thermal factors coth(b w/2) and
+w coth(b w/2) on arrays, for the frequency grid of
+:func:`energy_fdr.fdr_oscillator`.
 """
 
 from __future__ import annotations
@@ -111,19 +114,6 @@ class QuadratureConfig:
                 "exponential regulator in QuadratureConfig"
             )
 
-    def damping(self, omega):
-        """Regulator factor e^{-epsilon w} (1 when epsilon = 0).
-
-        A float w gives a scalar, an array an array.
-        """
-        scalar = isinstance(omega, float)
-        if not scalar:
-            omega = np.asarray(omega, dtype=float)
-        if self.epsilon == 0.0:
-            return 1.0 if scalar else np.ones_like(omega)
-        out = np.exp(-self.epsilon * omega)
-        return float(out) if scalar else out
-
     def upper(self) -> float:
         """Effective upper integration limit (inf without a regulator).
 
@@ -144,53 +134,31 @@ class QuadratureConfig:
 
 _COTH_PATCH = 1e-3  # switch to the series below beta*w = 1e-3
 
-# The thermal factors are called once per quadrature node with a Python
-# float.  A float argument takes float arithmetic and numpy ufuncs on
-# scalars (np.tanh, not math.tanh, whose last bit differs on some hosts),
-# so it returns bit for bit what a 0-d array would, without the array
-# round trip, and as a Python float, whose arithmetic with the complex
-# response factors is much cheaper than a numpy scalar's.
-
 
 def coth_half_beta(omega, beta: float):
-    """coth(beta w / 2); the zero-temperature limit beta = inf gives sgn(w)
-    (1 at w = 0)."""
-    scalar = isinstance(omega, float)
-    if not scalar:
-        omega = np.asarray(omega, dtype=float)
+    """coth(beta w / 2) on an array; the zero-temperature limit beta = inf
+    gives sgn(w) (1 at w = 0)."""
+    omega = np.asarray(omega, dtype=float)
     if math.isinf(beta):
-        if scalar:
-            return -1.0 if omega < 0.0 else 1.0
         return np.where(omega < 0.0, -1.0, 1.0)
-    out = 1.0 / np.tanh(0.5 * beta * omega)
-    return float(out) if scalar else out
+    return 1.0 / np.tanh(0.5 * beta * omega)
 
 
 def omega_coth_half_beta(omega, beta: float):
-    """w * coth(beta w / 2), finite at w = 0.
+    """w * coth(beta w / 2) on an array, finite at w = 0.
 
     For beta*w below 1e-3 the product is evaluated from the Laurent
     expansion w coth(beta w/2) = (2/beta)(1 + u^2/3 - u^4/45 + ...) with
     u = beta w / 2, which avoids the 0/0 of the direct form.
     """
-    scalar = isinstance(omega, float)
-    if not scalar:
-        omega = np.asarray(omega, dtype=float)
+    omega = np.asarray(omega, dtype=float)
     if math.isinf(beta):
-        return float(omega) if scalar else omega.copy()
+        return omega.copy()
     u = 0.5 * beta * omega
-    if scalar:
-        if abs(u) < 0.5 * _COTH_PATCH:
-            return float(_coth_series(u, beta))
-        return float(omega / np.tanh(u))
     small = np.abs(u) < 0.5 * _COTH_PATCH
     safe = np.where(small, 1.0, u)
-    return np.where(small, _coth_series(u, beta), omega / np.tanh(safe))
-
-
-def _coth_series(u, beta: float):
-    """(2/beta)(1 + u^2/3 - u^4/45), w coth(beta w/2) near w = 0."""
-    return (2.0 / beta) * (1.0 + u * u / 3.0 - np.power(u, 4) / 45.0)
+    series = (2.0 / beta) * (1.0 + u * u / 3.0 - np.power(u, 4) / 45.0)
+    return np.where(small, series, omega / np.tanh(safe))
 
 
 # ---------------------------------------------------------------------------

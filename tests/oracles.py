@@ -3,8 +3,10 @@
 ``sqbath run`` and ``sqbath sweep`` never call these; they hold the
 closed forms the package is checked against: the response functions of
 the detector, the (Xi, eta, theta) forward map and the effective
-temperature, the Bessel J1, the oscillating power remnants J_n(t) and
-the two sides of the bath-level fluctuation-dissipation relation.
+temperature, the Bessel J1, the oscillating power remnants J_n(t),
+the two sides of the bath-level fluctuation-dissipation relation, and
+the bath measure and squeeze-spectrum weights on arrays, which the base
+rows of the node tables compute one float at a time.
 """
 
 import cmath
@@ -13,7 +15,7 @@ import math
 import numpy as np
 from scipy import special
 
-from sqbath.bath_kernels import BathSpec
+from sqbath.bath_kernels import _MEASURE_NORM, BathSpec
 from sqbath.errors import DomainError, InvalidStateError, SqbathError
 from sqbath.gaussian_state import CovarianceState
 from sqbath.oscillator_dynamics import _fundamental, _Response
@@ -309,3 +311,45 @@ def bath_fdr(omega: float, bath: BathSpec) -> tuple[float, float]:
     coth_signed = sgn * float(coth_half_beta(omega, bath.beta))
     rhs = coth_signed * ch2 * im_gr0
     return lhs, rhs
+
+
+def _kappa(mass_i: float):
+    """w -> kappa = sqrt(w^2 - m_i^2) on an array, 0 below the threshold
+    (w itself for a massless bath)."""
+
+    def kappa(w):
+        w = np.asarray(w, dtype=float)
+        if mass_i == 0.0:
+            return w
+        return np.sqrt(np.maximum(w * w - mass_i * mass_i, 0.0))
+
+    return kappa
+
+
+def bath_measure(beta: float, mass_i: float, quad: QuadratureConfig):
+    """w -> (1/8 pi^2) kappa coth(b w/2) e^{-epsilon w} on an array, the
+    bath measure per dw under the regulator of ``quad``: the array oracle
+    of the measure in a base row of the node tables."""
+    kappa = _kappa(mass_i)
+
+    def measure(w):
+        w = np.asarray(w, dtype=float)
+        damping = np.exp(-quad.epsilon * w)
+        if mass_i == 0.0:
+            return _MEASURE_NORM * omega_coth_half_beta(w, beta) * damping
+        return _MEASURE_NORM * kappa(w) * coth_half_beta(w, beta) * damping
+
+    return measure
+
+
+def spectrum_weights(spectrum, mass_i: float):
+    """w -> (cosh 2eta, sinh 2eta e^{i theta}) of ``spectrum`` read at kappa,
+    on an array: the array oracle of a spectrum's weights in a base row."""
+    kappa = _kappa(mass_i)
+
+    def weights(w):
+        k = kappa(w)
+        eta = spectrum.eta_at(k)
+        return np.cosh(2.0 * eta), np.sinh(2.0 * eta) * np.exp(1j * spectrum.theta_at(k))
+
+    return weights

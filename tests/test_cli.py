@@ -152,6 +152,8 @@ REFUSED_KEYS = {
     "outputs-empty": ("outputs", {"outputs": []}),
     # two CSVs of headers only
     "ns-thetas-empty": ("ns_thetas", {"ns_thetas": [], "outputs": ["ns_split"]}),
+    # cosh 2eta overflowed: an uncaught OverflowError, exit 1
+    "eta-overflow": ("bath.eta", {"bath": {"beta": 0.3, "eta": 400.0}}),
 }
 INVALID_VALUES.update({f"{key}-repeated": case for key, case in REPEATED_VALUES.items()})
 INVALID_VALUES.update({f"unread-{key}": case for key, case in UNREAD_SECTIONS.items()})
@@ -749,8 +751,10 @@ class TestSweep:
             ("time_grid.start", [5.0, -1.0], "time_grid.start must be >= 0"),
             ("bath.theta", [0.0, math.inf], "bath.theta: expected a finite number"),
             ("oscillator.gamma", [0.1, 0.0], "oscillator.gamma must be > 0"),
+            ("bath.eta", [1.0, 400.0], "bath.eta must be in [0, 355.238]"),
         ],
-        ids=["negative-beta", "overdamped", "negative-time", "theta-inf", "gamma-zero"],
+        ids=["negative-beta", "overdamped", "negative-time", "theta-inf", "gamma-zero",
+             "eta-overflow"],
     )
     def test_rejected_value_exit_code(self, tmp_path, capsys, path, values, cause):
         # every point is parsed before any runs: nothing is written

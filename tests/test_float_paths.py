@@ -1,12 +1,16 @@
-"""The per-node callbacks give the same bits on a float as on an array.
+"""The per-node callbacks agree with their array forms.
 
-QUADPACK calls the bath measure and weights with one Python float per
-node, so these functions take a float path that avoids numpy array round
-trips.  Each float result must equal the array result exactly (``==``),
-or the shipped outputs would move with the path taken.  The mass profile
-of the mode ODE is called on arrays only, and a time must give the same
-bits in a batch of any size.  A constant-weight kernel computes on float
-pairs and must give the bits of the complex product it writes out.
+QUADPACK calls the kernels with one Python float per node.  The squeeze
+spectrum's float lookup must equal its array lookup exactly (``==``).
+The base row of the node tables, the bath measure and a spectrum's
+weights, is computed in ``math``/``cmath`` arithmetic, whose tanh, cosh
+and sinh may differ from numpy's in the last bit: each stored row must
+agree with the array oracles of ``tests/oracles.py`` within 4 ulp
+relative, and must not raise where numpy gives a finite value.  The
+thermal factors and the mass profile of the mode ODE are called on
+arrays only, and an argument must give the same bits in a batch of any
+size.  A constant-weight kernel computes on float pairs and must give
+the bits of the complex product it writes out.
 """
 
 import math
@@ -15,14 +19,9 @@ import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
 
+from oracles import bath_measure, spectrum_weights
 from sqbath import BathSpec, MassProfile, QuadratureConfig, SqueezeParam
-from sqbath.bath_kernels import (
-    SqueezeSpectrum,
-    _Pchip,
-    bath_measure,
-    bath_mix,
-    spectrum_weights,
-)
+from sqbath.bath_kernels import SqueezeSpectrum, _Pchip, bath_mix
 from sqbath.oscillator_dynamics import (
     _kernel,
     _node_factors,
@@ -32,16 +31,34 @@ from sqbath.parametric_mode import ProfileShape
 from sqbath.quadrature import coth_half_beta, omega_coth_half_beta
 
 
+def assert_0d_equals_1d(fn, points):
+    """fn on a 0-d array equals fn on a 1-d array, element by element."""
+    points = [float(x) for x in points]
+    for x, from_vector in zip(points, fn(np.array(points))):
+        from_0d = fn(np.asarray(x))
+        assert from_0d == from_vector, (x, from_0d, from_vector)
+
+
 def assert_paths_equal(fn, points):
     """fn(float) is a scalar equal to fn on a 0-d array and on a 1-d array."""
-    points = [float(x) for x in points]
-    vector = fn(np.array(points))
-    for x, from_vector in zip(points, vector):
-        value = fn(x)
+    assert_0d_equals_1d(fn, points)
+    for x in points:
+        value = fn(float(x))
         assert not isinstance(value, np.ndarray), x
-        from_0d = fn(np.asarray(x))
-        assert value == from_0d, (x, value, from_0d)
-        assert value == from_vector, (x, value, from_vector)
+        assert value == fn(np.asarray(float(x))), (x, value)
+
+
+ROW_ULPS = 4  # math's tanh, exp, cosh, sinh against numpy's, in units of eps
+
+
+def assert_row_close(values, oracle):
+    """Row values within ROW_ULPS eps of the array oracle, relative to
+    each oracle value (an exact 0 must be 0)."""
+    values, oracle = np.array(values), np.asarray(oracle)
+    error = np.abs(values - oracle)
+    bound = ROW_ULPS * np.finfo(float).eps * np.abs(oracle)
+    worst = int(np.argmax(error - bound))
+    assert np.all(error <= bound), (worst, values[worst], oracle[worst])
 
 
 BETAS = (0.3, 1.0, 10.0, math.inf)
@@ -55,7 +72,7 @@ def test_omega_coth_half_beta(beta):
     patch = 1e-3 / beta if math.isfinite(beta) else 1e-3
     points = [0.0, 1e-9, -1e-9, 0.3 * patch, -0.3 * patch, 0.999 * patch,
               1.001 * patch, 0.7, -0.7, 42.0, 999.9, *SPREAD, *-SPREAD]
-    assert_paths_equal(lambda w: omega_coth_half_beta(w, beta), points)
+    assert_0d_equals_1d(lambda w: omega_coth_half_beta(w, beta), points)
     if math.isfinite(beta):
         assert omega_coth_half_beta(0.0, beta) == 2.0 / beta
     else:
@@ -67,16 +84,10 @@ def test_coth_half_beta(beta):
     points = [1e-6, -1e-6, 0.7, -0.7, 42.0, -42.0, *SPREAD, *-SPREAD]
     if math.isinf(beta):
         points.append(0.0)
-    assert_paths_equal(lambda w: coth_half_beta(w, beta), points)
+    assert_0d_equals_1d(lambda w: coth_half_beta(w, beta), points)
     if math.isinf(beta):
         assert coth_half_beta(-0.7, beta) == -1.0
         assert coth_half_beta(0.0, beta) == 1.0
-
-
-@pytest.mark.parametrize("epsilon", [0.0, 1e-3])
-def test_damping(epsilon):
-    quad = QuadratureConfig(cutoff=1000.0, epsilon=epsilon)
-    assert_paths_equal(quad.damping, [0.0, 0.5, 137.0, 4.5e4, *SPREAD])
 
 
 @pytest.fixture(scope="module")
@@ -191,28 +202,50 @@ def test_bath_mix(bath, quad, spectrum, cold_memo):
     spectral = isinstance(bath.squeeze, SqueezeSpectrum)
     assert (bath_mix(bath, quad) == (None, None)) is spectral
     tables = _node_factors(bath, quad, None)
+    assert len(tables) == (3 if spectral else 1)
     lower = bath.mass_i
     points = [lower, lower + 1e-7, lower + 0.01, 0.7, 3.3, 49.0, *(lower + SPREAD)]
     points = [float(x) for x in points]
-    measure = bath_measure(bath.beta, bath.mass_i, quad)
-    assert_paths_equal(measure, points)
-    # the base set holds the float path's values, on the first and on a
-    # repeated lookup: a float in a squeeze spectrum's set, the pair
-    # (value, 0.0) in the set of a bath with constant weights
-    values = [measure(x) for x in points]
-    for _ in range(2):
-        assert [tables[0][x] for x in points] == (
-            values if spectral else [(value, 0.0) for value in values]
-        )
-    assert len(tables) == (3 if spectral else 1)
+    oracles = [bath_measure(bath.beta, bath.mass_i, quad)(points)]
     if spectral:
-        weights = spectrum_weights(bath.squeeze, bath.mass_i)
-        assert_paths_equal(lambda w: weights(w)[0], points)
-        assert_paths_equal(lambda w: weights(w)[1], points)
-        for _ in range(2):
-            assert [(tables[1][x], tables[2][x]) for x in points] == [
-                weights(x) for x in points
-            ]
+        oracles += spectrum_weights(bath.squeeze, bath.mass_i)(points)
+    # the base set holds one evaluation of the row, read back on a
+    # repeated lookup: Python floats and a complex in a squeeze spectrum's
+    # set, the pair (measure, 0.0) in the set of a bath with constant weights
+    first = [[table[x] for x in points] for table in tables]
+    assert [[table[x] for x in points] for table in tables] == first
+    if not spectral:
+        assert {im for _, im in first[0]} == {0.0}
+        first = [[re for re, _ in first[0]]]
+    for values, oracle, kind in zip(first, oracles, (float, float, complex)):
+        assert {type(value) for value in values} == {kind}
+        assert_row_close(values, oracle)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 1e-2])
+@pytest.mark.parametrize("beta", [0.3, math.inf])
+@pytest.mark.parametrize("mass_i", [0.0, 0.2])
+def test_base_row_edge_points(mass_i, beta, epsilon, spectrum, cold_memo):
+    # the threshold, w = 0, both sides of the series patch at b w = 1e-3
+    # and far nodes: where numpy gives a finite value the row gives it
+    # within ROW_ULPS, without a ZeroDivisionError or an OverflowError
+    bath = BathSpec(beta=beta, squeeze=spectrum, mass_i=mass_i, mass_f=0.5)
+    quad = QuadratureConfig(cutoff=1e4, epsilon=epsilon)
+    patch = 1e-3 / beta if math.isfinite(beta) else 1e-3
+    points = [0.0, mass_i, float(np.nextafter(mass_i, 1.0)), 0.999 * patch, patch,
+              1.001 * patch, mass_i + patch, 1.0, 1e3, 1e4, 1e6]
+    with np.errstate(all="ignore"):
+        oracles = [bath_measure(beta, mass_i, quad)(points),
+                   *spectrum_weights(spectrum, mass_i)(points)]
+    tables = _node_factors(bath, quad, None)
+    for table, oracle in zip(tables, oracles):
+        values = np.array([table[x] for x in points])
+        finite = np.isfinite(oracle)
+        assert_row_close(values[finite], oracle[finite])
+        assert np.all(np.isfinite(values))
+    # numpy's massive measure at w = 0 is 0 * coth(0), nan at finite
+    # beta; the row's is 0, as everywhere below the threshold
+    assert tables[0][0.0] == (0.0 if mass_i or math.isinf(beta) else oracles[0][0])
 
 
 # (c0, c1, c2) as the response expander builds them, floats and complex

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from oracles import d2_fourier, f_aux, fundamental_solutions
-import sqbath.bath_kernels
 import sqbath.oscillator_dynamics
 from sqbath.bath_kernels import BathSpec, SqueezeSpectrum
 from sqbath.cli import parse_config, run_sweep
@@ -426,6 +425,25 @@ def record_nodes(monkeypatch):
     return nodes
 
 
+def count_base_rows(monkeypatch):
+    """Count the evaluations of every bath's base row (the measure and a
+    spectrum's weights at one node); returns a one-element list."""
+    calls = [0]
+    original = sqbath.oscillator_dynamics._base_row
+
+    def counted_base_row(bath, quad):
+        row = original(bath, quad)
+
+        def counted(w):
+            calls[0] += 1
+            return row(w)
+
+        return counted
+
+    monkeypatch.setattr(sqbath.oscillator_dynamics, "_base_row", counted_base_row)
+    return calls
+
+
 def count_calls(monkeypatch, owner, name):
     """Count the calls of ``owner.name``; returns a one-element list."""
     calls = [0]
@@ -495,7 +513,7 @@ class TestNodeMemo:
     def test_gamma_sweep_shares_one_measure(self, cold_memo, monkeypatch):
         # each gamma has its own response set, all read one base set
         nodes = record_nodes(monkeypatch)
-        evals = count_calls(monkeypatch, sqbath.bath_kernels, "omega_coth_half_beta")
+        evals = count_base_rows(monkeypatch)
         bath = BathSpec(beta=0.3)
         for gamma in (0.3, 0.1, 0.03):
             spec = OscillatorSpec.from_resonance(1.0, 1.0, gamma)
@@ -558,11 +576,11 @@ class TestNodeMemo:
     def test_each_node_is_evaluated_once(
         self, spec, which, bath_squeezed, bath_parametric, cold_memo, monkeypatch
     ):
-        # hardware-independent: counts the underlying evaluations of the
-        # measure (constant squeeze) or of the squeeze spectrum (parametric)
+        # hardware-independent: counts the evaluations of the base row
+        # (constant squeeze) or of the squeeze spectrum (parametric)
         nodes = record_nodes(monkeypatch)
         if which == "constant":
-            evals = count_calls(monkeypatch, sqbath.bath_kernels, "omega_coth_half_beta")
+            evals = count_base_rows(monkeypatch)
             for t in (10.0, 20.0, 30.0):
                 covariance_evolution(spec, bath_squeezed, GROUND, t, MEMO_QUAD)
         else:

@@ -1,6 +1,6 @@
 """Compare the outputs of two source trees of sqbath, file by file.
 
-    python tools/compare_outputs.py PARENT_SRC CHANGE_SRC [--workload-seeds N]
+    python tools/compare_outputs.py PARENT_SRC CHANGE_SRC [--workload-seeds N] [--max-rel R]
 
 PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.
 The script runs ``configs/*.yaml`` of this checkout (``sqbath run``,
@@ -13,7 +13,7 @@ ramp at zero temperature, and the smoothstep ramp swept over two gamma,
 over two ``mass_f`` and over two beta with ``sqbath sweep``) that reach
 the paths no other run does: the cusp-head split above a mass
 threshold, the massive kappa, ``chi_hadamard`` on a squeeze-spectrum
-bath, the beta = inf branch of ``coth_half_beta``, several responses
+bath, the beta = inf branch of the massive measure, several responses
 reading one spectrum bath, one spectrum per sweep point of a changing
 ramp and one spectrum shared by baths of different beta.  Two more
 generated configs must fail: a k grid that stops at 1 (refused, exit 2)
@@ -31,6 +31,15 @@ not compared.
 
 Exit status: 0 if every file and value is identical, 1 if any differs,
 2 if a run fails in either tree (or one that must fail succeeds in both).
+With ``--max-rel R`` a difference is tolerated, and the exit status is 0,
+when every differing CSV column is within R times that column's largest
+|value| in the PARENT_SRC run, every differing manifest number is within
+R times the larger of 1 and its PARENT_SRC value, and a product's
+``sha256`` differs only where its CSV differs; a differing string, count
+or flag still fails.  The manifest's computed numbers are ratios already
+scaled by their product's columns (``balance_residual`` is
+|P_xi + P_gamma| / |P_gamma|), so a change of R in the columns moves
+them by about R, not by R of their own, often tiny, value.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ import copy
 import csv
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -150,21 +160,36 @@ def _read_csv(path: Path):
     return header, [[float(v) for v in row] for row in rows]
 
 
-def compare_csv(parent: Path, change: Path) -> tuple[bool, str]:
-    """(identical, one-line verdict) for two CSV files."""
+def _gap(x: float, y: float) -> float:
+    """|x - y|: 0 for equal values and for two nans, inf for one nan."""
+    if x == y or (x != x and y != y):
+        return 0.0
+    gap = abs(x - y)
+    return gap if gap == gap else math.inf
+
+
+def _relative(gap: float, scale: float) -> float:
+    """gap over scale (gap itself at scale 0), inf where that is nan."""
+    rel = gap / scale if gap and scale else gap
+    return rel if rel == rel else math.inf
+
+
+def compare_csv(parent: Path, change: Path) -> tuple[float | None, str]:
+    """(largest relative difference, one-line verdict) for two CSV files:
+    None for byte-identical files, inf for a differing header or shape."""
     if parent.read_bytes() == change.read_bytes():
-        return True, "byte-identical"
+        return None, "byte-identical"
     head_a, rows_a = _read_csv(parent)
     head_b, rows_b = _read_csv(change)
     if head_a != head_b or [len(r) for r in rows_a] != [len(r) for r in rows_b]:
-        return False, f"DIFFERS in header or shape ({len(rows_a)} vs {len(rows_b)} rows)"
+        return math.inf, f"DIFFERS in header or shape ({len(rows_a)} vs {len(rows_b)} rows)"
     ratios = []
     for j, name in enumerate(head_a):
-        scale = max((abs(row[j]) for row in rows_a), default=0.0)
-        delta = max((abs(a[j] - b[j]) for a, b in zip(rows_a, rows_b)), default=0.0)
-        ratios.append((delta / scale if scale else delta, name))
+        scale = max((abs(row[j]) for row in rows_a if row[j] == row[j]), default=0.0)
+        delta = max((_gap(a[j], b[j]) for a, b in zip(rows_a, rows_b)), default=0.0)
+        ratios.append((_relative(delta, scale), name))
     worst, where = max(ratios)
-    return False, f"DIFFERS: max |d|/max|value| = {worst:.3e} (column {where})"
+    return worst, f"DIFFERS: max |d|/max|value| = {worst:.3e} (column {where})"
 
 
 def _flatten(value, prefix=""):
@@ -179,23 +204,32 @@ def _flatten(value, prefix=""):
         yield prefix, value
 
 
-def compare_manifest(parent: Path, change: Path) -> tuple[bool, list[str]]:
-    """(identical, report lines) for two run manifests."""
+def compare_manifest(
+    parent: Path, change: Path, changed_csvs: set[str]
+) -> tuple[float | None, list[str]]:
+    """(largest relative difference, report lines) for two run manifests:
+    None if every value is identical, inf if a value differs that no
+    tolerance covers.  A product's ``sha256`` counts as 0 where its file
+    is in ``changed_csvs``, the CSVs that differ, which are judged on
+    their own."""
     a = dict(_flatten(json.loads(parent.read_text())))
     b = dict(_flatten(json.loads(change.read_text())))
-    lines, same = [], 0
+    lines, same, worst = [], 0, None
     for key in sorted(a.keys() | b.keys()):
         va, vb = a.get(key, "<missing>"), b.get(key, "<missing>")
         if json.dumps(va) == json.dumps(vb):
             same += 1
             continue
         if isinstance(va, float) and isinstance(vb, float):
-            rel = abs(va - vb) / abs(va) if va else abs(vb)
-            lines.append(f"    DIFFERS {key}: {va!r} -> {vb!r} (|d|/|value| = {rel:.3e})")
+            rel = _relative(_gap(va, vb), max(abs(va), 1.0))
+            lines.append(f"    DIFFERS {key}: {va!r} -> {vb!r} (|d|/max(1, |value|) = {rel:.3e})")
         else:
+            own_file = a.get(key.removesuffix("sha256") + "file")
+            rel = 0.0 if key.endswith("/sha256") and own_file in changed_csvs else math.inf
             lines.append(f"    DIFFERS {key}: {va!r} -> {vb!r}")
+        worst = rel if worst is None else max(worst, rel)
     header = f"  run_manifest.json: {same} values identical, {len(lines)} differ"
-    return not lines, [header, *lines]
+    return worst, [header, *lines]
 
 
 def leftovers(code: int, out: Path) -> str:
@@ -204,24 +238,31 @@ def leftovers(code: int, out: Path) -> str:
     return f"exit {code}, {left}"
 
 
-def compare_dirs(parent: Path, change: Path) -> tuple[bool, list[str]]:
-    """(identical, report lines) for the output directories of one run."""
-    ok, lines = True, []
+def compare_dirs(parent: Path, change: Path) -> tuple[float | None, list[str]]:
+    """(largest relative difference, report lines) for the output
+    directories of one run: None if identical, inf if a difference has no
+    relative size (a missing file, a string)."""
+    found, lines, changed_csvs, manifest = [], [], set(), None
     files = sorted({p.name for p in parent.iterdir()} | {p.name for p in change.iterdir()})
     for name in files:
         a, b = parent / name, change / name
         if not (a.exists() and b.exists()):
-            ok = False
+            found.append(math.inf)
             lines.append(f"  {name}: only in {'PARENT' if a.exists() else 'CHANGE'}")
         elif name.endswith(".csv"):
-            same, verdict = compare_csv(a, b)
-            ok &= same
+            rel, verdict = compare_csv(a, b)
+            found.append(rel)
+            if rel is not None:
+                changed_csvs.add(name)
             lines.append(f"  {name}: {verdict}")
         elif name == "run_manifest.json":
-            same, report = compare_manifest(a, b)
-            ok &= same
-            lines += report
-    return ok, lines
+            manifest = a, b
+    if manifest is not None:
+        rel, report = compare_manifest(*manifest, changed_csvs)
+        found.append(rel)
+        lines += report
+    differing = [rel for rel in found if rel is not None]
+    return (max(differing) if differing else None), lines
 
 
 def main(argv=None) -> int:
@@ -234,6 +275,13 @@ def main(argv=None) -> int:
         default=0,
         metavar="N",
         help="also compare seeds 0..N-1 of every perfbench workload",
+    )
+    parser.add_argument(
+        "--max-rel",
+        type=float,
+        metavar="R",
+        help="tolerate differences up to R times the parent's column maximum "
+        "(CSV) or value (manifest); without it every file must be identical",
     )
     args = parser.parse_args(argv)
     status = 0
@@ -268,10 +316,15 @@ def main(argv=None) -> int:
             if failed:
                 status = 2
                 continue
-            same, lines = compare_dirs(*outs)
-            print(f"{label}: {'identical' if same else 'DIFFERS'}")
+            worst, lines = compare_dirs(*outs)
+            tolerated = worst is None or (args.max_rel is not None and worst <= args.max_rel)
+            if worst is None:
+                print(f"{label}: identical")
+            else:
+                within = "within" if tolerated else "NOT within"
+                print(f"{label}: DIFFERS, largest {worst:.3e}, {within} --max-rel")
             print("\n".join(lines))
-            if not same:
+            if not tolerated:
                 status = max(status, 1)
     return status
 
