@@ -6,12 +6,13 @@ measure (dw/2pi)(kappa/4pi) coth(b w/2) with its regulator and the
 stationary and nonstationary squeeze weights cosh 2eta and sinh 2eta
 e^{i theta}: constants (:func:`bath_mix`) or read from a squeeze
 spectrum (:meth:`SqueezeSpectrum.eta_at`, :meth:`SqueezeSpectrum.theta_at`).
-The integrals of a run compute these per node in ``math`` arithmetic,
-with the norm ``_MEASURE_NORM`` defined here
-(:func:`oscillator_dynamics._base_row`), and keep them in the tables of
-:func:`oscillator_dynamics._node_factors`; their array forms are oracles
-in ``tests/oracles.py``.  The stationary weight
-cosh 2eta_kappa, which both FDRs carry, is :meth:`BathSpec.cosh2eta_at`.
+The measure, its norm ``_MEASURE_NORM`` and its series patch
+``_COTH_PATCH`` are defined here once: :func:`_base_row` computes the
+measure and a spectrum's weights at one node in ``math`` arithmetic,
+the node tables of :func:`oscillator_dynamics._node_factors` keep its
+rows, and the oscillator FDR (:func:`energy_fdr.fdr_oscillator`) reads
+its rows on the frequency grid.  Their array forms, and the array
+lookup of a spectrum, are oracles in ``tests/oracles.py``.
 The bath's own two-point function, the coincident-point Hadamard kernel,
 is the plane-wave bilinear form of the response expander and lives with
 it in :mod:`oscillator_dynamics`
@@ -44,38 +45,24 @@ __all__ = [
 ]
 
 
-class _Pchip:
-    """Monotone cubic (PCHIP) through (x, y), held at the ends of the grid.
+def _pchip_pieces(x, y) -> list:
+    """The pieces (c0, c1, c2, c3) of the monotone cubic (PCHIP) through
+    (x, y), one per interval, as Python floats.
 
-    The coefficients are scipy's :class:`~scipy.interpolate.PchipInterpolator`
-    computed with the same numpy operations (:func:`_pchip_slopes`, then
-    the cubic Hermite pieces), so they are scipy's bit for bit without
-    importing ``scipy.interpolate``.  The pieces are summed in the order of
-    scipy's own evaluation, c3 + c2 s + c1 s^2 + c0 s^3 with the powers of
-    s built by repeated multiplication, so the values are scipy's too.  A
-    call takes an array, looked up with :func:`numpy.searchsorted`; the
-    float lookup of a quadrature node, the same sum on Python floats, is
-    written out in :meth:`SqueezeSpectrum.eta_at` and
-    :meth:`SqueezeSpectrum.theta_at`.
+    They are scipy's :class:`~scipy.interpolate.PchipInterpolator`
+    coefficients, computed with the same numpy operations
+    (:func:`_pchip_slopes`, then the cubic Hermite pieces), so they are
+    scipy's bit for bit without importing ``scipy.interpolate``.
+    :meth:`SqueezeSpectrum.eta_at` and :meth:`SqueezeSpectrum.theta_at`
+    sum a piece in the order of scipy's own evaluation, c3 + c2 s + c1 s^2
+    + c0 s^3 with the powers of s built by repeated multiplication, so
+    the values are scipy's too.
     """
-
-    def __init__(self, x, y):
-        self.x = x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        h = np.diff(x)
-        slope = np.diff(y) / h
-        d = _pchip_slopes(h, slope, y)
-        t = (d[:-1] + d[1:] - 2 * slope) / h
-        self.c = np.stack((t / h, (slope - d[:-1]) / h - t, d[:-1], y[:-1]))
-
-    def __call__(self, k):
-        x = self.x
-        k = np.clip(k, x[0], x[-1])
-        i = np.minimum(np.searchsorted(x, k, side="right"), x.size - 1) - 1
-        s = k - x[i]
-        c0, c1, c2, c3 = self.c[:, i]
-        z = s * s
-        return 0.0 + c3 + c2 * s + c1 * z + c0 * (z * s)
+    h = np.diff(x)
+    slope = np.diff(y) / h
+    d = _pchip_slopes(h, slope, y)
+    t = (d[:-1] + d[1:] - 2 * slope) / h
+    return np.stack((t / h, (slope - d[:-1]) / h - t, d[:-1], y[:-1])).T.tolist()
 
 
 def _pchip_slopes(h, m, y):
@@ -116,10 +103,8 @@ class SqueezeSpectrum:
     grid point the squeeze magnitude extrapolates to zero (high modes are
     barely excited by a finite-energy process), below the first point it
     is held at the first sample.  The angle is interpolated after phase
-    unwrapping.  A float k returns a float, an array an array: an array
-    goes through :class:`_Pchip`, and a float, as a quadrature node
-    passes it, is looked up in ``eta_at``/``theta_at`` themselves (one
-    bisect on Python floats, the same piece and sum as the array path).
+    unwrapping.  ``eta_at``/``theta_at`` take the float k of a node and
+    look it up with one bisect on Python floats.
     Spectra are keyed by identity: :func:`cli.squeeze_spectrum` solves a
     ramp once per process, and its products and sweep points share it.
     """
@@ -143,45 +128,36 @@ class SqueezeSpectrum:
         self.k = k
         self.eta = eta
         self.theta = theta
-        self._eta_interp = _Pchip(k, eta)
-        self._theta_interp = _Pchip(k, np.unwrap(theta))
-        # the float lookup's knots and (c0, c1, c2, c3) pieces
+        # the lookup's knots and (c0, c1, c2, c3) pieces
         self._xs = k.tolist()
-        self._eta_pieces = self._eta_interp.c.T.tolist()
-        self._theta_pieces = self._theta_interp.c.T.tolist()
+        self._eta_pieces = _pchip_pieces(k, eta)
+        self._theta_pieces = _pchip_pieces(k, np.unwrap(theta))
 
-    def eta_at(self, k):
-        if isinstance(k, float):
-            # the PCHIP piece on Python floats, as _Pchip sums it: one
-            # bisect over the knots below the last, k held at the first
-            xs = self._xs
-            if k > xs[-1]:
-                return 0.0
-            k = max(k, xs[0])
-            i = bisect_right(xs, k, 0, len(xs) - 1) - 1
-            s = k - xs[i]
-            c0, c1, c2, c3 = self._eta_pieces[i]
-            z = s * s
-            out = 0.0 + c3 + c2 * s + c1 * z + c0 * (z * s)
-            return 0.0 if out < 0.0 else out
-        k = np.asarray(k, dtype=float)
-        out = np.where(k > self.k[-1], 0.0, self._eta_interp(k))
-        return np.maximum(out, 0.0)
+    def eta_at(self, k: float) -> float:
+        # one bisect over the knots below the last, k held at the first,
+        # and the piece summed as scipy sums it
+        xs = self._xs
+        if k > xs[-1]:
+            return 0.0
+        k = max(k, xs[0])
+        i = bisect_right(xs, k, 0, len(xs) - 1) - 1
+        s = k - xs[i]
+        c0, c1, c2, c3 = self._eta_pieces[i]
+        z = s * s
+        out = 0.0 + c3 + c2 * s + c1 * z + c0 * (z * s)
+        return 0.0 if out < 0.0 else out
 
-    def theta_at(self, k):
-        if isinstance(k, float):
-            # as in eta_at, on the unwrapped angle's pieces
-            xs = self._xs
-            if k > xs[-1]:
-                return 0.0
-            k = max(k, xs[0])
-            i = bisect_right(xs, k, 0, len(xs) - 1) - 1
-            s = k - xs[i]
-            c0, c1, c2, c3 = self._theta_pieces[i]
-            z = s * s
-            return 0.0 + c3 + c2 * s + c1 * z + c0 * (z * s)
-        k = np.asarray(k, dtype=float)
-        return np.where(k > self.k[-1], 0.0, self._theta_interp(k))
+    def theta_at(self, k: float) -> float:
+        # as in eta_at, on the unwrapped angle's pieces
+        xs = self._xs
+        if k > xs[-1]:
+            return 0.0
+        k = max(k, xs[0])
+        i = bisect_right(xs, k, 0, len(xs) - 1) - 1
+        s = k - xs[i]
+        c0, c1, c2, c3 = self._theta_pieces[i]
+        z = s * s
+        return 0.0 + c3 + c2 * s + c1 * z + c0 * (z * s)
 
     def check_resolution(self, quad: QuadratureConfig, mass_i: float) -> None:
         """Fail if the grid would truncate significant squeezing.
@@ -238,21 +214,12 @@ class BathSpec:
             raise DomainError("bath carries a squeeze spectrum, not a constant")
         return self.squeeze if self.squeeze is not None else SqueezeParam(0.0, 0.0)
 
-    def cosh2eta_at(self, kappa):
-        """Stationary squeeze weight cosh 2eta at wavenumber kappa.
-
-        The constant cosh 2eta (1 for a thermal bath), or cosh 2eta(kappa)
-        read from the squeeze spectrum.
-        """
-        if isinstance(self.squeeze, SqueezeSpectrum):
-            return np.cosh(2.0 * self.squeeze.eta_at(kappa))
-        return self.constant_squeeze().cosh2eta
-
 
 # ---------------------------------------------------------------------------
 # the bath as seen by every frequency integral
 
 _MEASURE_NORM = 1.0 / (8.0 * math.pi**2)  # (dw/2pi)(w/4pi) -> w dw / 8 pi^2
+_COTH_PATCH = 1e-3  # a massless measure switches to its series below b w = 1e-3
 
 
 def bath_mix(bath: BathSpec, quad: QuadratureConfig) -> tuple:
@@ -270,3 +237,43 @@ def bath_mix(bath: BathSpec, quad: QuadratureConfig) -> tuple:
         )
     sq = bath.constant_squeeze()
     return sq.cosh2eta, sq.sinh2eta * cmath.exp(1j * sq.theta)
+
+
+def _base_row(bath: BathSpec, epsilon: float):
+    """w -> the base row of ``bath`` under the regulator e^{-epsilon w} at
+    one Python float node, in ``math``/``cmath`` alone.
+
+    The row holds the measure (1/8 pi^2) kappa coth(b w/2) e^{-epsilon w},
+    kappa = sqrt(w^2 - m_i^2), and for a squeeze spectrum cosh 2eta and
+    sinh 2eta e^{i theta} read at kappa; a bath with constant weights gets
+    the measure as the pair (x, 0.0).  A massive measure is 0 where kappa
+    is, below the threshold, and its coth is sgn w at b = inf.  A massless
+    measure takes w coth(b w/2) from its series (2/b)(1 + u^2/3 - u^4/45),
+    u = b w/2, below b w = _COTH_PATCH, and is w itself at b = inf.  The
+    array forms are the oracles of ``tests/oracles.py``; the last bit of
+    tanh, exp, cosh and sinh may differ from numpy's."""
+    beta, mass_sq = bath.beta, bath.mass_i * bath.mass_i
+    half_beta, two_over_beta = 0.5 * beta, 2.0 / beta
+    cold, patch = math.isinf(beta), 0.5 * _COTH_PATCH
+    spectrum = bath.squeeze if isinstance(bath.squeeze, SqueezeSpectrum) else None
+
+    def row(w):
+        if mass_sq:
+            kappa = math.sqrt(max(w * w - mass_sq, 0.0))
+            m = _MEASURE_NORM * kappa * (1.0 / math.tanh(half_beta * w)) if kappa else 0.0
+        else:
+            kappa, u = w, half_beta * w
+            if cold:
+                m = _MEASURE_NORM * w
+            elif abs(u) < patch:
+                m = _MEASURE_NORM * (two_over_beta * (1.0 + u * u / 3.0 - u**4 / 45.0))
+            else:
+                m = _MEASURE_NORM * (w / math.tanh(u))
+        if epsilon:
+            m *= math.exp(-epsilon * w)
+        if spectrum is None:
+            return ((m, 0.0),)
+        two_eta = 2.0 * spectrum.eta_at(kappa)
+        return m, math.cosh(two_eta), cmath.rect(math.sinh(two_eta), spectrum.theta_at(kappa))
+
+    return row

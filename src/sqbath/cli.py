@@ -18,7 +18,8 @@ config reproduces them byte for byte.
 
 Run path: ``parse_config`` checks every value and builds the parsed
 objects; ``_product_files`` builds the bath (``_build_bath``) and yields
-the rows of each file, the bath's sampled squeeze spectrum first.
+the rows of each file, the bath's sampled squeeze spectrum first;
+``_computed_files`` refuses a file holding a nan or +-inf.
 ``run`` computes every file; ``run_sweep`` maps ``_sweep_point`` over the
 points, serially or in a process pool, and puts the swept value in front
 of each file's rows, files and failures in the declared value order.
@@ -619,9 +620,11 @@ def _product_files(cfg: RunConfig):
             for t, cov in zip(times, covs):
                 dec = extract_squeeze(cov, spec.m, spec.omega_r)
                 eta, theta = dec.squeeze.eta, dec.squeeze.theta
-                rows.append(
-                    (t, dec.xi, eta, theta, math.sinh(2 * eta) ** 2, math.sin(theta))
-                )
+                try:
+                    sinh_sq = math.sinh(2 * eta) ** 2
+                except OverflowError:  # inf, refused by _computed_files
+                    sinh_sq = math.inf
+                rows.append((t, dec.xi, eta, theta, sinh_sq, math.sin(theta)))
             header = ("t", "xi", "eta", "theta", "sinh_sq_2eta", "sin_theta")
             yield name, f"{name}.csv", header, rows, {}
         elif name == "ns_split":
@@ -637,6 +640,21 @@ def _product_files(cfg: RunConfig):
             meta = {"thetas": list(cfg.ns_thetas)}
             yield name, "ins_vs_t.csv", ("t", "theta", "I_NS"), ins_rows, meta
             yield name, "ist_vs_t.csv", ("t", "theta", "I_ST"), ist_rows, meta
+
+
+def _computed_files(cfg: RunConfig) -> list:
+    """Every file of :func:`_product_files`, computed; a nan or +-inf in
+    any raises ConvergenceError naming its product, column and row."""
+    files = list(_product_files(cfg))
+    for name, _, header, rows, _ in files:
+        for row in rows:
+            for column, value in zip(header, row):
+                if not math.isfinite(value):
+                    raise ConvergenceError(
+                        f"{name}: {column} is {value} at {header[0]} = {row[0]:g}",
+                        diagnostics={"product": name, "column": column, header[0]: row[0]},
+                    )
+    return files
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +704,7 @@ def run(cfg: RunConfig, out_dir) -> dict:
     """Compute every requested file of a config, then write them and the
     manifest into ``out_dir``; a run that fails writes nothing."""
     started = time.perf_counter()
-    return _write_run(out_dir, cfg, started, list(_product_files(cfg)))
+    return _write_run(out_dir, cfg, started, _computed_files(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +727,7 @@ def _sweep_point(cfg: RunConfig):
     """(files, None) for a point that ran, (None, error) for a point that
     failed numerically."""
     try:
-        return list(_product_files(cfg)), None
+        return _computed_files(cfg), None
     except SqbathError as exc:
         return None, exc
 

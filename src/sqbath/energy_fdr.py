@@ -21,9 +21,11 @@ both sides are even in omega and the relation holds on symmetric grids:
     hadamard side     = (2 gamma/m) cosh 2eta_kappa |G|^2 kappa coth(b|w|/2),
     dissipation side  = sgn(w) coth(bw/2) cosh 2eta_kappa Im G(w) / m.
 
-The two sides are equal algebraically, since Im G = 2 gamma kappa |G|^2,
-so their deviation reads round-off for any G; it checks the assembly,
-not the physics.
+Both sides read the bath where the covariances do: the base row of
+:func:`bath_kernels._base_row` at |w| holds (1/8pi^2) kappa coth(b|w|/2)
+and a spectrum's cosh 2eta_kappa.  The two sides are equal
+algebraically, since Im G = 2 gamma kappa |G|^2, so their deviation
+reads round-off for any G; it checks the assembly, not the physics.
 
 The late-time checks share one horizon: a balance or a stationary value
 is read only past LATE_TIME_FACTOR relaxation times.
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath_kernels import BathSpec
+from .bath_kernels import _MEASURE_NORM, BathSpec, SqueezeSpectrum, _base_row
 from .errors import DomainError
 from .oscillator_dynamics import (
     OscillatorSpec,
@@ -46,13 +48,7 @@ from .oscillator_dynamics import (
     effective_response,
 )
 # fourier_quad and plain_quad stay importable here for perfbench/tracing.py
-from .quadrature import (  # noqa: F401
-    QuadratureConfig,
-    coth_half_beta,
-    fourier_quad,
-    omega_coth_half_beta,
-    plain_quad,
-)
+from .quadrature import QuadratureConfig, fourier_quad, plain_quad  # noqa: F401
 
 __all__ = [
     "FdrReport",
@@ -167,10 +163,14 @@ def fdr_oscillator(
         hadamard     = (2 gamma / m) cosh 2eta_kappa |G|^2 kappa coth(b|w|/2)
         dissipation  = coth(b|w|/2) cosh 2eta_kappa Im G / m
 
-    on the positive branch, extended evenly.  Frequencies below the mass
-    threshold |w| < m_i are dropped from the grid; a bath with m_i = 0
-    keeps the whole grid, w = 0 included, where both sides have the
-    finite limit (4 gamma / (b m)) cosh 2eta_0 / w_r^4.
+    on the positive branch, extended evenly, with kappa coth(b|w|/2) and
+    cosh 2eta_kappa read from the base row of the bath at |w| (a bath
+    with constant weights has one cosh 2eta) and coth(b|w|/2) the row's
+    kappa coth over kappa.  Frequencies below the mass threshold
+    |w| < m_i are dropped from the grid; a bath with m_i = 0 keeps the
+    whole grid, w = 0 included, where both sides have the finite limit
+    (4 gamma / (b m)) cosh 2eta_0 / w_r^4 and the dissipation side, whose
+    coth diverges there, takes the hadamard side's value.
 
     Since Im G = 2 gamma kappa |G|^2 the two sides are one number written
     twice, and ``max_rel_deviation`` reads round-off for any G and any
@@ -178,21 +178,20 @@ def fdr_oscillator(
     (``bath_fdr`` in ``tests/oracles.py``) by the test suite.
     """
     omegas = fdr_frequencies(omega_grid, bath.mass_i)
-    beta = bath.beta
     aw = np.abs(omegas)
-    kappa = np.sqrt(aw * aw - bath.mass_i**2)
-    ch2 = bath.cosh2eta_at(kappa)
+    kappa = np.sqrt(aw * aw - bath.mass_i * bath.mass_i)
+    row = _base_row(bath, 0.0)
+    rows = [row(w) for w in aw.tolist()]
+    if isinstance(bath.squeeze, SqueezeSpectrum):
+        measure, ch2 = np.array([r[:2] for r in rows]).T
+    else:
+        measure = np.array([r[0][0] for r in rows])
+        ch2 = bath.constant_squeeze().cosh2eta
+    kappa_coth = measure / _MEASURE_NORM
     g = 1.0 / (spec.omega_r**2 - aw**2 - 2j * spec.gamma * kappa)
-    # kappa coth(b|w|/2) = (kappa/|w|) |w| coth(b|w|/2), finite at w = 0,
-    # where kappa/|w| = 1 (only a massless bath keeps w = 0)
-    kappa_over_w = np.divide(kappa, aw, out=np.ones_like(aw), where=aw > 0)
-    weighted = omega_coth_half_beta(aw, beta) * kappa_over_w
-    hadamard = (2.0 * spec.gamma / spec.m) * ch2 * np.abs(g) ** 2 * weighted
-    # at w = 0 the product coth * Im G has a finite limit equal to the
-    # hadamard side (Im G = 2 gamma kappa |G|^2); patch it there
-    safe = aw > 1e-12 * spec.omega_r
-    coth_abs = coth_half_beta(np.where(safe, aw, 1.0), beta)
-    dissipation = np.where(safe, ch2 * coth_abs * g.imag / spec.m, hadamard)
+    hadamard = (2.0 * spec.gamma / spec.m) * ch2 * np.abs(g) ** 2 * kappa_coth
+    coth = np.divide(kappa_coth, kappa, out=np.zeros_like(kappa), where=kappa > 0.0)
+    dissipation = np.where(kappa > 0.0, ch2 * coth * g.imag / spec.m, hadamard)
 
     scale = np.maximum(np.abs(dissipation), np.abs(hadamard))
     with np.errstate(invalid="ignore", divide="ignore"):

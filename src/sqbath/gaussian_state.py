@@ -144,15 +144,19 @@ def extract_squeeze(
     """
     if m <= 0 or omega_r <= 0:
         raise DomainError("mass and frequency must be positive")
-    det = cov.uncertainty
-    if det < 0.25 - _UNCERTAINTY_TOL:
+    # xx pp - xp^2 of the elements scaled by 2^-e, with 2^e near
+    # sqrt(xx pp), cannot overflow; a power of two changes no bit of Xi
+    e = (math.frexp(cov.xx)[1] + math.frexp(cov.pp)[1]) // 2
+    xx, pp, xp = (math.ldexp(x, -e) for x in (cov.xx, cov.pp, cov.xp))
+    det = xx * pp - xp * xp
+    if det < math.ldexp(0.25 - _UNCERTAINTY_TOL, -2 * e):
         raise InvalidStateError("covariance violates the uncertainty bound")
     u = 2.0 * m * omega_r * cov.xx          # Xi (cosh - sinh cos)
     v = 2.0 * cov.pp / (m * omega_r)        # Xi (cosh + sinh cos)
     w = -2.0 * cov.xp                       # Xi sinh sin
     # the uncertainty bound already guarantees Xi >= 1 - 2e-9; anything
     # below 1 here is determinant-cancellation round-off
-    xi = max(2.0 * math.sqrt(det), 1.0)
+    xi = max(math.ldexp(2.0 * math.sqrt(det), e), 1.0)
     cosh2eta = 0.5 * (u + v) / xi
     sinh_cos = 0.5 * (v - u) / xi
     sinh_sin = w / xi

@@ -23,8 +23,8 @@ the parts the fluctuation-dissipation argument rests on,
 with the bath measure dmu and weights of :mod:`bath_kernels`, read per
 quadrature node from the tables of :func:`_node_factors`: one base set
 per bath holds the measure and a spectrum's weights, computed by
-:func:`_base_row` in ``math``/``cmath`` arithmetic on the node as a
-Python float, and the set of each response reads it.  Under constant
+:func:`bath_kernels._base_row` in ``math``/``cmath`` arithmetic on the
+node as a Python float, and the set of each response reads it.  Under constant
 weights the factors are (re, im) float pairs and the kernels write the
 complex product out in floats.
 One expander multiplies out either product and groups its phases
@@ -56,14 +56,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bath_kernels import _MEASURE_NORM, BathSpec, SqueezeSpectrum, bath_mix
+from .bath_kernels import BathSpec, SqueezeSpectrum, _base_row, bath_mix
 from .errors import (
     ConvergenceError,
     DomainError,
     UnsupportedRegimeError,
 )
 from .gaussian_state import CovarianceState
-from .quadrature import _COTH_PATCH, QuadratureConfig, cusp_head, fourier_quad
+from .quadrature import QuadratureConfig, cusp_head, fourier_quad
 
 __all__ = [
     "KernelValue",
@@ -311,46 +311,6 @@ def _table_set(row, count: int) -> tuple:
     return tables
 
 
-def _base_row(bath: BathSpec, quad: QuadratureConfig):
-    """w -> the base row of ``bath`` under the regulator of ``quad`` at one
-    Python float node, in ``math``/``cmath`` alone.
-
-    The row holds the measure (1/8 pi^2) kappa coth(b w/2) e^{-epsilon w},
-    kappa = sqrt(w^2 - m_i^2), and for a squeeze spectrum cosh 2eta and
-    sinh 2eta e^{i theta} read at kappa; a bath with constant weights gets
-    the measure as the pair (x, 0.0).  A massive measure is 0 where kappa
-    is, below the threshold, and its coth is sgn w at b = inf.  A massless
-    measure takes w coth(b w/2) from its series (2/b)(1 + u^2/3 - u^4/45),
-    u = b w/2, below b w = _COTH_PATCH, and is w itself at b = inf.  The
-    array forms are the oracles of ``tests/oracles.py``; the last bit of
-    tanh, exp, cosh and sinh may differ from numpy's."""
-    beta, mass_sq, epsilon = bath.beta, bath.mass_i * bath.mass_i, quad.epsilon
-    half_beta, two_over_beta = 0.5 * beta, 2.0 / beta
-    cold, patch = math.isinf(beta), 0.5 * _COTH_PATCH
-    spectrum = bath.squeeze if isinstance(bath.squeeze, SqueezeSpectrum) else None
-
-    def row(w):
-        if mass_sq:
-            kappa = math.sqrt(max(w * w - mass_sq, 0.0))
-            m = _MEASURE_NORM * kappa * (1.0 / math.tanh(half_beta * w)) if kappa else 0.0
-        else:
-            kappa, u = w, half_beta * w
-            if cold:
-                m = _MEASURE_NORM * w
-            elif abs(u) < patch:
-                m = _MEASURE_NORM * (two_over_beta * (1.0 + u * u / 3.0 - u**4 / 45.0))
-            else:
-                m = _MEASURE_NORM * (w / math.tanh(u))
-        if epsilon:
-            m *= math.exp(-epsilon * w)
-        if spectrum is None:
-            return ((m, 0.0),)
-        two_eta = 2.0 * spectrum.eta_at(kappa)
-        return m, math.cosh(two_eta), cmath.rect(math.sinh(two_eta), spectrum.theta_at(kappa))
-
-    return row
-
-
 @functools.lru_cache(maxsize=8)
 def _node_factors(
     bath: BathSpec, quad: QuadratureConfig, resp: _Response | None
@@ -358,11 +318,11 @@ def _node_factors(
     """One NodeTable per factor of the integrals over the measure of
     ``bath`` under the regulator of ``quad``, for the 8 most recent
     (bath, quad, resp).  The base set (``resp`` None) holds the row of
-    :func:`_base_row`: the measure, then cosh 2eta and sinh 2eta e^{i
-    theta} of a squeeze spectrum; the set of a response holds the measure
-    times d2~, d2~^2 and |d2~|^2 and reads the measure from the base set,
-    so the responses of a gamma sweep share its nodes and a spectrum's
-    weights.  A node's first lookup in any table evaluates its row once
+    :func:`bath_kernels._base_row`: the measure, then cosh 2eta and
+    sinh 2eta e^{i theta} of a squeeze spectrum; the set of a response
+    holds the measure times d2~, d2~^2 and |d2~|^2 and reads the measure
+    from the base set, so the responses of a gamma sweep share its nodes
+    and a spectrum's weights.  A node's first lookup in any table evaluates its row once
     and stores it in all.
 
     A bath with constant weights stores each factor as a float pair
@@ -371,7 +331,7 @@ def _node_factors(
     numbers."""
     spectral = isinstance(bath.squeeze, SqueezeSpectrum)
     if resp is None:
-        return _table_set(_base_row(bath, quad), 3 if spectral else 1)
+        return _table_set(_base_row(bath, quad.epsilon), 3 if spectral else 1)
     measure = _node_factors(bath, quad, None)[0]
     gamma, omega_sq = resp.gamma, resp.omega_sq
 

@@ -36,11 +36,8 @@ release that moves the file makes ``import sqbath`` fail loudly
 fails the tests that compare :func:`plain_quad` and
 :func:`fourier_quad` with ``scipy.integrate.quad`` under ``==``.  A
 numpy-only quadrature engine (ROADMAP Direction B) would remove this
-load altogether.
-
-The module also carries the thermal factors coth(b w/2) and
-w coth(b w/2) on arrays, for the frequency grid of
-:func:`energy_fdr.fdr_oscillator`.
+load altogether.  The thermal measure these integrals weigh by is the
+bath's, defined in :mod:`bath_kernels`.
 """
 
 from __future__ import annotations
@@ -60,8 +57,6 @@ __all__ = [
     "QuadratureConfig",
     "fourier_quad",
     "plain_quad",
-    "coth_half_beta",
-    "omega_coth_half_beta",
 ]
 
 
@@ -127,38 +122,6 @@ class QuadratureConfig:
         if self.epsilon > 0.0:
             return 45.0 / self.epsilon
         return math.inf
-
-
-# ---------------------------------------------------------------------------
-# thermal weights
-
-_COTH_PATCH = 1e-3  # switch to the series below beta*w = 1e-3
-
-
-def coth_half_beta(omega, beta: float):
-    """coth(beta w / 2) on an array; the zero-temperature limit beta = inf
-    gives sgn(w) (1 at w = 0)."""
-    omega = np.asarray(omega, dtype=float)
-    if math.isinf(beta):
-        return np.where(omega < 0.0, -1.0, 1.0)
-    return 1.0 / np.tanh(0.5 * beta * omega)
-
-
-def omega_coth_half_beta(omega, beta: float):
-    """w * coth(beta w / 2) on an array, finite at w = 0.
-
-    For beta*w below 1e-3 the product is evaluated from the Laurent
-    expansion w coth(beta w/2) = (2/beta)(1 + u^2/3 - u^4/45 + ...) with
-    u = beta w / 2, which avoids the 0/0 of the direct form.
-    """
-    omega = np.asarray(omega, dtype=float)
-    if math.isinf(beta):
-        return omega.copy()
-    u = 0.5 * beta * omega
-    small = np.abs(u) < 0.5 * _COTH_PATCH
-    safe = np.where(small, 1.0, u)
-    series = (2.0 / beta) * (1.0 + u * u / 3.0 - np.power(u, 4) / 45.0)
-    return np.where(small, series, omega / np.tanh(safe))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ closed forms the package is checked against: the response functions of
 the detector, the (Xi, eta, theta) forward map and the effective
 temperature, the Bessel J1, the oscillating power remnants J_n(t),
 the two sides of the bath-level fluctuation-dissipation relation, and
-the bath measure and squeeze-spectrum weights on arrays, which the base
-rows of the node tables compute one float at a time.
+on arrays the thermal factors coth(b w/2) and w coth(b w/2), the squeeze
+spectrum's lookups, the stationary weight cosh 2eta_kappa, the bath
+measure and the squeeze-spectrum weights, which the base rows of
+``bath_kernels._base_row`` compute one float at a time.
 """
 
 import cmath
@@ -14,17 +16,13 @@ import math
 
 import numpy as np
 from scipy import special
+from scipy.interpolate import PchipInterpolator
 
-from sqbath.bath_kernels import _MEASURE_NORM, BathSpec
+from sqbath.bath_kernels import _COTH_PATCH, _MEASURE_NORM, BathSpec, SqueezeSpectrum
 from sqbath.errors import DomainError, InvalidStateError, SqbathError
 from sqbath.gaussian_state import CovarianceState
 from sqbath.oscillator_dynamics import _fundamental, _Response
-from sqbath.quadrature import (
-    QuadratureConfig,
-    coth_half_beta,
-    fourier_quad,
-    omega_coth_half_beta,
-)
+from sqbath.quadrature import QuadratureConfig, fourier_quad
 
 
 class EstimationError(SqbathError):
@@ -299,7 +297,7 @@ def bath_fdr(omega: float, bath: BathSpec) -> tuple[float, float]:
             f"|omega| = {aw} is at or below the field-mass threshold {bath.mass_i}"
         )
     kappa = math.sqrt(omega * omega - bath.mass_i * bath.mass_i)
-    ch2 = float(bath.cosh2eta_at(kappa))
+    ch2 = float(cosh2eta_at(bath, kappa))
     if aw == 0.0:
         limit = float(omega_coth_half_beta(0.0, bath.beta)) / (4.0 * math.pi) * ch2
         return limit, limit
@@ -311,6 +309,63 @@ def bath_fdr(omega: float, bath: BathSpec) -> tuple[float, float]:
     coth_signed = sgn * float(coth_half_beta(omega, bath.beta))
     rhs = coth_signed * ch2 * im_gr0
     return lhs, rhs
+
+
+# ---------------------------------------------------------------------------
+# the bath on arrays
+
+
+def coth_half_beta(omega, beta: float):
+    """coth(beta w / 2) on an array; the zero-temperature limit beta = inf
+    gives sgn(w) (1 at w = 0)."""
+    omega = np.asarray(omega, dtype=float)
+    if math.isinf(beta):
+        return np.where(omega < 0.0, -1.0, 1.0)
+    return 1.0 / np.tanh(0.5 * beta * omega)
+
+
+def omega_coth_half_beta(omega, beta: float):
+    """w * coth(beta w / 2) on an array, finite at w = 0.
+
+    For beta*w below _COTH_PATCH the product is evaluated from the Laurent
+    expansion w coth(beta w/2) = (2/beta)(1 + u^2/3 - u^4/45 + ...) with
+    u = beta w / 2, which avoids the 0/0 of the direct form.
+    """
+    omega = np.asarray(omega, dtype=float)
+    if math.isinf(beta):
+        return omega.copy()
+    u = 0.5 * beta * omega
+    small = np.abs(u) < 0.5 * _COTH_PATCH
+    safe = np.where(small, 1.0, u)
+    series = (2.0 / beta) * (1.0 + u * u / 3.0 - np.power(u, 4) / 45.0)
+    return np.where(small, series, omega / np.tanh(safe))
+
+
+def _lookup(spectrum, samples, k):
+    """scipy's PCHIP through (spectrum.k, samples) at the array k: held at
+    the first sample below the grid, 0 above it."""
+    k = np.asarray(k, dtype=float)
+    inside = PchipInterpolator(spectrum.k, samples)(np.clip(k, spectrum.k[0], spectrum.k[-1]))
+    return np.where(k > spectrum.k[-1], 0.0, inside)
+
+
+def eta_at(spectrum, k):
+    """``SqueezeSpectrum.eta_at`` on an array, negative pieces clamped to 0."""
+    return np.maximum(_lookup(spectrum, spectrum.eta, k), 0.0)
+
+
+def theta_at(spectrum, k):
+    """``SqueezeSpectrum.theta_at`` on an array, on the unwrapped angle."""
+    return _lookup(spectrum, np.unwrap(spectrum.theta), k)
+
+
+def cosh2eta_at(bath: BathSpec, kappa):
+    """Stationary squeeze weight cosh 2eta at wavenumber kappa: the constant
+    cosh 2eta (1 for a thermal bath), or cosh 2eta(kappa) read from the
+    squeeze spectrum."""
+    if isinstance(bath.squeeze, SqueezeSpectrum):
+        return np.cosh(2.0 * eta_at(bath.squeeze, kappa))
+    return bath.constant_squeeze().cosh2eta
 
 
 def _kappa(mass_i: float):
@@ -349,7 +404,7 @@ def spectrum_weights(spectrum, mass_i: float):
 
     def weights(w):
         k = kappa(w)
-        eta = spectrum.eta_at(k)
-        return np.cosh(2.0 * eta), np.sinh(2.0 * eta) * np.exp(1j * spectrum.theta_at(k))
+        eta = eta_at(spectrum, k)
+        return np.cosh(2.0 * eta), np.sinh(2.0 * eta) * np.exp(1j * theta_at(spectrum, k))
 
     return weights

@@ -25,6 +25,7 @@ from oracles import (
     f_aux,
     fundamental_solutions,
     jn_falloff,
+    omega_coth_half_beta,
 )
 from sqbath.bath_kernels import BathSpec
 from sqbath.energy_fdr import fdr_oscillator, power_in, power_out
@@ -43,7 +44,7 @@ from sqbath.oscillator_dynamics import (
     ns_st_split,
 )
 from sqbath.parametric_mode import MassProfile, bogoliubov_from_mode, integrate_mode
-from sqbath.quadrature import QuadratureConfig, omega_coth_half_beta, plain_quad
+from sqbath.quadrature import QuadratureConfig, plain_quad
 
 GROUND = CovarianceState(xx=0.5, pp=0.5, xp=0.0)
 

@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import BelowThresholdError, bath_fdr, bessel_j1
+from oracles import BelowThresholdError, bath_fdr, bessel_j1, cosh2eta_at, omega_coth_half_beta
 from sqbath.bath_kernels import BathSpec, SqueezeSpectrum
 from sqbath.errors import ConfigurationError, DomainError, ResolutionError
 from sqbath.gaussian_state import SqueezeParam
 from sqbath.oscillator_dynamics import KernelValue, hadamard_coincident
-from sqbath.quadrature import QuadratureConfig, omega_coth_half_beta
+from sqbath.quadrature import QuadratureConfig
 
 
 class CausalityError(DomainError):
@@ -227,7 +227,7 @@ class TestBathFdr:
             dataclasses.replace(bath_parametric, beta=beta),
         )
         for bath in baths:
-            ch2 = float(bath.cosh2eta_at(0.0))
+            ch2 = float(cosh2eta_at(bath, 0.0))
             limit = (2.0 / beta) / (4 * math.pi) * ch2
             lhs, rhs = bath_fdr(0.0, bath)
             assert lhs == rhs

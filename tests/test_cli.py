@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import yaml
@@ -505,6 +506,56 @@ class TestRun:
         assert len(first) == 4
         assert "e" in first[0]  # scientific notation, 17 significant digits
         assert len(first[0].split("e")[0].replace("-", "").replace(".", "")) == 17
+
+    @pytest.mark.parametrize("eta", [178.0, 200.0])
+    def test_large_bath_squeeze_trajectory_is_finite(self, tmp_path, eta):
+        # xx pp overflows a float from about eta = 178; Xi and eta of each
+        # row match their closed forms evaluated in mpmath on the written
+        # covariance (17 significant digits round-trip a float)
+        data = dict(SMALL_CONSTANT, outputs=["covariances", "squeeze_trajectory"])
+        data["bath"] = dict(data["bath"], eta=eta)
+        data["time_grid"] = {"start": 5.0, "stop": 20.0, "points": 2}
+        run(parse_config(data), tmp_path)
+        _, covs = read_rows(tmp_path / "covariances.csv")
+        _, rows = read_rows(tmp_path / "squeeze_trajectory.csv")
+        with mpmath.workdps(50):
+            for (_, xx, pp, xp), (_, xi, eta_row, *rest) in zip(covs, rows):
+                assert all(map(math.isfinite, (xi, eta_row, *rest)))
+                want_xi = 2 * mpmath.sqrt(mpmath.mpf(xx) * pp - mpmath.mpf(xp) ** 2)
+                sinh_cos = (mpmath.mpf(pp) - xx) / want_xi  # m = omega_r = 1
+                want_eta = mpmath.asinh(mpmath.hypot(sinh_cos, -2 * mpmath.mpf(xp) / want_xi)) / 2
+                assert abs(xi - want_xi) <= 1e-12 * want_xi
+                assert abs(eta_row - want_eta) <= 1e-12 * want_eta
+
+    def test_overflowing_column_refused_before_writing(self, tmp_path, capsys):
+        # an accepted initial state (xx pp = 10) whose sinh^2 2eta at t = 0
+        # exceeds the float range
+        data = {
+            "scenario": "finite_coupling",
+            "oscillator": {"m": 1.0, "Omega": 1.0, "gamma": 0.3},
+            "initial_state": {"xx": 1.0e200, "pp": 1.0e-199, "xp": 0.0},
+            "time_grid": {"start": 0.0, "stop": 10.0, "points": 2},
+            "outputs": ["squeeze_trajectory"],
+        }
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(write_config(tmp_path, data)), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "squeeze_trajectory: sinh_sq_2eta is inf at t = 0" in err
+        assert not out.exists()
+
+    def test_non_finite_value_refused_before_writing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sqbath.cli, "power_out", lambda *args: math.nan)
+        data = dict(SMALL_CONSTANT, outputs=["covariances", "fluxes"])
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(write_config(tmp_path, data)), "--out", str(out)]) == 3
+        assert "fluxes: p_gamma is nan at t = 5" in capsys.readouterr().err
+        assert not out.exists()
+        # in a sweep the point fails and the others are written
+        data["sweep"] = {"path": "oscillator.gamma", "values": [0.1]}
+        with pytest.raises(ConvergenceError):
+            run_sweep(parse_config(data), out)
+        failures = json.loads((out / "run_manifest.json").read_text())["sweep_failures"]
+        assert failures[0]["diagnostics"] == {"product": "fluxes", "column": "p_gamma", "t": 5.0}
 
 
 class TestSweep:

@@ -10,6 +10,7 @@ from oracles import (
     d2_fourier,
     jn_falloff,
     jn_integral,
+    omega_coth_half_beta,
 )
 from sqbath.bath_kernels import BathSpec
 from sqbath.energy_fdr import fdr_oscillator, flux_balance, power_in, power_out
@@ -21,7 +22,7 @@ from sqbath.oscillator_dynamics import (
     covariance_integral_parts,
     effective_response,
 )
-from sqbath.quadrature import QuadratureConfig, omega_coth_half_beta, plain_quad
+from sqbath.quadrature import QuadratureConfig, plain_quad
 
 _TAIL_RANGE = 10.0  # window over which the Bessel tail must stay finite
 _TAIL_DELTA = 5e-8  # final endpoint window of the contact check
@@ -250,27 +251,38 @@ class TestFdrOscillator:
         assert np.all(np.abs(rep.omegas) > 0.2)
         assert rep.max_rel_deviation < 1e-6
 
-    @pytest.mark.parametrize("bath_kind", ["thermal", "squeezed", "zero-T", "parametric"])
+    @pytest.mark.parametrize(
+        "bath_kind",
+        ["thermal", "squeezed", "zero-T", "parametric", "parametric-zero-T", "near-threshold"],
+    )
     def test_absolute_values_pinned_to_bath_fdr(self, bath_kind):
         # the two sides of each FDR are equal algebraically, so their
         # deviation reads round-off; this pin is the check on their values.
         # each side is the bath FDR side times the oscillator's response:
         # hadamard = 8 pi gamma m |G_R|^2 lhs, dissipation = rhs Im G_R / (kappa/4pi)
-        # with G_R = (1/m)/(w_r^2 - w^2 - 2 i gamma kappa); m != 1 exposes 1/m
+        # with G_R = (1/m)/(w_r^2 - w^2 - 2 i gamma kappa); m != 1 exposes 1/m.
+        # near the threshold the dissipation side's coth is the base row's
+        # kappa coth over a small kappa
         from sqbath.parametric_mode import MassProfile, squeeze_spectrum
 
         spec = OscillatorSpec(m=2.0, omega_r=1.2, gamma=0.15)
-        if bath_kind == "parametric":
+        grid = np.linspace(-10.0, 10.0, 1000)
+        if bath_kind in ("parametric", "parametric-zero-T", "near-threshold"):
             prof = MassProfile(0.2, 0.5, 0.0, 2.0)
             spect = squeeze_spectrum(prof, np.geomspace(0.02, 60.0, 32))
-            bath = BathSpec(beta=1.0, squeeze=spect, mass_i=0.2, mass_f=0.5)
+            beta = math.inf if bath_kind == "parametric-zero-T" else 1.0
+            bath = BathSpec(beta=beta, squeeze=spect, mass_i=0.2, mass_f=0.5)
+            if bath_kind == "near-threshold":
+                grid = 0.2 * (1.0 + np.array([1.5e-12, 1e-10, 1e-8, 1e-6, 1e-4]))
         else:
             bath = {
                 "thermal": BathSpec(beta=0.3),
                 "squeezed": BathSpec(beta=10.0, squeeze=SqueezeParam(1.0, 0.4)),
                 "zero-T": BathSpec(beta=math.inf, squeeze=SqueezeParam(0.5, 0.0)),
             }[bath_kind]
-        rep = fdr_oscillator(spec, bath, np.linspace(-10.0, 10.0, 1000))
+        rep = fdr_oscillator(spec, bath, grid)
+        if bath_kind == "near-threshold":
+            assert rep.omegas.size == grid.size
         for w, had, dis in zip(rep.omegas, rep.hadamard_side, rep.dissipation_side):
             lhs, rhs = bath_fdr(float(w), bath)
             kappa = math.sqrt(w * w - bath.mass_i**2)

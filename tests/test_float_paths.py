@@ -1,16 +1,18 @@
 """The per-node callbacks agree with their array forms.
 
 QUADPACK calls the kernels with one Python float per node.  The squeeze
-spectrum's float lookup must equal its array lookup exactly (``==``).
-The base row of the node tables, the bath measure and a spectrum's
-weights, is computed in ``math``/``cmath`` arithmetic, whose tanh, cosh
-and sinh may differ from numpy's in the last bit: each stored row must
-agree with the array oracles of ``tests/oracles.py`` within 4 ulp
-relative, and must not raise where numpy gives a finite value.  The
-thermal factors and the mass profile of the mode ODE are called on
-arrays only, and an argument must give the same bits in a batch of any
-size.  A constant-weight kernel computes on float pairs and must give
-the bits of the complex product it writes out.
+spectrum's float lookup must equal scipy's PCHIP, the array lookup of
+``tests/oracles.py``, exactly (``==``).  The base row of the node
+tables, the bath measure and a spectrum's weights, is computed in
+``math``/``cmath`` arithmetic, whose tanh, cosh and sinh may differ from
+numpy's in the last bit: each stored row must agree with the array
+oracles of ``tests/oracles.py`` within 4 ulp relative, and must not
+raise where numpy gives a finite value.  The array oracles of the
+thermal factors, which the rows are compared with element by element,
+and the mass profile of the mode ODE, called on arrays only, must give
+an argument the same bits in a batch of any size.  A constant-weight
+kernel computes on float pairs and must give the bits of the complex
+product it writes out.
 """
 
 import math
@@ -19,16 +21,22 @@ import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
 
-from oracles import bath_measure, spectrum_weights
+from oracles import (
+    bath_measure,
+    coth_half_beta,
+    eta_at,
+    omega_coth_half_beta,
+    spectrum_weights,
+    theta_at,
+)
 from sqbath import BathSpec, MassProfile, QuadratureConfig, SqueezeParam
-from sqbath.bath_kernels import SqueezeSpectrum, _Pchip, bath_mix
+from sqbath.bath_kernels import SqueezeSpectrum, _pchip_pieces, bath_mix
 from sqbath.oscillator_dynamics import (
     _kernel,
     _node_factors,
     effective_response,
 )
 from sqbath.parametric_mode import ProfileShape
-from sqbath.quadrature import coth_half_beta, omega_coth_half_beta
 
 
 def assert_0d_equals_1d(fn, points):
@@ -39,13 +47,14 @@ def assert_0d_equals_1d(fn, points):
         assert from_0d == from_vector, (x, from_0d, from_vector)
 
 
-def assert_paths_equal(fn, points):
-    """fn(float) is a scalar equal to fn on a 0-d array and on a 1-d array."""
-    assert_0d_equals_1d(fn, points)
-    for x in points:
-        value = fn(float(x))
-        assert not isinstance(value, np.ndarray), x
-        assert value == fn(np.asarray(float(x))), (x, value)
+def assert_lookup_equal(lookup, oracle, spectrum, points):
+    """The float lookup of ``spectrum`` is a float equal to the array
+    oracle at every point."""
+    points = [float(x) for x in points]
+    for x, want in zip(points, oracle(spectrum, np.array(points))):
+        value = lookup(x)
+        assert type(value) is float, x
+        assert value == want, (x, value, want)
 
 
 ROW_ULPS = 4  # math's tanh, exp, cosh, sinh against numpy's, in units of eps
@@ -106,8 +115,8 @@ def spectrum_points(spec):
 
 def test_spectrum_lookup(spectrum):
     points = spectrum_points(spectrum)
-    assert_paths_equal(spectrum.eta_at, points)
-    assert_paths_equal(spectrum.theta_at, points)
+    assert_lookup_equal(spectrum.eta_at, eta_at, spectrum, points)
+    assert_lookup_equal(spectrum.theta_at, theta_at, spectrum, points)
     assert spectrum.eta_at(1.5 * float(spectrum.k[-1])) == 0.0
     assert spectrum.theta_at(1.5 * float(spectrum.k[-1])) == 0.0
     assert spectrum.eta_at(1e-9) == spectrum.eta[0]
@@ -124,14 +133,14 @@ def dipping_spectrum():
 
 
 def test_spectrum_lookup_at_knots_and_ends(spectrum, dipping_spectrum):
-    # eta_at and theta_at write the float lookup out: at every knot it takes
-    # the array path's piece, k_max is evaluated on the last piece (not
-    # zeroed as above the grid) and k below the first knot is held there
+    # at every knot the float lookup takes scipy's piece, k_max is
+    # evaluated on the last piece (not zeroed as above the grid) and k
+    # below the first knot is held there
     for spec in (spectrum, dipping_spectrum):
         k = spec.k
         points = [*k, np.nextafter(k[-1], 0.0), 0.5 * k[0], np.nextafter(k[0], 0.0), 0.0]
-        assert_paths_equal(spec.eta_at, points)
-        assert_paths_equal(spec.theta_at, points)
+        assert_lookup_equal(spec.eta_at, eta_at, spec, points)
+        assert_lookup_equal(spec.theta_at, theta_at, spec, points)
         for below in (0.5 * float(k[0]), 0.0):
             assert spec.eta_at(below) == spec.eta[0]
             assert spec.theta_at(below) == spec.theta[0]
@@ -142,15 +151,15 @@ def test_spectrum_lookup_at_knots_and_ends(spectrum, dipping_spectrum):
 
 
 def test_negative_eta_piece_is_clamped(dipping_spectrum):
-    # the pieces around a zero sample round below 0 at a few points; both
-    # paths clamp them to 0
+    # the pieces around a zero sample round below 0 at a few points; the
+    # lookup clamps them to 0
     k, eta = dipping_spectrum.k, dipping_spectrum.eta
     below_zero_knot = k[6] - np.linspace(0.0, 1e-3, 100001)[1:] * (k[6] - k[5])
     points = np.append(below_zero_knot, k[-1])
     raw = PchipInterpolator(k, eta)(points)
     negative = points[raw < 0.0]
     assert negative.size >= 2 and negative[-1] == k[-1]
-    assert_paths_equal(dipping_spectrum.eta_at, negative)
+    assert_lookup_equal(dipping_spectrum.eta_at, eta_at, dipping_spectrum, negative)
     assert [dipping_spectrum.eta_at(float(x)) for x in negative] == [0.0] * negative.size
 
 
@@ -160,9 +169,8 @@ def test_spectrum_lookup_is_scipy_pchip(spectrum):
     grid = np.concatenate([k, np.geomspace(k[0], k[-1], 2001)])
     eta = PchipInterpolator(k, spectrum.eta, extrapolate=False)(grid)
     theta = PchipInterpolator(k, np.unwrap(spectrum.theta), extrapolate=False)(grid)
-    np.testing.assert_array_equal(spectrum.eta_at(grid), np.maximum(eta, 0.0))
-    np.testing.assert_array_equal(spectrum.theta_at(grid), theta)
     assert [spectrum.eta_at(float(x)) for x in grid] == list(np.maximum(eta, 0.0))
+    assert [spectrum.theta_at(float(x)) for x in grid] == list(theta)
 
 
 PCHIP_SAMPLES = {
@@ -180,10 +188,9 @@ def test_pchip_coefficients_are_scipys(y):
     # the slopes and pieces repeat scipy's numpy operations, so the
     # coefficients agree bit for bit, the end-knot clipping included
     x = np.cumsum(np.linspace(0.05, 1.7, len(y))) ** 1.3
-    ours = _Pchip(x, np.array(y))
+    ours = _pchip_pieces(x, np.array(y))
     scipys = PchipInterpolator(x, np.array(y), extrapolate=False)
-    np.testing.assert_array_equal(ours.x, scipys.x)
-    np.testing.assert_array_equal(ours.c, scipys.c)
+    np.testing.assert_array_equal(np.array(ours).T, scipys.c)
 
 
 @pytest.mark.parametrize(

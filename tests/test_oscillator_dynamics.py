@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import d2_fourier, f_aux, fundamental_solutions
+from oracles import d2_fourier, f_aux, fundamental_solutions, omega_coth_half_beta
 import sqbath.oscillator_dynamics
 from sqbath.bath_kernels import BathSpec, SqueezeSpectrum
 from sqbath.cli import parse_config, run_sweep
@@ -30,7 +30,7 @@ from sqbath.oscillator_dynamics import (
     massive_roots,
     ns_st_split,
 )
-from sqbath.quadrature import QuadratureConfig, omega_coth_half_beta, plain_quad
+from sqbath.quadrature import QuadratureConfig, plain_quad
 
 GROUND = CovarianceState(xx=0.5, pp=0.5, xp=0.0)
 
@@ -431,8 +431,8 @@ def count_base_rows(monkeypatch):
     calls = [0]
     original = sqbath.oscillator_dynamics._base_row
 
-    def counted_base_row(bath, quad):
-        row = original(bath, quad)
+    def counted_base_row(bath, epsilon):
+        row = original(bath, epsilon)
 
         def counted(w):
             calls[0] += 1

@@ -6,14 +6,20 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from oracles import bessel_j1, convolve_response, d2_fourier, f_aux, fundamental_solutions
+from oracles import (
+    bessel_j1,
+    convolve_response,
+    coth_half_beta,
+    d2_fourier,
+    f_aux,
+    fundamental_solutions,
+    omega_coth_half_beta,
+)
 from sqbath.errors import ConfigurationError, ConvergenceError, DomainError
 from sqbath.quadrature import (
     QuadratureConfig,
     _quad,
-    coth_half_beta,
     fourier_quad,
-    omega_coth_half_beta,
     plain_quad,
 )
 

@@ -6,21 +6,23 @@ PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.
 The script runs ``configs/*.yaml`` of this checkout (``sqbath run``,
 ``sqbath sweep`` too for ``constant_squeeze.yaml`` and only ``sqbath
 sweep``, serial and with ``--threads 2``, for ``finite_coupling.yaml``)
-and the figure presets 4, 6, 7, grn3d and tan2eta, and seven small
-generated parametric configs (a smoothstep and a step ramp from
+and the figure presets 4, 6, 7, grn3d and tan2eta, and eight small
+generated configs (parametric: a smoothstep and a step ramp from
 ``mass_i`` 0.2 to ``mass_f`` 0.5, a constant mass 0.3, the smoothstep
 ramp at zero temperature, and the smoothstep ramp swept over two gamma,
-over two ``mass_f`` and over two beta with ``sqbath sweep``) that reach
-the paths no other run does: the cusp-head split above a mass
-threshold, the massive kappa, ``chi_hadamard`` on a squeeze-spectrum
-bath, the beta = inf branch of the massive measure, several responses
-reading one spectrum bath, one spectrum per sweep point of a changing
-ramp and one spectrum shared by baths of different beta.  Two more
-generated configs must fail: a k grid that stops at 1 (refused, exit 2)
-and ``quadrature.max_subdivisions: 10`` (exit 3); for these the two
-trees' exit codes and the files left under ``--out`` are compared.
-Every run is made once with each tree's package, in its own Python
-subprocess.  ``--workload-seeds N`` adds the configs that
+over two ``mass_f`` and over two beta with ``sqbath sweep``; and a
+constant squeeze at ``bath.beta: inf`` whose ``fdr_grid`` passes
+through 0) that reach the paths no other run does: the cusp-head split
+above a mass threshold, the massive kappa, ``chi_hadamard`` on a
+squeeze-spectrum bath, the beta = inf branch of the massive measure,
+several responses reading one spectrum bath, one spectrum per sweep
+point of a changing ramp, one spectrum shared by baths of different
+beta, and ``fdr`` of a massless bath at beta = inf, w = 0 included.
+Two more generated configs must fail: a k grid that stops at 1
+(refused, exit 2) and ``quadrature.max_subdivisions: 10`` (exit 3);
+for these the two trees' exit codes and the files left under ``--out``
+are compared.  Every run is made once with each tree's package, in its
+own Python subprocess.  ``--workload-seeds N`` adds the configs that
 ``perfbench/workloads.py`` of this checkout generates for seeds 0..N-1 of
 each workload, run through the workload's own entry point.  For every
 CSV it prints whether the two files are byte-identical and, if not, the
@@ -80,7 +82,8 @@ MASSIVE_RAMP = {
     "outputs": ["covariances", "fluxes", "fdr", "hadamard_surface"],
 }
 # label: changes to MASSIVE_RAMP, section by section (a new section is
-# added); a config with a sweep section runs with ``sqbath sweep``
+# added, a section set to None removed, a top-level value replaced); a
+# config with a sweep section runs with ``sqbath sweep``
 GENERATED = {
     "massive-smoothstep": {},
     "massive-step": {"profile": {"shape": "step"}},
@@ -89,6 +92,12 @@ GENERATED = {
     "massive-gamma-sweep": {"sweep": {"path": "oscillator.gamma", "values": [0.1, 0.05]}},
     "massive-mass-sweep": {"sweep": {"path": "profile.mass_f", "values": [0.4, 0.5]}},
     "massive-beta-sweep": {"sweep": {"path": "bath.beta", "values": [1.0, 2.0]}},
+    "massless-zero-temperature-fdr": {
+        "scenario": "constant_squeeze",
+        "profile": None,
+        "k_grid": None,
+        "bath": {"beta": float("inf"), "eta": 1.0},
+    },
 }
 # the same for runs that must fail, exit 2 and exit 3
 FAILING = {
@@ -116,8 +125,10 @@ def generated_runs(config_dir: Path, generated: dict) -> list[tuple[str, list[st
     runs = []
     for label, changes in generated.items():
         data = copy.deepcopy(MASSIVE_RAMP)
-        for section, values in changes.items():
-            data.setdefault(section, {}).update(values)
+        for key, value in changes.items():
+            if isinstance(value, dict):
+                value = {**data.get(key, {}), **value}
+            data[key] = value
         path = config_dir / f"{label}.yaml"
         path.write_text(yaml.safe_dump(data))
         runs.append((label, ["sweep" if "sweep" in data else "run", "--config", str(path)]))
