@@ -181,11 +181,13 @@ def fdr_oscillator(
     aw = np.abs(omegas)
     kappa = np.sqrt(aw * aw - bath.mass_i * bath.mass_i)
     row = _base_row(bath, 0.0)
-    rows = [row(w) for w in aw.tolist()]
+    # one row per distinct |w|: a w and its mirror -w share it
+    distinct, where = np.unique(aw, return_inverse=True)
+    rows = [row(w) for w in distinct.tolist()]
     if isinstance(bath.squeeze, SqueezeSpectrum):
-        measure, ch2 = np.array([r[:2] for r in rows]).T
+        measure, ch2 = np.array([r[:2] for r in rows]).T[:, where]
     else:
-        measure = np.array([r[0][0] for r in rows])
+        measure = np.array([r[0][0] for r in rows])[where]
         ch2 = bath.constant_squeeze().cosh2eta
     kappa_coth = measure / _MEASURE_NORM
     g = 1.0 / (spec.omega_r**2 - aw**2 - 2j * spec.gamma * kappa)

@@ -32,10 +32,12 @@ e^{-iw tau} by |tau| into cos and sin Fourier integrals with smooth
 kernels: (f, f), (f', f') and (f, f') give xx, pp and xp, (f(t), f(t'))
 the two-time Hadamard function, (f', e^{-iwt}) the injected power and
 (e^{-iwt}, e^{-iwt'}) the coincident-point Hadamard kernel of the bath
-itself, which needs no response.  :func:`_sum_fourier_terms` is the one
-driver that turns these terms into quadrature calls.  f, f' and d2~ as
-functions of w, and the double time-integral form, live with the tests
-as oracles.  Fourier convention: g~(w) = int dt g(t) e^{+iwt}.
+itself, which needs no response.  :func:`_integral`, the one driver,
+turns a term into a quadrature call, memoized on the term, so a term
+that recurs at another time, pair or product of a run is integrated
+once.  f, f' and d2~ as functions of w, and the double time-integral
+form, live with the tests as oracles.  Fourier convention:
+g~(w) = int dt g(t) e^{+iwt}.
 
 For a massive (parametric) bath the equation of motion acquires a Bessel
 memory term; for field masses small against the resonance it reduces to a
@@ -373,13 +375,14 @@ def _kernel(scaled, weight, coeffs, part: str):
     return lambda w: (scaled[w] * (c0 + w * (c1 + w * c2)) * weight[w]).imag
 
 
-def _fourier_terms(factor, weight, u: _Factor, v: _Factor, stationary: bool) -> list:
-    """Fourier terms of one part of the bilinear form of u and v.
+def _fourier_terms(u: _Factor, v: _Factor, stationary: bool, weight) -> list:
+    """Fourier terms (coeffs, part, freq, kind) of one part of the bilinear
+    form of u and v.
 
     The stationary part is int dmu cosh 2eta 2 Re[u v*], the
     nonstationary part -int dmu 2 Re[sinh 2eta e^{i theta} u v].
-    ``factor`` holds the measure times the part's d2~ power, and
-    ``weight`` is the part's squeeze weight, a constant or a NodeTable.
+    ``weight`` is the part's constant squeeze weight, folded into the
+    coefficients, or None for the weights of a squeeze spectrum.
     The four products of P and Q carry phases e^{-iw tau}; the phases of
     one |tau| share a cos kernel Re[F p+] and a sin kernel Im[F p-], where
     F is the measure, weight and d2~ factor, p+ sums the polynomials and
@@ -398,8 +401,8 @@ def _fourier_terms(factor, weight, u: _Factor, v: _Factor, stationary: bool) -> 
     else:
         scale = -2.0
         vp, vq, vs = v.p, v.q, v.s
-    if not isinstance(weight, NodeTable):
-        weight, scale = None, scale * weight
+    if weight is not None:
+        scale *= weight
 
     groups: dict[float, tuple] = {}
     products = ((u.s + vs, u.p, vp), (u.s, u.p, vq), (vs, u.q, vp), (0.0, u.q, vq))
@@ -413,92 +416,80 @@ def _fourier_terms(factor, weight, u: _Factor, v: _Factor, stationary: bool) -> 
                 tuple(x + sign * y for x, y in zip(minus, poly)),
             )
 
-    real_f = (stationary and u.n == v.n) or (u.n + v.n == 0 and weight is None)
+    real_f = (stationary and u.n == v.n) or (u.n + v.n == 0 and weight is not None)
     terms = []
     for freq, polys in groups.items():
         for poly, part, kind in zip(polys, ("real", "imag"), ("cos", "sin")):
             if any(getattr(c, part) for c in poly) if real_f else any(poly):
-                terms.append((_kernel(factor, weight, poly, part), freq, kind))
+                terms.append((poly, part, freq, kind))
     return terms
 
 
 def _bilinear(
-    resp: _Response | None,
-    bath: BathSpec,
-    u: _Factor,
-    v: _Factor,
-    quad: QuadratureConfig,
+    resp: _Response | None, bath: BathSpec, u: _Factor, v: _Factor,
+    quad: QuadratureConfig, weights: tuple | None = None,
 ) -> tuple[float, float]:
     """(stationary, nonstationary) parts of the bilinear form of u and v.
 
-    ``resp`` may be None when neither factor carries d2~.  Both parts are
+    ``resp`` may be None when neither factor carries d2~.  ``weights``
+    are constant squeeze weights (cosh 2eta, sinh 2eta e^{i theta}) for
+    the measure of ``bath``; None takes the bath's own.  Both parts are
     symmetric in u and v, so the factor with more d2~ powers goes first.
-    Each part is one :func:`_part`, memoized by value: a constant weight
-    is part of its key and the bath is reduced to its measure, so the
-    stationary part of a constant-squeeze bath is integrated once for
-    every squeeze angle.
+    Each part adds its terms left to right, each one :func:`_integral`,
+    memoized by value: a constant weight is in the coefficients and the
+    bath is reduced to its measure, so the stationary part is integrated
+    once for every squeeze angle.
     """
-    weights = bath_mix(bath, quad)  # checks the bath
+    if weights is None:
+        weights = bath_mix(bath, quad)  # checks the bath
     if v.n > u.n:
         u, v = v, u
     if weights[0] is not None:  # constant squeeze: a massless bath
         bath = BathSpec(bath.beta)
-    return tuple(
-        _part(resp, bath, u, v, quad, stationary, weight)
-        for stationary, weight in zip((True, False), weights)
-    )
+    n = u.n + v.n
+    tables = (bath, quad, resp if n else None)
+    parts = []
+    for stationary, weight in zip((True, False), weights):
+        # the measure alone, or times d2~^n, or times |d2~|^2 for u v*
+        factor = 2 if stationary and v.n else max(n - 1, 0)
+        weight_table = None if weight is not None else 1 if stationary else 2
+        total = 0.0
+        for term in _fourier_terms(u, v, stationary, weight):
+            total += _integral(*tables, factor, weight_table, *term)
+        parts.append(total)
+    return tuple(parts)
 
 
-@functools.lru_cache(maxsize=1 << 12)
-def _part(
-    resp: _Response | None,
-    bath: BathSpec,
-    u: _Factor,
-    v: _Factor,
-    quad: QuadratureConfig,
-    stationary: bool,
-    weight: float | complex | None,
+@functools.lru_cache(maxsize=1 << 14)
+def _integral(
+    bath: BathSpec, quad: QuadratureConfig, resp: _Response | None, factor: int,
+    weight: int | None, coeffs: tuple, part: str, freq: float, kind: str,
 ) -> float:
-    """The stationary or nonstationary part of the bilinear form of u and v
-    under the measure of ``bath`` and the constant ``weight`` (None: the
-    weights of the bath's squeeze spectrum).  Kept for the 4096 most recent
-    argument values, so an integral repeated across squeeze angles,
-    products or sweep points of a run is computed once."""
-    n = u.n + v.n  # u.n >= v.n
-    base = _node_factors(bath, quad, None)
-    tables = _node_factors(bath, quad, resp) if n else base
-    if weight is None:
-        weight = base[1] if stationary else base[2]
-    # the measure alone, or times d2~^n, or times |d2~|^2 for u v*
-    factor = tables[2 if stationary and v.n else max(n - 1, 0)]
-    terms = _fourier_terms(factor, weight, u, v, stationary)
-    return _sum_fourier_terms(terms, bath.mass_i, quad)
+    """int kernel(w) {1, cos, sin}(freq w) dw over the domain, the kernel
+    the ``part`` of F[w] (c0 + c1 w + c2 w^2) W[w] with F the table
+    ``factor`` of the set of (bath, quad, resp) and W the table ``weight``
+    of its base set, or 1 when a constant weight is in ``coeffs``.  The
+    only caller of the quadrature engine; the 16384 most recent terms are
+    kept (the largest shipped run, preset 7, has 9380).
 
-
-def _sum_fourier_terms(terms, lower, quad: QuadratureConfig) -> float:
-    """Sum integrals of kernel(w) * {1, cos, sin}(freq w) over the domain.
-
-    The only caller of the quadrature engine.  A positive lower limit
-    marks a mass threshold whose sqrt cusp is handled by a plain-rule
-    head interval.  At finite t the responses
+    A positive lower limit marks a mass threshold whose sqrt cusp is
+    handled by a plain-rule head interval.  At finite t the responses
     fall off only like 1/w, so every bilinear form grows with the log of
     the cutoff and a regulator is required.
     """
     quad.require_regulator("the frequency integral of a response bilinear form")
-    upper = quad.upper()
-    total = 0.0
-    for kernel, freq, kind in terms:
-        try:
-            val, _ = fourier_quad(
-                kernel, freq, kind, lower, upper, quad, head=cusp_head(lower, abs(freq))
-            )
-        except ConvergenceError as exc:
-            where = f"{kind} term at frequency {freq:.6g} over [{lower:.6g}, {upper:.6g}]"
-            exc.args = (f"{where}: {exc}",)
-            exc.diagnostics.update(freq=freq, kind=kind, interval=[lower, upper])
-            raise
-        total += val
-    return total
+    lower, upper = bath.mass_i, quad.upper()
+    scaled, base = _node_factors(bath, quad, resp)[factor], _node_factors(bath, quad, None)
+    kernel = _kernel(scaled, None if weight is None else base[weight], coeffs, part)
+    try:
+        return fourier_quad(
+            kernel, freq, kind, lower, upper, quad, head=cusp_head(lower, freq)
+        )[0]
+    except ConvergenceError as exc:
+        where = f"{kind} term at frequency {freq:.6g} over [{lower:.6g}, {upper:.6g}]"
+        exc.args = (f"{where}: {exc}",)
+        exc.diagnostics.update(freq=freq, kind=kind, interval=[lower, upper])
+        raise
 
 
 def covariance_integral_parts(
@@ -613,10 +604,8 @@ def chi_hadamard_components(
         raise DomainError("the unit-weight split needs a massless constant-squeeze bath")
     resp, thermal = effective_response(spec, bath), BathSpec(bath.beta)
     u, v = _f_factor(resp, t), _f_factor(resp, t_prime)
-    return KernelValue(
-        _part(resp, thermal, u, v, quad, True, 1.0),
-        _part(resp, thermal, u, v, quad, False, cmath.exp(1j * theta)),
-    )
+    weights = (1.0, cmath.exp(1j * theta))
+    return KernelValue(*_bilinear(resp, thermal, u, v, quad, weights))
 
 
 def chi_hadamard(

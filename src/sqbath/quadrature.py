@@ -200,12 +200,13 @@ def _check_quad_result(value, abserr, ier, quad, what):
     honest error estimates; they are kept unless the estimate says the
     value has lost real accuracy.  Any other warning code failing the
     target by a wide margin is a genuine nonconvergence.  A non-finite
-    value or estimate is refused whatever the code; ier 6 (invalid input)
-    raises :class:`DomainError`.
+    value or estimate, whatever the code, means the integrand overflowed
+    and is refused as such; ier 6 (invalid input) raises
+    :class:`DomainError`.
     """
     if ier != 0 and ier not in _IER:
         raise DomainError(f"QUADPACK rejected the input of {what} (ier {ier})")
-    accepted = math.isfinite(value) and math.isfinite(abserr)
+    accepted = finite = math.isfinite(value) and math.isfinite(abserr)
     if accepted and ier != 0:
         tolerated = max(quad.abs_tol, quad.rel_tol * abs(value))
         if ier == 2:
@@ -214,9 +215,10 @@ def _check_quad_result(value, abserr, ier, quad, what):
             accepted = abserr <= 50.0 * tolerated
     if not accepted:
         meaning = _IER.get(ier, "no warning")
+        problem = (f"quadrature did not converge for {what}: ier {ier} ({meaning})"
+                   if finite else f"{what} is not finite (the integrand overflowed)")
         raise ConvergenceError(
-            f"quadrature did not converge for {what}: ier {ier} ({meaning}), "
-            f"value {value:.6g}, abserr {abserr:.3g}",
+            f"{problem}, value {value:.6g}, abserr {abserr:.3g}",
             partial_value=value,
             diagnostics={"abserr": abserr, "ier": ier, "message": meaning},
         )

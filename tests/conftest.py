@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,20 +13,31 @@ from sqbath import (
     SqueezeParam,
 )
 from sqbath.cli import squeeze_spectrum as cli_squeeze_spectrum
-from sqbath.oscillator_dynamics import _node_factors, _part
+from sqbath.oscillator_dynamics import _integral, _node_factors
 from sqbath.parametric_mode import squeeze_spectrum
 
 
 def clear_node_memos():
-    """Drop the memoized bilinear-form parts, the cached node tables and
-    the solved squeeze spectra; a part served from its memo would not
+    """Drop the memoized Fourier-term integrals, the cached node tables
+    and the solved squeeze spectra; a term served from its memo would not
     touch the node tables at all, and a spectrum served from its cache
     would not run the mode solver.  The cache is bound here, at import,
     so a tracer that wraps ``sqbath.cli.squeeze_spectrum`` leaves it
     reachable."""
-    _part.cache_clear()
+    _integral.cache_clear()
     _node_factors.cache_clear()
     cli_squeeze_spectrum.cache_clear()
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """``perfbench/workloads.py``, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # for its dataclass
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

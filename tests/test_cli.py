@@ -1,7 +1,6 @@
 import concurrent.futures
 import copy
 import csv
-import importlib.util
 import json
 import math
 import os
@@ -242,13 +241,7 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError):
             parse_config(data)
 
-    def test_shipped_configs_keep_their_hash(self, monkeypatch):
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_workloads", REPO / "perfbench" / "workloads.py"
-        )
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
-        spec.loader.exec_module(workloads)
+    def test_shipped_configs_keep_their_hash(self, workloads):
         configs = {
             name: yaml.safe_load((REPO / "configs" / f"{name}.yaml").read_text())
             for name in ("constant_squeeze", "parametric", "finite_coupling")
@@ -526,6 +519,19 @@ class TestRun:
                 want_eta = mpmath.asinh(mpmath.hypot(sinh_cos, -2 * mpmath.mpf(xp) / want_xi)) / 2
                 assert abs(xi - want_xi) <= 1e-12 * want_xi
                 assert abs(eta_row - want_eta) <= 1e-12 * want_eta
+
+    def test_overflowing_integrand_refused_as_not_finite(self, tmp_path, capsys):
+        # just below the eta limit cosh 2eta nearly fills the float range
+        # and the weighted kernel overflows; QUADPACK reports that as
+        # roundoff, the message says what happened
+        data = dict(SMALL_CONSTANT, bath=dict(SMALL_CONSTANT["bath"], eta=355.0))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(write_config(tmp_path, data)), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "covariances at t = 5: cos term at frequency 0 over [0, 200]: " in err
+        assert "is not finite (the integrand overflowed)" in err
+        assert "did not converge" not in err
+        assert not out.exists()
 
     def test_overflowing_column_refused_before_writing(self, tmp_path, capsys):
         # an accepted initial state (xx pp = 10) whose sinh^2 2eta at t = 0

@@ -12,6 +12,7 @@ from oracles import (
     jn_integral,
     omega_coth_half_beta,
 )
+import sqbath.energy_fdr
 from sqbath.bath_kernels import BathSpec
 from sqbath.energy_fdr import fdr_oscillator, flux_balance, power_in, power_out
 from sqbath.errors import ConfigurationError, DomainError
@@ -305,6 +306,33 @@ class TestFdrOscillator:
         limit = 4.0 * spec.gamma * ch2 / (bath_parametric.beta * spec.m * spec.omega_r**4)
         assert abs(had - limit) <= 1e-12 * limit
         assert rep.max_rel_deviation < 1e-6
+
+    def test_one_base_row_per_distinct_frequency(self, spec, bath_squeezed, monkeypatch):
+        # a frequency and its mirror read one row; the default grid of a
+        # run at omega_r = 1 is symmetric only up to round-off (729
+        # distinct |w| of 1001), a grid mirrored in bits holds 501
+        rows = [0]
+        original = sqbath.energy_fdr._base_row
+
+        def counted_base_row(bath, epsilon):
+            row = original(bath, epsilon)
+
+            def counted(w):
+                rows[0] += 1
+                return row(w)
+
+            return counted
+
+        monkeypatch.setattr(sqbath.energy_fdr, "_base_row", counted_base_row)
+        default = np.linspace(-10.0, 10.0, 1001)
+        fdr_oscillator(spec, bath_squeezed, default)
+        assert rows[0] == 729 == np.unique(np.abs(default)).size
+        half = np.linspace(0.0, 10.0, 501)
+        rows[0] = 0
+        rep = fdr_oscillator(spec, bath_squeezed, np.concatenate([-half[:0:-1], half]))
+        assert rows[0] == 501
+        for side in (rep.hadamard_side, rep.dissipation_side):
+            np.testing.assert_array_equal(side, side[::-1])
 
     def test_parity(self, spec, bath_thermal):
         grid = np.linspace(-8.0, 8.0, 801)

@@ -7,7 +7,7 @@ import pytest
 from oracles import d2_fourier, f_aux, fundamental_solutions, omega_coth_half_beta
 import sqbath.oscillator_dynamics
 from sqbath.bath_kernels import BathSpec, SqueezeSpectrum
-from sqbath.cli import parse_config, run_sweep
+from sqbath.cli import _build_bath, figure_preset, parse_config, run_sweep
 from sqbath.energy_fdr import power_in
 from sqbath.errors import (
     ConfigurationError,
@@ -18,9 +18,10 @@ from sqbath.errors import (
 from sqbath.gaussian_state import CovarianceState, SqueezeParam
 from sqbath.oscillator_dynamics import (
     OscillatorSpec,
+    _bilinear,
     _f_factor,
+    _integral,
     _node_factors,
-    _part,
     chi_hadamard,
     chi_hadamard_components,
     covariance_evolution,
@@ -449,9 +450,9 @@ def count_calls(monkeypatch, owner, name):
     calls = [0]
     original = getattr(owner, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls[0] += 1
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
     return calls
@@ -592,10 +593,24 @@ class TestNodeMemo:
         assert evals[0] <= len(nodes) / 5
 
 
-class TestPartMemo:
-    """Each part of a bilinear form is memoized by value for the whole run:
-    the stationary part of the squeeze-angle split does not depend on the
-    angle, so a second angle integrates only the nonstationary part."""
+def count_quad_calls(monkeypatch):
+    """Count the quadrature calls of the dynamics; returns a function
+    that runs fn(*args) and returns (its value, the calls it made)."""
+    calls = count_calls(monkeypatch, sqbath.oscillator_dynamics, "fourier_quad")
+
+    def count(fn, *args):
+        before = calls[0]
+        value = fn(*args)
+        return value, calls[0] - before
+
+    return count
+
+
+class TestTermMemo:
+    """Each Fourier term is memoized by value for the whole run, keyed on
+    its table set, coefficients, part, frequency and kind: a term that
+    recurs at another squeeze angle, time, pair or product is integrated
+    once, with the bits of its first integration."""
 
     THETAS = (0.0, math.pi / 6.0, math.pi / 2.0)
     TIMES = (5.0, 12.0, 30.0)
@@ -612,41 +627,95 @@ class TestPartMemo:
             cold.append(self.split(spec, theta))
         cold_memo()
         assert [self.split(spec, theta) for theta in self.THETAS] == cold
-        # and again, now served from the part memo
+        # and again, now served from the term memo
         assert [self.split(spec, theta) for theta in self.THETAS] == cold
 
     def test_stationary_part_integrated_once_per_time(self, spec, cold_memo, monkeypatch):
-        calls = [0]
-        original = sqbath.oscillator_dynamics.fourier_quad
-
-        def counted(*args, **kwargs):
-            calls[0] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(sqbath.oscillator_dynamics, "fourier_quad", counted)
-
-        def count(fn, *args):
-            before = calls[0]
-            fn(*args)
-            return calls[0] - before
+        count = count_quad_calls(monkeypatch)
 
         def stationary_only():
-            # the unit-weight stationary part the split integrates
+            # the unit-weight stationary part the split integrates; a zero
+            # nonstationary weight leaves that part without terms
             resp = effective_response(spec, BathSpec(self.BETA))
             for t in self.TIMES:
                 f = _f_factor(resp, t)
-                _part(resp, BathSpec(self.BETA), f, f, MEMO_QUAD, True, 1.0)
+                _bilinear(resp, BathSpec(self.BETA), f, f, MEMO_QUAD, (1.0, 0.0))
 
         cold_memo()
-        stationary = count(stationary_only)
+        stationary = count(stationary_only)[1]
         cold = []
         for theta in self.THETAS:
             cold_memo()
-            cold.append(count(self.split, spec, theta))
+            cold.append(count(self.split, spec, theta)[1])
         cold_memo()
-        warm = [count(self.split, spec, theta) for theta in self.THETAS]
+        warm = [count(self.split, spec, theta)[1] for theta in self.THETAS]
         assert 0 < stationary < cold[0]
         assert warm == [cold[0], *(n - stationary for n in cold[1:])]
+
+    def test_late_time_repeat_integrated_once(self, workloads, cold_memo, monkeypatch):
+        # at t = 340 and 350 the transients d1(t), d2(t) are below
+        # round-off, so one term of the two times has equal coefficients
+        cfg = parse_config(workloads.WORKLOADS["mass-ramp"].make_config(0))
+        spec, bath, quad = cfg.oscillator, _build_bath(cfg), cfg.quad
+        count = count_quad_calls(monkeypatch)
+
+        def point(t):
+            return covariance_evolution(spec, bath, GROUND, t, quad), power_in(spec, bath, t, quad)
+
+        cold = []
+        for t in (340.0, 350.0):
+            cold_memo()
+            cold.append(count(point, t))
+        cold_memo()
+        warm = [count(point, t) for t in (340.0, 350.0)]
+        assert [value for value, _ in warm] == [value for value, _ in cold]
+        assert sum(n for _, n in warm) == sum(n for _, n in cold) - 1
+
+    def test_hadamard_surface_shares_terms_across_pairs(self, cold_memo, monkeypatch):
+        # the grn3d preset's surface: the stationary term at |t - t'| and
+        # the nonstationary one at t + t' recur across the pairs of an
+        # even grid
+        cfg = parse_config(figure_preset("grn3d"))
+        spec, bath, quad = cfg.oscillator, _build_bath(cfg), cfg.quad
+        grid = [float(t) for t in cfg.hadamard_grid]
+        pairs = [(t, s) for i, t in enumerate(grid) for s in grid[i:]]
+        count = count_quad_calls(monkeypatch)
+
+        def surface():
+            return [chi_hadamard_components(spec, bath, 0.0, t, s, quad) for t, s in pairs]
+
+        cold_values, cold_calls = [], 0
+        for pair in pairs:
+            cold_memo()
+            value, calls = count(chi_hadamard_components, spec, bath, 0.0, *pair, quad)
+            cold_values.append(value)
+            cold_calls += calls
+        cold_memo()
+        values, calls = count(surface)
+        assert values == cold_values
+        assert calls < cold_calls
+
+    @pytest.mark.parametrize("other", ["gamma", "beta"])
+    def test_no_sharing_across_responses_or_baths(self, spec, other, cold_memo, monkeypatch):
+        count = count_quad_calls(monkeypatch)
+        if other == "gamma":
+            cases = [(OscillatorSpec.from_resonance(1.0, 1.0, g), BathSpec(self.BETA))
+                     for g in (0.1, 0.2)]
+        else:
+            cases = [(spec, BathSpec(beta)) for beta in (self.BETA, 2.0)]
+        cold = []
+        for case in cases:
+            cold_memo()
+            cold.append(count(covariance_evolution, *case[:2], GROUND, 12.0, MEMO_QUAD))
+        cold_memo()
+        warm = [count(covariance_evolution, *case[:2], GROUND, 12.0, MEMO_QUAD) for case in cases]
+        assert warm == cold
+
+    def test_clear_node_memos_clears_the_term_memo(self, spec, bath_squeezed, cold_memo):
+        covariance_evolution(spec, bath_squeezed, GROUND, 12.0, MEMO_QUAD)
+        assert _integral.cache_info().currsize > 0
+        cold_memo()
+        assert _integral.cache_info().currsize == 0
 
 
 def test_quadrature_failure_names_the_term(spec, bath_squeezed):

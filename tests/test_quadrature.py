@@ -339,3 +339,4 @@ def test_non_finite_results_are_refused():
     for exc in (plain, fourier):
         assert exc.value.diagnostics["ier"] == 2
         assert math.isnan(exc.value.partial_value)
+        assert "is not finite (the integrand overflowed)" in str(exc.value)

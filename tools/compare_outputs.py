@@ -18,9 +18,10 @@ squeeze-spectrum bath, the beta = inf branch of the massive measure,
 several responses reading one spectrum bath, one spectrum per sweep
 point of a changing ramp, one spectrum shared by baths of different
 beta, and ``fdr`` of a massless bath at beta = inf, w = 0 included.
-Two more generated configs must fail: a k grid that stops at 1
-(refused, exit 2) and ``quadrature.max_subdivisions: 10`` (exit 3);
-for these the two trees' exit codes and the files left under ``--out``
+Three more generated configs must fail: a k grid that stops at 1
+(refused, exit 2), ``quadrature.max_subdivisions: 10`` (exit 3) and a
+constant squeeze at ``bath.eta: 355`` (beta 0.3, cutoff 200, t 5-20),
+whose weighted kernel overflows (exit 3); for these the two trees' exit codes and the files left under ``--out``
 are compared.  Every run is made once with each tree's package, in its
 own Python subprocess.  ``--workload-seeds N`` adds the configs that
 ``perfbench/workloads.py`` of this checkout generates for seeds 0..N-1 of
@@ -103,6 +104,14 @@ GENERATED = {
 FAILING = {
     "unresolved-k-grid": {"k_grid": {"stop": 1.0}},
     "subdivision-limit": {"quadrature": {"max_subdivisions": 10}},
+    "overflowing-squeeze": {
+        "scenario": "constant_squeeze",
+        "profile": None,
+        "k_grid": None,
+        "bath": {"beta": 0.3, "eta": 355.0},
+        "quadrature": {"cutoff": 200.0},
+        "time_grid": {"start": 5.0, "stop": 20.0, "points": 4},
+    },
 }
 
 _ENTRY = "import sys; from sqbath.cli import main; sys.exit(main(sys.argv[1:]))"
