@@ -31,7 +31,6 @@ from .oscillator_dynamics import (
     chi_hadamard,
     covariance_evolution,
     covariance_integral_parts,
-    hadamard_coincident,
     massive_roots,
     ns_st_split,
 )

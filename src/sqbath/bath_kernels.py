@@ -11,12 +11,10 @@ The measure, its norm ``_MEASURE_NORM`` and its series patch
 measure and a spectrum's weights at one node in ``math`` arithmetic,
 the node tables of :func:`oscillator_dynamics._node_factors` keep its
 rows, and the oscillator FDR (:func:`energy_fdr.fdr_oscillator`) reads
-its rows on the frequency grid.  Their array forms, and the array
-lookup of a spectrum, are oracles in ``tests/oracles.py``.
-The bath's own two-point function, the coincident-point Hadamard kernel,
-is the plane-wave bilinear form of the response expander and lives with
-it in :mod:`oscillator_dynamics`
-(:func:`oscillator_dynamics.hadamard_coincident`).
+its rows on the frequency grid.  Their array forms, the array lookup
+of a spectrum and the bath's own two-point function, the
+coincident-point Hadamard kernel of a massless constant-squeeze bath in
+closed form, are oracles in ``tests/oracles.py``.
 
 Conventions: frequencies carry the initial field mass, w_i = sqrt(k^2 +
 m_i^2); k integrals are performed in w_i above threshold, which removes
@@ -246,7 +244,7 @@ def _base_row(bath: BathSpec, epsilon: float):
     The row holds the measure (1/8 pi^2) kappa coth(b w/2) e^{-epsilon w},
     kappa = sqrt(w^2 - m_i^2), and for a squeeze spectrum cosh 2eta and
     sinh 2eta e^{i theta} read at kappa; a bath with constant weights gets
-    the measure as the pair (x, 0.0).  A massive measure is 0 where kappa
+    the measure alone.  A massive measure is 0 where kappa
     is, below the threshold, and its coth is sgn w at b = inf.  A massless
     measure takes w coth(b w/2) from its series (2/b)(1 + u^2/3 - u^4/45),
     u = b w/2, below b w = _COTH_PATCH, and is w itself at b = inf.  The
@@ -272,7 +270,7 @@ def _base_row(bath: BathSpec, epsilon: float):
         if epsilon:
             m *= math.exp(-epsilon * w)
         if spectrum is None:
-            return ((m, 0.0),)
+            return (m,)
         two_eta = 2.0 * spectrum.eta_at(kappa)
         return m, math.cosh(two_eta), cmath.rect(math.sinh(two_eta), spectrum.theta_at(kappa))
 

@@ -372,11 +372,9 @@ def parse_config(data: dict) -> RunConfig:
     time_grid = _grid(data, "time_grid", default=np.linspace(1.0, late, 40))
     fdr_grid = hadamard_grid = None
     if "fdr" in outputs:
-        fdr_grid = _grid(
-            data,
-            "fdr_grid",
-            default=np.linspace(-10.0 * spec.omega_r, 10.0 * spec.omega_r, 1001),
-        )
+        # mirrored, so the default grid's w and -w are exact negatives
+        half = np.linspace(0.0, 10.0 * spec.omega_r, 501)
+        fdr_grid = _grid(data, "fdr_grid", default=np.concatenate((-half[:0:-1], half)))
         if profile is not None:
             _make("fdr_grid", fdr_frequencies, fdr_grid, profile.mass_i)
     if "hadamard_surface" in outputs:

@@ -184,10 +184,10 @@ def fdr_oscillator(
     # one row per distinct |w|: a w and its mirror -w share it
     distinct, where = np.unique(aw, return_inverse=True)
     rows = [row(w) for w in distinct.tolist()]
+    measure = np.array([r[0] for r in rows])[where]
     if isinstance(bath.squeeze, SqueezeSpectrum):
-        measure, ch2 = np.array([r[:2] for r in rows]).T[:, where]
+        ch2 = np.array([r[1] for r in rows])[where]
     else:
-        measure = np.array([r[0][0] for r in rows])[where]
         ch2 = bath.constant_squeeze().cosh2eta
     kappa_coth = measure / _MEASURE_NORM
     g = 1.0 / (spec.omega_r**2 - aw**2 - 2j * spec.gamma * kappa)

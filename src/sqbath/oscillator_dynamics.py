@@ -24,19 +24,19 @@ with the bath measure dmu and weights of :mod:`bath_kernels`, read per
 quadrature node from the tables of :func:`_node_factors`: one base set
 per bath holds the measure and a spectrum's weights, computed by
 :func:`bath_kernels._base_row` in ``math``/``cmath`` arithmetic on the
-node as a Python float, and the set of each response reads it.  Under constant
-weights the factors are (re, im) float pairs and the kernels write the
-complex product out in floats.
+node as a Python float, and the set of each response reads it.  Under
+constant weights the response factors are (re, im) float pairs and the
+kernels write the complex product out in floats.
 One expander multiplies out either product and groups its phases
 e^{-iw tau} by |tau| into cos and sin Fourier integrals with smooth
 kernels: (f, f), (f', f') and (f, f') give xx, pp and xp, (f(t), f(t'))
-the two-time Hadamard function, (f', e^{-iwt}) the injected power and
-(e^{-iwt}, e^{-iwt'}) the coincident-point Hadamard kernel of the bath
-itself, which needs no response.  :func:`_integral`, the one driver,
-turns a term into a quadrature call, memoized on the term, so a term
-that recurs at another time, pair or product of a run is integrated
-once.  f, f' and d2~ as functions of w, and the double time-integral
-form, live with the tests as oracles.  Fourier convention:
+the two-time Hadamard function and (f', e^{-iwt}) the injected power;
+every form carries at least one response.  :func:`_integral`, the one
+driver, turns a term into a quadrature call, memoized on the term, so a
+term that recurs at another time, pair or product of a run is
+integrated once.  f, f' and d2~ as functions of w, the double
+time-integral form and the bath's own Hadamard kernel in closed form
+(Hurwitz zeta) live with the tests as oracles.  Fourier convention:
 g~(w) = int dt g(t) e^{+iwt}.
 
 For a massive (parametric) bath the equation of motion acquires a Bessel
@@ -76,7 +76,6 @@ __all__ = [
     "ns_st_split",
     "chi_hadamard",
     "chi_hadamard_components",
-    "hadamard_coincident",
     "effective_response",
 ]
 
@@ -87,10 +86,6 @@ class KernelValue:
 
     stationary: float
     nonstationary: float
-
-    @property
-    def total(self) -> float:
-        return self.stationary + self.nonstationary
 
 
 @dataclass(frozen=True)
@@ -324,13 +319,14 @@ def _node_factors(
     sinh 2eta e^{i theta} of a squeeze spectrum; the set of a response
     holds the measure times d2~, d2~^2 and |d2~|^2 and reads the measure
     from the base set, so the responses of a gamma sweep share its nodes
-    and a spectrum's weights.  A node's first lookup in any table evaluates its row once
-    and stores it in all.
+    and a spectrum's weights.  A node's first lookup in any table
+    evaluates its row once and stores it in all.
 
-    A bath with constant weights stores each factor as a float pair
-    (re, im), a real one as (x, 0.0), for the pair kernels of
-    :func:`_kernel`; a squeeze spectrum's sets keep floats and complex
-    numbers."""
+    The kernels read the sets of a response, and the weights of a
+    spectrum's base set.  Under constant weights the response set stores
+    each factor as a float pair (re, im), a real one as (x, 0.0), for the
+    pair kernels of :func:`_kernel`; a squeeze spectrum's sets keep
+    floats and complex numbers."""
     spectral = isinstance(bath.squeeze, SqueezeSpectrum)
     if resp is None:
         return _table_set(_base_row(bath, quad.epsilon), 3 if spectral else 1)
@@ -338,7 +334,7 @@ def _node_factors(
     gamma, omega_sq = resp.gamma, resp.omega_sq
 
     def row(w):
-        m = measure[w] if spectral else measure[w][0]
+        m = measure[w]
         d = 1.0 / (omega_sq - w * w - 2j * gamma * w)
         md, mdd, mabs = m * d, m * (d * d), m * (d * d.conjugate()).real
         if spectral:
@@ -389,9 +385,9 @@ def _fourier_terms(u: _Factor, v: _Factor, stationary: bool, weight) -> list:
     p- sums them with the sign of tau.  A kernel
     that vanishes identically is dropped: the sin kernel at tau = 0, any
     part that a real F (u v* with equal d2~ powers under the real cosh
-    weight, or plane waves under a constant weight) takes from a purely
-    real or purely imaginary polynomial, and every kernel of a part whose
-    constant weight is zero (the nonstationary part of an unsqueezed bath).
+    weight) takes from a purely real or purely imaginary polynomial, and
+    every kernel of a part whose constant weight is zero (the
+    nonstationary part of an unsqueezed bath).
     """
     if stationary:
         scale = 2.0
@@ -416,7 +412,7 @@ def _fourier_terms(u: _Factor, v: _Factor, stationary: bool, weight) -> list:
                 tuple(x + sign * y for x, y in zip(minus, poly)),
             )
 
-    real_f = (stationary and u.n == v.n) or (u.n + v.n == 0 and weight is not None)
+    real_f = stationary and u.n == v.n
     terms = []
     for freq, polys in groups.items():
         for poly, part, kind in zip(polys, ("real", "imag"), ("cos", "sin")):
@@ -426,13 +422,13 @@ def _fourier_terms(u: _Factor, v: _Factor, stationary: bool, weight) -> list:
 
 
 def _bilinear(
-    resp: _Response | None, bath: BathSpec, u: _Factor, v: _Factor,
+    resp: _Response, bath: BathSpec, u: _Factor, v: _Factor,
     quad: QuadratureConfig, weights: tuple | None = None,
 ) -> tuple[float, float]:
     """(stationary, nonstationary) parts of the bilinear form of u and v.
 
-    ``resp`` may be None when neither factor carries d2~.  ``weights``
-    are constant squeeze weights (cosh 2eta, sinh 2eta e^{i theta}) for
+    At least one factor carries the d2~ of ``resp``.  ``weights`` are
+    constant squeeze weights (cosh 2eta, sinh 2eta e^{i theta}) for
     the measure of ``bath``; None takes the bath's own.  Both parts are
     symmetric in u and v, so the factor with more d2~ powers goes first.
     Each part adds its terms left to right, each one :func:`_integral`,
@@ -446,23 +442,21 @@ def _bilinear(
         u, v = v, u
     if weights[0] is not None:  # constant squeeze: a massless bath
         bath = BathSpec(bath.beta)
-    n = u.n + v.n
-    tables = (bath, quad, resp if n else None)
     parts = []
     for stationary, weight in zip((True, False), weights):
-        # the measure alone, or times d2~^n, or times |d2~|^2 for u v*
-        factor = 2 if stationary and v.n else max(n - 1, 0)
+        # the measure times d2~^n, or times |d2~|^2 for u v*
+        factor = 2 if stationary and v.n else u.n + v.n - 1
         weight_table = None if weight is not None else 1 if stationary else 2
         total = 0.0
         for term in _fourier_terms(u, v, stationary, weight):
-            total += _integral(*tables, factor, weight_table, *term)
+            total += _integral(bath, quad, resp, factor, weight_table, *term)
         parts.append(total)
     return tuple(parts)
 
 
 @functools.lru_cache(maxsize=1 << 14)
 def _integral(
-    bath: BathSpec, quad: QuadratureConfig, resp: _Response | None, factor: int,
+    bath: BathSpec, quad: QuadratureConfig, resp: _Response, factor: int,
     weight: int | None, coeffs: tuple, part: str, freq: float, kind: str,
 ) -> float:
     """int kernel(w) {1, cos, sin}(freq w) dw over the domain, the kernel
@@ -637,26 +631,3 @@ def chi_hadamard(
     )
     pref = spec.e_sq / spec.m**2
     return KernelValue(pref * stationary, pref * nonstationary)
-
-
-def hadamard_coincident(
-    bath: BathSpec, t: float, t_prime: float, quad: QuadratureConfig
-) -> KernelValue:
-    """Hadamard function of the bath field at x = 0.
-
-    stationary    =  2 int dmu cosh 2eta_kappa cos w(t - t')
-    nonstationary = -2 int dmu Re[sinh 2eta_kappa e^{i theta_kappa} e^{-iw(t+t')}]
-
-    the bilinear form of the plane waves e^{-iwt} and e^{-iwt'} under the
-    measure dmu and the squeeze weights of the bath, above the mass
-    threshold.  For a parametric bath the times are measured from the end
-    of the process.
-
-    UV divergent at coincidence: the quadrature config must carry a hard
-    cutoff or an exponential regulator.
-    """
-    if t < 0 or t_prime < 0:
-        raise DomainError("kernel times must be >= 0")
-    return KernelValue(
-        *_bilinear(None, bath, _wave(t), _wave(t_prime), quad)
-    )

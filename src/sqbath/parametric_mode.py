@@ -146,9 +146,6 @@ class ModeSolution:
     d2_dot: np.ndarray
     profile: MassProfile
 
-    def wronskian(self) -> np.ndarray:
-        return self.d1 * self.d2_dot - self.d2 * self.d1_dot
-
     def at(self, t: float) -> tuple[float, float, float, float]:
         """Fundamental data at time t.
 

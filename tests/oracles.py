@@ -2,9 +2,11 @@
 
 ``sqbath run`` and ``sqbath sweep`` never call these; they hold the
 closed forms the package is checked against: the response functions of
-the detector, the (Xi, eta, theta) forward map and the effective
-temperature, the Bessel J1, the oscillating power remnants J_n(t),
-the two sides of the bath-level fluctuation-dissipation relation, and
+the detector, the Wronskian of a field mode, the (Xi, eta, theta)
+forward map and the effective temperature, the Bessel J1, the
+oscillating power remnants J_n(t), the two sides of the bath-level
+fluctuation-dissipation relation, the bath's coincident-point Hadamard
+kernel, and
 on arrays the thermal factors coth(b w/2) and w coth(b w/2), the squeeze
 spectrum's lookups, the stationary weight cosh 2eta_kappa, the bath
 measure and the squeeze-spectrum weights, which the base rows of
@@ -14,6 +16,7 @@ measure and the squeeze-spectrum weights, which the base rows of
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 from scipy import special
 from scipy.interpolate import PchipInterpolator
@@ -132,6 +135,12 @@ def f_aux(spec, t: float, omega):
     w = np.asarray(omega, dtype=float)
     out = d2_fourier(spec, w) * (np.exp(-1j * w * t) - d1 + 1j * w * d2)
     return complex(out) if np.ndim(omega) == 0 else out
+
+
+def wronskian(sol):
+    """d1 d2' - d2 d1' of a field mode's fundamental solutions on its
+    time grid; canonical commutation keeps it at 1."""
+    return sol.d1 * sol.d2_dot - sol.d2 * sol.d1_dot
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +318,24 @@ def bath_fdr(omega: float, bath: BathSpec) -> tuple[float, float]:
     coth_signed = sgn * float(coth_half_beta(omega, bath.beta))
     rhs = coth_signed * ch2 * im_gr0
     return lhs, rhs
+
+
+def bath_hadamard(beta: float, eps: float, big_t: float, phase: float = 0.0) -> float:
+    """(1/8 pi^2) int_0^inf w coth(bw/2) e^{-eps w} cos(w T - phase) dw.
+
+    The Hurwitz-zeta closed form Re e^{-i phase} [1/z^2 + (2/b^2)
+    zeta(2, 1 + z/b)] / 8 pi^2 with z = eps - i T.  Twice its value at
+    T = t - t' is the stationary part of the Hadamard kernel of a
+    massless bath at x = 0 per unit cosh 2eta; minus twice its value at
+    T = t + t', phase theta, is the nonstationary part per unit
+    sinh 2eta.  Their cosh/sinh 2eta sum is the kernel whose stationary
+    part carries the FDR factor coth(b w/2) cosh 2eta.
+    """
+    z = mp.mpc(eps, -float(big_t))
+    val = mp.e ** (-1j * mp.mpf(phase)) * (
+        1 / z**2 + 2 / mp.mpf(beta) ** 2 * mp.zeta(2, 1 + z / beta)
+    )
+    return float(mp.re(val)) / (8 * math.pi**2)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,9 @@ import time
 import numpy as np
 import pytest
 
-import mpmath as mp
-
 from oracles import (
     bath_fdr,
+    bath_hadamard,
     convolve_response,
     covariance_from_decomposition,
     effective_temperature,
@@ -26,6 +25,7 @@ from oracles import (
     fundamental_solutions,
     jn_falloff,
     omega_coth_half_beta,
+    wronskian,
 )
 from sqbath.bath_kernels import BathSpec
 from sqbath.energy_fdr import fdr_oscillator, power_in, power_out
@@ -347,7 +347,7 @@ def test_criterion_7_invariant_suites(tanh_profile):
     grid = np.linspace(0.0, 4.0, 801)
     for k in ks:
         sol = integrate_mode(np.array([k]), tanh_profile, [grid])[0]
-        worst_w = max(worst_w, float(np.max(np.abs(sol.wronskian() - 1.0))))
+        worst_w = max(worst_w, float(np.max(np.abs(wronskian(sol) - 1.0))))
         om_i = tanh_profile.omega_i(float(k))
         om_f = tanh_profile.omega_f(float(k))
         for t in rng.choice(grid, size=40):
@@ -476,17 +476,10 @@ def test_criterion_9_oracle_equivalence(spec):
     n = 1280
     s = np.linspace(0.0, t, n + 1)
 
-    def closed(big_t, phase=0.0):
-        z = mp.mpc(eps, -float(big_t))
-        val = mp.e ** (-1j * mp.mpf(phase)) * (
-            1 / z**2 + 2 / mp.mpf(beta) ** 2 * mp.zeta(2, 1 + z / beta)
-        )
-        return float(mp.re(val)) / (8 * math.pi**2)
-
     diffs = s[:, None] - s[None, :]
     sums = s[:, None] + s[None, :]
-    stat_map = {d: 2.0 * closed(abs(d)) for d in np.unique(np.round(diffs, 12))}
-    ns_map = {v: 2.0 * closed(v, theta) for v in np.unique(np.round(sums, 12))}
+    stat_map = {d: 2.0 * bath_hadamard(beta, eps, abs(d)) for d in np.unique(np.round(diffs, 12))}
+    ns_map = {v: 2.0 * bath_hadamard(beta, eps, v, theta) for v in np.unique(np.round(sums, 12))}
     g_stat = np.vectorize(lambda d: stat_map[round(d, 12)])(diffs)
     g_ns = np.vectorize(lambda v: ns_map[round(v, 12)])(sums)
     g_h = math.cosh(2 * eta) * g_stat - math.sinh(2 * eta) * g_ns

@@ -395,6 +395,22 @@ class TestRun:
             body = (tmp_path / product["file"]).read_bytes()
             assert hashlib.sha256(body).hexdigest() == product["sha256"]
 
+    def test_default_fdr_grid_is_mirrored(self, tmp_path):
+        # w and -w of the default grid are exact negatives, so fdr_oscillator
+        # reads 501 base rows, one per |w|, and fdr.csv has equal rows at +-w
+        data = {key: value for key, value in SMALL_CONSTANT.items() if key != "fdr_grid"}
+        data["outputs"] = ["fdr"]
+        cfg = parse_config(data)
+        grid = cfg.fdr_grid
+        assert grid.size == 1001 and grid[0] == -10.0 and grid[-1] == 10.0
+        np.testing.assert_array_equal(grid, -grid[::-1])
+        assert np.unique(np.abs(grid)).size == 501
+        run(cfg, tmp_path)
+        _, body = read_rows(tmp_path / "fdr.csv")
+        assert [row[0] for row in body] == grid.tolist()
+        for row, mirror in zip(body, reversed(body)):
+            assert row[1:] == mirror[1:]
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = parse_config(dict(SMALL_CONSTANT))
         run(cfg, tmp_path / "a")

@@ -308,9 +308,10 @@ class TestFdrOscillator:
         assert rep.max_rel_deviation < 1e-6
 
     def test_one_base_row_per_distinct_frequency(self, spec, bath_squeezed, monkeypatch):
-        # a frequency and its mirror read one row; the default grid of a
-        # run at omega_r = 1 is symmetric only up to round-off (729
-        # distinct |w| of 1001), a grid mirrored in bits holds 501
+        # a frequency and its mirror read one row; the linspace grid of
+        # configs/constant_squeeze.yaml is symmetric only up to round-off
+        # (729 distinct |w| of 1001), a grid mirrored in bits, like the
+        # default grid of a run, holds 501
         rows = [0]
         original = sqbath.energy_fdr._base_row
 
@@ -324,9 +325,9 @@ class TestFdrOscillator:
             return counted
 
         monkeypatch.setattr(sqbath.energy_fdr, "_base_row", counted_base_row)
-        default = np.linspace(-10.0, 10.0, 1001)
-        fdr_oscillator(spec, bath_squeezed, default)
-        assert rows[0] == 729 == np.unique(np.abs(default)).size
+        shipped = np.linspace(-10.0, 10.0, 1001)
+        fdr_oscillator(spec, bath_squeezed, shipped)
+        assert rows[0] == 729 == np.unique(np.abs(shipped)).size
         half = np.linspace(0.0, 10.0, 501)
         rows[0] = 0
         rep = fdr_oscillator(spec, bath_squeezed, np.concatenate([-half[:0:-1], half]))

@@ -217,13 +217,10 @@ def test_bath_mix(bath, quad, spectrum, cold_memo):
     if spectral:
         oracles += spectrum_weights(bath.squeeze, bath.mass_i)(points)
     # the base set holds one evaluation of the row, read back on a
-    # repeated lookup: Python floats and a complex in a squeeze spectrum's
-    # set, the pair (measure, 0.0) in the set of a bath with constant weights
+    # repeated lookup: the measure as a Python float, then a squeeze
+    # spectrum's weights as a float and a complex
     first = [[table[x] for x in points] for table in tables]
     assert [[table[x] for x in points] for table in tables] == first
-    if not spectral:
-        assert {im for _, im in first[0]} == {0.0}
-        first = [[re for re, _ in first[0]]]
     for values, oracle, kind in zip(first, oracles, (float, float, complex)):
         assert {type(value) for value in values} == {kind}
         assert_row_close(values, oracle)
@@ -273,17 +270,16 @@ def _real_value(re, im):
 
 @pytest.mark.parametrize("coeffs", PAIR_COEFFS.values(), ids=PAIR_COEFFS.keys())
 def test_pair_kernels(coeffs, spec, quad, cold_memo):
-    # a constant-weight kernel reads (re, im) pairs and must give the bits
-    # of the complex product it writes out
+    # a constant-weight kernel reads the (re, im) pairs of a response set
+    # and must give the bits of the complex product it writes out
     bath = BathSpec(beta=0.3)
-    tables = [
-        *_node_factors(bath, quad, effective_response(spec, bath)),
-        *_node_factors(bath, quad, None),
-    ]
+    tables = _node_factors(bath, quad, effective_response(spec, bath))
+    (measure,) = _node_factors(bath, quad, None)
     # the factor as a complex or a float: measure times d2~ and d2~^2,
-    # then measure times |d2~|^2 and the measure alone
-    as_value = [complex, complex, _real_value, _real_value]
+    # then measure times |d2~|^2; the base set holds the measure as a float
+    as_value = [complex, complex, _real_value]
     c0, c1, c2 = coeffs
+    assert {type(measure[w]) for w in SPREAD.tolist()} == {float}
     for table, value_of in zip(tables, as_value):
         for part in ("real", "imag"):
             kernel = _kernel(table, None, coeffs, part)

@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import d2_fourier, f_aux, fundamental_solutions, omega_coth_half_beta
+from oracles import (
+    bath_hadamard,
+    d2_fourier,
+    f_aux,
+    fundamental_solutions,
+    omega_coth_half_beta,
+)
 import sqbath.oscillator_dynamics
 from sqbath.bath_kernels import BathSpec, SqueezeSpectrum
 from sqbath.cli import _build_bath, figure_preset, parse_config, run_sweep
@@ -27,7 +33,6 @@ from sqbath.oscillator_dynamics import (
     covariance_evolution,
     covariance_integral_parts,
     effective_response,
-    hadamard_coincident,
     massive_roots,
     ns_st_split,
 )
@@ -237,8 +242,6 @@ class TestCovarianceEvolution:
         # fundamental-solution windows; regulated by epsilon = 0.1 so the
         # kernel is resolvable on the grid.  Checks the frequency-domain
         # route at small t.
-        import mpmath as mp
-
         beta, eps, theta, eta = 1.0, 0.1, 0.9, 0.6
         quad = QuadratureConfig(epsilon=eps, rel_tol=1e-10, abs_tol=1e-14)
         bath = BathSpec(beta=beta, squeeze=SqueezeParam(eta, theta))
@@ -246,19 +249,12 @@ class TestCovarianceEvolution:
         n = 1280  # Simpson needs even interval count
         s = np.linspace(0.0, t, n + 1)
 
-        def closed(big_t, phase=0.0):
-            z = mp.mpc(eps, -float(big_t))
-            val = mp.e ** (-1j * mp.mpf(phase)) * (
-                1 / z**2 + 2 / mp.mpf(beta) ** 2 * mp.zeta(2, 1 + z / beta)
-            )
-            return float(mp.re(val)) / (8 * math.pi**2)
-
         diffs = s[:, None] - s[None, :]
         sums = s[:, None] + s[None, :]
         uniq_d = np.unique(np.round(diffs, 12))
         uniq_s = np.unique(np.round(sums, 12))
-        stat_map = {d: 2.0 * closed(abs(d)) for d in uniq_d}
-        ns_map = {v: 2.0 * closed(v, theta) for v in uniq_s}
+        stat_map = {d: 2.0 * bath_hadamard(beta, eps, abs(d)) for d in uniq_d}
+        ns_map = {v: 2.0 * bath_hadamard(beta, eps, v, theta) for v in uniq_s}
         g_stat = np.vectorize(lambda d: stat_map[round(d, 12)])(diffs)
         g_ns = np.vectorize(lambda v: ns_map[round(v, 12)])(sums)
         g_h = math.cosh(2 * eta) * g_stat - math.sinh(2 * eta) * g_ns
@@ -379,7 +375,7 @@ class TestChiHadamard:
         t = 7.0
         kv = chi_hadamard(spec, bath_squeezed, t, t, quad)
         i_xx, _, _ = covariance_integral_parts(spec, bath_squeezed, t, quad)
-        assert abs(kv.total / i_xx - 1.0) < 1e-8
+        assert abs((kv.stationary + kv.nonstationary) / i_xx - 1.0) < 1e-8
 
     def test_late_time_reduces_to_boosted_thermal(self, spec, quad):
         # stationary part -> cosh 2eta * thermal correlation of t - t';
@@ -392,7 +388,9 @@ class TestChiHadamard:
         thermal = chi_hadamard(spec, BathSpec(beta=0.3), t + tau, t, quad)
         assert abs(kv.stationary / (math.cosh(2.0) * thermal.stationary) - 1.0) < 1e-6
         assert abs(kv.nonstationary) < 1e-3 * abs(kv.stationary)
-        assert abs(kv.total / (math.cosh(2.0) * thermal.total) - 1.0) < 1e-3
+        total = kv.stationary + kv.nonstationary
+        thermal_total = thermal.stationary + thermal.nonstationary
+        assert abs(total / (math.cosh(2.0) * thermal_total) - 1.0) < 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +467,7 @@ class TestNodeMemo:
         # other products and time points of the same bath fill the memos first
         for t in (3.0, 25.0):
             three_products(spec, bath, t)
-        hadamard_coincident(bath, 12.0, 6.0, MEMO_QUAD)
+        chi_hadamard(spec, bath, 6.0, 12.0, MEMO_QUAD)
         assert three_products(spec, bath) == cold
 
     def test_interleaved_baths_keep_their_solo_bits(self, bath_parametric, cold_memo):
