@@ -37,21 +37,3 @@ from .oscillator_dynamics import (
 from .quadrature import QuadratureConfig
 
 __version__ = "0.1.0"
-
-# the mode solver is imported on first use: only a parametric run needs it
-_PARAMETRIC = (
-    "MassProfile",
-    "ModeSolution",
-    "ProfileShape",
-    "bogoliubov_from_mode",
-    "integrate_mode",
-    "squeeze_spectrum",
-)
-
-
-def __getattr__(name):
-    if name in _PARAMETRIC:
-        from . import parametric_mode
-
-        return getattr(parametric_mode, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -675,6 +675,17 @@ def config_hash(resolved: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def _strict_json(value):
+    """``value`` for strict JSON: each nan and +-inf float becomes the
+    string "nan", "inf" or "-inf", which :func:`_as_float` reads back."""
+    if isinstance(value, dict):
+        return {key: _strict_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(item) for item in value]
+    finite = not isinstance(value, float) or math.isfinite(value)
+    return value if finite else str(float(value))
+
+
 def _write_run(out_dir, cfg: RunConfig, started: float, files, **extra) -> dict:
     """Create ``out_dir``, write every (product, file name, header, rows,
     params) of ``files`` and ``run_manifest.json``, and return the
@@ -683,7 +694,7 @@ def _write_run(out_dir, cfg: RunConfig, started: float, files, **extra) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     products = [_write_product(out, *file) for file in files]
     resolved = resolved_config(cfg)
-    manifest = {
+    manifest = _strict_json({
         "config_hash": config_hash(resolved),
         "tool_version": __version__,
         "regulator": resolved["quadrature"],
@@ -691,10 +702,9 @@ def _write_run(out_dir, cfg: RunConfig, started: float, files, **extra) -> dict:
         "products": products,
         "resolved_config": resolved,
         **extra,
-    }
-    (out / "run_manifest.json").write_text(
-        json.dumps(manifest, indent=2, default=str) + "\n"
-    )
+    })
+    text = json.dumps(manifest, indent=2, allow_nan=False, default=str)
+    (out / "run_manifest.json").write_text(text + "\n")
     return manifest
 
 
@@ -927,7 +937,8 @@ def main(argv=None) -> int:
     except SqbathError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         if getattr(exc, "diagnostics", None):
-            print(f"diagnostics: {json.dumps(exc.diagnostics, default=str)}", file=sys.stderr)
+            diagnostics = json.dumps(_strict_json(exc.diagnostics), allow_nan=False, default=str)
+            print(f"diagnostics: {diagnostics}", file=sys.stderr)
         return 3
 
     products, digest = manifest["products"], manifest["config_hash"]

@@ -8,10 +8,11 @@ Wronskian 1) are integrated with DOP853 (Hairer, Norsett & Wanner,
 *Solving Ordinary Differential Equations I*, 1993, II.10): all modes
 step together in one loop, each under scipy's own step-size control, so
 every mode gets the bits of its own scipy DOP853 run.  The dense output
-(II.6) at the grid samples is built in flushes, for a batch of accepted
-steps at a time, each step's samples with scipy's bits.  A sharp Step
-profile bypasses the ODE solver entirely and is matched analytically,
-serving both as an oracle and to avoid stiffness at the jump.
+(II.6) at the grid samples is built in one batch, for all the accepted
+steps that hold samples, each step's samples with scipy's bits.  A sharp
+Step profile bypasses the ODE solver entirely and is matched
+analytically, serving both as an oracle and to avoid stiffness at the
+jump.
 
 The Butcher tableau is scipy's ``integrate/_ivp/dop853_coefficients.py``
 (it imports only numpy), loaded from its file by
@@ -233,9 +234,6 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10
 _ERROR_EXPONENT = -1 / (ERROR_ESTIMATOR_ORDER + 1)
 
-# accepted steps whose interpolant is built together (_lockstep_dop853)
-_QUEUED_STEPS = 32
-
 
 # the rows (d1, d1', d2, d2') swapped to (d1', d1, d2', d2): their
 # derivatives up to the factors of _rhs_factors
@@ -377,16 +375,14 @@ def _lockstep_dop853(profile, k, samples, tol):
     the stage sums act on all of them at once; error norms and step
     factors stay per-mode scalars (:func:`_step_control`).  The per-mode
     results are bit-identical to the separate solves (on a BLAS build
-    that reduces as :func:`_stage_sums` assumes).  The interpolant
-    is built only for steps that hold a sample after t = 0, where it
-    returns the initial data: such a step is queued, and a flush builds
-    the interpolants of up to _QUEUED_STEPS queued steps at once
-    (:func:`_dense_output`).  The queue is flushed when full, at the end
-    and before any failure is raised, so a failure at a queued sample is
-    reported as the per-step check reported it, with the samples up to
-    it.  The Wronskian drift is checked at every accepted step and every
-    sample.  Returns one (samples, 4) array per mode with rows (d1, d1',
-    d2, d2').
+    that reduces as :func:`_stage_sums` assumes).  The interpolant is
+    built only for steps that hold a sample after t = 0, where it returns
+    the initial data: one flush builds those of all such steps at once
+    (:func:`_dense_output`), at the end or before any failure is raised,
+    so a failure at a sample is reported as the per-step check reported
+    it, with the samples up to it.  The Wronskian drift is checked at
+    every accepted step and every sample.  Returns one (samples, 4) array
+    per mode with rows (d1, d1', d2, d2').
     """
     # run the stepper well below the requested tolerance: the Wronskian
     # drift accumulates over the whole span and is the quantity under
@@ -409,39 +405,35 @@ def _lockstep_dop853(profile, k, samples, tol):
     next_sample = np.ones(n, dtype=int)
     drift_max = np.zeros(n)
 
-    # accepted steps that hold samples wait in a queue of fixed size, and
-    # one flush builds the interpolant of all of them (_dense_output)
-    size = _QUEUED_STEPS
-    q_k, q_t, q_h = np.empty(size), np.empty(size), np.empty(size)
-    q_y, q_y_new = np.empty(4 * size), np.empty(4 * size)
-    q_K = np.empty((N_STAGES + 1, 4 * size))
-    queued = []  # (mode, first sample, end of its samples) per queued step
+    # per loop iteration, the accepted steps that hold samples: their modes,
+    # the ends (lo, hi) of their samples, and their k, t, h, y, y_new and
+    # stages, the arguments of _dense_output
+    blocks = []
 
     def flush():
-        steps = queued.copy()
-        queued.clear()  # a failure below must not flush them again
-        if not steps:
+        if not blocks:
             return
-        n = len(steps)
-        counts = [hi - lo for _, lo, hi in steps]
-        starts = np.cumsum([0, *counts[:-1]])
+        modes, lo, hi, *parts = (np.concatenate(part, axis=-1) for part in zip(*blocks))
+        blocks.clear()  # a failure below must not flush them again
+        counts = hi - lo
         rows = _dense_output(
-            profile, q_k[:n], q_t[:n], q_h[:n], q_y[: 4 * n], q_y_new[: 4 * n], q_K[:, : 4 * n],
-            np.repeat(np.arange(n), counts),
-            np.concatenate([samples[i][lo:hi] for i, lo, hi in steps]),
+            profile, *parts, np.repeat(np.arange(modes.size), counts),
+            np.concatenate([samples[i][a:b] for i, a, b in zip(modes, lo, hi)]),
         )
+        starts = np.cumsum(counts) - counts
         # each step's largest sample drift, NaN if one is NaN (as np.max)
         worst = np.maximum.reduceat(_wronskian_drift(rows), starts).tolist()
-        for (i, _, hi), start, count, drift in zip(steps, starts.tolist(), counts, worst):
-            taken[i].append(rows[start: start + count])
+        steps = zip(modes.tolist(), hi.tolist(), np.split(rows, starts[1:]), worst)
+        for i, end, step_rows, drift in steps:
+            taken[i].append(step_rows)
             drift_max[i] = max(drift_max[i], drift)
             # drift_max may hold later steps already: the step's own drift
             # is checked and reported
             if drift > bound:
-                fail(i, samples[i][hi - 1], f"drift above {bound:.1e} (10x tolerance)", drift)
+                fail(i, samples[i][end - 1], f"drift above {bound:.1e} (10x tolerance)", drift)
 
     def fail(i, t_reached, what, drift=None):
-        # the queued samples come first: an earlier failure among them
+        # the held samples come first: an earlier failure among them
         # is raised instead, and the partial solution holds them all
         flush()
         drift = drift_max[i] if drift is None else drift
@@ -519,19 +511,16 @@ def _lockstep_dop853(profile, k, samples, tol):
             j = int(np.argmax(drift > bound))
             fail(idx[j], t_new[j], f"drift above {bound:.1e} (10x tolerance)")
 
-        for j in np.flatnonzero(accepted & (t_next[idx] <= t_new)):
-            i = idx[j]
-            hi = int(np.searchsorted(samples[i], t_new[j], side="right"))
-            e = len(queued)
-            queued.append((i, next_sample[i], hi))
-            q_k[e], q_t[e], q_h[e] = kk[j], t[j], h[j]
-            q_y[4 * e: 4 * e + 4] = y[4 * j: 4 * j + 4]
-            q_y_new[4 * e: 4 * e + 4] = y_new[4 * j: 4 * j + 4]
-            q_K[:, 4 * e: 4 * e + 4] = K[:, 4 * j: 4 * j + 4]
-            next_sample[i] = hi
-            t_next[i] = samples[i][hi] if hi < samples[i].size else np.inf
-            if e + 1 == size:
-                flush()
+        sampled = np.flatnonzero(accepted & (t_next[idx] <= t_new))
+        if sampled.size:
+            modes = idx[sampled]
+            lo = next_sample[modes]
+            for i, j in zip(modes, sampled):
+                hi = next_sample[i] = np.searchsorted(samples[i], t_new[j], side="right")
+                t_next[i] = samples[i][hi] if hi < samples[i].size else np.inf
+            cols = (4 * sampled[:, None] + np.arange(4)).ravel()
+            steps = (kk[sampled], t[sampled], h[sampled], y[cols], y_new[cols], K[:, cols])
+            blocks.append((modes, lo, next_sample[modes], *steps))
 
         t = np.where(accepted, t_new, t)
         accepted4 = np.repeat(accepted, 4)

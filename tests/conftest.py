@@ -5,16 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sqbath import (
-    BathSpec,
-    MassProfile,
-    OscillatorSpec,
-    QuadratureConfig,
-    SqueezeParam,
-)
+from sqbath import BathSpec, OscillatorSpec, QuadratureConfig, SqueezeParam
 from sqbath.cli import squeeze_spectrum as cli_squeeze_spectrum
 from sqbath.oscillator_dynamics import _integral, _node_factors
-from sqbath.parametric_mode import squeeze_spectrum
+from sqbath.parametric_mode import MassProfile, squeeze_spectrum
 
 
 def clear_node_memos():

@@ -181,6 +181,14 @@ def write_config(tmp_path, data, name="cfg.yaml"):
     return path
 
 
+def strict_json(text):
+    """``text`` parsed as strict JSON: NaN, Infinity and -Infinity refused."""
+    def refuse(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def read_rows(path):
     """Header and rows of a product CSV, parsed with Python's float."""
     with open(path, newline="") as handle:
@@ -885,6 +893,28 @@ class TestMainEntry:
             assert message == "numerical error: 2 of 2 sweep points failed"
             assert [f["value"] for f in payload["failures"]] == [1.0, 2.0]
             assert all(": step size" in f["error"] for f in payload["failures"])
+
+    def test_manifests_are_strict_json(self, tmp_path, capsys):
+        # a zero-temperature preset and a sweep with an overflowing point
+        # write their non-finite numbers as the strings "inf" and "nan"
+        assert main(["run", "--figure", "grn3d", "--out", str(tmp_path / "cold")]) == 0
+        cold = strict_json((tmp_path / "cold" / "run_manifest.json").read_text())
+        bath = cold["resolved_config"]["bath"]
+        assert bath["beta"] == "inf"
+        assert cold["config_hash"].startswith(SHIPPED_HASHES["grn3d"])
+        # the written beta reads back as zero temperature
+        assert parse_config({**figure_preset("grn3d"), "bath": bath}).bath_beta == math.inf
+        capsys.readouterr()
+
+        data = dict(SMALL_CONSTANT, outputs=["covariances"])
+        data["sweep"] = {"path": "bath.eta", "values": [1.0, 355.0]}
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(write_config(tmp_path, data)), "--out", str(out)]) == 3
+        (failure,) = strict_json((out / "run_manifest.json").read_text())["sweep_failures"]
+        assert failure["value"] == 355.0
+        assert failure["partial_value"] == "nan" and failure["diagnostics"]["abserr"] == "nan"
+        diagnostics = capsys.readouterr().err.splitlines()[1].removeprefix("diagnostics: ")
+        assert strict_json(diagnostics)["failures"] == [failure]
 
     @pytest.mark.parametrize(
         "product, point",

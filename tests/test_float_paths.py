@@ -29,14 +29,14 @@ from oracles import (
     spectrum_weights,
     theta_at,
 )
-from sqbath import BathSpec, MassProfile, QuadratureConfig, SqueezeParam
+from sqbath import BathSpec, QuadratureConfig, SqueezeParam
 from sqbath.bath_kernels import SqueezeSpectrum, _pchip_pieces, bath_mix
 from sqbath.oscillator_dynamics import (
     _kernel,
     _node_factors,
     effective_response,
 )
-from sqbath.parametric_mode import ProfileShape
+from sqbath.parametric_mode import MassProfile, ProfileShape
 
 
 def assert_0d_equals_1d(fn, points):

@@ -212,14 +212,11 @@ class TestLockstepOracle:
             for got, want in zip((sol.d1, sol.d1_dot, sol.d2, sol.d2_dot), rows):
                 assert_rows_equal(got, want)
 
-    @pytest.mark.parametrize("queued", [1, 3, None], ids=["1", "3", "default"])
-    def test_every_dense_sample_across_flushes(self, oracle_case, queued, monkeypatch):
-        """Accepted steps wait in a queue and a flush builds the interpolant
-        of all of them at once; whatever the queue's size, flushes inside
-        the loop and at its end give every sample scipy's bits."""
+    def test_every_dense_sample_from_one_flush(self, oracle_case, monkeypatch):
+        """The accepted steps that hold samples are kept until the end of
+        the solve, and one flush builds the interpolant of all of them
+        from one m^2(t) table; every sample keeps scipy's bits."""
         profile, grids, reference = oracle_case
-        if queued is not None:
-            monkeypatch.setattr(sqbath.parametric_mode, "_QUEUED_STEPS", queued)
         shapes = []
         omega_sq = MassProfile.omega_sq
 
@@ -229,9 +226,10 @@ class TestLockstepOracle:
 
         monkeypatch.setattr(MassProfile, "omega_sq", recorded)
         sols = integrate_mode(ORACLE_KS, profile, grids, tol=1e-9)
-        # a flush reads one (3 extra stages, queued steps) table
+        # the flush reads one (3 extra stages, held steps) table
         flushes = [shape for shape in shapes if len(shape) == 2 and shape[0] == 3]
-        assert len(flushes) > 1
+        held = sum(grid.size - 1 for grid in grids)  # at most one step per sample
+        assert len(flushes) == 1 and ORACLE_KS.size < flushes[0][1] <= held
         for sol, rows in zip(sols, reference):
             for got, want in zip((sol.d1, sol.d1_dot, sol.d2, sol.d2_dot), rows):
                 assert_rows_equal(got, want)
@@ -399,22 +397,29 @@ class TestModeFailures:
         assert "drift above 1.0e-12" in str(exc)
 
 
-@pytest.mark.parametrize("queued", [1, 2, None], ids=["1", "2", "default"])
-def test_sample_drift_failure_as_scipy_driver(queued, monkeypatch):
+def test_sample_drift_failure_as_scipy_driver(monkeypatch):
     # a sample between two accepted steps drifts above the bound: the error
     # names the mode, the step's last sample time and the drift there, and
-    # the partial solution ends with that step's samples, whenever the
-    # queue holding the step is flushed
-    if queued is not None:
-        monkeypatch.setattr(sqbath.parametric_mode, "_QUEUED_STEPS", queued)
+    # the partial solution ends with that step's samples, although only the
+    # one flush, after later steps, finds it
+    shapes = []
+    omega_sq = MassProfile.omega_sq
+
+    def recorded(self, k, t):
+        shapes.append(np.shape(t))
+        return omega_sq(self, k, t)
+
     prof = MassProfile(0.1, 3.0, 0.0, 1.0)
     grids = [np.linspace(0.0, 4.0, 201), np.linspace(0.0, 4.0, 31)]
     kind, t_failed, rows = scipy_first_failure(0.5, prof, grids[0], 1e-13)
     assert kind == "sample" and t_failed < 4.0
     # the other mode runs on to the end, past the failing step
     assert scipy_first_failure(0.05, prof, grids[1], 1e-13)[0] is None
+    monkeypatch.setattr(MassProfile, "omega_sq", recorded)
     with pytest.raises(ConvergenceError) as info:
         integrate_mode(np.array([0.5, 0.05]), prof, grids, tol=1e-13)
+    # one flush, one (3 extra stages, held steps) table
+    assert len([shape for shape in shapes if len(shape) == 2 and shape[0] == 3]) == 1
     exc = info.value
     assert exc.diagnostics["k"] == 0.5 and exc.diagnostics["t_reached"] == t_failed
     assert "mode k = 0.5: drift above 1.0e-12" in str(exc)

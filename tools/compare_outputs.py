@@ -6,23 +6,29 @@ PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.
 The script runs ``configs/*.yaml`` of this checkout (``sqbath run``,
 ``sqbath sweep`` too for ``constant_squeeze.yaml`` and only ``sqbath
 sweep``, serial and with ``--threads 2``, for ``finite_coupling.yaml``)
-and the figure presets 4, 6, 7, grn3d and tan2eta, and eight small
+and the figure presets 4, 6, 7, grn3d and tan2eta, and nine small
 generated configs (parametric: a smoothstep and a step ramp from
 ``mass_i`` 0.2 to ``mass_f`` 0.5, a constant mass 0.3, the smoothstep
 ramp at zero temperature, and the smoothstep ramp swept over two gamma,
-over two ``mass_f`` and over two beta with ``sqbath sweep``; and a
+over two ``mass_f`` and over two beta with ``sqbath sweep``; a
 constant squeeze at ``bath.beta: inf`` whose ``fdr_grid`` passes
-through 0) that reach the paths no other run does: the cusp-head split
-above a mass threshold, the massive kappa, ``chi_hadamard`` on a
-squeeze-spectrum bath, the beta = inf branch of the massive measure,
-several responses reading one spectrum bath, one spectrum per sweep
-point of a changing ramp, one spectrum shared by baths of different
-beta, and ``fdr`` of a massless bath at beta = inf, w = 0 included.
-Three more generated configs must fail: a k grid that stops at 1
-(refused, exit 2), ``quadrature.max_subdivisions: 10`` (exit 3) and a
+through 0; and a finite-coupling sweep over the range ``oscillator.gamma``
+0.03 to 0.3, 3 log-spaced steps) that reach the paths no other run does:
+the cusp-head split above a mass threshold, the massive kappa,
+``chi_hadamard`` on a squeeze-spectrum bath, the beta = inf branch of
+the massive measure, several responses reading one spectrum bath, one
+spectrum per sweep point of a changing ramp, one spectrum shared by
+baths of different beta, ``fdr`` of a massless bath at beta = inf,
+w = 0 included, and the start/stop/steps/spacing form of a sweep.
+Four more generated configs must fail: a k grid that stops at 1
+(refused, exit 2), ``quadrature.max_subdivisions: 10`` (exit 3), a
 constant squeeze at ``bath.eta: 355`` (beta 0.3, cutoff 200, t 5-20),
-whose weighted kernel overflows (exit 3); for these the two trees' exit codes and the files left under ``--out``
-are compared.  Every run is made once with each tree's package, in its
+whose weighted kernel overflows (exit 3), and that constant squeeze's
+covariances swept over ``bath.eta: [1.0, 355.0]`` (exit 3, the eta = 1
+point written and the eta = 355 point in ``sweep_failures``); for these
+the two trees' exit codes and the names of the files left under
+``--out`` are compared, and then the files by content as for any run.
+Every run is made once with each tree's package, in its
 own Python subprocess.  ``--workload-seeds N`` adds the configs that
 ``perfbench/workloads.py`` of this checkout generates for seeds 0..N-1 of
 each workload, run through the workload's own entry point.  For every
@@ -99,6 +105,17 @@ GENERATED = {
         "k_grid": None,
         "bath": {"beta": float("inf"), "eta": 1.0},
     },
+    "finite-coupling-gamma-range": {
+        "scenario": "finite_coupling",
+        "profile": None,
+        "k_grid": None,
+        "fdr_grid": None,
+        "hadamard_grid": None,
+        "time_grid": {"start": 0.5, "stop": 5.0, "points": 3},
+        "outputs": ["covariances", "squeeze_trajectory"],
+        "sweep": {"path": "oscillator.gamma", "start": 0.03, "stop": 0.3, "steps": 3,
+                  "spacing": "log"},
+    },
 }
 # the same for runs that must fail, exit 2 and exit 3
 FAILING = {
@@ -112,6 +129,12 @@ FAILING = {
         "quadrature": {"cutoff": 200.0},
         "time_grid": {"start": 5.0, "stop": 20.0, "points": 4},
     },
+}
+# the constant squeeze above swept over a good and an overflowing eta
+FAILING["overflowing-squeeze-sweep"] = {
+    **FAILING["overflowing-squeeze"],
+    "outputs": ["covariances"],
+    "sweep": {"path": "bath.eta", "values": [1.0, 355.0]},
 }
 
 _ENTRY = "import sys; from sqbath.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -325,15 +348,19 @@ def main(argv=None) -> int:
             if label in FAILING:
                 states = [leftovers(code, out) for code, out in zip(codes, outs)]
                 same = states[0] == states[1]
-                print(f"{label}: {'identical' if same else 'DIFFERS'}")
+                print(f"{label}: exit code and file names {'identical' if same else 'DIFFER'}")
                 print(f"  parent: {states[0]}\n  change: {states[1]}")
                 if not same:
                     status = max(status, 1)
-                elif codes[0] == 0:
+                    continue
+                if codes[0] == 0:
                     print(f"{label}: the run must fail but exited 0 in both trees")
                     status = 2
-                continue
-            if failed:
+                    continue
+                if not outs[0].exists():
+                    continue
+                # a failed sweep leaves its good points and its failure records
+            elif failed:
                 status = 2
                 continue
             worst, lines = compare_dirs(*outs)
