@@ -45,6 +45,38 @@ def solve_ivp_mode(k, profile, grid, tol):
     return sol.y, sol.nfev
 
 
+def record_flush_tables(monkeypatch, queued=None):
+    """Record the width of every (3 extra stages, steps) m^2(t) table the
+    dense output reads, in order.  With ``queued`` set, every
+    :func:`_dense_output` call is split into calls of at most ``queued``
+    steps, whose rows are joined in step order."""
+    widths = []
+    omega_sq = MassProfile.omega_sq
+
+    def recorded(self, k, t):
+        if np.ndim(t) == 2 and np.shape(t)[0] == 3:
+            widths.append(np.shape(t)[1])
+        return omega_sq(self, k, t)
+
+    build = sqbath.parametric_mode._dense_output
+
+    def split(profile, k, t_old, h, y_old, y_new, K, step, times):
+        rows = []
+        for a in range(0, k.size, queued):
+            b = min(a + queued, k.size)
+            part = (step >= a) & (step < b)
+            rows.append(build(
+                profile, k[a:b], t_old[a:b], h[a:b], y_old[4 * a:4 * b],
+                y_new[4 * a:4 * b], K[:, 4 * a:4 * b], step[part] - a, times[part],
+            ))
+        return np.concatenate(rows)
+
+    monkeypatch.setattr(MassProfile, "omega_sq", recorded)
+    if queued is not None:
+        monkeypatch.setattr(sqbath.parametric_mode, "_dense_output", split)
+    return widths
+
+
 def scipy_first_failure(k, profile, grid, tol):
     """The first Wronskian drift failure of scipy's DOP853 driver on one
     mode, checked where ``integrate_mode`` checks it: at every accepted
@@ -212,24 +244,23 @@ class TestLockstepOracle:
             for got, want in zip((sol.d1, sol.d1_dot, sol.d2, sol.d2_dot), rows):
                 assert_rows_equal(got, want)
 
-    def test_every_dense_sample_from_one_flush(self, oracle_case, monkeypatch):
+    @pytest.mark.parametrize("queued", [1, 3, None], ids=["1", "3", "default"])
+    def test_every_dense_sample_across_flushes(self, oracle_case, queued, monkeypatch):
         """The accepted steps that hold samples are kept until the end of
         the solve, and one flush builds the interpolant of all of them
-        from one m^2(t) table; every sample keeps scipy's bits."""
+        from one m^2(t) table; split into builds of 1 or 3 steps, it gives
+        the same bits: a step's interpolant does not depend on the steps
+        that share its table.  Every sample keeps scipy's bits."""
         profile, grids, reference = oracle_case
-        shapes = []
-        omega_sq = MassProfile.omega_sq
-
-        def recorded(self, k, t):
-            shapes.append(np.shape(t))
-            return omega_sq(self, k, t)
-
-        monkeypatch.setattr(MassProfile, "omega_sq", recorded)
+        tables = record_flush_tables(monkeypatch, queued)
         sols = integrate_mode(ORACLE_KS, profile, grids, tol=1e-9)
-        # the flush reads one (3 extra stages, held steps) table
-        flushes = [shape for shape in shapes if len(shape) == 2 and shape[0] == 3]
-        held = sum(grid.size - 1 for grid in grids)  # at most one step per sample
-        assert len(flushes) == 1 and ORACLE_KS.size < flushes[0][1] <= held
+        held = sum(tables)
+        # at least one step per mode, at most one step per sample
+        assert ORACLE_KS.size < held <= sum(grid.size - 1 for grid in grids)
+        if queued is None:
+            assert len(tables) == 1
+        else:
+            assert len(tables) == -(-held // queued) and max(tables) == queued
         for sol, rows in zip(sols, reference):
             for got, want in zip((sol.d1, sol.d1_dot, sol.d2, sol.d2_dot), rows):
                 assert_rows_equal(got, want)
@@ -397,29 +428,25 @@ class TestModeFailures:
         assert "drift above 1.0e-12" in str(exc)
 
 
-def test_sample_drift_failure_as_scipy_driver(monkeypatch):
+@pytest.mark.parametrize("queued", [1, 2, None], ids=["1", "2", "default"])
+def test_sample_drift_failure_as_scipy_driver(queued, monkeypatch):
     # a sample between two accepted steps drifts above the bound: the error
     # names the mode, the step's last sample time and the drift there, and
     # the partial solution ends with that step's samples, although only the
-    # one flush, after later steps, finds it
-    shapes = []
-    omega_sq = MassProfile.omega_sq
-
-    def recorded(self, k, t):
-        shapes.append(np.shape(t))
-        return omega_sq(self, k, t)
-
+    # one flush, after later steps, finds it, whether that flush builds its
+    # interpolants in one table or in tables of 1 or 2 steps
     prof = MassProfile(0.1, 3.0, 0.0, 1.0)
     grids = [np.linspace(0.0, 4.0, 201), np.linspace(0.0, 4.0, 31)]
     kind, t_failed, rows = scipy_first_failure(0.5, prof, grids[0], 1e-13)
     assert kind == "sample" and t_failed < 4.0
     # the other mode runs on to the end, past the failing step
     assert scipy_first_failure(0.05, prof, grids[1], 1e-13)[0] is None
-    monkeypatch.setattr(MassProfile, "omega_sq", recorded)
+    tables = record_flush_tables(monkeypatch, queued)
     with pytest.raises(ConvergenceError) as info:
         integrate_mode(np.array([0.5, 0.05]), prof, grids, tol=1e-13)
-    # one flush, one (3 extra stages, held steps) table
-    assert len([shape for shape in shapes if len(shape) == 2 and shape[0] == 3]) == 1
+    # one flush: one (3 extra stages, held steps) table, or the same steps
+    # in tables of `queued`
+    assert len(tables) == (1 if queued is None else -(-sum(tables) // queued))
     exc = info.value
     assert exc.diagnostics["k"] == 0.5 and exc.diagnostics["t_reached"] == t_failed
     assert "mode k = 0.5: drift above 1.0e-12" in str(exc)
