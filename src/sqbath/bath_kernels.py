@@ -9,9 +9,10 @@ spectrum (:meth:`SqueezeSpectrum.eta_at`, :meth:`SqueezeSpectrum.theta_at`).
 The measure, its norm ``_MEASURE_NORM`` and its series patch
 ``_COTH_PATCH`` are defined here once: :func:`_base_row` computes the
 measure and a spectrum's weights at one node in ``math`` arithmetic,
-the node tables of :func:`oscillator_dynamics._node_factors` keep its
-rows, and the oscillator FDR (:func:`energy_fdr.fdr_oscillator`) reads
-its rows on the frequency grid.  Their array forms, the array lookup
+the node table set of each response
+(:func:`oscillator_dynamics._node_factors`) reads it once per node, and
+the oscillator FDR (:func:`energy_fdr.fdr_oscillator`) reads its rows on
+the frequency grid.  Their array forms, the array lookup
 of a spectrum and the bath's own two-point function, the
 coincident-point Hadamard kernel of a massless constant-squeeze bath in
 closed form, are oracles in ``tests/oracles.py``.
@@ -132,6 +133,13 @@ class SqueezeSpectrum:
         self._theta_pieces = _pchip_pieces(k, np.unwrap(theta))
 
     def eta_at(self, k: float) -> float:
+        out = self._piece_at(self._eta_pieces, k)
+        return 0.0 if out < 0.0 else out
+
+    def theta_at(self, k: float) -> float:
+        return self._piece_at(self._theta_pieces, k)
+
+    def _piece_at(self, pieces: list, k: float) -> float:
         # one bisect over the knots below the last, k held at the first,
         # and the piece summed as scipy sums it
         xs = self._xs
@@ -140,20 +148,7 @@ class SqueezeSpectrum:
         k = max(k, xs[0])
         i = bisect_right(xs, k, 0, len(xs) - 1) - 1
         s = k - xs[i]
-        c0, c1, c2, c3 = self._eta_pieces[i]
-        z = s * s
-        out = 0.0 + c3 + c2 * s + c1 * z + c0 * (z * s)
-        return 0.0 if out < 0.0 else out
-
-    def theta_at(self, k: float) -> float:
-        # as in eta_at, on the unwrapped angle's pieces
-        xs = self._xs
-        if k > xs[-1]:
-            return 0.0
-        k = max(k, xs[0])
-        i = bisect_right(xs, k, 0, len(xs) - 1) - 1
-        s = k - xs[i]
-        c0, c1, c2, c3 = self._theta_pieces[i]
+        c0, c1, c2, c3 = pieces[i]
         z = s * s
         return 0.0 + c3 + c2 * s + c1 * z + c0 * (z * s)
 

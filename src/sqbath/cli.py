@@ -520,8 +520,9 @@ def squeeze_spectrum(profile: MassProfile, k_grid: tuple) -> SqueezeSpectrum:
     """:func:`parametric_mode.squeeze_spectrum` on the k values ``k_grid``,
     solved once per (profile, k values) in a process, or in each worker of
     ``--threads N``, and kept for the 4 most recent: the products and sweep
-    points of one ramp read one spectrum and one set of node tables.  Loads
-    the mode solver on first use; ``perfbench/tracing.py`` wraps this name."""
+    points of one ramp read one spectrum, and each response of them reads
+    it into its own node tables.  Loads the mode solver on first use;
+    ``perfbench/tracing.py`` wraps this name."""
     from .parametric_mode import squeeze_spectrum as solve
 
     return solve(profile, k_grid)

@@ -21,12 +21,12 @@ the parts the fluctuation-dissipation argument rests on,
     nonstationary = -int dmu 2 Re[sinh 2eta e^{i theta} u v],
 
 with the bath measure dmu and weights of :mod:`bath_kernels`, read per
-quadrature node from the tables of :func:`_node_factors`: one base set
-per bath holds the measure and a spectrum's weights, computed by
+quadrature node from the one table set of each response
+(:func:`_node_factors`), which builds a node's row from
 :func:`bath_kernels._base_row` in ``math``/``cmath`` arithmetic on the
-node as a Python float, and the set of each response reads it.  Under
-constant weights the response factors are (re, im) float pairs and the
-kernels write the complex product out in floats.
+node as a Python float.  Under constant weights the response factors
+are (re, im) float pairs and the kernels write the complex product out
+in floats.
 One expander multiplies out either product and groups its phases
 e^{-iw tau} by |tau| into cos and sin Fourier integrals with smooth
 kernels: (f, f), (f', f') and (f, f') give xx, pp and xp, (f(t), f(t'))
@@ -268,7 +268,7 @@ class NodeTable(dict):
 
     ``table[w]`` is one C-level dict lookup.  A node that is not in the
     table calls ``fill(w)`` (through ``__missing__``), which computes the
-    node's row of every table of its set (:func:`_table_set`), stores
+    node's row of every table of its set (:func:`_node_factors`), stores
     it while the tables hold fewer than _MEMO_NODES nodes, and returns
     it; the table's own value is at ``index``.  So every lookup of a node
     returns the bits of one evaluation.
@@ -280,67 +280,51 @@ class NodeTable(dict):
         return self.fill(w)[self.index]
 
 
-def _table_set(row, count: int) -> tuple:
-    """``count`` (1 or 3) NodeTables filled together: a node's first
-    lookup in any of them evaluates ``row(w)``, one value per table, and
-    stores it in all while they hold fewer than _MEMO_NODES nodes."""
-    tables = tuple(NodeTable() for _ in range(count))
-    if count == 1:
-        (only,) = tables
+@functools.lru_cache(maxsize=8)
+def _node_factors(bath: BathSpec, quad: QuadratureConfig, resp: _Response) -> tuple:
+    """One NodeTable per factor of the integrals of ``resp`` over the
+    measure of ``bath`` under the regulator of ``quad``, for the 8 most
+    recent (bath, quad, resp): the measure of :func:`bath_kernels._base_row`
+    times d2~, d2~^2 and |d2~|^2, then for a squeeze spectrum cosh 2eta
+    and sinh 2eta e^{i theta}.  A node's first lookup in any table
+    evaluates its base row and the response once and stores the row in
+    all; each response reads the bath anew, so a gamma sweep evaluates a
+    spectrum's weights once per gamma.
+
+    Under constant weights the set stores each factor as a float pair
+    (re, im), a real one as (x, 0.0), for the pair kernels of
+    :func:`_kernel`; a squeeze spectrum's set keeps floats and complex
+    numbers."""
+    spectral = isinstance(bath.squeeze, SqueezeSpectrum)
+    base, gamma, omega_sq = _base_row(bath, quad.epsilon), resp.gamma, resp.omega_sq
+    tables = tuple(NodeTable() for _ in range(5 if spectral else 3))
+    # one unpacking reads the base row and one stores the node's row:
+    # this runs once per node
+    if spectral:
+        first, second, third, fourth, fifth = tables
 
         def fill(w):
-            values = row(w)
-            if len(only) < _MEMO_NODES:
-                only[w] = values[0]
-            return values
+            m, cosh, sinh = base(w)
+            d = 1.0 / (omega_sq - w * w - 2j * gamma * w)
+            row = m * d, m * (d * d), m * (d * d.conjugate()).real, cosh, sinh
+            if len(first) < _MEMO_NODES:
+                first[w], second[w], third[w], fourth[w], fifth[w] = row
+            return row
     else:
-        # one unpacking stores the row: this runs once per node
         first, second, third = tables
 
         def fill(w):
-            values = row(w)
+            (m,) = base(w)
+            d = 1.0 / (omega_sq - w * w - 2j * gamma * w)
+            md, mdd = m * d, m * (d * d)
+            row = (md.real, md.imag), (mdd.real, mdd.imag), (m * (d * d.conjugate()).real, 0.0)
             if len(first) < _MEMO_NODES:
-                first[w], second[w], third[w] = values
-            return values
+                first[w], second[w], third[w] = row
+            return row
 
     for i, table in enumerate(tables):
         table.fill, table.index = fill, i
     return tables
-
-
-@functools.lru_cache(maxsize=8)
-def _node_factors(
-    bath: BathSpec, quad: QuadratureConfig, resp: _Response | None
-) -> tuple:
-    """One NodeTable per factor of the integrals over the measure of
-    ``bath`` under the regulator of ``quad``, for the 8 most recent
-    (bath, quad, resp).  The base set (``resp`` None) holds the row of
-    :func:`bath_kernels._base_row`: the measure, then cosh 2eta and
-    sinh 2eta e^{i theta} of a squeeze spectrum; the set of a response
-    holds the measure times d2~, d2~^2 and |d2~|^2 and reads the measure
-    from the base set, so the responses of a gamma sweep share its nodes
-    and a spectrum's weights.  A node's first lookup in any table
-    evaluates its row once and stores it in all.
-
-    The kernels read the sets of a response, and the weights of a
-    spectrum's base set.  Under constant weights the response set stores
-    each factor as a float pair (re, im), a real one as (x, 0.0), for the
-    pair kernels of :func:`_kernel`; a squeeze spectrum's sets keep
-    floats and complex numbers."""
-    spectral = isinstance(bath.squeeze, SqueezeSpectrum)
-    if resp is None:
-        return _table_set(_base_row(bath, quad.epsilon), 3 if spectral else 1)
-    measure = _node_factors(bath, quad, None)[0]
-    gamma, omega_sq = resp.gamma, resp.omega_sq
-
-    def row(w):
-        m = measure[w]
-        d = 1.0 / (omega_sq - w * w - 2j * gamma * w)
-        md, mdd, mabs = m * d, m * (d * d), m * (d * d.conjugate()).real
-        if spectral:
-            return md, mdd, mabs
-        return ((md.real, md.imag), (mdd.real, mdd.imag), (mabs, 0.0))
-    return _table_set(row, 3)
 
 
 def _kernel(scaled, weight, coeffs, part: str):
@@ -446,7 +430,7 @@ def _bilinear(
     for stationary, weight in zip((True, False), weights):
         # the measure times d2~^n, or times |d2~|^2 for u v*
         factor = 2 if stationary and v.n else u.n + v.n - 1
-        weight_table = None if weight is not None else 1 if stationary else 2
+        weight_table = None if weight is not None else 3 if stationary else 4
         total = 0.0
         for term in _fourier_terms(u, v, stationary, weight):
             total += _integral(bath, quad, resp, factor, weight_table, *term)
@@ -460,11 +444,11 @@ def _integral(
     weight: int | None, coeffs: tuple, part: str, freq: float, kind: str,
 ) -> float:
     """int kernel(w) {1, cos, sin}(freq w) dw over the domain, the kernel
-    the ``part`` of F[w] (c0 + c1 w + c2 w^2) W[w] with F the table
-    ``factor`` of the set of (bath, quad, resp) and W the table ``weight``
-    of its base set, or 1 when a constant weight is in ``coeffs``.  The
-    only caller of the quadrature engine; the 16384 most recent terms are
-    kept (the largest shipped run, preset 7, has 9380).
+    the ``part`` of F[w] (c0 + c1 w + c2 w^2) W[w] with F and W the
+    tables ``factor`` and ``weight`` of the set of (bath, quad, resp), W
+    1 when a constant weight is in ``coeffs``.  The only caller of the
+    quadrature engine; the 16384 most recent terms are kept (the largest
+    shipped run, preset 7, has 9380).
 
     A positive lower limit marks a mass threshold whose sqrt cusp is
     handled by a plain-rule head interval.  At finite t the responses
@@ -473,8 +457,8 @@ def _integral(
     """
     quad.require_regulator("the frequency integral of a response bilinear form")
     lower, upper = bath.mass_i, quad.upper()
-    scaled, base = _node_factors(bath, quad, resp)[factor], _node_factors(bath, quad, None)
-    kernel = _kernel(scaled, None if weight is None else base[weight], coeffs, part)
+    tables = _node_factors(bath, quad, resp)
+    kernel = _kernel(tables[factor], None if weight is None else tables[weight], coeffs, part)
     try:
         return fourier_quad(
             kernel, freq, kind, lower, upper, quad, head=cusp_head(lower, freq)
@@ -526,8 +510,6 @@ def covariance_evolution(
     quadrature config must carry a regulator; its value is quoted with
     the cutoff in mind.
     """
-    if t < 0:
-        raise DomainError("covariance evolution requires t >= 0")
     if t == 0.0:
         return init
     i_xx, i_pp, i_xp = covariance_integral_parts(spec, bath, t, quad)

@@ -197,11 +197,9 @@ def _step_mode(k: float, profile: MassProfile, times: np.ndarray):
     d2_dot = np.empty_like(times)
 
     before = times < t_star
-    tb = times[before]
-    d1[before] = np.cos(om_i * tb)
-    d2[before] = np.sin(om_i * tb) / om_i
-    d1_dot[before] = -om_i * np.sin(om_i * tb)
-    d2_dot[before] = np.cos(om_i * tb)
+    d1[before], d2[before], d1_dot[before], d2_dot[before] = _constant_mode(
+        k, profile.mass_i, times[before]
+    )
 
     after = ~before
     ta = times[after] - t_star

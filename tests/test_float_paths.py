@@ -5,7 +5,7 @@ spectrum's float lookup must equal scipy's PCHIP, the array lookup of
 ``tests/oracles.py``, exactly (``==``).  The base row of the node
 tables, the bath measure and a spectrum's weights, is computed in
 ``math``/``cmath`` arithmetic, whose tanh, cosh and sinh may differ from
-numpy's in the last bit: each stored row must agree with the array
+numpy's in the last bit: each row must agree with the array
 oracles of ``tests/oracles.py`` within 4 ulp relative, and must not
 raise where numpy gives a finite value.  The array oracles of the
 thermal factors, which the rows are compared with element by element,
@@ -30,7 +30,7 @@ from oracles import (
     theta_at,
 )
 from sqbath import BathSpec, QuadratureConfig, SqueezeParam
-from sqbath.bath_kernels import SqueezeSpectrum, _pchip_pieces, bath_mix
+from sqbath.bath_kernels import SqueezeSpectrum, _base_row, _pchip_pieces, bath_mix
 from sqbath.oscillator_dynamics import (
     _kernel,
     _node_factors,
@@ -203,24 +203,24 @@ def test_pchip_coefficients_are_scipys(y):
     ],
     ids=["thermal", "zero-temperature", "squeezed", "massive-spectrum"],
 )
-def test_bath_mix(bath, quad, spectrum, cold_memo):
+def test_bath_mix(bath, quad, spectrum):
     if bath == "spectrum":
         bath = BathSpec(beta=1.0, squeeze=spectrum, mass_i=0.2, mass_f=0.5)
     spectral = isinstance(bath.squeeze, SqueezeSpectrum)
     assert (bath_mix(bath, quad) == (None, None)) is spectral
-    tables = _node_factors(bath, quad, None)
-    assert len(tables) == (3 if spectral else 1)
+    row = _base_row(bath, quad.epsilon)
     lower = bath.mass_i
     points = [lower, lower + 1e-7, lower + 0.01, 0.7, 3.3, 49.0, *(lower + SPREAD)]
     points = [float(x) for x in points]
     oracles = [bath_measure(bath.beta, bath.mass_i, quad)(points)]
     if spectral:
         oracles += spectrum_weights(bath.squeeze, bath.mass_i)(points)
-    # the base set holds one evaluation of the row, read back on a
-    # repeated lookup: the measure as a Python float, then a squeeze
-    # spectrum's weights as a float and a complex
-    first = [[table[x] for x in points] for table in tables]
-    assert [[table[x] for x in points] for table in tables] == first
+    # the row holds the measure as a Python float, then a squeeze
+    # spectrum's weights as a float and a complex, the same bits on a
+    # repeated evaluation
+    first = list(zip(*(row(x) for x in points)))
+    assert len(first) == (3 if spectral else 1)
+    assert list(zip(*(row(x) for x in points))) == first
     for values, oracle, kind in zip(first, oracles, (float, float, complex)):
         assert {type(value) for value in values} == {kind}
         assert_row_close(values, oracle)
@@ -229,7 +229,7 @@ def test_bath_mix(bath, quad, spectrum, cold_memo):
 @pytest.mark.parametrize("epsilon", [0.0, 1e-2])
 @pytest.mark.parametrize("beta", [0.3, math.inf])
 @pytest.mark.parametrize("mass_i", [0.0, 0.2])
-def test_base_row_edge_points(mass_i, beta, epsilon, spectrum, cold_memo):
+def test_base_row_edge_points(mass_i, beta, epsilon, spectrum):
     # the threshold, w = 0, both sides of the series patch at b w = 1e-3
     # and far nodes: where numpy gives a finite value the row gives it
     # within ROW_ULPS, without a ZeroDivisionError or an OverflowError
@@ -241,15 +241,15 @@ def test_base_row_edge_points(mass_i, beta, epsilon, spectrum, cold_memo):
     with np.errstate(all="ignore"):
         oracles = [bath_measure(beta, mass_i, quad)(points),
                    *spectrum_weights(spectrum, mass_i)(points)]
-    tables = _node_factors(bath, quad, None)
-    for table, oracle in zip(tables, oracles):
-        values = np.array([table[x] for x in points])
+    row = _base_row(bath, quad.epsilon)
+    rows = [np.array(values) for values in zip(*(row(x) for x in points))]
+    for values, oracle in zip(rows, oracles):
         finite = np.isfinite(oracle)
         assert_row_close(values[finite], oracle[finite])
         assert np.all(np.isfinite(values))
     # numpy's massive measure at w = 0 is 0 * coth(0), nan at finite
     # beta; the row's is 0, as everywhere below the threshold
-    assert tables[0][0.0] == (0.0 if mass_i or math.isinf(beta) else oracles[0][0])
+    assert rows[0][0] == (0.0 if mass_i or math.isinf(beta) else oracles[0][0])
 
 
 # (c0, c1, c2) as the response expander builds them, floats and complex
@@ -274,12 +274,12 @@ def test_pair_kernels(coeffs, spec, quad, cold_memo):
     # and must give the bits of the complex product it writes out
     bath = BathSpec(beta=0.3)
     tables = _node_factors(bath, quad, effective_response(spec, bath))
-    (measure,) = _node_factors(bath, quad, None)
+    row = _base_row(bath, quad.epsilon)
     # the factor as a complex or a float: measure times d2~ and d2~^2,
-    # then measure times |d2~|^2; the base set holds the measure as a float
+    # then measure times |d2~|^2; the base row holds the measure as a float
     as_value = [complex, complex, _real_value]
     c0, c1, c2 = coeffs
-    assert {type(measure[w]) for w in SPREAD.tolist()} == {float}
+    assert {type(m) for w in SPREAD.tolist() for m in row(w)} == {float}
     for table, value_of in zip(tables, as_value):
         for part in ("real", "imag"):
             kernel = _kernel(table, None, coeffs, part)

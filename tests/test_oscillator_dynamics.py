@@ -13,7 +13,7 @@ from oracles import (
 )
 import sqbath.oscillator_dynamics
 from sqbath.bath_kernels import BathSpec, SqueezeSpectrum
-from sqbath.cli import _build_bath, figure_preset, parse_config, run_sweep
+from sqbath.cli import _build_bath, figure_preset, parse_config
 from sqbath.energy_fdr import power_in
 from sqbath.errors import (
     ConfigurationError,
@@ -496,7 +496,7 @@ class TestNodeMemo:
             tables = _node_factors(bath, MEMO_QUAD, resp)
             assert _node_factors(bath, MEMO_QUAD, resp) is tables
         info = _node_factors.cache_info()
-        assert info.misses == 2 * (size + 3)  # a base set and a response set per bath
+        assert info.misses == size + 3  # one set per bath
         assert 0 < info.currsize <= info.maxsize
 
     @pytest.mark.parametrize("which", ["squeezed", "parametric"])
@@ -504,51 +504,24 @@ class TestNodeMemo:
         self, spec, which, bath_squeezed, bath_parametric, cold_memo
     ):
         # covariances, power_in and chi_hadamard share the response of the
-        # bath, so all their parts read one response set and its base set
+        # bath, so all their parts read one table set
         bath = bath_squeezed if which == "squeezed" else bath_parametric
         three_products(spec, bath)
-        assert _node_factors.cache_info().misses == 2
+        assert _node_factors.cache_info().misses == 1
 
-    def test_gamma_sweep_shares_one_measure(self, cold_memo, monkeypatch):
-        # each gamma has its own response set, all read one base set
+    def test_spectrum_set_reads_one_base_row_per_node(
+        self, spec, bath_parametric, cold_memo, monkeypatch
+    ):
+        # the set of a spectrum bath holds the three response factors and
+        # the two squeeze weights, all filled from one base row per node
         nodes = record_nodes(monkeypatch)
         evals = count_base_rows(monkeypatch)
-        bath = BathSpec(beta=0.3)
-        for gamma in (0.3, 0.1, 0.03):
-            spec = OscillatorSpec.from_resonance(1.0, 1.0, gamma)
-            covariance_evolution(spec, bath, GROUND, 12.0, MEMO_QUAD)
-        assert _node_factors.cache_info().misses == 1 + 3
+        covariance_evolution(spec, bath_parametric, GROUND, 12.0, MEMO_QUAD)
+        resp = effective_response(spec, bath_parametric)
+        tables = _node_factors(bath_parametric, MEMO_QUAD, resp)
+        assert _node_factors.cache_info().misses == 1
         assert 0 < evals[0] == len(set(nodes))
-
-    def test_gamma_sweep_shares_one_spectrum(self, bath_parametric, cold_memo, monkeypatch):
-        # the responses of two gammas read one base set, so the squeeze
-        # spectrum is evaluated once per distinct node, not once per gamma
-        nodes = record_nodes(monkeypatch)
-        evals = count_calls(monkeypatch, SqueezeSpectrum, "eta_at")
-        for gamma in (0.1, 0.05):
-            spec = OscillatorSpec.from_resonance(1.0, 1.0, gamma)
-            covariance_evolution(spec, bath_parametric, GROUND, 12.0, MEMO_QUAD)
-        assert 0 < evals[0] == len(set(nodes))
-        assert _node_factors.cache_info().misses == 1 + 2
-
-    def test_cli_gamma_sweep_shares_one_spectrum(self, tmp_path, cold_memo, monkeypatch):
-        # through the CLI each point builds its own bath; the points share
-        # one base set because both baths carry the one solved spectrum
-        data = {
-            "scenario": "parametric",
-            "oscillator": {"m": 1.0, "Omega": 1.0, "gamma": 0.1},
-            "bath": {"beta": 1.0},
-            "profile": {"mass_i": 0.0, "mass_f": 0.5, "t_i": 0.0, "t_f": 2.0},
-            "k_grid": {"start": 0.05, "stop": 60.0, "points": 8, "spacing": "log"},
-            "quadrature": {"cutoff": 100.0},
-            "time_grid": {"start": 10.0, "stop": 20.0, "points": 2},
-            "outputs": ["covariances"],
-            "sweep": {"path": "oscillator.gamma", "values": [0.1, 0.05]},
-        }
-        nodes = record_nodes(monkeypatch)
-        evals = count_calls(monkeypatch, SqueezeSpectrum, "eta_at")
-        run_sweep(parse_config(data), tmp_path)
-        assert 0 < evals[0] == len(set(nodes))
+        assert [len(table) for table in tables] == [evals[0]] * 5
 
     @pytest.mark.parametrize("which", ["squeezed", "parametric"])
     def test_capped_tables_keep_the_values(
@@ -561,14 +534,11 @@ class TestNodeMemo:
         capped = three_products(spec, bath)
         # _bilinear reduces a constant-squeeze bath to its measure
         measure_bath = bath if which == "parametric" else BathSpec(bath.beta)
-        tables = [
-            *_node_factors(measure_bath, MEMO_QUAD, effective_response(spec, bath)),
-            *_node_factors(measure_bath, MEMO_QUAD, None),
-        ]
-        assert _node_factors.cache_info().misses == 2
+        tables = _node_factors(measure_bath, MEMO_QUAD, effective_response(spec, bath))
+        assert _node_factors.cache_info().misses == 1
         # a full table set stops growing; later nodes are evaluated afresh
         # on every lookup, with the same bits
-        assert [len(table) for table in tables] == [5] * len(tables)
+        assert [len(table) for table in tables] == [5] * (5 if which == "parametric" else 3)
         assert capped == uncapped
 
     @pytest.mark.parametrize("which", ["constant", "parametric"])

@@ -27,7 +27,10 @@ whose weighted kernel overflows (exit 3), and that constant squeeze's
 covariances swept over ``bath.eta: [1.0, 355.0]`` (exit 3, the eta = 1
 point written and the eta = 355 point in ``sweep_failures``); for these
 the two trees' exit codes and the names of the files left under
-``--out`` are compared, and then the files by content as for any run.
+``--out`` are compared, then their stderr (the ``configuration error:``
+or ``numerical error:`` line must be identical, the values of the
+``diagnostics:`` JSON line are compared as manifest values are), and
+then the files by content as for any run.
 Every run is made once with each tree's package, in its
 own Python subprocess.  ``--workload-seeds N`` adds the configs that
 ``perfbench/workloads.py`` of this checkout generates for seeds 0..N-1 of
@@ -42,13 +45,14 @@ Exit status: 0 if every file and value is identical, 1 if any differs,
 2 if a run fails in either tree (or one that must fail succeeds in both).
 With ``--max-rel R`` a difference is tolerated, and the exit status is 0,
 when every differing CSV column is within R times that column's largest
-|value| in the PARENT_SRC run, every differing manifest number is within
-R times the larger of 1 and its PARENT_SRC value, and a product's
-``sha256`` differs only where its CSV differs; a differing string, count
-or flag still fails.  The manifest's computed numbers are ratios already
-scaled by their product's columns (``balance_residual`` is
-|P_xi + P_gamma| / |P_gamma|), so a change of R in the columns moves
-them by about R, not by R of their own, often tiny, value.
+|value| in the PARENT_SRC run, every differing manifest or diagnostics
+number is within R times the larger of 1 and its PARENT_SRC value, and a
+product's ``sha256`` differs only where its CSV differs; a differing
+string, count, flag or error line still fails.  The manifest's computed
+numbers are ratios already scaled by their product's columns
+(``balance_residual`` is |P_xi + P_gamma| / |P_gamma|), so a change of R
+in the columns moves them by about R, not by R of their own, often
+tiny, value.
 """
 
 from __future__ import annotations
@@ -247,16 +251,16 @@ def _flatten(value, prefix=""):
         yield prefix, value
 
 
-def compare_manifest(
-    parent: Path, change: Path, changed_csvs: set[str]
+def compare_json(
+    name: str, parent, change, changed_csvs: set[str] | frozenset[str] = frozenset()
 ) -> tuple[float | None, list[str]]:
-    """(largest relative difference, report lines) for two run manifests:
+    """(largest relative difference, report lines) for two parsed JSON
+    documents ``name``, a run manifest or the diagnostics of a failure:
     None if every value is identical, inf if a value differs that no
     tolerance covers.  A product's ``sha256`` counts as 0 where its file
     is in ``changed_csvs``, the CSVs that differ, which are judged on
     their own."""
-    a = dict(_flatten(json.loads(parent.read_text())))
-    b = dict(_flatten(json.loads(change.read_text())))
+    a, b = dict(_flatten(parent)), dict(_flatten(change))
     lines, same, worst = [], 0, None
     for key in sorted(a.keys() | b.keys()):
         va, vb = a.get(key, "<missing>"), b.get(key, "<missing>")
@@ -271,8 +275,31 @@ def compare_manifest(
             rel = 0.0 if key.endswith("/sha256") and own_file in changed_csvs else math.inf
             lines.append(f"    DIFFERS {key}: {va!r} -> {vb!r}")
         worst = rel if worst is None else max(worst, rel)
-    header = f"  run_manifest.json: {same} values identical, {len(lines)} differ"
+    header = f"  {name}: {same} values identical, {len(lines)} differ"
     return worst, [header, *lines]
+
+
+_ERROR_LINES = ("configuration error: ", "numerical error: ")
+_DIAGNOSTICS = "diagnostics: "
+
+
+def compare_stderr(parent: str, change: str) -> tuple[float | None, list[str]]:
+    """(largest relative difference, report lines) for the stderr of two
+    runs that must fail: inf if their error lines differ, else the
+    comparison of the values of their ``diagnostics:`` JSON lines (an
+    empty document where a run prints none)."""
+    found = []
+    for text in (parent, change):
+        lines = text.splitlines()
+        errors = [line for line in lines if line.startswith(_ERROR_LINES)]
+        diagnostics = [line.removeprefix(_DIAGNOSTICS) for line in lines
+                       if line.startswith(_DIAGNOSTICS)]
+        found.append((errors, json.loads(diagnostics[0]) if diagnostics else {}))
+    (errors_a, diagnostics_a), (errors_b, diagnostics_b) = found
+    if errors_a != errors_b:
+        return math.inf, ["  error line DIFFERS", f"    parent: {errors_a}",
+                          f"    change: {errors_b}"]
+    return compare_json("diagnostics", diagnostics_a, diagnostics_b)
 
 
 def leftovers(code: int, out: Path) -> str:
@@ -301,11 +328,25 @@ def compare_dirs(parent: Path, change: Path) -> tuple[float | None, list[str]]:
         elif name == "run_manifest.json":
             manifest = a, b
     if manifest is not None:
-        rel, report = compare_manifest(*manifest, changed_csvs)
+        documents = (json.loads(path.read_text()) for path in manifest)
+        rel, manifest_lines = compare_json("run_manifest.json", *documents, changed_csvs)
         found.append(rel)
-        lines += report
+        lines += manifest_lines
     differing = [rel for rel in found if rel is not None]
     return (max(differing) if differing else None), lines
+
+
+def report(label: str, worst: float | None, lines: list[str], max_rel: float | None) -> bool:
+    """Print the verdict and report lines of one comparison; True if its
+    differences are tolerated."""
+    tolerated = worst is None or (max_rel is not None and worst <= max_rel)
+    if worst is None:
+        print(f"{label}: identical")
+    else:
+        within = "within" if tolerated else "NOT within"
+        print(f"{label}: DIFFERS, largest {worst:.3e}, {within} --max-rel")
+    print("\n".join(lines))
+    return tolerated
 
 
 def main(argv=None) -> int:
@@ -324,7 +365,8 @@ def main(argv=None) -> int:
         type=float,
         metavar="R",
         help="tolerate differences up to R times the parent's column maximum "
-        "(CSV) or value (manifest); without it every file must be identical",
+        "(CSV) or value (manifest, diagnostics); without it every file must be "
+        "identical",
     )
     args = parser.parse_args(argv)
     status = 0
@@ -336,7 +378,7 @@ def main(argv=None) -> int:
             + workload_runs(args.workload_seeds, Path(tmp))
         )
         for label, sqbath_args in runs:
-            outs, codes, failed = [], [], False
+            outs, codes, errs, failed = [], [], [], False
             for tag, src in (("parent", args.parent_src), ("change", args.change_src)):
                 out = Path(tmp) / label / tag
                 done = run_tree(src.resolve(), sqbath_args, out)
@@ -345,6 +387,7 @@ def main(argv=None) -> int:
                     failed = True
                 outs.append(out)
                 codes.append(done.returncode)
+                errs.append(done.stderr)
             if label in FAILING:
                 states = [leftovers(code, out) for code, out in zip(codes, outs)]
                 same = states[0] == states[1]
@@ -357,21 +400,15 @@ def main(argv=None) -> int:
                     print(f"{label}: the run must fail but exited 0 in both trees")
                     status = 2
                     continue
+                if not report(f"{label} stderr", *compare_stderr(*errs), args.max_rel):
+                    status = max(status, 1)
                 if not outs[0].exists():
                     continue
                 # a failed sweep leaves its good points and its failure records
             elif failed:
                 status = 2
                 continue
-            worst, lines = compare_dirs(*outs)
-            tolerated = worst is None or (args.max_rel is not None and worst <= args.max_rel)
-            if worst is None:
-                print(f"{label}: identical")
-            else:
-                within = "within" if tolerated else "NOT within"
-                print(f"{label}: DIFFERS, largest {worst:.3e}, {within} --max-rel")
-            print("\n".join(lines))
-            if not tolerated:
+            if not report(label, *compare_dirs(*outs), args.max_rel):
                 status = max(status, 1)
     return status
 
