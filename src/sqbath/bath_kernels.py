@@ -95,6 +95,17 @@ def _pchip_end(h0, h1, m0, m1):
     return d
 
 
+def check_k_grid(k) -> np.ndarray:
+    """``k`` as a 1-d float array of at least 2 finite, positive and
+    strictly ascending wavenumbers, or a :class:`DomainError`."""
+    k = np.asarray(k, dtype=float)
+    if k.ndim != 1 or k.size < 2:
+        raise DomainError("k grid needs a 1-d array of at least 2 points")
+    if not (np.all(np.isfinite(k)) and k[0] > 0 and np.all(np.diff(k) > 0)):
+        raise DomainError("k grid must be finite, positive and strictly ascending")
+    return k
+
+
 class SqueezeSpectrum:
     """Mode-dependent squeeze parameters eta(k), theta(k) on a k grid.
 
@@ -109,17 +120,13 @@ class SqueezeSpectrum:
     """
 
     def __init__(self, k, eta, theta=None):
-        k = np.asarray(k, dtype=float)
+        k = check_k_grid(k)
         eta = np.asarray(eta, dtype=float)
         theta = (
             np.zeros_like(k) if theta is None else np.asarray(theta, dtype=float)
         )
-        if k.ndim != 1 or k.size < 2:
-            raise DomainError("spectrum needs a 1-d grid with at least 2 points")
         if k.shape != eta.shape or k.shape != theta.shape:
             raise DomainError("k, eta, theta must have matching shapes")
-        if np.any(k <= 0) or np.any(np.diff(k) <= 0):
-            raise DomainError("k grid must be positive and strictly ascending")
         if not (np.all(np.isfinite(eta)) and np.all(np.isfinite(theta))):
             raise DomainError("spectrum samples must be finite")
         if np.any(eta < 0):
@@ -195,7 +202,7 @@ class BathSpec:
     def __post_init__(self):
         if not self.beta > 0:
             raise DomainError("inverse temperature must be positive")
-        if self.mass_i < 0 or self.mass_f < 0:
+        if not (self.mass_i >= 0 and self.mass_f >= 0):
             raise DomainError("field masses must be nonnegative")
 
     @property

@@ -161,7 +161,6 @@ def extract_squeeze(
     sinh_cos = 0.5 * (v - u) / xi
     sinh_sin = w / xi
     sinh2eta = math.hypot(sinh_cos, sinh_sin)
-    # clip tiny negative round-off in cosh^2 - sinh^2 = 1
     eta = 0.5 * math.asinh(sinh2eta)
     if sinh2eta < _ETA_DEGENERACY * max(1.0, cosh2eta):
         return StateDecomposition(

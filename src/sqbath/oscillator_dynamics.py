@@ -102,11 +102,11 @@ class OscillatorSpec:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if self.m <= 0:
+        if not self.m > 0:
             raise DomainError("oscillator mass must be positive")
-        if self.omega_r <= 0:
+        if not self.omega_r > 0:
             raise DomainError("physical frequency must be positive")
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise DomainError("damping constant must be nonnegative")
         if self.gamma >= self.omega_r:
             raise UnsupportedRegimeError(

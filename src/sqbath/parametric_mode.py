@@ -3,14 +3,16 @@ Parametric field modes: mode-equation integration and squeeze spectra.
 
 Each bath mode obeys a parametric-oscillator equation
 phi'' + (k^2 + m^2(t)) phi = 0 while the field mass runs from m_i to m_f
-over [t_i, t_f].  The fundamental solutions d1, d2 (unit initial data,
-Wronskian 1) are integrated with DOP853 (Hairer, Norsett & Wanner,
-*Solving Ordinary Differential Equations I*, 1993, II.10): all modes
-step together in one loop, each under scipy's own step-size control, so
-every mode gets the bits of its own scipy DOP853 run.  The dense output
-(II.6) at the grid samples is built in one batch, for all the accepted
-steps that hold samples, each step's samples with scipy's bits.  A sharp
-Step profile bypasses the ODE solver entirely and is matched
+over [t_i, t_f].  :func:`integrate_mode` returns the fundamental
+solutions d1, d2 (unit initial data, Wronskian 1) and their derivatives
+of every mode at one time, as one row (d1, d1', d2, d2') per mode.  They
+are integrated with DOP853 (Hairer, Norsett & Wanner, *Solving Ordinary
+Differential Equations I*, 1993, II.10): all modes step together in one
+loop, each under scipy's own step-size control, so every mode gets the
+bits of its own scipy DOP853 run.  The dense output (II.6) at the few
+samples a mode's value is fitted from is built in one batch, for all the
+accepted steps that hold samples, each step's samples with scipy's bits.
+A sharp Step profile bypasses the ODE solver entirely and is matched
 analytically, serving both as an oracle and to avoid stiffness at the
 jump.
 
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath_kernels import SqueezeSpectrum
+from .bath_kernels import SqueezeSpectrum, check_k_grid
 from .errors import ConvergenceError, DomainError
 from .gaussian_state import BogoliubovPair
 from .quadrature import load_scipy_file
@@ -51,7 +53,6 @@ from .quadrature import load_scipy_file
 __all__ = [
     "ProfileShape",
     "MassProfile",
-    "ModeSolution",
     "integrate_mode",
     "bogoliubov_from_mode",
     "squeeze_spectrum",
@@ -89,7 +90,7 @@ class MassProfile:
             raise DomainError("profile requires finite t_f > t_i")
         if self.t_i < 0:
             raise DomainError("profile must start at t_i >= 0")
-        if self.smoothstep_order < 1:
+        if not self.smoothstep_order >= 1:
             raise DomainError("smoothstep order must be >= 1")
 
     @property
@@ -130,87 +131,34 @@ class MassProfile:
         return math.hypot(k, self.mass_f)
 
 
-@dataclass(frozen=True)
-class ModeSolution:
-    """Fundamental solutions of one field mode on a time grid.
-
-    d1 and d2 carry initial data (1, 0) and (0, 1); their Wronskian
-    d1 d2' - d2 d1' stays at 1 (canonical commutation); its drift is the
-    error metric :func:`integrate_mode` checks.
-    """
-
-    k: float
-    times: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
-    d1_dot: np.ndarray
-    d2_dot: np.ndarray
-    profile: MassProfile
-
-    def at(self, t: float) -> tuple[float, float, float, float]:
-        """Fundamental data at time t.
-
-        Exact closed forms for constant-mass and Step profiles; otherwise
-        the cubic through the 4 stored samples nearest t (the grid is
-        chosen dense enough that interpolation error is below the ODE
-        tolerance).  At the grid end this is still a 4-sample fit, not the
-        solver's own value there: the squeeze spectrum is read at t_f, and
-        its bits depend on that fit.
-        """
-        times = self.times
-        if not times[0] <= t <= times[-1]:
-            raise DomainError(f"t = {t} outside the solution grid")
-        prof = self.profile
-        if prof.mass_i == prof.mass_f:
-            vals = _constant_mode(self.k, prof.mass_i, np.asarray([t]))
-            return tuple(float(v[0]) for v in vals)
-        if prof.shape is ProfileShape.STEP:
-            vals = _step_mode(self.k, prof, np.asarray([t]))
-            return tuple(float(v[0]) for v in vals)
-        idx = int(np.searchsorted(times, t))
-        width = min(4, times.size)
-        lo = max(0, min(idx - width // 2, times.size - width))
-        sl = slice(lo, lo + width)
-        # one least-squares solve with a column per component: the same
-        # bits as four separate fits (checked in the tests), at one call
-        comps = np.column_stack((self.d1[sl], self.d2[sl], self.d1_dot[sl], self.d2_dot[sl]))
-        poly = np.polynomial.polynomial.polyfit(times[sl] - t, comps, width - 1)
-        return tuple(poly[0].tolist())
-
-
 def _constant_mode(k: float, mass: float, times: np.ndarray):
     om = math.hypot(k, mass)
     if om == 0.0:
         raise DomainError("k = 0 massless mode has no oscillatory solution")
     c, s = np.cos(om * times), np.sin(om * times)
-    return c, s / om, -om * s, c
+    return c, -om * s, s / om, c
 
 
 def _step_mode(k: float, profile: MassProfile, times: np.ndarray):
-    """Analytic matching of value and derivative across the jump."""
-    om_i = profile.omega_i(k)
-    om_f = profile.omega_f(k)
+    """Analytic matching of value and derivative across the jump, at the
+    one time in ``times``."""
     t_star = 0.5 * (profile.t_i + profile.t_f)
-    d1 = np.empty_like(times)
-    d2 = np.empty_like(times)
-    d1_dot = np.empty_like(times)
-    d2_dot = np.empty_like(times)
-
-    before = times < t_star
-    d1[before], d2[before], d1_dot[before], d2_dot[before] = _constant_mode(
-        k, profile.mass_i, times[before]
-    )
-
-    after = ~before
-    ta = times[after] - t_star
+    om_i = profile.omega_i(k)
+    # before the jump the constant-mass form holds; it also refuses the
+    # k = 0 massless mode, whose om_i = 0 would divide below
+    if times[0] < t_star or om_i == 0.0:
+        return _constant_mode(k, profile.mass_i, times)
+    om_f = profile.omega_f(k)
+    ta = times - t_star
     c0_1, c0_2 = math.cos(om_i * t_star), math.sin(om_i * t_star) / om_i
     v0_1, v0_2 = -om_i * math.sin(om_i * t_star), math.cos(om_i * t_star)
     cos_a, sin_a = np.cos(om_f * ta), np.sin(om_f * ta)
-    d1[after] = c0_1 * cos_a + (v0_1 / om_f) * sin_a
-    d1_dot[after] = -c0_1 * om_f * sin_a + v0_1 * cos_a
-    d2[after] = c0_2 * cos_a + (v0_2 / om_f) * sin_a
-    d2_dot[after] = -c0_2 * om_f * sin_a + v0_2 * cos_a
-    return d1, d2, d1_dot, d2_dot
+    return (
+        c0_1 * cos_a + (v0_1 / om_f) * sin_a,
+        -c0_1 * om_f * sin_a + v0_1 * cos_a,
+        c0_2 * cos_a + (v0_2 / om_f) * sin_a,
+        -c0_2 * om_f * sin_a + v0_2 * cos_a,
+    )
 
 
 # the DOP853 tableau as scipy's class DOP853 (rk.py) holds it
@@ -380,7 +328,8 @@ def _lockstep_dop853(profile, k, samples, tol):
     so a failure at a sample is reported as the per-step check reported
     it, with the samples up to it.  The Wronskian drift is checked at
     every accepted step and every sample.  Returns one (samples, 4) array
-    per mode with rows (d1, d1', d2, d2').
+    per mode with rows (d1, d1', d2, d2').  ``samples`` holds one
+    increasing array of times per mode, starting at 0.
     """
     # run the stepper well below the requested tolerance: the Wronskian
     # drift accumulates over the whole span and is the quantity under
@@ -432,18 +381,13 @@ def _lockstep_dop853(profile, k, samples, tol):
 
     def fail(i, t_reached, what, drift=None):
         # the held samples come first: an earlier failure among them
-        # is raised instead, and the partial solution holds them all
+        # is raised instead, and the partial value holds them all
         flush()
         drift = drift_max[i] if drift is None else drift
-        rows = np.vstack(taken[i])
-        times = samples[i][: rows.shape[0]]
-        partial = ModeSolution(
-            float(k[i]), times, rows[:, 0], rows[:, 2], rows[:, 1], rows[:, 3], profile
-        )
         raise ConvergenceError(
             f"mode k = {k[i]:.6g}: {what} at t = {t_reached:.6g} of "
             f"{t_end[i]:.6g}; Wronskian drift {drift:.3e}",
-            partial_value=partial,
+            partial_value=np.vstack(taken[i]),
             diagnostics={
                 "k": float(k[i]),
                 "t_reached": float(t_reached),
@@ -534,85 +478,77 @@ def _lockstep_dop853(profile, k, samples, tol):
     return [np.vstack(rows) for rows in taken]
 
 
-def _check_grid(grid) -> np.ndarray:
-    times = np.asarray(grid, dtype=float)
-    if times.ndim != 1 or times.size < 2:
-        raise DomainError("time grid needs at least two points")
-    if times[0] != 0.0:
-        raise DomainError("time grid must start at 0 (initial conditions)")
-    if np.any(np.diff(times) <= 0):
-        raise DomainError("time grid must be strictly increasing")
-    return times
+_POINTS_PER_PERIOD = 24  # samples per period of a mode's fastest frequency
 
 
-def integrate_mode(ks, profile: MassProfile, grids, tol: float = 1e-10) -> list[ModeSolution]:
-    """Integrate both fundamental solutions of every mode in ``ks``.
+def integrate_mode(ks, profile: MassProfile, t: float, tol: float = 1e-10) -> np.ndarray:
+    """Fundamental data of every mode in ``ks`` at the time ``t > 0``.
 
-    ``ks`` is a 1-D array of wavenumbers and ``grids`` holds one time grid
-    per mode; each grid must start at 0, where the initial data are
-    imposed.  One :class:`ModeSolution` per mode comes back, in the order
-    of ``ks``; the modes are stepped together in one loop.
-
-    Every mode runs adaptive DOP853 with scipy's own step control, at
-    absolute/relative tolerances derived from ``tol``; the Wronskian
-    drift must stay below 10 tol at every accepted step and every grid
-    sample, or a :class:`ConvergenceError` names the mode, the time
-    reached and the drift.  Constant-mass and Step profiles take exact
-    closed forms.
+    Returns one row (d1, d1', d2, d2') per wavenumber, in the order of
+    ``ks``: the fundamental solutions with initial data (1, 0) and (0, 1)
+    at t = 0 and their time derivatives.  Constant-mass and Step profiles
+    take exact closed forms.  Otherwise all modes are stepped together
+    (:func:`_lockstep_dop853`), each sampled at the start and the last 4
+    of n + 1 evenly spaced times over [0, t], n giving at least 24 samples
+    per period of its fastest frequency; its row is the cubic through
+    those 4 samples at t, one fit for the 4 components (the bits of 4
+    separate fits).  That is the sample at t up to rounding, but not the
+    solver's own end value: the squeeze spectrum reads these bits.  The
+    Wronskian drift must stay below 10 tol at every accepted step and
+    every sample, or a :class:`ConvergenceError` names the mode, the time
+    reached and the drift; its partial value holds the mode's rows
+    sampled up to the failure.
     """
     ks = np.asarray(ks, dtype=float)
-    grids = [_check_grid(g) for g in grids]
-    if ks.ndim != 1 or ks.size != len(grids):
-        raise DomainError("need one time grid per wavenumber")
-    if np.any(ks < 0):
-        raise DomainError("wavenumber must be nonnegative")
+    if ks.ndim != 1 or not np.all(ks >= 0):
+        raise DomainError("wavenumbers must be a 1-d array of nonnegative values")
+    if not 0.0 < t < math.inf:
+        raise DomainError("t must be positive and finite")
 
+    at = np.array([t])
     if profile.mass_i == profile.mass_f:
-        parts = [_constant_mode(kv, profile.mass_i, g) for kv, g in zip(ks, grids)]
-    elif profile.shape is ProfileShape.STEP:
-        parts = [_step_mode(kv, profile, g) for kv, g in zip(ks, grids)]
-    else:
-        rows = _lockstep_dop853(profile, ks, grids, tol)
-        parts = [(r[:, 0], r[:, 2], r[:, 1], r[:, 3]) for r in rows]
-    return [ModeSolution(float(kv), g, *part, profile) for kv, g, part in zip(ks, grids, parts)]
+        return np.array([_constant_mode(k, profile.mass_i, at) for k in ks])[..., 0]
+    if profile.shape is ProfileShape.STEP:
+        return np.array([_step_mode(k, profile, at) for k in ks])[..., 0]
+    grids = []
+    for k in ks:
+        om_max = max(profile.omega_i(k), profile.omega_f(k), 1.0 / profile.duration)
+        n = max(64, int(_POINTS_PER_PERIOD * om_max * t / (2 * math.pi)))
+        grids.append(np.linspace(0.0, t, n + 1)[[0, -4, -3, -2, -1]])
+    rows = _lockstep_dop853(profile, ks, grids, tol)
+    fit = np.polynomial.polynomial.polyfit
+    return np.array([fit(g[1:] - t, r[1:], 3)[0] for g, r in zip(grids, rows)])
 
 
-def bogoliubov_from_mode(
-    sol: ModeSolution,
-    omega_i: float,
-    t: float,
-    omega_out: float | None = None,
-    reference_time: float | None = None,
-) -> BogoliubovPair:
-    """Bogoliubov pair relating the mode evolution to single-frequency modes.
+def bogoliubov_from_mode(row, omega_i: float, nu: float, t: float) -> BogoliubovPair:
+    """Bogoliubov pair relating a mode's evolution to single-frequency modes.
 
-    With ``omega_out`` equal to ``omega_i`` (the default) this is the
-    instantaneous decomposition
+    ``row`` holds the fundamental data (d1, d1', d2, d2') of a mode of
+    incoming frequency w = ``omega_i``, as :func:`integrate_mode` returns
+    them, as Python floats (``.tolist()``): the squeeze spectrum's bits
+    are those of Python's complex arithmetic.  Projecting on modes of
+    frequency ``nu``, with the phase origin a time ``t`` before the row's,
 
-        alpha = (e^{+i w t} / 2w)[w d1 + i d1' - i w^2 d2 + w d2'],
-        beta  = (e^{-i w t} / 2w)[w d1 - i d1' - i w^2 d2 - w d2'],
+        alpha = (e^{+i nu t} / 2 sqrt(w nu))[nu d1 + i d1' - i w nu d2 + w d2'],
+        beta  = (e^{-i nu t} / 2 sqrt(w nu))[nu d1 - i d1' - i w nu d2 - w d2'].
 
-    whose normalization |alpha|^2 - |beta|^2 = 1 is the Wronskian.  When
-    the process changes the asymptotic frequency, passing the outgoing
-    frequency projects onto genuine out-modes: the moduli then freeze
-    once the process has ended.  ``reference_time`` shifts the phase
-    origin (the spectrum uses the process end).
+    With nu = w and t the row's time this is the instantaneous
+    decomposition, whose normalization |alpha|^2 - |beta|^2 = 1 is the
+    Wronskian.  When the process changes the asymptotic frequency, the
+    outgoing nu projects onto genuine out-modes: the moduli then freeze
+    once the process has ended.
     """
-    if omega_i <= 0:
-        raise DomainError("omega_i must be positive")
-    nu = omega_i if omega_out is None else omega_out
-    if nu <= 0:
-        raise DomainError("omega_out must be positive")
-    d1, d2, d1_dot, d2_dot = sol.at(t)
-    t_ref = t if reference_time is None else t - reference_time
+    if not (omega_i > 0 and nu > 0):
+        raise DomainError("projection frequencies must be positive")
+    d1, d1_dot, d2, d2_dot = row
     norm = 2.0 * math.sqrt(omega_i * nu)
     alpha = (
-        cmath.exp(1j * nu * t_ref)
+        cmath.exp(1j * nu * t)
         * (nu * d1 + 1j * d1_dot - 1j * omega_i * nu * d2 + omega_i * d2_dot)
         / norm
     )
     beta = (
-        cmath.exp(-1j * nu * t_ref)
+        cmath.exp(-1j * nu * t)
         * (nu * d1 - 1j * d1_dot - 1j * omega_i * nu * d2 - omega_i * d2_dot)
         / norm
     )
@@ -620,44 +556,25 @@ def bogoliubov_from_mode(
 
 
 _SPECTRUM_TOL = 1e-9  # Wronskian tolerance of each mode integration
-_POINTS_PER_PERIOD = 24  # samples per period of the fastest mode frequency
 
 
 def squeeze_spectrum(profile: MassProfile, k_grid) -> SqueezeSpectrum:
     """Squeeze parameters eta(k), theta(k) left behind by the process.
 
-    Integrates every mode to the end of the process and projects on
-    out-modes there: eta_k = arcsinh |beta_k| and theta_k is the phase of
-    -alpha_k beta_k*, referenced to the process end (the time origin the
-    detector sees).  Smooth profiles suppress eta_k once k well exceeds
-    the inverse ramp duration.  All modes are integrated in one lockstep
-    call of :func:`integrate_mode`.  Each mode's grid has at least 24
-    samples per period; only its start and its last 4 samples are passed,
-    since the stepping does not depend on the samples and the fit at t_f
-    reads just those 4.
+    Reads every mode once, at the end of the process, from one
+    :func:`integrate_mode` call, and projects on out-modes there: eta_k =
+    arcsinh |beta_k| and theta_k is the phase of -alpha_k beta_k*,
+    referenced to the process end (the time origin the detector sees).
+    Smooth profiles suppress eta_k once k well exceeds the inverse ramp
+    duration.
     """
-    k_arr = np.asarray(k_grid, dtype=float)
-    if k_arr.ndim != 1 or k_arr.size < 2:
-        raise DomainError("k grid needs at least two points")
-    if np.any(k_arr <= 0) or np.any(np.diff(k_arr) <= 0):
-        raise DomainError("k grid must be positive and strictly ascending")
-
-    grids = []
-    for k in k_arr:
-        om_max = max(profile.omega_i(k), profile.omega_f(k), 1.0 / profile.duration)
-        n_pts = max(64, int(_POINTS_PER_PERIOD * om_max * profile.t_f / (2 * math.pi)))
-        grids.append(np.linspace(0.0, profile.t_f, n_pts + 1)[[0, -4, -3, -2, -1]])
-    sols = integrate_mode(k_arr, profile, grids, tol=_SPECTRUM_TOL)
+    k_arr = check_k_grid(k_grid)
+    rows = integrate_mode(k_arr, profile, profile.t_f, _SPECTRUM_TOL)
     etas = np.empty_like(k_arr)
     thetas = np.empty_like(k_arr)
-    for i, (k, sol) in enumerate(zip(k_arr, sols)):
-        pair = bogoliubov_from_mode(
-            sol,
-            profile.omega_i(k),
-            profile.t_f,
-            omega_out=profile.omega_f(k),
-            reference_time=profile.t_f,
-        ).validate(tol=1e-8)
+    for i, (k, row) in enumerate(zip(k_arr, rows.tolist())):
+        pair = bogoliubov_from_mode(row, profile.omega_i(k), profile.omega_f(k), 0.0)
+        pair = pair.validate(tol=1e-8)
         etas[i] = pair.eta
         thetas[i] = pair.theta
     return SqueezeSpectrum(k_arr, etas, thetas)

@@ -88,13 +88,13 @@ class QuadratureConfig:
     max_subdivisions: int = 2000
 
     def __post_init__(self):
-        if self.cutoff is not None and self.cutoff <= 0:
+        if self.cutoff is not None and not self.cutoff > 0:
             raise DomainError("hard cutoff must be positive")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise DomainError("exponential regulator scale must be >= 0")
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
+        if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise DomainError("tolerances must be positive")
-        if self.max_subdivisions < 10:
+        if not self.max_subdivisions >= 10:
             raise DomainError("max_subdivisions unreasonably small")
 
     @property

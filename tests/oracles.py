@@ -137,10 +137,12 @@ def f_aux(spec, t: float, omega):
     return complex(out) if np.ndim(omega) == 0 else out
 
 
-def wronskian(sol):
-    """d1 d2' - d2 d1' of a field mode's fundamental solutions on its
-    time grid; canonical commutation keeps it at 1."""
-    return sol.d1 * sol.d2_dot - sol.d2 * sol.d1_dot
+def wronskian(rows):
+    """d1 d2' - d2 d1' of a field mode's fundamental data, rows (d1, d1',
+    d2, d2') as the mode solver returns them; canonical commutation keeps
+    it at 1."""
+    rows = np.asarray(rows)
+    return rows[..., 0] * rows[..., 3] - rows[..., 2] * rows[..., 1]
 
 
 # ---------------------------------------------------------------------------

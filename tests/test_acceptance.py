@@ -43,7 +43,12 @@ from sqbath.oscillator_dynamics import (
     effective_response,
     ns_st_split,
 )
-from sqbath.parametric_mode import MassProfile, bogoliubov_from_mode, integrate_mode
+from sqbath.parametric_mode import (
+    MassProfile,
+    _lockstep_dop853,
+    bogoliubov_from_mode,
+    integrate_mode,
+)
 from sqbath.quadrature import QuadratureConfig, plain_quad
 
 GROUND = CovarianceState(xx=0.5, pp=0.5, xp=0.0)
@@ -339,19 +344,22 @@ def test_criterion_7_invariant_suites(tanh_profile):
         worst = max(worst, abs(d1 * d2d - d1d * d2 - math.exp(-2 * gamma * t)))
     checks["wronskian e^-2gt"] = (worst, 1e-10)
 
-    # mode Wronskian = 1 and |alpha|^2 - |beta|^2 = 1 over random modes,
-    # sampled at trajectory times (between samples the cubic interpolant
-    # of ModeSolution.at adds its own O((h w)^4) error on top)
+    # mode Wronskian = 1 and |alpha|^2 - |beta|^2 = 1 over random modes:
+    # the solver's rows at every sample of each trajectory, and the rows
+    # integrate_mode fits at the end of the grid
     worst_w, worst_b = 0.0, 0.0
     ks = rng.uniform(0.05, 20.0, size=25)
     grid = np.linspace(0.0, 4.0, 801)
-    for k in ks:
-        sol = integrate_mode(np.array([k]), tanh_profile, [grid])[0]
-        worst_w = max(worst_w, float(np.max(np.abs(wronskian(sol) - 1.0))))
+    trajectories = _lockstep_dop853(tanh_profile, ks, [grid] * ks.size, 1e-10)
+    ends = integrate_mode(ks, tanh_profile, grid[-1])
+    for k, rows, end in zip(ks, trajectories, ends):
+        drift = np.abs(wronskian(np.vstack((rows, end))) - 1.0)
+        worst_w = max(worst_w, float(np.max(drift)))
         om_i = tanh_profile.omega_i(float(k))
         om_f = tanh_profile.omega_f(float(k))
-        for t in rng.choice(grid, size=40):
-            pair = bogoliubov_from_mode(sol, om_i, float(t), omega_out=om_f)
+        # the draws of rng.choice(grid, size=40), as indices
+        for j in rng.choice(grid.size, size=40):
+            pair = bogoliubov_from_mode(rows[j].tolist(), om_i, om_f, float(grid[j]))
             worst_b = max(worst_b, pair.wronskian_defect())
     checks["mode wronskian"] = (worst_w, 1e-8)
     checks["|a|^2-|b|^2"] = (worst_b, 1e-8)

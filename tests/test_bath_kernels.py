@@ -8,7 +8,8 @@ from oracles import BelowThresholdError, bath_fdr, bessel_j1, cosh2eta_at
 from sqbath.bath_kernels import BathSpec, SqueezeSpectrum
 from sqbath.errors import ConfigurationError, DomainError, ResolutionError
 from sqbath.gaussian_state import SqueezeParam
-from sqbath.oscillator_dynamics import chi_hadamard
+from sqbath.oscillator_dynamics import OscillatorSpec, chi_hadamard
+from sqbath.parametric_mode import MassProfile, ProfileShape, squeeze_spectrum
 from sqbath.quadrature import QuadratureConfig
 
 
@@ -249,6 +250,37 @@ class TestSqueezeSpectrumType:
             SqueezeSpectrum([0.5, 1.0], [0.1, -0.1])  # negative eta
         with pytest.raises(DomainError):
             SqueezeSpectrum([0.5, 1.0], [0.1, math.nan])
+
+
+NAN = math.nan
+TANH = MassProfile(0.0, 0.5, 0.0, 2.0)
+# each public value type, and the squeeze spectrum solve, given a NaN (or
+# an infinite k knot) where a number is checked
+NOT_A_NUMBER = {
+    "oscillator-m": lambda: OscillatorSpec(m=NAN, omega_r=1.0),
+    "oscillator-omega_r": lambda: OscillatorSpec(m=1.0, omega_r=NAN),
+    "oscillator-gamma": lambda: OscillatorSpec(m=1.0, omega_r=1.0, gamma=NAN),
+    "quadrature-cutoff": lambda: QuadratureConfig(cutoff=NAN),
+    "quadrature-epsilon": lambda: QuadratureConfig(epsilon=NAN),
+    "quadrature-rel_tol": lambda: QuadratureConfig(rel_tol=NAN),
+    "quadrature-abs_tol": lambda: QuadratureConfig(abs_tol=NAN),
+    "quadrature-max_subdivisions": lambda: QuadratureConfig(max_subdivisions=NAN),
+    "bath-mass_i": lambda: BathSpec(beta=1.0, mass_i=NAN),
+    "bath-mass_f": lambda: BathSpec(beta=1.0, mass_f=NAN),
+    "spectrum-nan-knot": lambda: SqueezeSpectrum([0.5, 1.0, NAN], [0.1, 0.1, 0.1]),
+    "spectrum-inf-knot": lambda: SqueezeSpectrum([0.5, 1.0, math.inf], [0.1, 0.1, 0.1]),
+    "profile-smoothstep_order": lambda: MassProfile(
+        0.0, 0.5, 0.0, 2.0, ProfileShape.SMOOTHSTEP, smoothstep_order=NAN
+    ),
+    "solve-nan-knot": lambda: squeeze_spectrum(TANH, [0.5, 1.0, NAN]),
+    "solve-inf-knot": lambda: squeeze_spectrum(TANH, [0.5, 1.0, math.inf]),
+}
+
+
+@pytest.mark.parametrize("make", NOT_A_NUMBER.values(), ids=NOT_A_NUMBER)
+def test_not_a_number_refused(make):
+    with pytest.raises(DomainError):
+        make()
 
 
 def test_bath_spec_validation():

@@ -6,20 +6,22 @@ PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.
 The script runs ``configs/*.yaml`` of this checkout (``sqbath run``,
 ``sqbath sweep`` too for ``constant_squeeze.yaml`` and only ``sqbath
 sweep``, serial and with ``--threads 2``, for ``finite_coupling.yaml``)
-and the figure presets 4, 6, 7, grn3d and tan2eta, and nine small
+and the figure presets 4, 6, 7, grn3d and tan2eta, and ten small
 generated configs (parametric: a smoothstep and a step ramp from
 ``mass_i`` 0.2 to ``mass_f`` 0.5, a constant mass 0.3, the smoothstep
-ramp at zero temperature, and the smoothstep ramp swept over two gamma,
+ramp at zero temperature, the smoothstep ramp over t 1 to 3 instead of
+0 to 2, and the smoothstep ramp swept over two gamma,
 over two ``mass_f`` and over two beta with ``sqbath sweep``; a
 constant squeeze at ``bath.beta: inf`` whose ``fdr_grid`` passes
 through 0; and a finite-coupling sweep over the range ``oscillator.gamma``
 0.03 to 0.3, 3 log-spaced steps) that reach the paths no other run does:
 the cusp-head split above a mass threshold, the massive kappa,
-``chi_hadamard`` on a squeeze-spectrum bath, the beta = inf branch of
-the massive measure, several responses reading one spectrum bath, one
-spectrum per sweep point of a changing ramp, one spectrum shared by
-baths of different beta, ``fdr`` of a massless bath at beta = inf,
-w = 0 included, and the start/stop/steps/spacing form of a sweep.
+``chi_hadamard`` on a squeeze-spectrum bath, a ramp that starts after
+t = 0, the beta = inf branch of the massive measure, several responses
+reading one spectrum bath, one spectrum per sweep point of a changing
+ramp, one spectrum shared by baths of different beta, ``fdr`` of a
+massless bath at beta = inf, w = 0 included, and the
+start/stop/steps/spacing form of a sweep.
 Four more generated configs must fail: a k grid that stops at 1
 (refused, exit 2), ``quadrature.max_subdivisions: 10`` (exit 3), a
 constant squeeze at ``bath.eta: 355`` (beta 0.3, cutoff 200, t 5-20),
@@ -100,6 +102,7 @@ GENERATED = {
     "massive-step": {"profile": {"shape": "step"}},
     "massive-constant-mass": {"profile": {"mass_i": 0.3, "mass_f": 0.3}},
     "massive-zero-temperature": {"bath": {"beta": float("inf")}},
+    "massive-late-start": {"profile": {"t_i": 1.0, "t_f": 3.0}},
     "massive-gamma-sweep": {"sweep": {"path": "oscillator.gamma", "values": [0.1, 0.05]}},
     "massive-mass-sweep": {"sweep": {"path": "profile.mass_f", "values": [0.4, 0.5]}},
     "massive-beta-sweep": {"sweep": {"path": "bath.beta", "values": [1.0, 2.0]}},
