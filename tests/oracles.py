@@ -1,19 +1,19 @@
 """Reference formulas and independent oracles shared by the test modules.
 
-``sqbath run`` and ``sqbath sweep`` never call these; they hold the
-closed forms the package is checked against: the response functions of
-the detector, the Wronskian of a field mode, the (Xi, eta, theta)
-forward map and the effective temperature, the Bessel J1, the
-oscillating power remnants J_n(t), the two sides of the bath-level
-fluctuation-dissipation relation, the bath's coincident-point Hadamard
-kernel, and
-on arrays the thermal factors coth(b w/2) and w coth(b w/2), the squeeze
-spectrum's lookups, the stationary weight cosh 2eta_kappa, the bath
-measure and the squeeze-spectrum weights, which the base rows of
-``bath_kernels._base_row`` compute one float at a time.
+``sqbath run`` and ``sqbath sweep`` never call these.  Closed forms: f,
+f', d2~ and the fundamental solutions of the detector, a mode's Wronskian,
+the (Xi, eta, theta) map, the effective temperature, the Bessel J1, the
+bath-level FDR and the massless bath's Hadamard kernel.  On arrays: the
+thermal factors, a spectrum's lookups, cosh 2eta_kappa, the bath measure
+and a spectrum's weights (``bath_kernels._base_row`` computes them one
+float at a time).  Every frequency integral is the one rule ``FilonRule``,
+which shares no code with the package's quadrature: ``covariance_oracle``,
+``chi_oracle`` and J_n(t) are built on it; ``bath_hadamard``,
+``double_time_oracle`` and ``convolve_response`` check it from outside.
 """
 
 import cmath
+import functools
 import math
 
 import mpmath as mp
@@ -24,8 +24,8 @@ from scipy.interpolate import PchipInterpolator
 from sqbath.bath_kernels import _COTH_PATCH, _MEASURE_NORM, BathSpec, SqueezeSpectrum
 from sqbath.errors import DomainError, InvalidStateError, SqbathError
 from sqbath.gaussian_state import CovarianceState
-from sqbath.oscillator_dynamics import _fundamental, _Response
-from sqbath.quadrature import QuadratureConfig, fourier_quad
+from sqbath.oscillator_dynamics import _fundamental, _Response, effective_response
+from sqbath.quadrature import QuadratureConfig
 
 
 class EstimationError(SqbathError):
@@ -137,6 +137,15 @@ def f_aux(spec, t: float, omega):
     return complex(out) if np.ndim(omega) == 0 else out
 
 
+def fdot_aux(spec, t: float, omega):
+    """Time derivative of f(t; w) in closed form (no 1/w pole):
+    d2~(w)[-i w e^{-iwt} - d1'(t) + i w d2'(t)]."""
+    _, _, d1_dot, d2_dot = fundamental_solutions(spec, t)
+    w = np.asarray(omega, dtype=float)
+    out = d2_fourier(spec, w) * (-1j * w * np.exp(-1j * w * t) - d1_dot + 1j * w * d2_dot)
+    return complex(out) if np.ndim(omega) == 0 else out
+
+
 def wronskian(rows):
     """d1 d2' - d2 d1' of a field mode's fundamental data, rows (d1, d1',
     d2, d2') as the mode solver returns them; canonical commutation keeps
@@ -185,9 +194,6 @@ def effective_temperature(cov, omega_r: float) -> float:
 # ---------------------------------------------------------------------------
 # late-time falloff of the oscillating power remnants
 
-_JN_QUAD = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-14, max_subdivisions=4000)
-
-
 def jn_integral(
     spec,
     beta: float,
@@ -203,6 +209,8 @@ def jn_integral(
     W(w) = sum_{j>=n} e^{-j beta w} = e^{-n beta w} / (1 - e^{-beta w});
     the t^-2 (thermal) / t^-3 (vacuum) falloff classes concern the
     resummed series, a single Boltzmann term alone decays like vacuum.
+    Integrated by the Filon-Legendre rule up to where the envelope
+    reaches e^-45.
 
     The exact integral also carries the residue of the response pole at
     w = Omega - i gamma, an e^{-2 gamma t} transient that the
@@ -214,40 +222,16 @@ def jn_integral(
     if n == 0:
         if epsilon <= 0:
             raise DomainError("vacuum term requires an epsilon regulator")
-
-        def wfac(w):
-            # w^2 e^{-eps w}
-            return w * w * math.exp(-epsilon * w)
+        scale, thermal = epsilon, math.inf
     else:
-        def wfac(w):
-            # w^2 e^{-n b w} / (1 - e^{-b w}); series patch keeps the
-            # integrable ~ w/beta endpoint NaN-free for the panel rules
-            u = beta * w
-            if u < 1e-6:
-                return (w / beta) * math.exp(-n * u) / (1.0 - 0.5 * u + u * u / 6.0)
-            return w * w * math.exp(-n * u) / (-math.expm1(-u))
-
-    def h_re(w):
-        return wfac(w) * d2_fourier(spec, w).real
-
-    def h_im(w):
-        return wfac(w) * d2_fourier(spec, w).imag
-
-    # the envelope decays exponentially; truncate where it reaches e^-45
-    scale = epsilon if n == 0 else n * beta
-    upper = 45.0 / scale
-    freq = 2.0 * t
-    x = (
-        fourier_quad(h_re, freq, "cos", 0.0, upper, _JN_QUAD)[0]
-        + fourier_quad(h_im, freq, "sin", 0.0, upper, _JN_QUAD)[0]
-    )
-    y = (
-        fourier_quad(h_im, freq, "cos", 0.0, upper, _JN_QUAD)[0]
-        - fourier_quad(h_re, freq, "sin", 0.0, upper, _JN_QUAD)[0]
-    )
-    # J = -i (X + iY) / (8 pi^2)
-    norm = 1.0 / (8.0 * math.pi**2)
-    value = complex(y * norm, -x * norm)
+        scale, thermal = n * beta, beta
+    rule = oracle_rule(0.0, 45.0 / scale, spec, thermal, scale)
+    w = rule.nodes
+    # w^2 e^{-eps w}, or w^2 e^{-n b w} / (1 - e^{-b w}); no node sits at w = 0
+    wfac = w * w * np.exp(-scale * w)
+    if n:
+        wfac /= -np.expm1(-beta * w)
+    value = -1j / (8.0 * math.pi**2) * complex(rule.integral(wfac * d2_fourier(spec, w), -2.0 * t))
 
     if subtract_pole:
         # rotating int_0^inf to the negative imaginary axis sweeps the
@@ -338,6 +322,25 @@ def bath_hadamard(beta: float, eps: float, big_t: float, phase: float = 0.0) -> 
         1 / z**2 + 2 / mp.mpf(beta) ** 2 * mp.zeta(2, 1 + z / beta)
     )
     return float(mp.re(val)) / (8 * math.pi**2)
+
+
+@functools.lru_cache(maxsize=4)
+def double_time_oracle(spec, bath: BathSpec, t: float, eps: float, n: int = 1280):
+    """(xx, pp, xp) integral parts at t as e^2 int int ds ds' u(t - s) u(t - s')
+    G_H(s, s'), u = d2/m or d2', G_H = 2 cosh 2eta bath_hadamard(s - s') -
+    2 sinh 2eta bath_hadamard(s + s', theta) under e^{-eps w}, by Simpson's
+    rule on n (even) intervals a side: no frequency integral at all."""
+    sq = bath.constant_squeeze()
+    s = np.linspace(0.0, t, n + 1)
+    diffs, sums = np.round(s[:, None] - s[None, :], 12), np.round(s[:, None] + s[None, :], 12)
+    stat = {d: bath_hadamard(bath.beta, eps, abs(d)) for d in np.unique(diffs)}
+    nonstat = {v: bath_hadamard(bath.beta, eps, v, sq.theta) for v in np.unique(sums)}
+    g_h = 2.0 * (sq.cosh2eta * np.vectorize(stat.get)(diffs)
+                 - sq.sinh2eta * np.vectorize(nonstat.get)(sums))
+    wts = (s[1] - s[0]) / 3.0 * np.r_[1.0, np.tile([4.0, 2.0], n // 2)[:-1], 1.0]  # Simpson
+    _, d2, _, d2_dot = fundamental_solutions(spec, t - s)
+    w_x, w_p = wts * d2 / spec.m, wts * d2_dot
+    return tuple(spec.e_sq * (u @ g_h @ v) for u, v in ((w_x, w_x), (w_p, w_p), (w_x, w_p)))
 
 
 # ---------------------------------------------------------------------------
@@ -437,3 +440,141 @@ def spectrum_weights(spectrum, mass_i: float):
         return np.cosh(2.0 * eta), np.sinh(2.0 * eta) * np.exp(1j * theta_at(spectrum, k))
 
     return weights
+
+
+# ---------------------------------------------------------------------------
+# the Filon-Legendre rule and the integral oracles built on it
+
+_X, _W = np.polynomial.legendre.leggauss(16)
+# moments m_n -> node weights sum_n m_n c_n[k], c_n = (n + 1/2) w_k P_n(x_k) the
+# Legendre coefficients of the interpolant through the nodes
+_FROM_LEGENDRE = (np.polynomial.legendre.legvander(_X, 15) * _W[:, None] * (np.arange(16) + 0.5)).T
+_TWO_I_POWERS = 2.0 * np.array([1.0, 1j, -1.0, -1j] * 4)
+
+
+class FilonRule:
+    """int F(w) e^{i tau w} dw from F at ``nodes``, for any tau.
+
+    On a panel [c - r, c + r] the interpolant of F at 16 Gauss-Legendre
+    nodes, sum_n c_n P_n((w - c)/r), times e^{i tau w} integrates to
+    r e^{i tau c} sum_n 2 i^n c_n j_n(tau r) (DLMF 10.54.2; Filon 1928,
+    Iserles & Norsett 2005); at tau = 0 it is Gauss-Legendre, exact to
+    degree 31.  ``head = (a, length)`` adds a Gauss-Legendre panel in s,
+    w = a + s^2, 0 < s < sqrt(length), under a sqrt cusp at a."""
+
+    def __init__(self, breaks, head=None):
+        breaks = np.asarray(breaks, dtype=float)
+        self.center, self.half = 0.5 * (breaks[1:] + breaks[:-1]), 0.5 * np.diff(breaks)
+        s = 0.5 * math.sqrt(head[1]) * (1.0 + _X) if head else np.empty(0)
+        self._head = (head[0] + s * s, math.sqrt(head[1]) * _W * s) if head else (s, s)
+        panels = self.center[:, None] + self.half[:, None] * _X
+        self.nodes = np.concatenate((self._head[0], panels.ravel()))
+        self._weights = {}
+
+    def integral(self, values, tau: float = 0.0):
+        if tau not in self._weights:
+            moments = _TWO_I_POWERS * special.spherical_jn(np.arange(16), tau * self.half[:, None])
+            phases = self.half * np.exp(1j * tau * self.center)
+            head = self._head[1] * np.exp(1j * tau * self._head[0])
+            panels = moments @ _FROM_LEGENDRE * phases[:, None]
+            self._weights[tau] = np.concatenate((head, panels.ravel()))
+        return np.asarray(values) @ self._weights[tau]
+
+
+def oracle_rule(lo, hi, resp=None, beta=math.inf, decay=0.0, knots=(), tau_max=0.0, split=1):
+    """The rule on [lo, hi] for an integrand of d2~ of ``resp``, coth(beta w/2),
+    e^{-decay w} and pieces joined at ``knots`` (breaks).  Panels stay twice
+    their width from the poles Omega -+ i gamma (gamma/2 wide within 40 gamma
+    of Omega, a third of the distance beyond) and 2 pi i n/beta (below 40/beta)
+    and are at most 2/decay wide; a sqrt cusp at lo > 0 gets a head in s at
+    most lo, 4/tau_max and the first knot long, then panels half their
+    distance to lo.  ``split`` > 1 cuts each panel into that many, to show
+    how far a value moves with its panels."""
+    if resp is not None and not resp.gamma > 0:
+        raise DomainError("the resonance panels need a damped response")
+    knots = np.asarray(knots, dtype=float)
+    knots = knots[(knots > lo) & (knots < hi)]
+
+    def width(w):
+        h = hi - lo
+        if resp is not None:
+            d = abs(w - resp.Omega)
+            h = min(h, 0.5 * resp.gamma if d < 40.0 * resp.gamma else d / 3.0)
+        if w < 40.0 / beta:
+            h = min(h, 2.0 * math.pi / (3.0 * beta))
+        return min(h, 2.0 / decay) if decay else h
+
+    head = None
+    if lo > 0.0:
+        head = (lo, min(width(lo), lo, 4.0 / tau_max if tau_max else lo, *knots[:1] - lo))
+    edges = [lo + (head[1] if head else 0.0)]
+    while edges[-1] < hi:
+        w = edges[-1]
+        edges.append(min(w + min(width(w), 0.5 * (w - lo) if lo else math.inf), hi))
+    breaks = np.union1d(edges, knots)
+    index = np.arange((breaks.size - 1) * split + 1) / split
+    return FilonRule(np.interp(index, np.arange(breaks.size), breaks), head)
+
+
+def _bath_nodes(resp, bath: BathSpec, quad: QuadratureConfig, tau_max: float, split: int):
+    """(rule, nodes, measure, (cosh 2eta, sinh 2eta e^{i theta})) on the
+    bath's domain [m_i, quad.upper()], a spectrum's knots as breaks."""
+    quad.require_regulator("an oracle frequency integral")
+    spectrum = bath.squeeze if isinstance(bath.squeeze, SqueezeSpectrum) else None
+    knots = () if spectrum is None else np.hypot(spectrum.k, bath.mass_i)
+    rule = oracle_rule(
+        bath.mass_i, quad.upper(), resp, bath.beta, quad.epsilon, knots, tau_max, split
+    )
+    if spectrum is None:
+        sq = bath.constant_squeeze()
+        weights = sq.cosh2eta, sq.sinh2eta * cmath.exp(1j * sq.theta)
+    else:
+        weights = spectrum_weights(spectrum, bath.mass_i)(rule.nodes)
+    return rule, rule.nodes, bath_measure(bath.beta, bath.mass_i, quad)(rule.nodes), weights
+
+
+def _split(resp, t: float, w):
+    """f(t; w), f'(t; w) and e^{-iwt} as (a, t, b) for a e^{-iwt} + b:
+    f = d2~ e^{-iwt} + d2~ (-d1 + i w d2), f' = -i w d2~ e^{-iwt} + d2~ (-d1' + i w d2')."""
+    d1, d2, d1_dot, d2_dot = fundamental_solutions(resp, t)
+    g = d2_fourier(resp, w)
+    f = (g, t, g * (-d1 + 1j * w * d2))
+    f_dot = (-1j * w * g, t, g * (-d1_dot + 1j * w * d2_dot))
+    return f, f_dot, (np.ones_like(w), t, np.zeros_like(w))
+
+
+def _forms(rule, measure, weights, u, v):
+    """(int dmu cosh 2eta 2 Re[u v*], -int dmu 2 Re[sinh 2eta e^{i theta} u v]) of
+    split responses, each product of phase e^{-iws} at the rule's tau = -s."""
+    (au, su, bu), (av, sv, bv), (cosh, sinh) = u, v, weights
+    avc, bvc = av.conj(), bv.conj()
+    st = ((su - sv, au * avc), (su, au * bvc), (-sv, bu * avc), (0, bu * bvc))
+    ns = ((su + sv, au * av), (su, au * bv), (sv, bu * av), (0, bu * bv))
+    return (2.0 * sum(rule.integral(measure * cosh * p, -s) for s, p in st).real,
+            -2.0 * sum(rule.integral(measure * sinh * p, -s) for s, p in ns).real)
+
+
+def covariance_oracle(spec, bath: BathSpec, t: float, quad: QuadratureConfig, split=1):
+    """(xx, pp, xp, P_xi) integral parts at t > 0, any bath the program
+    accepts: e^2/m^2, e^2, e^2/m and e^2/m times both parts of the bilinear
+    forms of (f, f), (f', f'), (f, f') and (f', e^{-iwt})."""
+    resp = effective_response(spec, bath)
+    rule, w, measure, weights = _bath_nodes(resp, bath, quad, 2.0 * t, split)
+    f, f_dot, wave = _split(resp, t, w)
+    e2, m = spec.e_sq, spec.m
+    pairs = ((f, f, e2 / m**2), (f_dot, f_dot, e2), (f, f_dot, e2 / m), (f_dot, wave, e2 / m))
+    return tuple(c * sum(_forms(rule, measure, weights, u, v)) for u, v, c in pairs)
+
+
+def chi_oracle(spec, bath: BathSpec, t: float, t_prime: float, quad: QuadratureConfig, split=1):
+    """((stationary, nonstationary), unit) of the bath-driven G_H^(chi)(t, t'):
+    e^2/m^2 times the bilinear form of f(t), f(t') as ``chi_hadamard``, and
+    for a massless constant squeeze the unit-weight split at its theta, as
+    ``chi_hadamard_components`` (else None)."""
+    resp = effective_response(spec, bath)
+    rule, w, measure, weights = _bath_nodes(resp, bath, quad, t + t_prime, split)
+    u, v = _split(resp, t, w)[0], _split(resp, t_prime, w)[0]
+    full = tuple(spec.e_sq / spec.m**2 * x for x in _forms(rule, measure, weights, u, v))
+    if not bath.is_massless or isinstance(bath.squeeze, SqueezeSpectrum):
+        return full, None
+    return full, _forms(rule, measure, (1.0, cmath.exp(1j * bath.constant_squeeze().theta)), u, v)

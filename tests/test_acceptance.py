@@ -17,14 +17,17 @@ import pytest
 
 from oracles import (
     bath_fdr,
-    bath_hadamard,
+    chi_oracle,
     convolve_response,
     covariance_from_decomposition,
+    d2_fourier,
+    double_time_oracle,
     effective_temperature,
     f_aux,
     fundamental_solutions,
     jn_falloff,
     omega_coth_half_beta,
+    oracle_rule,
     wronskian,
 )
 from sqbath.bath_kernels import BathSpec
@@ -217,47 +220,17 @@ def test_criterion_5_decay_classes(spec, quad):
     assert abs(vacuum + 3.0) < 0.3
 
 
-def _hadamard_grid(spec, quad, grid):
-    """S and NS of chi_hadamard_components on grid x grid (beta = inf, theta = 0).
-
-    Both components are symmetric in t <-> t', so only the upper
-    triangle is computed and mirrored.
-    """
+def _hadamard_grid(components, grid):
+    """S and NS on grid x grid from the symmetric components(t, t') -> (S, NS),
+    the upper triangle computed and mirrored."""
     n = grid.size
     stat = np.empty((n, n))
     nonstat = np.empty((n, n))
     for i in range(n):
         for j in range(i, n):
-            kv = chi_hadamard_components(
-                spec, BathSpec(math.inf), 0.0, float(grid[i]), float(grid[j]), quad
-            )
-            stat[i, j], nonstat[i, j] = kv.stationary, kv.nonstationary
-            stat[j, i], nonstat[j, i] = stat[i, j], nonstat[i, j]
-    return stat, nonstat
-
-
-def _hadamard_oracle(spec, grid, cutoff):
-    """The same S and NS from their defining integrals, without QUADPACK.
-
-    S = int dmu 2 Re[f(t) f*(t')] and NS = -int dmu 2 Re[f(t) f(t')] with
-    dmu = w dw / 8 pi^2 (beta = inf, theta = 0) and f from the closed form
-    f_aux, summed by a 16-node Gauss-Legendre rule on uniform panels 0.01
-    wide over [0, cutoff], a few thousand panels at a time.  The panels
-    must resolve cos((t+t')w) over the whole range, not only near the
-    resonance.
-    """
-    width, chunk = 0.01, 5000
-    x, wts = np.polynomial.legendre.leggauss(16)
-    n_panels = int(round(cutoff / width))
-    stat = np.zeros((grid.size, grid.size))
-    nonstat = np.zeros_like(stat)
-    for first in range(0, n_panels, chunk):
-        left = width * np.arange(first, min(first + chunk, n_panels))
-        nodes = (left[:, None] + 0.5 * width * (x + 1.0)).ravel()
-        mu = np.tile(0.5 * width * wts, left.size) * nodes / (8.0 * math.pi**2)
-        f = np.array([f_aux(spec, float(t), nodes) for t in grid])
-        stat += 2.0 * ((f * mu) @ f.conj().T).real
-        nonstat -= 2.0 * ((f * mu) @ f.T).real
+            pair = components(float(grid[i]), float(grid[j]))
+            stat[i, j], nonstat[i, j] = pair
+            stat[j, i], nonstat[j, i] = pair
     return stat, nonstat
 
 
@@ -276,7 +249,7 @@ def test_criterion_6_two_time_stationarity(quad):
     """Late-time stationarity of the two-time Hadamard function (beta = inf).
 
     (a) On the grn3d figure window 20 <= t, t' <= 40 every S and NS value
-        matches an independent Gauss-Legendre oracle to rel_tol x max|S|.
+        matches the Filon-Legendre oracle chi_oracle to rel_tol x max|S|.
         The window itself is not yet stationary to the bounds, and its
         measured |NS|/|S| and flatness are printed, not asserted: the
         relaxation transient decays only as e^{-gamma(t+t')}, and the
@@ -289,8 +262,17 @@ def test_criterion_6_two_time_stationarity(quad):
     """
     spec = OscillatorSpec(m=1.0, omega_r=1.0, gamma=0.1)  # figure convention
     window = np.linspace(20.0, 40.0, 9)  # the grn3d preset's hadamard_grid
-    stat, nonstat = _hadamard_grid(spec, quad, window)
-    ref_stat, ref_nonstat = _hadamard_oracle(spec, window, quad.cutoff)
+    cold = BathSpec(math.inf)
+
+    def engine(t, t_prime):
+        kv = chi_hadamard_components(spec, cold, 0.0, t, t_prime, quad)
+        return kv.stationary, kv.nonstationary
+
+    def oracle(t, t_prime):
+        return chi_oracle(spec, cold, t, t_prime, quad)[1]
+
+    stat, nonstat = _hadamard_grid(engine, window)
+    ref_stat, ref_nonstat = _hadamard_grid(oracle, window)
     scale = np.max(np.abs(stat))
     dev = max(
         float(np.max(np.abs(stat - ref_stat))),
@@ -299,7 +281,7 @@ def test_criterion_6_two_time_stationarity(quad):
     window_ratio, window_flatness = _stationarity(stat, nonstat)
 
     late = window + (4.0 / spec.gamma - window[0])
-    ratio, flatness = _stationarity(*_hadamard_grid(spec, quad, late))
+    ratio, flatness = _stationarity(*_hadamard_grid(engine, late))
     ok = dev < quad.rel_tol and ratio < 1e-2 and flatness < 1e-3
     report(
         6,
@@ -312,7 +294,7 @@ def test_criterion_6_two_time_stationarity(quad):
     )
     assert dev < quad.rel_tol, (
         f"Hadamard components on 20 <= t, t' <= 40 deviate from the "
-        f"Gauss-Legendre oracle by {dev:.3e} x max|S| (tolerance "
+        f"Filon-Legendre oracle by {dev:.3e} x max|S| (tolerance "
         f"{quad.rel_tol:.0e})"
     )
     assert ratio < 1e-2, (
@@ -477,46 +459,26 @@ def test_criterion_9_oracle_equivalence(spec):
     )
 
     # (b) frequency-domain covariance vs double time integral at t <= 5
-    beta, eps, theta, eta = 1.0, 0.1, 0.9, 0.6
-    quad_eps = QuadratureConfig(epsilon=eps, rel_tol=1e-10, abs_tol=1e-14)
-    bath = BathSpec(beta=beta, squeeze=SqueezeParam(eta, theta))
-    t = 4.0
-    n = 1280
-    s = np.linspace(0.0, t, n + 1)
-
-    diffs = s[:, None] - s[None, :]
-    sums = s[:, None] + s[None, :]
-    stat_map = {d: 2.0 * bath_hadamard(beta, eps, abs(d)) for d in np.unique(np.round(diffs, 12))}
-    ns_map = {v: 2.0 * bath_hadamard(beta, eps, v, theta) for v in np.unique(np.round(sums, 12))}
-    g_stat = np.vectorize(lambda d: stat_map[round(d, 12)])(diffs)
-    g_ns = np.vectorize(lambda v: ns_map[round(v, 12)])(sums)
-    g_h = math.cosh(2 * eta) * g_stat - math.sinh(2 * eta) * g_ns
-    wts = np.ones(n + 1)
-    wts[1:-1:2], wts[2:-1:2] = 4.0, 2.0
-    wts *= (s[1] - s[0]) / 3.0
-    d1, d2s, d1d, d2d = fundamental_solutions(spec, t - s)
-    e_sq = 8 * math.pi * spec.gamma * spec.m
-    w_x = wts * d2s
-    xx_oracle = (e_sq / spec.m**2) * (w_x @ g_h @ w_x)
-    i_xx, _, _ = covariance_integral_parts(spec, bath, t, quad_eps)
+    quad_eps = QuadratureConfig(epsilon=0.1, rel_tol=1e-10, abs_tol=1e-14)
+    bath = BathSpec(beta=1.0, squeeze=SqueezeParam(0.6, 0.9))
+    xx_oracle = double_time_oracle(spec, bath, 4.0, quad_eps.epsilon)[0]
+    i_xx, _, _ = covariance_integral_parts(spec, bath, 4.0, quad_eps)
     err_b = abs(i_xx / xx_oracle - 1.0)
 
-    # (c) plain_quad vs a dense trapezoid on the late-time xx integrand
+    # (c) plain_quad vs the Filon-Legendre rule on the late-time xx integrand
     def kern(w):
-        from oracles import d2_fourier
-
         return omega_coth_half_beta(w, 1.0) * 2.0 * np.abs(d2_fourier(spec, w)) ** 2
 
     val, _ = plain_quad(kern, 0.0, 500.0, QuadratureConfig(rel_tol=1e-10, abs_tol=1e-14))
-    w = np.linspace(0.0, 500.0, 10_000_001)
-    err_c = abs(val / np.trapezoid(kern(w), w) - 1.0)
+    rule = oracle_rule(0.0, 500.0, spec, beta=1.0)
+    err_c = abs(val / rule.integral(kern(rule.nodes)).real - 1.0)
 
     ok = err_a < 1e-8 and err_b < 1e-4 and err_c < 1e-6
     report(
         9,
         ok,
         f"f_aux vs convolution {err_a:.2e} (< 1e-8); covariance vs double "
-        f"time integral {err_b:.2e} (< 1e-4); plain_quad vs trapezoid "
+        f"time integral {err_b:.2e} (< 1e-4); plain_quad vs Filon-Legendre "
         f"{err_c:.2e} (< 1e-6)",
     )
     assert err_a < 1e-8

@@ -5,12 +5,13 @@ import pytest
 
 from oracles import (
     EstimationError,
+    FilonRule,
     bath_fdr,
     bessel_j1,
+    covariance_oracle,
     d2_fourier,
     jn_falloff,
     jn_integral,
-    omega_coth_half_beta,
 )
 import sqbath.energy_fdr
 from sqbath.bath_kernels import BathSpec
@@ -23,7 +24,7 @@ from sqbath.oscillator_dynamics import (
     covariance_integral_parts,
     effective_response,
 )
-from sqbath.quadrature import QuadratureConfig, plain_quad
+from sqbath.quadrature import QuadratureConfig
 
 _TAIL_RANGE = 10.0  # window over which the Bessel tail must stay finite
 _TAIL_DELTA = 5e-8  # final endpoint window of the contact check
@@ -34,35 +35,10 @@ def driven_pp(spec, bath, t, quad):
     return covariance_integral_parts(spec, bath, t, quad)[1]
 
 
-def stationary_power_oracle(spec, beta, cutoff, ch2=1.0):
-    """P_xi(inf) = 8 pi gamma int dmu cosh2eta 2 w Im d2~(w)."""
-
-    def kern(w):
-        return (
-            omega_coth_half_beta(w, beta)
-            / (8 * math.pi**2)
-            * 2.0
-            * w
-            * d2_fourier_im(spec, w)
-        )
-
-    def d2_fourier_im(spec, w):
-        return d2_fourier(spec, w).imag
-
-    val, _ = plain_quad(kern, 0.0, cutoff, QuadratureConfig(rel_tol=1e-11, abs_tol=1e-14))
-    return 8.0 * math.pi * spec.gamma * ch2 * val
-
-
 def bessel_tail_endpoint_integral(mass: float, delta: float) -> float:
-    """int_0^delta (m/u) J1(m u) du, the s -> t endpoint contribution."""
-
-    def kernel(u):
-        if u == 0.0:
-            return 0.5 * mass * mass
-        return (mass / u) * bessel_j1(mass * u)
-
-    val, _ = plain_quad(kernel, 0.0, delta, QuadratureConfig(rel_tol=1e-10, abs_tol=1e-16))
-    return val
+    """int_0^delta (m/u) J1(m u) du, the s -> t endpoint contribution (one panel)."""
+    rule = FilonRule([0.0, delta])
+    return float(rule.integral(mass / rule.nodes * bessel_j1(mass * rule.nodes)).real)
 
 
 def gamma_kernel_check(mass: float) -> float:
@@ -94,7 +70,8 @@ class TestPowerIn:
     def test_thermal_late_time_matches_stationary_oracle(self, spec, quad, bath_thermal):
         t = 30.0 / spec.gamma
         p = power_in(spec, bath_thermal, t, quad)
-        oracle = stationary_power_oracle(spec, bath_thermal.beta, quad.cutoff)
+        # the stationary value: no nonstationary part, transients e^-100
+        oracle = covariance_oracle(spec, bath_thermal, 100.0 / spec.gamma, quad)[3]
         assert abs(p / oracle - 1.0) < 1e-3
 
     def test_cosh_factor(self, spec, quad, bath_thermal, bath_squeezed):
@@ -185,13 +162,6 @@ class TestEnergyBalance:
 
 
 class TestJnFalloff:
-    def test_exponents(self, spec):
-        ts = np.geomspace(20.0, 200.0, 10)
-        thermal = jn_falloff(spec, 1.0, 1, ts)
-        vacuum = jn_falloff(spec, 1.0, 0, ts)
-        assert abs(thermal + 2.0) < 0.3
-        assert abs(vacuum + 3.0) < 0.3
-
     def test_boltzmann_suppression(self, spec):
         # raw integral at moderate time: pole piece carries e^{-n beta Re w+}
         mags = [

@@ -1,17 +1,23 @@
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import (
-    bath_hadamard,
+    FilonRule,
+    chi_oracle,
+    covariance_oracle,
     d2_fourier,
+    double_time_oracle,
     f_aux,
+    fdot_aux,
     fundamental_solutions,
-    omega_coth_half_beta,
 )
+import sqbath.cli
 import sqbath.oscillator_dynamics
+import sqbath.quadrature
 from sqbath.bath_kernels import BathSpec, SqueezeSpectrum
 from sqbath.cli import _build_bath, figure_preset, parse_config
 from sqbath.energy_fdr import power_in
@@ -36,33 +42,12 @@ from sqbath.oscillator_dynamics import (
     massive_roots,
     ns_st_split,
 )
-from sqbath.quadrature import QuadratureConfig, plain_quad
+from sqbath.quadrature import QuadratureConfig
+from test_trace_targets import TINY_PARAMETRIC
+
+REPO = Path(__file__).resolve().parents[1]
 
 GROUND = CovarianceState(xx=0.5, pp=0.5, xp=0.0)
-
-
-def fdot_aux(spec, t: float, omega):
-    """Time derivative of f(t; w) in closed form (no 1/w pole):
-    d2~(w)[-i w e^{-iwt} - d1'(t) + i w d2'(t)]."""
-    _, _, d1_dot, d2_dot = fundamental_solutions(spec, t)
-    w = np.asarray(omega, dtype=float)
-    out = d2_fourier(spec, w) * (-1j * w * np.exp(-1j * w * t) - d1_dot + 1j * w * d2_dot)
-    return complex(out) if np.ndim(omega) == 0 else out
-
-
-def stationary_xx_oracle(spec, beta, cutoff):
-    """Late-time <chi^2>: (8 pi gamma / m) int dmu 2 |d2~|^2, eta = 0."""
-
-    def kern(w):
-        return (
-            omega_coth_half_beta(w, beta)
-            / (8 * math.pi**2)
-            * 2.0
-            * np.abs(d2_fourier(spec, w)) ** 2
-        )
-
-    val, _ = plain_quad(kern, 0.0, cutoff, QuadratureConfig(rel_tol=1e-11, abs_tol=1e-14))
-    return 8.0 * math.pi * spec.gamma / spec.m * val
 
 
 class TestFundamentalSolutions:
@@ -149,10 +134,9 @@ class TestAuxiliaryFunctions:
     def test_brute_force_convolution(self, spec):
         # (gamma, Omega, omega, t) = (0.1, 1, 0.7, 5)
         t, w = 5.0, 0.7
-        s = np.linspace(0.0, t, 200_001)
-        _, d2, _, _ = fundamental_solutions(spec, t - s)
-        oracle = np.trapezoid(d2 * np.exp(-1j * w * s), s)
-        assert abs(f_aux(spec, t, w) - oracle) < 1e-8
+        rule = FilonRule(np.linspace(0.0, t, 6))
+        oracle = rule.integral(fundamental_solutions(spec, t - rule.nodes)[1], -w)
+        assert abs(f_aux(spec, t, w) - oracle) < 1e-14
 
     def test_fdot_identity_and_finite_difference(self, spec):
         t = 5.0
@@ -180,10 +164,9 @@ class TestD2Fourier:
         assert np.max(np.abs(lhs - d.imag)) < 1e-14
 
     def test_discrete_transform_oracle(self, spec):
-        t = np.linspace(0.0, 400.0, 2**18 + 1)
-        _, d2, _, _ = fundamental_solutions(spec, t)
-        val = np.trapezoid(d2 * np.exp(1j * 0.5 * t), t)
-        assert abs(val - d2_fourier(spec, 0.5)) < 1e-4
+        rule = FilonRule(np.linspace(0.0, 400.0, 401))
+        val = rule.integral(fundamental_solutions(spec, rule.nodes)[1], 0.5)
+        assert abs(val - d2_fourier(spec, 0.5)) < 1e-13  # the tail beyond 400 weighs e^-40
 
 
 class TestCovarianceEvolution:
@@ -199,7 +182,8 @@ class TestCovarianceEvolution:
     def test_late_time_thermal_against_stationary_oracle(self, spec, quad, bath_thermal):
         t = 30.0 / spec.gamma
         cov = covariance_evolution(spec, bath_thermal, GROUND, t, quad)
-        oracle = stationary_xx_oracle(spec, bath_thermal.beta, quad.cutoff)
+        # the stationary value: no nonstationary part, transients e^-100
+        oracle = covariance_oracle(spec, bath_thermal, 100.0 / spec.gamma, quad)[0]
         assert abs(cov.xx / oracle - 1.0) < 1e-3
 
     def test_cosh_boost(self, spec, quad, bath_thermal, bath_squeezed):
@@ -238,71 +222,24 @@ class TestCovarianceEvolution:
             assert cov.uncertainty >= 0.25 - 1e-9
 
     def test_double_time_integral_oracle(self, spec):
-        # oracle: Simpson^2 over the bath Hadamard function against the
-        # fundamental-solution windows; regulated by epsilon = 0.1 so the
-        # kernel is resolvable on the grid.  Checks the frequency-domain
-        # route at small t.
-        beta, eps, theta, eta = 1.0, 0.1, 0.9, 0.6
-        quad = QuadratureConfig(epsilon=eps, rel_tol=1e-10, abs_tol=1e-14)
-        bath = BathSpec(beta=beta, squeeze=SqueezeParam(eta, theta))
-        t = 4.0
-        n = 1280  # Simpson needs even interval count
-        s = np.linspace(0.0, t, n + 1)
-
-        diffs = s[:, None] - s[None, :]
-        sums = s[:, None] + s[None, :]
-        uniq_d = np.unique(np.round(diffs, 12))
-        uniq_s = np.unique(np.round(sums, 12))
-        stat_map = {d: 2.0 * bath_hadamard(beta, eps, abs(d)) for d in uniq_d}
-        ns_map = {v: 2.0 * bath_hadamard(beta, eps, v, theta) for v in uniq_s}
-        g_stat = np.vectorize(lambda d: stat_map[round(d, 12)])(diffs)
-        g_ns = np.vectorize(lambda v: ns_map[round(v, 12)])(sums)
-        g_h = math.cosh(2 * eta) * g_stat - math.sinh(2 * eta) * g_ns
-
-        wts = np.ones(n + 1)
-        wts[1:-1:2], wts[2:-1:2] = 4.0, 2.0
-        wts *= (s[1] - s[0]) / 3.0
-        d1, d2, d1d, d2d = fundamental_solutions(spec, t - s)
-        e_sq = 8 * math.pi * spec.gamma * spec.m
-        w_x = wts * d2
-        w_p = wts * d2d
-        xx_oracle = (e_sq / spec.m**2) * (w_x @ g_h @ w_x)
-        pp_oracle = e_sq * (w_p @ g_h @ w_p)
-        xp_oracle = (e_sq / spec.m) * (w_x @ g_h @ w_p)
-
-        i_xx, i_pp, i_xp = covariance_integral_parts(spec, bath, t, quad)
-        assert abs(i_xx / xx_oracle - 1.0) < 1e-4
-        assert abs(i_pp / pp_oracle - 1.0) < 1e-4
-        assert abs(i_xp / xp_oracle - 1.0) < 1e-4
+        # epsilon = 0.1 makes the kernel resolvable on the oracle's grid
+        quad = QuadratureConfig(epsilon=0.1, rel_tol=1e-10, abs_tol=1e-14)
+        bath = BathSpec(beta=1.0, squeeze=SqueezeParam(0.6, 0.9))
+        oracle = double_time_oracle(spec, bath, 4.0, quad.epsilon)
+        got = covariance_integral_parts(spec, bath, 4.0, quad)
+        for part, ref in zip(got, oracle):
+            assert abs(part / ref - 1.0) < 1e-4
 
 
-def bilinear_panel_oracle(spec, beta, eta, theta, t, cutoff):
-    """(xx, pp, xp, P_xi) integral parts from their defining bilinear forms.
-
-    Each is int dmu [cosh 2eta 2 Re(u v*) - 2 Re(sinh 2eta e^{i theta} u v)]
-    with dmu = w coth(bw/2) dw / 8 pi^2 and (u, v) = (f, f), (f', f'),
-    (f, f') and (f', e^{-iwt}), f and f' from f_aux and fdot_aux, times
-    e^2/m^2, e^2, e^2/m and 8 pi gamma.  Summed by a 16-node
-    Gauss-Legendre rule on uniform panels 0.01 wide over [0, cutoff],
-    without QUADPACK.
-    """
-    width, chunk = 0.01, 5000
-    x, wts = np.polynomial.legendre.leggauss(16)
-    ch, sh = math.cosh(2 * eta), math.sinh(2 * eta) * cmath.exp(1j * theta)
-    n_panels = int(round(cutoff / width))
-    sums = np.zeros(4)
-    for first in range(0, n_panels, chunk):
-        left = width * np.arange(first, min(first + chunk, n_panels))
-        w = (left[:, None] + 0.5 * width * (x + 1.0)).ravel()
-        mu = np.tile(0.5 * width * wts, left.size) * w / np.tanh(0.5 * beta * w)
-        mu /= 8.0 * math.pi**2
-        f, fd = f_aux(spec, t, w), fdot_aux(spec, t, w)
-        wave = np.exp(-1j * w * t)
-        for i, (u, v) in enumerate(((f, f), (fd, fd), (f, fd), (fd, wave))):
-            form = ch * 2.0 * (u * v.conj()).real - 2.0 * (sh * u * v).real
-            sums[i] += mu @ form
-    e_sq = 8.0 * math.pi * spec.gamma * spec.m
-    return sums * np.array([e_sq / spec.m**2, e_sq, e_sq / spec.m, 8.0 * math.pi * spec.gamma])
+def assert_parts_match_oracle(spec, bath, quad, times):
+    """(xx, pp, xp, P_xi) at each t within rel_tol of the largest |part| of
+    covariance_oracle."""
+    for t in map(float, times):
+        parts = covariance_integral_parts(spec, bath, t, quad)
+        got = np.array([*parts, power_in(spec, bath, t, quad)])
+        ref = np.array(covariance_oracle(spec, bath, t, quad))
+        dev = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+        assert dev < quad.rel_tol, f"t = {t}: (xx, pp, xp, P_xi) = {got} vs oracle {ref}"
 
 
 class TestBilinearFormsOracle:
@@ -313,12 +250,76 @@ class TestBilinearFormsOracle:
     def test_covariance_and_power_match_panel_oracle(self, quad, gamma, beta, eta, theta, t):
         spec = OscillatorSpec.from_resonance(m=1.0, Omega=1.0, gamma=gamma)
         bath = BathSpec(beta=beta, squeeze=SqueezeParam(eta, theta))
-        got = np.array(
-            [*covariance_integral_parts(spec, bath, t, quad), power_in(spec, bath, t, quad)]
-        )
-        ref = bilinear_panel_oracle(spec, beta, eta, theta, t, quad.cutoff)
-        dev = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
-        assert dev < quad.rel_tol, f"(xx, pp, xp, P_xi) = {got} vs oracle {ref}"
+        assert_parts_match_oracle(spec, bath, quad, [t])
+
+
+@pytest.fixture
+def quad_codes(monkeypatch, cold_memo):
+    """The QUADPACK return code of every integral the test makes, from empty
+    memos, so that no result enters through the ier-2 escape hatch of
+    ``quadrature._check_quad_result`` unseen."""
+    codes = []
+    check = sqbath.quadrature._check_quad_result
+
+    def recording(value, abserr, ier, quad, what):
+        codes.append(ier)
+        return check(value, abserr, ier, quad, what)
+
+    monkeypatch.setattr(sqbath.quadrature, "_check_quad_result", recording)
+    return codes
+
+
+def sweep_point(raw, index):
+    """The run config and bath of point ``index`` of an oscillator.gamma sweep."""
+    point = {key: value for key, value in raw.items() if key != "sweep"}
+    gamma = raw["sweep"]["values"][index]
+    cfg = parse_config(dict(point, oscillator=dict(raw["oscillator"], gamma=gamma)))
+    return cfg, _build_bath(cfg)
+
+
+class TestSettingsAgainstOracle:
+    """Settings B and C against covariance_oracle, every QUADPACK result at
+    ier 0."""
+
+    @pytest.mark.parametrize("mass_i", [0.0, 0.2])
+    def test_parametric_ramp(self, quad_codes, mass_i):
+        # the 8-knot ramp, the program's own spectrum fed to the oracle
+        raw = dict(TINY_PARAMETRIC, profile=dict(TINY_PARAMETRIC["profile"], mass_i=mass_i))
+        cfg = parse_config(raw)
+        bath = _build_bath(cfg)
+        spec, quad = cfg.oscillator, cfg.quad
+        assert_parts_match_oracle(spec, bath, quad, cfg.time_grid)
+        t, t_prime = map(float, cfg.time_grid)
+        got = chi_hadamard(spec, bath, t, t_prime, quad)
+        (stat, nonstat), unit = chi_oracle(spec, bath, t, t_prime, quad)
+        assert unit is None
+        assert abs(got.stationary - stat) < quad.rel_tol * abs(stat)
+        assert abs(got.nonstationary - nonstat) < quad.rel_tol * abs(stat)
+        assert set(quad_codes) == {0}
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_finite_coupling_config(self, quad_codes, index):
+        raw = sqbath.cli._load_yaml(str(REPO / "configs" / "finite_coupling.yaml"))
+        cfg, bath = sweep_point(raw, index)
+        assert_parts_match_oracle(cfg.oscillator, bath, cfg.quad, cfg.time_grid)
+        assert set(quad_codes) == {0}
+
+    @pytest.mark.parametrize(
+        "index, t_index",
+        [
+            pytest.param(i, j, marks=pytest.mark.xfail(strict=True, reason=(
+                "QUADPACK returns the sin term at frequency t = 60 under "
+                "e^{-0.01 w} as ~0 at ier 0, so xp is 2.4e-8 off (FOUND in CHANGES.md)"
+            ))) if (i, j) == (1, 3) else (i, j)
+            for i in range(3) for j in range(4)
+        ],
+    )
+    def test_thermal_sweep_regulator(self, quad_codes, workloads, index, t_index):
+        # seed 0 of the thermal-sweep workload: epsilon = 1e-2, no cutoff
+        cfg, bath = sweep_point(workloads.thermal_sweep(0), index)
+        t = cfg.time_grid[t_index]
+        assert_parts_match_oracle(cfg.oscillator, bath, cfg.quad, [t])
+        assert set(quad_codes) == {0}
 
 
 class TestNsStSplit:
