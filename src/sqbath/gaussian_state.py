@@ -44,8 +44,10 @@ class SqueezeParam:
     theta: float = 0.0
 
     def __post_init__(self):
-        if self.eta < 0:
+        if not self.eta >= 0:
             raise DomainError(f"squeeze magnitude must be >= 0, got {self.eta}")
+        if not math.isfinite(self.theta):
+            raise DomainError(f"squeeze angle must be finite, got {self.theta}")
         object.__setattr__(self, "theta", self.theta % TWO_PI)
 
     @property
@@ -68,7 +70,7 @@ class BogoliubovPair:
         return abs(abs(self.alpha) ** 2 - abs(self.beta) ** 2 - 1.0)
 
     def validate(self, tol: float = 1e-8) -> "BogoliubovPair":
-        if self.wronskian_defect() > tol:
+        if not self.wronskian_defect() <= tol:
             raise DomainError(
                 f"|alpha|^2 - |beta|^2 = 1 violated by {self.wronskian_defect():.3e}"
             )
@@ -96,8 +98,13 @@ class CovarianceState:
     xp: float = 0.0
 
     def __post_init__(self):
-        if self.xx < 0 or self.pp < 0:
+        if not (self.xx >= 0 and self.pp >= 0):
             raise InvalidStateError("diagonal covariances must be nonnegative")
+        if math.isnan(self.xp):
+            raise InvalidStateError("the covariance xp must be a number")
+        # xx pp - xp^2 overflows once the elements pass about 1e154, to nan
+        # when both products do; that state passes here, and extract_squeeze
+        # checks its determinant scaled
         if self.uncertainty < 0.25 - _UNCERTAINTY_TOL:
             raise InvalidStateError(
                 f"Robertson-Schrodinger bound violated: xx*pp - xp^2 = "
@@ -123,7 +130,7 @@ class StateDecomposition:
     theta_degenerate: bool = False
 
     def __post_init__(self):
-        if self.xi < 1.0 - 1e-12:
+        if not self.xi >= 1.0 - 1e-12:
             raise DomainError(f"thermal factor must satisfy Xi >= 1, got {self.xi}")
 
 
@@ -142,7 +149,7 @@ def extract_squeeze(
     (2 m omega_r), pp = (m omega_r / 2) Xi [cosh 2eta + sinh 2eta cos theta],
     xp = -(1/2) Xi sinh 2eta sin theta round-trips to better than 1e-8.
     """
-    if m <= 0 or omega_r <= 0:
+    if not (m > 0 and omega_r > 0):
         raise DomainError("mass and frequency must be positive")
     # xx pp - xp^2 of the elements scaled by 2^-e, with 2^e near
     # sqrt(xx pp), cannot overflow; a power of two changes no bit of Xi

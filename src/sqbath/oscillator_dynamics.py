@@ -165,11 +165,11 @@ def massive_roots(gamma: float, Omega: float, mass_f: float) -> _Response:
     closed-form radical.  Requires mass_f < Omega; at or beyond the
     resonance the continuation is ambiguous.
     """
-    if Omega <= 0:
+    if not Omega > 0:
         raise DomainError("Omega must be positive")
-    if gamma < 0:
+    if not gamma >= 0:
         raise DomainError("gamma must be nonnegative")
-    if mass_f < 0:
+    if not mass_f >= 0:
         raise DomainError("mass_f must be nonnegative")
     if mass_f >= Omega:
         raise UnsupportedRegimeError(

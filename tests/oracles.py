@@ -157,6 +157,10 @@ def wronskian(rows):
 # ---------------------------------------------------------------------------
 # Gaussian states
 
+# the ground state of a unit-mass, unit-frequency oscillator, the initial
+# state of the late-time tests
+GROUND = CovarianceState(xx=0.5, pp=0.5, xp=0.0)
+
 
 def covariance_from_decomposition(decomp, m: float, omega_r: float):
     """Forward map (Xi, eta, theta) -> covariance matrix elements.

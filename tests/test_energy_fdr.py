@@ -114,22 +114,6 @@ class TestPowerOut:
 
 
 class TestEnergyBalance:
-    @pytest.mark.parametrize("eta", [0.0, 1.0])
-    def test_case_a_balance(self, spec, quad, eta):
-        bath = BathSpec(beta=0.3, squeeze=SqueezeParam(eta, 0.0) if eta else None)
-        t = 30.0 / spec.gamma
-        p_in = power_in(spec, bath, t, quad)
-        p_out = power_out(spec, bath, driven_pp(spec, bath, t, quad))
-        assert abs(p_in + p_out) / abs(p_out) < 1e-3
-
-    def test_case_b_balance(self, spec, quad, bath_parametric):
-        gamma_damp = effective_response(spec, bath_parametric).gamma
-        t = 30.0 / gamma_damp
-        p_in = power_in(spec, bath_parametric, t, quad)
-        pp = driven_pp(spec, bath_parametric, t, quad)
-        p_out = power_out(spec, bath_parametric, pp)
-        assert abs(p_in + p_out) / abs(p_out) < 1e-2
-
     @staticmethod
     def sampled_balance(spec, bath, times, quad):
         p_xi = np.array([power_in(spec, bath, t, quad) for t in times])
@@ -190,27 +174,6 @@ class TestJnFalloff:
 
 
 class TestFdrOscillator:
-    def test_unsqueezed_thermal_closed_identity(self, spec, bath_thermal):
-        grid = np.linspace(-10.0, 10.0, 1001)
-        rep = fdr_oscillator(spec, bath_thermal, grid)
-        assert rep.max_rel_deviation < 1e-12
-
-    def test_squeezed_low_temperature(self, spec):
-        bath = BathSpec(beta=10.0, squeeze=SqueezeParam(1.0, 0.4))
-        grid = np.linspace(-10.0, 10.0, 1001)
-        rep = fdr_oscillator(spec, bath, grid)
-        assert rep.max_rel_deviation < 1e-10
-
-    def test_zero_temperature(self, spec):
-        bath = BathSpec(beta=math.inf, squeeze=SqueezeParam(0.5, 0.0))
-        rep = fdr_oscillator(spec, bath, np.linspace(-5.0, 5.0, 501))
-        assert rep.max_rel_deviation < 1e-12
-
-    def test_parametric_above_threshold(self, spec, bath_parametric):
-        grid = np.linspace(0.05, 10.0, 500)
-        rep = fdr_oscillator(spec, bath_parametric, grid)
-        assert rep.max_rel_deviation < 1e-6
-
     def test_threshold_frequencies_dropped(self, spec):
         from sqbath.parametric_mode import MassProfile, squeeze_spectrum
 

@@ -56,7 +56,7 @@ def test_panel_moments_are_exact(tau_r):
 
 
 @pytest.mark.parametrize("beta", [0.3, 10.0, math.inf])
-@pytest.mark.parametrize("eps", [1e-2, 1e-3])
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
 def test_massless_kernel_matches_hurwitz_zeta(beta, eps):
     # (1/8 pi^2) int w coth(b w/2) e^{-eps w} cos(w T - phase) dw
     rule = oracle_rule(0.0, 45.0 / eps, beta=beta, decay=eps)

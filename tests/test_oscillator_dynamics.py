@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (
     FilonRule,
+    GROUND,
     chi_oracle,
     covariance_oracle,
     d2_fourier,
@@ -46,8 +47,6 @@ from sqbath.quadrature import QuadratureConfig
 from test_trace_targets import TINY_PARAMETRIC
 
 REPO = Path(__file__).resolve().parents[1]
-
-GROUND = CovarianceState(xx=0.5, pp=0.5, xp=0.0)
 
 
 class TestFundamentalSolutions:
@@ -186,12 +185,6 @@ class TestCovarianceEvolution:
         oracle = covariance_oracle(spec, bath_thermal, 100.0 / spec.gamma, quad)[0]
         assert abs(cov.xx / oracle - 1.0) < 1e-3
 
-    def test_cosh_boost(self, spec, quad, bath_thermal, bath_squeezed):
-        t = 30.0 / spec.gamma
-        xx0 = covariance_evolution(spec, bath_thermal, GROUND, t, quad).xx
-        xx1 = covariance_evolution(spec, bath_squeezed, GROUND, t, quad).xx
-        assert abs(xx1 / xx0 / math.cosh(2.0) - 1.0) < 1e-3
-
     def test_theta_independence_late(self, spec, quad):
         t = 30.0 / spec.gamma
         covs = [
@@ -229,6 +222,44 @@ class TestCovarianceEvolution:
         got = covariance_integral_parts(spec, bath, 4.0, quad)
         for part, ref in zip(got, oracle):
             assert abs(part / ref - 1.0) < 1e-4
+
+
+@pytest.mark.parametrize(
+    "cutoff",
+    [
+        1e2,
+        3e2,
+        2e3,
+        5e3,
+        1e4,
+        pytest.param(
+            1e5,
+            marks=pytest.mark.xfail(
+                raises=ConvergenceError,
+                strict=True,
+                reason="the frequency-0 term ends with QUADPACK ier 4 at cutoff 1e5",
+            ),
+        ),
+    ],
+)
+def test_late_covariances_follow_the_cutoff_laws(spec, cutoff):
+    # setting A at t = 300, against the anchor cutoff 1e3: the pp and xx
+    # integrands fall as (2 gamma m/pi) cosh 2eta / w and m^-2 w^-2 times
+    # that, so pp grows as (2 gamma m/pi) cosh 2eta ln cutoff up to
+    # O((omega_r/cutoff)^2), and xx(inf) - xx(cutoff) = (gamma/(pi m))
+    # cosh 2eta / cutoff^2 up to O((omega_r/cutoff)^4)
+    bath = BathSpec(beta=0.3, squeeze=SqueezeParam(1.0, 0.4))
+    anchor = 1e3
+    cov, ref = (
+        covariance_evolution(spec, bath, GROUND, 300.0, QuadratureConfig(cutoff=c))
+        for c in (cutoff, anchor)
+    )
+    rate = spec.gamma / math.pi * math.cosh(2.0)
+    pp_step = 2.0 * spec.m * rate * math.log(cutoff / anchor)
+    xx_step = rate / spec.m * (anchor**-2 - cutoff**-2)
+    scale = spec.omega_r / min(cutoff, anchor)
+    assert abs(cov.pp - ref.pp - pp_step) < scale**2
+    assert abs(cov.xx - ref.xx - xx_step) < scale**4
 
 
 def assert_parts_match_oracle(spec, bath, quad, times):
