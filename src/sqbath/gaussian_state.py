@@ -104,7 +104,7 @@ class CovarianceState:
             raise InvalidStateError("the covariance xp must be a number")
         # xx pp - xp^2 overflows once the elements pass about 1e154, to nan
         # when both products do; that state passes here, and extract_squeeze
-        # checks its determinant scaled
+        # checks its determinant scaled, against rounding and the bound
         if self.uncertainty < 0.25 - _UNCERTAINTY_TOL:
             raise InvalidStateError(
                 f"Robertson-Schrodinger bound violated: xx*pp - xp^2 = "
@@ -148,6 +148,8 @@ def extract_squeeze(
     set.  The forward map xx = Xi [cosh 2eta - sinh 2eta cos theta] /
     (2 m omega_r), pp = (m omega_r / 2) Xi [cosh 2eta + sinh 2eta cos theta],
     xp = -(1/2) Xi sinh 2eta sin theta round-trips to better than 1e-8.
+    A determinant xx pp - xp^2 of at most 2^-51 of xx pp + xp^2 is lost to
+    rounding and refused, as is one below the uncertainty bound.
     """
     if not (m > 0 and omega_r > 0):
         raise DomainError("mass and frequency must be positive")
@@ -156,6 +158,15 @@ def extract_squeeze(
     e = (math.frexp(cov.xx)[1] + math.frexp(cov.pp)[1]) // 2
     xx, pp, xp = (math.ldexp(x, -e) for x in (cov.xx, cov.pp, cov.xp))
     det = xx * pp - xp * xp
+    # each product rounds by up to 2^-53 of itself, so no bit of a
+    # determinant of at most 2^-51 of their sum can be trusted
+    products = xx * pp + xp * xp
+    if not det > math.ldexp(products, -51):
+        raise InvalidStateError(
+            f"covariance determinant lost to cancellation: xx pp - xp^2 = "
+            f"{det:.6g} against xx pp + xp^2 = {products:.6g}, elements "
+            f"scaled by 2^{-e}"
+        )
     if det < math.ldexp(0.25 - _UNCERTAINTY_TOL, -2 * e):
         raise InvalidStateError("covariance violates the uncertainty bound")
     u = 2.0 * m * omega_r * cov.xx          # Xi (cosh - sinh cos)

@@ -2,7 +2,7 @@
 
 ``sqbath run`` and ``sqbath sweep`` never call these.  Closed forms: f,
 f', d2~ and the fundamental solutions of the detector, a mode's Wronskian,
-the (Xi, eta, theta) map, the effective temperature, the Bessel J1, the
+the (Xi, eta, theta) map, the effective temperature, the
 bath-level FDR and the massless bath's Hadamard kernel.  On arrays: the
 thermal factors, a spectrum's lookups, cosh 2eta_kappa, the bath measure
 and a spectrum's weights (``bath_kernels._base_row`` computes them one
@@ -79,19 +79,6 @@ def convolve_response(kernel_samples, source_samples, grid):
         prod = kern[j::-1] * src[: j + 1]
         out[j] = h * (np.sum(prod) - 0.5 * (prod[0] + prod[-1]))
     return out
-
-
-def bessel_j1(x):
-    """Bessel function J1 for x >= 0 (``scipy.special.j1``).
-
-    Negative arguments are rejected rather than continued as the odd
-    function.  Accepts scalars (returning a float) or arrays.
-    """
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
-        raise DomainError("bessel_j1 requires x >= 0")
-    out = special.j1(arr)
-    return float(out) if arr.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

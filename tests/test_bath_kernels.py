@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import BelowThresholdError, bath_fdr, bessel_j1, cosh2eta_at
+from oracles import BelowThresholdError, bath_fdr, cosh2eta_at
 from sqbath.bath_kernels import BathSpec, SqueezeSpectrum
 from sqbath.errors import ConfigurationError, DomainError, ResolutionError
 from sqbath.gaussian_state import (
@@ -17,41 +17,6 @@ from sqbath.gaussian_state import (
 from sqbath.oscillator_dynamics import OscillatorSpec, chi_hadamard, massive_roots
 from sqbath.parametric_mode import MassProfile, ProfileShape, squeeze_spectrum
 from sqbath.quadrature import QuadratureConfig
-
-
-class CausalityError(DomainError):
-    """A retarded kernel was requested at non-positive time separation."""
-
-
-def retarded_massive(tau: float, mass: float) -> float:
-    """Smooth memory part -(1/4pi)(m/tau) J1(m tau) of the massive retarded
-    kernel at separation tau > 0.
-
-    The delta-prime contact part is consumed analytically by the detector
-    dynamics (local damping plus frequency renormalization); the massless
-    limit removes the Bessel tail entirely.
-    """
-    if tau <= 0:
-        raise CausalityError("retarded kernel requires tau > 0")
-    if mass == 0.0:
-        return 0.0
-    return -(mass / (4.0 * math.pi * tau)) * bessel_j1(mass * tau)
-
-
-def coth_expansion(x: float, n_max: int) -> float:
-    """Partial geometric expansion coth(x) ~ 1 + 2 sum_{n<=n_max} e^{-2nx}.
-
-    In the thermal variable x = beta w / 2 the terms are the Boltzmann
-    factors e^{-n beta w}.  Converges geometrically; x <= 0 diverges.
-    """
-    if x <= 0:
-        raise DomainError("coth expansion diverges for x <= 0")
-    if n_max == 0:
-        return 1.0
-    r = math.exp(-2.0 * x)
-    if r == 0.0:
-        return 1.0
-    return 1.0 + 2.0 * r * (1.0 - r**n_max) / (1.0 - r)
 
 
 class TestHadamardMasslessCoincident:
@@ -84,28 +49,6 @@ class TestHadamardMasslessCoincident:
         bath = BathSpec(beta=1.0, mass_i=0.5, mass_f=0.5)
         with pytest.raises(DomainError):
             chi_hadamard(spec, bath, 1.0, 1.0, self.QUAD)
-
-
-class TestRetardedMassive:
-    def test_massless_limit(self):
-        assert retarded_massive(2.0, 0.0) == 0.0
-
-    def test_short_time_limit(self):
-        mass = 0.5
-        tau = 1e-4 / mass
-        expected = -(mass**2) / (8.0 * math.pi)
-        assert abs(retarded_massive(tau, mass) / expected - 1.0) < 1e-6
-
-    def test_reference_value(self):
-        assert abs(
-            retarded_massive(1.0, 0.5) - (-0.009639555648551452)
-        ) < 1e-14
-
-    def test_causality(self):
-        with pytest.raises(CausalityError):
-            retarded_massive(0.0, 0.5)
-        with pytest.raises(CausalityError):
-            retarded_massive(-1.0, 0.5)
 
 
 class TestHadamardParametric:
@@ -210,28 +153,6 @@ class TestBathFdr:
             assert abs(lp - lm) < 1e-14 * abs(lp)
             assert abs(rp - rm) < 1e-14 * abs(rp)
             assert abs(lp - rp) < 1e-12 * abs(lp)
-
-
-class TestCothExpansion:
-    def test_reference(self):
-        assert abs(coth_expansion(0.5, 50) - 2.163953413738653) < 1e-12
-
-    def test_vacuum_limits(self):
-        assert coth_expansion(400.0, 10) == 1.0
-        assert coth_expansion(0.3, 0) == 1.0
-
-    def test_convergence_rate(self):
-        x = 1.2
-        exact = 1.0 / math.tanh(x)
-        errs = [abs(coth_expansion(x, n) - exact) for n in (2, 4, 8, 16)]
-        assert errs[0] > errs[1] > errs[2] > errs[3]
-        assert errs[3] < 1e-16 + math.exp(-2 * x * 17)
-
-    def test_divergence_guard(self):
-        with pytest.raises(DomainError):
-            coth_expansion(0.0, 10)
-        with pytest.raises(DomainError):
-            coth_expansion(-1.0, 10)
 
 
 class TestSqueezeSpectrumType:

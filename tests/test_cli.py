@@ -557,20 +557,33 @@ class TestRun:
         assert "did not converge" not in err
         assert not out.exists()
 
+    # an accepted initial state (xx pp = 10) whose sinh^2 2eta at t = 0
+    # exceeds the float range
+    HUGE_SQUEEZE = {
+        "scenario": "finite_coupling",
+        "oscillator": {"m": 1.0, "Omega": 1.0, "gamma": 0.3},
+        "initial_state": {"xx": 1.0e200, "pp": 1.0e-199, "xp": 0.0},
+        "outputs": ["squeeze_trajectory"],
+    }
+
     def test_overflowing_column_refused_before_writing(self, tmp_path, capsys):
-        # an accepted initial state (xx pp = 10) whose sinh^2 2eta at t = 0
-        # exceeds the float range
-        data = {
-            "scenario": "finite_coupling",
-            "oscillator": {"m": 1.0, "Omega": 1.0, "gamma": 0.3},
-            "initial_state": {"xx": 1.0e200, "pp": 1.0e-199, "xp": 0.0},
-            "time_grid": {"start": 0.0, "stop": 10.0, "points": 2},
-            "outputs": ["squeeze_trajectory"],
-        }
+        # the t = 10 row's scaled xx pp - xp^2 cancels to exactly 0, so it is
+        # refused before the t = 0 column with inf is checked
+        data = dict(self.HUGE_SQUEEZE, time_grid={"start": 0.0, "stop": 10.0, "points": 2})
         out = tmp_path / "o"
         assert main(["run", "--config", str(write_config(tmp_path, data)), "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert "squeeze_trajectory: sinh_sq_2eta is inf at t = 0" in err
+        assert "covariance determinant lost to cancellation: xx pp - xp^2 = 0 against" in err
+        assert not out.exists()
+
+    def test_cancelled_determinant_refused_before_writing(self, tmp_path, capsys):
+        # at t = 4 the scaled xx pp - xp^2 is 0.53 eps of xx pp + xp^2; read
+        # as a determinant it wrote Xi = 2.0e191, where the true Xi is of order 1
+        data = dict(self.HUGE_SQUEEZE, time_grid={"start": 4.0, "stop": 5.0, "points": 2})
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(write_config(tmp_path, data)), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "covariance determinant lost to cancellation" in err
         assert not out.exists()
 
     def test_non_finite_value_refused_before_writing(self, tmp_path, capsys, monkeypatch):

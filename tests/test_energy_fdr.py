@@ -5,9 +5,7 @@ import pytest
 
 from oracles import (
     EstimationError,
-    FilonRule,
     bath_fdr,
-    bessel_j1,
     covariance_oracle,
     d2_fourier,
     jn_falloff,
@@ -26,37 +24,10 @@ from sqbath.oscillator_dynamics import (
 )
 from sqbath.quadrature import QuadratureConfig
 
-_TAIL_RANGE = 10.0  # window over which the Bessel tail must stay finite
-_TAIL_DELTA = 5e-8  # final endpoint window of the contact check
-
 
 def driven_pp(spec, bath, t, quad):
     """Bath-driven <p^2(t)>, without the initial-state terms."""
     return covariance_integral_parts(spec, bath, t, quad)[1]
-
-
-def bessel_tail_endpoint_integral(mass: float, delta: float) -> float:
-    """int_0^delta (m/u) J1(m u) du, the s -> t endpoint contribution (one panel)."""
-    rule = FilonRule([0.0, delta])
-    return float(rule.integral(mass / rule.nodes * bessel_j1(mass * rule.nodes)).real)
-
-
-def gamma_kernel_check(mass: float) -> float:
-    """Residual of the vanishing endpoint limit of the memory kernel.
-
-    The non-contact (Bessel tail) part of the dissipation kernel must not
-    contribute to the frequency renormalization: its integral over a
-    shrinking window [t - delta, t] tends to zero.  Returns
-    |int_0^delta (m/u) J1(m u) du| at delta = _TAIL_DELTA, after
-    confirming the full integral over [0, _TAIL_RANGE] is finite.
-    """
-    if mass == 0.0:
-        return 0.0
-    # full tail integral stays finite (closed form: m(1 - J0 - ...) bounded)
-    full = bessel_tail_endpoint_integral(mass, _TAIL_RANGE)
-    if not math.isfinite(full):
-        raise DomainError("memory tail integral did not stay finite")
-    return abs(bessel_tail_endpoint_integral(mass, _TAIL_DELTA))
 
 
 class TestPowerIn:
@@ -304,18 +275,3 @@ class TestNonstationaryPowerDecayClass:
         ]
         slope, _ = np.polyfit(np.log(ts), np.log(ns), 1)
         assert -3.5 < slope < -1.5
-
-
-class TestGammaKernelCheck:
-    def test_massless_exact_zero(self):
-        assert gamma_kernel_check(0.0) == 0.0
-
-    def test_small_mass_residual(self):
-        assert gamma_kernel_check(0.5) < 1e-8
-
-    def test_endpoint_sequence_monotone(self):
-        deltas = [1e-4 / 2**i for i in range(8)]
-        seq = [bessel_tail_endpoint_integral(0.5, d) for d in deltas]
-        assert all(abs(b) < abs(a) for a, b in zip(seq, seq[1:]))
-        # short-window linearization: integral ~ m^2 delta / 2
-        assert abs(seq[-1] / (0.25 * deltas[-1] / 2) - 1.0) < 1e-4

@@ -1,13 +1,11 @@
 import math
 import types
 
-import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
 from oracles import (
-    bessel_j1,
     convolve_response,
     coth_half_beta,
     d2_fourier,
@@ -126,42 +124,6 @@ def test_coth_zero_temperature_limit_is_odd():
     w = np.array([-3.0, -1e-3, 1e-3, 3.0])
     np.testing.assert_array_equal(coth_half_beta(w, math.inf), np.sign(w))
     np.testing.assert_array_equal(coth_half_beta(w, math.inf), coth_half_beta(w, 1e300))
-
-
-class TestBesselJ1:
-    def test_zero_and_reference_value(self):
-        assert bessel_j1(0.0) == 0.0
-        assert abs(bessel_j1(1.0) - 0.4400505857449335) < 1e-13
-
-    def test_small_x_taylor(self):
-        for x in (1e-8, 1e-5, 1e-3):
-            taylor = x / 2 - x**3 / 16 + x**5 / 384
-            assert abs(bessel_j1(x) / taylor - 1.0) < 1e-9
-
-    def test_accuracy_to_1e3(self):
-        x = np.concatenate(
-            [
-                np.linspace(1e-6, 7.99, 400),
-                np.linspace(8.0, 29.99, 400),
-                np.geomspace(30.0, 1000.0, 400),
-            ]
-        )
-        ours = bessel_j1(x)
-        with mpmath.workdps(30):
-            ref = np.array([float(mpmath.besselj(1, mpmath.mpf(float(v)))) for v in x])
-        # absolute accuracy 1e-12 (amplitude falls like x^-1/2)
-        assert np.max(np.abs(ours - ref)) < 1e-12
-
-    def test_integral_representation_crosscheck(self):
-        # independent of both the series and the asymptotics
-        theta = np.linspace(0.0, math.pi, 20001)
-        for x in (0.5, 5.0, 12.0, 50.0):
-            oracle = np.trapezoid(np.cos(theta - x * np.sin(theta)), theta) / math.pi
-            assert abs(bessel_j1(x) - oracle) < 1e-10
-
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            bessel_j1(-1.0)
 
 
 class TestConvolveResponse:

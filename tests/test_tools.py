@@ -1,11 +1,13 @@
-"""The scripts under ``tools/`` still start against this checkout.
+"""The scripts under ``tools/`` still start against this checkout, and no
+module under ``tests/`` or ``tools/`` imports a name it never uses.
 
-Each runs in a subprocess, so the ``sys.path`` entries and the
+Each script runs in a subprocess, so the ``sys.path`` entries and the
 ``sys.dont_write_bytecode`` setting the scripts make at import stay out of
 the test session.  A rename under ``src/`` that breaks an import of either
 script fails here.
 """
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -32,3 +34,29 @@ def test_unreached_lists_the_package_functions():
     )
     assert done.returncode == 0, done.stderr
     assert "sqbath.cli.run" in done.stdout.splitlines()
+
+
+def unused_imports(path):
+    """(line, name) of each name an import in ``path`` binds and no
+    expression of the module reads; ``from __future__`` is exempt."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_no_unused_imports():
+    found = [
+        f"{path.relative_to(REPO)}:{line}: {name}"
+        for folder in ("tests", "tools")
+        for path in sorted((REPO / folder).glob("*.py"))
+        for line, name in unused_imports(path)
+    ]
+    assert not found, "imported and never used:\n" + "\n".join(found)
