@@ -50,7 +50,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .bath_kernels import BathSpec, SqueezeSpectrum
+from .bath_kernels import BathSpec, SqueezeSpectrum, check_k_grid
 from .energy_fdr import (
     LATE_TIME_FACTOR,
     fdr_frequencies,
@@ -59,7 +59,7 @@ from .energy_fdr import (
     power_in,
     power_out,
 )
-from .errors import ConfigurationError, ConvergenceError, SqbathError
+from .errors import ConfigurationError, ConvergenceError, DomainError, SqbathError
 from .gaussian_state import CovarianceState, SqueezeParam, extract_squeeze
 from .oscillator_dynamics import (
     OscillatorSpec,
@@ -110,7 +110,6 @@ _SWEEP_PATHS = tuple(
 _SPACINGS = ("linear", "log")
 
 _FLOAT_FMT = "{:.16e}"  # 17 significant digits
-_ETA_MAX = 0.5 * math.acosh(sys.float_info.max)  # cosh 2eta overflows above it
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +269,7 @@ def parse_config(data: dict) -> RunConfig:
     theta = _as_float(bath.get("theta", 0.0), "bath.theta")
     if not beta > 0:
         raise ConfigurationError(f"bath.beta must be > 0 (inf for T = 0), got {beta}")
-    if not 0.0 <= eta <= _ETA_MAX:
-        raise ConfigurationError(
-            f"bath.eta must be in [0, {_ETA_MAX:.6g}], where cosh 2eta is a "
-            f"finite float, got {eta}"
-        )
+    _make("bath.eta", SqueezeParam, eta, theta)
     if scenario != "constant_squeeze" and eta != 0.0:
         raise ConfigurationError(
             f"bath.eta is only meaningful for constant_squeeze (scenario {scenario})"
@@ -301,9 +296,7 @@ def parse_config(data: dict) -> RunConfig:
                 "profile.smoothstep_order",
             ),
         )
-        k_grid = _grid(data, "k_grid", spacing="log")
-        if not k_grid[0] > 0:
-            raise ConfigurationError(f"k_grid.start must be > 0, got {k_grid[0]}")
+        k_grid = _make("k_grid", check_k_grid, _grid(data, "k_grid", spacing="log"))
         if k_grid.size < 8:
             raise ConfigurationError(
                 f"k_grid.points must be >= 8 to resolve the squeeze spectrum, "
@@ -541,10 +534,10 @@ def _build_bath(cfg: RunConfig) -> BathSpec:
 
 
 def _at(product: str, point: dict, fn, *args):
-    """fn(*args); a ConvergenceError gets the product and the point added."""
+    """fn(*args); a numerical error gets the product and the point added."""
     try:
         return fn(*args)
-    except ConvergenceError as exc:
+    except (ConvergenceError, DomainError) as exc:
         where = ", ".join(f"{key} = {value:g}" for key, value in point.items())
         exc.args = (f"{product} at {where}: {exc}",)
         exc.diagnostics.update(product=product, **point)
@@ -617,7 +610,7 @@ def _product_files(cfg: RunConfig):
         elif name == "squeeze_trajectory":
             rows = []
             for t, cov in zip(times, covs):
-                dec = extract_squeeze(cov, spec.m, spec.omega_r)
+                dec = _at(name, {"t": float(t)}, extract_squeeze, cov, spec.m, spec.omega_r)
                 eta, theta = dec.squeeze.eta, dec.squeeze.theta
                 try:
                     sinh_sq = math.sinh(2 * eta) ** 2
@@ -742,13 +735,11 @@ def _sweep_point(cfg: RunConfig):
 
 
 def _failure_record(value, exc: SqbathError) -> dict:
-    """The manifest's record of a failed sweep point: the value, the message
-    and, for a ConvergenceError, its diagnostics and a numeric partial value."""
-    record = {"value": value, "error": str(exc)}
-    if isinstance(exc, ConvergenceError):
-        record["diagnostics"] = exc.diagnostics
-        if isinstance(exc.partial_value, float):
-            record["partial_value"] = float(exc.partial_value)
+    """The manifest's record of a failed sweep point: the value, the message,
+    its diagnostics and a numeric partial value."""
+    record = {"value": value, "error": str(exc), "diagnostics": exc.diagnostics}
+    if isinstance(exc.partial_value, float):
+        record["partial_value"] = float(exc.partial_value)
     return record
 
 
@@ -937,7 +928,7 @@ def main(argv=None) -> int:
         return 2
     except SqbathError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
-        if getattr(exc, "diagnostics", None):
+        if exc.diagnostics:
             diagnostics = json.dumps(_strict_json(exc.diagnostics), allow_nan=False, default=str)
             print(f"diagnostics: {diagnostics}", file=sys.stderr)
         return 3

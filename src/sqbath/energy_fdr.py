@@ -91,8 +91,6 @@ def power_in(
     2 w Im d2~(w), which falls off only like 1/w against the thermal
     weight, so a regulator is required.
     """
-    if t < 0:
-        raise DomainError("power_in requires t >= 0")
     if t == 0.0:
         return 0.0
     resp = effective_response(spec, bath)

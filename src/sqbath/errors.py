@@ -2,7 +2,15 @@
 
 
 class SqbathError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    Carries the best available partial value and solver diagnostics.
+    """
+
+    def __init__(self, message, partial_value=None, diagnostics=None):
+        super().__init__(message)
+        self.partial_value = partial_value
+        self.diagnostics = diagnostics or {}
 
 
 class DomainError(SqbathError, ValueError):
@@ -28,12 +36,4 @@ class ResolutionError(ConfigurationError):
 
 
 class ConvergenceError(SqbathError):
-    """Adaptive integration or root finding did not converge.
-
-    Carries the best available partial value and solver diagnostics.
-    """
-
-    def __init__(self, message, partial_value=None, diagnostics=None):
-        super().__init__(message)
-        self.partial_value = partial_value
-        self.diagnostics = diagnostics or {}
+    """Adaptive integration or root finding did not converge."""

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, InvalidStateError
@@ -30,22 +31,26 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 _UNCERTAINTY_TOL = 1e-9
+_ETA_MAX = 0.5 * math.acosh(sys.float_info.max)  # cosh 2eta overflows above it
 
 
 @dataclass(frozen=True)
 class SqueezeParam:
     """Polar squeeze parameter zeta = eta e^{i theta}.
 
-    eta >= 0 is the dimensionless magnitude; theta is normalized into
-    [0, 2pi).
+    eta is the dimensionless magnitude, at most _ETA_MAX so that cosh 2eta
+    is a finite float; theta is normalized into [0, 2pi).
     """
 
     eta: float
     theta: float = 0.0
 
     def __post_init__(self):
-        if not self.eta >= 0:
-            raise DomainError(f"squeeze magnitude must be >= 0, got {self.eta}")
+        if not 0.0 <= self.eta <= _ETA_MAX:
+            raise DomainError(
+                f"squeeze magnitude must be in [0, {_ETA_MAX:.6g}], where cosh 2eta "
+                f"is a finite float, got {self.eta}"
+            )
         if not math.isfinite(self.theta):
             raise DomainError(f"squeeze angle must be finite, got {self.theta}")
         object.__setattr__(self, "theta", self.theta % TWO_PI)

@@ -142,8 +142,11 @@ class _Response(NamedTuple):
 
 
 def _fundamental(resp: _Response, t):
+    """d1, d2, d1', d2' at the times t, refused below t = 0."""
     g, om = resp.gamma, resp.Omega
     t = np.asarray(t, dtype=float)
+    if (t < 0).any():
+        raise DomainError("the response is defined for t >= 0")
     env = np.exp(-g * t)
     s, c = np.sin(om * t), np.cos(om * t)
     d1 = env * (c + (g / om) * s)
@@ -482,8 +485,6 @@ def covariance_integral_parts(
     time integral of the bath Hadamard function against the fundamental
     solutions, reduced to frequency-domain Fourier integrals.
     """
-    if t < 0:
-        raise DomainError("covariance evolution requires t >= 0")
     if t == 0.0:
         return 0.0, 0.0, 0.0
     resp = effective_response(spec, bath)
@@ -574,8 +575,6 @@ def chi_hadamard_components(
     (1/4 pi^2) d2(t) d2(t') ln Lambda.  It depends on the regulator and
     decays as e^{-gamma(t+t')}, like the relaxation transient.
     """
-    if t < 0 or t_prime < 0:
-        raise DomainError("two-time Hadamard requires t, t' >= 0")
     if not bath.is_massless or isinstance(bath.squeeze, SqueezeSpectrum):
         raise DomainError("the unit-weight split needs a massless constant-squeeze bath")
     resp, thermal = effective_response(spec, bath), BathSpec(bath.beta)
@@ -605,8 +604,6 @@ def chi_hadamard(
     squeeze weights; it depends on the regulator and decays as
     e^{-gamma(t+t')}.
     """
-    if t < 0 or t_prime < 0:
-        raise DomainError("two-time Hadamard requires t, t' >= 0")
     resp = effective_response(spec, bath)
     stationary, nonstationary = _bilinear(
         resp, bath, _f_factor(resp, t), _f_factor(resp, t_prime), quad

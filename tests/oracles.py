@@ -22,7 +22,7 @@ from scipy import special
 from scipy.interpolate import PchipInterpolator
 
 from sqbath.bath_kernels import _COTH_PATCH, _MEASURE_NORM, BathSpec, SqueezeSpectrum
-from sqbath.errors import DomainError, InvalidStateError, SqbathError
+from sqbath.errors import DomainError, SqbathError
 from sqbath.gaussian_state import CovarianceState
 from sqbath.oscillator_dynamics import _fundamental, _Response, effective_response
 from sqbath.quadrature import QuadratureConfig
@@ -90,12 +90,10 @@ def fundamental_solutions(spec, t):
 
     d1 = e^{-gt}[cos Wt + (g/W) sin Wt], d2 = e^{-gt} sin(Wt)/W with
     W = Omega; the Wronskian d1 d2' - d1' d2 equals e^{-2 gamma t}.
-    Accepts scalar or array t.  The values are those the dynamics use.
+    Accepts scalar or array t.  The values, and the refusal of t < 0, are
+    those of the dynamics.
     """
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise DomainError("fundamental solutions are defined for t >= 0")
-    out = _fundamental(_Response(spec.gamma, spec.Omega), t_arr)
+    out = _fundamental(_Response(spec.gamma, spec.Omega), t)
     if np.ndim(t) == 0:
         return tuple(float(x) for x in out)
     return out
@@ -164,22 +162,6 @@ def covariance_from_decomposition(decomp, m: float, omega_r: float):
     pp = 0.5 * m * omega_r * xi * (ch + sh * math.cos(th))
     xp = -0.5 * xi * sh * math.sin(th)
     return CovarianceState(xx=xx, pp=pp, xp=xp)
-
-
-def effective_temperature(cov, omega_r: float) -> float:
-    """Nonequilibrium effective inverse temperature beta_eff.
-
-    beta_eff = (2/omega_r) ln[(1 + sqrt(1 + 4 S)) / (2 sqrt(S))] with the
-    uncertainty function S = xx pp - xp^2 - 1/4.  S -> 0+ (pure state)
-    diverges and is rejected.
-    """
-    s = cov.uncertainty - 0.25
-    if s <= 0:
-        raise InvalidStateError(
-            "uncertainty function S <= 0: state is pure (or invalid), "
-            "beta_eff diverges"
-        )
-    return (2.0 / omega_r) * math.log((1.0 + math.sqrt(1.0 + 4.0 * s)) / (2.0 * math.sqrt(s)))
 
 
 # ---------------------------------------------------------------------------

@@ -579,11 +579,18 @@ class TestRun:
     def test_cancelled_determinant_refused_before_writing(self, tmp_path, capsys):
         # at t = 4 the scaled xx pp - xp^2 is 0.53 eps of xx pp + xp^2; read
         # as a determinant it wrote Xi = 2.0e191, where the true Xi is of order 1
+        # the refusal names its product and point like any other
         data = dict(self.HUGE_SQUEEZE, time_grid={"start": 4.0, "stop": 5.0, "points": 2})
         out = tmp_path / "o"
         assert main(["run", "--config", str(write_config(tmp_path, data)), "--out", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert "covariance determinant lost to cancellation" in err
+        message, diagnostics = capsys.readouterr().err.splitlines()
+        assert message.startswith(
+            "numerical error: squeeze_trajectory at t = 4: "
+            "covariance determinant lost to cancellation"
+        )
+        assert strict_json(diagnostics.removeprefix("diagnostics: ")) == {
+            "product": "squeeze_trajectory", "t": 4.0,
+        }
         assert not out.exists()
 
     def test_non_finite_value_refused_before_writing(self, tmp_path, capsys, monkeypatch):
@@ -845,7 +852,7 @@ class TestSweep:
             ("time_grid.start", [5.0, -1.0], "time_grid.start must be >= 0"),
             ("bath.theta", [0.0, math.inf], "bath.theta: expected a finite number"),
             ("oscillator.gamma", [0.1, 0.0], "oscillator.gamma must be > 0"),
-            ("bath.eta", [1.0, 400.0], "bath.eta must be in [0, 355.238]"),
+            ("bath.eta", [1.0, 400.0], "bath.eta: squeeze magnitude must be in [0, 355.238]"),
         ],
         ids=["negative-beta", "overdamped", "negative-time", "theta-inf", "gamma-zero",
              "eta-overflow"],
@@ -860,6 +867,17 @@ class TestSweep:
         assert not out.exists()
         err = capsys.readouterr().err
         assert f"{path} = {values[1]}" in err and cause in err
+
+    def test_refused_trajectory_point_records_product_and_point(self, tmp_path):
+        data = dict(TestRun.HUGE_SQUEEZE, time_grid={"start": 4.0, "stop": 5.0, "points": 2})
+        data["sweep"] = {"path": "oscillator.gamma", "values": [0.3, 0.2]}
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(write_config(tmp_path, data)), "--out", str(out)]) == 3
+        failures = strict_json((out / "run_manifest.json").read_text())["sweep_failures"]
+        assert [f["value"] for f in failures] == [0.3, 0.2]
+        for failure in failures:
+            assert failure["error"].startswith("squeeze_trajectory at t = 4: ")
+            assert failure["diagnostics"] == {"product": "squeeze_trajectory", "t": 4.0}
 
     def test_mass_i_at_the_cutoff_refused_for_every_point(self, tmp_path, capsys):
         data = dict(PARAMETRIC, outputs=["covariances"])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import covariance_from_decomposition, effective_temperature
+from oracles import covariance_from_decomposition
 from sqbath.errors import DomainError, InvalidStateError
 from sqbath.gaussian_state import (
     BogoliubovPair,
@@ -103,40 +103,6 @@ class TestExtractSqueeze:
         assert dec.xi == 2.0 * math.sqrt(8.0)
 
 
-class TestEffectiveTemperature:
-    def test_thermal_identity_spotchecks(self):
-        # beta omega_r capped at 18: beyond, the uncertainty function
-        # S ~ e^{-beta omega_r} is swallowed by float64 cancellation in
-        # xx pp - 1/4 and no algorithm can recover it from covariances
-        for beta in (0.01, 0.5, 3.0, 100.0):
-            for omega_r in (0.1, 1.0, 10.0):
-                if beta * omega_r > 18.0:
-                    continue
-                x = 0.5 * beta * omega_r
-                c = 1.0 / math.tanh(x)
-                cov = CovarianceState(
-                    xx=c / (2 * omega_r), pp=omega_r * c / 2.0, xp=0.0
-                )
-                assert abs(effective_temperature(cov, omega_r) / beta - 1.0) < 1e-10
-
-    def test_quarter_uncertainty(self):
-        # S = 1/4: beta_eff = 2 ln(1 + sqrt(2))
-        cov = CovarianceState(xx=math.sqrt(0.5), pp=math.sqrt(0.5), xp=0.0)
-        assert abs(effective_temperature(cov, 1.0) - 1.7627471740390861) < 1e-12
-
-    def test_pure_state_diverges(self):
-        with pytest.raises(InvalidStateError):
-            effective_temperature(CovarianceState(xx=0.5, pp=0.5, xp=0.0), 1.0)
-
-    def test_small_uncertainty_grows(self):
-        vals = []
-        for s in (1e-2, 1e-4, 1e-6):
-            det = 0.25 + s
-            cov = CovarianceState(xx=math.sqrt(det), pp=math.sqrt(det), xp=0.0)
-            vals.append(effective_temperature(cov, 1.0))
-        assert vals[0] < vals[1] < vals[2]
-
-
 class TestBogoliubovPair:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -169,3 +135,10 @@ def test_squeeze_param_normalizes_angle():
     assert abs(sq2.cosh2eta**2 - sq2.sinh2eta**2 - 1.0) < 1e-12
     with pytest.raises(DomainError):
         SqueezeParam(-0.2, 0.0)
+
+
+def test_squeeze_param_keeps_cosh_finite():
+    # cosh 2eta overflows past eta = 355.238: refused, not built
+    with pytest.raises(DomainError, match=r"must be in \[0, 355\.238\]"):
+        SqueezeParam(400.0)
+    assert math.isfinite(SqueezeParam(355.0).cosh2eta)

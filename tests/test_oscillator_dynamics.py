@@ -72,9 +72,18 @@ class TestFundamentalSolutions:
         with pytest.raises(UnsupportedRegimeError):
             OscillatorSpec(m=1.0, omega_r=0.5, gamma=0.6)
 
-    def test_negative_time_rejected(self, spec):
-        with pytest.raises(DomainError):
-            fundamental_solutions(spec, -0.1)
+    def test_negative_time_rejected(self, spec, bath_squeezed, quad):
+        # every response factor passes through the one check of t >= 0
+        products = [
+            lambda: fundamental_solutions(spec, -0.1),
+            lambda: covariance_integral_parts(spec, bath_squeezed, -0.1, quad),
+            lambda: power_in(spec, bath_squeezed, -0.1, quad),
+            lambda: chi_hadamard(spec, bath_squeezed, 1.0, -0.1, quad),
+            lambda: chi_hadamard_components(spec, bath_squeezed, 0.0, -0.1, 1.0, quad),
+        ]
+        for product in products:
+            with pytest.raises(DomainError, match="defined for t >= 0"):
+                product()
 
 
 class TestMassiveRoots:
