@@ -223,20 +223,21 @@ _COTH_PATCH = 1e-3  # a massless measure switches to its series below b w = 1e-3
 
 
 def bath_mix(bath: BathSpec, quad: QuadratureConfig) -> tuple:
-    """The constant squeeze weights (cosh 2eta, sinh 2eta e^{i theta}) of
-    ``bath``, or (None, None) for a squeeze spectrum, which must be
+    """The constant squeeze weights of ``bath`` as the magnitudes of its
+    two parts and the angle of the nonstationary one, (cosh 2eta,
+    sinh 2eta, theta), or None for a squeeze spectrum, which must be
     resolved under the regulator of ``quad``.  A massive bath needs a
     spectrum."""
     if isinstance(bath.squeeze, SqueezeSpectrum):
         bath.squeeze.check_resolution(quad, bath.mass_i)
-        return None, None
+        return None
     if not bath.is_massless:
         raise DomainError(
             "constant-squeeze dynamics is implemented for massless baths; "
             "massive baths require a parametric squeeze spectrum"
         )
     sq = bath.constant_squeeze()
-    return sq.cosh2eta, sq.sinh2eta * cmath.exp(1j * sq.theta)
+    return sq.cosh2eta, sq.sinh2eta, sq.theta
 
 
 def _base_row(bath: BathSpec, epsilon: float):

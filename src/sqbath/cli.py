@@ -523,9 +523,10 @@ def squeeze_spectrum(profile: MassProfile, k_grid: tuple) -> SqueezeSpectrum:
 
 def _build_bath(cfg: RunConfig) -> BathSpec:
     if cfg.scenario == "parametric":
+        k_grid = tuple(cfg.k_grid.tolist())
         return BathSpec(
             beta=cfg.bath_beta,
-            squeeze=squeeze_spectrum(cfg.profile, tuple(cfg.k_grid.tolist())),
+            squeeze=_at("squeeze_spectrum", {}, squeeze_spectrum, cfg.profile, k_grid),
             mass_i=cfg.profile.mass_i,
             mass_f=cfg.profile.mass_f,
         )
@@ -534,12 +535,13 @@ def _build_bath(cfg: RunConfig) -> BathSpec:
 
 
 def _at(product: str, point: dict, fn, *args):
-    """fn(*args); a numerical error gets the product and the point added."""
+    """fn(*args); a numerical error gets the product and the point, if
+    any, added."""
     try:
         return fn(*args)
     except (ConvergenceError, DomainError) as exc:
         where = ", ".join(f"{key} = {value:g}" for key, value in point.items())
-        exc.args = (f"{product} at {where}: {exc}",)
+        exc.args = (f"{product} at {where}: {exc}" if where else f"{product}: {exc}",)
         exc.diagnostics.update(product=product, **point)
         raise
 

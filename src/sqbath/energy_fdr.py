@@ -93,9 +93,8 @@ def power_in(
     """
     if t == 0.0:
         return 0.0
-    resp = effective_response(spec, bath)
-    total = sum(_bilinear(resp, bath, _fdot_factor(resp, t), _wave(t), quad))
-    return spec.e_sq / spec.m * total
+    resp, pref = effective_response(spec, bath), spec.e_sq / spec.m
+    return pref * sum(_bilinear(resp, bath, _fdot_factor(resp, t), _wave(t), quad, pref=pref))
 
 
 def power_out(spec: OscillatorSpec, bath: BathSpec, pp: float) -> float:

@@ -26,7 +26,8 @@ quadrature node from the one table set of each response
 :func:`bath_kernels._base_row` in ``math``/``cmath`` arithmetic on the
 node as a Python float.  Under constant weights the response factors
 are (re, im) float pairs and the kernels write the complex product out
-in floats.
+in floats; the magnitudes cosh 2eta and sinh 2eta stay out of the
+integrals and multiply each part once.
 One expander multiplies out either product and groups its phases
 e^{-iw tau} by |tau| into cos and sin Fourier integrals with smooth
 kernels: (f, f), (f', f') and (f, f') give xx, pp and xp, (f(t), f(t'))
@@ -337,7 +338,8 @@ def _kernel(scaled, weight, coeffs, part: str):
     None) the squeeze weight, both NodeTables, so a call makes one C-level
     lookup per factor and computes only its own polynomial; the
     multiplication order is fixed, so the bits are too.  A constant
-    weight is already in the coefficients, and ``scaled`` then holds
+    squeeze's phase is already in the coefficients and its magnitude is
+    applied after the integral, and ``scaled`` then holds
     (re, im) pairs: the kernel is CPython's complex product written out
     in floats, equal to the complex one up to the sign of an exact zero."""
     c0, c1, c2 = coeffs
@@ -358,34 +360,31 @@ def _kernel(scaled, weight, coeffs, part: str):
     return lambda w: (scaled[w] * (c0 + w * (c1 + w * c2)) * weight[w]).imag
 
 
-def _fourier_terms(u: _Factor, v: _Factor, stationary: bool, weight) -> list:
+def _fourier_terms(u: _Factor, v: _Factor, stationary: bool, phase) -> list:
     """Fourier terms (coeffs, part, freq, kind) of one part of the bilinear
-    form of u and v.
+    form of u and v at unit squeeze magnitude.
 
-    The stationary part is int dmu cosh 2eta 2 Re[u v*], the
-    nonstationary part -int dmu 2 Re[sinh 2eta e^{i theta} u v].
-    ``weight`` is the part's constant squeeze weight, folded into the
-    coefficients, or None for the weights of a squeeze spectrum.
+    The stationary part is int dmu 2 Re[u v*], the nonstationary part
+    -int dmu 2 Re[e^{i theta} u v]; ``phase`` is the part's constant
+    phase (1, or e^{i theta}), folded into the coefficients, and 1 for
+    the weights of a squeeze spectrum, which its tables carry.
     The four products of P and Q carry phases e^{-iw tau}; the phases of
     one |tau| share a cos kernel Re[F p+] and a sin kernel Im[F p-], where
     F is the measure, weight and d2~ factor, p+ sums the polynomials and
     p- sums them with the sign of tau.  A kernel
-    that vanishes identically is dropped: the sin kernel at tau = 0, any
-    part that a real F (u v* with equal d2~ powers under the real cosh
-    weight) takes from a purely real or purely imaginary polynomial, and
-    every kernel of a part whose constant weight is zero (the
-    nonstationary part of an unsqueezed bath).
+    that vanishes identically is dropped: the sin kernel at tau = 0 and
+    any part that a real F (u v* with equal d2~ powers under a real
+    stationary weight) takes from a purely real or purely imaginary
+    polynomial.
     """
     if stationary:
-        scale = 2.0
+        scale = 2.0 * phase
         vp = tuple(c.conjugate() for c in v.p)
         vq = tuple(c.conjugate() for c in v.q)
         vs = -v.s
     else:
-        scale = -2.0
+        scale = -2.0 * phase
         vp, vq, vs = v.p, v.q, v.s
-    if weight is not None:
-        scale *= weight
 
     groups: dict[float, tuple] = {}
     products = ((u.s + vs, u.p, vp), (u.s, u.p, vq), (vs, u.q, vp), (0.0, u.q, vq))
@@ -410,34 +409,57 @@ def _fourier_terms(u: _Factor, v: _Factor, stationary: bool, weight) -> list:
 
 def _bilinear(
     resp: _Response, bath: BathSpec, u: _Factor, v: _Factor,
-    quad: QuadratureConfig, weights: tuple | None = None,
+    quad: QuadratureConfig, theta: float | None = None, pref: float = 1.0,
 ) -> tuple[float, float]:
     """(stationary, nonstationary) parts of the bilinear form of u and v.
 
-    At least one factor carries the d2~ of ``resp``.  ``weights`` are
-    constant squeeze weights (cosh 2eta, sinh 2eta e^{i theta}) for
-    the measure of ``bath``; None takes the bath's own.  Both parts are
+    At least one factor carries the d2~ of ``resp``.  ``theta`` asks for
+    the unit-magnitude parts at that squeeze angle under the temperature
+    of ``bath``; None takes the bath's own weights.  Both parts are
     symmetric in u and v, so the factor with more d2~ powers goes first.
     Each part adds its terms left to right, each one :func:`_integral`,
-    memoized by value: a constant weight is in the coefficients and the
-    bath is reduced to its measure, so the stationary part is integrated
-    once for every squeeze angle.
+    memoized by value.  A constant squeeze reduces the bath to its
+    measure and folds only its phase into the coefficients; the part's
+    magnitude, cosh 2eta or sinh 2eta, multiplies the sum once, and a
+    zero magnitude leaves the part without terms.  So a term is
+    integrated once for every eta, and the stationary one for every
+    squeeze angle too; the absolute tolerance of ``quad`` then holds for
+    the unit integral, and a part's for its magnitude times it.
+
+    ``pref`` is the prefactor the caller multiplies the parts by.  A part
+    that the magnitude and ``pref`` take out of the float range is
+    refused with :class:`ConvergenceError` here, where its magnitude and
+    unit integral are known.
     """
-    if weights is None:
-        weights = bath_mix(bath, quad)  # checks the bath
+    mix = bath_mix(bath, quad) if theta is None else (1.0, 1.0, theta)  # checks the bath
     if v.n > u.n:
         u, v = v, u
-    if weights[0] is not None:  # constant squeeze: a massless bath
-        bath = BathSpec(bath.beta)
+    if mix is None:  # a squeeze spectrum: its weights are tables 3 and 4
+        magnitudes, phases, weight_tables = (1.0, 1.0), (1.0, 1.0), (3, 4)
+    else:  # a constant squeeze: a massless bath
+        cosh, sinh, theta = mix
+        magnitudes, phases = (cosh, sinh), (1.0, cmath.exp(1j * theta))
+        weight_tables, bath = (None, None), BathSpec(bath.beta)
     parts = []
-    for stationary, weight in zip((True, False), weights):
-        # the measure times d2~^n, or times |d2~|^2 for u v*
-        factor = 2 if stationary and v.n else u.n + v.n - 1
-        weight_table = None if weight is not None else 3 if stationary else 4
+    for stationary, magnitude, phase, weight_table in zip(
+        (True, False), magnitudes, phases, weight_tables
+    ):
         total = 0.0
-        for term in _fourier_terms(u, v, stationary, weight):
-            total += _integral(bath, quad, resp, factor, weight_table, *term)
-        parts.append(total)
+        if magnitude:
+            # the measure times d2~^n, or times |d2~|^2 for u v*
+            factor = 2 if stationary and v.n else u.n + v.n - 1
+            for term in _fourier_terms(u, v, stationary, phase):
+                total += _integral(bath, quad, resp, factor, weight_table, *term)
+        weighted = magnitude * total
+        if not math.isfinite(pref * weighted):
+            name = "stationary" if stationary else "nonstationary"
+            raise ConvergenceError(
+                f"the squeeze-weighted {name} part is not finite: {pref:.6g} times "
+                f"the magnitude {magnitude:.6g} times the unit integral {total:.6g}",
+                partial_value=pref * weighted,
+                diagnostics={"prefactor": pref, "magnitude": magnitude, "unit_integral": total},
+            )
+        parts.append(weighted)
     return tuple(parts)
 
 
@@ -449,9 +471,10 @@ def _integral(
     """int kernel(w) {1, cos, sin}(freq w) dw over the domain, the kernel
     the ``part`` of F[w] (c0 + c1 w + c2 w^2) W[w] with F and W the
     tables ``factor`` and ``weight`` of the set of (bath, quad, resp), W
-    1 when a constant weight is in ``coeffs``.  The only caller of the
+    1 when a constant squeeze's phase is in ``coeffs`` (its magnitude is
+    not: :func:`_bilinear` applies it).  The only caller of the
     quadrature engine; the 16384 most recent terms are kept (the largest
-    shipped run, preset 7, has 9380).
+    shipped run, preset 7, has 9400).
 
     A positive lower limit marks a mass threshold whose sqrt cusp is
     handled by a plain-rule head interval.  At finite t the responses
@@ -490,10 +513,10 @@ def covariance_integral_parts(
     resp = effective_response(spec, bath)
     f, f_dot = _f_factor(resp, t), _fdot_factor(resp, t)
     e_sq, m = spec.e_sq, spec.m
-    i_xx = (e_sq / m**2) * sum(_bilinear(resp, bath, f, f, quad))
-    i_pp = e_sq * sum(_bilinear(resp, bath, f_dot, f_dot, quad))
-    i_xp = (e_sq / m) * sum(_bilinear(resp, bath, f, f_dot, quad))
-    return i_xx, i_pp, i_xp
+    forms = ((e_sq / m**2, f, f), (e_sq, f_dot, f_dot), (e_sq / m, f, f_dot))
+    return tuple(
+        pref * sum(_bilinear(resp, bath, u, v, quad, pref=pref)) for pref, u, v in forms
+    )
 
 
 def covariance_evolution(
@@ -577,10 +600,9 @@ def chi_hadamard_components(
     """
     if not bath.is_massless or isinstance(bath.squeeze, SqueezeSpectrum):
         raise DomainError("the unit-weight split needs a massless constant-squeeze bath")
-    resp, thermal = effective_response(spec, bath), BathSpec(bath.beta)
+    resp = effective_response(spec, bath)
     u, v = _f_factor(resp, t), _f_factor(resp, t_prime)
-    weights = (1.0, cmath.exp(1j * theta))
-    return KernelValue(*_bilinear(resp, thermal, u, v, quad, weights))
+    return KernelValue(*_bilinear(resp, bath, u, v, quad, theta))
 
 
 def chi_hadamard(
@@ -604,9 +626,8 @@ def chi_hadamard(
     squeeze weights; it depends on the regulator and decays as
     e^{-gamma(t+t')}.
     """
-    resp = effective_response(spec, bath)
+    resp, pref = effective_response(spec, bath), spec.e_sq / spec.m**2
     stationary, nonstationary = _bilinear(
-        resp, bath, _f_factor(resp, t), _f_factor(resp, t_prime), quad
+        resp, bath, _f_factor(resp, t), _f_factor(resp, t_prime), quad, pref=pref
     )
-    pref = spec.e_sq / spec.m**2
     return KernelValue(pref * stationary, pref * nonstationary)

@@ -7,10 +7,11 @@ over a finite ``(a, b)``:
 * plain      ``int K(w) dw``,
 * oscillatory ``int K(w) cos(c w) dw`` / ``int K(w) sin(c w) dw``,
 
-where the caller folds the thermal weight, the squeeze weights and the
-exponential regulator into ``K``; the upper limit is the hard cutoff, or
-the point where the exponential regulator has decayed to e^{-45}
-(:meth:`QuadratureConfig.upper`).
+where the caller folds the thermal weight, the squeeze phase (or a
+squeeze spectrum's weights) and the exponential regulator into ``K``,
+and a constant squeeze magnitude multiplies the result; the upper
+limit is the hard cutoff, or the point where the exponential regulator
+has decayed to e^{-45} (:meth:`QuadratureConfig.upper`).
 
 The adaptive core is QUADPACK: QAGS for smooth kernels and QAWO for
 the oscillatory shapes.  QAWO evaluates the trigonometric factor by

@@ -545,16 +545,21 @@ class TestRun:
                 assert abs(eta_row - want_eta) <= 1e-12 * want_eta
 
     def test_overflowing_integrand_refused_as_not_finite(self, tmp_path, capsys):
-        # just below the eta limit cosh 2eta nearly fills the float range
-        # and the weighted kernel overflows; QUADPACK reports that as
-        # roundoff, the message says what happened
+        # just below the eta limit cosh 2eta nearly fills the float range:
+        # the unit integral is finite, and cosh 2eta times it times the
+        # coupling prefactor overflows; the message says what happened
         data = dict(SMALL_CONSTANT, bath=dict(SMALL_CONSTANT["bath"], eta=355.0))
         out = tmp_path / "o"
         assert main(["run", "--config", str(write_config(tmp_path, data)), "--out", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert "covariances at t = 5: cos term at frequency 0 over [0, 200]: " in err
-        assert "is not finite (the integrand overflowed)" in err
-        assert "did not converge" not in err
+        message, diagnostics = capsys.readouterr().err.splitlines()
+        assert message.startswith(
+            "numerical error: covariances at t = 5: "
+            "the squeeze-weighted stationary part is not finite: "
+        )
+        payload = strict_json(diagnostics.removeprefix("diagnostics: "))
+        assert payload["magnitude"] == math.cosh(710.0)
+        assert math.isfinite(payload["unit_integral"]) and payload["unit_integral"] > 0
+        assert (payload["product"], payload["t"]) == ("covariances", 5.0)
         assert not out.exists()
 
     # an accepted initial state (xx pp = 10) whose sinh^2 2eta at t = 0
@@ -916,14 +921,21 @@ class TestMainEntry:
         assert message.startswith("numerical error: ")
         assert diagnostics.startswith("diagnostics: {")
         payload = json.loads(diagnostics.removeprefix("diagnostics: "))
+        # the refusal names the product that needed the spectrum, and the mode
         if command == "run":
             assert payload["k"] in parse_config(EVERY_SECTION).k_grid
-            assert f"mode k = {payload['k']:.6g}: step size" in message
+            assert message.startswith(
+                f"numerical error: squeeze_spectrum: mode k = {payload['k']:.6g}: step size"
+            )
+            assert payload["product"] == "squeeze_spectrum"
             assert 0.99 < payload["t_reached"] <= 1.0 and payload["drift"] < 1e-8
         else:
             assert message == "numerical error: 2 of 2 sweep points failed"
             assert [f["value"] for f in payload["failures"]] == [1.0, 2.0]
-            assert all(": step size" in f["error"] for f in payload["failures"])
+            for failure in payload["failures"]:
+                assert failure["error"].startswith("squeeze_spectrum: mode k = ")
+                assert ": step size" in failure["error"]
+                assert failure["diagnostics"]["product"] == "squeeze_spectrum"
 
     def test_manifests_are_strict_json(self, tmp_path, capsys):
         # a zero-temperature preset and a sweep with an overflowing point
@@ -943,7 +955,8 @@ class TestMainEntry:
         assert main(["sweep", "--config", str(write_config(tmp_path, data)), "--out", str(out)]) == 3
         (failure,) = strict_json((out / "run_manifest.json").read_text())["sweep_failures"]
         assert failure["value"] == 355.0
-        assert failure["partial_value"] == "nan" and failure["diagnostics"]["abserr"] == "nan"
+        assert failure["error"].startswith("covariances at t = 5: the squeeze-weighted")
+        assert failure["partial_value"] == "inf"
         diagnostics = capsys.readouterr().err.splitlines()[1].removeprefix("diagnostics: ")
         assert strict_json(diagnostics)["failures"] == [failure]
 

@@ -207,7 +207,7 @@ def test_bath_mix(bath, quad, spectrum):
     if bath == "spectrum":
         bath = BathSpec(beta=1.0, squeeze=spectrum, mass_i=0.2, mass_f=0.5)
     spectral = isinstance(bath.squeeze, SqueezeSpectrum)
-    assert (bath_mix(bath, quad) == (None, None)) is spectral
+    assert (bath_mix(bath, quad) is None) is spectral
     row = _base_row(bath, quad.epsilon)
     lower = bath.mass_i
     points = [lower, lower + 1e-7, lower + 0.01, 0.7, 3.3, 49.0, *(lower + SPREAD)]

@@ -25,7 +25,7 @@ start/stop/steps/spacing form of a sweep.
 Four more generated configs must fail: a k grid that stops at 1
 (refused, exit 2), ``quadrature.max_subdivisions: 10`` (exit 3), a
 constant squeeze at ``bath.eta: 355`` (beta 0.3, cutoff 200, t 5-20),
-whose weighted kernel overflows (exit 3), and that constant squeeze's
+whose squeeze-weighted part overflows (exit 3), and that constant squeeze's
 covariances swept over ``bath.eta: [1.0, 355.0]`` (exit 3, the eta = 1
 point written and the eta = 355 point in ``sweep_failures``); for these
 the two trees' exit codes and the names of the files left under
