@@ -24,9 +24,10 @@ with the bath measure dmu and weights of :mod:`bath_kernels`, read per
 quadrature node from the one table set of each response
 (:func:`_node_factors`), which builds a node's row from
 :func:`bath_kernels._base_row` in ``math``/``cmath`` arithmetic on the
-node as a Python float.  Under constant weights the response factors
-are (re, im) float pairs and the kernels write the complex product out
-in floats; the magnitudes cosh 2eta and sinh 2eta stay out of the
+node as a Python float.  The real factor of u v*, measure times |d2~|^2,
+is a float with one-product kernels; under constant weights the others
+are (re, im) float pairs whose kernels write the complex product out in
+floats.  The magnitudes cosh 2eta and sinh 2eta stay out of the
 integrals and multiply each part once.
 One expander multiplies out either product and groups its phases
 e^{-iw tau} by |tau| into cos and sin Fourier integrals with smooth
@@ -295,10 +296,10 @@ def _node_factors(bath: BathSpec, quad: QuadratureConfig, resp: _Response) -> tu
     all; each response reads the bath anew, so a gamma sweep evaluates a
     spectrum's weights once per gamma.
 
-    Under constant weights the set stores each factor as a float pair
-    (re, im), a real one as (x, 0.0), for the pair kernels of
-    :func:`_kernel`; a squeeze spectrum's set keeps floats and complex
-    numbers."""
+    Table 2, the measure times |d2~|^2, holds floats in both sets.
+    Under constant weights the set stores tables 0 and 1 as float pairs
+    (re, im) for the pair kernels of :func:`_kernel`; a squeeze
+    spectrum's set keeps them, and sinh 2eta e^{i theta}, complex."""
     spectral = isinstance(bath.squeeze, SqueezeSpectrum)
     base, gamma, omega_sq = _base_row(bath, quad.epsilon), resp.gamma, resp.omega_sq
     tables = tuple(NodeTable() for _ in range(5 if spectral else 3))
@@ -321,7 +322,7 @@ def _node_factors(bath: BathSpec, quad: QuadratureConfig, resp: _Response) -> tu
             (m,) = base(w)
             d = 1.0 / (omega_sq - w * w - 2j * gamma * w)
             md, mdd = m * d, m * (d * d)
-            row = (md.real, md.imag), (mdd.real, mdd.imag), (m * (d * d.conjugate()).real, 0.0)
+            row = (md.real, md.imag), (mdd.real, mdd.imag), m * (d * d.conjugate()).real
             if len(first) < _MEMO_NODES:
                 first[w], second[w], third[w] = row
             return row
@@ -337,12 +338,20 @@ def _kernel(scaled, weight, coeffs, part: str):
     ``scaled`` holds the measure times a d2~ power and ``weight`` (or
     None) the squeeze weight, both NodeTables, so a call makes one C-level
     lookup per factor and computes only its own polynomial; the
-    multiplication order is fixed, so the bits are too.  A constant
-    squeeze's phase is already in the coefficients and its magnitude is
-    applied after the integral, and ``scaled`` then holds
-    (re, im) pairs: the kernel is CPython's complex product written out
-    in floats, equal to the complex one up to the sign of an exact zero."""
+    multiplication order is fixed, so the bits are too.  Table 2, the
+    real measure times |d2~|^2, takes the requested part of each c_j
+    first and is one real product, times a spectrum's real cosh 2eta
+    table when that is the weight.  A constant squeeze's phase is already
+    in the coefficients and its magnitude is applied after the integral,
+    and tables 0 and 1 then hold (re, im) pairs: the kernel is CPython's
+    complex product written out in floats.  Either float kernel equals
+    the complex one up to the sign of an exact zero."""
     c0, c1, c2 = coeffs
+    if scaled.index == 2:
+        a0, a1, a2 = (getattr(c, part) for c in coeffs)
+        if weight is None:
+            return lambda w: scaled[w] * (a0 + w * (a1 + w * a2))
+        return lambda w: scaled[w] * (a0 + w * (a1 + w * a2)) * weight[w]
     if weight is None:
         c0r, c1r, c2r = c0.real, c1.real, c2.real
         c0i, c1i, c2i = c0.imag, c1.imag, c2.imag

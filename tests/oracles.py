@@ -2,8 +2,8 @@
 
 ``sqbath run`` and ``sqbath sweep`` never call these.  Closed forms: f,
 f', d2~ and the fundamental solutions of the detector, a mode's Wronskian,
-the (Xi, eta, theta) map, the effective temperature, the
-bath-level FDR and the massless bath's Hadamard kernel.  On arrays: the
+the (Xi, eta, theta) map, the bath-level FDR, the massless bath's
+Hadamard kernel and the late-time xx as a Matsubara sum.  On arrays: the
 thermal factors, a spectrum's lookups, cosh 2eta_kappa, the bath measure
 and a spectrum's weights (``bath_kernels._base_row`` computes them one
 float at a time).  Every frequency integral is the one rule ``FilonRule``,
@@ -314,6 +314,37 @@ def double_time_oracle(spec, bath: BathSpec, t: float, eps: float, n: int = 1280
     _, d2, _, d2_dot = fundamental_solutions(spec, t - s)
     w_x, w_p = wts * d2 / spec.m, wts * d2_dot
     return tuple(spec.e_sq * (u @ g_h @ v) for u, v in ((w_x, w_x), (w_p, w_p), (w_x, w_p)))
+
+
+def late_xx(spec, bath: BathSpec, quad: QuadratureConfig) -> float:
+    """xx_inf, the late-time xx integral part of a massless constant-squeeze
+    bath under a hard cutoff, in closed form without quadrature.
+
+    Its stationary part is the Matsubara sum (Grabert, Schramm & Ingold,
+    Phys. Rep. 168, 115 (1988)) with nu_n = 2 pi n/beta,
+
+        cosh 2eta/(m beta) sum_n 1/(w_r^2 + nu_n^2 + 2 gamma |nu_n|)
+      = cosh 2eta/(m beta) [1/w_r^2 + 2 (beta/2pi)^2 (psi(1+a) - psi(1+b))/(a - b)],
+
+    a = beta (gamma + i Omega)/2pi, b = a* (DLMF 5.15.6), and at beta = inf
+    cosh 2eta (pi/2 - atan(gamma/Omega))/(pi m Omega).  The cutoff Lambda
+    removes the w^-3 tail above it, (gamma/pi m) cosh 2eta/Lambda^2; the
+    next order is Lambda^-4.  The nonstationary part decays: at finite
+    beta and theta = 0 its w = 0 endpoint terms are imaginary to all
+    orders, while at beta = inf a sinh 2eta/t^2 tail remains."""
+    if quad.cutoff is None or quad.epsilon:
+        raise DomainError("the closed form is for a hard cutoff alone")
+    g, om, m = spec.gamma, spec.Omega, spec.m
+    if math.isinf(bath.beta):
+        value = (0.5 * math.pi - math.atan(g / om)) / (math.pi * m * om)
+    else:
+        a = bath.beta * complex(g, om) / (2.0 * math.pi)
+        b = a.conjugate()
+        ratio = (special.digamma(1.0 + a) - special.digamma(1.0 + b)) / (a - b)
+        scale = bath.beta / (2.0 * math.pi)
+        value = (1.0 / spec.omega_r**2 + 2.0 * scale * scale * ratio.real) / (m * bath.beta)
+    tail = g / (math.pi * m * quad.cutoff**2)
+    return bath.constant_squeeze().cosh2eta * (value - tail)
 
 
 # ---------------------------------------------------------------------------

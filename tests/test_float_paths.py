@@ -11,8 +11,9 @@ raise where numpy gives a finite value.  The array oracles of the
 thermal factors, which the rows are compared with element by element,
 and the mass profile of the mode ODE, called on arrays only, must give
 an argument the same bits in a batch of any size.  A constant-weight
-kernel computes on float pairs and must give the bits of the complex
-product it writes out.
+kernel computes on float pairs, and a kernel of the real |d2~|^2 factor
+on floats, and each must give the bits of the complex product it
+writes out.
 """
 
 import math
@@ -263,29 +264,35 @@ PAIR_COEFFS = {
 }
 
 
-def _real_value(re, im):
-    assert im == 0.0
-    return re
-
-
 @pytest.mark.parametrize("coeffs", PAIR_COEFFS.values(), ids=PAIR_COEFFS.keys())
-def test_pair_kernels(coeffs, spec, quad, cold_memo):
-    # a constant-weight kernel reads the (re, im) pairs of a response set
-    # and must give the bits of the complex product it writes out
+def test_pair_kernels(coeffs, spec, quad, spectrum, cold_memo):
+    # a constant-weight kernel reads the (re, im) pairs of tables 0 and 1
+    # and must give the bits of the complex product it writes out; table
+    # 2, the measure times |d2~|^2, holds floats in both sets, and its
+    # one-product kernels must give the bits of the complex product too
     bath = BathSpec(beta=0.3)
     tables = _node_factors(bath, quad, effective_response(spec, bath))
+    spectral = BathSpec(beta=0.3, squeeze=spectrum, mass_f=0.5)
+    spectral_tables = _node_factors(spectral, quad, effective_response(spec, spectral))
     row = _base_row(bath, quad.epsilon)
-    # the factor as a complex or a float: measure times d2~ and d2~^2,
-    # then measure times |d2~|^2; the base row holds the measure as a float
-    as_value = [complex, complex, _real_value]
     c0, c1, c2 = coeffs
-    assert {type(m) for w in SPREAD.tolist() for m in row(w)} == {float}
-    for table, value_of in zip(tables, as_value):
-        for part in ("real", "imag"):
+    points = [float(x) for x in SPREAD]
+    assert {type(m) for w in points for m in row(w)} == {float}
+    assert {type(t[2][w]) for t in (tables, spectral_tables) for w in points} == {float}
+    for part in ("real", "imag"):
+        # the measure times d2~ and d2~^2: float pairs
+        for table in tables[:2]:
             kernel = _kernel(table, None, coeffs, part)
-            for w in [float(x) for x in SPREAD]:
-                oracle = getattr(value_of(*table[w]) * (c0 + w * (c1 + w * c2)), part)
+            for w in points:
+                oracle = getattr(complex(*table[w]) * (c0 + w * (c1 + w * c2)), part)
                 assert kernel(w) == oracle, (part, w)
+        constant = _kernel(tables[2], None, coeffs, part)
+        weighted = _kernel(spectral_tables[2], spectral_tables[3], coeffs, part)
+        for w in points:
+            poly = c0 + w * (c1 + w * c2)
+            assert constant(w) == getattr(complex(tables[2][w]) * poly, part), (part, w)
+            want = getattr(spectral_tables[2][w] * poly * spectral_tables[3][w], part)
+            assert weighted(w) == want, (part, w)
 
 
 @pytest.mark.parametrize(

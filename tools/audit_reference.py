@@ -249,7 +249,8 @@ def misses() -> None:
     """The engine against the oracle where it is known to miss silently."""
     spec = OscillatorSpec(m=1.0, omega_r=1.0, gamma=0.1)
     cold = BathSpec(math.inf)
-    print("\nsilent misses (gamma = 0.1, beta = inf, theta = 0; unit-weight split):")
+    print("\nsilent misses (gamma = 0.1, theta = 0; unit-weight split; beta = inf "
+          "but in preset 4):")
     for what, t, tp, quad in (
         ("S(55, 60), cutoff 1e3", 55.0, 60.0, QuadratureConfig(cutoff=1e3)),
         ("NS(40, 40), epsilon 1e-2", 40.0, 40.0, QuadratureConfig(epsilon=1e-2)),
@@ -260,6 +261,14 @@ def misses() -> None:
         g, o = (got.stationary, s) if what.startswith("S") else (got.nonstationary, ns)
         print(f"  {what:26} engine {g:.9e}  oracle {o:.9e}  "
               f"diff {g - o:.2e} ({abs(g - o) / abs(s):.1e} of S)")
+    # figure 4: gamma = 0.1, Omega = 1, beta = 0.3, cutoff 1e3; t is index 37
+    # of its 80 times, and 0.188 the largest |I_NS| the preset writes
+    cfg = cli.parse_config(cli.figure_preset("4"))
+    bath, t = cli._build_bath(cfg), float(cfg.time_grid[37])
+    g = chi_hadamard_components(cfg.oscillator, bath, 0.0, t, t, cfg.quad).nonstationary
+    o = chi_oracle(cfg.oscillator, bath, t, t, cfg.quad)[1][1]
+    print(f"  {'preset 4 I_NS(t = 93.94)':26} engine {g:.9e}  oracle {o:.9e}  "
+          f"diff {g - o:.2e} ({abs(g - o) / 0.188:.1e} of the column max)")
     spec = OscillatorSpec.from_resonance(1.0, 1.0, 0.1)
     init, bath, t = CovarianceState(2.0, 1.0, 0.0), BathSpec(0.3), 300.0
     print(f"\nsetting C, gamma = 0.1, beta = 0.3, t = {t:g} (engine | oracle):")
