@@ -30,16 +30,17 @@ are (re, im) float pairs whose kernels write the complex product out in
 floats.  The magnitudes cosh 2eta and sinh 2eta stay out of the
 integrals and multiply each part once.
 One expander multiplies out either product and groups its phases
-e^{-iw tau} by |tau| into cos and sin Fourier integrals with smooth
-kernels: (f, f), (f', f') and (f, f') give xx, pp and xp, (f(t), f(t'))
-the two-time Hadamard function and (f', e^{-iwt}) the injected power;
-every form carries at least one response.  :func:`_integral`, the one
-driver, turns a term into a quadrature call, memoized on the term, so a
-term that recurs at another time, pair or product of a run is
-integrated once.  f, f' and d2~ as functions of w, the double
-time-integral form and the bath's own Hadamard kernel in closed form
-(Hurwitz zeta) live with the tests as oracles.  Fourier convention:
-g~(w) = int dt g(t) e^{+iwt}.
+e^{-iw tau} by |tau| into cos and sin Fourier integrals of smooth
+kernels; as both parts are real parts, every kernel is the real part
+of the node factors times a polynomial in w.  (f, f), (f', f') and
+(f, f') give xx, pp and xp, (f(t), f(t')) the two-time Hadamard
+function and (f', e^{-iwt}) the injected power; every form carries at
+least one response.  :func:`_integral`, the one driver, turns a term
+into a quadrature call, memoized on the term, so a term that recurs at
+another time, pair or product of a run is integrated once.  f, f' and
+d2~ as functions of w, the double time-integral form and the bath's own
+Hadamard kernel in closed form (Hurwitz zeta) live with the tests as
+oracles.  Fourier convention: g~(w) = int dt g(t) e^{+iwt}.
 
 For a massive (parametric) bath the equation of motion acquires a Bessel
 memory term; for field masses small against the resonance it reduces to a
@@ -332,59 +333,54 @@ def _node_factors(bath: BathSpec, quad: QuadratureConfig, resp: _Response) -> tu
     return tables
 
 
-def _kernel(scaled, weight, coeffs, part: str):
-    """w -> part of (scaled[w] (c0 + c1 w + c2 w^2)) weight[w].
+def _kernel(scaled, weight, coeffs):
+    """w -> Re[scaled[w] (c0 + c1 w + c2 w^2) weight[w]].
 
     ``scaled`` holds the measure times a d2~ power and ``weight`` (or
     None) the squeeze weight, both NodeTables, so a call makes one C-level
     lookup per factor and computes only its own polynomial; the
     multiplication order is fixed, so the bits are too.  Table 2, the
-    real measure times |d2~|^2, takes the requested part of each c_j
-    first and is one real product, times a spectrum's real cosh 2eta
-    table when that is the weight.  A constant squeeze's phase is already
-    in the coefficients and its magnitude is applied after the integral,
-    and tables 0 and 1 then hold (re, im) pairs: the kernel is CPython's
-    complex product written out in floats.  Either float kernel equals
-    the complex one up to the sign of an exact zero."""
+    real measure times |d2~|^2, takes the real part of each c_j first and
+    is one real product, times a spectrum's real cosh 2eta table when
+    that is the weight.  A constant squeeze's phase is already in the
+    coefficients and its magnitude is applied after the integral, and
+    tables 0 and 1 then hold (re, im) pairs: the kernel is the real part
+    of CPython's complex product written out in floats.  Either float
+    kernel equals the complex one up to the sign of an exact zero."""
     c0, c1, c2 = coeffs
     if scaled.index == 2:
-        a0, a1, a2 = (getattr(c, part) for c in coeffs)
+        a0, a1, a2 = c0.real, c1.real, c2.real
         if weight is None:
             return lambda w: scaled[w] * (a0 + w * (a1 + w * a2))
         return lambda w: scaled[w] * (a0 + w * (a1 + w * a2)) * weight[w]
     if weight is None:
         c0r, c1r, c2r = c0.real, c1.real, c2.real
         c0i, c1i, c2i = c0.imag, c1.imag, c2.imag
-        if part == "real":
-            def kernel(w):
-                sr, si = scaled[w]
-                return sr * (c0r + w * (c1r + w * c2r)) - si * (c0i + w * (c1i + w * c2i))
-        else:
-            def kernel(w):
-                sr, si = scaled[w]
-                return sr * (c0i + w * (c1i + w * c2i)) + si * (c0r + w * (c1r + w * c2r))
+
+        def kernel(w):
+            sr, si = scaled[w]
+            return sr * (c0r + w * (c1r + w * c2r)) - si * (c0i + w * (c1i + w * c2i))
         return kernel
-    if part == "real":
-        return lambda w: (scaled[w] * (c0 + w * (c1 + w * c2)) * weight[w]).real
-    return lambda w: (scaled[w] * (c0 + w * (c1 + w * c2)) * weight[w]).imag
+    return lambda w: (scaled[w] * (c0 + w * (c1 + w * c2)) * weight[w]).real
 
 
 def _fourier_terms(u: _Factor, v: _Factor, stationary: bool, phase) -> list:
-    """Fourier terms (coeffs, part, freq, kind) of one part of the bilinear
-    form of u and v at unit squeeze magnitude.
+    """Fourier terms (coeffs, freq, kind) of one part of the bilinear form
+    of u and v at unit squeeze magnitude, each the integral of a real
+    part Re[F p] against cos or sin.
 
     The stationary part is int dmu 2 Re[u v*], the nonstationary part
     -int dmu 2 Re[e^{i theta} u v]; ``phase`` is the part's constant
     phase (1, or e^{i theta}), folded into the coefficients, and 1 for
     the weights of a squeeze spectrum, which its tables carry.
     The four products of P and Q carry phases e^{-iw tau}; the phases of
-    one |tau| share a cos kernel Re[F p+] and a sin kernel Im[F p-], where
-    F is the measure, weight and d2~ factor, p+ sums the polynomials and
-    p- sums them with the sign of tau.  A kernel
-    that vanishes identically is dropped: the sin kernel at tau = 0 and
-    any part that a real F (u v* with equal d2~ powers under a real
-    stationary weight) takes from a purely real or purely imaginary
-    polynomial.
+    one |tau| share a cos kernel Re[F p+] and a sin kernel
+    Im[F p-] = Re[F (-i p-)], where F is the measure, weight and d2~
+    factor, p+ sums the polynomials and p- sums them with the sign of
+    tau; -i p- is exact up to the sign of a zero.  A kernel that vanishes
+    identically is dropped: the sin kernel at tau = 0 and, for a real F
+    (u v* with equal d2~ powers under a real stationary weight), a kernel
+    whose polynomial has no real part.
     """
     if stationary:
         scale = 2.0 * phase
@@ -409,10 +405,10 @@ def _fourier_terms(u: _Factor, v: _Factor, stationary: bool, phase) -> list:
 
     real_f = stationary and u.n == v.n
     terms = []
-    for freq, polys in groups.items():
-        for poly, part, kind in zip(polys, ("real", "imag"), ("cos", "sin")):
-            if any(getattr(c, part) for c in poly) if real_f else any(poly):
-                terms.append((poly, part, freq, kind))
+    for freq, (plus, minus) in groups.items():
+        for poly, kind in ((plus, "cos"), (tuple(-1j * c for c in minus), "sin")):
+            if any(c.real for c in poly) if real_f else any(poly):
+                terms.append((poly, freq, kind))
     return terms
 
 
@@ -422,10 +418,11 @@ def _bilinear(
 ) -> tuple[float, float]:
     """(stationary, nonstationary) parts of the bilinear form of u and v.
 
-    At least one factor carries the d2~ of ``resp``.  ``theta`` asks for
-    the unit-magnitude parts at that squeeze angle under the temperature
-    of ``bath``; None takes the bath's own weights.  Both parts are
-    symmetric in u and v, so the factor with more d2~ powers goes first.
+    At least one factor carries the d2~ of ``resp``, and u has at least
+    as many d2~ powers as v: every caller passes (f, f), (f', f'),
+    (f, f') or (f', e^{-iwt}).  ``theta`` asks for the unit-magnitude
+    parts at that squeeze angle under the temperature of ``bath``; None
+    takes the bath's own weights.
     Each part adds its terms left to right, each one :func:`_integral`,
     memoized by value.  A constant squeeze reduces the bath to its
     measure and folds only its phase into the coefficients; the part's
@@ -441,8 +438,6 @@ def _bilinear(
     unit integral are known.
     """
     mix = bath_mix(bath, quad) if theta is None else (1.0, 1.0, theta)  # checks the bath
-    if v.n > u.n:
-        u, v = v, u
     if mix is None:  # a squeeze spectrum: its weights are tables 3 and 4
         magnitudes, phases, weight_tables = (1.0, 1.0), (1.0, 1.0), (3, 4)
     else:  # a constant squeeze: a massless bath
@@ -475,13 +470,13 @@ def _bilinear(
 @functools.lru_cache(maxsize=1 << 14)
 def _integral(
     bath: BathSpec, quad: QuadratureConfig, resp: _Response, factor: int,
-    weight: int | None, coeffs: tuple, part: str, freq: float, kind: str,
+    weight: int | None, coeffs: tuple, freq: float, kind: str,
 ) -> float:
     """int kernel(w) {1, cos, sin}(freq w) dw over the domain, the kernel
-    the ``part`` of F[w] (c0 + c1 w + c2 w^2) W[w] with F and W the
-    tables ``factor`` and ``weight`` of the set of (bath, quad, resp), W
-    1 when a constant squeeze's phase is in ``coeffs`` (its magnitude is
-    not: :func:`_bilinear` applies it).  The only caller of the
+    Re[F[w] (c0 + c1 w + c2 w^2) W[w]] with F and W the tables
+    ``factor`` and ``weight`` of the set of (bath, quad, resp), W 1 when
+    a constant squeeze's phase is in ``coeffs`` (its magnitude is not:
+    :func:`_bilinear` applies it).  The only caller of the
     quadrature engine; the 16384 most recent terms are kept (the largest
     shipped run, preset 7, has 9400).
 
@@ -493,7 +488,7 @@ def _integral(
     quad.require_regulator("the frequency integral of a response bilinear form")
     lower, upper = bath.mass_i, quad.upper()
     tables = _node_factors(bath, quad, resp)
-    kernel = _kernel(tables[factor], None if weight is None else tables[weight], coeffs, part)
+    kernel = _kernel(tables[factor], None if weight is None else tables[weight], coeffs)
     try:
         return fourier_quad(
             kernel, freq, kind, lower, upper, quad, head=cusp_head(lower, freq)

@@ -3,13 +3,14 @@
 ``sqbath run`` and ``sqbath sweep`` never call these.  Closed forms: f,
 f', d2~ and the fundamental solutions of the detector, a mode's Wronskian,
 the (Xi, eta, theta) map, the bath-level FDR, the massless bath's
-Hadamard kernel and the late-time xx as a Matsubara sum.  On arrays: the
-thermal factors, a spectrum's lookups, cosh 2eta_kappa, the bath measure
-and a spectrum's weights (``bath_kernels._base_row`` computes them one
-float at a time).  Every frequency integral is the one rule ``FilonRule``,
-which shares no code with the package's quadrature: ``covariance_oracle``,
-``chi_oracle`` and J_n(t) are built on it; ``bath_hadamard``,
-``double_time_oracle`` and ``convolve_response`` check it from outside.
+Hadamard kernel, the late-time xx as a Matsubara sum and the late-time
+vacuum pp.  On arrays: the thermal factors, a spectrum's lookups,
+cosh 2eta_kappa, the bath measure and a spectrum's weights
+(``bath_kernels._base_row`` computes them one float at a time).  Every
+frequency integral is the one rule ``FilonRule``, which shares no code
+with the package's quadrature: ``covariance_oracle``, ``chi_oracle`` and
+J_n(t) are built on it; ``bath_hadamard``, ``double_time_oracle`` and
+``convolve_response`` check it from outside.
 """
 
 import cmath
@@ -345,6 +346,27 @@ def late_xx(spec, bath: BathSpec, quad: QuadratureConfig) -> float:
         value = (1.0 / spec.omega_r**2 + 2.0 * scale * scale * ratio.real) / (m * bath.beta)
     tail = g / (math.pi * m * quad.cutoff**2)
     return bath.constant_squeeze().cosh2eta * (value - tail)
+
+
+def late_pp_vac(spec, bath: BathSpec, quad: QuadratureConfig) -> float:
+    """pp_vac, the late-time stationary pp integral part of a massless
+    constant-squeeze bath at beta = inf under a hard cutoff Lambda, in
+    closed form without quadrature:
+
+        (2 gamma m/pi) cosh 2eta int_0^Lambda w^3 dw/(w^4 + B w^2 + C)
+      = (gamma m/pi) cosh 2eta [1/2 ln((Lambda^4 + B Lambda^2 + C)/C)
+                                - (B/d)(atan((2 Lambda^2 + B)/d) - atan(B/d))],
+
+    B = 4 gamma^2 - 2 w_r^2, C = w_r^4, d = sqrt(4C - B^2) = 4 gamma Omega.
+    At eta = 0 it is the whole late pp; the nonstationary part of eta > 0
+    is not included."""
+    if quad.cutoff is None or quad.epsilon or not math.isinf(bath.beta):
+        raise DomainError("the closed form is for beta = inf under a hard cutoff alone")
+    g, m, lam_sq = spec.gamma, spec.m, quad.cutoff**2
+    b, c, d = 4.0 * g * g - 2.0 * spec.omega_r**2, spec.omega_r**4, 4.0 * g * spec.Omega
+    log = 0.5 * math.log((lam_sq * lam_sq + b * lam_sq + c) / c)
+    angle = (b / d) * (math.atan((2.0 * lam_sq + b) / d) - math.atan(b / d))
+    return bath.constant_squeeze().cosh2eta * g * m / math.pi * (log - angle)
 
 
 # ---------------------------------------------------------------------------

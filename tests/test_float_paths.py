@@ -12,8 +12,8 @@ thermal factors, which the rows are compared with element by element,
 and the mass profile of the mode ODE, called on arrays only, must give
 an argument the same bits in a batch of any size.  A constant-weight
 kernel computes on float pairs, and a kernel of the real |d2~|^2 factor
-on floats, and each must give the bits of the complex product it
-writes out.
+on floats, and each must give the bits of the real part of the complex
+product it writes out.
 """
 
 import math
@@ -266,33 +266,38 @@ PAIR_COEFFS = {
 
 @pytest.mark.parametrize("coeffs", PAIR_COEFFS.values(), ids=PAIR_COEFFS.keys())
 def test_pair_kernels(coeffs, spec, quad, spectrum, cold_memo):
-    # a constant-weight kernel reads the (re, im) pairs of tables 0 and 1
-    # and must give the bits of the complex product it writes out; table
-    # 2, the measure times |d2~|^2, holds floats in both sets, and its
-    # one-product kernels must give the bits of the complex product too
+    # every kernel is the real part of its complex product: on the
+    # coefficients c it must give the bits of .real of the product, and
+    # on the rotation -i c, which the expander builds for a sin term, the
+    # bits of .imag of the product on c.  A constant-weight kernel reads
+    # the (re, im) pairs of tables 0 and 1; table 2, the measure times
+    # |d2~|^2, holds floats in both sets and has one-product kernels; a
+    # spectrum's kernels over tables 0 and 1 read its complex table 4
     bath = BathSpec(beta=0.3)
     tables = _node_factors(bath, quad, effective_response(spec, bath))
     spectral = BathSpec(beta=0.3, squeeze=spectrum, mass_f=0.5)
     spectral_tables = _node_factors(spectral, quad, effective_response(spec, spectral))
     row = _base_row(bath, quad.epsilon)
+    rotated = tuple(-1j * c for c in coeffs)
     c0, c1, c2 = coeffs
     points = [float(x) for x in SPREAD]
     assert {type(m) for w in points for m in row(w)} == {float}
     assert {type(t[2][w]) for t in (tables, spectral_tables) for w in points} == {float}
-    for part in ("real", "imag"):
-        # the measure times d2~ and d2~^2: float pairs
-        for table in tables[:2]:
-            kernel = _kernel(table, None, coeffs, part)
-            for w in points:
-                oracle = getattr(complex(*table[w]) * (c0 + w * (c1 + w * c2)), part)
-                assert kernel(w) == oracle, (part, w)
-        constant = _kernel(tables[2], None, coeffs, part)
-        weighted = _kernel(spectral_tables[2], spectral_tables[3], coeffs, part)
+
+    def product(scaled, weight, w):
+        """The complex product on c at w."""
+        value = scaled[w]
+        value = (complex(*value) if type(value) is tuple else value) * (c0 + w * (c1 + w * c2))
+        return value if weight is None else value * weight[w]
+
+    kernels = [(table, None) for table in tables]
+    kernels += [(spectral_tables[i], spectral_tables[j]) for i, j in ((2, 3), (0, 4), (1, 4))]
+    for scaled, weight in kernels:
+        on_c, on_r = _kernel(scaled, weight, coeffs), _kernel(scaled, weight, rotated)
         for w in points:
-            poly = c0 + w * (c1 + w * c2)
-            assert constant(w) == getattr(complex(tables[2][w]) * poly, part), (part, w)
-            want = getattr(spectral_tables[2][w] * poly * spectral_tables[3][w], part)
-            assert weighted(w) == want, (part, w)
+            want = product(scaled, weight, w)
+            assert on_c(w) == want.real, (scaled.index, w)
+            assert on_r(w) == want.imag, (scaled.index, w)
 
 
 @pytest.mark.parametrize(

@@ -51,6 +51,7 @@ from sqbath.oscillator_dynamics import (  # noqa: E402
     OscillatorSpec,
     chi_hadamard_components,
     covariance_evolution,
+    covariance_integral_parts,
     effective_response,
 )
 from sqbath.quadrature import QuadratureConfig  # noqa: E402
@@ -249,8 +250,8 @@ def misses() -> None:
     """The engine against the oracle where it is known to miss silently."""
     spec = OscillatorSpec(m=1.0, omega_r=1.0, gamma=0.1)
     cold = BathSpec(math.inf)
-    print("\nsilent misses (gamma = 0.1, theta = 0; unit-weight split; beta = inf "
-          "but in preset 4):")
+    print("\nsilent misses (gamma = 0.1, theta = 0; unit-weight split but for xx; "
+          "beta = inf but in preset 4 and where given):")
     for what, t, tp, quad in (
         ("S(55, 60), cutoff 1e3", 55.0, 60.0, QuadratureConfig(cutoff=1e3)),
         ("NS(40, 40), epsilon 1e-2", 40.0, 40.0, QuadratureConfig(epsilon=1e-2)),
@@ -269,6 +270,15 @@ def misses() -> None:
     o = chi_oracle(cfg.oscillator, bath, t, t, cfg.quad)[1][1]
     print(f"  {'preset 4 I_NS(t = 93.94)':26} engine {g:.9e}  oracle {o:.9e}  "
           f"diff {g - o:.2e} ({abs(g - o) / 0.188:.1e} of the column max)")
+    # setting A at eta = 1, cutoff 1e3: the sin terms at frequency t
+    quad, t = QuadratureConfig(cutoff=1e3), 100.0
+    for beta in (math.inf, 10.0):
+        bath = BathSpec(beta, SqueezeParam(1.0, 0.0))
+        g = covariance_integral_parts(spec, bath, t, quad)[0]
+        o = covariance_oracle(spec, bath, t, quad)[0]
+        what = f"xx(100), eta 1, beta {beta:g}"
+        print(f"  {what:26} engine {g:.9e}  oracle {o:.9e}  "
+              f"diff {g - o:.2e} ({abs(g - o) / abs(o):.1e} of xx)")
     spec = OscillatorSpec.from_resonance(1.0, 1.0, 0.1)
     init, bath, t = CovarianceState(2.0, 1.0, 0.0), BathSpec(0.3), 300.0
     print(f"\nsetting C, gamma = 0.1, beta = 0.3, t = {t:g} (engine | oracle):")
