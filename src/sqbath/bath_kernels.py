@@ -189,30 +189,28 @@ class SqueezeSpectrum:
 class BathSpec:
     """Scalar-field bath: temperature, squeeze configuration, mass profile.
 
-    ``squeeze`` is ``None`` (plain thermal), a :class:`SqueezeParam`
-    (mode-independent constant) or a :class:`SqueezeSpectrum`
-    (parametric process).  ``beta = inf`` is the zero-temperature bath.
+    ``squeeze`` is a :class:`SqueezeParam` (mode-independent constant;
+    the default ``SqueezeParam(0.0)`` is the plain thermal bath) or a
+    :class:`SqueezeSpectrum` (parametric process).  ``beta = inf`` is the
+    zero-temperature bath.
     """
 
     beta: float
-    squeeze: SqueezeParam | SqueezeSpectrum | None = None
+    squeeze: SqueezeParam | SqueezeSpectrum = SqueezeParam(0.0)
     mass_i: float = 0.0
     mass_f: float = 0.0
 
     def __post_init__(self):
         if not self.beta > 0:
-            raise DomainError("inverse temperature must be positive")
+            raise DomainError(
+                f"inverse temperature must be > 0 (inf for T = 0), got {self.beta}"
+            )
         if not (self.mass_i >= 0 and self.mass_f >= 0):
             raise DomainError("field masses must be nonnegative")
 
     @property
     def is_massless(self) -> bool:
         return self.mass_i == 0.0 and self.mass_f == 0.0
-
-    def constant_squeeze(self) -> SqueezeParam:
-        if isinstance(self.squeeze, SqueezeSpectrum):
-            raise DomainError("bath carries a squeeze spectrum, not a constant")
-        return self.squeeze if self.squeeze is not None else SqueezeParam(0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +223,9 @@ _COTH_PATCH = 1e-3  # a massless measure switches to its series below b w = 1e-3
 def bath_mix(bath: BathSpec, quad: QuadratureConfig) -> tuple:
     """The constant squeeze weights of ``bath`` as the magnitudes of its
     two parts and the angle of the nonstationary one, (cosh 2eta,
-    sinh 2eta, theta), or None for a squeeze spectrum, which must be
-    resolved under the regulator of ``quad``.  A massive bath needs a
-    spectrum."""
+    sinh 2eta, theta), (1, 0, theta) for a thermal bath, or None for a
+    squeeze spectrum, which must be resolved under the regulator of
+    ``quad``.  A massive bath needs a spectrum."""
     if isinstance(bath.squeeze, SqueezeSpectrum):
         bath.squeeze.check_resolution(quad, bath.mass_i)
         return None
@@ -236,8 +234,7 @@ def bath_mix(bath: BathSpec, quad: QuadratureConfig) -> tuple:
             "constant-squeeze dynamics is implemented for massless baths; "
             "massive baths require a parametric squeeze spectrum"
         )
-    sq = bath.constant_squeeze()
-    return sq.cosh2eta, sq.sinh2eta, sq.theta
+    return bath.squeeze.cosh2eta, bath.squeeze.sinh2eta, bath.squeeze.theta
 
 
 def _base_row(bath: BathSpec, epsilon: float):

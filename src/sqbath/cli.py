@@ -17,7 +17,8 @@ manifest alone.  CSV bodies are deterministic: re-running an identical
 config reproduces them byte for byte.
 
 Run path: ``parse_config`` checks every value and builds the parsed
-objects; ``_product_files`` builds the bath (``_build_bath``) and yields
+objects, the ``BathSpec`` among them; ``_product_files`` takes the bath
+(``_build_bath`` solves a parametric one's squeeze spectrum) and yields
 the rows of each file, the bath's sampled squeeze spectrum first;
 ``_computed_files`` refuses a file holding a nan or +-inf.
 ``run`` computes every file; ``run_sweep`` maps ``_sweep_point`` over the
@@ -190,13 +191,20 @@ def _reject_unknown(mapping: dict, known, where: str) -> None:
         )
 
 
-def _spacing(section: dict, where: str, default: str = "linear") -> str:
+def _spaced(section: dict, where: str, start: float, stop: float, n: int,
+            default: str = "linear") -> np.ndarray:
+    """n points from start to stop, spaced as ``section["spacing"]`` says
+    (``default`` if absent): linear, or log, which needs positive ends."""
     spacing = section.get("spacing", default)
     if spacing not in _SPACINGS:
         raise ConfigurationError(
             f"{where}.spacing must be one of {_SPACINGS}, got {spacing!r}"
         )
-    return spacing
+    if spacing == "linear":
+        return np.linspace(start, stop, n)
+    if not (start > 0 and stop > 0):
+        raise ConfigurationError(f"{where}: log spacing requires start, stop > 0")
+    return np.geomspace(start, stop, n)
 
 
 def _grid(data: dict, where: str, default=None, spacing="linear") -> np.ndarray:
@@ -210,11 +218,7 @@ def _grid(data: dict, where: str, default=None, spacing="linear") -> np.ndarray:
     points = _as_int(section.get("points", 0), f"{where}.points")
     if points < 2 or not stop > start:
         raise ConfigurationError(f"{where}: need stop > start and points >= 2")
-    if _spacing(section, where, spacing) == "log":
-        if start <= 0:
-            raise ConfigurationError(f"{where}: log spacing requires start > 0")
-        return np.geomspace(start, stop, points)
-    return np.linspace(start, stop, points)
+    return _spaced(section, where, start, stop, points, spacing)
 
 
 @dataclass
@@ -227,9 +231,7 @@ class RunConfig:
     outputs: tuple[str, ...]
     time_grid: np.ndarray
     init: CovarianceState
-    bath_beta: float
-    bath_eta: float = 0.0
-    bath_theta: float = 0.0
+    bath: BathSpec
     profile: MassProfile | None = None
     k_grid: np.ndarray | None = None
     fdr_grid: np.ndarray | None = None
@@ -263,13 +265,11 @@ def parse_config(data: dict) -> RunConfig:
     make = OscillatorSpec.from_resonance if convention == "Omega" else OscillatorSpec
     spec = _make("oscillator", make, m, frequency, gamma)
 
-    bath = _section(data, "bath") or {}
-    beta = _as_float(bath.get("beta", 1.0), "bath.beta", finite=False)
-    eta = _as_float(bath.get("eta", 0.0), "bath.eta")
-    theta = _as_float(bath.get("theta", 0.0), "bath.theta")
-    if not beta > 0:
-        raise ConfigurationError(f"bath.beta must be > 0 (inf for T = 0), got {beta}")
-    _make("bath.eta", SqueezeParam, eta, theta)
+    bath_sec = _section(data, "bath") or {}
+    beta = _as_float(bath_sec.get("beta", 1.0), "bath.beta", finite=False)
+    eta = _as_float(bath_sec.get("eta", 0.0), "bath.eta")
+    theta = _as_float(bath_sec.get("theta", 0.0), "bath.theta")
+    bath = _make("bath.beta", BathSpec, beta, _make("bath.eta", SqueezeParam, eta, theta))
     if scenario != "constant_squeeze" and eta != 0.0:
         raise ConfigurationError(
             f"bath.eta is only meaningful for constant_squeeze (scenario {scenario})"
@@ -346,11 +346,6 @@ def parse_config(data: dict) -> RunConfig:
         if product != "fdr":
             # every product but the closed-form FDR integrates over frequency
             quad.require_regulator(f"the {product} output")
-    if spec.gamma == 0.0:
-        # the uncoupled response d2~ has a real pole at omega_r, on the path
-        # of every frequency integral, and fdr writes nan rows where its grid
-        # meets it
-        raise ConfigurationError("oscillator.gamma must be > 0, got 0")
     if profile is not None and set(outputs) - {"fdr"}:
         # the detector response in the ramped bath needs mass_f < Omega
         _make("profile.mass_f", massive_roots, spec.gamma, spec.Omega, profile.mass_f)
@@ -375,7 +370,7 @@ def parse_config(data: dict) -> RunConfig:
     for name, grid in (("time_grid", time_grid), ("hadamard_grid", hadamard_grid)):
         if grid is not None and not grid[0] >= 0:
             raise ConfigurationError(f"{name}.start must be >= 0, got {grid[0]}")
-    thetas = _as_list(data.get("ns_thetas", [theta]), "ns_thetas")
+    thetas = _as_list(data.get("ns_thetas", [bath.squeeze.theta]), "ns_thetas")
     ns_thetas = tuple(_distinct([_as_float(v, "ns_thetas") for v in thetas], "ns_thetas"))
 
     hadamard_factored = data.get("hadamard_factored", False)
@@ -414,9 +409,7 @@ def parse_config(data: dict) -> RunConfig:
         outputs=outputs,
         time_grid=time_grid,
         init=init,
-        bath_beta=beta,
-        bath_eta=eta,
-        bath_theta=theta,
+        bath=bath,
         profile=profile,
         k_grid=k_grid,
         fdr_grid=fdr_grid,
@@ -444,11 +437,7 @@ def _sweep_values(sweep: dict) -> list[float]:
     steps = _as_int(sweep.get("steps", 0), "sweep.steps")
     if steps < 2:
         raise ConfigurationError(f"sweep: steps must be >= 2 (a range), got {steps}")
-    if _spacing(sweep, "sweep") == "log":
-        if not (start > 0 and stop > 0):
-            raise ConfigurationError("sweep: log spacing requires start, stop > 0")
-        return _distinct(np.geomspace(start, stop, steps).tolist(), "sweep")
-    return _distinct(np.linspace(start, stop, steps).tolist(), "sweep")
+    return _distinct(_spaced(sweep, "sweep", start, stop, steps).tolist(), "sweep")
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +466,9 @@ def resolved_config(cfg: RunConfig) -> dict:
             "frequency_convention": cfg.frequency_convention,
         },
         "bath": {
-            "beta": cfg.bath_beta,
-            "eta": cfg.bath_eta,
-            "theta": cfg.bath_theta,
+            "beta": cfg.bath.beta,
+            "eta": cfg.bath.squeeze.eta,
+            "theta": cfg.bath.squeeze.theta,
         },
         "quadrature": asdict(cfg.quad),
         "initial_state": asdict(cfg.init),
@@ -522,16 +511,17 @@ def squeeze_spectrum(profile: MassProfile, k_grid: tuple) -> SqueezeSpectrum:
 
 
 def _build_bath(cfg: RunConfig) -> BathSpec:
-    if cfg.scenario == "parametric":
-        k_grid = tuple(cfg.k_grid.tolist())
-        return BathSpec(
-            beta=cfg.bath_beta,
-            squeeze=_at("squeeze_spectrum", {}, squeeze_spectrum, cfg.profile, k_grid),
-            mass_i=cfg.profile.mass_i,
-            mass_f=cfg.profile.mass_f,
-        )
-    squeeze = SqueezeParam(cfg.bath_eta, cfg.bath_theta) if cfg.bath_eta > 0 else None
-    return BathSpec(beta=cfg.bath_beta, squeeze=squeeze)
+    """The bath of the products: ``cfg.bath``, or in a parametric run the
+    bath of its squeeze spectrum at the temperature of ``cfg.bath``."""
+    if cfg.profile is None:
+        return cfg.bath
+    k_grid = tuple(cfg.k_grid.tolist())
+    return BathSpec(
+        beta=cfg.bath.beta,
+        squeeze=_at("squeeze_spectrum", {}, squeeze_spectrum, cfg.profile, k_grid),
+        mass_i=cfg.profile.mass_i,
+        mass_f=cfg.profile.mass_f,
+    )
 
 
 def _at(product: str, point: dict, fn, *args):
@@ -593,7 +583,7 @@ def _product_files(cfg: RunConfig):
         elif name == "hadamard_surface":
             grid = [float(t) for t in cfg.hadamard_grid]
             if cfg.hadamard_factored:
-                kernel, head = chi_hadamard_components, (spec, bath, cfg.bath_theta)
+                kernel, head = chi_hadamard_components, (spec, bath, cfg.bath.squeeze.theta)
             else:
                 kernel, head = chi_hadamard, (spec, bath)
             pair = {}

@@ -185,7 +185,7 @@ def fdr_oscillator(
     if isinstance(bath.squeeze, SqueezeSpectrum):
         ch2 = np.array([r[1] for r in rows])[where]
     else:
-        ch2 = bath.constant_squeeze().cosh2eta
+        ch2 = bath.squeeze.cosh2eta
     kappa_coth = measure / _MEASURE_NORM
     g = 1.0 / (spec.omega_r**2 - aw**2 - 2j * spec.gamma * kappa)
     hadamard = (2.0 * spec.gamma / spec.m) * ch2 * np.abs(g) ** 2 * kappa_coth

@@ -96,21 +96,24 @@ class OscillatorSpec:
     """Detector oscillator: mass, physical frequency, damping constant.
 
     gamma = e^2 / (8 pi m) encodes the field coupling e.  Only the
-    underdamped regime omega_r > gamma is supported, so the resonance
-    frequency Omega = sqrt(omega_r^2 - gamma^2) is real.
+    coupled, underdamped regime 0 < gamma < omega_r is supported, so the
+    resonance frequency Omega = sqrt(omega_r^2 - gamma^2) is real.
     """
 
     m: float
     omega_r: float
-    gamma: float = 0.0
+    gamma: float
 
     def __post_init__(self):
         if not self.m > 0:
             raise DomainError("oscillator mass must be positive")
         if not self.omega_r > 0:
             raise DomainError("physical frequency must be positive")
-        if not self.gamma >= 0:
-            raise DomainError("damping constant must be nonnegative")
+        if not self.gamma > 0:
+            # the uncoupled response d2~ has a real pole at omega_r, on the
+            # path of every frequency integral, and fdr writes nan rows
+            # where its grid meets it
+            raise DomainError(f"damping constant must be > 0, got {self.gamma}")
         if self.gamma >= self.omega_r:
             raise UnsupportedRegimeError(
                 f"overdamped oscillator (gamma = {self.gamma} >= omega_r = "

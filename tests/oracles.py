@@ -304,7 +304,7 @@ def double_time_oracle(spec, bath: BathSpec, t: float, eps: float, n: int = 1280
     G_H(s, s'), u = d2/m or d2', G_H = 2 cosh 2eta bath_hadamard(s - s') -
     2 sinh 2eta bath_hadamard(s + s', theta) under e^{-eps w}, by Simpson's
     rule on n (even) intervals a side: no frequency integral at all."""
-    sq = bath.constant_squeeze()
+    sq = bath.squeeze
     s = np.linspace(0.0, t, n + 1)
     diffs, sums = np.round(s[:, None] - s[None, :], 12), np.round(s[:, None] + s[None, :], 12)
     stat = {d: bath_hadamard(bath.beta, eps, abs(d)) for d in np.unique(diffs)}
@@ -345,28 +345,44 @@ def late_xx(spec, bath: BathSpec, quad: QuadratureConfig) -> float:
         scale = bath.beta / (2.0 * math.pi)
         value = (1.0 / spec.omega_r**2 + 2.0 * scale * scale * ratio.real) / (m * bath.beta)
     tail = g / (math.pi * m * quad.cutoff**2)
-    return bath.constant_squeeze().cosh2eta * (value - tail)
+    return bath.squeeze.cosh2eta * (value - tail)
 
 
-def late_pp_vac(spec, bath: BathSpec, quad: QuadratureConfig) -> float:
-    """pp_vac, the late-time stationary pp integral part of a massless
-    constant-squeeze bath at beta = inf under a hard cutoff Lambda, in
-    closed form without quadrature:
+def late_pp(spec, bath: BathSpec, quad: QuadratureConfig) -> float:
+    """pp_inf, the late-time stationary pp integral part of a massless
+    constant-squeeze bath under a hard cutoff Lambda, in closed form
+    without quadrature.  With coth(b w/2) = 1 + 2 n_B(w) it is the vacuum
+    part in elementary form,
 
         (2 gamma m/pi) cosh 2eta int_0^Lambda w^3 dw/(w^4 + B w^2 + C)
       = (gamma m/pi) cosh 2eta [1/2 ln((Lambda^4 + B Lambda^2 + C)/C)
                                 - (B/d)(atan((2 Lambda^2 + B)/d) - atan(B/d))],
 
-    B = 4 gamma^2 - 2 w_r^2, C = w_r^4, d = sqrt(4C - B^2) = 4 gamma Omega.
-    At eta = 0 it is the whole late pp; the nonstationary part of eta > 0
-    is not included."""
-    if quad.cutoff is None or quad.epsilon or not math.isinf(bath.beta):
-        raise DomainError("the closed form is for beta = inf under a hard cutoff alone")
+    B = 4 gamma^2 - 2 w_r^2, C = w_r^4, d = sqrt(4C - B^2) = 4 gamma Omega,
+    plus at finite beta the thermal part
+
+        (4 gamma m/pi) cosh 2eta int_0^inf w^3 n_B(w) |d2~|^2 dw
+      = (4 gamma m/pi) cosh 2eta Im[a^2 J(a)]/Im[a^2],
+
+    a = gamma + i Omega, from |d2~|^2 = 1/((w^2 + a^2)(w^2 + a*^2)) and
+    Binet's formula for psi (DLMF 5.9), which gives
+    int_0^inf w dw/((w^2 + a^2)(e^{b w} - 1)) = J(a) = [ln z - 1/(2z) -
+    psi(z)]/2, z = b a/2pi.  The thermal part's tail above Lambda,
+    of order e^{-b Lambda}, is left out.  At eta = 0 it is the whole
+    late pp; the nonstationary part of eta > 0 is not included."""
+    if quad.cutoff is None or quad.epsilon:
+        raise DomainError("the closed form is for a hard cutoff alone")
     g, m, lam_sq = spec.gamma, spec.m, quad.cutoff**2
     b, c, d = 4.0 * g * g - 2.0 * spec.omega_r**2, spec.omega_r**4, 4.0 * g * spec.Omega
     log = 0.5 * math.log((lam_sq * lam_sq + b * lam_sq + c) / c)
     angle = (b / d) * (math.atan((2.0 * lam_sq + b) / d) - math.atan(b / d))
-    return bath.constant_squeeze().cosh2eta * g * m / math.pi * (log - angle)
+    value = g * m / math.pi * (log - angle)
+    if not math.isinf(bath.beta):
+        a = complex(g, spec.Omega)
+        z = bath.beta * a / (2.0 * math.pi)
+        j = 0.5 * (cmath.log(z) - 0.5 / z - special.digamma(z))
+        value += 4.0 * g * m / math.pi * (a * a * j).imag / (a * a).imag
+    return bath.squeeze.cosh2eta * value
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +439,7 @@ def cosh2eta_at(bath: BathSpec, kappa):
     squeeze spectrum."""
     if isinstance(bath.squeeze, SqueezeSpectrum):
         return np.cosh(2.0 * eta_at(bath.squeeze, kappa))
-    return bath.constant_squeeze().cosh2eta
+    return bath.squeeze.cosh2eta
 
 
 def _kappa(mass_i: float):
@@ -552,7 +568,7 @@ def _bath_nodes(resp, bath: BathSpec, quad: QuadratureConfig, tau_max: float, sp
         bath.mass_i, quad.upper(), resp, bath.beta, quad.epsilon, knots, tau_max, split
     )
     if spectrum is None:
-        sq = bath.constant_squeeze()
+        sq = bath.squeeze
         weights = sq.cosh2eta, sq.sinh2eta * cmath.exp(1j * sq.theta)
     else:
         weights = spectrum_weights(spectrum, bath.mass_i)(rule.nodes)
@@ -603,4 +619,4 @@ def chi_oracle(spec, bath: BathSpec, t: float, t_prime: float, quad: QuadratureC
     full = tuple(spec.e_sq / spec.m**2 * x for x in _forms(rule, measure, weights, u, v))
     if not bath.is_massless or isinstance(bath.squeeze, SqueezeSpectrum):
         return full, None
-    return full, _forms(rule, measure, (1.0, cmath.exp(1j * bath.constant_squeeze().theta)), u, v)
+    return full, _forms(rule, measure, (1.0, cmath.exp(1j * bath.squeeze.theta)), u, v)

@@ -134,7 +134,7 @@ class TestBathFdr:
             assert abs(near - lhs) <= 1e-6 * ch2
 
     def test_threshold_behavior(self, bath_parametric):
-        mass_bath = BathSpec(beta=1.0, squeeze=None, mass_i=0.4, mass_f=0.4)
+        mass_bath = BathSpec(beta=1.0, mass_i=0.4, mass_f=0.4)
         with pytest.raises(BelowThresholdError):
             bath_fdr(0.4, mass_bath)
         with pytest.raises(BelowThresholdError):
@@ -177,8 +177,8 @@ TANH = MassProfile(0.0, 0.5, 0.0, 2.0)
 # the squeeze extraction, given a NaN (or an infinite k knot) where a number
 # is checked
 NOT_A_NUMBER = {
-    "oscillator-m": lambda: OscillatorSpec(m=NAN, omega_r=1.0),
-    "oscillator-omega_r": lambda: OscillatorSpec(m=1.0, omega_r=NAN),
+    "oscillator-m": lambda: OscillatorSpec(m=NAN, omega_r=1.0, gamma=0.1),
+    "oscillator-omega_r": lambda: OscillatorSpec(m=1.0, omega_r=NAN, gamma=0.1),
     "oscillator-gamma": lambda: OscillatorSpec(m=1.0, omega_r=1.0, gamma=NAN),
     "quadrature-cutoff": lambda: QuadratureConfig(cutoff=NAN),
     "quadrature-epsilon": lambda: QuadratureConfig(epsilon=NAN),
@@ -219,4 +219,4 @@ def test_bath_spec_validation():
     with pytest.raises(DomainError):
         BathSpec(beta=1.0, mass_i=-0.1)
     bath = BathSpec(beta=math.inf)
-    assert bath.constant_squeeze().eta == 0.0
+    assert bath.squeeze == SqueezeParam(0.0)

@@ -134,10 +134,10 @@ UNREAD_SECTIONS = {
 # message starts with the key (id: (key, case))
 REFUSED_KEYS = {
     # the uncoupled response has a real pole at omega_r: exit 3, ier 5
-    "gamma-zero": ("oscillator.gamma", {"oscillator": {"omega_r": 1.0, "gamma": 0.0}}),
+    "gamma-zero": ("oscillator", {"oscillator": {"omega_r": 1.0, "gamma": 0.0}}),
     # nan rows where the fdr grid meets omega_r, max_rel_deviation 0.0
     "gamma-zero-fdr": (
-        "oscillator.gamma",
+        "oscillator",
         {"oscillator": {"omega_r": 1.0, "gamma": 0.0}, "outputs": ["fdr"]},
     ),
     # values swept, the range silently dropped
@@ -237,11 +237,17 @@ class TestConfigParsing:
         data = dict(SMALL_CONSTANT)
         data["bath"] = {"beta": "inf", "eta": 0.5}
         cfg = parse_config(data)
-        assert math.isinf(cfg.bath_beta)
+        assert math.isinf(cfg.bath.beta)
         # a swept inf is parsed again by its point, where beta takes it
         data["sweep"] = {"path": "bath.beta", "values": [1.0, ".inf"]}
         cfg = parse_config(data)
-        assert math.isinf(sqbath.cli._point_config(cfg.raw, "bath.beta", math.inf).bath_beta)
+        assert math.isinf(sqbath.cli._point_config(cfg.raw, "bath.beta", math.inf).bath.beta)
+
+    @pytest.mark.parametrize("data", [SMALL_CONSTANT, figure_preset("tan2eta")], ids=["A", "C"])
+    def test_bath_is_parsed_once(self, data):
+        # without a squeeze spectrum to solve, the products read the parsed bath
+        cfg = parse_config(data)
+        assert sqbath.cli._build_bath(cfg) is cfg.bath
 
     def test_empty_sweep_rejected(self):
         data = dict(SMALL_CONSTANT)
@@ -427,6 +433,31 @@ class TestRun:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
+
+    def test_one_angle_per_run(self, tmp_path, monkeypatch):
+        # SqueezeParam normalises an angle into [0, 2 pi); the manifest, the
+        # default ns_thetas and the factored surface read the angle the
+        # covariances use
+        data = dict(SMALL_CONSTANT, outputs=["ns_split", "hadamard_surface"])
+        data["bath"] = {"beta": 0.3, "eta": 1.0, "theta": 6.783185307179586}  # 2 pi + 0.5
+        data["time_grid"] = data["hadamard_grid"] = {"start": 5.0, "stop": 6.0, "points": 2}
+        data["hadamard_factored"] = True
+        cfg = parse_config(data)
+        theta = cfg.bath.squeeze.theta
+        assert abs(theta - 0.5) <= 1e-15
+        angles = []
+        components = sqbath.cli.chi_hadamard_components
+
+        def recording(spec, bath, angle, *rest):
+            angles.append(angle)
+            return components(spec, bath, angle, *rest)
+
+        monkeypatch.setattr(sqbath.cli, "chi_hadamard_components", recording)
+        resolved = run(cfg, tmp_path)["resolved_config"]
+        assert resolved["bath"]["theta"] == theta and resolved["ns_thetas"] == [theta]
+        assert angles == [theta] * 3
+        _, rows = read_rows(tmp_path / "ins_vs_t.csv")
+        assert {row[1] for row in rows} == {theta}
 
     def test_one_product_path(self, tmp_path, monkeypatch):
         # each time point's covariance feeds covariances, fluxes and
@@ -852,11 +883,12 @@ class TestSweep:
     @pytest.mark.parametrize(
         "path, values, cause",
         [
-            ("bath.beta", [1.0, -1.0], "bath.beta must be > 0"),
+            ("bath.beta", [1.0, -1.0],
+             "bath.beta: inverse temperature must be > 0 (inf for T = 0), got -1.0"),
             ("oscillator.gamma", [0.1, 5.0], "overdamped"),
             ("time_grid.start", [5.0, -1.0], "time_grid.start must be >= 0"),
             ("bath.theta", [0.0, math.inf], "bath.theta: expected a finite number"),
-            ("oscillator.gamma", [0.1, 0.0], "oscillator.gamma must be > 0"),
+            ("oscillator.gamma", [0.1, 0.0], "oscillator: damping constant must be > 0, got 0.0"),
             ("bath.eta", [1.0, 400.0], "bath.eta: squeeze magnitude must be in [0, 355.238]"),
         ],
         ids=["negative-beta", "overdamped", "negative-time", "theta-inf", "gamma-zero",
@@ -946,7 +978,7 @@ class TestMainEntry:
         assert bath["beta"] == "inf"
         assert cold["config_hash"].startswith(SHIPPED_HASHES["grn3d"])
         # the written beta reads back as zero temperature
-        assert parse_config({**figure_preset("grn3d"), "bath": bath}).bath_beta == math.inf
+        assert parse_config({**figure_preset("grn3d"), "bath": bath}).bath.beta == math.inf
         capsys.readouterr()
 
         data = dict(SMALL_CONSTANT, outputs=["covariances"])

@@ -53,10 +53,6 @@ class TestPowerIn:
 
 
 class TestPowerOut:
-    def test_decoupled(self, bath_thermal):
-        free = OscillatorSpec(m=1.0, omega_r=1.0, gamma=0.0)
-        assert power_out(free, bath_thermal, 5.0) == 0.0
-
     def test_proportional_to_momentum_dispersion(self, spec, quad, bath_squeezed):
         pp = driven_pp(spec, bath_squeezed, 12.0, quad)
         p_out = power_out(spec, bath_squeezed, pp)

@@ -15,7 +15,7 @@ from oracles import (
     f_aux,
     fdot_aux,
     fundamental_solutions,
-    late_pp_vac,
+    late_pp,
     late_xx,
 )
 import sqbath.cli
@@ -30,7 +30,7 @@ from sqbath.errors import (
     DomainError,
     UnsupportedRegimeError,
 )
-from sqbath.gaussian_state import CovarianceState, SqueezeParam
+from sqbath.gaussian_state import CovarianceState, SqueezeParam, extract_squeeze
 from sqbath.oscillator_dynamics import (
     OscillatorSpec,
     _bilinear,
@@ -73,6 +73,11 @@ class TestFundamentalSolutions:
     def test_overdamped_rejected(self):
         with pytest.raises(UnsupportedRegimeError):
             OscillatorSpec(m=1.0, omega_r=0.5, gamma=0.6)
+
+    def test_uncoupled_rejected(self):
+        # the uncoupled response d2~ has a real pole at omega_r
+        with pytest.raises(DomainError, match="damping constant must be > 0, got 0.0"):
+            OscillatorSpec(1.0, 1.0, 0.0)
 
     def test_negative_time_rejected(self, spec, bath_squeezed, quad):
         # every response factor passes through the one check of t >= 0
@@ -380,22 +385,68 @@ class TestLateXxClosedForm:
         assert abs(tail - want) <= want / t
 
 
-class TestLatePpClosedForm:
-    """The late-time vacuum pp integral part against its elementary form,
-    ``oracles.late_pp_vac``: the program and the panel oracle at beta =
-    inf, eta = 0 and t = 400, where the relaxation transient is at most
-    e^-40."""
+# an id appends beta only where it is finite, so the zero-temperature cases
+# keep the names they had as the vacuum-only test
+LATE_PP_CASES = [
+    pytest.param(*osc, cutoff, beta, id="-".join(
+        map(str, (*osc, cutoff) if math.isinf(beta) else (*osc, cutoff, beta))
+    ))
+    for beta in (math.inf, 10.0, 1.0, 0.3)
+    for cutoff in (1e2, 1e3, 1e4)
+    for osc in ((1.0, 1.0, 0.1), (2.0, 1.3, 0.3))
+]
 
-    @pytest.mark.parametrize("cutoff", [1e2, 1e3, 1e4])
-    @pytest.mark.parametrize("m, omega_r, gamma", [(1.0, 1.0, 0.1), (2.0, 1.3, 0.3)])
-    def test_matches_elementary_form(self, m, omega_r, gamma, cutoff):
+
+class TestLatePpClosedForm:
+    """The late-time pp integral part against its closed form,
+    ``oracles.late_pp`` (elementary at beta = inf, digamma for the thermal
+    part): the program and the panel oracle at eta = 0 and t = 400, where
+    the relaxation transient is at most e^-40."""
+
+    @pytest.mark.parametrize("m, omega_r, gamma, cutoff, beta", LATE_PP_CASES)
+    def test_matches_elementary_form(self, m, omega_r, gamma, cutoff, beta):
         spec = OscillatorSpec(m=m, omega_r=omega_r, gamma=gamma)
-        bath = BathSpec(beta=math.inf)
+        bath = BathSpec(beta=beta)
         quad = QuadratureConfig(cutoff=cutoff)
-        want = late_pp_vac(spec, bath, quad)
+        want = late_pp(spec, bath, quad)
         for got in (covariance_integral_parts(spec, bath, 400.0, quad)[1],
                     covariance_oracle(spec, bath, 400.0, quad)[1]):
             assert abs(got - want) <= 1e-12 * want
+
+
+class TestSettingCRelaxedSqueeze:
+    """Setting C, the plain thermal bath (eta = 0): the squeeze the
+    oscillator relaxes to, ``extract_squeeze`` of the program's
+    covariances at t = 300, against ``extract_squeeze`` of the closed
+    forms (late_xx, late_pp, 0).  Only pp depends on the cutoff, through
+    its ln Lambda growth, so the relaxed eta is set by the regulator.  At
+    Omega = 1, gamma = 0.1 and beta = 0.3 the closed forms give
+    (Xi, eta) = (6.95805892617, 0.0201362301592) at Lambda = 1e3,
+    (7.09677844760, 0.0300064233063) at 1e4 and (7.23283785061,
+    0.0395016874163) at 1e5, where the program refuses."""
+
+    @pytest.mark.parametrize("spec, beta, cutoff", [
+        *(pytest.param(spec, beta, cutoff, id=f"{name}-{beta}-{cutoff}")
+          for name, spec in (("omega-1", OscillatorSpec.from_resonance(1.0, 1.0, 0.1)),
+                             ("omega_r-1.3", OscillatorSpec(2.0, 1.3, 0.3)))
+          for beta in (0.3, 1.0, 10.0)
+          for cutoff in (1e3, 1e4)),
+        pytest.param(
+            OscillatorSpec.from_resonance(1.0, 1.0, 0.1), 0.3, 1e5, id="omega-1-0.3-100000.0",
+            marks=pytest.mark.xfail(
+                raises=ConvergenceError, strict=True,
+                reason="the cos term at frequency 0 ends with QUADPACK ier 4 at cutoff 1e5",
+            ),
+        ),
+    ])
+    def test_relaxed_squeeze(self, spec, beta, cutoff):
+        bath, quad = BathSpec(beta), QuadratureConfig(cutoff=cutoff)
+        late = CovarianceState(late_xx(spec, bath, quad), late_pp(spec, bath, quad), 0.0)
+        want = extract_squeeze(late, spec.m, spec.omega_r)
+        cov = covariance_evolution(spec, bath, GROUND, 300.0, quad)
+        got = extract_squeeze(cov, spec.m, spec.omega_r)
+        assert abs(got.xi - want.xi) <= 1e-11 * want.xi
+        assert abs(got.squeeze.eta - want.squeeze.eta) <= 1e-11 * want.squeeze.eta
 
 
 @pytest.fixture
@@ -840,12 +891,12 @@ class TestTermMemo:
         # the squeezed Hadamard function is the unit-weight split times the
         # prefactor and the squeeze magnitudes, at no further integral
         count = count_quad_calls(monkeypatch)
-        theta = bath_squeezed.constant_squeeze().theta
+        theta = bath_squeezed.squeeze.theta
         unit, calls = count(chi_hadamard_components, spec, bath_squeezed, theta, 12.0, 7.0, MEMO_QUAD)
         assert calls > 0
         full, calls = count(chi_hadamard, spec, bath_squeezed, 12.0, 7.0, MEMO_QUAD)
         assert calls == 0
-        pref, sq = spec.e_sq / spec.m**2, bath_squeezed.constant_squeeze()
+        pref, sq = spec.e_sq / spec.m**2, bath_squeezed.squeeze
         assert full.stationary == pref * (sq.cosh2eta * unit.stationary)
         assert full.nonstationary == pref * (sq.sinh2eta * unit.nonstationary)
 

@@ -16,8 +16,10 @@ mass-ramp workload is listed, not audited: its rows rest on the squeeze
 spectrum, for which there is no oracle yet.
 
 It then prints the engine against the oracle at the points where the
-engine is known to miss without an error, and setting C's covariances at
-cutoffs 1e3-1e5.  It reads ``perfbench/`` and writes nothing there.
+engine is known to miss without an error, setting C's relaxed squeeze
+at cutoff 1e5 from the closed forms ``late_xx`` and ``late_pp`` beside
+the engine's refusal, and setting C's covariances at cutoffs 1e3-1e5.
+It reads ``perfbench/`` and writes nothing there.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ from oracles import (  # noqa: E402
     chi_oracle,
     covariance_oracle,
     fundamental_solutions,
+    late_pp,
+    late_xx,
     omega_coth_half_beta,
 )
 from sqbath import cli  # noqa: E402
@@ -90,7 +94,7 @@ def fdr_rows(spec, bath, omegas):
     bath from their defining formulas, extended evenly; at w = 0 the
     dissipation side takes the hadamard side's limit."""
     aw = np.abs(omegas)
-    ch2 = bath.constant_squeeze().cosh2eta
+    ch2 = bath.squeeze.cosh2eta
     w_coth = omega_coth_half_beta(aw, bath.beta)
     g = 1.0 / (spec.omega_r**2 - aw**2 - 2j * spec.gamma * aw)
     hadamard = (2.0 * spec.gamma / spec.m) * ch2 * np.abs(g) ** 2 * w_coth
@@ -247,10 +251,11 @@ def _state(cov: CovarianceState, spec) -> str:
 
 
 def misses() -> None:
-    """The engine against the oracle where it is known to miss silently."""
+    """The engine against the oracle where it is known to miss: silently,
+    or with a refusal where the closed form has a value."""
     spec = OscillatorSpec(m=1.0, omega_r=1.0, gamma=0.1)
     cold = BathSpec(math.inf)
-    print("\nsilent misses (gamma = 0.1, theta = 0; unit-weight split but for xx; "
+    print("\nknown misses (gamma = 0.1, theta = 0; unit-weight split but for xx; "
           "beta = inf but in preset 4 and where given):")
     for what, t, tp, quad in (
         ("S(55, 60), cutoff 1e3", 55.0, 60.0, QuadratureConfig(cutoff=1e3)),
@@ -281,6 +286,16 @@ def misses() -> None:
               f"diff {g - o:.2e} ({abs(g - o) / abs(o):.1e} of xx)")
     spec = OscillatorSpec.from_resonance(1.0, 1.0, 0.1)
     init, bath, t = CovarianceState(2.0, 1.0, 0.0), BathSpec(0.3), 300.0
+    # setting C at cutoff 1e5: the relaxed squeeze of the closed forms
+    quad = QuadratureConfig(cutoff=1e5)
+    late = CovarianceState(late_xx(spec, bath, quad), late_pp(spec, bath, quad))
+    want = extract_squeeze(late, spec.m, spec.omega_r)
+    try:
+        engine = _state(covariance_evolution(spec, bath, init, t, quad), spec)
+    except ConvergenceError as exc:
+        engine = f"refused (ier {exc.diagnostics['ier']})"
+    print(f"  {'setting C(300), cutoff 1e5':26} engine {engine}  closed form "
+          f"Xi {want.xi:.9g} eta {want.squeeze.eta:.7g}")
     print(f"\nsetting C, gamma = 0.1, beta = 0.3, t = {t:g} (engine | oracle):")
     for cutoff in (1e3, 1e4, 1e5):
         quad = QuadratureConfig(cutoff=cutoff)
